@@ -1,13 +1,16 @@
-//! Scaling of the parallel fitness evaluator: the same EA run (identical
-//! seed, identical results — see `tests/parallel_determinism.rs`) at 1, 2,
-//! 4 and 8 threads on a calibrated synthetic workload.
+//! Scaling of the island workers: the same 4-island EA run (identical
+//! seed, identical results — see `tests/island_determinism.rs`) at 1, 2, 4
+//! and 8 threads on a calibrated synthetic workload.
 //!
-//! The EA configuration widens the paper's population (`S = 32`, `C = 64`)
-//! so each generation hands the evaluator a batch worth parallelizing; the
-//! fitness kernel (covering + Huffman over the distinct-block histogram) is
-//! the paper's. On a multicore machine the 4-thread run should come in at
-//! well under the 1-thread wall-clock; eval/s lines make the throughput
-//! comparable across thread counts.
+//! Island runs are the engine's only fan-out: each worker evolves whole
+//! islands between migrations, while every batch is scored in one call on
+//! the thread that owns its island. (A panmictic run is one island, so its
+//! lines would be identical by construction.) The EA configuration widens
+//! the paper's population (`S = 32`, `C = 64`) so each island's epoch is a
+//! sizeable unit of work; the fitness kernel (covering + Huffman over the
+//! distinct-block histogram) is the paper's. On a multicore machine the
+//! 4-thread run should come in at well under the 1-thread wall-clock;
+//! eval/s lines make the throughput comparable across thread counts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use evotc_bits::{BlockHistogram, TestSet, TestSetString};
@@ -28,13 +31,14 @@ fn calibrated_workload() -> (TestSet, BlockHistogram, usize) {
 }
 
 fn compressor(threads: usize) -> EaCompressor {
-    // A wide (S + C) so each generation's child batch is worth chunking
-    // across workers; budget-capped so one run is a stable unit of work.
+    // Four islands of a wide (S + C), migrating every 5 generations;
+    // budget-capped so one run is a stable unit of work.
     let config = EaConfig::builder()
         .population_size(32)
         .children_per_generation(64)
         .stagnation_limit(1_000)
-        .max_evaluations(1_024)
+        .max_evaluations(4_096)
+        .islands(4, 5, 2)
         .seed(1)
         .threads(threads)
         .build();

@@ -47,7 +47,7 @@ use evotc_core::{
     IncrementalOutcome, MvFitness, PatchScratch,
 };
 use evotc_core::{trit_checkpoint_from_bytes, trit_checkpoint_to_bytes};
-use evotc_evo::{EaBuilder, EaCheckpoint, EaConfig, FitnessEval};
+use evotc_evo::{EaBuilder, EaCheckpoint, EaConfig, FitnessEval, Objectives, Provenance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -281,7 +281,7 @@ fn main() {
     }
     // Correctness gate 4: an island-topology run must be byte-identical for
     // every thread count at a fixed seed — the engine's determinism contract
-    // extended from fitness batches to whole runs.
+    // on the paper workload (islands are the only runs that use threads).
     let island_run = |threads: usize| {
         let config = EaConfig::builder()
             .stagnation_limit(usize::MAX)
@@ -469,10 +469,16 @@ fn main() {
         fn evaluate(&self, genes: &[Trit]) -> f64 {
             self.0.evaluate(genes)
         }
-        fn evaluate_batch(&self, genomes: &[Vec<Trit>], out: &mut [f64]) {
-            self.0.evaluate_batch(genomes, out);
+        // Provenance dropped: children take the full kernel.
+        fn evaluate_batch(
+            &self,
+            genomes: &[Vec<Trit>],
+            _provenance: Option<Provenance<'_, Trit>>,
+            out: &mut [f64],
+            objectives: Option<&mut [Objectives]>,
+        ) {
+            self.0.evaluate_batch(genomes, None, out, objectives);
         }
-        // No lineage override: children take the full kernel.
     }
     let ea_config = EaConfig::builder()
         .population_size(10)
@@ -516,26 +522,28 @@ fn main() {
     let ea_speedup = ea_eps / ea_full_eps;
     let ea_cache = result.cache.unwrap_or_default();
 
-    // Island-model throughput: the same budget split over per-thread
-    // subpopulations (auto thread count), ring migration every 10
-    // generations — the whole-run scaling mode. Per-island breeding and
-    // evaluation are serial within an island, so the scaling comes from
-    // islands running concurrently.
-    let island_config = EaConfig::builder()
-        .population_size(10)
-        .children_per_generation(5)
-        .stagnation_limit(usize::MAX)
-        .max_evaluations(20_000)
-        .islands(4, 10, 2)
-        .seed(3)
-        .build();
-    let island = best_of(&|| {
+    // What the thread count buys, each as a same-config ratio (runs are
+    // byte-identical at any thread count, so the ratio isolates the
+    // threading cost or gain exactly). Panmictic: the run above at auto
+    // threads over `threads(1)` wall-clock — a panmictic batch is scored
+    // in one call on the run's own thread, so this should sit near 1.
+    // Islands: gate 4's island config, auto over `threads(1)` evals/s —
+    // the only fan-out the engine has.
+    let mut auto_config = ea_config.clone();
+    auto_config.threads = 0;
+    let auto = best_of(&|| {
         EaBuilder::new(GENOME_LEN, sample, fitness.clone())
-            .config(island_config.clone())
+            .config(auto_config.clone())
             .run()
     });
-    let ea_island_eps = island.evaluations_per_sec();
-    let ea_island_scaling = ea_island_eps / ea_eps;
+    if auto.best_genome != result.best_genome || auto.evaluations != result.evaluations {
+        fail("auto-threaded EA run diverged from threads(1)");
+    }
+    let ea_default_over_t1 = ea_eps / auto.evaluations_per_sec();
+    let island_at = |threads: usize| best_of(&|| island_run(threads));
+    let ea_island_t1_eps = island_at(1).evaluations_per_sec();
+    let ea_island_eps = island_at(0).evaluations_per_sec();
+    let ea_island_thread_speedup = ea_island_eps / ea_island_t1_eps;
 
     // Checkpoint cost, on a real mid-run island checkpoint from gate 5:
     // serialize/deserialize latency through the trit byte codec (min-time
@@ -596,8 +604,10 @@ fn main() {
     println!("EA eval/s (cache off)  : {ea_full_eps:.0}");
     println!("EA whole-run speedup   : {ea_speedup:.2}x");
     println!("EA cache counters      : {ea_cache}");
-    println!("EA island eval/s       : {ea_island_eps:.0}");
-    println!("EA island scaling      : {ea_island_scaling:.2}x");
+    println!("EA default / threads(1): {ea_default_over_t1:.2}x wall-clock");
+    println!("EA island eval/s (t1)  : {ea_island_t1_eps:.0}");
+    println!("EA island eval/s (auto): {ea_island_eps:.0}");
+    println!("EA island speedup      : {ea_island_thread_speedup:.2}x (auto vs threads(1))");
     println!("checkpoint save        : {checkpoint_save_us:.1} us");
     println!("checkpoint resume      : {checkpoint_resume_us:.1} us");
     println!("checkpoint overhead    : {checkpoint_overhead_pct:.2}% (every 10 generations)");
@@ -625,8 +635,10 @@ fn main() {
          \"ea_evals_per_sec\": {ea_eps:.0},\n  \
          \"ea_full_evals_per_sec\": {ea_full_eps:.0},\n  \
          \"ea_speedup\": {ea_speedup:.2},\n  \
+         \"ea_default_over_t1\": {ea_default_over_t1:.2},\n  \
+         \"ea_island_t1_evals_per_sec\": {ea_island_t1_eps:.0},\n  \
          \"ea_island_evals_per_sec\": {ea_island_eps:.0},\n  \
-         \"ea_island_scaling\": {ea_island_scaling:.2},\n  \
+         \"ea_island_thread_speedup\": {ea_island_thread_speedup:.2},\n  \
          \"checkpoint_save_us\": {ckpt_save:.1},\n  \
          \"checkpoint_resume_us\": {ckpt_resume:.1},\n  \
          \"checkpoint_overhead_pct\": {ckpt_ovhd:.2},\n  \

@@ -41,7 +41,8 @@ pub struct RunProfile {
     pub runs: usize,
     /// (K, L) grid searched for the EA-Best column.
     pub grid: &'static [(usize, usize)],
-    /// Fitness-evaluation threads per EA run, and worker threads for batch
+    /// Island-worker threads per EA run (a panmictic run scores every batch
+    /// on its own thread whatever the value), and worker threads for batch
     /// workload construction (`0` = auto; results are identical for every
     /// value — see `evotc_evo::parallel`).
     pub threads: usize,

@@ -3,7 +3,7 @@
 use evotc_bits::{BlockHistogram, TestSet, TestSetString, Trit};
 use evotc_evo::{
     CacheStats, CheckpointError, EaBuilder, EaCheckpoint, EaConfig, FitnessEval, GenerationStats,
-    Lineage, Objectives, StopReason, Topology,
+    Objectives, Provenance, StopReason, Topology,
 };
 use rand::Rng;
 use std::sync::Arc;
@@ -122,7 +122,7 @@ impl EaCompressor {
     }
 
     fn optimize(&self, histogram: &BlockHistogram, original_bits: f64) -> (MvSet, EaRunSummary) {
-        // One immutable evaluator borrows the histogram; every worker thread
+        // One immutable evaluator borrows the histogram; every island worker
         // shares it instead of re-borrowing mutable closure state.
         let fitness = MvFitness::new(self.k, self.force_all_u, histogram, original_bits);
         let mut ea = EaBuilder::new(
@@ -265,8 +265,8 @@ impl std::error::Error for WeightError {}
 /// over the distinct-block histogram.
 ///
 /// The evaluator is immutable — it borrows one [`BlockHistogram`] and owns
-/// the bit-sliced transposition built from it — so the parallel engine can
-/// hand the same instance to every worker thread. Genomes whose MV set is
+/// the bit-sliced transposition built from it — so every island worker of
+/// an island run can share the same instance. Genomes whose MV set is
 /// malformed or cannot cover every block score [`MvFitness::INFEASIBLE`],
 /// which ranks strictly below every feasible compression rate.
 ///
@@ -277,19 +277,19 @@ impl std::error::Error for WeightError {}
 ///   is tested against.
 /// * [`MvFitness::evaluate_scratch`] — the allocation-free, bit-sliced
 ///   kernel (see [`crate::EvalScratch`]); what [`FitnessEval::evaluate_batch`]
-///   uses with one scratch per batch chunk, i.e. per worker thread.
+///   uses for genomes without provenance (the initial population).
 /// * [`MvFitness::evaluate_cached`] — the incremental path (see
 ///   [`crate::EvalCache`]): re-prices an arbitrary edit window from the
 ///   parent's cached covering, one ownership patch per changed MV chunk.
-///   What [`FitnessEval::evaluate_batch_with_lineage`] uses for engine
-///   children that carry provenance, with parent caches held in one
-///   **shared** [`SharedParentCache`] — content-keyed, so they survive the
-///   population reshuffling between generations, and probed read-only
-///   ([`crate::encoded_size_probe`]) so every worker thread patches the
+///   What [`FitnessEval::evaluate_batch`] uses for engine children that
+///   carry provenance, with parent caches held in one **shared**
+///   [`SharedParentCache`] — content-keyed, so they survive the population
+///   reshuffling between generations, and probed read-only
+///   ([`crate::encoded_size_probe`]) so every island worker patches the
 ///   same cached elite parent without per-thread copies. Crossover children
 ///   are priced against whichever parent is cached: the outside-the-window
 ///   parent through the recorded edit window, or the window-content donor
-///   through a whole-genome diff (see [`Lineage::second_parent`]).
+///   through a whole-genome diff (see [`evotc_evo::Lineage::second_parent`]).
 ///
 /// Cache effectiveness is observable: hit/miss/fallback counters accumulate
 /// on the shared cache and surface through [`FitnessEval::cache_stats`] on
@@ -305,32 +305,26 @@ pub struct MvFitness<'a> {
     sliced: evotc_bits::SlicedHistogram,
     original_bits: f64,
     mode: CombineMode,
-    /// Warmed-up kernel buffers returned by previous batch calls. Workers
-    /// check one out per [`FitnessEval::evaluate_batch`] call and return it
-    /// afterwards, so scratch allocations persist across generations
-    /// instead of being rebuilt every batch. Scratch contents never affect
-    /// results (the kernel fully re-initializes what it reads), so the pool
-    /// is invisible to the determinism contract.
-    scratch_pool: std::sync::Mutex<Vec<crate::EvalScratch>>,
-    /// Warmed-up per-worker lineage states (patch scratch + fallback kernel
-    /// scratch + hot-entry slots), one checked out per
-    /// [`FitnessEval::evaluate_batch_with_lineage`] call. Like the scratch
-    /// pool, pure warm-up state: every score is bit-identical with or
-    /// without a cache hit.
-    lineage_pool: std::sync::Mutex<Vec<LineageState>>,
+    /// Warmed-up batch states returned by previous batch calls. Each
+    /// [`FitnessEval::evaluate_batch`] call checks one out and returns it
+    /// afterwards, so kernel and patch buffers persist across generations
+    /// instead of being rebuilt every batch. State contents never affect
+    /// results (the kernel fully re-initializes what it reads, and every
+    /// score is bit-identical with or without a cache hit), so the pool is
+    /// invisible to the determinism contract.
+    pool: std::sync::Mutex<Vec<BatchState>>,
     /// The cross-thread parent-cache store: one rebuild per distinct parent
-    /// serves every worker (see [`SharedParentCache`]). Bounded at
+    /// serves every island (see [`SharedParentCache`]). Bounded at
     /// `SHARED_CACHE_SHARDS × SHARED_SHARD_CAPACITY` entries.
     shared: SharedParentCache,
 }
 
-/// One worker's incremental-evaluation state: the per-thread patch scratch
-/// the read-only probes write into, the full kernel's scratch for
-/// fallbacks, and a few *hot slots* pinning recently used shared entries so
-/// repeat children of the same (elite) parent skip even the shard's read
-/// lock.
+/// One batch call's evaluation state: the full kernel's scratch, the patch
+/// scratch the read-only probes write into, and a few *hot slots* pinning
+/// recently used shared entries so repeat children of the same (elite)
+/// parent skip even the shard's read lock.
 #[derive(Debug, Default)]
-struct LineageState {
+struct BatchState {
     scratch: crate::EvalScratch,
     patch: crate::PatchScratch,
     /// `(entry, last-use tick)` — content-checked before use, so a stale
@@ -345,12 +339,12 @@ struct LineageState {
     memo: Vec<Option<Option<Arc<ParentEntry>>>>,
 }
 
-/// Hot-slot count per worker state: enough for the handful of parents a
-/// worker's chunk of one generation draws children from.
+/// Hot-slot count per batch state: enough for the handful of parents one
+/// generation draws children from.
 const MAX_HOT_SLOTS: usize = 8;
 
 /// Shard count of the shared parent cache. Lookups only lock one shard, so
-/// more shards mean less writer interference between worker threads.
+/// more shards mean less writer interference between island workers.
 const SHARED_CACHE_SHARDS: usize = 8;
 
 /// Retained entries per shard. The population holds `S` individuals (the
@@ -359,8 +353,8 @@ const SHARED_CACHE_SHARDS: usize = 8;
 const SHARED_SHARD_CAPACITY: usize = 8;
 
 impl Clone for MvFitness<'_> {
-    /// Clones the evaluator configuration; the clone starts with empty
-    /// scratch pools and an empty shared cache (buffers and cached parents
+    /// Clones the evaluator configuration; the clone starts with an empty
+    /// state pool and an empty shared cache (buffers and cached parents
     /// are warm-up state, not semantics).
     fn clone(&self) -> Self {
         MvFitness {
@@ -370,8 +364,7 @@ impl Clone for MvFitness<'_> {
             sliced: self.sliced.clone(),
             original_bits: self.original_bits,
             mode: self.mode,
-            scratch_pool: std::sync::Mutex::new(Vec::new()),
-            lineage_pool: std::sync::Mutex::new(Vec::new()),
+            pool: std::sync::Mutex::new(Vec::new()),
             shared: SharedParentCache::new(SHARED_CACHE_SHARDS, SHARED_SHARD_CAPACITY),
         }
     }
@@ -399,8 +392,7 @@ impl<'a> MvFitness<'a> {
             sliced: evotc_bits::SlicedHistogram::from_histogram(histogram),
             original_bits,
             mode: CombineMode::default(),
-            scratch_pool: std::sync::Mutex::new(Vec::new()),
-            lineage_pool: std::sync::Mutex::new(Vec::new()),
+            pool: std::sync::Mutex::new(Vec::new()),
             shared: SharedParentCache::new(SHARED_CACHE_SHARDS, SHARED_SHARD_CAPACITY),
         }
     }
@@ -511,7 +503,7 @@ impl<'a> MvFitness<'a> {
 
     /// Scores one engine child against a cached parent covering. Read-only
     /// probe: the shared parent entry is immutable, so any number of
-    /// siblings — across every worker thread — reuse it concurrently.
+    /// siblings — across every island worker — reuse it concurrently.
     ///
     /// Parent preference: the primary parent (child equals it outside
     /// `edit`) through the recorded window; failing that, a cached
@@ -526,7 +518,7 @@ impl<'a> MvFitness<'a> {
         parent_idx: usize,
         second_idx: Option<usize>,
         edit: &std::ops::Range<usize>,
-        state: &mut LineageState,
+        state: &mut BatchState,
     ) -> (f64, Objectives) {
         let parent = parents[parent_idx];
         // A parent the rebuild would reject (or whose length differs from
@@ -536,23 +528,12 @@ impl<'a> MvFitness<'a> {
             return self.evaluate_with_objectives(genes, &mut state.scratch);
         }
         let primary = self.lookup_memo(parents, parent_idx, state);
-        let primary_cached = primary.is_some();
-        if let Some(entry) = primary {
-            if let IncrementalOutcome::Size(size) = encoded_size_probe_bounded(
-                &self.sliced,
-                genes,
-                self.force_all_u,
-                edit,
-                entry.cache(),
-                &mut state.patch,
-            ) {
-                self.shared.record_hit();
-                return self.price(
-                    size,
-                    state.patch.last_scan_transitions(),
-                    state.patch.last_used_mvs(),
-                );
-            }
+        if let Some(scored) = primary
+            .as_deref()
+            .and_then(|entry| self.probe(genes, edit, entry, &mut state.patch))
+        {
+            self.shared.record_hit();
+            return scored;
         }
         // The crossover donor path: the child equals `second` inside the
         // window and `parent` outside, so relative to a cached donor the
@@ -561,27 +542,17 @@ impl<'a> MvFitness<'a> {
         // pass the cost gate even when the primary's window did not).
         if let Some(donor_idx) = second_idx.filter(|&i| parents[i].len() == genes.len()) {
             if let Some(entry) = self.lookup_memo(parents, donor_idx, state) {
-                if let IncrementalOutcome::Size(size) = encoded_size_probe_bounded(
-                    &self.sliced,
-                    genes,
-                    self.force_all_u,
-                    &(0..genes.len()),
-                    entry.cache(),
-                    &mut state.patch,
-                ) {
+                if let Some(scored) = self.probe(genes, &(0..genes.len()), &entry, &mut state.patch)
+                {
                     self.shared.record_hit();
-                    return self.price(
-                        size,
-                        state.patch.last_scan_transitions(),
-                        state.patch.last_used_mvs(),
-                    );
+                    return scored;
                 }
             }
         }
         // The primary parent is cached but its patch was judged more
         // expensive than a rescan (the cost gate): run the full kernel
         // directly — rebuilding the parent again would only repeat work.
-        if primary_cached {
+        if primary.is_some() {
             self.shared.record_fallback();
             return self.evaluate_with_objectives(genes, &mut state.scratch);
         }
@@ -594,29 +565,39 @@ impl<'a> MvFitness<'a> {
         if let Some(slot) = state.memo.get_mut(parent_idx) {
             *slot = Some(Some(Arc::clone(&entry)));
         }
-        let probe = encoded_size_probe_bounded(
+        let scored = self.probe(genes, edit, &entry, &mut state.patch);
+        Self::remember(state, entry);
+        scored.unwrap_or_else(|| {
+            self.shared.record_fallback();
+            self.evaluate_with_objectives(genes, &mut state.scratch)
+        })
+    }
+
+    /// Prices `genes` as an edit of a cached parent through the read-only,
+    /// cost-gated probe; `None` when the gate hands it to the full kernel.
+    fn probe(
+        &self,
+        genes: &[Trit],
+        edit: &std::ops::Range<usize>,
+        entry: &ParentEntry,
+        patch: &mut crate::PatchScratch,
+    ) -> Option<(f64, Objectives)> {
+        match encoded_size_probe_bounded(
             &self.sliced,
             genes,
             self.force_all_u,
             edit,
             entry.cache(),
-            &mut state.patch,
-        );
-        Self::remember(state, entry);
-        match probe {
-            IncrementalOutcome::Size(size) => self.price(
-                size,
-                state.patch.last_scan_transitions(),
-                state.patch.last_used_mvs(),
-            ),
-            IncrementalOutcome::NeedsFull => {
-                self.shared.record_fallback();
-                self.evaluate_with_objectives(genes, &mut state.scratch)
+            patch,
+        ) {
+            IncrementalOutcome::Size(size) => {
+                Some(self.price(size, patch.last_scan_transitions(), patch.last_used_mvs()))
             }
+            IncrementalOutcome::NeedsFull => None,
         }
     }
 
-    /// Finds the shared entry for an exact genome: the worker's hot slots
+    /// Finds the shared entry for an exact genome: the batch state's hot slots
     /// first (no locking at all — entries are immutable and content-checked,
     /// so even an evicted one is still exactly the parent it claims to be),
     /// then the shared store (one shard read lock). The genome's content
@@ -629,7 +610,7 @@ impl<'a> MvFitness<'a> {
         &self,
         parents: &[&[Trit]],
         idx: usize,
-        state: &mut LineageState,
+        state: &mut BatchState,
     ) -> Option<Arc<ParentEntry>> {
         if let Some(Some(settled)) = state.memo.get(idx) {
             return settled.clone();
@@ -641,7 +622,7 @@ impl<'a> MvFitness<'a> {
         result
     }
 
-    fn lookup(&self, genome: &[Trit], state: &mut LineageState) -> Option<Arc<ParentEntry>> {
+    fn lookup(&self, genome: &[Trit], state: &mut BatchState) -> Option<Arc<ParentEntry>> {
         state.tick += 1;
         let tick = state.tick;
         let hash = content_hash(genome);
@@ -658,9 +639,9 @@ impl<'a> MvFitness<'a> {
         Some(entry)
     }
 
-    /// Pins an entry in the worker's hot slots, replacing the least
+    /// Pins an entry in the batch state's hot slots, replacing the least
     /// recently used one at capacity.
-    fn remember(state: &mut LineageState, entry: Arc<ParentEntry>) {
+    fn remember(state: &mut BatchState, entry: Arc<ParentEntry>) {
         state.tick += 1;
         let slot = (entry, state.tick);
         if state.hot.len() < MAX_HOT_SLOTS {
@@ -772,39 +753,59 @@ impl<'a> MvFitness<'a> {
             .sum();
         self.score(size, transitions, covering.num_used())
     }
+}
 
-    /// Runs one lineage batch through the incremental machinery, handing
-    /// each result to `write` in batch order. The single loop both
-    /// [`FitnessEval::evaluate_batch_with_lineage`] and
-    /// [`FitnessEval::evaluate_batch_with_objectives`] are built on — the
-    /// scalar-only caller simply drops the vector, so the two overrides
-    /// cannot drift apart.
-    fn run_lineage_batch(
+impl FitnessEval<Trit> for MvFitness<'_> {
+    fn evaluate(&self, genes: &[Trit]) -> f64 {
+        self.evaluate_oracle(genes).0
+    }
+
+    /// One pooled batch state per call, so kernel and patch buffers
+    /// survive from generation to generation. Children carrying provenance
+    /// are priced as an edit of a cached parent covering; a parent cache is
+    /// built once (full rebuild) into the **shared** store and then probed
+    /// read-only by every sibling on every island worker — and, being keyed
+    /// by genome *content*, it keeps serving the same individual across
+    /// generations no matter how selection reorders the population.
+    /// Genomes without provenance (the initial population) take the full
+    /// kernel and are not counted as cache fallbacks; children whose
+    /// lineage is unusable take it too and are.
+    ///
+    /// Every score is bit-identical to [`MvFitness::evaluate`]; the cache
+    /// only changes how much work a score costs (and the counters reported
+    /// by [`FitnessEval::cache_stats`]). The objective vector
+    /// `(encoded_bits, scan_transitions, decoder_gate_equivalents)` falls
+    /// out of the same pass (full kernel or incremental patch), so
+    /// multi-objective batches cost exactly what scalar batches do.
+    fn evaluate_batch(
         &self,
         genomes: &[Vec<Trit>],
-        lineage: &[Option<Lineage>],
-        parents: &[&[Trit]],
-        mut write: impl FnMut(usize, f64, Objectives),
+        provenance: Option<Provenance<'_, Trit>>,
+        out: &mut [f64],
+        mut objectives: Option<&mut [Objectives]>,
     ) {
-        debug_assert_eq!(genomes.len(), lineage.len(), "lineage slice length");
-        // Fault injection: a poisoned evaluator panicking mid-batch. The
-        // hit counts once per batch chunk (one call per worker thread), so
-        // deterministic tests pin the engine to one thread.
+        // Fault injection: a poisoned evaluator panicking mid-batch, once
+        // per batch call.
         #[cfg(feature = "failpoints")]
         if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::CORE_EVALUATE) {
             panic!("injected evaluator fault");
         }
-        self.shared.bump_generation();
+        // A poisoned pool (a panicking island worker) degrades to a fresh
+        // state; results are unaffected either way.
         let mut state = self
-            .lineage_pool
+            .pool
             .lock()
             .ok()
             .and_then(|mut pool| pool.pop())
             .unwrap_or_default();
+        let parents = provenance.map_or(&[][..], |p| p.parents);
+        if provenance.is_some() {
+            self.shared.bump_generation();
+        }
         state.memo.clear();
         state.memo.resize(parents.len(), None);
-        for (i, (genes, lin)) in genomes.iter().zip(lineage).enumerate() {
-            let (score, objectives) = match lin {
+        for (i, genes) in genomes.iter().enumerate() {
+            let (score, vector) = match provenance.and_then(|p| p.lineage[i].as_ref()) {
                 Some(lin) if lin.parent_idx < parents.len() => {
                     let second = lin.second_parent.filter(|&i| i < parents.len());
                     self.evaluate_lineage_child(
@@ -816,92 +817,20 @@ impl<'a> MvFitness<'a> {
                         &mut state,
                     )
                 }
-                _ => {
+                Some(_) => {
                     self.shared.record_fallback();
                     self.evaluate_with_objectives(genes, &mut state.scratch)
                 }
+                None => self.evaluate_with_objectives(genes, &mut state.scratch),
             };
-            write(i, score, objectives);
+            out[i] = score;
+            if let Some(objectives) = objectives.as_deref_mut() {
+                objectives[i] = vector;
+            }
         }
-        if let Ok(mut pool) = self.lineage_pool.lock() {
+        if let Ok(mut pool) = self.pool.lock() {
             pool.push(state);
         }
-    }
-}
-
-impl FitnessEval<Trit> for MvFitness<'_> {
-    fn evaluate(&self, genes: &[Trit]) -> f64 {
-        self.evaluate_oracle(genes).0
-    }
-
-    /// One [`crate::EvalScratch`] per batch chunk: the parallel evaluator
-    /// calls this exactly once per worker thread, so every worker reuses a
-    /// single set of kernel buffers for its whole chunk — and the buffers
-    /// themselves are checked out of a pool on `self`, so they survive from
-    /// generation to generation instead of being reallocated per batch.
-    fn evaluate_batch(&self, genomes: &[Vec<Trit>], out: &mut [f64]) {
-        // Fault injection mirror of the lineage path: both batch entry
-        // points answer to the same site name.
-        #[cfg(feature = "failpoints")]
-        if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::CORE_EVALUATE) {
-            panic!("injected evaluator fault");
-        }
-        // A poisoned pool (a panicking sibling worker) degrades to a fresh
-        // scratch; results are unaffected either way.
-        let mut scratch = self
-            .scratch_pool
-            .lock()
-            .ok()
-            .and_then(|mut pool| pool.pop())
-            .unwrap_or_default();
-        for (genes, slot) in genomes.iter().zip(out.iter_mut()) {
-            *slot = self.evaluate_scratch(genes, &mut scratch);
-        }
-        if let Ok(mut pool) = self.scratch_pool.lock() {
-            pool.push(scratch);
-        }
-    }
-
-    /// The incremental path. Children carrying provenance are priced as an
-    /// edit of a cached parent covering; a parent cache is built once (full
-    /// rebuild) into the **shared** store and then probed read-only by
-    /// every sibling on every worker thread — and, being keyed by genome
-    /// *content*, it keeps serving the same individual across generations
-    /// no matter how selection reorders the population. Children without
-    /// usable provenance take the full kernel.
-    ///
-    /// Scores are bit-identical to [`FitnessEval::evaluate_batch`]; the
-    /// cache only changes how much work a score costs (and the counters
-    /// reported by [`FitnessEval::cache_stats`]).
-    fn evaluate_batch_with_lineage(
-        &self,
-        genomes: &[Vec<Trit>],
-        lineage: &[Option<Lineage>],
-        parents: &[&[Trit]],
-        out: &mut [f64],
-    ) {
-        self.run_lineage_batch(genomes, lineage, parents, |i, score, _| out[i] = score);
-    }
-
-    /// The same incremental machinery as
-    /// [`FitnessEval::evaluate_batch_with_lineage`], additionally writing
-    /// each genome's minimized objective vector `(encoded_bits,
-    /// scan_transitions, decoder_gate_equivalents)` — all three fall out of
-    /// the same pass (full kernel or incremental patch), so multi-objective
-    /// batches cost exactly what scalar batches do.
-    fn evaluate_batch_with_objectives(
-        &self,
-        genomes: &[Vec<Trit>],
-        lineage: &[Option<Lineage>],
-        parents: &[&[Trit]],
-        out: &mut [f64],
-        objectives: &mut [Objectives],
-    ) {
-        debug_assert_eq!(genomes.len(), objectives.len(), "objectives slice length");
-        self.run_lineage_batch(genomes, lineage, parents, |i, score, vector| {
-            out[i] = score;
-            objectives[i] = vector;
-        });
     }
 
     /// Hit/miss/fallback counters of the shared parent cache — surfaced by
@@ -1036,8 +965,10 @@ impl EaCompressorBuilder {
         self
     }
 
-    /// Sets the fitness-evaluation thread count (`0` = auto; see
-    /// [`evotc_evo::parallel::resolve_threads`]). Compression results are
+    /// Sets the island-worker thread count (`0` = auto; see
+    /// [`evotc_evo::parallel::resolve_threads`]). Only island topologies
+    /// fan out — a panmictic run scores each batch in one call on the
+    /// calling thread whatever the value. Compression results are
     /// bit-identical for every value — this knob only trades wall-clock.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
@@ -1425,16 +1356,9 @@ mod tests {
         // The scalar surface is the rate either way; a quick sanity check
         // that batches still fill every slot under the objectives override.
         let genomes = probe_genomes(8, 4);
-        let lineage: Vec<_> = genomes.iter().map(|_| None).collect();
         let mut scores = vec![f64::NAN; genomes.len()];
         let mut objectives = vec![Objectives::NAN; genomes.len()];
-        fitness.evaluate_batch_with_objectives(
-            &genomes,
-            &lineage,
-            &[],
-            &mut scores,
-            &mut objectives,
-        );
+        fitness.evaluate_batch(&genomes, None, &mut scores, Some(&mut objectives));
         for (score, vector) in scores.iter().zip(&objectives) {
             assert!(score.is_finite());
             assert!(vector.is_finite());

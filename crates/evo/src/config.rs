@@ -117,10 +117,13 @@ pub struct EaConfig {
     pub max_generations: u64,
     /// RNG seed; runs with the same seed and inputs are identical.
     pub seed: u64,
-    /// Worker threads for fitness evaluation. `0` (the default) resolves
-    /// automatically — see [`crate::parallel::resolve_threads`]. Results are
-    /// bit-identical for every value: the thread count is a throughput knob,
-    /// never a semantic one.
+    /// Worker threads for island runs: each epoch, the islands are spread
+    /// over up to this many threads. A panmictic run is one island and
+    /// scores every batch in one call on the calling thread, whatever the
+    /// value. `0` (the default) resolves automatically — see
+    /// [`crate::parallel::resolve_threads`]. Results are bit-identical for
+    /// every value: the thread count is a throughput knob, never a semantic
+    /// one.
     pub threads: usize,
     /// Population structure: one panmictic population (the default) or an
     /// island model with deterministic ring migration. Like `threads`,
@@ -322,9 +325,9 @@ impl EaConfigBuilder {
         self
     }
 
-    /// Sets the fitness-evaluation thread count (`0` = auto; see
-    /// [`crate::parallel::resolve_threads`]). Thread count never changes
-    /// results, only wall-clock.
+    /// Sets the island-worker thread count (`0` = auto; see
+    /// [`crate::parallel::resolve_threads`]); panmictic runs stay on the
+    /// calling thread. Thread count never changes results, only wall-clock.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self

@@ -1,4 +1,5 @@
-//! The (S + C) evolutionary engine: panmictic and island-model runners.
+//! The (S + C) evolutionary engine: one epoch loop for panmictic and
+//! island-model runs.
 
 use std::cmp::Ordering;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -12,7 +13,7 @@ use crate::checkpoint::{
     IslandCheckpoint,
 };
 use crate::config::{EaConfig, Ranking, Topology};
-use crate::fitness::{FitnessEval, Lineage};
+use crate::fitness::{FitnessEval, Lineage, Provenance};
 use crate::objective::{Objectives, ParetoArchive, ParetoPoint};
 use crate::operators;
 use crate::parallel;
@@ -36,10 +37,12 @@ type CheckpointSink<'s, G> = Box<dyn FnMut(&EaCheckpoint<G>) -> Result<(), Check
 ///
 /// Breeding emits each generation's children and their [`Lineage`] into a
 /// pooled per-population batch (no per-child allocation in the steady
-/// state), and the whole batch is scored at once — on up to
-/// [`EaConfig::threads`] worker threads for a panmictic run, or one island
-/// per worker for an island run (see [`Topology`]). Results are
-/// bit-identical for every thread count.
+/// state), and the whole batch is scored in one
+/// [`FitnessEval::evaluate_batch`] call on the thread that owns the
+/// population. Island runs spread whole islands over up to
+/// [`EaConfig::threads`] worker threads (see [`Topology`]); a panmictic run
+/// is one island on the calling thread. Results are bit-identical for every
+/// thread count.
 ///
 /// # Example
 ///
@@ -207,6 +210,26 @@ struct IslandState<G> {
     archive: Option<ParetoArchive<G>>,
 }
 
+impl<G> IslandState<G> {
+    /// Logs the population's post-selection statistics for `generation`
+    /// into the epoch log. The cache column stays `None`: the evaluator's
+    /// counters are shared across islands and merged in once per
+    /// generation.
+    fn log_generation(&mut self, generation: u64, start: Instant) {
+        let population = &self.population;
+        let best = population.first().map_or(f64::NEG_INFINITY, |i| i.fitness);
+        let mean = population.iter().map(|i| i.fitness).sum::<f64>() / population.len() as f64;
+        self.epoch_log.push(GenerationStats {
+            generation,
+            best_fitness: best,
+            mean_fitness: mean,
+            evaluations: self.evaluations,
+            elapsed: start.elapsed(),
+            cache: None,
+        });
+    }
+}
+
 impl<'s, G, SampleGene, F> EaBuilder<'s, G, SampleGene, F>
 where
     G: Copy + Send + Sync,
@@ -359,186 +382,37 @@ where
     /// [`EaBuilder::try_run`] with a per-generation observer (see
     /// [`EaBuilder::run_with_observer`] for the event order). On resume,
     /// the restored history prefix is not replayed through the observer.
+    ///
+    /// Both topologies run through one epoch loop: `count` subpopulations
+    /// evolve in lockstep epochs of `interval` generations, then the
+    /// rank-best `migrants` of each island replace the worst of its ring
+    /// successor. A panmictic run is the special case of one island on the
+    /// run seed's own RNG stream, with epochs of one generation, no
+    /// migration and no per-island events. Each island owns an RNG stream
+    /// derived from the run seed, so the trajectory is a pure function of
+    /// (seed, topology, config) — worker threads only decide which islands
+    /// run concurrently, never what they compute.
+    ///
+    /// Termination (stagnation of the merged best, the evaluation budget,
+    /// the generation cap, the deadline, cancellation) is checked at epoch
+    /// boundaries; an island run can overshoot the stagnation limit or the
+    /// budget by up to one epoch. Checkpoints are captured at epoch
+    /// boundaries too, so a capture always reflects complete generations.
     pub fn try_run_with_observer(
         self,
-        observer: impl FnMut(&GenerationEvent<'_>),
+        mut observer: impl FnMut(&GenerationEvent<'_>),
     ) -> Result<EaResult<G>, EaError> {
         self.config.validate();
-        match self.config.topology {
-            Topology::Panmictic => self.run_panmictic(observer),
+        let start = Instant::now();
+        let panmictic = self.config.topology == Topology::Panmictic;
+        let (count, interval, migrants) = match self.config.topology {
+            Topology::Panmictic => (1, 1, 0),
             Topology::Islands {
                 count,
                 interval,
                 migrants,
-            } => self.run_islands(observer, count, interval, migrants),
-        }
-    }
-
-    /// The paper's single-population loop, preserved bit for bit from the
-    /// pre-island engine: one RNG stream, termination checked every
-    /// generation. Stop conditions (including deadline and cancellation)
-    /// are checked at the top of every generation; checkpoints are captured
-    /// at the bottom, so a capture always reflects a complete generation.
-    fn run_panmictic(
-        self,
-        mut observer: impl FnMut(&GenerationEvent<'_>),
-    ) -> Result<EaResult<G>, EaError> {
-        let start = Instant::now();
-        let threads = parallel::resolve_threads(self.config.threads);
-        let EaBuilder {
-            config,
-            genome_len,
-            sample_gene,
-            fitness,
-            mut seeds,
-            cancel,
-            checkpoint_every,
-            mut sink,
-            resume,
-        } = self;
-        let fingerprint = config_fingerprint(&config, genome_len);
-
-        let mut history: Vec<GenerationStats>;
-        let mut island: IslandState<G>;
-        let mut best_so_far: f64;
-        let mut stagnant: usize;
-        let mut generation: u64;
-
-        let record = |island: &IslandState<G>, generation: u64, start: Instant| {
-            let mut stats = population_stats(&island.population, generation, island.evaluations);
-            stats.elapsed = start.elapsed();
-            stats.cache = fitness.cache_stats();
-            stats
+            } => (count, interval, migrants),
         };
-
-        if let Some(cp) = resume {
-            validate_checkpoint(&cp, &config, genome_len, 1)?;
-            island = restore_island(&cp.islands[0], &config);
-            history = restore_history(&cp.history);
-            best_so_far = cp.best_so_far;
-            stagnant = cp.stagnant as usize;
-            generation = cp.generation;
-        } else {
-            island = match catch_unwind(AssertUnwindSafe(|| {
-                init_island(
-                    &config,
-                    StdRng::seed_from_u64(config.seed),
-                    genome_len,
-                    &mut seeds,
-                    &sample_gene,
-                    &fitness,
-                    threads,
-                )
-            })) {
-                Ok(island) => island,
-                Err(payload) => {
-                    return Err(EaError::IslandFailed {
-                        island: 0,
-                        generation: 0,
-                        message: panic_message(payload),
-                    })
-                }
-            };
-            history = Vec::new();
-            let initial = record(&island, 0, start);
-            observer(&GenerationEvent::Merged(&initial));
-            history.push(initial);
-            best_so_far = island.population[0].fitness;
-            stagnant = 0;
-            generation = 0;
-        }
-
-        let mut checkpoint_failures: u64 = 0;
-        let mut last_checkpoint = generation;
-
-        let stop_reason = loop {
-            if let Some(reason) = stop_reason_at(
-                &config,
-                &cancel,
-                start,
-                stagnant,
-                island.evaluations,
-                generation,
-            ) {
-                break reason;
-            }
-            generation += 1;
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| {
-                step(&config, &sample_gene, &fitness, threads, &mut island)
-            })) {
-                // A panmictic run has no healthy island to degrade to, so
-                // the panic policy does not apply: fail with the typed
-                // error either way.
-                return Err(EaError::IslandFailed {
-                    island: 0,
-                    generation,
-                    message: panic_message(payload),
-                });
-            }
-
-            if island.population[0].fitness > best_so_far {
-                best_so_far = island.population[0].fitness;
-                stagnant = 0;
-            } else {
-                stagnant += 1;
-            }
-            let stats = record(&island, generation, start);
-            observer(&GenerationEvent::Merged(&stats));
-            history.push(stats);
-
-            if checkpoint_every > 0 && generation - last_checkpoint >= checkpoint_every {
-                last_checkpoint = generation;
-                save_checkpoint(&mut sink, &mut checkpoint_failures, || EaCheckpoint {
-                    config_fingerprint: fingerprint,
-                    genome_len,
-                    generation,
-                    stagnant: stagnant as u64,
-                    best_so_far,
-                    history: history_records(&history),
-                    islands: vec![capture_island(&island, false)],
-                });
-            }
-        };
-
-        let pareto_front = island
-            .archive
-            .as_ref()
-            .map(|a| a.reported().to_vec())
-            .unwrap_or_default();
-        let best = &island.population[0];
-        Ok(EaResult {
-            best_genome: best.genes.clone(),
-            best_fitness: best.fitness,
-            generations: generation,
-            evaluations: island.evaluations,
-            history,
-            elapsed: start.elapsed(),
-            cache: fitness.cache_stats(),
-            pareto_front,
-            stop_reason,
-            quarantined: Vec::new(),
-            checkpoint_failures,
-        })
-    }
-
-    /// The island-model loop: `count` subpopulations evolve in lockstep
-    /// epochs of `interval` generations, then the rank-best `migrants` of
-    /// each island replace the worst of its ring successor. Each island
-    /// owns an RNG stream derived from the run seed, so the trajectory is a
-    /// pure function of (seed, topology, config) — worker threads only
-    /// decide which islands run concurrently, never what they compute.
-    ///
-    /// Termination (stagnation of the merged best, the evaluation budget,
-    /// the generation cap) is checked at epoch boundaries; a run can
-    /// overshoot the stagnation limit or the budget by up to one epoch.
-    fn run_islands(
-        self,
-        mut observer: impl FnMut(&GenerationEvent<'_>),
-        count: usize,
-        interval: u64,
-        migrants: usize,
-    ) -> Result<EaResult<G>, EaError> {
-        let start = Instant::now();
         let workers = parallel::resolve_threads(self.config.threads).min(count);
         let EaBuilder {
             config,
@@ -555,10 +429,9 @@ where
 
         let mut history: Vec<GenerationStats> = Vec::new();
         let mut quarantined = vec![false; count];
-        let merge = |islands: &mut [IslandState<G>],
-                     quarantined: &[bool],
-                     observer: &mut dyn FnMut(&GenerationEvent<'_>),
-                     history: &mut Vec<GenerationStats>| {
+        let mut merge = |islands: &mut [IslandState<G>],
+                         quarantined: &[bool],
+                         history: &mut Vec<GenerationStats>| {
             // All healthy islands logged the same number of generations
             // this epoch; quarantined islands log nothing (a partial epoch
             // is discarded at quarantine time) but their frozen evaluation
@@ -577,37 +450,40 @@ where
                 .map(|(island, _)| island.evaluations)
                 .sum();
             for g in 0..logged {
-                let mut evaluations = frozen;
-                let mut mean_sum = 0.0;
-                let mut best = f64::NEG_INFINITY;
+                // Seeded from the first contributor, so a single island's
+                // statistics pass through bit for bit. The merged wall-clock
+                // is the latest island's.
+                let mut merged: Option<GenerationStats> = None;
                 let mut contributors = 0usize;
-                let mut generation = 0;
                 for (i, island) in islands.iter().enumerate() {
                     if quarantined[i] || island.epoch_log.len() <= g {
                         continue;
                     }
                     let stats = &island.epoch_log[g];
-                    if contributors == 0 {
-                        generation = stats.generation;
+                    if !panmictic {
+                        observer(&GenerationEvent::Island { island: i, stats });
                     }
-                    debug_assert_eq!(stats.generation, generation);
-                    observer(&GenerationEvent::Island { island: i, stats });
-                    evaluations += stats.evaluations;
-                    mean_sum += stats.mean_fitness;
-                    best = best.max(stats.best_fitness);
                     contributors += 1;
+                    merged = Some(match merged {
+                        None => GenerationStats {
+                            evaluations: frozen + stats.evaluations,
+                            ..*stats
+                        },
+                        Some(m) => {
+                            debug_assert_eq!(stats.generation, m.generation);
+                            GenerationStats {
+                                best_fitness: m.best_fitness.max(stats.best_fitness),
+                                mean_fitness: m.mean_fitness + stats.mean_fitness,
+                                evaluations: m.evaluations + stats.evaluations,
+                                elapsed: m.elapsed.max(stats.elapsed),
+                                ..m
+                            }
+                        }
+                    });
                 }
-                if contributors == 0 {
-                    continue;
-                }
-                let merged = GenerationStats {
-                    generation,
-                    best_fitness: best,
-                    mean_fitness: mean_sum / contributors as f64,
-                    evaluations,
-                    elapsed: start.elapsed(),
-                    cache: fitness.cache_stats(),
-                };
+                let Some(mut merged) = merged else { continue };
+                merged.mean_fitness /= contributors as f64;
+                merged.cache = fitness.cache_stats();
                 observer(&GenerationEvent::Merged(&merged));
                 history.push(merged);
             }
@@ -640,11 +516,14 @@ where
         } else {
             // Deterministic initialization: each island's RNG (and
             // therefore its random initial population) comes from its own
-            // derived seed, computed here in island order. Seeds go to
-            // island 0.
+            // seed, computed here in island order. Seeds go to island 0.
             islands = Vec::with_capacity(count);
             for i in 0..count {
-                let rng = StdRng::seed_from_u64(island_seed(config.seed, i as u64));
+                let seed = if panmictic {
+                    config.seed
+                } else {
+                    island_seed(config.seed, i as u64)
+                };
                 let mut island_seeds = if i == 0 {
                     std::mem::take(&mut seeds)
                 } else {
@@ -653,12 +532,11 @@ where
                 match catch_unwind(AssertUnwindSafe(|| {
                     init_island(
                         &config,
-                        rng,
+                        StdRng::seed_from_u64(seed),
                         genome_len,
                         &mut island_seeds,
                         &sample_gene,
                         &fitness,
-                        1,
                     )
                 })) {
                     Ok(island) => islands.push(island),
@@ -677,13 +555,9 @@ where
 
             // Initial populations (generation 0).
             for island in islands.iter_mut() {
-                let stats = population_stats(&island.population, 0, island.evaluations);
-                island.epoch_log.push(GenerationStats {
-                    elapsed: start.elapsed(),
-                    ..stats
-                });
+                island.log_generation(0, start);
             }
-            merge(&mut islands, &quarantined, &mut observer, &mut history);
+            merge(&mut islands, &quarantined, &mut history);
 
             best_so_far = history[0].best_fitness;
             stagnant = 0;
@@ -693,6 +567,7 @@ where
 
         let mut checkpoint_failures: u64 = 0;
         let mut last_checkpoint = generation;
+        let mut failures: Vec<Option<String>> = vec![None; count];
 
         let stop_reason = loop {
             if let Some(reason) =
@@ -701,23 +576,23 @@ where
                 break reason;
             }
             let epoch_gens = interval.min(config.max_generations - generation);
-            let failures = for_each_island(&mut islands, &quarantined, workers, |island| {
-                for g in 0..epoch_gens {
-                    step(&config, &sample_gene, &fitness, 1, island);
-                    let stats = population_stats(
-                        &island.population,
-                        generation + g + 1,
-                        island.evaluations,
-                    );
-                    island.epoch_log.push(GenerationStats {
-                        elapsed: start.elapsed(),
-                        ..stats
-                    });
-                }
-            });
+            for_each_island(
+                &mut islands,
+                &quarantined,
+                workers,
+                &mut failures,
+                |island| {
+                    for g in 0..epoch_gens {
+                        step(&config, &sample_gene, &fitness, island);
+                        island.log_generation(generation + g + 1, start);
+                    }
+                },
+            );
             let mut last_failure: Option<(usize, String)> = None;
-            for (i, failure) in failures.into_iter().enumerate() {
-                let Some(message) = failure else { continue };
+            for (i, failure) in failures.iter_mut().enumerate() {
+                let Some(message) = failure.take() else {
+                    continue;
+                };
                 match config.panic_policy {
                     IslandPanicPolicy::Fail => {
                         return Err(EaError::IslandFailed {
@@ -737,6 +612,8 @@ where
                     }
                 }
             }
+            // A run without a healthy island left (every panmictic panic)
+            // fails whatever the policy: there is nothing to degrade to.
             if quarantined.iter().all(|&q| q) {
                 let (island, message) =
                     last_failure.expect("all islands quarantined implies a failure this epoch");
@@ -747,7 +624,7 @@ where
                 });
             }
             let merged_from = history.len();
-            merge(&mut islands, &quarantined, &mut observer, &mut history);
+            merge(&mut islands, &quarantined, &mut history);
             for merged in &history[merged_from..] {
                 if merged.best_fitness > best_so_far {
                     best_so_far = merged.best_fitness;
@@ -874,8 +751,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The single stop check, evaluated at every generation (panmictic) or
-/// epoch (islands) boundary. Conditions are checked in [`StopReason`]
+/// The single stop check, evaluated at every epoch boundary (every
+/// generation for panmictic runs). Conditions are checked in [`StopReason`]
 /// declaration order, so the deterministic reasons always win over the
 /// wall-clock ones when both hold at the same boundary.
 fn stop_reason_at(
@@ -1063,12 +940,11 @@ fn init_island<G, SampleGene, F>(
     seeds: &mut Vec<Vec<G>>,
     sample_gene: &SampleGene,
     fitness: &F,
-    threads: usize,
 ) -> IslandState<G>
 where
-    G: Copy + Send + Sync,
+    G: Copy,
     SampleGene: Fn(&mut StdRng) -> G,
-    F: FitnessEval<G> + Sync,
+    F: FitnessEval<G>,
 {
     let s = config.population_size;
     let mut batch = ChildBatch::default();
@@ -1076,24 +952,14 @@ where
     while genomes.len() < s {
         genomes.push((0..genome_len).map(|_| sample_gene(&mut rng)).collect());
     }
-    if needs_objectives(config) {
-        let no_lineage: Vec<Option<Lineage>> = vec![None; genomes.len()];
-        parallel::evaluate_objectives_into(
-            fitness,
-            &genomes,
-            &no_lineage,
-            &[],
-            threads,
-            &mut batch.scores,
-            &mut batch.objectives,
-        );
-    } else {
-        parallel::evaluate_into(fitness, &genomes, threads, &mut batch.scores);
-        batch.objectives.clear();
-        batch
-            .objectives
-            .extend(batch.scores.iter().map(|&s| Objectives::from_fitness(s)));
-    }
+    score_batch(
+        config,
+        fitness,
+        &genomes,
+        None,
+        &mut batch.scores,
+        &mut batch.objectives,
+    );
     let mut population: Vec<Individual<G>> = genomes
         .into_iter()
         .zip(batch.scores.iter().copied())
@@ -1123,22 +989,28 @@ where
     }
 }
 
-/// Snapshot of a population's post-selection statistics (wall-clock and
-/// cache fields left at their defaults; callers fill them in).
-fn population_stats<G>(
-    population: &[Individual<G>],
-    generation: u64,
-    evaluations: u64,
-) -> GenerationStats {
-    let best = population.first().map_or(f64::NEG_INFINITY, |i| i.fitness);
-    let mean = population.iter().map(|i| i.fitness).sum::<f64>() / population.len() as f64;
-    GenerationStats {
-        generation,
-        best_fitness: best,
-        mean_fitness: mean,
-        evaluations,
-        elapsed: Duration::ZERO,
-        cache: None,
+/// Scores `genomes` into reusable `scores` and `objectives` buffers with
+/// one evaluator call. Objective vectors are requested only when the run
+/// needs them (see [`needs_objectives`]); otherwise each score is embedded
+/// via [`Objectives::from_fitness`].
+fn score_batch<G, F: FitnessEval<G>>(
+    config: &EaConfig,
+    fitness: &F,
+    genomes: &[Vec<G>],
+    provenance: Option<Provenance<'_, G>>,
+    scores: &mut Vec<f64>,
+    objectives: &mut Vec<Objectives>,
+) {
+    // NaN prefills rank last if an override leaves a slot unwritten.
+    scores.clear();
+    scores.resize(genomes.len(), f64::NAN);
+    objectives.clear();
+    if needs_objectives(config) {
+        objectives.resize(genomes.len(), Objectives::NAN);
+        fitness.evaluate_batch(genomes, provenance, scores, Some(objectives));
+    } else {
+        fitness.evaluate_batch(genomes, provenance, scores, None);
+        objectives.extend(scores.iter().map(|&s| Objectives::from_fitness(s)));
     }
 }
 
@@ -1149,12 +1021,11 @@ fn step<G, SampleGene, F>(
     config: &EaConfig,
     sample_gene: &SampleGene,
     fitness: &F,
-    threads: usize,
     island: &mut IslandState<G>,
 ) where
-    G: Copy + Send + Sync,
+    G: Copy,
     SampleGene: Fn(&mut StdRng) -> G,
-    F: FitnessEval<G> + Sync,
+    F: FitnessEval<G>,
 {
     let s = config.population_size;
     let c = config.children_per_generation;
@@ -1238,28 +1109,18 @@ fn step<G, SampleGene, F>(
     }
     *evaluations += children.len() as u64;
     let parent_genes: Vec<&[G]> = population.iter().map(|i| i.genes.as_slice()).collect();
-    if needs_objectives(config) {
-        parallel::evaluate_objectives_into(
-            fitness,
-            children,
-            lineages,
-            &parent_genes,
-            threads,
-            scores,
-            objectives,
-        );
-    } else {
-        parallel::evaluate_lineage_into(
-            fitness,
-            children,
-            lineages,
-            &parent_genes,
-            threads,
-            scores,
-        );
-        objectives.clear();
-        objectives.extend(scores.iter().map(|&s| Objectives::from_fitness(s)));
-    }
+    let provenance = Provenance {
+        lineage: lineages,
+        parents: &parent_genes,
+    };
+    score_batch(
+        config,
+        fitness,
+        children,
+        Some(provenance),
+        scores,
+        objectives,
+    );
     drop(parent_genes);
     if let Some(archive) = archive.as_mut() {
         for ((genes, &score), &obj) in children.iter().zip(scores.iter()).zip(objectives.iter()) {
@@ -1299,9 +1160,12 @@ fn migrate<G: Copy>(
     migrants: usize,
     ranking: Ranking,
 ) {
+    if islands.len() < 2 || migrants == 0 {
+        return;
+    }
     let ring: Vec<usize> = (0..islands.len()).filter(|&i| !quarantined[i]).collect();
     let count = ring.len();
-    if count < 2 || migrants == 0 {
+    if count < 2 {
         return;
     }
     let s = islands[ring[0]].population.len();
@@ -1329,61 +1193,52 @@ fn migrate<G: Copy>(
 }
 
 /// Runs `f` once per non-skipped island, distributing contiguous island
-/// chunks over at most `workers` scoped threads. Each island is touched by
-/// exactly one thread and owns all of its state, so the result is
-/// independent of the worker count — the same argument
-/// [`parallel::evaluate_into`] makes for fitness batches, lifted to whole
-/// subpopulations.
+/// chunks over at most `workers` scoped threads — the engine's only
+/// fan-out. Each island is touched by exactly one thread and owns all of
+/// its state, so the result is independent of the worker count. With one
+/// worker or one island (every panmictic run) the bodies run in order on
+/// the calling thread.
 ///
 /// Each island body runs under `catch_unwind`: a panicking island never
 /// takes down its worker thread (which may hold other islands of the same
 /// chunk) and never stalls the epoch barrier — the scope join always
-/// completes. The returned vector has one slot per island, `Some(message)`
-/// where that island's body panicked.
+/// completes. `failures` has one slot per island (the caller's reusable
+/// buffer, all `None` on entry); a body that panicked leaves its message in
+/// its island's slot.
 fn for_each_island<G, FN>(
     islands: &mut [IslandState<G>],
     skip: &[bool],
     workers: usize,
+    failures: &mut [Option<String>],
     f: FN,
-) -> Vec<Option<String>>
-where
+) where
     G: Send,
     FN: Fn(&mut IslandState<G>) + Sync,
 {
-    let mut failures: Vec<Option<String>> = Vec::new();
-    failures.resize_with(islands.len(), || None);
-    let run_one = |island: &mut IslandState<G>, slot: &mut Option<String>| {
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(island))) {
-            *slot = Some(panic_message(payload));
+    let run_chunk = |chunk: &mut [IslandState<G>], skips: &[bool], slots: &mut [Option<String>]| {
+        for ((island, &skipped), slot) in chunk.iter_mut().zip(skips).zip(slots) {
+            if skipped {
+                continue;
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(island))) {
+                *slot = Some(panic_message(payload));
+            }
         }
     };
     if workers <= 1 || islands.len() <= 1 {
-        for ((island, &skipped), slot) in islands.iter_mut().zip(skip).zip(failures.iter_mut()) {
-            if !skipped {
-                run_one(island, slot);
-            }
-        }
-        return failures;
+        return run_chunk(islands, skip, failures);
     }
-    let per = islands.len().div_ceil(workers.max(1));
+    let per = islands.len().div_ceil(workers);
     std::thread::scope(|scope| {
         for ((chunk, skips), slots) in islands
             .chunks_mut(per)
             .zip(skip.chunks(per))
             .zip(failures.chunks_mut(per))
         {
-            let run_one = &run_one;
-            scope.spawn(move || {
-                for ((island, &skipped), slot) in chunk.iter_mut().zip(skips).zip(slots.iter_mut())
-                {
-                    if !skipped {
-                        run_one(island, slot);
-                    }
-                }
-            });
+            let run_chunk = &run_chunk;
+            scope.spawn(move || run_chunk(chunk, skips, slots));
         }
     });
-    failures
 }
 
 fn sort_by_fitness<G>(population: &mut [Individual<G>]) {
@@ -1491,19 +1346,41 @@ mod tests {
 
     #[test]
     fn batch_evaluator_sees_whole_generations() {
-        // A custom FitnessEval whose batch override must agree with the
-        // closure path: the engine should hand it S first, then C per
-        // generation.
-        struct Counting;
-        impl FitnessEval<bool> for Counting {
+        // Records every batch call's length and thread: even with four
+        // threads allowed, a panmictic run must score S genomes first, then
+        // C per generation, each batch in one call on the calling thread.
+        struct Recording<'a>(&'a std::sync::Mutex<Vec<(usize, std::thread::ThreadId)>>);
+        impl FitnessEval<bool> for Recording<'_> {
             fn evaluate(&self, genes: &[bool]) -> f64 {
                 genes.iter().filter(|&&g| g).count() as f64
             }
+            fn evaluate_batch(
+                &self,
+                genomes: &[Vec<bool>],
+                _provenance: Option<Provenance<'_, bool>>,
+                out: &mut [f64],
+                _objectives: Option<&mut [Objectives]>,
+            ) {
+                let call = (genomes.len(), std::thread::current().id());
+                self.0.lock().expect("no panicking batch").push(call);
+                for (genes, slot) in genomes.iter().zip(out.iter_mut()) {
+                    *slot = self.evaluate(genes);
+                }
+            }
         }
-        let config = one_max_config(100, 7);
-        let via_trait = EaBuilder::new(24, |rng| rng.gen::<bool>(), Counting)
+        let calls = std::sync::Mutex::new(Vec::new());
+        let mut config = one_max_config(100, 7);
+        config.threads = 4;
+        let via_trait = EaBuilder::new(24, |rng| rng.gen::<bool>(), Recording(&calls))
             .config(config)
             .run();
+        let calls = calls.into_inner().expect("no panicking batch");
+        let lengths: Vec<usize> = calls.iter().map(|&(len, _)| len).collect();
+        let mut expected = vec![10];
+        expected.resize(via_trait.generations as usize + 1, 5);
+        assert_eq!(lengths, expected);
+        let caller = std::thread::current().id();
+        assert!(calls.iter().all(|&(_, thread)| thread == caller));
         let via_closure = run_one_max(7);
         assert_eq!(via_trait.best_genome, via_closure.best_genome);
         assert_eq!(via_trait.evaluations, via_closure.evaluations);
@@ -1520,15 +1397,22 @@ mod tests {
             fn evaluate(&self, genes: &[bool]) -> f64 {
                 genes.iter().filter(|&&g| g).count() as f64
             }
-            fn evaluate_batch_with_lineage(
+            fn evaluate_batch(
                 &self,
                 genomes: &[Vec<bool>],
-                lineage: &[Option<Lineage>],
-                parents: &[&[bool]],
+                provenance: Option<Provenance<'_, bool>>,
                 out: &mut [f64],
+                _objectives: Option<&mut [Objectives]>,
             ) {
-                for ((genes, lin), slot) in genomes.iter().zip(lineage).zip(out.iter_mut()) {
-                    let lin = lin.as_ref().expect("engine children always have lineage");
+                for (i, (genes, slot)) in genomes.iter().zip(out.iter_mut()).enumerate() {
+                    *slot = self.evaluate(genes);
+                    // The initial population comes without provenance.
+                    let Some(Provenance { lineage, parents }) = provenance else {
+                        continue;
+                    };
+                    let lin = lineage[i]
+                        .as_ref()
+                        .expect("engine children always have lineage");
                     let parent = parents[lin.parent_idx];
                     assert_eq!(genes.len(), parent.len(), "child/parent length");
                     assert!(lin.edit.end <= genes.len(), "edit range out of bounds");
@@ -1543,7 +1427,6 @@ mod tests {
                             assert_eq!(genes[k], donor[k], "child differs from donor inside");
                         }
                     }
-                    *slot = self.evaluate(genes);
                 }
             }
         }
@@ -1861,16 +1744,17 @@ mod tests {
         fn evaluate(&self, genes: &[bool]) -> f64 {
             genes.iter().filter(|&&g| g).count() as f64
         }
-        fn evaluate_batch_with_objectives(
+        fn evaluate_batch(
             &self,
             genomes: &[Vec<bool>],
-            _lineage: &[Option<Lineage>],
-            _parents: &[&[bool]],
+            _provenance: Option<Provenance<'_, bool>>,
             out: &mut [f64],
-            objectives: &mut [Objectives],
+            objectives: Option<&mut [Objectives]>,
         ) {
-            for ((genes, slot), obj) in genomes.iter().zip(out.iter_mut()).zip(objectives) {
+            for (genes, slot) in genomes.iter().zip(out.iter_mut()) {
                 *slot = self.evaluate(genes);
+            }
+            for (genes, obj) in genomes.iter().zip(objectives.into_iter().flatten()) {
                 *obj = Self::objectives(genes);
             }
         }

@@ -25,8 +25,9 @@
 //! likewise belongs after every spawned thread has been joined.
 //!
 //! Hit counting is per *call site pass*, which for evaluator sites means
-//! per batch chunk: under multi-threaded evaluation the chunk count per
-//! generation depends on the worker count, so deterministic tests pin
+//! one hit per batch — an initial population or one generation's children
+//! of one island. Island workers interleave their islands' batches, so
+//! tests that need the n-th hit to land on a specific island pin
 //! `threads(1)` (service jobs always do).
 
 use std::collections::HashMap;

@@ -24,13 +24,12 @@ use crate::stats::CacheStats;
 /// genome, diffed at whatever granularity the evaluator patches at).
 ///
 /// Evaluators that can reuse a parent's partial results (see
-/// [`FitnessEval::evaluate_batch_with_lineage`]) use this to make a child's
-/// evaluation proportional to the edit instead of the genome.
+/// [`FitnessEval::evaluate_batch`]) use this to make a child's evaluation
+/// proportional to the edit instead of the genome.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lineage {
-    /// Index of the primary parent in the `parents` slice handed to
-    /// [`FitnessEval::evaluate_batch_with_lineage`] — the parent the child
-    /// equals outside [`Lineage::edit`].
+    /// Index of the primary parent in [`Provenance::parents`] — the parent
+    /// the child equals outside [`Lineage::edit`].
     pub parent_idx: usize,
     /// Gene window possibly differing from that parent (`start..end`,
     /// half-open). Empty means the child is an exact copy.
@@ -63,16 +62,28 @@ impl Lineage {
     }
 }
 
+/// Parent→child provenance of one batch: a [`Lineage`] slot per genome and
+/// the parent genomes the lineages index into. The engine hands it over
+/// with every generation's children and passes `None` for the initial
+/// population, which has no parents.
+#[derive(Debug, Clone, Copy)]
+pub struct Provenance<'a, G> {
+    /// `lineage[i]` describes how `genomes[i]` relates to
+    /// [`Provenance::parents`]; `None` means the provenance is unknown.
+    pub lineage: &'a [Option<Lineage>],
+    /// The parent population, indexed by [`Lineage::parent_idx`] and
+    /// [`Lineage::second_parent`].
+    pub parents: &'a [&'a [G]],
+}
+
 /// Fitness of fixed-length genomes over gene type `G`; higher is better.
 ///
 /// The engine hands whole batches to [`FitnessEval::evaluate_batch`] — the
-/// initial population first, then every generation's children — which makes
-/// the batch the natural unit of parallelism (see [`crate::parallel`]).
-/// Scores are written into a caller-provided slice, so the engine can reuse
-/// one output buffer across generations and an override can keep per-batch
-/// scratch state (buffers, histograms) alive for the whole batch — one
-/// scratch per worker thread, since the parallel evaluator makes exactly one
-/// `evaluate_batch` call per worker chunk.
+/// initial population first, then every generation's children — in one
+/// call on the thread that owns the (sub)population. Scores are written
+/// into a caller-provided slice, so the engine can reuse one output buffer
+/// across generations and an override can keep per-batch scratch state
+/// (buffers, histograms) alive for the whole batch.
 ///
 /// Implementations must be *pure*: the fitness of a genome may depend only
 /// on the genes (plus immutable shared state such as a precomputed
@@ -93,7 +104,7 @@ impl Lineage {
 /// let one_max = |genes: &[bool]| genes.iter().filter(|&&g| g).count() as f64;
 /// assert_eq!(one_max.evaluate(&[true, false, true]), 2.0);
 /// let mut scores = [0.0; 2];
-/// one_max.evaluate_batch(&[vec![true], vec![false]], &mut scores);
+/// one_max.evaluate_batch(&[vec![true], vec![false]], None, &mut scores, None);
 /// assert_eq!(scores, [1.0, 0.0]);
 /// ```
 pub trait FitnessEval<G> {
@@ -101,72 +112,37 @@ pub trait FitnessEval<G> {
     fn evaluate(&self, genes: &[G]) -> f64;
 
     /// Scores a batch of genomes, writing the fitness of `genomes[i]` into
-    /// `out[i]`. Callers guarantee `out.len() == genomes.len()`.
+    /// `out[i]` and, when `objectives` is given, its minimized objective
+    /// vector into `objectives[i]` (see [`Objectives`]). Callers guarantee
+    /// that `out`, `objectives` and `provenance.lineage` all have
+    /// `genomes.len()` entries, and that every lineage index is in range of
+    /// `provenance.parents`.
     ///
     /// The default implementation maps [`FitnessEval::evaluate`] over the
-    /// batch in order. Override it when per-batch work can be amortized
-    /// (reusable scratch buffers, vectorized kernels); the override must
-    /// fill every slot of `out` and must not depend on batch boundaries —
-    /// the parallel evaluator splits batches into arbitrary contiguous
-    /// chunks.
-    fn evaluate_batch(&self, genomes: &[Vec<G>], out: &mut [f64]) {
+    /// batch in order, ignores the provenance, and embeds each score via
+    /// [`Objectives::from_fitness`], under which lexicographic ranking
+    /// reproduces descending-fitness ranking exactly. Override it when
+    /// per-batch work can be amortized (reusable scratch buffers,
+    /// vectorized kernels), when a parent's partial results can price a
+    /// lightly edited child (see [`Lineage`]), or to report real objective
+    /// vectors. Provenance is purely an optimization hint: an override must
+    /// fill every slot, and its scores must be **bit-identical** with or
+    /// without provenance and with or without `objectives` — the objective
+    /// vector is additional output, never a change of the fitness
+    /// semantics.
+    fn evaluate_batch(
+        &self,
+        genomes: &[Vec<G>],
+        provenance: Option<Provenance<'_, G>>,
+        out: &mut [f64],
+        objectives: Option<&mut [Objectives]>,
+    ) {
         debug_assert_eq!(genomes.len(), out.len(), "scores slice length");
+        let _ = provenance;
         for (genes, slot) in genomes.iter().zip(out.iter_mut()) {
             *slot = self.evaluate(genes);
         }
-    }
-
-    /// Scores a batch of genomes that carry parent→child provenance:
-    /// `lineage[i]`, when present, names the parent genome in `parents` that
-    /// `genomes[i]` was derived from and the gene window the deriving
-    /// operator may have edited (see [`Lineage`]).
-    ///
-    /// The default implementation ignores the provenance and delegates to
-    /// [`FitnessEval::evaluate_batch`] — lineage is purely an optimization
-    /// hook. Overrides may reuse work done for a parent (cached coverings,
-    /// frequency vectors, …) to score a lightly edited child incrementally,
-    /// but the scores they produce must stay **bit-identical** to what the
-    /// plain batch path returns for the same genomes; lineage must never
-    /// change a result, only the work needed to reach it. Callers guarantee
-    /// `lineage.len() == genomes.len()`, `out.len() == genomes.len()`, and
-    /// that every `parent_idx` is in range of `parents`.
-    fn evaluate_batch_with_lineage(
-        &self,
-        genomes: &[Vec<G>],
-        lineage: &[Option<Lineage>],
-        parents: &[&[G]],
-        out: &mut [f64],
-    ) {
-        debug_assert_eq!(genomes.len(), lineage.len(), "lineage slice length");
-        let _ = parents;
-        self.evaluate_batch(genomes, out);
-    }
-
-    /// Scores a batch like [`FitnessEval::evaluate_batch_with_lineage`] and
-    /// additionally writes each genome's minimized objective vector into
-    /// `objectives[i]` (see [`Objectives`]).
-    ///
-    /// The engine calls this instead of the lineage path whenever a run
-    /// needs objective vectors (lexicographic ranking or a Pareto archive).
-    /// The scalar scores written to `out` must be **bit-identical** to what
-    /// [`FitnessEval::evaluate_batch_with_lineage`] returns for the same
-    /// genomes — the objective vector is additional output, never a change
-    /// of the fitness semantics. The default implementation delegates to
-    /// the lineage path and embeds each scalar score via
-    /// [`Objectives::from_fitness`], under which lexicographic ranking
-    /// reproduces descending-fitness ranking exactly. Callers guarantee
-    /// `objectives.len() == genomes.len()`.
-    fn evaluate_batch_with_objectives(
-        &self,
-        genomes: &[Vec<G>],
-        lineage: &[Option<Lineage>],
-        parents: &[&[G]],
-        out: &mut [f64],
-        objectives: &mut [Objectives],
-    ) {
-        debug_assert_eq!(genomes.len(), objectives.len(), "objectives slice length");
-        self.evaluate_batch_with_lineage(genomes, lineage, parents, out);
-        for (slot, &score) in objectives.iter_mut().zip(out.iter()) {
+        for (slot, &score) in objectives.into_iter().flatten().zip(out.iter()) {
             *slot = Objectives::from_fitness(score);
         }
     }
@@ -210,38 +186,35 @@ mod tests {
     fn default_batch_maps_in_order() {
         let genomes = vec![vec![1u8, 2], vec![10], vec![]];
         let mut scores = vec![f64::NAN; genomes.len()];
-        SumLen.evaluate_batch(&genomes, &mut scores);
+        SumLen.evaluate_batch(&genomes, None, &mut scores, None);
         assert_eq!(scores, vec![3.0, 10.0, 0.0]);
     }
 
     #[test]
-    fn default_lineage_hook_ignores_provenance() {
+    fn default_batch_ignores_provenance() {
         let genomes = vec![vec![1u8, 2], vec![1, 3]];
         let parents: Vec<&[u8]> = vec![&[1, 2]];
         let lineage = vec![
             Some(Lineage::new(0, 0..0)),
             Some(Lineage::crossover(0, 1..2, 0)),
         ];
+        let provenance = Provenance {
+            lineage: &lineage,
+            parents: &parents,
+        };
         let mut with = vec![f64::NAN; 2];
-        SumLen.evaluate_batch_with_lineage(&genomes, &lineage, &parents, &mut with);
+        SumLen.evaluate_batch(&genomes, Some(provenance), &mut with, None);
         let mut without = vec![f64::NAN; 2];
-        SumLen.evaluate_batch(&genomes, &mut without);
+        SumLen.evaluate_batch(&genomes, None, &mut without, None);
         assert_eq!(with, without);
     }
 
     #[test]
     fn default_objectives_embed_the_scalar_score() {
         let genomes = vec![vec![1u8, 2], vec![10]];
-        let lineage = vec![None, None];
         let mut scores = vec![f64::NAN; 2];
         let mut objectives = vec![Objectives::NAN; 2];
-        SumLen.evaluate_batch_with_objectives(
-            &genomes,
-            &lineage,
-            &[],
-            &mut scores,
-            &mut objectives,
-        );
+        SumLen.evaluate_batch(&genomes, None, &mut scores, Some(&mut objectives));
         assert_eq!(scores, vec![3.0, 10.0]);
         assert_eq!(objectives[0], Objectives::from_fitness(3.0));
         assert_eq!(objectives[1], Objectives::from_fitness(10.0));
@@ -252,7 +225,7 @@ mod tests {
         let f = |genes: &[bool]| genes.len() as f64;
         assert_eq!(f.evaluate(&[true, true]), 2.0);
         let mut scores = [f64::NAN; 2];
-        f.evaluate_batch(&[vec![], vec![false]], &mut scores);
+        f.evaluate_batch(&[vec![], vec![false]], None, &mut scores, None);
         assert_eq!(scores, [0.0, 1.0]);
     }
 }

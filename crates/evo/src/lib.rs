@@ -23,22 +23,23 @@
 //! and the engine draws them with configurable probabilities.
 //!
 //! Fitness is evaluated in batches (the initial population, then each
-//! generation's children), optionally across scoped worker threads — see
-//! [`parallel`] and the `threads` knob on [`EaConfig`]. Runs can also be
-//! structured as an island model — per-thread subpopulations with
-//! deterministic ring migration — via [`Topology`]. Thread count never
-//! changes results: runs are bit-identical for any value of the knob, with
-//! either topology.
+//! generation's children), each in one [`FitnessEval::evaluate_batch`] call
+//! on the thread that owns the population. Runs can be structured as an
+//! island model — subpopulations with deterministic ring migration — via
+//! [`Topology`]; the `threads` knob on [`EaConfig`] (see [`parallel`])
+//! spreads those islands over scoped worker threads and is the engine's
+//! only parallelism, so a panmictic run always stays on the calling thread.
+//! Thread count never changes results: runs are bit-identical for any value
+//! of the knob, with either topology.
 //!
 //! Runs can also be multi-objective: an evaluator may report a minimized
-//! [`Objectives`] vector per genome (see
-//! [`FitnessEval::evaluate_batch_with_objectives`]), selection can rank
-//! lexicographically on it ([`Ranking::Lexicographic`]), and the engine can
-//! collect the nondominated front of everything it evaluated into a bounded
-//! [`ParetoArchive`], reported on [`EaResult::pareto_front`]
-//! (`EaConfig::pareto_capacity`). The archive is observational — enabling
-//! it never changes a trajectory — and the default scalar ranking remains
-//! byte-identical to the single-objective engine.
+//! [`Objectives`] vector per genome (see [`FitnessEval::evaluate_batch`]),
+//! selection can rank lexicographically on it ([`Ranking::Lexicographic`]),
+//! and the engine can collect the nondominated front of everything it
+//! evaluated into a bounded [`ParetoArchive`], reported on
+//! [`EaResult::pareto_front`] (`EaConfig::pareto_capacity`). The archive is
+//! observational — enabling it never changes a trajectory — and the default
+//! scalar ranking remains byte-identical to the single-objective engine.
 //!
 //! # Example
 //!
@@ -111,7 +112,7 @@ pub use checkpoint::{
 };
 pub use config::{EaConfig, EaConfigBuilder, Ranking, Topology};
 pub use engine::{EaBuilder, EaResult};
-pub use fitness::{FitnessEval, Lineage};
+pub use fitness::{FitnessEval, Lineage, Provenance};
 pub use objective::{Objectives, ParetoArchive, ParetoPoint};
 pub use operators::GeneRange;
 pub use stats::{evals_per_sec, CacheStats, GenerationEvent, GenerationStats};

@@ -14,8 +14,9 @@
 //!
 //! The failpoint registry is process-global, so every test serializes on
 //! one mutex and resets the registry when done. Evaluator-site hit counts
-//! are per batch *chunk*, so tests pin `threads(1)` wherever the n-th hit
-//! must land on a specific island.
+//! are one per batch, and island workers interleave their islands'
+//! batches, so tests pin `threads(1)` wherever the n-th hit must land on a
+//! specific island.
 #![cfg(feature = "failpoints")]
 
 use evotc::bits::{BlockHistogram, TestSet, TestSetString, Trit};

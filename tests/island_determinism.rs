@@ -11,7 +11,7 @@
 //! and its route fully visible in the per-island [`GenerationEvent`] stream.
 
 use evotc::evo::{
-    EaBuilder, EaConfig, EaResult, FitnessEval, GenerationEvent, Lineage, Objectives,
+    EaBuilder, EaConfig, EaResult, FitnessEval, GenerationEvent, Objectives, Provenance,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -182,16 +182,17 @@ impl FitnessEval<bool> for TransitionsFirst {
     fn evaluate(&self, genes: &[bool]) -> f64 {
         genes.iter().filter(|&&g| g).count() as f64
     }
-    fn evaluate_batch_with_objectives(
+    fn evaluate_batch(
         &self,
         genomes: &[Vec<bool>],
-        _lineage: &[Option<Lineage>],
-        _parents: &[&[bool]],
+        _provenance: Option<Provenance<'_, bool>>,
         out: &mut [f64],
-        objectives: &mut [Objectives],
+        objectives: Option<&mut [Objectives]>,
     ) {
-        for ((genes, slot), obj) in genomes.iter().zip(out.iter_mut()).zip(objectives) {
+        for (genes, slot) in genomes.iter().zip(out.iter_mut()) {
             *slot = self.evaluate(genes);
+        }
+        for (genes, obj) in genomes.iter().zip(objectives.into_iter().flatten()) {
             *obj = Self::objectives(genes);
         }
     }

@@ -1,7 +1,7 @@
 //! The determinism contract of the parallel EA engine: the thread count is
 //! a throughput knob, never a semantic one. Same seed → byte-identical
 //! results for `threads` ∈ {1, 2, 8}, at every layer — the raw engine, the
-//! standalone batch evaluator, and the full compressor pipeline.
+//! shared-cache evaluator, and the full compressor pipeline.
 //!
 //! CI additionally runs the whole workspace suite twice (default threads
 //! and `EVOTC_TEST_THREADS=1`) so every other test enforces the same
@@ -9,7 +9,9 @@
 
 use evotc::bits::{BlockHistogram, TestSet, TestSetString, Trit};
 use evotc::core::{EaCompressor, MvFitness};
-use evotc::evo::{parallel, EaBuilder, EaConfig, EaResult, FitnessEval};
+use evotc::evo::{
+    parallel, EaBuilder, EaConfig, EaResult, FitnessEval, Objectives, Provenance, Topology,
+};
 use evotc::workloads::synth::{generate, SyntheticSpec};
 use rand::Rng;
 
@@ -63,16 +65,6 @@ fn engine_trajectories_match_modulo_wall_clock() {
     }
 }
 
-#[test]
-fn standalone_evaluator_is_order_preserving_for_any_chunking() {
-    let fitness = |genes: &[u8]| genes.iter().map(|&g| g as f64).sum::<f64>();
-    let genomes: Vec<Vec<u8>> = (0..37).map(|i| vec![i as u8; 16]).collect();
-    let serial = parallel::evaluate(&fitness, &genomes, 1);
-    for threads in [2, 3, 5, 8, 37, 100] {
-        assert_eq!(parallel::evaluate(&fitness, &genomes, threads), serial);
-    }
-}
-
 fn workload() -> TestSet {
     generate(&SyntheticSpec {
         width: 24,
@@ -116,20 +108,24 @@ fn compressor_results_are_byte_identical_across_thread_counts() {
 
 #[test]
 fn lineage_cache_never_changes_the_ea_trajectory() {
-    // `MvFitness` wrapped so the lineage hook falls back to the plain batch
-    // path: running the engine with and without incremental evaluation must
-    // produce byte-identical results, at every thread count. The cache is a
-    // work-saving device, never a semantic one.
+    // `MvFitness` wrapped so every batch drops its provenance and takes the
+    // full kernel: running the engine with and without incremental
+    // evaluation must produce byte-identical results, at every thread
+    // count. The cache is a work-saving device, never a semantic one.
     struct NoLineage<'a>(MvFitness<'a>);
     impl FitnessEval<Trit> for NoLineage<'_> {
         fn evaluate(&self, genes: &[Trit]) -> f64 {
             self.0.evaluate(genes)
         }
-        fn evaluate_batch(&self, genomes: &[Vec<Trit>], out: &mut [f64]) {
-            self.0.evaluate_batch(genomes, out);
+        fn evaluate_batch(
+            &self,
+            genomes: &[Vec<Trit>],
+            _provenance: Option<Provenance<'_, Trit>>,
+            out: &mut [f64],
+            objectives: Option<&mut [Objectives]>,
+        ) {
+            self.0.evaluate_batch(genomes, None, out, objectives);
         }
-        // No `evaluate_batch_with_lineage` override: the trait default
-        // ignores provenance and delegates to `evaluate_batch`.
     }
 
     let set = workload();
@@ -174,58 +170,68 @@ fn lineage_cache_never_changes_the_ea_trajectory() {
 
 #[test]
 fn shared_cache_trajectory_is_identical_for_any_thread_count() {
-    // The shared parent cache is probed concurrently by every worker thread
-    // (`MvFitness` holds one `SharedParentCache`; workers race on lookups
+    // The shared parent cache is probed concurrently by the island workers
+    // (`MvFitness` holds one `SharedParentCache`; islands race on lookups
     // and inserts). Whatever the interleaving — and whoever wins a race to
     // build a parent entry — the *trajectory* must be byte-identical for
     // every thread count and across repeated runs: the cache changes how
     // much a score costs, never the score. (Cache hit/miss counters are the
-    // one explicitly non-deterministic observable, like wall-clock.)
+    // one explicitly non-deterministic observable, like wall-clock.) A
+    // panmictic run is a single island on the calling thread, so the
+    // thread count must not matter there either.
     let set = workload();
     let string = TestSetString::try_new(&set, 12).expect("K=12 fits the workload");
     let histogram = BlockHistogram::from_string(&string);
     let bits = string.payload_bits() as f64;
-    let run = |threads: usize| {
-        let config = EaConfig::builder()
-            .population_size(10)
-            .children_per_generation(6)
-            .stagnation_limit(20)
-            .max_evaluations(600)
-            .seed(17)
-            .threads(threads)
-            .build();
-        EaBuilder::new(
-            12 * 16,
-            |rng: &mut rand::rngs::StdRng| Trit::from_index(rng.gen_range(0..3u8)),
-            MvFitness::new(12, true, &histogram, bits),
-        )
-        .config(config)
-        .run()
+    let islands = Topology::Islands {
+        count: 4,
+        interval: 3,
+        migrants: 1,
     };
-    let reference = run(1);
-    // The run reports cache counters, and the steady state actually hits.
-    let stats = reference.cache.expect("MvFitness reports cache stats");
-    assert!(
-        stats.hits > 0,
-        "no shared-cache hits in a whole run: {stats}"
-    );
-    for threads in THREAD_COUNTS {
-        for repeat in 0..2 {
-            let other = run(threads);
-            assert_eq!(
-                other.best_genome, reference.best_genome,
-                "t={threads} repeat={repeat}"
-            );
-            assert_eq!(
-                other.best_fitness.to_bits(),
-                reference.best_fitness.to_bits()
-            );
-            assert_eq!(other.generations, reference.generations);
-            assert_eq!(other.evaluations, reference.evaluations);
-            for (a, b) in other.history.iter().zip(&reference.history) {
-                assert_eq!(a.best_fitness.to_bits(), b.best_fitness.to_bits());
-                assert_eq!(a.mean_fitness.to_bits(), b.mean_fitness.to_bits());
-                assert_eq!(a.evaluations, b.evaluations);
+    for topology in [Topology::Panmictic, islands] {
+        let run = |threads: usize| {
+            let config = EaConfig::builder()
+                .population_size(10)
+                .children_per_generation(6)
+                .stagnation_limit(20)
+                .max_evaluations(600)
+                .seed(17)
+                .threads(threads)
+                .topology(topology)
+                .build();
+            EaBuilder::new(
+                12 * 16,
+                |rng: &mut rand::rngs::StdRng| Trit::from_index(rng.gen_range(0..3u8)),
+                MvFitness::new(12, true, &histogram, bits),
+            )
+            .config(config)
+            .run()
+        };
+        let reference = run(1);
+        // The run reports cache counters, and the steady state actually hits.
+        let stats = reference.cache.expect("MvFitness reports cache stats");
+        assert!(
+            stats.hits > 0,
+            "no shared-cache hits in a whole {topology} run: {stats}"
+        );
+        for threads in THREAD_COUNTS {
+            for repeat in 0..2 {
+                let other = run(threads);
+                assert_eq!(
+                    other.best_genome, reference.best_genome,
+                    "{topology} t={threads} repeat={repeat}"
+                );
+                assert_eq!(
+                    other.best_fitness.to_bits(),
+                    reference.best_fitness.to_bits()
+                );
+                assert_eq!(other.generations, reference.generations);
+                assert_eq!(other.evaluations, reference.evaluations);
+                for (a, b) in other.history.iter().zip(&reference.history) {
+                    assert_eq!(a.best_fitness.to_bits(), b.best_fitness.to_bits());
+                    assert_eq!(a.mean_fitness.to_bits(), b.mean_fitness.to_bits());
+                    assert_eq!(a.evaluations, b.evaluations);
+                }
             }
         }
     }

@@ -15,7 +15,7 @@
 use evotc::bits::{TestSet, TestSetString, Trit};
 use evotc::core::{trit_checkpoint_from_bytes, trit_checkpoint_to_bytes, MvFitness};
 use evotc::evo::{
-    EaBuilder, EaCheckpoint, EaConfig, EaResult, FitnessEval, Lineage, Objectives, StopReason,
+    EaBuilder, EaCheckpoint, EaConfig, EaResult, FitnessEval, Objectives, Provenance, StopReason,
     Topology,
 };
 use proptest::prelude::*;
@@ -38,16 +38,17 @@ impl FitnessEval<bool> for TwoObjective {
     fn evaluate(&self, genes: &[bool]) -> f64 {
         genes.iter().filter(|&&g| g).count() as f64
     }
-    fn evaluate_batch_with_objectives(
+    fn evaluate_batch(
         &self,
         genomes: &[Vec<bool>],
-        _lineage: &[Option<Lineage>],
-        _parents: &[&[bool]],
+        _provenance: Option<Provenance<'_, bool>>,
         out: &mut [f64],
-        objectives: &mut [Objectives],
+        objectives: Option<&mut [Objectives]>,
     ) {
-        for ((genes, slot), obj) in genomes.iter().zip(out.iter_mut()).zip(objectives) {
+        for (genes, slot) in genomes.iter().zip(out.iter_mut()) {
             *slot = self.evaluate(genes);
+        }
+        for (genes, obj) in genomes.iter().zip(objectives.into_iter().flatten()) {
             *obj = Self::objectives(genes);
         }
     }

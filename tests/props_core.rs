@@ -147,7 +147,7 @@ proptest! {
         let fitness = MvFitness::new(4, false, &hist, string.payload_bits() as f64);
 
         let mut scores = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, &mut scores);
+        fitness.evaluate_batch(&genomes, None, &mut scores, None);
         let mut feasible: Vec<f64> = Vec::new();
         let mut infeasible: Vec<f64> = Vec::new();
         for (genome, &score) in genomes.iter().zip(&scores) {

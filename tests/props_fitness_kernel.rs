@@ -102,7 +102,7 @@ proptest! {
         // across the run; the check below keeps the batch path honest.
         let _ = saw_infeasible;
         let mut scores = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, &mut scores);
+        fitness.evaluate_batch(&genomes, None, &mut scores, None);
         for (g, &s) in genomes.iter().zip(&scores) {
             prop_assert_eq!(s.to_bits(), fitness.evaluate(g).to_bits());
         }

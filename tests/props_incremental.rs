@@ -14,7 +14,7 @@ use evotc::core::{
     encoded_size_incremental, encoded_size_probe, encoded_size_rebuild, encoded_size_scratch,
     EvalCache, EvalScratch, IncrementalOutcome, MvFitness, PatchScratch,
 };
-use evotc::evo::{parallel, FitnessEval, Lineage};
+use evotc::evo::{FitnessEval, Lineage, Provenance};
 use proptest::prelude::*;
 
 fn arb_trits(len: usize) -> impl Strategy<Value = Vec<Trit>> {
@@ -145,8 +145,8 @@ proptest! {
 
     /// The read-only probe path: many children priced against one parent
     /// cache must match the full kernel, and the cache must still price the
-    /// parent afterwards. This is exactly how the engine's
-    /// `evaluate_batch_with_lineage` uses the cache.
+    /// parent afterwards. This is exactly how `MvFitness::evaluate_batch`
+    /// uses the cache for engine children.
     #[test]
     fn sibling_probes_match_full_kernel_and_preserve_the_parent(
         rows in proptest::collection::vec(arb_trits(12), 1..8),
@@ -202,10 +202,11 @@ proptest! {
             }
             genomes.push(child);
         }
+        let provenance = Provenance { lineage: &lineage, parents: &parents };
         let mut with = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch_with_lineage(&genomes, &lineage, &parents, &mut with);
+        fitness.evaluate_batch(&genomes, Some(provenance), &mut with, None);
         let mut without = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, &mut without);
+        fitness.evaluate_batch(&genomes, None, &mut without, None);
         for (i, (a, b)) in with.iter().zip(&without).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "genome {}", i);
         }
@@ -292,21 +293,22 @@ proptest! {
         }
         let fitness = MvFitness::new(6, true, &hist, bits);
         let parents: Vec<&[Trit]> = vec![&parent_a, &parent_b];
+        let provenance = Provenance { lineage: &lineage, parents: &parents };
         let mut with = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch_with_lineage(&genomes, &lineage, &parents, &mut with);
+        fitness.evaluate_batch(&genomes, Some(provenance), &mut with, None);
         let mut without = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, &mut without);
+        fitness.evaluate_batch(&genomes, None, &mut without, None);
         for (i, (a, b)) in with.iter().zip(&without).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "genome {}", i);
         }
     }
 
     /// Concurrent probes against the shared parent cache: the same lineage
-    /// batch evaluated on 1 and 4 worker threads (all sharing one
-    /// `MvFitness`, i.e. one shared cache) must match the plain batch
-    /// bit-for-bit. CI additionally runs the whole suite under
-    /// `EVOTC_TEST_THREADS=4`, so the auto-threaded engine tests exercise
-    /// the same concurrency.
+    /// batch split over 1 and 4 scoped threads (all sharing one
+    /// `MvFitness`, i.e. one shared cache, as concurrent islands do) must
+    /// match the plain batch bit-for-bit. CI additionally runs the whole
+    /// suite under `EVOTC_TEST_THREADS=4`, so the auto-threaded island
+    /// tests exercise the same concurrency.
     #[test]
     fn shared_cache_concurrent_probes_match_plain_batch(
         rows in proptest::collection::vec(arb_trits(12), 1..6),
@@ -338,12 +340,21 @@ proptest! {
             genomes.push(child);
         }
         let mut plain = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, &mut plain);
-        let mut scores = Vec::new();
-        for threads in [1, 4] {
-            parallel::evaluate_lineage_into(
-                &fitness, &genomes, &lineage, &parents, threads, &mut scores,
-            );
+        fitness.evaluate_batch(&genomes, None, &mut plain, None);
+        for threads in [1usize, 4] {
+            let mut scores = vec![f64::NAN; genomes.len()];
+            let chunk = genomes.len().div_ceil(threads);
+            std::thread::scope(|scope| {
+                for ((batch, lin), out) in genomes
+                    .chunks(chunk)
+                    .zip(lineage.chunks(chunk))
+                    .zip(scores.chunks_mut(chunk))
+                {
+                    let provenance = Provenance { lineage: lin, parents: &parents };
+                    let fitness = &fitness;
+                    scope.spawn(move || fitness.evaluate_batch(batch, Some(provenance), out, None));
+                }
+            });
             for (i, (a, b)) in scores.iter().zip(&plain).enumerate() {
                 prop_assert_eq!(a.to_bits(), b.to_bits(), "genome {} threads {}", i, threads);
             }
