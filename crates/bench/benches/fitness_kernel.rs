@@ -1,8 +1,9 @@
 //! Old vs new fitness evaluation: the legacy per-genome path
 //! (`MvSet::from_genes` → `Covering::cover` → `huffman_code`) against the
 //! allocation-free, bit-sliced scratch kernel
-//! (`MvFitness::evaluate_scratch`), on the paper-default shape (K=12, L=64)
-//! over a calibrated ISCAS-like workload and on a large synthetic set.
+//! (`MvFitness::evaluate_with_objectives`), on the paper-default shape
+//! (K=12, L=64) over a calibrated ISCAS-like workload and on a large
+//! synthetic set.
 //!
 //! The kernel must come in at ≥ 3× the legacy throughput on the paper shape
 //! (ISSUE 3 acceptance bar); `evotc_bench --bin fitness_smoke` measures the
@@ -37,7 +38,8 @@ fn bench_pair(c: &mut Criterion, label: &str, histogram: &BlockHistogram, payloa
         b.iter(|| {
             let mut acc = 0.0;
             for g in &genomes {
-                acc += fitness.evaluate_scratch(black_box(g), &mut scratch);
+                let (score, _) = fitness.evaluate_with_objectives(black_box(g), &mut scratch);
+                acc += score;
             }
             acc
         })
@@ -46,9 +48,10 @@ fn bench_pair(c: &mut Criterion, label: &str, histogram: &BlockHistogram, payloa
     // Sanity: the two paths agree bit-for-bit on this workload.
     let mut scratch = EvalScratch::new();
     for g in &genomes {
+        let (score, _) = fitness.evaluate_with_objectives(g, &mut scratch);
         assert_eq!(
             fitness.evaluate(g).to_bits(),
-            fitness.evaluate_scratch(g, &mut scratch).to_bits(),
+            score.to_bits(),
             "kernel diverged from legacy on {label}"
         );
     }

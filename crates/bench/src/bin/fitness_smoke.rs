@@ -1,22 +1,20 @@
 //! Quick fitness-kernel perf smoke: measures evaluations/second of the
 //! legacy fitness path, the allocation-free bit-sliced kernel, and the
-//! incremental (cache-patching) path under mutation-chain, inversion-chain
-//! and crossover workloads — all at the paper-default shape (K=12, L=64,
-//! shared `fitness_fixture` workload) — plus the whole-run `evals/sec` of a
-//! real EA and the multi-objective vector path
-//! (`multiobjective_evals_per_sec`), and writes `BENCH_fitness.json` so the
-//! repo carries a perf trajectory across PRs. The correctness gates cover
-//! the objective vector too: kernel side-channel objectives vs the
-//! covering oracle on every genome, and the incrementally patched
-//! transition count vs the full recompute on every chain step and
-//! multi-chunk child.
+//! incremental probe under single-gene, crossover and inversion child
+//! streams — all at the paper-default shape (K=12, L=64, shared
+//! `fitness_fixture` workload) — plus the whole-run `evals/sec` of a real
+//! EA, and writes `BENCH_fitness.json` so the repo carries a perf
+//! trajectory across PRs. The correctness gates cover the objective vector
+//! too: kernel side-channel objectives vs the covering oracle on every
+//! genome, and the probe's transition and used-MV counts vs the full
+//! recompute on every child.
 //!
 //! The incremental workloads cover the operator mix of the paper's EA in
-//! its steady state: single-gene mutation chains (one changed MV chunk per
-//! child), and multi-chunk child streams probed read-only against one
+//! its steady state: streams of children probed read-only against one
 //! cached *evolved* parent — exactly how the engine's shared parent cache
-//! prices a generation's children. The multi-chunk stream mixes crossover
-//! and inversion children 3:1 (the paper's 0.30/0.10 operator
+//! prices a generation's children. The single-gene stream is the mutation
+//! operator (one changed MV chunk per child). The multi-chunk stream mixes
+//! crossover and inversion children 3:1 (the paper's 0.30/0.10 operator
 //! probabilities) with edit windows spanning 2–5 MV chunks; crossover
 //! partners are drawn from a converged population (the evolved individual a
 //! few point mutations apart), which is what selection actually breeds from
@@ -24,6 +22,9 @@
 //! are measured separately as well — inversion children genuinely rewrite
 //! every chunk their window touches, so they bound the patch path's worst
 //! case, while crossover children against converged parents bound its best.
+//! The timed streams are probed with the cost gate off, so they time the
+//! patch itself; a separate gate checks that the engine's gated probe both
+//! prices and declines multi-chunk children at this shape.
 //!
 //! Runs in a few seconds ("quick mode"). In CI the correctness gate runs
 //! gating (`--check-only`) and the timed run is a separate non-gating step:
@@ -34,8 +35,8 @@
 //! cargo run --release -p evotc_bench --bin fitness_smoke
 //! ```
 //!
-//! Exits non-zero only if the paths disagree on any genome or chain step (a
-//! correctness failure, not a perf one).
+//! Exits non-zero only if the paths disagree on any genome or child, or the
+//! cost gate is stuck one way (a correctness failure, not a perf one).
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -52,25 +53,36 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const GENOMES: usize = 128;
-/// Steps per chain workload (mutation, inversion, crossover alike).
-const CHAIN_LEN: usize = 256;
+/// Children per stream workload (mutation, inversion, crossover alike).
+const STREAM_LEN: usize = 256;
 /// Wall-clock budget per measured path; quick mode stays CI-friendly.
 const MEASURE: Duration = Duration::from_millis(1500);
 /// The fixture's genome length.
 const GENOME_LEN: usize = BLOCK_LEN * NUM_MVS;
 
-/// A deterministic single-gene mutation chain: the genomes the EA would see
-/// when each child is its predecessor with one redrawn gene.
-fn mutation_chain(start: &[Trit], steps: usize, seed: u64) -> Vec<(usize, Vec<Trit>)> {
+/// A deterministic stream of single-gene children of one fixed parent —
+/// what the mutation operator breeds: the parent with one redrawn gene.
+fn mutation_children(parent: &[Trit], steps: usize, seed: u64) -> Vec<(Range<usize>, Vec<Trit>)> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut genome = start.to_vec();
-    let mut chain = Vec::with_capacity(steps);
-    for _ in 0..steps {
-        let pos = rng.gen_range(0..genome.len());
-        genome[pos] = Trit::from_index(rng.gen_range(0..3u8));
-        chain.push((pos, genome.clone()));
-    }
-    chain
+    (0..steps)
+        .map(|_| {
+            let pos = rng.gen_range(0..parent.len());
+            let mut child = parent.to_vec();
+            child[pos] = Trit::from_index(rng.gen_range(0..3u8));
+            (pos..pos + 1, child)
+        })
+        .collect()
+}
+
+/// Number of MV chunks whose planes differ between `parent` and `child`
+/// (the forced all-`U` last MV never does).
+fn changed_chunks(parent: &[Trit], child: &[Trit]) -> usize {
+    parent
+        .chunks(BLOCK_LEN)
+        .zip(child.chunks(BLOCK_LEN))
+        .take(NUM_MVS - 1)
+        .filter(|(a, b)| a != b)
+        .count()
 }
 
 /// A random edit window spanning 2..=5 MV chunks (length `K+1 ..= 4K`
@@ -200,68 +212,40 @@ fn main() {
         }
     }
 
-    // Correctness gate 2: the incremental path must match the full kernel
-    // bit-for-bit on every step of a single-gene mutation chain.
-    let chain = mutation_chain(&genomes[0], CHAIN_LEN, 7);
-    let mut cache = EvalCache::new();
-    let seed_fitness = fitness.evaluate_cached(&genomes[0], None, &mut cache);
-    if seed_fitness.to_bits()
-        != fitness
-            .evaluate_scratch(&genomes[0], &mut scratch)
-            .to_bits()
-    {
-        fail("incremental rebuild diverged on the chain seed");
-    }
-    for (step, (pos, genome)) in chain.iter().enumerate() {
-        let incremental = fitness.evaluate_cached(genome, Some(&(*pos..pos + 1)), &mut cache);
-        let full = fitness.evaluate_scratch(genome, &mut scratch);
-        if incremental.to_bits() != full.to_bits() {
-            fail(&format!(
-                "incremental {incremental} != full {full} at mutation-chain step {step}"
-            ));
-        }
-        // The incrementally patched transition objective must equal the
-        // full recompute exactly, at every step of the chain.
-        if full != MvFitness::INFEASIBLE
-            && cache.scan_transitions() != scratch.last_scan_transitions()
-        {
-            fail(&format!(
-                "incremental transitions {} != full {} at mutation-chain step {step}",
-                cache.scan_transitions(),
-                scratch.last_scan_transitions()
-            ));
-        }
-    }
-
-    // Correctness gate 3:  the multi-chunk probe path must match the full
-    // kernel bit-for-bit on every child of the steady-state streams —
-    // mixed crossover/inversion, pure crossover, and pure inversion —
-    // priced read-only against the cached evolved parent, exactly as the
-    // engine's shared parent cache prices a generation.
+    // Correctness gate 2: the probe must match the full kernel bit-for-bit
+    // — size, transitions and used MVs — on every child of the steady-state
+    // streams: single-gene, mixed crossover/inversion, pure crossover, and
+    // pure inversion, priced read-only against the cached evolved parent,
+    // exactly as the engine's shared parent cache prices a generation.
     let (evolved, partners) = evolved_parent_and_partners(&histogram, payload_bits);
+    let mutation = mutation_children(&evolved, STREAM_LEN, 7);
     let mixed_ops = [
         MultiOp::Crossover,
         MultiOp::Crossover,
         MultiOp::Crossover,
         MultiOp::Inversion,
     ];
-    let mixed = multichunk_children(&evolved, &partners, &mixed_ops, CHAIN_LEN, 11);
-    let crossover = multichunk_children(&evolved, &partners, &[MultiOp::Crossover], CHAIN_LEN, 13);
-    let inversion = multichunk_children(&evolved, &partners, &[MultiOp::Inversion], CHAIN_LEN, 17);
+    let mixed = multichunk_children(&evolved, &partners, &mixed_ops, STREAM_LEN, 11);
+    let crossover = multichunk_children(&evolved, &partners, &[MultiOp::Crossover], STREAM_LEN, 13);
+    let inversion = multichunk_children(&evolved, &partners, &[MultiOp::Inversion], STREAM_LEN, 17);
     let mut parent_cache = EvalCache::new();
     encoded_size_rebuild(&sliced, &evolved, true, &mut parent_cache);
     let mut patch = PatchScratch::new();
+    let probe = |child: &[Trit], window: &Range<usize>, patch: &mut PatchScratch, gated: bool| {
+        encoded_size_probe(&sliced, child, true, window, &parent_cache, patch, gated)
+    };
     for (name, stream) in [
+        ("mutation", &mutation),
         ("mixed", &mixed),
         ("crossover", &crossover),
         ("inversion", &inversion),
     ] {
         for (step, (window, child)) in stream.iter().enumerate() {
-            let probe = encoded_size_probe(&sliced, child, true, window, &parent_cache, &mut patch);
+            let probed = probe(child, window, &mut patch, false);
             let full = encoded_size_scratch(&sliced, child, true, &mut scratch);
-            if probe != IncrementalOutcome::Size(full) {
+            if probed != IncrementalOutcome::Size(full) {
                 fail(&format!(
-                    "{name} probe {probe:?} != full {full:?} at child {step} (window {window:?})"
+                    "{name} probe {probed:?} != full {full:?} at child {step} (window {window:?})"
                 ));
             }
             if full.is_some()
@@ -279,6 +263,40 @@ fn main() {
             }
         }
     }
+
+    // Correctness gate 3: the engine's cost gate is live at the paper
+    // shape. Among the mixed and inversion children with two or more
+    // changed chunks, the gated probe must price some (equal to the full
+    // kernel) and hand others to the full kernel — a gate stuck either way
+    // would leave the multi-chunk patch or the fallback unexercised.
+    let mut gate_report = Vec::new();
+    for (name, stream) in [("mixed", &mixed), ("inversion", &inversion)] {
+        let (mut priced, mut declined) = (0, 0);
+        for (window, child) in stream.iter() {
+            if changed_chunks(&evolved, child) < 2 {
+                continue;
+            }
+            match probe(child, window, &mut patch, true) {
+                IncrementalOutcome::Size(size) => {
+                    if size != encoded_size_scratch(&sliced, child, true, &mut scratch) {
+                        fail(&format!("{name} gated probe mispriced window {window:?}"));
+                    }
+                    priced += 1;
+                }
+                IncrementalOutcome::NeedsFull => declined += 1,
+            }
+        }
+        if priced == 0 || declined == 0 {
+            fail(&format!(
+                "cost gate stuck on the {name} stream: {priced} multi-chunk children \
+                 priced, {declined} handed to the full kernel"
+            ));
+        }
+        gate_report.push(format!("{name} {priced} Size / {declined} NeedsFull"));
+    }
+    let gate_report = gate_report.join(", ");
+    println!("cost gate, children with >= 2 changed chunks: {gate_report}");
+
     // Correctness gate 4: an island-topology run must be byte-identical for
     // every thread count at a fixed seed — the engine's determinism contract
     // on the paper workload (islands are the only runs that use threads).
@@ -368,11 +386,11 @@ fn main() {
     if check_only {
         println!(
             "fitness kernel == legacy on {GENOMES} genomes (objective vectors \
-             included); incremental == full on a {CHAIN_LEN}-step mutation chain \
-             and on {CHAIN_LEN}-child multi-chunk crossover/inversion streams, \
-             transition objective included; island runs thread-invariant and \
-             checkpoint/resume-exact through the byte codec \
-             (K={BLOCK_LEN}, L={NUM_MVS})"
+             included); incremental == full on {STREAM_LEN}-child single-gene \
+             and multi-chunk crossover/inversion streams, transition and \
+             used-MV objectives included; cost gate live; island runs \
+             thread-invariant and checkpoint/resume-exact through the byte \
+             codec (K={BLOCK_LEN}, L={NUM_MVS})"
         );
         return;
     }
@@ -384,50 +402,16 @@ fn main() {
     let kernel_eps = throughput(GENOMES as u64, || {
         genomes
             .iter()
-            .map(|g| fitness.evaluate_scratch(g, &mut scratch))
+            .map(|g| fitness.evaluate_with_objectives(g, &mut scratch).0)
             .sum()
     });
     let speedup = kernel_eps / legacy_eps;
 
-    // The multi-objective surface: same kernel pass, but returning the full
-    // (encoded bits, transitions, area) vector. The transition and used-MV
-    // side-channels ride the covering scan and area is a closed form, so
-    // this should track `kernel_evals_per_sec` closely; the ratio makes the
-    // overhead of the vector path visible across PRs.
-    let multiobjective_eps = throughput(GENOMES as u64, || {
-        genomes
-            .iter()
-            .map(|g| fitness.evaluate_with_objectives(g, &mut scratch).0)
-            .sum()
-    });
-    let multiobjective_overhead = kernel_eps / multiobjective_eps;
-
-    // The mutation workload: one full evaluation to seed the cache, then
-    // CHAIN_LEN single-gene children priced from deltas. The full-kernel
-    // reference prices exactly the same genomes from scratch.
-    let per_pass = (CHAIN_LEN + 1) as u64;
-    let mut scratch = EvalScratch::new();
-    let full_chain_eps = throughput(per_pass, || {
-        let mut acc = fitness.evaluate_scratch(&genomes[0], &mut scratch);
-        for (_, genome) in &chain {
-            acc += fitness.evaluate_scratch(genome, &mut scratch);
-        }
-        acc
-    });
-    let mut cache = EvalCache::new();
-    let incremental_eps = throughput(per_pass, || {
-        let mut acc = fitness.evaluate_cached(&genomes[0], None, &mut cache);
-        for (pos, genome) in &chain {
-            acc += fitness.evaluate_cached(genome, Some(&(*pos..pos + 1)), &mut cache);
-        }
-        acc
-    });
-    let incremental_speedup = incremental_eps / full_chain_eps;
-
-    // The multi-chunk streams: one parent rebuild, then CHAIN_LEN children
+    // The child streams: one parent rebuild, then STREAM_LEN children
     // probed read-only off the cached parent — the shared-cache steady
     // state. The full-kernel reference prices exactly the same children
     // from scratch.
+    let per_pass = (STREAM_LEN + 1) as u64;
     let measure_stream = |stream: &[(Range<usize>, Vec<Trit>)]| {
         let mut scratch = EvalScratch::new();
         let full_eps = throughput(per_pass, || {
@@ -445,9 +429,15 @@ fn main() {
             let mut acc = encoded_size_rebuild(&sliced, &evolved, true, &mut parent_cache)
                 .unwrap_or_default() as f64;
             for (window, child) in stream {
-                if let IncrementalOutcome::Size(size) =
-                    encoded_size_probe(&sliced, child, true, window, &parent_cache, &mut patch)
-                {
+                if let IncrementalOutcome::Size(size) = encoded_size_probe(
+                    &sliced,
+                    child,
+                    true,
+                    window,
+                    &parent_cache,
+                    &mut patch,
+                    false,
+                ) {
                     acc += size.unwrap_or_default() as f64;
                 }
             }
@@ -455,6 +445,7 @@ fn main() {
         });
         (full_eps, inc_eps, inc_eps / full_eps)
     };
+    let (mutation_full_eps, mutation_eps, mutation_speedup) = measure_stream(&mutation);
     let (mixed_full_eps, mixed_inc_eps, multichunk_speedup) = measure_stream(&mixed);
     let (cross_full_eps, cross_inc_eps, crossover_speedup) = measure_stream(&crossover);
     let (inv_full_eps, inv_inc_eps, inversion_speedup) = measure_stream(&inversion);
@@ -462,7 +453,7 @@ fn main() {
     // Whole-run throughput: a real EA over the same histogram, full
     // operator mix, incremental path and shared parent cache on — against
     // the identical run with the lineage hook disabled (plain batch, full
-    // kernel for every child). This is the number the chain microbenches
+    // kernel for every child). This is the number the stream microbenches
     // exist to move.
     struct NoLineage<'a>(MvFitness<'a>);
     impl FitnessEval<Trit> for NoLineage<'_> {
@@ -585,12 +576,10 @@ fn main() {
     println!("legacy eval/s          : {legacy_eps:.0}");
     println!("kernel eval/s          : {kernel_eps:.0}");
     println!("speedup                : {speedup:.2}x");
-    println!("multiobjective eval/s  : {multiobjective_eps:.0}");
-    println!("multiobjective ovhd    : {multiobjective_overhead:.2}x");
-    println!("chain length           : {CHAIN_LEN}");
-    println!("full-chain eval/s      : {full_chain_eps:.0}");
-    println!("incremental eval/s     : {incremental_eps:.0}");
-    println!("incremental speedup    : {incremental_speedup:.2}x");
+    println!("stream length          : {STREAM_LEN}");
+    println!("mutation full eval/s   : {mutation_full_eps:.0}");
+    println!("mutation eval/s        : {mutation_eps:.0}");
+    println!("mutation speedup       : {mutation_speedup:.2}x");
     println!("multichunk full eval/s : {mixed_full_eps:.0}");
     println!("multichunk eval/s      : {mixed_inc_eps:.0}");
     println!("multichunk speedup     : {multichunk_speedup:.2}x");
@@ -617,12 +606,10 @@ fn main() {
          \"l\": {l},\n  \"distinct_blocks\": {distinct},\n  \"genomes\": {genomes},\n  \
          \"legacy_evals_per_sec\": {legacy:.0},\n  \"kernel_evals_per_sec\": {kernel:.0},\n  \
          \"speedup\": {speedup:.2},\n  \
-         \"multiobjective_evals_per_sec\": {multiobjective:.0},\n  \
-         \"multiobjective_overhead\": {multiobjective_overhead:.2},\n  \
-         \"chain_len\": {chain_len},\n  \
-         \"full_chain_evals_per_sec\": {full_chain:.0},\n  \
-         \"incremental_evals_per_sec\": {incremental:.0},\n  \
-         \"incremental_speedup\": {inc_speedup:.2},\n  \
+         \"stream_len\": {stream_len},\n  \
+         \"mutation_full_evals_per_sec\": {mutation_full:.0},\n  \
+         \"mutation_evals_per_sec\": {mutation:.0},\n  \
+         \"mutation_speedup\": {mutation_speedup:.2},\n  \
          \"multichunk_full_evals_per_sec\": {mixed_full:.0},\n  \
          \"multichunk_evals_per_sec\": {mixed_inc:.0},\n  \
          \"multichunk_speedup\": {mixed_speedup:.2},\n  \
@@ -651,12 +638,10 @@ fn main() {
         legacy = legacy_eps,
         kernel = kernel_eps,
         speedup = speedup,
-        multiobjective = multiobjective_eps,
-        multiobjective_overhead = multiobjective_overhead,
-        chain_len = CHAIN_LEN,
-        full_chain = full_chain_eps,
-        incremental = incremental_eps,
-        inc_speedup = incremental_speedup,
+        stream_len = STREAM_LEN,
+        mutation_full = mutation_full_eps,
+        mutation = mutation_eps,
+        mutation_speedup = mutation_speedup,
         mixed_full = mixed_full_eps,
         mixed_inc = mixed_inc_eps,
         mixed_speedup = multichunk_speedup,

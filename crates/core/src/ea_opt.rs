@@ -8,9 +8,7 @@ use evotc_evo::{
 use rand::Rng;
 use std::sync::Arc;
 
-use crate::incremental::{
-    encoded_size_incremental, encoded_size_probe_bounded, encoded_size_rebuild, IncrementalOutcome,
-};
+use crate::incremental::{encoded_size_probe, encoded_size_rebuild, IncrementalOutcome};
 use crate::kernel::block_transitions;
 use crate::shared_cache::{content_hash, ParentEntry, SharedParentCache};
 
@@ -270,26 +268,28 @@ impl std::error::Error for WeightError {}
 /// malformed or cannot cover every block score [`MvFitness::INFEASIBLE`],
 /// which ranks strictly below every feasible compression rate.
 ///
-/// Three equivalent evaluation paths exist:
+/// Two single-genome entry points exist:
 ///
-/// * [`MvFitness::evaluate`] — the legacy reference path (decode an
-///   [`MvSet`], cover, build a Huffman code). Kept as the oracle the kernel
-///   is tested against.
-/// * [`MvFitness::evaluate_scratch`] — the allocation-free, bit-sliced
-///   kernel (see [`crate::EvalScratch`]); what [`FitnessEval::evaluate_batch`]
-///   uses for genomes without provenance (the initial population).
-/// * [`MvFitness::evaluate_cached`] — the incremental path (see
-///   [`crate::EvalCache`]): re-prices an arbitrary edit window from the
-///   parent's cached covering, one ownership patch per changed MV chunk.
-///   What [`FitnessEval::evaluate_batch`] uses for engine children that
-///   carry provenance, with parent caches held in one **shared**
-///   [`SharedParentCache`] — content-keyed, so they survive the population
-///   reshuffling between generations, and probed read-only
-///   ([`crate::encoded_size_probe`]) so every island worker patches the
-///   same cached elite parent without per-thread copies. Crossover children
-///   are priced against whichever parent is cached: the outside-the-window
-///   parent through the recorded edit window, or the window-content donor
-///   through a whole-genome diff (see [`evotc_evo::Lineage::second_parent`]).
+/// * [`MvFitness::evaluate_oracle`] (behind [`FitnessEval::evaluate`]) —
+///   the reference path: decode an [`MvSet`], cover, price a Huffman code.
+///   Kept as the oracle the kernel and the incremental path are tested
+///   against.
+/// * [`MvFitness::evaluate_with_objectives`] — the allocation-free,
+///   bit-sliced kernel (see [`crate::EvalScratch`]); what
+///   [`FitnessEval::evaluate_batch`] uses for genomes without provenance
+///   (the initial population) and for children the incremental path does
+///   not price.
+///
+/// Engine children that carry provenance are priced incrementally (see
+/// [`crate::EvalCache`]): one ownership patch per changed MV chunk against
+/// a parent cache held in one **shared** [`SharedParentCache`] —
+/// content-keyed, so it survives the population reshuffling between
+/// generations, and probed read-only ([`crate::encoded_size_probe`], cost
+/// gate on) so every island worker patches the same cached elite parent
+/// without per-thread copies. Crossover children are priced against
+/// whichever parent is cached: the outside-the-window parent through the
+/// recorded edit window, or the window-content donor through a
+/// whole-genome diff (see [`evotc_evo::Lineage::second_parent`]).
 ///
 /// Cache effectiveness is observable: hit/miss/fallback counters accumulate
 /// on the shared cache and surface through [`FitnessEval::cache_stats`] on
@@ -428,16 +428,11 @@ impl<'a> MvFitness<'a> {
     }
 
     /// Scores one genome through the allocation-free kernel, reusing
-    /// `scratch` across calls. Bit-identical to [`MvFitness::evaluate`].
-    pub fn evaluate_scratch(&self, genes: &[Trit], scratch: &mut crate::EvalScratch) -> f64 {
-        self.evaluate_with_objectives(genes, scratch).0
-    }
-
-    /// Like [`MvFitness::evaluate_scratch`], but also returning the full
-    /// minimized objective vector `(encoded_bits, scan_transitions,
-    /// decoder_gate_equivalents)` — the kernel computes the extra
-    /// objectives as side-channels of the same pass, so this costs no
-    /// second evaluation. Infeasible genomes return
+    /// `scratch` across calls: the scalar fitness, bit-identical to
+    /// [`MvFitness::evaluate`], and the full minimized objective vector
+    /// `(encoded_bits, scan_transitions, decoder_gate_equivalents)` — the
+    /// kernel computes the extra objectives as side-channels of the same
+    /// pass, so they cost no second evaluation. Infeasible genomes return
     /// ([`MvFitness::INFEASIBLE`], [`Objectives::INFEASIBLE`]).
     pub fn evaluate_with_objectives(
         &self,
@@ -450,7 +445,15 @@ impl<'a> MvFitness<'a> {
         // division by zero); a K that disagrees with the histogram panics in
         // `Covering::cover`. Neither is a per-genome condition, so neither
         // may score INFEASIBLE.
-        self.assert_shape();
+        assert!(
+            self.k > 0 && self.k <= evotc_bits::MAX_BLOCK_LEN,
+            "block length K must be in 1..=64"
+        );
+        assert_eq!(
+            self.k,
+            self.sliced.block_len(),
+            "MV and histogram block lengths differ"
+        );
         let size =
             crate::kernel::encoded_size_scratch(&self.sliced, genes, self.force_all_u, scratch);
         self.price(
@@ -458,47 +461,6 @@ impl<'a> MvFitness<'a> {
             scratch.last_scan_transitions(),
             scratch.last_used_mvs(),
         )
-    }
-
-    /// Scores one genome through the incremental path, advancing `cache` to
-    /// hold it afterwards (chain semantics): with `edit = Some(range)` the
-    /// genome is priced as an edit of the genome `cache` currently holds —
-    /// positions outside the range must be unchanged — falling back to a
-    /// full rebuild when the edit is not incrementally priceable; with
-    /// `edit = None` (unknown provenance) the cache is rebuilt outright.
-    ///
-    /// Bit-identical to [`MvFitness::evaluate`] and
-    /// [`MvFitness::evaluate_scratch`] for every genome and edit chain —
-    /// enforced by `tests/props_incremental.rs`.
-    pub fn evaluate_cached(
-        &self,
-        genes: &[Trit],
-        edit: Option<&std::ops::Range<usize>>,
-        cache: &mut crate::EvalCache,
-    ) -> f64 {
-        self.assert_shape();
-        let size = match edit {
-            Some(range) => {
-                match encoded_size_incremental(
-                    &self.sliced,
-                    genes,
-                    self.force_all_u,
-                    range,
-                    true,
-                    cache,
-                ) {
-                    IncrementalOutcome::Size(size) => size,
-                    IncrementalOutcome::NeedsFull => {
-                        encoded_size_rebuild(&self.sliced, genes, self.force_all_u, cache)
-                    }
-                }
-            }
-            None => encoded_size_rebuild(&self.sliced, genes, self.force_all_u, cache),
-        };
-        match size {
-            Some(s) => self.score(s, cache.scan_transitions(), cache.used_mvs()).0,
-            None => Self::INFEASIBLE,
-        }
     }
 
     /// Scores one engine child against a cached parent covering. Read-only
@@ -582,13 +544,14 @@ impl<'a> MvFitness<'a> {
         entry: &ParentEntry,
         patch: &mut crate::PatchScratch,
     ) -> Option<(f64, Objectives)> {
-        match encoded_size_probe_bounded(
+        match encoded_size_probe(
             &self.sliced,
             genes,
             self.force_all_u,
             edit,
             entry.cache(),
             patch,
+            true,
         ) {
             IncrementalOutcome::Size(size) => {
                 Some(self.price(size, patch.last_scan_transitions(), patch.last_used_mvs()))
@@ -656,21 +619,6 @@ impl<'a> MvFitness<'a> {
                 .expect("hot slots are non-empty at capacity");
             state.hot[stalest] = slot;
         }
-    }
-
-    /// The shape assertions shared by every kernel-backed path (see
-    /// [`MvFitness::evaluate_scratch`] for why they must panic rather than
-    /// score `INFEASIBLE`).
-    fn assert_shape(&self) {
-        assert!(
-            self.k > 0 && self.k <= evotc_bits::MAX_BLOCK_LEN,
-            "block length K must be in 1..=64"
-        );
-        assert_eq!(
-            self.k,
-            self.sliced.block_len(),
-            "MV and histogram block lengths differ"
-        );
     }
 
     /// Compression rate, the EA's fitness (paper, Section 3.1). Shared by
@@ -1257,17 +1205,30 @@ mod tests {
         let histogram = BlockHistogram::from_string(&string);
         let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
         let mut scratch = crate::EvalScratch::new();
-        let mut cache = crate::EvalCache::new();
         for genes in probe_genomes(8, 4) {
             let oracle = fitness.evaluate_oracle(&genes);
             let kernel = fitness.evaluate_with_objectives(&genes, &mut scratch);
             assert_eq!(oracle, kernel, "oracle vs kernel");
             assert_eq!(fitness.evaluate(&genes).to_bits(), oracle.0.to_bits());
+            // A copy of itself: the genome is rebuilt into the parent cache
+            // and priced by an empty-edit probe.
+            let (mut score, mut objectives) = ([f64::NAN], [Objectives::INFEASIBLE]);
+            let provenance = Provenance {
+                lineage: &[Some(evotc_evo::Lineage::new(0, 0..0))],
+                parents: &[genes.as_slice()],
+            };
+            fitness.evaluate_batch(
+                std::slice::from_ref(&genes),
+                Some(provenance),
+                &mut score,
+                Some(&mut objectives),
+            );
             assert_eq!(
-                fitness.evaluate_cached(&genes, None, &mut cache).to_bits(),
+                score[0].to_bits(),
                 oracle.0.to_bits(),
                 "cached rebuild scalar"
             );
+            assert_eq!(objectives[0], oracle.1, "cached rebuild objectives");
         }
     }
 

@@ -3,8 +3,9 @@
 //! The EA's operators edit a gene window, but the scratch kernel
 //! ([`crate::encoded_size_scratch`]) re-prices the whole individual — decode
 //! all `L` MVs, rescan the covering, rebuild the Huffman cost — on every
-//! evaluation. This module keeps the parent's work in an [`EvalCache`] and
-//! re-prices an arbitrary edit window from deltas:
+//! evaluation. This module keeps the parent's work in an [`EvalCache`]
+//! (built once by [`encoded_size_rebuild`]) and re-prices an arbitrary edit
+//! window from deltas with [`encoded_size_probe`]:
 //!
 //! 1. The edited window is decoded into the (sorted) set of MV chunks whose
 //!    planes actually changed; every unchanged plane pair is reused. A
@@ -19,11 +20,12 @@
 //!    from** it (orphan candidates are exactly its owned bits, re-flowed to
 //!    the first matching MV with the weave point found by one binary search
 //!    in the key-sorted covering order). Blocks owned by MVs earlier in
-//!    covering order are untouched by construction. Multi-chunk edits apply
-//!    this same single-MV ownership patch sequentially, chunk by chunk,
-//!    against one working copy of the parent's covering — each intermediate
-//!    state is the consistent covering of an intermediate genome, so the
-//!    single-MV invariants hold at every step.
+//!    covering order are untouched by construction. The patch only reads
+//!    the covering it starts from: the first changed chunk patches the
+//!    parent's, and when more chunks follow, its moves are applied to a
+//!    working copy that the next chunk patches — each intermediate state is
+//!    the consistent covering of an intermediate genome, so the single-MV
+//!    invariants hold at every step.
 //! 3. The Huffman part is re-priced from **one** accumulated frequency
 //!    delta ([`evotc_codes::huffman_weighted_length_delta`]) against the
 //!    parent's sorted leaf queue — not one rebuild per chunk: per-MV
@@ -35,17 +37,14 @@
 //! its *position* in covering order — is still a patch: the key comparison
 //! re-ranks the moved MV without renumbering anything.
 //!
-//! The incremental path is **bit-identical** to the full kernel for every
-//! edit (enforced by `tests/props_incremental.rs` and the CI equivalence
-//! gate); it falls back (see [`IncrementalOutcome::NeedsFull`]) only when
-//! the cache is cold or shapes differ. Evaluating a child against its
-//! parent's cache is a *read-only probe* by default, so one cached parent
-//! can price any number of speculative children; pass `commit = true` to
-//! advance the cache to the child (mutation chains). For parents shared
-//! across worker threads, [`encoded_size_probe`] prices a child against a
-//! `&EvalCache` — the per-call scratch lives in a caller-owned
-//! [`PatchScratch`], so one immutable cached parent serves every thread
-//! concurrently (see [`crate::SharedParentCache`]).
+//! The probe is **bit-identical** to the full kernel for every edit
+//! (enforced by `tests/props_incremental.rs` and the CI equivalence gate).
+//! It never writes to the cache — the per-call working memory lives in a
+//! caller-owned [`PatchScratch`] — so one cached parent prices any number
+//! of children, on any number of threads (see [`crate::SharedParentCache`]).
+//! It answers [`IncrementalOutcome::NeedsFull`] when the cache is cold, the
+//! shapes differ, or — with the cost gate on — a multi-chunk patch is
+//! estimated to cost more than a full rescan.
 
 use std::ops::Range;
 
@@ -61,19 +60,19 @@ const NO_MV: u32 = u32::MAX;
 /// A parent genome's fully evaluated covering state, reusable to price
 /// lightly edited children in time proportional to the edit.
 ///
-/// Build it with [`encoded_size_rebuild`], then feed children to
-/// [`encoded_size_incremental`] (or, sharing the cache read-only across
-/// threads, to [`encoded_size_probe`]). One cache holds one genome; buffers
-/// are retained across rebuilds, so recycling a cache for a different
-/// parent costs no allocations after warm-up.
+/// Build it with [`encoded_size_rebuild`], then price children against it
+/// with [`encoded_size_probe`]. Probing never writes to the cache, so one
+/// cache can be shared read-only across threads. One cache holds one
+/// genome; buffers are retained across rebuilds, so recycling a cache for a
+/// different parent costs no allocations after warm-up.
 ///
 /// # Example
 ///
 /// ```
 /// use evotc_bits::{BlockHistogram, SlicedHistogram, TestSet, TestSetString, Trit};
 /// use evotc_core::{
-///     encoded_size_incremental, encoded_size_rebuild, encoded_size_scratch, EvalCache,
-///     EvalScratch, IncrementalOutcome,
+///     encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, EvalCache, EvalScratch,
+///     IncrementalOutcome, PatchScratch,
 /// };
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -81,45 +80,41 @@ const NO_MV: u32 = u32::MAX;
 /// let hist = BlockHistogram::from_string(&TestSetString::new(&set, 4));
 /// let sliced = SlicedHistogram::from_histogram(&hist);
 /// let parent: Vec<Trit> = evotc_bits::parse_trits("110U0000UUUU")?;
-///
 /// let mut cache = EvalCache::new();
 /// let full = encoded_size_rebuild(&sliced, &parent, false, &mut cache);
+/// let mut scratch = PatchScratch::new();
 ///
 /// // Mutate one gene and re-price incrementally.
 /// let mut child = parent.clone();
 /// child[5] = Trit::One;
-/// let inc = encoded_size_incremental(&sliced, &child, false, &(5..6), false, &mut cache);
+/// let inc = encoded_size_probe(&sliced, &child, false, &(5..6), &cache, &mut scratch, true);
 /// let reference = encoded_size_scratch(&sliced, &child, false, &mut EvalScratch::new());
 /// assert_eq!(inc, IncrementalOutcome::Size(reference));
-/// // The probe left the cache on the parent: an empty edit returns its size.
-/// let cached = encoded_size_incremental(&sliced, &parent, false, &(0..0), false, &mut cache);
+///
+/// // An inversion window spanning two MV chunks.
+/// let mut child = parent.clone();
+/// child[2..7].reverse();
+/// let inc = encoded_size_probe(&sliced, &child, false, &(2..7), &cache, &mut scratch, false);
+/// let reference = encoded_size_scratch(&sliced, &child, false, &mut EvalScratch::new());
+/// assert_eq!(inc, IncrementalOutcome::Size(reference));
+///
+/// // The cache still holds the parent: an empty edit returns its size.
+/// let cached = encoded_size_probe(&sliced, &parent, false, &(0..0), &cache, &mut scratch, true);
 /// assert_eq!(cached, IncrementalOutcome::Size(full));
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EvalCache {
-    /// The parent's covering state — read-only during probes.
-    state: CoverState,
-    /// Per-call scratch for the convenience `&mut EvalCache` entry points.
-    scratch: PatchScratch,
-}
-
-/// The immutable-between-edits half of an [`EvalCache`]: everything needed
-/// to describe one genome's fully evaluated covering. Probing a child never
-/// writes here, which is what makes a cached parent shareable across
-/// threads.
-#[derive(Debug, Clone, Default)]
-struct CoverState {
     /// Whether the cache holds a complete evaluation.
     warm: bool,
     /// Shape tag of the held evaluation: `(K, L, distinct blocks, words per
     /// column, force_all_u)`. Incremental evaluation requires an exact match.
     shape: (usize, usize, usize, usize, bool),
-    /// The exact genome the planes were decoded from — kept in sync by
-    /// rebuild and every commit, so chunk detection can skip trit-identical
-    /// chunks with one byte compare instead of decoding them (an average
-    /// crossover window spans dozens of chunks of which only a few differ).
+    /// The exact genome the planes were decoded from, so chunk detection
+    /// can skip trit-identical chunks with one byte compare instead of
+    /// decoding them (an average crossover window spans dozens of chunks of
+    /// which only a few differ).
     genes: Vec<Trit>,
     /// Specified-position plane per MV, genome order, post-`force_all_u`.
     spec: Vec<u64>,
@@ -165,71 +160,74 @@ struct CoverState {
     total: Option<u64>,
 }
 
-/// Per-call working memory of the incremental engine: mismatch planes,
-/// deferred move/delta lists, the multi-chunk working copy of the covering,
-/// and the Huffman patch queue. Contents carry no meaning between calls.
+/// Per-call working memory of [`encoded_size_probe`]: the changed chunks
+/// and their mismatch planes, the multi-chunk working copy of the covering,
+/// the running patch, and the Huffman patch queue. Contents carry no
+/// meaning between calls.
 ///
-/// Every [`EvalCache`] embeds one (used by the `&mut EvalCache` entry
-/// points); threads probing a **shared** parent cache own one each and pass
-/// it to [`encoded_size_probe`]. Buffers grow to the largest shape seen and
-/// are reused, so steady-state probes allocate nothing.
+/// Threads probing a **shared** parent cache own one each. Buffers grow to
+/// the largest shape seen and are reused, so steady-state probes allocate
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct PatchScratch {
-    /// Mismatch bitset of the edited MV (single-chunk path and rebuild).
-    mismatch: Vec<u64>,
     /// Changed chunks of the current edit: `(chunk, new spec, new value)`,
     /// ascending chunk order.
     edited: Vec<(u32, u64, u64)>,
     /// `(spec, value)` planes of the changed chunks, for the batched
     /// conflict-plane query.
     planes: Vec<(u64, u64)>,
-    /// Per-chunk mismatch planes of the multi-chunk path, `words` words per
-    /// changed chunk.
-    multi_mismatch: Vec<u64>,
-    /// Steal set of the current chunk (blocks moving to the edited MV).
-    steal: Vec<u64>,
-    /// Union buffer for the later-owners mask of the steal set.
-    union_buf: Vec<u64>,
-    /// Pre-steal snapshot of the edited MV's owned bits (the orphan
-    /// re-flow candidates of the multi-chunk path).
-    own_snap: Vec<u64>,
-    /// `(block, new owner)` reassignments of a single-chunk evaluation.
-    moves: Vec<(u32, u32)>,
-    /// `(MV, frequency delta)` of a single-chunk evaluation.
-    deltas: Vec<(u32, i64)>,
+    /// Mismatch planes of the changed chunks, `words` words per chunk.
+    mismatch: Vec<u64>,
+    /// Covering of the parent with the chunks before the current one
+    /// applied — copied from the parent only when a second chunk follows.
+    work: EvalCache,
+    /// The child's net frequency changes and the per-chunk buffers.
+    patch: Patch,
     /// `(old, new)` frequency changes handed to the Huffman delta.
     changes: Vec<(u64, u64)>,
     /// Patched leaf queue produced by the Huffman delta.
     huff_scratch: HuffmanDeltaState,
-    /// Multi-chunk working copies of the covering state. Committing a
-    /// multi-chunk edit swaps these into the state wholesale.
-    w_spec: Vec<u64>,
-    w_value: Vec<u64>,
-    w_nu: Vec<u32>,
-    w_order: Vec<u32>,
-    w_freq: Vec<u64>,
-    w_owner: Vec<u32>,
-    w_owned: Vec<u64>,
-    w_unowned: Vec<u64>,
-    w_mv_ones: Vec<u64>,
-    w_mv_zeros: Vec<u64>,
-    /// Conflict mask over MVs of the orphan being re-flowed (`ceil(L/64)`
-    /// words).
-    mvmask: Vec<u64>,
-    /// `(MV, original frequency)` — first-touch log of the multi-chunk
-    /// path, netting per-MV frequency changes across chunks into the single
-    /// accumulated Huffman delta.
-    touched: Vec<(u32, u64)>,
-    /// Epoch stamp per MV: `touch_epoch[j] == epoch` ⇔ MV `j` is already in
-    /// `touched` this evaluation — an `O(1)` first-touch test.
-    touch_epoch: Vec<u64>,
-    /// Current evaluation's epoch (monotone; never reset).
-    epoch: u64,
     /// Transition count of the child priced by the last probe (see
     /// [`PatchScratch::last_scan_transitions`]).
     last_transitions: u64,
     /// Used-MV count of the child priced by the last probe.
     last_used: usize,
+}
+
+/// What one probe accumulates while it patches its changed chunks in
+/// order: its net per-MV frequency changes against the parent, and the
+/// per-chunk buffers.
+#[derive(Debug, Clone, Default)]
+struct Patch {
+    /// Net frequency change per MV (genome index) against the parent; zero
+    /// for every MV not listed in `touched`.
+    net: Vec<i64>,
+    /// MVs whose `net` entry left zero, in first-touch order. An MV whose
+    /// change cancels and reappears is listed twice; the Huffman pass reads
+    /// and clears each entry once.
+    touched: Vec<u32>,
+    /// `(block, new owner)` moves of the current chunk, recorded only when
+    /// a later chunk needs them applied to the working copy.
+    moves: Vec<(u32, u32)>,
+    /// Steal set of the current chunk (blocks moving to the edited MV).
+    steal: Vec<u64>,
+    /// Union buffer for the later-owners mask of the steal set.
+    union_buf: Vec<u64>,
+    /// Conflict mask over MVs of the orphan being re-flowed (`ceil(L/64)`
+    /// words).
+    mvmask: Vec<u64>,
+}
+
+impl Patch {
+    /// Adds `count` (signed) block occurrences to MV `j`'s net change.
+    #[inline]
+    fn shift(&mut self, j: u32, count: i64) {
+        let slot = &mut self.net[j as usize];
+        if *slot == 0 {
+            self.touched.push(j);
+        }
+        *slot += count;
+    }
 }
 
 impl PatchScratch {
@@ -265,52 +263,35 @@ impl EvalCache {
 
     /// Returns `true` if the cache holds a complete evaluation.
     pub fn is_warm(&self) -> bool {
-        self.state.warm
+        self.warm
     }
 
-    /// The held genome's encoded size (`None` ⇔ covering impossible).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is cold.
-    pub fn encoded_size(&self) -> Option<u64> {
-        assert!(self.state.warm, "cache is cold");
-        self.state.total
-    }
-
-    /// The held genome's scan-in transition count (the power objective; see
-    /// [`crate::EvalScratch::last_scan_transitions`] for the model). Only
-    /// meaningful while [`EvalCache::encoded_size`] is `Some`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is cold.
-    pub fn scan_transitions(&self) -> u64 {
-        assert!(self.state.warm, "cache is cold");
-        self.state.scan_transitions
-    }
-
-    /// Number of MVs with nonzero frequency in the held genome — the
-    /// used-symbol count that sizes the decoder's MV table and FSM.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cache is cold.
-    pub fn used_mvs(&self) -> usize {
-        assert!(self.state.warm, "cache is cold");
-        self.state.huffman.leaves().len()
+    /// Copies `src`'s covering — everything a chunk patch reads, not its
+    /// genome, totals or Huffman queue — into this cache's reused buffers.
+    fn copy_covering_from(&mut self, src: &EvalCache) {
+        self.shape = src.shape;
+        self.spec.clone_from(&src.spec);
+        self.value.clone_from(&src.value);
+        self.nu.clone_from(&src.nu);
+        self.order.clone_from(&src.order);
+        self.freq.clone_from(&src.freq);
+        self.owner.clone_from(&src.owner);
+        self.owned.clone_from(&src.owned);
+        self.unowned.clone_from(&src.unowned);
+        self.mv_ones.clone_from(&src.mv_ones);
+        self.mv_zeros.clone_from(&src.mv_zeros);
     }
 }
 
-/// Outcome of [`encoded_size_incremental`] / [`encoded_size_probe`].
+/// Outcome of [`encoded_size_probe`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IncrementalOutcome {
     /// The child was priced against the cache: its encoded size in bits,
     /// `None` if its covering is impossible — exactly what
     /// [`crate::encoded_size_scratch`] returns for the same genome.
     Size(Option<u64>),
-    /// The edit cannot be applied incrementally (cold cache or shape
-    /// mismatch); run the full kernel instead.
+    /// The edit was not priced incrementally (cold cache, shape mismatch,
+    /// or the cost gate); run the full kernel instead.
     NeedsFull,
 }
 
@@ -332,8 +313,8 @@ fn decode_chunk(chunk: &[Trit]) -> (u64, u64) {
 ///
 /// Returns the encoded size, **bit-identical** to
 /// [`crate::encoded_size_scratch`] over the same inputs (`None` ⇔ covering
-/// impossible; the cache stays warm either way, so feasibility can flip back
-/// on a later edit).
+/// impossible; the cache stays warm either way, so a probed child can flip
+/// feasibility back).
 ///
 /// # Panics
 ///
@@ -345,6 +326,7 @@ pub fn encoded_size_rebuild(
     force_all_u: bool,
     cache: &mut EvalCache,
 ) -> Option<u64> {
+    let state = cache;
     let k = sliced.block_len();
     assert!(
         !genes.is_empty() && genes.len() % k == 0,
@@ -354,8 +336,6 @@ pub fn encoded_size_rebuild(
     let l = genes.len() / k;
     let words = sliced.words_per_column();
     let n = sliced.num_distinct();
-    let state = &mut cache.state;
-    let scratch = &mut cache.scratch;
 
     state.warm = false;
     state.shape = (k, l, n, words, force_all_u);
@@ -385,17 +365,16 @@ pub fn encoded_size_rebuild(
     state.mv_zeros.clear();
     state.mv_zeros.resize(k * wl, 0);
     for j in 0..l {
-        let (jw, jbit) = (j / 64, 1u64 << (j % 64));
-        let mut remaining = state.spec[j];
-        while remaining != 0 {
-            let p = remaining.trailing_zeros() as usize;
-            remaining &= remaining - 1;
-            if (state.value[j] >> p) & 1 == 1 {
-                state.mv_ones[p * wl + jw] |= jbit;
-            } else {
-                state.mv_zeros[p * wl + jw] |= jbit;
-            }
-        }
+        update_mv_columns(
+            &mut state.mv_ones,
+            &mut state.mv_zeros,
+            wl,
+            j,
+            0,
+            0,
+            state.spec[j],
+            state.value[j],
+        );
     }
 
     // Covering order: the one canonical key. Keys are unique (index
@@ -426,8 +405,7 @@ pub fn encoded_size_rebuild(
             u64::MAX
         };
     }
-    scratch.mismatch.clear();
-    scratch.mismatch.resize(words, 0);
+    let mut mismatch = vec![0u64; words];
     let counts = sliced.counts();
     let mut blocks_left = n;
     let mut fill_bits = 0u64;
@@ -437,10 +415,10 @@ pub fn encoded_size_rebuild(
             break; // every block owned; the rest keep frequency 0
         }
         let j = j as usize;
-        scratch.mismatch.iter_mut().for_each(|w| *w = 0);
-        sliced.accumulate_mismatch(state.spec[j], state.value[j], &mut scratch.mismatch);
+        mismatch.iter_mut().for_each(|w| *w = 0);
+        sliced.accumulate_mismatch(state.spec[j], state.value[j], &mut mismatch);
         let mut freq = 0u64;
-        for (w, &mis) in scratch.mismatch.iter().enumerate() {
+        for (w, &mis) in mismatch.iter().enumerate() {
             let taken = state.unowned[w] & !mis;
             if taken == 0 {
                 continue;
@@ -475,7 +453,9 @@ pub fn encoded_size_rebuild(
 }
 
 /// Prices `genes` — a copy of the cached genome except inside `edit` — by
-/// patching the cache's covering instead of rescanning it.
+/// patching the cache's covering instead of rescanning it. The cache is
+/// only read, so any number of children (on any number of threads, each
+/// with its own `scratch`) can be probed against one cached parent.
 ///
 /// The contract on `edit` is the engine's lineage contract (see
 /// `evotc_evo::Lineage`): every position **outside** the range equals the
@@ -486,111 +466,22 @@ pub fn encoded_size_rebuild(
 /// donor); the cost is proportional to the number of MV chunks whose
 /// planes actually changed.
 ///
-/// With `commit = false` the cache is left on the (parent) genome it held,
-/// so any number of children can be probed against it; with `commit = true`
-/// the cache advances to `genes` (chains of edits).
-///
-/// Returns [`IncrementalOutcome::NeedsFull`] — and leaves the cache
-/// untouched — when the edit is not incrementally priceable: cold cache or
-/// mismatched shape (block length, genome length, distinct-block count and
-/// word width, `force_all_u`). Otherwise the returned size is
-/// **bit-identical** to [`crate::encoded_size_scratch`] over `genes`.
+/// Returns [`IncrementalOutcome::NeedsFull`] when the edit is not
+/// incrementally priceable: cold cache or mismatched shape (block length,
+/// genome length, distinct-block count and word width, `force_all_u`).
+/// With `gated`, it also answers `NeedsFull` as soon as the estimated
+/// multi-chunk patch work exceeds the estimated cost of a full rescan —
+/// the estimate grows with the blocks the changed MVs own, each of which
+/// the patch re-flows — so callers fall back to the full kernel exactly
+/// when that is the cheaper path; empty and single-chunk edits are never
+/// gated. Every `Size` answer is **bit-identical** to
+/// [`crate::encoded_size_scratch`] over `genes`, gated or not, and the
+/// child's transition and used-MV counts are left in `scratch`.
 ///
 /// The shape tag cannot distinguish two *different* histograms with equal
 /// dimensions: passing a `sliced` other than the one the cache was rebuilt
 /// against is the caller's bug and silently prices garbage. Keep one cache
 /// per histogram, as [`MvFitness`](crate::MvFitness) does.
-pub fn encoded_size_incremental(
-    sliced: &SlicedHistogram,
-    genes: &[Trit],
-    force_all_u: bool,
-    edit: &Range<usize>,
-    commit: bool,
-    cache: &mut EvalCache,
-) -> IncrementalOutcome {
-    let EvalCache { state, scratch } = cache;
-    if !shapes_match(sliced, genes, force_all_u, edit, state) {
-        return IncrementalOutcome::NeedsFull;
-    }
-    debug_assert!(genome_matches_cache_outside(
-        state,
-        genes,
-        sliced.block_len(),
-        edit
-    ));
-    if edit.start == edit.end {
-        record_parent_objectives(state, scratch);
-        return IncrementalOutcome::Size(state.total);
-    }
-    detect_changed_chunks(sliced, genes, force_all_u, edit, state, scratch);
-    // Adopting the child includes adopting its genes: outside `edit` they
-    // equal the cached genome by the lineage contract, so syncing the
-    // window keeps `state.genes` exact for the next detection fast path.
-    match scratch.edited.len() {
-        0 => {
-            if commit {
-                state.genes[edit.clone()].copy_from_slice(&genes[edit.clone()]);
-            }
-            record_parent_objectives(state, scratch);
-            IncrementalOutcome::Size(state.total) // edit was inert
-        }
-        1 => {
-            let (i, nspec, nvalue) = scratch.edited[0];
-            let patch = probe_single(sliced, state, scratch, i as usize, nspec, nvalue);
-            if commit {
-                commit_single(state, scratch, &patch);
-                state.genes[edit.clone()].copy_from_slice(&genes[edit.clone()]);
-            }
-            IncrementalOutcome::Size(patch.total)
-        }
-        _ => {
-            let patch = probe_multi(sliced, state, scratch);
-            if commit {
-                commit_multi(state, scratch, &patch);
-                state.genes[edit.clone()].copy_from_slice(&genes[edit.clone()]);
-            }
-            IncrementalOutcome::Size(patch.total)
-        }
-    }
-}
-
-/// Read-only form of [`encoded_size_incremental`]: prices a child against a
-/// **shared** parent cache without ever writing to it, keeping the per-call
-/// working memory in a caller-owned [`PatchScratch`].
-///
-/// This is the entry point for cross-thread cache sharing (see
-/// [`crate::SharedParentCache`]): any number of worker threads can probe
-/// the same `&EvalCache` concurrently, each with its own scratch. Results
-/// are bit-identical to [`encoded_size_incremental`] with `commit = false`
-/// over the same inputs.
-///
-/// # Example
-///
-/// ```
-/// use evotc_bits::{BlockHistogram, SlicedHistogram, TestSet, TestSetString, Trit};
-/// use evotc_core::{
-///     encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, EvalCache, EvalScratch,
-///     IncrementalOutcome, PatchScratch,
-/// };
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let set = TestSet::parse(&["110100XX", "110000XX", "11010000"])?;
-/// let hist = BlockHistogram::from_string(&TestSetString::new(&set, 4));
-/// let sliced = SlicedHistogram::from_histogram(&hist);
-/// let parent: Vec<Trit> = evotc_bits::parse_trits("110U0000UUUU")?;
-/// let mut cache = EvalCache::new();
-/// encoded_size_rebuild(&sliced, &parent, false, &mut cache);
-///
-/// // An inversion window spanning two MV chunks, probed via `&EvalCache`.
-/// let mut child = parent.clone();
-/// child[2..7].reverse();
-/// let mut scratch = PatchScratch::new();
-/// let probe = encoded_size_probe(&sliced, &child, false, &(2..7), &cache, &mut scratch);
-/// let full = encoded_size_scratch(&sliced, &child, false, &mut EvalScratch::new());
-/// assert_eq!(probe, IncrementalOutcome::Size(full));
-/// # Ok(())
-/// # }
-/// ```
 pub fn encoded_size_probe(
     sliced: &SlicedHistogram,
     genes: &[Trit],
@@ -598,95 +489,31 @@ pub fn encoded_size_probe(
     edit: &Range<usize>,
     cache: &EvalCache,
     scratch: &mut PatchScratch,
+    gated: bool,
 ) -> IncrementalOutcome {
-    let state = &cache.state;
-    if !shapes_match(sliced, genes, force_all_u, edit, state) {
+    if !shapes_match(sliced, genes, force_all_u, edit, cache) {
         return IncrementalOutcome::NeedsFull;
     }
     debug_assert!(genome_matches_cache_outside(
-        state,
+        cache,
         genes,
         sliced.block_len(),
         edit
     ));
-    if edit.start == edit.end {
-        record_parent_objectives(state, scratch);
-        return IncrementalOutcome::Size(state.total);
-    }
-    detect_changed_chunks(sliced, genes, force_all_u, edit, state, scratch);
-    match scratch.edited.len() {
-        0 => {
-            record_parent_objectives(state, scratch);
-            IncrementalOutcome::Size(state.total)
-        }
-        1 => {
-            let (i, nspec, nvalue) = scratch.edited[0];
-            let patch = probe_single(sliced, state, scratch, i as usize, nspec, nvalue);
-            IncrementalOutcome::Size(patch.total)
-        }
-        _ => IncrementalOutcome::Size(probe_multi(sliced, state, scratch).total),
-    }
-}
-
-/// The child equals the cached parent: its side-channel objectives are the
-/// parent's own.
-fn record_parent_objectives(state: &CoverState, scratch: &mut PatchScratch) {
-    scratch.last_transitions = state.scan_transitions;
-    scratch.last_used = state.huffman.leaves().len();
-}
-
-/// [`encoded_size_probe`] with a **cost gate** on the multi-chunk path:
-/// when the estimated ownership-patch work exceeds the estimated cost of a
-/// full rescan, the probe answers [`IncrementalOutcome::NeedsFull`] up
-/// front instead of paying patch overhead for no savings.
-///
-/// The estimate comes from the parent's owned-bitset popcounts: patching a
-/// chunk re-flows every block the edited MV owned, and each orphan costs a
-/// mask OR over `K` MV-major columns plus matcher key evaluations — for an
-/// inversion-scrambled parent whose edited MVs own a large share of the
-/// blocks, that approaches (or exceeds) the `L·(K+2)·words` word-ops of the
-/// full kernel. Whenever this gate answers `Size`, the result is
-/// bit-identical to [`encoded_size_probe`] (it runs the identical patch);
-/// the gate only converts *slow* incremental answers into `NeedsFull`, so
-/// callers fall back to the full kernel exactly when that is the cheaper
-/// path. Empty and single-chunk edits are never gated.
-pub fn encoded_size_probe_bounded(
-    sliced: &SlicedHistogram,
-    genes: &[Trit],
-    force_all_u: bool,
-    edit: &Range<usize>,
-    cache: &EvalCache,
-    scratch: &mut PatchScratch,
-) -> IncrementalOutcome {
-    let state = &cache.state;
-    if !shapes_match(sliced, genes, force_all_u, edit, state) {
-        return IncrementalOutcome::NeedsFull;
-    }
-    debug_assert!(genome_matches_cache_outside(
-        state,
-        genes,
-        sliced.block_len(),
-        edit
-    ));
-    if edit.start == edit.end {
-        record_parent_objectives(state, scratch);
-        return IncrementalOutcome::Size(state.total);
-    }
-    // Budgeted chunk detection: the same window walk as the unbounded
-    // probe, but the patch-cost estimate accumulates as changed chunks are
-    // found, and the walk stops the moment a multi-chunk patch is already
-    // estimated costlier than a full rescan — the rest of the window (for
-    // an inversion child, possibly dozens of chunks) never gets decoded
-    // just to confirm a foregone answer.
+    // Chunk detection walks the window once: trit-identical chunks are
+    // skipped without decoding, and the rest are kept if their planes
+    // changed. Gated, the patch-cost estimate accumulates as changed chunks
+    // are found and the walk stops the moment a multi-chunk patch is
+    // already estimated costlier than a full rescan — the rest of the
+    // window (for an inversion child, possibly dozens of chunks) never gets
+    // decoded just to confirm a foregone answer.
     let k = sliced.block_len();
     let l = genes.len() / k;
-    let chunk_lo = edit.start / k;
-    let chunk_hi = (edit.end - 1) / k;
-    let bound = full_rescan_cost(state);
-    let mut cost = patch_copy_cost(state);
+    let bound = full_rescan_cost(cache);
+    let mut cost = patch_copy_cost(cache);
     scratch.edited.clear();
-    for i in chunk_lo..=chunk_hi {
-        if trits_equal(&genes[i * k..(i + 1) * k], &state.genes[i * k..(i + 1) * k]) {
+    for i in chunks_of(edit, k) {
+        if trits_equal(&genes[i * k..(i + 1) * k], &cache.genes[i * k..(i + 1) * k]) {
             continue; // identical trits decode to identical planes
         }
         let (spec, value) = if force_all_u && i == l - 1 {
@@ -694,39 +521,36 @@ pub fn encoded_size_probe_bounded(
         } else {
             decode_chunk(&genes[i * k..(i + 1) * k])
         };
-        if (spec, value) != (state.spec[i], state.value[i]) {
+        if (spec, value) != (cache.spec[i], cache.value[i]) {
             scratch.edited.push((i as u32, spec, value));
-            cost += chunk_patch_cost(state, i);
-            if scratch.edited.len() >= 2 && cost > bound {
-                return IncrementalOutcome::NeedsFull;
+            if gated {
+                cost += chunk_patch_cost(cache, i);
+                if scratch.edited.len() >= 2 && cost > bound {
+                    return IncrementalOutcome::NeedsFull;
+                }
             }
         }
     }
-    match scratch.edited.len() {
-        0 => {
-            record_parent_objectives(state, scratch);
-            IncrementalOutcome::Size(state.total)
-        }
-        1 => {
-            let (i, nspec, nvalue) = scratch.edited[0];
-            let patch = probe_single(sliced, state, scratch, i as usize, nspec, nvalue);
-            IncrementalOutcome::Size(patch.total)
-        }
-        _ => IncrementalOutcome::Size(probe_multi(sliced, state, scratch).total),
+    if scratch.edited.is_empty() {
+        // The child equals the parent: so do its objectives.
+        scratch.last_transitions = cache.scan_transitions;
+        scratch.last_used = cache.huffman.leaves().len();
+        return IncrementalOutcome::Size(cache.total);
     }
+    IncrementalOutcome::Size(patch_edit(sliced, cache, scratch))
 }
 
 /// Estimated cost of the full kernel over the cached shape: every MV
 /// filters every block column, `L · (K + 2) · words` word operations. The
 /// unit calibrates the patch-cost estimates below: one full-kernel word op.
-fn full_rescan_cost(state: &CoverState) -> u64 {
+fn full_rescan_cost(state: &EvalCache) -> u64 {
     let (k, l, _, words, _) = state.shape;
     (l * (k + 2) * words) as u64
 }
 
-/// Estimated cost of the working-copy memcpys a multi-chunk patch pays
-/// once per probe, in [`full_rescan_cost`] units.
-fn patch_copy_cost(state: &CoverState) -> u64 {
+/// Estimated cost of copying the covering into the working copy, which a
+/// multi-chunk patch pays once per probe, in [`full_rescan_cost`] units.
+fn patch_copy_cost(state: &EvalCache) -> u64 {
     let (k, l, _, words, _) = state.shape;
     let wl = l.div_ceil(64);
     (l * words + 2 * k * wl + 5 * l + words) as u64
@@ -740,7 +564,7 @@ fn patch_copy_cost(state: &CoverState) -> u64 {
 /// comes to roughly `8 · (K · ceil(L/64) + 8)` units per orphan (the probe
 /// runs ~0.8 µs per changed chunk on the paper shape where the full rescan
 /// runs ~4.4 µs, so the break-even sits near four changed chunks).
-fn chunk_patch_cost(state: &CoverState, chunk: usize) -> u64 {
+fn chunk_patch_cost(state: &EvalCache, chunk: usize) -> u64 {
     let (k, l, _, words, _) = state.shape;
     let wl = l.div_ceil(64);
     let per_orphan = 8 * (k * wl + 8) as u64;
@@ -751,13 +575,13 @@ fn chunk_patch_cost(state: &CoverState, chunk: usize) -> u64 {
     ((k + 4) * words) as u64 + owned * per_orphan
 }
 
-/// The warm/shape/edit validity gate shared by both entry points.
+/// The warm/shape/edit validity gate of [`encoded_size_probe`].
 fn shapes_match(
     sliced: &SlicedHistogram,
     genes: &[Trit],
     force_all_u: bool,
     edit: &Range<usize>,
-    state: &CoverState,
+    state: &EvalCache,
 ) -> bool {
     let k = sliced.block_len();
     state.warm
@@ -775,35 +599,12 @@ fn shapes_match(
         && edit.start <= edit.end
 }
 
-/// Decodes the chunks the edit window overlaps and records those whose
-/// planes actually changed into `scratch.edited` (ascending chunk order).
-/// `force_all_u` pins the last chunk to all-`U` regardless of its genes, so
-/// edits there are inert.
-fn detect_changed_chunks(
-    sliced: &SlicedHistogram,
-    genes: &[Trit],
-    force_all_u: bool,
-    edit: &Range<usize>,
-    state: &CoverState,
-    scratch: &mut PatchScratch,
-) {
-    let k = sliced.block_len();
-    let l = genes.len() / k;
-    let chunk_lo = edit.start / k;
-    let chunk_hi = (edit.end - 1) / k;
-    scratch.edited.clear();
-    for i in chunk_lo..=chunk_hi {
-        if trits_equal(&genes[i * k..(i + 1) * k], &state.genes[i * k..(i + 1) * k]) {
-            continue; // identical trits decode to identical planes
-        }
-        let (spec, value) = if force_all_u && i == l - 1 {
-            (0, 0)
-        } else {
-            decode_chunk(&genes[i * k..(i + 1) * k])
-        };
-        if (spec, value) != (state.spec[i], state.value[i]) {
-            scratch.edited.push((i as u32, spec, value));
-        }
+/// The MV chunks an edit window overlaps (none for an empty window).
+fn chunks_of(edit: &Range<usize>, k: usize) -> Range<usize> {
+    if edit.is_empty() {
+        0..0
+    } else {
+        edit.start / k..edit.end.div_ceil(k)
     }
 }
 
@@ -934,13 +735,9 @@ fn update_mv_columns(
 /// earlier-ranked MVs, walking whichever side of the covering order is
 /// shorter; the edited MV's own blocks are excluded (the orphan re-flow
 /// decides those).
-#[allow(clippy::too_many_arguments)]
 fn steal_candidates(
     sliced: &SlicedHistogram,
-    order: &[u32],
-    nu: &[u32],
-    owned: &[u64],
-    unowned: &[u64],
+    cur: &EvalCache,
     i: usize,
     new_key: u64,
     mismatch: &[u64],
@@ -948,6 +745,7 @@ fn steal_candidates(
     union_buf: &mut Vec<u64>,
 ) {
     let words = sliced.words_per_column();
+    let (order, owned) = (&cur.order, &cur.owned);
     steal.clear();
     steal.extend(mismatch.iter().enumerate().map(|(w, &mis)| {
         let valid = if w == words - 1 {
@@ -957,7 +755,7 @@ fn steal_candidates(
         };
         !mis & valid
     }));
-    let pos = rank_of(order, nu, new_key);
+    let pos = rank_of(order, &cur.nu, new_key);
     if pos <= order.len() / 2 {
         // Few earlier MVs: mask their owned blocks out directly.
         for &j in &order[..pos] {
@@ -969,7 +767,7 @@ fn steal_candidates(
     } else {
         // Few later MVs: keep only their blocks, plus the unowned ones.
         union_buf.clear();
-        union_buf.extend_from_slice(unowned);
+        union_buf.extend_from_slice(&cur.unowned);
         for &j in &order[pos..] {
             let j = j as usize;
             for (u, &o) in union_buf.iter_mut().zip(&owned[j * words..(j + 1) * words]) {
@@ -988,57 +786,110 @@ fn steal_candidates(
     }
 }
 
-/// Everything [`commit_single`] needs to advance the state to the child,
-/// produced by the read-only [`probe_single`] pass (the block moves and
-/// frequency deltas themselves are deferred in the scratch).
-struct SinglePatch {
-    i: usize,
-    nspec: u64,
-    nvalue: u64,
-    nnu: u32,
-    old_key: u64,
-    new_key: u64,
-    fill: u64,
-    transitions: u64,
-    uncovered: usize,
-    huffman_bits: u64,
-    total: Option<u64>,
+/// Prices the changed chunks in `scratch.edited` (at least one) against the
+/// parent cache `parent`: one [`patch_chunk`] per chunk, in order — the
+/// first against the parent's covering, each later one against the working
+/// copy with every earlier chunk applied — then one Huffman re-price from
+/// the netted per-MV frequency changes. Leaves the child's transition and
+/// used-MV counts in the scratch and returns its encoded size.
+fn patch_edit(
+    sliced: &SlicedHistogram,
+    parent: &EvalCache,
+    scratch: &mut PatchScratch,
+) -> Option<u64> {
+    let (k, words) = (sliced.block_len(), sliced.words_per_column());
+    let PatchScratch {
+        edited,
+        planes,
+        mismatch,
+        work,
+        patch,
+        changes,
+        huff_scratch,
+        last_transitions,
+        last_used,
+    } = scratch;
+
+    // All changed chunks' match sets in one batched conflict-plane pass.
+    planes.clear();
+    planes.extend(edited.iter().map(|&(_, spec, value)| (spec, value)));
+    mismatch.resize(planes.len() * words, 0);
+    sliced.accumulate_mismatch_batch(planes, mismatch);
+
+    // `net` is all-zero between probes except after a probe that unwound
+    // mid-patch; `touched` lists exactly the entries to clear.
+    for j in patch.touched.drain(..) {
+        patch.net[j as usize] = 0;
+    }
+    patch.net.resize(parent.freq.len(), 0);
+    let mut trans = parent.scan_transitions as i64;
+    let mut uncovered = parent.uncovered as i64;
+
+    let last = edited.len() - 1;
+    for (t, &(i, nspec, nvalue)) in edited.iter().enumerate() {
+        let cur = if t == 0 { parent } else { &*work };
+        let chunk = (i as usize, nspec, nvalue);
+        let chunk_mismatch = &mismatch[t * words..(t + 1) * words];
+        let (dt, du) = patch_chunk(sliced, cur, chunk, chunk_mismatch, t < last, patch);
+        trans += dt;
+        uncovered += du;
+        if t < last {
+            if t == 0 {
+                work.copy_covering_from(parent);
+            }
+            apply_chunk(sliced, work, chunk, &patch.moves);
+        }
+    }
+
+    // Fill bits and the Huffman cost, once for the whole edit, from the
+    // netted frequency changes (an MV bounced through several chunks
+    // contributes one change, or none): every MV's net change costs its
+    // parent N_U, and an edited MV's final frequency also pays its N_U
+    // change.
+    let mut fill = parent.fill_bits as i64;
+    for &(i, spec, _) in edited.iter() {
+        let (i, nnu) = (i as usize, (k - spec.count_ones() as usize) as i64);
+        fill += (parent.freq[i] as i64 + patch.net[i]) * (nnu - parent.nu[i] as i64);
+    }
+    changes.clear();
+    for j in patch.touched.drain(..) {
+        let net = std::mem::take(&mut patch.net[j as usize]);
+        if net != 0 {
+            let old = parent.freq[j as usize];
+            fill += net * parent.nu[j as usize] as i64;
+            changes.push((old, (old as i64 + net) as u64));
+        }
+    }
+    let huffman_bits = huffman_weighted_length_delta(&parent.huffman, changes, huff_scratch);
+    *last_transitions = trans as u64;
+    *last_used = huff_scratch.leaves().len();
+    (uncovered == 0).then(|| fill as u64 + huffman_bits)
 }
 
-/// Prices a single changed chunk against the state without writing to it:
-/// the deferred patch (steal set, orphan re-flow, Huffman delta), kept as
-/// the fast path because it avoids the working-copy memcpys of the
-/// multi-chunk path.
-fn probe_single(
+/// Patches one changed chunk — MV `i` taking the planes `(nspec, nvalue)`,
+/// whose conflict set is `mismatch` — into `patch`, reading the covering
+/// `cur` without writing to it, and returns the changes of the transition
+/// count and of the uncovered-block count (signed: intermediate sums can
+/// dip below the final value). With `record`, the chunk's block moves are
+/// kept in `patch.moves` for [`apply_chunk`].
+fn patch_chunk(
     sliced: &SlicedHistogram,
-    state: &CoverState,
-    scratch: &mut PatchScratch,
-    i: usize,
-    nspec: u64,
-    nvalue: u64,
-) -> SinglePatch {
+    cur: &EvalCache,
+    (i, nspec, nvalue): (usize, u64, u64),
+    mismatch: &[u64],
+    record: bool,
+    patch: &mut Patch,
+) -> (i64, i64) {
     let k = sliced.block_len();
     let words = sliced.words_per_column();
     let counts = sliced.counts();
-
     let nnu = (k - nspec.count_ones() as usize) as u32;
-    let old_key = covering_key(state.nu[i] as usize, i);
+    let old_key = covering_key(cur.nu[i] as usize, i);
     let new_key = covering_key(nnu as usize, i);
-
-    // New match set of the edited MV: one pass over the conflict planes.
-    scratch.mismatch.clear();
-    scratch.mismatch.resize(words, 0);
-    sliced.accumulate_mismatch(nspec, nvalue, &mut scratch.mismatch);
-
-    scratch.moves.clear();
-    scratch.deltas.clear();
-    let mut uncovered = state.uncovered;
-    // Transition deltas ride along with the ownership moves: every block
-    // that changes owner (or stays with an owner whose value plane changed)
-    // re-prices its decoded word. Signed accumulator: intermediate sums can
-    // dip below the final value.
-    let mut trans = state.scan_transitions as i64;
-    let value_changed = nvalue != state.value[i];
+    let value_changed = nvalue != cur.value[i];
+    let transitions = |count: i64, scan: u64| count * block_transitions(scan, k) as i64;
+    let (mut trans, mut uncovered) = (0i64, 0i64);
+    patch.moves.clear();
 
     // Phase 1 — steal: blocks the new MV matches whose owner comes *after*
     // its new covering rank (or that no MV owns) move to i (first-match
@@ -1047,31 +898,31 @@ fn probe_single(
     // per-MV owned planes; only actual steals are visited.
     steal_candidates(
         sliced,
-        &state.order,
-        &state.nu,
-        &state.owned,
-        &state.unowned,
+        cur,
         i,
         new_key,
-        &scratch.mismatch,
-        &mut scratch.steal,
-        &mut scratch.union_buf,
+        mismatch,
+        &mut patch.steal,
+        &mut patch.union_buf,
     );
-    for (w, &st) in scratch.steal.iter().enumerate() {
-        let mut bits = st;
+    for w in 0..words {
+        let mut bits = patch.steal[w];
         while bits != 0 {
             let d = w * 64 + bits.trailing_zeros() as usize;
             bits &= bits - 1;
-            let a = state.owner[d];
-            scratch.moves.push((d as u32, i as u32));
-            add_delta(&mut scratch.deltas, i as u32, counts[d] as i64);
+            let count = counts[d] as i64;
             let (_, bv) = sliced.block_planes(d);
-            trans += (counts[d] * block_transitions(nvalue | bv, k)) as i64;
+            let a = cur.owner[d];
+            patch.shift(i as u32, count);
+            trans += transitions(count, nvalue | bv);
             if a == NO_MV {
                 uncovered -= 1;
             } else {
-                add_delta(&mut scratch.deltas, a, -(counts[d] as i64));
-                trans -= (counts[d] * block_transitions(state.value[a as usize] | bv, k)) as i64;
+                patch.shift(a, -count);
+                trans -= transitions(count, cur.value[a as usize] | bv);
+            }
+            if record {
+                patch.moves.push((d as u32, i as u32));
             }
         }
     }
@@ -1085,484 +936,126 @@ fn probe_single(
     // key-sorted order, done once per edit, not once per block — and a
     // block that still matches with no MV ranked in between stays put with
     // no scan at all.
-    if state.freq[i] > 0 {
-        let l = state.shape.1;
-        let wl = l.div_ceil(64);
-        // O(1) stay test: every competing matcher has a key above the old
-        // rank's successor (MVs before the old rank never match an orphan),
-        // so when the new key still precedes that successor, a block the
-        // new planes match cannot move.
-        let old_rank = rank_of(&state.order, &state.nu, old_key);
-        debug_assert_eq!(state.order[old_rank] as usize, i);
-        let stays_fast = match state.order.get(old_rank + 1) {
-            Some(&j) => new_key < covering_key(state.nu[j as usize] as usize, j as usize),
-            None => true,
-        };
-        for (w, &ow) in state.owned[i * words..(i + 1) * words].iter().enumerate() {
-            let mut cand = ow;
-            while cand != 0 {
-                let d = w * 64 + cand.trailing_zeros() as usize;
-                cand &= cand - 1;
-                let still_matched = (scratch.mismatch[w] >> (d % 64)) & 1 == 0;
-                // A block staying with `i` still re-prices its transitions
-                // when the edit changed `i`'s value plane — its decoded
-                // word changed even though ownership did not.
-                let stay_delta = |bvalue: u64| {
-                    (counts[d] * block_transitions(nvalue | bvalue, k)) as i64
-                        - (counts[d] * block_transitions(state.value[i] | bvalue, k)) as i64
-                };
-                if still_matched && stays_fast {
-                    if value_changed {
-                        let (_, bv) = sliced.block_planes(d);
-                        trans += stay_delta(bv);
-                    }
-                    continue; // no competitor can rank before i's new key
+    if cur.freq[i] == 0 {
+        return (trans, uncovered);
+    }
+    let l = cur.shape.1;
+    let wl = l.div_ceil(64);
+    // O(1) stay test: every competing matcher has a key above the old
+    // rank's successor (MVs before the old rank never match an orphan), so
+    // when the new key still precedes that successor, a block the new
+    // planes match cannot move.
+    let old_rank = rank_of(&cur.order, &cur.nu, old_key);
+    debug_assert_eq!(cur.order[old_rank] as usize, i);
+    let stays_fast = match cur.order.get(old_rank + 1) {
+        Some(&j) => new_key < covering_key(cur.nu[j as usize] as usize, j as usize),
+        None => true,
+    };
+    for (w, &ow) in cur.owned[i * words..(i + 1) * words].iter().enumerate() {
+        let mut cand = ow;
+        while cand != 0 {
+            let d = w * 64 + cand.trailing_zeros() as usize;
+            cand &= cand - 1;
+            let count = counts[d] as i64;
+            let still_matched = (mismatch[w] >> (d % 64)) & 1 == 0;
+            // A block staying with i still re-prices its transitions when
+            // the edit changed i's value plane — its decoded word changed
+            // even though ownership did not.
+            let stay_delta =
+                |bv: u64| transitions(count, nvalue | bv) - transitions(count, cur.value[i] | bv);
+            if still_matched && stays_fast {
+                if value_changed {
+                    trans += stay_delta(sliced.block_planes(d).1);
                 }
-                let (bcare, bvalue) = sliced.block_planes(d);
-                let new_owner = reflow_owner(
-                    bcare,
-                    bvalue,
-                    &state.mv_ones,
-                    &state.mv_zeros,
-                    wl,
-                    l,
-                    &state.nu,
-                    i,
-                    new_key,
-                    still_matched,
-                    &mut scratch.mvmask,
-                );
-                if new_owner == i as u32 {
-                    if value_changed {
-                        trans += stay_delta(bvalue);
-                    }
-                    continue; // stays put
+                continue; // no competitor can rank before i's new key
+            }
+            let (bcare, bv) = sliced.block_planes(d);
+            let new_owner = reflow_owner(
+                bcare,
+                bv,
+                &cur.mv_ones,
+                &cur.mv_zeros,
+                wl,
+                l,
+                &cur.nu,
+                i,
+                new_key,
+                still_matched,
+                &mut patch.mvmask,
+            );
+            if new_owner == i as u32 {
+                if value_changed {
+                    trans += stay_delta(bv);
                 }
-                scratch.moves.push((d as u32, new_owner));
-                add_delta(&mut scratch.deltas, i as u32, -(counts[d] as i64));
-                trans -= (counts[d] * block_transitions(state.value[i] | bvalue, k)) as i64;
-                if new_owner == NO_MV {
-                    uncovered += 1;
-                } else {
-                    add_delta(&mut scratch.deltas, new_owner, counts[d] as i64);
-                    trans += (counts[d]
-                        * block_transitions(state.value[new_owner as usize] | bvalue, k))
-                        as i64;
-                }
+                continue; // stays put
+            }
+            patch.shift(i as u32, -count);
+            trans -= transitions(count, cur.value[i] | bv);
+            if new_owner == NO_MV {
+                uncovered += 1;
+            } else {
+                patch.shift(new_owner, count);
+                trans += transitions(count, cur.value[new_owner as usize] | bv);
+            }
+            if record {
+                patch.moves.push((d as u32, new_owner));
             }
         }
     }
-
-    // Re-price: fill bits and Huffman cost from the frequency deltas.
-    // fill' − fill = Σ_j Δ_j·N_U'(j) + freq(i)·(N_U'(i) − N_U(i)).
-    let mut fill = state.fill_bits as i64;
-    fill += state.freq[i] as i64 * (nnu as i64 - state.nu[i] as i64);
-    scratch.changes.clear();
-    for &(j, delta) in &scratch.deltas {
-        if delta == 0 {
-            continue;
-        }
-        let j = j as usize;
-        let old = state.freq[j];
-        let new = (old as i64 + delta) as u64;
-        let nu_after = if j == i { nnu } else { state.nu[j] };
-        fill += delta * nu_after as i64;
-        scratch.changes.push((old, new));
-    }
-    let huffman_bits =
-        huffman_weighted_length_delta(&state.huffman, &scratch.changes, &mut scratch.huff_scratch);
-    let total = if uncovered == 0 {
-        Some(fill as u64 + huffman_bits)
-    } else {
-        None
-    };
-    scratch.last_transitions = trans as u64;
-    scratch.last_used = scratch.huff_scratch.leaves().len();
-    SinglePatch {
-        i,
-        nspec,
-        nvalue,
-        nnu,
-        old_key,
-        new_key,
-        fill: fill as u64,
-        transitions: trans as u64,
-        uncovered,
-        huffman_bits,
-        total,
-    }
+    (trans, uncovered)
 }
 
-/// Advances the state to the child priced by [`probe_single`], applying the
-/// deferred moves and deltas (mutation-chain semantics).
-fn commit_single(state: &mut CoverState, scratch: &mut PatchScratch, patch: &SinglePatch) {
-    let i = patch.i;
-    let words = state.shape.3;
-    for &(d, to) in &scratch.moves {
-        let d = d as usize;
-        let (w, bit) = (d / 64, 1u64 << (d % 64));
-        let from = state.owner[d];
-        if from == NO_MV {
-            state.unowned[w] &= !bit;
-        } else {
-            state.owned[from as usize * words + w] &= !bit;
-        }
-        if to == NO_MV {
-            state.unowned[w] |= bit;
-        } else {
-            state.owned[to as usize * words + w] |= bit;
-        }
-        state.owner[d] = to;
-    }
-    let wl = state.shape.1.div_ceil(64);
-    update_mv_columns(
-        &mut state.mv_ones,
-        &mut state.mv_zeros,
-        wl,
-        i,
-        state.spec[i],
-        state.value[i],
-        patch.nspec,
-        patch.nvalue,
-    );
-    state.spec[i] = patch.nspec;
-    state.value[i] = patch.nvalue;
-    state.nu[i] = patch.nnu;
-    if patch.new_key != patch.old_key {
-        let old_rank = state
-            .order
-            .iter()
-            .position(|&j| j as usize == i)
-            .expect("cached MV is in the covering order");
-        state.order.remove(old_rank);
-        let nu = &state.nu;
-        let at = state.order.partition_point(|&j| {
-            covering_key(nu[j as usize] as usize, j as usize) < patch.new_key
-        });
-        state.order.insert(at, i as u32);
-    }
-    for &(j, delta) in &scratch.deltas {
-        let slot = &mut state.freq[j as usize];
-        *slot = (*slot as i64 + delta) as u64;
-    }
-    state.fill_bits = patch.fill;
-    state.scan_transitions = patch.transitions;
-    state.uncovered = patch.uncovered;
-    state
-        .huffman
-        .adopt_leaves_from(&mut scratch.huff_scratch, patch.huffman_bits);
-    state.total = patch.total;
-}
-
-/// Result of the multi-chunk working-copy patch; the patched covering
-/// itself lives in the scratch's `w_*` buffers until committed.
-struct MultiPatch {
-    fill: u64,
-    transitions: u64,
-    uncovered: usize,
-    huffman_bits: u64,
-    total: Option<u64>,
-}
-
-/// Prices a multi-chunk edit (`scratch.edited`, two or more entries)
-/// against the state without writing to it: copies the covering into the
-/// scratch's working buffers, applies the single-MV ownership patch once
-/// per changed chunk — each intermediate working state is the consistent
-/// covering of an intermediate genome, so the per-chunk invariants hold —
-/// and re-prices the Huffman cost through one netted frequency delta.
-fn probe_multi(
+/// Applies one patched chunk — its new planes and the block moves
+/// [`patch_chunk`] recorded — to the working copy, leaving it the
+/// consistent covering of the genome with this chunk edited too.
+fn apply_chunk(
     sliced: &SlicedHistogram,
-    state: &CoverState,
-    scratch: &mut PatchScratch,
-) -> MultiPatch {
-    let k = sliced.block_len();
+    work: &mut EvalCache,
+    (i, nspec, nvalue): (usize, u64, u64),
+    moves: &[(u32, u32)],
+) {
     let words = sliced.words_per_column();
     let counts = sliced.counts();
-    let PatchScratch {
-        edited,
-        planes,
-        multi_mismatch,
-        steal,
-        union_buf,
-        own_snap,
-        changes,
-        huff_scratch,
-        w_spec,
-        w_value,
-        w_nu,
-        w_order,
-        w_freq,
-        w_owner,
-        w_owned,
-        w_unowned,
-        w_mv_ones,
-        w_mv_zeros,
-        mvmask,
-        touched,
-        touch_epoch,
-        epoch,
-        last_transitions,
-        last_used,
-        ..
-    } = scratch;
-
-    // Working copy of the covering: a handful of memcpys, paid once per
-    // child instead of a full rescan.
-    w_spec.clear();
-    w_spec.extend_from_slice(&state.spec);
-    w_value.clear();
-    w_value.extend_from_slice(&state.value);
-    w_nu.clear();
-    w_nu.extend_from_slice(&state.nu);
-    w_order.clear();
-    w_order.extend_from_slice(&state.order);
-    w_freq.clear();
-    w_freq.extend_from_slice(&state.freq);
-    w_owner.clear();
-    w_owner.extend_from_slice(&state.owner);
-    w_owned.clear();
-    w_owned.extend_from_slice(&state.owned);
-    w_unowned.clear();
-    w_unowned.extend_from_slice(&state.unowned);
-    w_mv_ones.clear();
-    w_mv_ones.extend_from_slice(&state.mv_ones);
-    w_mv_zeros.clear();
-    w_mv_zeros.extend_from_slice(&state.mv_zeros);
-    touched.clear();
-    if touch_epoch.len() != state.freq.len() {
-        touch_epoch.clear();
-        touch_epoch.resize(state.freq.len(), 0);
-    }
-    *epoch += 1;
-    let epoch = *epoch;
-
-    // All changed chunks' match sets in one batched conflict-plane pass.
-    planes.clear();
-    planes.extend(edited.iter().map(|&(_, spec, value)| (spec, value)));
-    multi_mismatch.clear();
-    multi_mismatch.resize(planes.len() * words, 0);
-    sliced.accumulate_mismatch_batch(planes, multi_mismatch);
-
-    let l = state.shape.1;
-    let wl = l.div_ceil(64);
-    let mut fill = state.fill_bits as i64;
-    let mut trans = state.scan_transitions as i64;
-    let mut uncovered = state.uncovered;
-
-    for (t, &(ci, nspec, nvalue)) in edited.iter().enumerate() {
-        let i = ci as usize;
-        let mismatch = &multi_mismatch[t * words..(t + 1) * words];
-        let nnu = (k - nspec.count_ones() as usize) as u32;
-        let old_nu = w_nu[i];
-        let old_key = covering_key(old_nu as usize, i);
-        let new_key = covering_key(nnu as usize, i);
-        let freq_before = w_freq[i];
-        let value_changed = nvalue != w_value[i];
-
-        // The blocks i already owns are re-priced at the new N_U up front;
-        // every later freq change against i then uses nnu.
-        fill += freq_before as i64 * (nnu as i64 - old_nu as i64);
-
-        // The orphan re-flow candidates are i's owned bits *before* the
-        // steal pass adds to them (a just-stolen block provably stays: its
-        // former owner's key exceeded `new_key`, so no MV before the weave
-        // point matches it).
-        own_snap.clear();
-        own_snap.extend_from_slice(&w_owned[i * words..(i + 1) * words]);
-
-        // Phase 1 — steal (eager: ownership and frequencies are applied to
-        // the working copy immediately, with first-touch originals logged
-        // for the netted Huffman delta).
-        steal_candidates(
-            sliced, w_order, w_nu, w_owned, w_unowned, i, new_key, mismatch, steal, union_buf,
-        );
-        for (w, &st) in steal.iter().enumerate() {
-            let mut bits = st;
-            while bits != 0 {
-                let d = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let bit = 1u64 << (d % 64);
-                let a = w_owner[d];
-                touch(touched, touch_epoch, epoch, w_freq, ci);
-                w_owner[d] = ci;
-                w_owned[i * words + w] |= bit;
-                w_freq[i] += counts[d];
-                fill += counts[d] as i64 * nnu as i64;
-                let (_, bv) = sliced.block_planes(d);
-                trans += (counts[d] * block_transitions(nvalue | bv, k)) as i64;
-                if a == NO_MV {
-                    w_unowned[w] &= !bit;
-                    uncovered -= 1;
-                } else {
-                    touch(touched, touch_epoch, epoch, w_freq, a);
-                    w_owned[a as usize * words + w] &= !bit;
-                    w_freq[a as usize] -= counts[d];
-                    fill -= counts[d] as i64 * w_nu[a as usize] as i64;
-                    trans -= (counts[d] * block_transitions(w_value[a as usize] | bv, k)) as i64;
-                }
-            }
+    for &(d, to) in moves {
+        let d = d as usize;
+        let (w, bit) = (d / 64, 1u64 << (d % 64));
+        let from = work.owner[d];
+        if from == NO_MV {
+            work.unowned[w] &= !bit;
+        } else {
+            work.owned[from as usize * words + w] &= !bit;
+            work.freq[from as usize] -= counts[d];
         }
-
-        // Phase 2 — re-flow the blocks i owned before the steal pass; same
-        // min-key matcher pick as the single-chunk path, against the
-        // working copy's MV-major planes.
-        let old_rank = rank_of(w_order, w_nu, old_key);
-        debug_assert_eq!(w_order[old_rank] as usize, i);
-        if freq_before > 0 {
-            // O(1) stay test, as in the single-chunk path.
-            let stays_fast = match w_order.get(old_rank + 1) {
-                Some(&j) => new_key < covering_key(w_nu[j as usize] as usize, j as usize),
-                None => true,
-            };
-            for (w, &ow) in own_snap.iter().enumerate() {
-                let mut cand = ow;
-                while cand != 0 {
-                    let d = w * 64 + cand.trailing_zeros() as usize;
-                    cand &= cand - 1;
-                    let still_matched = (mismatch[w] >> (d % 64)) & 1 == 0;
-                    // Same stay re-pricing as the single-chunk path, against
-                    // the working copy's value planes.
-                    let stay_delta = |bvalue: u64| {
-                        (counts[d] * block_transitions(nvalue | bvalue, k)) as i64
-                            - (counts[d] * block_transitions(w_value[i] | bvalue, k)) as i64
-                    };
-                    if still_matched && stays_fast {
-                        if value_changed {
-                            let (_, bv) = sliced.block_planes(d);
-                            trans += stay_delta(bv);
-                        }
-                        continue; // no competitor can rank before i's new key
-                    }
-                    let (bcare, bvalue) = sliced.block_planes(d);
-                    let new_owner = reflow_owner(
-                        bcare,
-                        bvalue,
-                        w_mv_ones,
-                        w_mv_zeros,
-                        wl,
-                        l,
-                        w_nu,
-                        i,
-                        new_key,
-                        still_matched,
-                        mvmask,
-                    );
-                    if new_owner == ci {
-                        if value_changed {
-                            trans += stay_delta(bvalue);
-                        }
-                        continue; // stays put
-                    }
-                    let bit = 1u64 << (d % 64);
-                    touch(touched, touch_epoch, epoch, w_freq, ci);
-                    w_owner[d] = new_owner;
-                    w_owned[i * words + w] &= !bit;
-                    w_freq[i] -= counts[d];
-                    fill -= counts[d] as i64 * nnu as i64;
-                    trans -= (counts[d] * block_transitions(w_value[i] | bvalue, k)) as i64;
-                    if new_owner == NO_MV {
-                        w_unowned[w] |= bit;
-                        uncovered += 1;
-                    } else {
-                        touch(touched, touch_epoch, epoch, w_freq, new_owner);
-                        w_owned[new_owner as usize * words + w] |= bit;
-                        w_freq[new_owner as usize] += counts[d];
-                        fill += counts[d] as i64 * w_nu[new_owner as usize] as i64;
-                        trans += (counts[d]
-                            * block_transitions(w_value[new_owner as usize] | bvalue, k))
-                            as i64;
-                    }
-                }
-            }
+        if to == NO_MV {
+            work.unowned[w] |= bit;
+        } else {
+            work.owned[to as usize * words + w] |= bit;
+            work.freq[to as usize] += counts[d];
         }
-
-        // Commit this chunk's planes and covering rank to the working copy;
-        // the next chunk patches against a fully consistent state.
-        update_mv_columns(
-            w_mv_ones, w_mv_zeros, wl, i, w_spec[i], w_value[i], nspec, nvalue,
-        );
-        w_spec[i] = nspec;
-        w_value[i] = nvalue;
-        w_nu[i] = nnu;
-        if new_key != old_key {
-            w_order.remove(old_rank);
-            let nu = &*w_nu;
-            let at = w_order
-                .partition_point(|&j| covering_key(nu[j as usize] as usize, j as usize) < new_key);
-            w_order.insert(at, ci);
-        }
+        work.owner[d] = to;
     }
-
-    // One netted Huffman delta for the whole window: per-MV changes are
-    // first-touch originals vs final working frequencies, so an MV bounced
-    // through several chunks contributes one change (or none).
-    changes.clear();
-    for &(j, orig) in touched.iter() {
-        let cur = w_freq[j as usize];
-        if orig != cur {
-            changes.push((orig, cur));
-        }
-    }
-    let huffman_bits = huffman_weighted_length_delta(&state.huffman, changes, huff_scratch);
-    let total = if uncovered == 0 {
-        Some(fill as u64 + huffman_bits)
-    } else {
-        None
-    };
-    *last_transitions = trans as u64;
-    *last_used = huff_scratch.leaves().len();
-    MultiPatch {
-        fill: fill as u64,
-        transitions: trans as u64,
-        uncovered,
-        huffman_bits,
-        total,
-    }
-}
-
-/// Advances the state to the child priced by [`probe_multi`]: the patched
-/// working buffers are swapped in wholesale (`O(1)` per array; the state's
-/// old buffers become next call's working storage).
-fn commit_multi(state: &mut CoverState, scratch: &mut PatchScratch, patch: &MultiPatch) {
-    std::mem::swap(&mut state.spec, &mut scratch.w_spec);
-    std::mem::swap(&mut state.value, &mut scratch.w_value);
-    std::mem::swap(&mut state.nu, &mut scratch.w_nu);
-    std::mem::swap(&mut state.order, &mut scratch.w_order);
-    std::mem::swap(&mut state.freq, &mut scratch.w_freq);
-    std::mem::swap(&mut state.owner, &mut scratch.w_owner);
-    std::mem::swap(&mut state.owned, &mut scratch.w_owned);
-    std::mem::swap(&mut state.unowned, &mut scratch.w_unowned);
-    std::mem::swap(&mut state.mv_ones, &mut scratch.w_mv_ones);
-    std::mem::swap(&mut state.mv_zeros, &mut scratch.w_mv_zeros);
-    state.fill_bits = patch.fill;
-    state.scan_transitions = patch.transitions;
-    state.uncovered = patch.uncovered;
-    state
-        .huffman
-        .adopt_leaves_from(&mut scratch.huff_scratch, patch.huffman_bits);
-    state.total = patch.total;
-}
-
-/// Accumulates a frequency delta for one MV (tiny linear-probed list — a
-/// single edit touches a handful of MVs).
-#[inline]
-fn add_delta(deltas: &mut Vec<(u32, i64)>, j: u32, delta: i64) {
-    if let Some(entry) = deltas.iter_mut().find(|(jj, _)| *jj == j) {
-        entry.1 += delta;
-    } else {
-        deltas.push((j, delta));
-    }
-}
-
-/// Records MV `j`'s frequency before its first modification of this
-/// evaluation (idempotent — later touches are no-ops, detected in `O(1)`
-/// by the per-MV epoch stamp), feeding the netted Huffman delta.
-#[inline]
-fn touch(touched: &mut Vec<(u32, u64)>, touch_epoch: &mut [u64], epoch: u64, freq: &[u64], j: u32) {
-    let slot = &mut touch_epoch[j as usize];
-    if *slot != epoch {
-        *slot = epoch;
-        touched.push((j, freq[j as usize]));
+    let (k, l) = (work.shape.0, work.shape.1);
+    let nnu = (k - nspec.count_ones() as usize) as u32;
+    let old_key = covering_key(work.nu[i] as usize, i);
+    let new_key = covering_key(nnu as usize, i);
+    let old_rank = rank_of(&work.order, &work.nu, old_key);
+    update_mv_columns(
+        &mut work.mv_ones,
+        &mut work.mv_zeros,
+        l.div_ceil(64),
+        i,
+        work.spec[i],
+        work.value[i],
+        nspec,
+        nvalue,
+    );
+    work.spec[i] = nspec;
+    work.value[i] = nvalue;
+    work.nu[i] = nnu;
+    if new_key != old_key {
+        work.order.remove(old_rank);
+        let at = rank_of(&work.order, &work.nu, new_key);
+        work.order.insert(at, i as u32);
     }
 }
 
@@ -1572,33 +1065,22 @@ fn touch(touched: &mut Vec<(u32, u64)>, touch_epoch: &mut [u64], epoch: u64, fre
 /// this makes it loud where tests run.
 #[cfg(debug_assertions)]
 fn genome_matches_cache_outside(
-    state: &CoverState,
+    state: &EvalCache,
     genes: &[Trit],
     k: usize,
     edit: &Range<usize>,
 ) -> bool {
     let force_all_u = state.shape.4;
     let l = genes.len() / k;
-    let chunk_lo = edit.start / k;
-    let chunk_hi = if edit.is_empty() {
-        chunk_lo
-    } else {
-        (edit.end - 1) / k
-    };
-    for i in 0..l {
-        if !edit.is_empty() && (chunk_lo..=chunk_hi).contains(&i) {
-            continue;
-        }
+    let edited = chunks_of(edit, k);
+    (0..l).filter(|i| !edited.contains(i)).all(|i| {
         let decoded = if force_all_u && i == l - 1 {
             (0, 0)
         } else {
             decode_chunk(&genes[i * k..(i + 1) * k])
         };
-        if decoded != (state.spec[i], state.value[i]) {
-            return false;
-        }
-    }
-    true
+        decoded == (state.spec[i], state.value[i])
+    })
 }
 
 /// Release builds compile the `debug_assert!` call away to a constant, so
@@ -1606,7 +1088,7 @@ fn genome_matches_cache_outside(
 #[cfg(not(debug_assertions))]
 #[inline(always)]
 fn genome_matches_cache_outside(
-    _state: &CoverState,
+    _state: &EvalCache,
     _genes: &[Trit],
     _k: usize,
     _edit: &Range<usize>,
@@ -1630,39 +1112,76 @@ mod tests {
         evotc_bits::parse_trits(&s.replace(' ', "")).unwrap()
     }
 
-    /// Applies every single-gene edit to `parent` and checks the incremental
-    /// price (probe and commit) against the full kernel.
-    fn exhaustive_single_gene_edits(sliced: &SlicedHistogram, parent: &[Trit], force: bool) {
+    /// `(size, transitions, used MVs)` — what every pricing path reports.
+    type Priced = (Option<u64>, u64, usize);
+
+    /// The full kernel's price of `genes`.
+    fn full(sliced: &SlicedHistogram, genes: &[Trit], force: bool) -> Priced {
         let mut scratch = EvalScratch::new();
+        let size = encoded_size_scratch(sliced, genes, force, &mut scratch);
+        (
+            size,
+            scratch.last_scan_transitions(),
+            scratch.last_used_mvs(),
+        )
+    }
+
+    /// The probe's price of `genes` as an edit of the cached genome, or
+    /// `None` when it answers `NeedsFull`.
+    fn probed(
+        sliced: &SlicedHistogram,
+        genes: &[Trit],
+        force: bool,
+        edit: &Range<usize>,
+        cache: &EvalCache,
+        gated: bool,
+    ) -> Option<Priced> {
+        let mut scratch = PatchScratch::new();
+        match encoded_size_probe(sliced, genes, force, edit, cache, &mut scratch, gated) {
+            IncrementalOutcome::Size(size) => Some((
+                size,
+                scratch.last_scan_transitions(),
+                scratch.last_used_mvs(),
+            )),
+            IncrementalOutcome::NeedsFull => None,
+        }
+    }
+
+    /// One chain step: the ungated probe of `child` against `cache` must
+    /// price it like the full kernel; then `cache` is rebuilt on the child,
+    /// whose own empty-edit probe must report the same price.
+    fn probe_then_rebuild(
+        sliced: &SlicedHistogram,
+        cache: &mut EvalCache,
+        child: &[Trit],
+        force: bool,
+        edit: &Range<usize>,
+    ) -> Priced {
+        let expect = full(sliced, child, force);
+        assert_eq!(
+            probed(sliced, child, force, edit, cache, false),
+            Some(expect),
+            "probe of {child:?} edit {edit:?} force {force}"
+        );
+        assert_eq!(encoded_size_rebuild(sliced, child, force, cache), expect.0);
+        assert_eq!(
+            probed(sliced, child, force, &(0..0), cache, true),
+            Some(expect),
+            "rebuilt {child:?}"
+        );
+        expect
+    }
+
+    /// Applies every single-gene edit to `parent` and checks the probe's
+    /// price, and the rebuilt child's, against the full kernel.
+    fn exhaustive_single_gene_edits(sliced: &SlicedHistogram, parent: &[Trit], force: bool) {
         for pos in 0..parent.len() {
             for g in 0..3u8 {
                 let mut cache = EvalCache::new();
                 encoded_size_rebuild(sliced, parent, force, &mut cache);
                 let mut child = parent.to_vec();
                 child[pos] = Trit::from_index(g);
-                let expect = encoded_size_scratch(sliced, &child, force, &mut scratch);
-                let expect_trans = scratch.last_scan_transitions();
-                let expect_used = scratch.last_used_mvs();
-                for commit in [false, true] {
-                    let got = encoded_size_incremental(
-                        sliced,
-                        &child,
-                        force,
-                        &(pos..pos + 1),
-                        commit,
-                        &mut cache,
-                    );
-                    assert_eq!(
-                        got,
-                        IncrementalOutcome::Size(expect),
-                        "pos {pos} gene {g} commit {commit} parent {parent:?}"
-                    );
-                }
-                // After the commit the cache prices the child as its own —
-                // size, transition count and used-MV count alike.
-                assert_eq!(cache.encoded_size(), expect);
-                assert_eq!(cache.scan_transitions(), expect_trans, "pos {pos} gene {g}");
-                assert_eq!(cache.used_mvs(), expect_used, "pos {pos} gene {g}");
+                probe_then_rebuild(sliced, &mut cache, &child, force, &(pos..pos + 1));
             }
         }
     }
@@ -1684,8 +1203,8 @@ mod tests {
     }
 
     /// Applies every `width`-gene window rewrite to `parent` and checks the
-    /// incremental price (probe, shared probe, and commit) against the full
-    /// kernel. Windows straddle chunk boundaries by construction whenever
+    /// probe's price, and the rebuilt child's, against the full kernel.
+    /// Windows straddle chunk boundaries by construction whenever
     /// `width > 1` and the genome has several chunks.
     fn exhaustive_window_edits(
         sliced: &SlicedHistogram,
@@ -1693,8 +1212,6 @@ mod tests {
         width: usize,
         force: bool,
     ) {
-        let mut scratch = EvalScratch::new();
-        let mut probe_scratch = PatchScratch::new();
         for start in 0..=parent.len() - width {
             let mut cache = EvalCache::new();
             encoded_size_rebuild(sliced, parent, force, &mut cache);
@@ -1702,43 +1219,7 @@ mod tests {
             for (offset, slot) in child[start..start + width].iter_mut().enumerate() {
                 *slot = Trit::from_index(((start + 2 * offset) % 3) as u8);
             }
-            let edit = start..start + width;
-            let expect = encoded_size_scratch(sliced, &child, force, &mut scratch);
-            let expect_trans = scratch.last_scan_transitions();
-            let expect_used = scratch.last_used_mvs();
-            let shared =
-                encoded_size_probe(sliced, &child, force, &edit, &cache, &mut probe_scratch);
-            assert_eq!(
-                shared,
-                IncrementalOutcome::Size(expect),
-                "shared probe start {start} width {width}"
-            );
-            assert_eq!(
-                probe_scratch.last_scan_transitions(),
-                expect_trans,
-                "probe transitions start {start} width {width}"
-            );
-            assert_eq!(
-                probe_scratch.last_used_mvs(),
-                expect_used,
-                "probe used start {start} width {width}"
-            );
-            for commit in [false, true] {
-                let got =
-                    encoded_size_incremental(sliced, &child, force, &edit, commit, &mut cache);
-                assert_eq!(
-                    got,
-                    IncrementalOutcome::Size(expect),
-                    "start {start} width {width} commit {commit}"
-                );
-            }
-            assert_eq!(cache.encoded_size(), expect);
-            assert_eq!(
-                cache.scan_transitions(),
-                expect_trans,
-                "committed transitions start {start} width {width}"
-            );
-            assert_eq!(cache.used_mvs(), expect_used);
+            probe_then_rebuild(sliced, &mut cache, &child, force, &(start..start + width));
         }
     }
 
@@ -1761,18 +1242,20 @@ mod tests {
 
     /// The cost gate is allowed to answer `NeedsFull`, but whenever it
     /// answers `Size` the value must be the full kernel's — over every
-    /// window edit of several widths, including whole-genome rewrites.
+    /// window edit of several widths, including whole-genome rewrites. On
+    /// the 16-MV parent, whose duplicates own no blocks, the gate must both
+    /// price some multi-chunk edits and decline others.
     #[test]
-    fn bounded_probe_sizes_match_full_kernel() {
+    fn gated_probe_sizes_match_full_kernel() {
         let sliced = fixtures(
             &["110100XX", "110000XX", "11010000", "110X00XX", "11010011"],
             8,
         );
-        let mut scratch = EvalScratch::new();
-        let mut probe_scratch = PatchScratch::new();
+        let (mut multi_priced, mut declined) = (0, 0);
         for parent in [
             genes("110U00UU 00000000 11010011 UUUUUUUU"),
             genes("110U00UU 110U00UU 110U00UU UUUUUUUU"),
+            genes(&"110U00UU ".repeat(16)),
         ] {
             for force in [false, true] {
                 let mut cache = EvalCache::new();
@@ -1784,91 +1267,78 @@ mod tests {
                             *slot = Trit::from_index(((start + 2 * offset) % 3) as u8);
                         }
                         let edit = start..start + width;
-                        let expect = encoded_size_scratch(&sliced, &child, force, &mut scratch);
-                        match encoded_size_probe_bounded(
-                            &sliced,
-                            &child,
-                            force,
-                            &edit,
-                            &cache,
-                            &mut probe_scratch,
-                        ) {
-                            IncrementalOutcome::Size(got) => {
-                                assert_eq!(got, expect, "start {start} width {width} force {force}")
+                        match probed(&sliced, &child, force, &edit, &cache, true) {
+                            Some(got) => {
+                                assert_eq!(
+                                    got,
+                                    full(&sliced, &child, force),
+                                    "start {start} width {width} force {force}"
+                                );
+                                let changed = (0..parent.len() / 8 - usize::from(force))
+                                    .filter(|i| {
+                                        child[i * 8..(i + 1) * 8] != parent[i * 8..(i + 1) * 8]
+                                    })
+                                    .count();
+                                multi_priced += usize::from(changed >= 2);
                             }
-                            IncrementalOutcome::NeedsFull => {
-                                // Legal: the gate judged the patch more
-                                // expensive than a rescan. Only possible on
-                                // multi-chunk edits.
+                            // Legal: the gate judged the patch more
+                            // expensive than a rescan. Only possible on
+                            // multi-chunk edits.
+                            None => {
                                 assert!(width > 1, "single-chunk edits are never gated");
+                                declined += 1;
                             }
                         }
                     }
                 }
             }
         }
+        assert!(
+            multi_priced > 0 && declined > 0,
+            "{multi_priced} / {declined}"
+        );
     }
 
-    /// Empty and single-chunk edits bypass the gate entirely: bit-identical
-    /// behavior to the plain probe, `Size` always.
+    /// Empty and single-chunk edits bypass the gate entirely: gated and
+    /// ungated probes agree, `Size` always.
     #[test]
-    fn bounded_probe_never_gates_cheap_edits() {
+    fn gate_never_trips_on_cheap_edits() {
         let sliced = fixtures(&["110100XX", "110000XX", "11010000"], 8);
         let parent = genes("110U00UU 00000000 UUUUUUUU");
         let mut cache = EvalCache::new();
-        encoded_size_rebuild(&sliced, &parent, false, &mut cache);
-        let mut probe_scratch = PatchScratch::new();
-        // Empty edit: the cached size.
+        let size = encoded_size_rebuild(&sliced, &parent, false, &mut cache);
         assert_eq!(
-            encoded_size_probe_bounded(
-                &sliced,
-                &parent,
-                false,
-                &(3..3),
-                &cache,
-                &mut probe_scratch
-            ),
-            IncrementalOutcome::Size(cache.encoded_size()),
+            probed(&sliced, &parent, false, &(3..3), &cache, true),
+            Some(full(&sliced, &parent, false)),
         );
-        // Every single-gene edit stays within one chunk and must be priced.
-        let mut scratch = EvalScratch::new();
+        assert_eq!(full(&sliced, &parent, false).0, size);
         for pos in 0..parent.len() {
             let mut child = parent.clone();
             child[pos] = Trit::from_index(((pos + 1) % 3) as u8);
-            let expect = encoded_size_scratch(&sliced, &child, false, &mut scratch);
-            let bounded = encoded_size_probe_bounded(
-                &sliced,
-                &child,
-                false,
-                &(pos..pos + 1),
-                &cache,
-                &mut probe_scratch,
-            );
-            assert_eq!(bounded, IncrementalOutcome::Size(expect), "pos {pos}");
-            let plain = encoded_size_probe(
-                &sliced,
-                &child,
-                false,
-                &(pos..pos + 1),
-                &cache,
-                &mut probe_scratch,
-            );
-            assert_eq!(bounded, plain, "pos {pos}");
+            let edit = pos..pos + 1;
+            let gated = probed(&sliced, &child, false, &edit, &cache, true);
+            assert_eq!(gated, Some(full(&sliced, &child, false)), "pos {pos}");
+            assert_eq!(gated, probed(&sliced, &child, false, &edit, &cache, false));
         }
     }
 
-    /// A cold cache gives `NeedsFull` from the bounded probe too (shape
-    /// gate ahead of the cost gate).
-    #[test]
-    fn bounded_probe_rejects_cold_cache() {
-        let sliced = fixtures(&["110100XX", "110000XX"], 8);
-        let child = genes("110U00UU UUUUUUUU");
-        let cache = EvalCache::new();
-        let mut probe_scratch = PatchScratch::new();
+    /// Probing from an infeasible parent to a feasible child, then — after
+    /// rebuilding on the child — back again.
+    fn flip_both_ways(
+        sliced: &SlicedHistogram,
+        parent: &[Trit],
+        child: &[Trit],
+        edit: Range<usize>,
+    ) {
+        let mut cache = EvalCache::new();
         assert_eq!(
-            encoded_size_probe_bounded(&sliced, &child, false, &(0..4), &cache, &mut probe_scratch),
-            IncrementalOutcome::NeedsFull,
+            encoded_size_rebuild(sliced, parent, false, &mut cache),
+            None
         );
+        let (size, _, _) = probe_then_rebuild(sliced, &mut cache, child, false, &edit);
+        assert!(size.is_some());
+        let (size, _, _) = probe_then_rebuild(sliced, &mut cache, parent, false, &edit);
+        assert_eq!(size, None);
     }
 
     #[test]
@@ -1878,24 +1348,8 @@ mod tests {
         // MV until it can.
         let parent = genes("1111 1110");
         exhaustive_single_gene_edits(&sliced, &parent, false);
-        let mut cache = EvalCache::new();
-        assert_eq!(
-            encoded_size_rebuild(&sliced, &parent, false, &mut cache),
-            None
-        );
-        let mut child = parent.clone();
-        child[4] = Trit::X;
-        child[5] = Trit::X;
-        child[6] = Trit::X;
-        child[7] = Trit::X;
         // A 4-gene edit inside one chunk: still a single-MV patch.
-        let got = encoded_size_incremental(&sliced, &child, false, &(4..8), true, &mut cache);
-        let expect = encoded_size_scratch(&sliced, &child, false, &mut EvalScratch::new());
-        assert!(expect.is_some());
-        assert_eq!(got, IncrementalOutcome::Size(expect));
-        // ...and back to infeasible.
-        let got = encoded_size_incremental(&sliced, &parent, false, &(4..8), true, &mut cache);
-        assert_eq!(got, IncrementalOutcome::Size(None));
+        flip_both_ways(&sliced, &parent, &genes("1111 UUUU"), 4..8);
     }
 
     #[test]
@@ -1903,20 +1357,12 @@ mod tests {
         let sliced = fixtures(&["1111", "0000", "1100"], 4);
         // No MV matches 0000 or 1100: infeasible until a whole-genome edit
         // widens two chunks at once.
-        let parent = genes("1111 1110 0011");
-        let mut cache = EvalCache::new();
-        assert_eq!(
-            encoded_size_rebuild(&sliced, &parent, false, &mut cache),
-            None
+        flip_both_ways(
+            &sliced,
+            &genes("1111 1110 0011"),
+            &genes("1111 UUUU 110U"),
+            4..12,
         );
-        let child = genes("1111 UUUU 110U");
-        let expect = encoded_size_scratch(&sliced, &child, false, &mut EvalScratch::new());
-        assert!(expect.is_some());
-        let got = encoded_size_incremental(&sliced, &child, false, &(4..12), true, &mut cache);
-        assert_eq!(got, IncrementalOutcome::Size(expect));
-        // ...and back to infeasible through the same multi-chunk path.
-        let got = encoded_size_incremental(&sliced, &parent, false, &(4..12), true, &mut cache);
-        assert_eq!(got, IncrementalOutcome::Size(None));
     }
 
     #[test]
@@ -1924,42 +1370,29 @@ mod tests {
         let sliced = fixtures(&["110100XX", "110000XX", "11010000"], 8);
         let parent = genes("110U00UU 11010000 UUUUUUUU");
         let mut cache = EvalCache::new();
-        let parent_size = encoded_size_rebuild(&sliced, &parent, false, &mut cache);
-        let mut scratch = EvalScratch::new();
-        // Probe many children off the same cache; each must match the full
-        // kernel, and the parent must still price correctly afterwards.
+        encoded_size_rebuild(&sliced, &parent, false, &mut cache);
+        // Probe many single- and multi-chunk children off the same cache
+        // through one scratch; each must match the full kernel.
+        let mut scratch = PatchScratch::new();
+        let mut probe = |child: &[Trit], edit: Range<usize>| {
+            let got = encoded_size_probe(&sliced, child, false, &edit, &cache, &mut scratch, false);
+            assert_eq!(got, IncrementalOutcome::Size(full(&sliced, child, false).0));
+        };
         for pos in 0..parent.len() {
             let mut child = parent.clone();
             child[pos] = Trit::from_index((pos % 3) as u8);
-            let expect = encoded_size_scratch(&sliced, &child, false, &mut scratch);
-            let got = encoded_size_incremental(
-                &sliced,
-                &child,
-                false,
-                &(pos..pos + 1),
-                false,
-                &mut cache,
-            );
-            assert_eq!(got, IncrementalOutcome::Size(expect), "pos {pos}");
+            probe(&child, pos..pos + 1);
         }
-        // Multi-chunk probes are equally read-only.
         for start in 0..parent.len() - 10 {
             let mut child = parent.clone();
             child[start..start + 10].reverse();
-            let expect = encoded_size_scratch(&sliced, &child, false, &mut scratch);
-            let got = encoded_size_incremental(
-                &sliced,
-                &child,
-                false,
-                &(start..start + 10),
-                false,
-                &mut cache,
-            );
-            assert_eq!(got, IncrementalOutcome::Size(expect), "window at {start}");
+            probe(&child, start..start + 10);
         }
-        assert_eq!(cache.encoded_size(), parent_size);
-        let again = encoded_size_incremental(&sliced, &parent, false, &(0..0), false, &mut cache);
-        assert_eq!(again, IncrementalOutcome::Size(parent_size));
+        // The parent still prices as itself.
+        assert_eq!(
+            probed(&sliced, &parent, false, &(0..0), &cache, false),
+            Some(full(&sliced, &parent, false))
+        );
     }
 
     #[test]
@@ -1967,42 +1400,26 @@ mod tests {
         let sliced = fixtures(&["1010", "0101"], 4);
         let g = genes("1010 UUUU");
         let mut cache = EvalCache::new();
-        assert_eq!(
-            encoded_size_incremental(&sliced, &g, false, &(0..1), false, &mut cache),
-            IncrementalOutcome::NeedsFull
-        );
-        assert_eq!(
-            encoded_size_probe(
-                &sliced,
-                &g,
-                false,
-                &(0..1),
-                &cache,
-                &mut PatchScratch::new()
-            ),
-            IncrementalOutcome::NeedsFull
-        );
+        for gated in [false, true] {
+            assert_eq!(probed(&sliced, &g, false, &(0..1), &cache, gated), None);
+        }
         encoded_size_rebuild(&sliced, &g, false, &mut cache);
         // Different genome length.
         let longer = genes("1010 UUUU 1111");
         assert_eq!(
-            encoded_size_incremental(&sliced, &longer, false, &(8..9), false, &mut cache),
-            IncrementalOutcome::NeedsFull
+            probed(&sliced, &longer, false, &(8..9), &cache, false),
+            None
         );
         // Different force flag.
-        assert_eq!(
-            encoded_size_incremental(&sliced, &g, true, &(0..1), false, &mut cache),
-            IncrementalOutcome::NeedsFull
-        );
-        // An edit spanning two changed chunks is *not* a fallback anymore:
-        // the multi-chunk patch prices it.
+        assert_eq!(probed(&sliced, &g, true, &(0..1), &cache, false), None);
+        // An edit spanning two changed chunks is *not* a fallback: the
+        // patch prices it chunk by chunk.
         let mut two = g.clone();
         two[3] = Trit::X;
         two[4] = Trit::One;
-        let expect = encoded_size_scratch(&sliced, &two, false, &mut EvalScratch::new());
         assert_eq!(
-            encoded_size_incremental(&sliced, &two, false, &(3..5), false, &mut cache),
-            IncrementalOutcome::Size(expect)
+            probed(&sliced, &two, false, &(3..5), &cache, false),
+            Some(full(&sliced, &two, false))
         );
     }
 
@@ -2014,8 +1431,8 @@ mod tests {
         let size = encoded_size_rebuild(&sliced, &parent, true, &mut cache);
         let mut child = parent.clone();
         child[12] = Trit::One; // inside the forced all-U chunk
-        let got = encoded_size_incremental(&sliced, &child, true, &(12..13), false, &mut cache);
-        assert_eq!(got, IncrementalOutcome::Size(size));
+        let got = probed(&sliced, &child, true, &(12..13), &cache, true);
+        assert_eq!(got.map(|p| p.0), Some(size));
     }
 
     #[test]
@@ -2024,7 +1441,6 @@ mod tests {
             &["110100XX", "110000XX", "11010000", "110X00XX", "11010011"],
             8,
         );
-        let mut scratch = EvalScratch::new();
         let mut cache = EvalCache::new();
         for g in [
             genes("110U00UU 00000000 UUUUUUUU"),
@@ -2035,7 +1451,7 @@ mod tests {
             for force in [false, true] {
                 assert_eq!(
                     encoded_size_rebuild(&sliced, &g, force, &mut cache),
-                    encoded_size_scratch(&sliced, &g, force, &mut scratch),
+                    full(&sliced, &g, force).0,
                     "genome {g:?} force {force}"
                 );
             }

@@ -72,8 +72,7 @@ pub use ea_opt::{
 pub use encoding::{encode_with_code, encode_with_mvs, encoded_size};
 pub use error::CompressError;
 pub use incremental::{
-    encoded_size_incremental, encoded_size_probe, encoded_size_probe_bounded, encoded_size_rebuild,
-    EvalCache, IncrementalOutcome, PatchScratch,
+    encoded_size_probe, encoded_size_rebuild, EvalCache, IncrementalOutcome, PatchScratch,
 };
 pub use kernel::{encoded_size_scratch, EvalScratch};
 pub use mv::{MatchingVector, ParseMvError};

@@ -1,13 +1,14 @@
 //! A sharded, read-mostly parent-cache shared across worker threads.
 //!
-//! PR 4's incremental path kept one LRU list of [`EvalCache`]s *per worker
-//! state*, so a hot elite parent — bred against by most of a generation's
-//! children — was rebuilt and stored once per thread. This module hoists
-//! the caches into one [`SharedParentCache`] owned by the evaluator (which
-//! every worker already borrows): a parent is rebuilt **once**, its entry
-//! is immutable from then on, and every thread prices children against it
-//! through the read-only [`crate::encoded_size_probe`] with a per-thread
-//! [`crate::PatchScratch`].
+//! Parent [`EvalCache`]s kept *per worker state* would rebuild and store a
+//! hot elite parent — bred against by most of a generation's children —
+//! once per thread. This module keeps them in one [`SharedParentCache`]
+//! owned by the evaluator (which every worker already borrows): a parent is
+//! rebuilt **once**, its entry is immutable from then on, and every thread
+//! prices children against it through the read-only, cost-gated
+//! [`crate::encoded_size_probe`] with its own [`crate::PatchScratch`]. An
+//! entry holds only the parent's covering; the probe's working memory,
+//! including the multi-chunk working copy, lives in the per-thread scratch.
 //!
 //! # Design
 //!

@@ -1,8 +1,8 @@
 //! Property tests pinning the allocation-free fitness kernel to the legacy
 //! path: for every histogram, K/L shape, and genome — feasible or not —
-//! `MvFitness::evaluate_scratch` must return the **bit-identical** `f64`
-//! that the legacy `MvSet::from_genes` → `Covering` → `huffman_code` →
-//! `encoded_size` pipeline produces.
+//! `MvFitness::evaluate_with_objectives` must return the **bit-identical**
+//! scalar `f64` that the legacy `MvSet::from_genes` → `Covering` →
+//! `huffman_code` → `encoded_size` pipeline produces.
 
 use evotc::bits::{BlockHistogram, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{encoded_size, encoded_size_scratch, EvalScratch, MvFitness, MvSet};
@@ -68,7 +68,7 @@ proptest! {
             let genes = &genome_bits[..k * l.min(48 / k)];
             for force in [false, true] {
                 let fitness = MvFitness::new(k, force, &hist, bits);
-                let fast = fitness.evaluate_scratch(genes, &mut scratch);
+                let fast = fitness.evaluate_with_objectives(genes, &mut scratch).0;
                 let slow = legacy_fitness(k, force, &hist, bits, genes);
                 prop_assert_eq!(
                     fast.to_bits(), slow.to_bits(),
@@ -93,7 +93,7 @@ proptest! {
         let mut scratch = EvalScratch::new();
         let mut saw_infeasible = false;
         for g in &genomes {
-            let fast = fitness.evaluate_scratch(g, &mut scratch);
+            let fast = fitness.evaluate_with_objectives(g, &mut scratch).0;
             let slow = legacy_fitness(4, false, &hist, bits, g);
             prop_assert_eq!(fast.to_bits(), slow.to_bits());
             saw_infeasible |= fast == MvFitness::INFEASIBLE;

@@ -1,18 +1,20 @@
 //! Property tests pinning the incremental fitness path to the full kernel:
 //! an arbitrary chain of edits — single-gene mutations, multi-chunk
 //! inversion windows straddling chunk boundaries, crossover children priced
-//! against either parent's cache — evaluated incrementally against the
-//! [`EvalCache`], must produce the **bit-identical** encoded size / fitness
-//! that `encoded_size_scratch` computes from scratch at every step —
-//! including edits that flip feasibility (covering becomes/ceases to be
-//! possible) and edits that create or remove duplicate MVs. The shared
-//! read-only probe ([`encoded_size_probe`]) and the concurrent shared-cache
-//! path of `MvFitness` are pinned to the same oracle.
+//! against either parent's cache — each probed ([`encoded_size_probe`])
+//! against the [`EvalCache`] of its predecessor, must produce the
+//! **bit-identical** encoded size, transition count and used-MV count that
+//! `encoded_size_scratch` computes from scratch at every step — including
+//! edits that flip feasibility (covering becomes/ceases to be possible) and
+//! edits that create or remove duplicate MVs. The concurrent shared-cache
+//! path of `MvFitness` is pinned to the same oracle.
+
+use std::ops::Range;
 
 use evotc::bits::{BlockHistogram, SlicedHistogram, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{
-    encoded_size_incremental, encoded_size_probe, encoded_size_rebuild, encoded_size_scratch,
-    EvalCache, EvalScratch, IncrementalOutcome, MvFitness, PatchScratch,
+    encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, EvalCache, EvalScratch,
+    IncrementalOutcome, MvFitness, PatchScratch,
 };
 use evotc::evo::{FitnessEval, Lineage, Provenance};
 use proptest::prelude::*;
@@ -47,54 +49,61 @@ fn histogram_for(rows: &[Vec<Trit>], k: usize) -> (BlockHistogram, f64) {
     (hist, bits)
 }
 
-/// Runs one chain through the committing incremental path and checks every
-/// step against the full kernel. Returns how many steps were feasible /
-/// infeasible so callers can sanity-check coverage.
+/// One chain step: `genome` (an edit of the genome `cache` holds inside
+/// `edit`) is probed ungated against `cache` and must match the full
+/// kernel's size — and, when feasible, its transition and used-MV counts;
+/// then `cache` is rebuilt on `genome` for the next step.
+fn probe_then_rebuild(
+    sliced: &SlicedHistogram,
+    cache: &mut EvalCache,
+    genome: &[Trit],
+    edit: &Range<usize>,
+    force_all_u: bool,
+) {
+    let mut scratch = EvalScratch::new();
+    let mut patch = PatchScratch::new();
+    let full = encoded_size_scratch(sliced, genome, force_all_u, &mut scratch);
+    let probe = encoded_size_probe(sliced, genome, force_all_u, edit, cache, &mut patch, false);
+    assert_eq!(probe, IncrementalOutcome::Size(full), "probe {edit:?}");
+    if full.is_some() {
+        assert_eq!(
+            patch.last_scan_transitions(),
+            scratch.last_scan_transitions()
+        );
+        assert_eq!(patch.last_used_mvs(), scratch.last_used_mvs());
+    }
+    assert_eq!(
+        encoded_size_rebuild(sliced, genome, force_all_u, cache),
+        full
+    );
+}
+
+/// Runs one single-gene mutation chain through [`probe_then_rebuild`],
+/// checking every step against the full kernel.
 fn check_chain(
     sliced: &SlicedHistogram,
     genome: &mut [Trit],
     chain: &[(usize, Trit)],
     force_all_u: bool,
-) -> (usize, usize) {
+) {
     let mut cache = EvalCache::new();
-    let mut scratch = EvalScratch::new();
     let built = encoded_size_rebuild(sliced, genome, force_all_u, &mut cache);
     assert_eq!(
         built,
-        encoded_size_scratch(sliced, genome, force_all_u, &mut scratch),
+        encoded_size_scratch(sliced, genome, force_all_u, &mut EvalScratch::new()),
         "rebuild diverged on the chain's start genome"
     );
-    let (mut feasible, mut infeasible) = (0, 0);
     for &(pos, gene) in chain {
         genome[pos] = gene;
-        let incremental = match encoded_size_incremental(
-            sliced,
-            genome,
-            force_all_u,
-            &(pos..pos + 1),
-            true,
-            &mut cache,
-        ) {
-            IncrementalOutcome::Size(size) => size,
-            IncrementalOutcome::NeedsFull => {
-                panic!("single-gene edit at {pos} unexpectedly needs the full kernel")
-            }
-        };
-        let full = encoded_size_scratch(sliced, genome, force_all_u, &mut scratch);
-        assert_eq!(incremental, full, "chain step at {pos} -> {gene:?}");
-        match full {
-            Some(_) => feasible += 1,
-            None => infeasible += 1,
-        }
+        probe_then_rebuild(sliced, &mut cache, genome, &(pos..pos + 1), force_all_u);
     }
-    (feasible, infeasible)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Mutation chains over X-rich rows for paper-adjacent shapes, with and
-    /// without the forced all-`U` vector, committing each step.
+    /// without the forced all-`U` vector.
     #[test]
     fn mutation_chains_match_full_kernel(
         rows in proptest::collection::vec(arb_trits(12), 1..8),
@@ -157,18 +166,19 @@ proptest! {
         let sliced = SlicedHistogram::from_histogram(&hist);
         let mut cache = EvalCache::new();
         let mut scratch = EvalScratch::new();
+        let mut patch = PatchScratch::new();
         let parent_size = encoded_size_rebuild(&sliced, &parent, false, &mut cache);
         for &(pos, gene) in &edits {
             let mut child = parent.clone();
             child[pos] = gene;
-            let probe = encoded_size_incremental(&sliced, &child, false, &(pos..pos + 1), false, &mut cache);
+            let probe =
+                encoded_size_probe(&sliced, &child, false, &(pos..pos + 1), &cache, &mut patch, false);
             let full = encoded_size_scratch(&sliced, &child, false, &mut scratch);
             prop_assert_eq!(probe, IncrementalOutcome::Size(full));
         }
         // The probes left the cache on the parent.
-        prop_assert_eq!(cache.encoded_size(), parent_size);
         let parent_again =
-            encoded_size_incremental(&sliced, &parent, false, &(0..0), false, &mut cache);
+            encoded_size_probe(&sliced, &parent, false, &(0..0), &cache, &mut patch, false);
         prop_assert_eq!(parent_again, IncrementalOutcome::Size(parent_size));
     }
 
@@ -213,8 +223,8 @@ proptest! {
     }
 
     /// Multi-chunk inversion chains: windows straddling chunk boundaries,
-    /// committed step by step, must price bit-identically to the full
-    /// kernel — and the read-only shared probe must agree at every step.
+    /// each probed against its predecessor's cache, must price
+    /// bit-identically to the full kernel at every step.
     #[test]
     fn inversion_chains_straddling_chunks_match_full_kernel(
         rows in proptest::collection::vec(arb_trits(12), 1..8),
@@ -227,23 +237,12 @@ proptest! {
             for force in [false, true] {
                 let mut genome = start[..k * l].to_vec();
                 let mut cache = EvalCache::new();
-                let mut scratch = EvalScratch::new();
-                let mut probe_scratch = PatchScratch::new();
                 encoded_size_rebuild(&sliced, &genome, force, &mut cache);
                 for &(at, span) in &windows {
                     let lo = at.min(genome.len() - 1);
                     let hi = (lo + span).min(genome.len());
                     genome[lo..hi].reverse();
-                    let edit = lo..hi;
-                    let expect = encoded_size_scratch(&sliced, &genome, force, &mut scratch);
-                    let probe = encoded_size_probe(
-                        &sliced, &genome, force, &edit, &cache, &mut probe_scratch,
-                    );
-                    prop_assert_eq!(probe, IncrementalOutcome::Size(expect), "probe {:?}", &edit);
-                    let commit = encoded_size_incremental(
-                        &sliced, &genome, force, &edit, true, &mut cache,
-                    );
-                    prop_assert_eq!(commit, IncrementalOutcome::Size(expect), "commit {:?}", &edit);
+                    probe_then_rebuild(&sliced, &mut cache, &genome, &(lo..hi), force);
                 }
             }
         }
@@ -279,13 +278,13 @@ proptest! {
             let expect = encoded_size_scratch(&sliced, &child, true, &mut scratch);
             // Outside parent: the swapped window is the edit.
             let via_a = encoded_size_probe(
-                &sliced, &child, true, &(lo..hi), &cache_a, &mut probe_scratch,
+                &sliced, &child, true, &(lo..hi), &cache_a, &mut probe_scratch, false,
             );
             prop_assert_eq!(via_a, IncrementalOutcome::Size(expect), "via parent A {}..{}", lo, hi);
             // Donor parent: the edit is conservatively the whole genome;
             // the probe diffs it chunk-wise.
             let via_b = encoded_size_probe(
-                &sliced, &child, true, &(0..child.len()), &cache_b, &mut probe_scratch,
+                &sliced, &child, true, &(0..child.len()), &cache_b, &mut probe_scratch, false,
             );
             prop_assert_eq!(via_b, IncrementalOutcome::Size(expect), "via parent B {}..{}", lo, hi);
             lineage.push(Some(Lineage::crossover(0, lo..hi, 1)));
@@ -361,24 +360,31 @@ proptest! {
         }
     }
 
-    /// `MvFitness::evaluate_cached` chains agree with the single-genome
-    /// paths, including the rebuild fallback for unknown provenance.
+    /// `MvFitness` lineage chains over dense rows without the all-`U`
+    /// safety net: each step is a one-child batch whose parent is the
+    /// previous genome, so feasibility flips both ways through the shared
+    /// cache's rebuild and probe, and every score must equal the oracle's.
     #[test]
-    fn evaluate_cached_chains_match_evaluate(
+    fn lineage_batch_chains_match_evaluate(
         rows in arb_dense_rows(8),
         start in arb_trits(12),
         chain in arb_chain(12, 16),
     ) {
         let (hist, bits) = histogram_for(&rows, 4);
         let fitness = MvFitness::new(4, false, &hist, bits);
-        let mut cache = EvalCache::new();
         let mut genome = start.clone();
-        let cold = fitness.evaluate_cached(&genome, None, &mut cache);
-        prop_assert_eq!(cold.to_bits(), fitness.evaluate(&genome).to_bits());
+        let mut score = [f64::NAN];
+        fitness.evaluate_batch(std::slice::from_ref(&genome), None, &mut score, None);
+        prop_assert_eq!(score[0].to_bits(), fitness.evaluate(&genome).to_bits());
         for &(pos, gene) in &chain {
+            let parent = genome.clone();
             genome[pos] = gene;
-            let inc = fitness.evaluate_cached(&genome, Some(&(pos..pos + 1)), &mut cache);
-            prop_assert_eq!(inc.to_bits(), fitness.evaluate(&genome).to_bits());
+            let provenance = Provenance {
+                lineage: &[Some(Lineage::new(0, pos..pos + 1))],
+                parents: &[parent.as_slice()],
+            };
+            fitness.evaluate_batch(std::slice::from_ref(&genome), Some(provenance), &mut score, None);
+            prop_assert_eq!(score[0].to_bits(), fitness.evaluate(&genome).to_bits(), "step at {}", pos);
         }
     }
 }

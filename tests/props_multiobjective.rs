@@ -101,8 +101,9 @@ proptest! {
 
     /// Satellite 1a: the incrementally re-priced transition count (and
     /// used-MV count) equals the full kernel's recompute for every
-    /// mutation, inversion and crossover edit window — via the read-only
-    /// probe against a parent cache and via the committing chain.
+    /// mutation, inversion and crossover edit window — probed against one
+    /// parent cache, and along a chain whose every step is probed against
+    /// its predecessor's rebuilt cache.
     #[test]
     fn incremental_transition_repricing_matches_full_recompute(
         rows in proptest::collection::vec(arb_trits(12), 1..8),
@@ -122,7 +123,8 @@ proptest! {
                 let (child, window) = apply_edit(&parent, &donor, edit);
                 let (size, transitions, used) =
                     full_objectives(&sliced, &child, force, &mut scratch);
-                let probe = encoded_size_probe(&sliced, &child, force, &window, &cache, &mut patch);
+                let probe =
+                    encoded_size_probe(&sliced, &child, force, &window, &cache, &mut patch, false);
                 prop_assert_eq!(probe, IncrementalOutcome::Size(size), "{:?}", edit);
                 if size.is_some() {
                     prop_assert_eq!(
@@ -132,25 +134,21 @@ proptest! {
                     prop_assert_eq!(patch.last_used_mvs(), used, "used MVs after {:?}", edit);
                 }
             }
-            // Committing chain: each edit advances the cache, whose
-            // transition count must track the full kernel at every step.
+            // Chain: each child is probed against its predecessor's cache,
+            // then becomes the cached genome; the transition and used-MV
+            // counts must track the full kernel at every step.
             let mut genome = parent.clone();
             for edit in &edits {
                 let (child, window) = apply_edit(&genome, &donor, edit);
-                genome = child;
                 let (size, transitions, used) =
-                    full_objectives(&sliced, &genome, force, &mut scratch);
-                let committed = match evotc::core::encoded_size_incremental(
-                    &sliced, &genome, force, &window, true, &mut cache,
-                ) {
-                    IncrementalOutcome::Size(s) => s,
-                    IncrementalOutcome::NeedsFull => {
-                        encoded_size_rebuild(&sliced, &genome, force, &mut cache)
-                    }
-                };
-                prop_assert_eq!(committed, size, "chain {:?}", edit);
-                prop_assert_eq!(cache.scan_transitions(), transitions, "chain {:?}", edit);
-                prop_assert_eq!(cache.used_mvs(), used, "chain {:?}", edit);
+                    full_objectives(&sliced, &child, force, &mut scratch);
+                let probe =
+                    encoded_size_probe(&sliced, &child, force, &window, &cache, &mut patch, false);
+                prop_assert_eq!(probe, IncrementalOutcome::Size(size), "chain {:?}", edit);
+                prop_assert_eq!(patch.last_scan_transitions(), transitions, "chain {:?}", edit);
+                prop_assert_eq!(patch.last_used_mvs(), used, "chain {:?}", edit);
+                genome = child;
+                prop_assert_eq!(encoded_size_rebuild(&sliced, &genome, force, &mut cache), size);
             }
         }
     }
