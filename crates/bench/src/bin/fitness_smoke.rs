@@ -11,7 +11,7 @@
 //!
 //! The incremental workloads cover the operator mix of the paper's EA in
 //! its steady state: streams of children probed read-only against one
-//! cached *evolved* parent — exactly how the engine's shared parent cache
+//! cached *evolved* parent — exactly how an island's parent cache
 //! prices a generation's children. The single-gene stream is the mutation
 //! operator (one changed MV chunk per child). The multi-chunk stream mixes
 //! crossover and inversion children 3:1 (the paper's 0.30/0.10 operator
@@ -45,7 +45,7 @@ use evotc_bench::fitness_fixture::{paper_histogram, random_genomes, BLOCK_LEN, N
 use evotc_bits::{SlicedHistogram, Trit};
 use evotc_core::{
     encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, EvalCache, EvalScratch,
-    IncrementalOutcome, MvFitness, PatchScratch,
+    IncrementalOutcome, MvFitness, MvFitnessState, PatchScratch,
 };
 use evotc_core::{trit_checkpoint_from_bytes, trit_checkpoint_to_bytes};
 use evotc_evo::{EaBuilder, EaCheckpoint, EaConfig, FitnessEval, Objectives, Provenance};
@@ -216,7 +216,7 @@ fn main() {
     // — size, transitions and used MVs — on every child of the steady-state
     // streams: single-gene, mixed crossover/inversion, pure crossover, and
     // pure inversion, priced read-only against the cached evolved parent,
-    // exactly as the engine's shared parent cache prices a generation.
+    // exactly as an island's parent cache prices a generation.
     let (evolved, partners) = evolved_parent_and_partners(&histogram, payload_bits);
     let mutation = mutation_children(&evolved, STREAM_LEN, 7);
     let mixed_ops = [
@@ -300,6 +300,8 @@ fn main() {
     // Correctness gate 4: an island-topology run must be byte-identical for
     // every thread count at a fixed seed — the engine's determinism contract
     // on the paper workload (islands are the only runs that use threads).
+    // Each island owns its parent cache, so the cache counters must match
+    // too.
     let island_run = |threads: usize| {
         let config = EaConfig::builder()
             .stagnation_limit(usize::MAX)
@@ -328,7 +330,14 @@ fn main() {
                 "island run diverged between threads=1 and threads={threads}"
             ));
         }
+        if other.cache != island_ref.cache {
+            fail(&format!(
+                "island cache counters differ between threads=1 and threads={threads}"
+            ));
+        }
     }
+    let island_cache = island_ref.cache.unwrap_or_default();
+    println!("island run cache counters, any thread count: {island_cache}");
 
     // Correctness gate 5: interrupting the island run at any periodic
     // checkpoint and resuming through the serialized trit byte codec must
@@ -408,7 +417,7 @@ fn main() {
     let speedup = kernel_eps / legacy_eps;
 
     // The child streams: one parent rebuild, then STREAM_LEN children
-    // probed read-only off the cached parent — the shared-cache steady
+    // probed read-only off the cached parent — the parent-cache steady
     // state. The full-kernel reference prices exactly the same children
     // from scratch.
     let per_pass = (STREAM_LEN + 1) as u64;
@@ -451,24 +460,27 @@ fn main() {
     let (inv_full_eps, inv_inc_eps, inversion_speedup) = measure_stream(&inversion);
 
     // Whole-run throughput: a real EA over the same histogram, full
-    // operator mix, incremental path and shared parent cache on — against
+    // operator mix, incremental path and parent cache on — against
     // the identical run with the lineage hook disabled (plain batch, full
     // kernel for every child). This is the number the stream microbenches
     // exist to move.
     struct NoLineage<'a>(MvFitness<'a>);
     impl FitnessEval<Trit> for NoLineage<'_> {
+        type State = MvFitnessState;
+
         fn evaluate(&self, genes: &[Trit]) -> f64 {
             self.0.evaluate(genes)
         }
         // Provenance dropped: children take the full kernel.
         fn evaluate_batch(
             &self,
+            state: &mut MvFitnessState,
             genomes: &[Vec<Trit>],
             _provenance: Option<Provenance<'_, Trit>>,
             out: &mut [f64],
             objectives: Option<&mut [Objectives]>,
         ) {
-            self.0.evaluate_batch(genomes, None, out, objectives);
+            self.0.evaluate_batch(state, genomes, None, out, objectives);
         }
     }
     let ea_config = EaConfig::builder()
@@ -594,6 +606,7 @@ fn main() {
     println!("EA whole-run speedup   : {ea_speedup:.2}x");
     println!("EA cache counters      : {ea_cache}");
     println!("EA default / threads(1): {ea_default_over_t1:.2}x wall-clock");
+    println!("EA island cache        : {island_cache}");
     println!("EA island eval/s (t1)  : {ea_island_t1_eps:.0}");
     println!("EA island eval/s (auto): {ea_island_eps:.0}");
     println!("EA island speedup      : {ea_island_thread_speedup:.2}x (auto vs threads(1))");
@@ -630,7 +643,10 @@ fn main() {
          \"checkpoint_resume_us\": {ckpt_resume:.1},\n  \
          \"checkpoint_overhead_pct\": {ckpt_ovhd:.2},\n  \
          \"ea_cache_hits\": {hits},\n  \"ea_cache_misses\": {misses},\n  \
-         \"ea_cache_fallbacks\": {fallbacks}\n}}\n",
+         \"ea_cache_fallbacks\": {fallbacks},\n  \
+         \"ea_island_cache_hits\": {island_hits},\n  \
+         \"ea_island_cache_misses\": {island_misses},\n  \
+         \"ea_island_cache_fallbacks\": {island_fallbacks}\n}}\n",
         k = BLOCK_LEN,
         l = NUM_MVS,
         distinct = histogram.num_distinct(),
@@ -660,6 +676,9 @@ fn main() {
         hits = ea_cache.hits,
         misses = ea_cache.misses,
         fallbacks = ea_cache.fallbacks,
+        island_hits = island_cache.hits,
+        island_misses = island_cache.misses,
+        island_fallbacks = island_cache.fallbacks,
     );
     let path = "BENCH_fitness.json";
     match std::fs::write(path, &json) {

@@ -109,6 +109,35 @@ impl DecodeTree {
         Walk { tree: self, at: 0 }
     }
 
+    /// Advances a walk positioned at node `at` (`0` is the root) by one
+    /// bit: [`Walk::step`] for callers that keep the position next to the
+    /// tree instead of borrowing it. `at` returns to the root when a
+    /// codeword completes or fails.
+    pub fn step(&self, at: &mut usize, bit: bool) -> Step {
+        match self.nodes[*at] {
+            Node::Internal { zero, one } => {
+                let child = if bit { one } else { zero } as usize;
+                match self.nodes[child] {
+                    Node::Leaf { symbol } => {
+                        *at = 0;
+                        Step::Symbol(symbol as usize)
+                    }
+                    Node::Dead => {
+                        *at = 0;
+                        Step::Invalid
+                    }
+                    Node::Internal { .. } => {
+                        *at = child;
+                        Step::Pending
+                    }
+                }
+            }
+            // Root is Dead only for codes that never got any codeword —
+            // impossible by construction — or we are mid-reset.
+            _ => Step::Invalid,
+        }
+    }
+
     /// Decodes a complete bit sequence into symbols.
     ///
     /// Returns `None` if the stream ends mid-codeword or hits a dead branch.
@@ -151,28 +180,7 @@ pub struct Walk<'a> {
 impl Walk<'_> {
     /// Consumes one bit.
     pub fn step(&mut self, bit: bool) -> Step {
-        match self.tree.nodes[self.at] {
-            Node::Internal { zero, one } => {
-                let child = if bit { one } else { zero } as usize;
-                match self.tree.nodes[child] {
-                    Node::Leaf { symbol } => {
-                        self.at = 0;
-                        Step::Symbol(symbol as usize)
-                    }
-                    Node::Dead => {
-                        self.at = 0;
-                        Step::Invalid
-                    }
-                    Node::Internal { .. } => {
-                        self.at = child;
-                        Step::Pending
-                    }
-                }
-            }
-            // Root is Dead only for codes that never got any codeword —
-            // impossible by construction — or we are mid-reset.
-            _ => Step::Invalid,
-        }
+        self.tree.step(&mut self.at, bit)
     }
 
     /// Returns `true` if the walk is at the root (codeword boundary).

@@ -3,14 +3,14 @@
 use evotc_bits::{BlockHistogram, TestSet, TestSetString, Trit};
 use evotc_evo::{
     CacheStats, CheckpointError, EaBuilder, EaCheckpoint, EaConfig, FitnessEval, GenerationStats,
-    Objectives, Provenance, StopReason, Topology,
+    Lineage, Objectives, Provenance, StopReason, Topology,
 };
 use rand::Rng;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::hash::content_hash;
 use crate::incremental::{encoded_size_probe, encoded_size_rebuild, IncrementalOutcome};
 use crate::kernel::block_transitions;
-use crate::shared_cache::{content_hash, ParentEntry, SharedParentCache};
 
 use crate::compressed::CompressedTestSet;
 use crate::covering::Covering;
@@ -258,15 +258,17 @@ impl std::fmt::Display for WeightError {
 
 impl std::error::Error for WeightError {}
 
-/// The paper's fitness function (Section 3.1) as a shareable batch
-/// evaluator: the compression rate of the MV set a genome encodes, computed
-/// over the distinct-block histogram.
+/// The paper's fitness function (Section 3.1) as a batch evaluator: the
+/// compression rate of the MV set a genome encodes, computed over the
+/// distinct-block histogram.
 ///
 /// The evaluator is immutable — it borrows one [`BlockHistogram`] and owns
 /// the bit-sliced transposition built from it — so every island worker of
-/// an island run can share the same instance. Genomes whose MV set is
-/// malformed or cannot cover every block score [`MvFitness::INFEASIBLE`],
-/// which ranks strictly below every feasible compression rate.
+/// an island run shares the same instance. What changes while scoring
+/// lives in an [`MvFitnessState`], one per island, owned by the engine (see
+/// [`FitnessEval::State`]). Genomes whose MV set is malformed or cannot
+/// cover every block score [`MvFitness::INFEASIBLE`], which ranks strictly
+/// below every feasible compression rate.
 ///
 /// Two single-genome entry points exist:
 ///
@@ -282,18 +284,21 @@ impl std::error::Error for WeightError {}
 ///
 /// Engine children that carry provenance are priced incrementally (see
 /// [`crate::EvalCache`]): one ownership patch per changed MV chunk against
-/// a parent cache held in one **shared** [`SharedParentCache`] —
-/// content-keyed, so it survives the population reshuffling between
-/// generations, and probed read-only ([`crate::encoded_size_probe`], cost
-/// gate on) so every island worker patches the same cached elite parent
-/// without per-thread copies. Crossover children are priced against
+/// a parent covering cached in the island's state — keyed by genome
+/// content, so it survives the population reshuffling between generations,
+/// and probed read-only ([`crate::encoded_size_probe`], cost gate on), so
+/// one covering prices every sibling. Crossover children are priced against
 /// whichever parent is cached: the outside-the-window parent through the
 /// recorded edit window, or the window-content donor through a
-/// whole-genome diff (see [`evotc_evo::Lineage::second_parent`]).
+/// whole-genome diff (see [`evotc_evo::Lineage::second_parent`]). A
+/// migrant brings its covering to the island it joins
+/// ([`FitnessEval::migrate`]).
 ///
 /// Cache effectiveness is observable: hit/miss/fallback counters accumulate
-/// on the shared cache and surface through [`FitnessEval::cache_stats`] on
-/// [`GenerationStats`] and [`EaRunSummary`].
+/// on the evaluator and surface through [`FitnessEval::cache_stats`] on
+/// [`GenerationStats`] and [`EaRunSummary`]. Each island's lookups follow
+/// from its own trajectory, so the counters are the same at any thread
+/// count.
 ///
 /// All paths return bit-identical `f64` fitness for every genome — enforced
 /// by `tests/props_fitness_kernel.rs` and `tests/props_incremental.rs`.
@@ -305,69 +310,122 @@ pub struct MvFitness<'a> {
     sliced: evotc_bits::SlicedHistogram,
     original_bits: f64,
     mode: CombineMode,
-    /// Warmed-up batch states returned by previous batch calls. Each
-    /// [`FitnessEval::evaluate_batch`] call checks one out and returns it
-    /// afterwards, so kernel and patch buffers persist across generations
-    /// instead of being rebuilt every batch. State contents never affect
-    /// results (the kernel fully re-initializes what it reads, and every
-    /// score is bit-identical with or without a cache hit), so the pool is
-    /// invisible to the determinism contract.
-    pool: std::sync::Mutex<Vec<BatchState>>,
-    /// The cross-thread parent-cache store: one rebuild per distinct parent
-    /// serves every island (see [`SharedParentCache`]). Bounded at
-    /// `SHARED_CACHE_SHARDS × SHARED_SHARD_CAPACITY` entries.
-    shared: SharedParentCache,
+    /// Children priced off a cached parent covering.
+    hits: AtomicU64,
+    /// Parent coverings built from scratch.
+    misses: AtomicU64,
+    /// Children with lineage that the full kernel priced.
+    fallbacks: AtomicU64,
 }
-
-/// One batch call's evaluation state: the full kernel's scratch, the patch
-/// scratch the read-only probes write into, and a few *hot slots* pinning
-/// recently used shared entries so repeat children of the same (elite)
-/// parent skip even the shard's read lock.
-#[derive(Debug, Default)]
-struct BatchState {
-    scratch: crate::EvalScratch,
-    patch: crate::PatchScratch,
-    /// `(entry, last-use tick)` — content-checked before use, so a stale
-    /// (evicted) entry is still exactly the parent it claims to be.
-    hot: Vec<(Arc<ParentEntry>, u64)>,
-    /// Monotone use counter driving hot-slot replacement.
-    tick: u64,
-    /// Per-batch lookup memo, indexed by parent position: `None` = not yet
-    /// looked up, `Some(result)` = the settled outcome. Parent slices are
-    /// immutable for the whole batch, so one hash + content check per
-    /// *distinct* parent serves every child that breeds from it.
-    memo: Vec<Option<Option<Arc<ParentEntry>>>>,
-}
-
-/// Hot-slot count per batch state: enough for the handful of parents one
-/// generation draws children from.
-const MAX_HOT_SLOTS: usize = 8;
-
-/// Shard count of the shared parent cache. Lookups only lock one shard, so
-/// more shards mean less writer interference between island workers.
-const SHARED_CACHE_SHARDS: usize = 8;
-
-/// Retained entries per shard. The population holds `S` individuals (the
-/// paper's default `S = 10`); `8 × 8 = 64` entries fit several generations
-/// of churn, and eviction discards the stalest generation beyond that.
-const SHARED_SHARD_CAPACITY: usize = 8;
 
 impl Clone for MvFitness<'_> {
-    /// Clones the evaluator configuration; the clone starts with an empty
-    /// state pool and an empty shared cache (buffers and cached parents
-    /// are warm-up state, not semantics).
+    /// Clones the evaluator configuration; the clone's counters start at
+    /// zero.
     fn clone(&self) -> Self {
         MvFitness {
-            k: self.k,
-            force_all_u: self.force_all_u,
-            histogram: self.histogram,
             sliced: self.sliced.clone(),
-            original_bits: self.original_bits,
-            mode: self.mode,
-            pool: std::sync::Mutex::new(Vec::new()),
-            shared: SharedParentCache::new(SHARED_CACHE_SHARDS, SHARED_SHARD_CAPACITY),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            fallbacks: AtomicU64::new(0),
+            ..*self
         }
     }
+}
+
+/// One island's working state for [`MvFitness`]: the kernel and patch
+/// scratch, and the parent coverings the island's children are priced
+/// against. The engine creates one per island and drops it with the island
+/// (see [`FitnessEval::State`]); its contents never change a score, only
+/// what a score costs.
+///
+/// The coverings are keyed by genome content — each [`crate::EvalCache`]
+/// holds its genome — and bounded at twice the parent population of the
+/// latest batch. A full state rebuilds its least recently used covering in
+/// place, so a long run's footprint stays flat.
+#[derive(Debug, Default)]
+pub struct MvFitnessState {
+    scratch: crate::EvalScratch,
+    patch: crate::PatchScratch,
+    parents: Vec<CachedParent>,
+    /// Covering bound: twice the latest batch's parent population.
+    capacity: usize,
+    /// Use counter ordering the coverings for eviction.
+    tick: u64,
+    /// Per-batch lookup memo by parent index: `None` = not looked up yet,
+    /// `Some(found)` = the settled index into `parents`. One hash and
+    /// content check per distinct parent serves all of its children.
+    memo: Vec<Option<Option<usize>>>,
+}
+
+/// One cached parent covering.
+#[derive(Debug, Default)]
+struct CachedParent {
+    /// [`content_hash`] of the genome the covering was built from.
+    hash: u64,
+    /// Tick of the latest lookup that returned this covering.
+    used: u64,
+    cache: crate::EvalCache,
+}
+
+impl MvFitnessState {
+    /// Index of the covering built from exactly `genome`, marked as used.
+    /// The content hash prefilters, so a non-matching covering costs one
+    /// `u64` compare.
+    fn find(&mut self, genome: &[Trit]) -> Option<usize> {
+        let hash = content_hash(genome);
+        let i = self
+            .parents
+            .iter()
+            .position(|p| p.hash == hash && holds(&p.cache, genome))?;
+        self.tick += 1;
+        self.parents[i].used = self.tick;
+        Some(i)
+    }
+
+    /// [`MvFitnessState::find`] for `parents[idx]`, through the memo.
+    fn find_memo(&mut self, parents: &[&[Trit]], idx: usize) -> Option<usize> {
+        if let Some(settled) = self.memo[idx] {
+            return settled;
+        }
+        let found = self.find(parents[idx]);
+        self.memo[idx] = Some(found);
+        found
+    }
+
+    /// Claims the slot for a new covering of `genome`: a fresh one below
+    /// capacity, otherwise the least recently used one, whose buffers the
+    /// new covering reuses.
+    fn claim(&mut self, genome: &[Trit]) -> usize {
+        self.tick += 1;
+        let i = if self.parents.len() < self.capacity.max(1) {
+            self.parents.push(CachedParent::default());
+            self.parents.len() - 1
+        } else {
+            let lru = (0..self.parents.len())
+                .min_by_key(|&i| self.parents[i].used)
+                .expect("a full state holds a covering");
+            // A batch uses at most one covering per parent, and a full state
+            // holds twice as many, so no memoized lookup points at the
+            // least recently used one.
+            debug_assert!(!self.memo.contains(&Some(Some(lru))));
+            lru
+        };
+        self.parents[i].hash = content_hash(genome);
+        self.parents[i].used = self.tick;
+        i
+    }
+}
+
+/// Whether `cache` holds the covering of exactly `genome`.
+fn holds(cache: &crate::EvalCache, genome: &[Trit]) -> bool {
+    // Fault injection: a forced mismatch is the "detected corruption"
+    // answer. The evaluator must fall back to a rebuild with unchanged
+    // scores.
+    #[cfg(feature = "failpoints")]
+    if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::CORE_CACHE_PROBE) {
+        return false;
+    }
+    cache.holds(genome)
 }
 
 impl<'a> MvFitness<'a> {
@@ -392,8 +450,9 @@ impl<'a> MvFitness<'a> {
             sliced: evotc_bits::SlicedHistogram::from_histogram(histogram),
             original_bits,
             mode: CombineMode::default(),
-            pool: std::sync::Mutex::new(Vec::new()),
-            shared: SharedParentCache::new(SHARED_CACHE_SHARDS, SHARED_SHARD_CAPACITY),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            fallbacks: AtomicU64::new(0),
         }
     }
 
@@ -463,93 +522,80 @@ impl<'a> MvFitness<'a> {
         )
     }
 
-    /// Scores one engine child against a cached parent covering. Read-only
-    /// probe: the shared parent entry is immutable, so any number of
-    /// siblings — across every island worker — reuse it concurrently.
+    /// Scores one engine child against a cached parent covering, read-only,
+    /// so every sibling reuses the covering.
     ///
-    /// Parent preference: the primary parent (child equals it outside
-    /// `edit`) through the recorded window; failing that, a cached
+    /// Parent preference: the primary parent (child equals it outside the
+    /// edit window) through the recorded window; failing that, a cached
     /// crossover donor (child equals it *inside* the window) through a
     /// whole-genome diff — the incremental engine re-patches only the
     /// chunks that actually differ. Only when neither is cached is the
-    /// primary parent rebuilt (one full evaluation) and shared.
+    /// primary parent's covering built (one full evaluation).
     fn evaluate_lineage_child(
         &self,
+        state: &mut MvFitnessState,
         genes: &[Trit],
         parents: &[&[Trit]],
-        parent_idx: usize,
-        second_idx: Option<usize>,
-        edit: &std::ops::Range<usize>,
-        state: &mut BatchState,
+        lineage: &Lineage,
     ) -> (f64, Objectives) {
-        let parent = parents[parent_idx];
+        let parent = parents[lineage.parent_idx];
         // A parent the rebuild would reject (or whose length differs from
         // the child's) cannot seed a cache; score the child standalone.
         if parent.is_empty() || parent.len() % self.k != 0 || parent.len() != genes.len() {
-            self.shared.record_fallback();
-            return self.evaluate_with_objectives(genes, &mut state.scratch);
+            return self.fallback(state, genes);
         }
-        let primary = self.lookup_memo(parents, parent_idx, state);
-        if let Some(scored) = primary
-            .as_deref()
-            .and_then(|entry| self.probe(genes, edit, entry, &mut state.patch))
-        {
-            self.shared.record_hit();
+        let primary = state.find_memo(parents, lineage.parent_idx);
+        if let Some(scored) = primary.and_then(|i| self.probe(state, i, genes, &lineage.edit)) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return scored;
         }
-        // The crossover donor path: the child equals `second` inside the
+        // The crossover donor path: the child equals the donor inside the
         // window and `parent` outside, so relative to a cached donor the
         // edit is conservatively the whole genome — the probe diffs it
         // chunk-wise and patches only real differences (which is why it can
         // pass the cost gate even when the primary's window did not).
-        if let Some(donor_idx) = second_idx.filter(|&i| parents[i].len() == genes.len()) {
-            if let Some(entry) = self.lookup_memo(parents, donor_idx, state) {
-                if let Some(scored) = self.probe(genes, &(0..genes.len()), &entry, &mut state.patch)
-                {
-                    self.shared.record_hit();
-                    return scored;
-                }
-            }
+        let donor = lineage
+            .second_parent
+            .filter(|&i| i < parents.len() && parents[i].len() == genes.len());
+        if let Some(scored) = donor
+            .and_then(|i| state.find_memo(parents, i))
+            .and_then(|i| self.probe(state, i, genes, &(0..genes.len())))
+        {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return scored;
         }
         // The primary parent is cached but its patch was judged more
         // expensive than a rescan (the cost gate): run the full kernel
         // directly — rebuilding the parent again would only repeat work.
         if primary.is_some() {
-            self.shared.record_fallback();
-            return self.evaluate_with_objectives(genes, &mut state.scratch);
+            return self.fallback(state, genes);
         }
-        // Neither parent cached: build the primary parent once (outside any
-        // lock) and share it for every sibling and thread that follows.
-        self.shared.record_miss();
-        let mut cache = crate::EvalCache::new();
-        encoded_size_rebuild(&self.sliced, parent, self.force_all_u, &mut cache);
-        let entry = self.shared.insert(parent, cache);
-        if let Some(slot) = state.memo.get_mut(parent_idx) {
-            *slot = Some(Some(Arc::clone(&entry)));
-        }
-        let scored = self.probe(genes, edit, &entry, &mut state.patch);
-        Self::remember(state, entry);
-        scored.unwrap_or_else(|| {
-            self.shared.record_fallback();
-            self.evaluate_with_objectives(genes, &mut state.scratch)
-        })
+        // Neither parent cached: build the primary parent's covering once,
+        // for this child and every sibling that follows.
+        let i = self.build(state, parent);
+        state.memo[lineage.parent_idx] = Some(Some(i));
+        self.probe(state, i, genes, &lineage.edit)
+            .unwrap_or_else(|| self.fallback(state, genes))
     }
 
-    /// Prices `genes` as an edit of a cached parent through the read-only,
-    /// cost-gated probe; `None` when the gate hands it to the full kernel.
+    /// Prices `genes` as an edit of the state's covering `i` through the
+    /// read-only, cost-gated probe; `None` when the gate hands it to the
+    /// full kernel.
     fn probe(
         &self,
+        state: &mut MvFitnessState,
+        i: usize,
         genes: &[Trit],
         edit: &std::ops::Range<usize>,
-        entry: &ParentEntry,
-        patch: &mut crate::PatchScratch,
     ) -> Option<(f64, Objectives)> {
+        let patch = &mut state.patch;
+        let cache = &state.parents[i].cache;
         match encoded_size_probe(
             &self.sliced,
             genes,
             self.force_all_u,
             edit,
-            entry.cache(),
+            cache,
             patch,
             true,
         ) {
@@ -560,65 +606,24 @@ impl<'a> MvFitness<'a> {
         }
     }
 
-    /// Finds the shared entry for an exact genome: the batch state's hot slots
-    /// first (no locking at all — entries are immutable and content-checked,
-    /// so even an evicted one is still exactly the parent it claims to be),
-    /// then the shared store (one shard read lock). The genome's content
-    /// hash is computed once here and prefilters both tiers, so non-matching
-    /// candidates cost one `u64` compare instead of a genome compare.
-    /// [`MvFitness::lookup`] through the per-batch memo: one hash + content
-    /// check per distinct parent index, every sibling after that reuses the
-    /// settled `Arc` (or the settled miss) for free.
-    fn lookup_memo(
-        &self,
-        parents: &[&[Trit]],
-        idx: usize,
-        state: &mut BatchState,
-    ) -> Option<Arc<ParentEntry>> {
-        if let Some(Some(settled)) = state.memo.get(idx) {
-            return settled.clone();
-        }
-        let result = self.lookup(parents[idx], state);
-        if let Some(slot) = state.memo.get_mut(idx) {
-            *slot = Some(result.clone());
-        }
-        result
+    /// Scores a child with lineage through the full kernel: a fallback.
+    fn fallback(&self, state: &mut MvFitnessState, genes: &[Trit]) -> (f64, Objectives) {
+        self.fallbacks.fetch_add(1, Ordering::Relaxed);
+        self.evaluate_with_objectives(genes, &mut state.scratch)
     }
 
-    fn lookup(&self, genome: &[Trit], state: &mut BatchState) -> Option<Arc<ParentEntry>> {
-        state.tick += 1;
-        let tick = state.tick;
-        let hash = content_hash(genome);
-        if let Some((entry, last)) = state
-            .hot
-            .iter_mut()
-            .find(|(entry, _)| entry.matches(hash, genome))
-        {
-            *last = tick;
-            return Some(Arc::clone(entry));
-        }
-        let entry = self.shared.get_hashed(hash, genome)?;
-        Self::remember(state, Arc::clone(&entry));
-        Some(entry)
-    }
-
-    /// Pins an entry in the batch state's hot slots, replacing the least
-    /// recently used one at capacity.
-    fn remember(state: &mut BatchState, entry: Arc<ParentEntry>) {
-        state.tick += 1;
-        let slot = (entry, state.tick);
-        if state.hot.len() < MAX_HOT_SLOTS {
-            state.hot.push(slot);
-        } else {
-            let stalest = state
-                .hot
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, last))| *last)
-                .map(|(i, _)| i)
-                .expect("hot slots are non-empty at capacity");
-            state.hot[stalest] = slot;
-        }
+    /// Builds `genome`'s covering into a claimed slot of `state` (a miss)
+    /// and returns the slot.
+    fn build(&self, state: &mut MvFitnessState, genome: &[Trit]) -> usize {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let i = state.claim(genome);
+        encoded_size_rebuild(
+            &self.sliced,
+            genome,
+            self.force_all_u,
+            &mut state.parents[i].cache,
+        );
+        i
     }
 
     /// Compression rate, the EA's fitness (paper, Section 3.1). Shared by
@@ -704,20 +709,20 @@ impl<'a> MvFitness<'a> {
 }
 
 impl FitnessEval<Trit> for MvFitness<'_> {
+    type State = MvFitnessState;
+
     fn evaluate(&self, genes: &[Trit]) -> f64 {
         self.evaluate_oracle(genes).0
     }
 
-    /// One pooled batch state per call, so kernel and patch buffers
-    /// survive from generation to generation. Children carrying provenance
-    /// are priced as an edit of a cached parent covering; a parent cache is
-    /// built once (full rebuild) into the **shared** store and then probed
-    /// read-only by every sibling on every island worker — and, being keyed
-    /// by genome *content*, it keeps serving the same individual across
-    /// generations no matter how selection reorders the population.
-    /// Genomes without provenance (the initial population) take the full
-    /// kernel and are not counted as cache fallbacks; children whose
-    /// lineage is unusable take it too and are.
+    /// Children carrying provenance are priced as an edit of a parent
+    /// covering cached in the island's `state`: a covering is built once
+    /// (full rebuild) and then probed read-only by every sibling — and,
+    /// being keyed by genome *content*, it keeps serving the same
+    /// individual across generations no matter how selection reorders the
+    /// population. Genomes without provenance (the initial population) take
+    /// the full kernel and are not counted as cache fallbacks; children
+    /// whose lineage is unusable take it too and are.
     ///
     /// Every score is bit-identical to [`MvFitness::evaluate`]; the cache
     /// only changes how much work a score costs (and the counters reported
@@ -727,6 +732,7 @@ impl FitnessEval<Trit> for MvFitness<'_> {
     /// multi-objective batches cost exactly what scalar batches do.
     fn evaluate_batch(
         &self,
+        state: &mut MvFitnessState,
         genomes: &[Vec<Trit>],
         provenance: Option<Provenance<'_, Trit>>,
         out: &mut [f64],
@@ -738,37 +744,18 @@ impl FitnessEval<Trit> for MvFitness<'_> {
         if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::CORE_EVALUATE) {
             panic!("injected evaluator fault");
         }
-        // A poisoned pool (a panicking island worker) degrades to a fresh
-        // state; results are unaffected either way.
-        let mut state = self
-            .pool
-            .lock()
-            .ok()
-            .and_then(|mut pool| pool.pop())
-            .unwrap_or_default();
         let parents = provenance.map_or(&[][..], |p| p.parents);
         if provenance.is_some() {
-            self.shared.bump_generation();
+            state.capacity = 2 * parents.len();
         }
         state.memo.clear();
         state.memo.resize(parents.len(), None);
         for (i, genes) in genomes.iter().enumerate() {
             let (score, vector) = match provenance.and_then(|p| p.lineage[i].as_ref()) {
-                Some(lin) if lin.parent_idx < parents.len() => {
-                    let second = lin.second_parent.filter(|&i| i < parents.len());
-                    self.evaluate_lineage_child(
-                        genes,
-                        parents,
-                        lin.parent_idx,
-                        second,
-                        &lin.edit,
-                        &mut state,
-                    )
+                Some(lineage) if lineage.parent_idx < parents.len() => {
+                    self.evaluate_lineage_child(state, genes, parents, lineage)
                 }
-                Some(_) => {
-                    self.shared.record_fallback();
-                    self.evaluate_with_objectives(genes, &mut state.scratch)
-                }
+                Some(_) => self.fallback(state, genes),
                 None => self.evaluate_with_objectives(genes, &mut state.scratch),
             };
             out[i] = score;
@@ -776,16 +763,36 @@ impl FitnessEval<Trit> for MvFitness<'_> {
                 objectives[i] = vector;
             }
         }
-        if let Ok(mut pool) = self.pool.lock() {
-            pool.push(state);
-        }
+        // Settled lookups hold for this batch only.
+        state.memo.clear();
     }
 
-    /// Hit/miss/fallback counters of the shared parent cache — surfaced by
-    /// the engine on every [`GenerationStats`] (see
+    /// Builds the migrant's covering on its source island if that island
+    /// has none, then copies it to the destination. A copy costs a small
+    /// fraction of the rebuild the destination would otherwise run the
+    /// first time it breeds from the migrant.
+    fn migrate(&self, genome: &[Trit], from: &mut MvFitnessState, to: &mut MvFitnessState) {
+        if genome.is_empty() || genome.len() % self.k != 0 || to.find(genome).is_some() {
+            return;
+        }
+        let src = match from.find(genome) {
+            Some(i) => i,
+            None => self.build(from, genome),
+        };
+        let dst = to.claim(genome);
+        to.parents[dst].cache.clone_from(&from.parents[src].cache);
+    }
+
+    /// Hit/miss/fallback counters of the island parent caches — surfaced
+    /// by the engine on every [`GenerationStats`] (see
     /// [`evotc_evo::CacheStats`]).
     fn cache_stats(&self) -> Option<CacheStats> {
-        Some(self.shared.stats())
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        Some(CacheStats {
+            hits: load(&self.hits),
+            misses: load(&self.misses),
+            fallbacks: load(&self.fallbacks),
+        })
     }
 }
 
@@ -802,10 +809,10 @@ pub struct EaRunSummary {
     pub history: Vec<GenerationStats>,
     /// Wall-clock duration of the optimization.
     pub elapsed: std::time::Duration,
-    /// Final shared-parent-cache counters (hits / misses / full-kernel
-    /// fallbacks) of the incremental evaluation path. Observability only —
-    /// like [`EaRunSummary::elapsed`], excluded from the determinism
-    /// contract (concurrent workers can race to build the same parent).
+    /// Final parent-cache counters (hits / misses / full-kernel fallbacks)
+    /// of the incremental evaluation path. Observability only: they never
+    /// change a result. Each island keeps its own cache, so they are the
+    /// same at any thread count.
     pub cache: Option<CacheStats>,
     /// Why the optimization stopped (see [`StopReason`]); the paper's
     /// stagnation termination reports [`StopReason::Converged`].
@@ -1128,7 +1135,7 @@ mod tests {
         let cache = summary.cache.expect("MvFitness reports cache stats");
         assert!(
             cache.hits > 0,
-            "steady-state children should hit the shared parent cache: {cache}"
+            "steady-state children should hit the parent cache: {cache}"
         );
         assert!(cache.misses > 0, "first sightings build caches: {cache}");
         // The last generation's snapshot equals the final summary (all
@@ -1218,6 +1225,7 @@ mod tests {
                 parents: &[genes.as_slice()],
             };
             fitness.evaluate_batch(
+                &mut MvFitnessState::default(),
                 std::slice::from_ref(&genes),
                 Some(provenance),
                 &mut score,
@@ -1319,7 +1327,14 @@ mod tests {
         let genomes = probe_genomes(8, 4);
         let mut scores = vec![f64::NAN; genomes.len()];
         let mut objectives = vec![Objectives::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, None, &mut scores, Some(&mut objectives));
+        let mut state = MvFitnessState::default();
+        fitness.evaluate_batch(
+            &mut state,
+            &genomes,
+            None,
+            &mut scores,
+            Some(&mut objectives),
+        );
         for (score, vector) in scores.iter().zip(&objectives) {
             assert!(score.is_finite());
             assert!(vector.is_finite());
@@ -1493,5 +1508,101 @@ mod tests {
                 migrants: 2
             }
         );
+    }
+
+    /// Genome `n` of a family of distinct `len`-trit genomes: `n` in base 3.
+    fn numbered_genome(n: usize, len: usize) -> Vec<Trit> {
+        (0..len)
+            .map(|j| Trit::from_index((n / 3usize.pow(j as u32) % 3) as u8))
+            .collect()
+    }
+
+    /// Scores one exact copy of each parent as a lineage batch on `state`.
+    fn copy_batch(fitness: &MvFitness<'_>, state: &mut MvFitnessState, parents: &[Vec<Trit>]) {
+        let views: Vec<&[Trit]> = parents.iter().map(Vec::as_slice).collect();
+        let lineage: Vec<_> = (0..parents.len())
+            .map(|p| Some(evotc_evo::Lineage::new(p, 0..0)))
+            .collect();
+        let provenance = Provenance {
+            lineage: &lineage,
+            parents: &views,
+        };
+        let mut scores = vec![f64::NAN; parents.len()];
+        fitness.evaluate_batch(state, parents, Some(provenance), &mut scores, None);
+        for (score, genes) in scores.iter().zip(parents) {
+            assert_eq!(score.to_bits(), fitness.evaluate(genes).to_bits());
+        }
+    }
+
+    #[test]
+    fn footprint_stays_flat_over_a_long_run() {
+        // Hundreds of distinct parents churn through one island's state; it
+        // never holds more than twice the parent population, and a parent
+        // carried over from the previous generation is still cached.
+        let set = small_set();
+        let string = TestSetString::try_new(&set, 8).unwrap();
+        let histogram = BlockHistogram::from_string(&string);
+        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
+        let mut state = MvFitnessState::default();
+        let population = 4;
+        for generation in 0..100 {
+            // Consecutive generations share exactly one parent.
+            let parents: Vec<Vec<Trit>> = (0..population)
+                .map(|c| numbered_genome(3 * generation + c + 1, 16))
+                .collect();
+            copy_batch(&fitness, &mut state, &parents);
+            assert!(
+                state.parents.len() <= 2 * population,
+                "generation {generation}: {} coverings for {population} parents",
+                state.parents.len()
+            );
+        }
+        let stats = fitness.cache_stats().unwrap();
+        assert_eq!((stats.hits, stats.misses, stats.fallbacks), (99, 301, 0));
+    }
+
+    #[test]
+    fn eviction_discards_the_least_recently_used_covering() {
+        let set = small_set();
+        let string = TestSetString::try_new(&set, 8).unwrap();
+        let histogram = BlockHistogram::from_string(&string);
+        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
+        let mut state = MvFitnessState::default();
+        // One parent per batch: the state holds two coverings, and the one
+        // untouched for longest is evicted first.
+        let (old, hot, new) = (
+            numbered_genome(11, 16),
+            numbered_genome(22, 16),
+            numbered_genome(33, 16),
+        );
+        for parent in [&old, &hot, &hot, &new] {
+            copy_batch(&fitness, &mut state, std::slice::from_ref(parent));
+        }
+        assert!(
+            state.find(&old).is_none(),
+            "stale covering should be evicted"
+        );
+        assert!(state.find(&hot).is_some());
+        assert!(state.find(&new).is_some());
+        let stats = fitness.cache_stats().unwrap();
+        assert_eq!((stats.hits, stats.misses), (1, 3));
+    }
+
+    #[test]
+    fn migrants_bring_their_covering_to_the_destination() {
+        let set = small_set();
+        let string = TestSetString::try_new(&set, 8).unwrap();
+        let histogram = BlockHistogram::from_string(&string);
+        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
+        let (mut from, mut to) = (MvFitnessState::default(), MvFitnessState::default());
+        let migrant = numbered_genome(5, 16);
+        // Missing on the source: built there once, then copied.
+        fitness.migrate(&migrant, &mut from, &mut to);
+        fitness.migrate(&migrant, &mut from, &mut to);
+        assert!(from.find(&migrant).is_some() && to.find(&migrant).is_some());
+        // The destination prices the migrant's children without a rebuild.
+        copy_batch(&fitness, &mut to, std::slice::from_ref(&migrant));
+        let stats = fitness.cache_stats().unwrap();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 }

@@ -40,8 +40,9 @@
 //! The probe is **bit-identical** to the full kernel for every edit
 //! (enforced by `tests/props_incremental.rs` and the CI equivalence gate).
 //! It never writes to the cache — the per-call working memory lives in a
-//! caller-owned [`PatchScratch`] — so one cached parent prices any number
-//! of children, on any number of threads (see [`crate::SharedParentCache`]).
+//! caller-owned [`PatchScratch`] — so one cached parent prices all of its
+//! children. [`crate::MvFitnessState`] keeps one island's parent caches and
+//! its scratch.
 //! It answers [`IncrementalOutcome::NeedsFull`] when the cache is cold, the
 //! shapes differ, or — with the cost gate on — a multi-chunk patch is
 //! estimated to cost more than a full rescan.
@@ -165,8 +166,8 @@ pub struct EvalCache {
 /// the running patch, and the Huffman patch queue. Contents carry no
 /// meaning between calls.
 ///
-/// Threads probing a **shared** parent cache own one each. Buffers grow to
-/// the largest shape seen and are reused, so steady-state probes allocate
+/// Each island's [`crate::MvFitnessState`] owns one. Buffers grow to the
+/// largest shape seen and are reused, so steady-state probes allocate
 /// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct PatchScratch {
@@ -264,6 +265,11 @@ impl EvalCache {
     /// Returns `true` if the cache holds a complete evaluation.
     pub fn is_warm(&self) -> bool {
         self.warm
+    }
+
+    /// `true` when the cache holds the evaluation of exactly `genes`.
+    pub(crate) fn holds(&self, genes: &[Trit]) -> bool {
+        self.warm && self.genes.len() == genes.len() && trits_equal(&self.genes, genes)
     }
 
     /// Copies `src`'s covering — everything a chunk patch reads, not its

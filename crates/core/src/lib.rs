@@ -54,23 +54,24 @@ mod covering;
 mod ea_opt;
 mod encoding;
 mod error;
+mod hash;
 mod incremental;
 mod kernel;
 pub mod multiscan;
 mod mv;
 mod mvset;
 mod ninec;
-mod shared_cache;
 pub mod subsume;
 
 pub use compressed::CompressedTestSet;
 pub use covering::Covering;
 pub use ea_opt::{
     trit_checkpoint_from_bytes, trit_checkpoint_to_bytes, CombineMode, EaCompressor,
-    EaCompressorBuilder, EaRunSummary, MvFitness, WeightError,
+    EaCompressorBuilder, EaRunSummary, MvFitness, MvFitnessState, WeightError,
 };
 pub use encoding::{encode_with_code, encode_with_mvs, encoded_size};
 pub use error::CompressError;
+pub use hash::{content_hash, test_set_content_hash};
 pub use incremental::{
     encoded_size_probe, encoded_size_rebuild, EvalCache, IncrementalOutcome, PatchScratch,
 };
@@ -78,7 +79,6 @@ pub use kernel::{encoded_size_scratch, EvalScratch};
 pub use mv::{MatchingVector, ParseMvError};
 pub use mvset::{covering_key, MvSet};
 pub use ninec::{ninec_codewords, ninec_matching_vectors, NineCCompressor, NineCHuffmanCompressor};
-pub use shared_cache::{content_hash, test_set_content_hash, ParentEntry, SharedParentCache};
 
 use evotc_bits::TestSet;
 

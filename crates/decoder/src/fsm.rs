@@ -46,8 +46,8 @@ pub struct DecoderFsm {
 
 #[derive(Debug, Clone)]
 enum WalkState {
-    /// Walking the prefix-code tree.
-    Code(Vec<bool>),
+    /// Walking the prefix-code tree, at this node of it.
+    Code(usize),
     /// Shifting fill bits for MV `mv`, `received` of `needed` collected.
     Fill {
         mv: usize,
@@ -67,7 +67,7 @@ impl DecoderFsm {
         DecoderFsm {
             tree: code.decode_tree(),
             mvs,
-            walk_state: WalkState::Code(Vec::new()),
+            walk_state: WalkState::Code(0),
             cycles: 0,
             blocks_emitted: 0,
         }
@@ -88,38 +88,29 @@ impl DecoderFsm {
     pub fn clock(&mut self, bit: bool) -> Option<InputBlock> {
         self.cycles += 1;
         match &mut self.walk_state {
-            WalkState::Code(bits) => {
-                bits.push(bit);
-                let mut walk = self.tree.walk();
-                let mut outcome = Step::Pending;
-                for &b in bits.iter() {
-                    outcome = walk.step(b);
-                }
-                match outcome {
-                    Step::Pending => None,
-                    Step::Invalid => panic!("invalid codeword prefix reached the decoder"),
-                    Step::Symbol(mv) => {
-                        let needed = self.mvs.vector(mv).num_unspecified();
-                        if needed == 0 {
-                            self.walk_state = WalkState::Code(Vec::new());
-                            self.blocks_emitted += 1;
-                            Some(self.mvs.vector(mv).expand(&[]))
-                        } else {
-                            self.walk_state = WalkState::Fill {
-                                mv,
-                                fill: Vec::with_capacity(needed),
-                                needed,
-                            };
-                            None
-                        }
+            WalkState::Code(at) => match self.tree.step(at, bit) {
+                Step::Pending => None,
+                Step::Invalid => panic!("invalid codeword prefix reached the decoder"),
+                Step::Symbol(mv) => {
+                    let needed = self.mvs.vector(mv).num_unspecified();
+                    if needed == 0 {
+                        self.blocks_emitted += 1;
+                        Some(self.mvs.vector(mv).expand(&[]))
+                    } else {
+                        self.walk_state = WalkState::Fill {
+                            mv,
+                            fill: Vec::with_capacity(needed),
+                            needed,
+                        };
+                        None
                     }
                 }
-            }
+            },
             WalkState::Fill { mv, fill, needed } => {
                 fill.push(bit);
                 if fill.len() == *needed {
                     let block = self.mvs.vector(*mv).expand(fill);
-                    self.walk_state = WalkState::Code(Vec::new());
+                    self.walk_state = WalkState::Code(0);
                     self.blocks_emitted += 1;
                     Some(block)
                 } else {

@@ -128,8 +128,8 @@ pub struct EaResult<G> {
     /// contract).
     pub elapsed: Duration,
     /// Final evaluation-cache counters, when the fitness evaluator keeps a
-    /// lineage cache (see [`FitnessEval::cache_stats`]). Observability only
-    /// — like [`EaResult::elapsed`], not part of the determinism contract.
+    /// lineage cache (see [`FitnessEval::cache_stats`]). Observability only:
+    /// they never change the result (see [`crate::CacheStats`]).
     pub cache: Option<crate::CacheStats>,
     /// The run's nondominated front over every evaluated genome, sorted by
     /// [`Objectives::lex_cmp`] and bounded by [`EaConfig::pareto_capacity`]
@@ -193,12 +193,16 @@ impl<G> Default for ChildBatch<G> {
 /// One subpopulation's complete evolutionary state. A panmictic run is one
 /// of these on the calling thread; an island run owns `count` of them,
 /// distributed over worker threads epoch by epoch. Everything an island
-/// touches during an epoch lives here, which is what makes island
-/// parallelism deterministic by construction.
-struct IslandState<G> {
+/// touches during an epoch lives here — the evaluator's per-island state
+/// `S` included — which is what makes island parallelism deterministic by
+/// construction.
+struct IslandState<G, S> {
     rng: StdRng,
     population: Vec<Individual<G>>,
     batch: ChildBatch<G>,
+    /// The evaluator's working state for this island (see
+    /// [`FitnessEval::State`]): created with the island, dropped with it.
+    eval_state: S,
     /// This island's own cumulative evaluation count.
     evaluations: u64,
     /// Per-generation statistics of the epoch in flight (drained by the
@@ -210,11 +214,10 @@ struct IslandState<G> {
     archive: Option<ParetoArchive<G>>,
 }
 
-impl<G> IslandState<G> {
+impl<G, S> IslandState<G, S> {
     /// Logs the population's post-selection statistics for `generation`
     /// into the epoch log. The cache column stays `None`: the evaluator's
-    /// counters are shared across islands and merged in once per
-    /// generation.
+    /// counters span all islands and are merged in once per generation.
     fn log_generation(&mut self, generation: u64, start: Instant) {
         let population = &self.population;
         let best = population.first().map_or(f64::NEG_INFINITY, |i| i.fitness);
@@ -429,7 +432,7 @@ where
 
         let mut history: Vec<GenerationStats> = Vec::new();
         let mut quarantined = vec![false; count];
-        let mut merge = |islands: &mut [IslandState<G>],
+        let mut merge = |islands: &mut [IslandState<G, F::State>],
                          quarantined: &[bool],
                          history: &mut Vec<GenerationStats>| {
             // All healthy islands logged the same number of generations
@@ -492,7 +495,7 @@ where
             }
         };
 
-        let mut islands: Vec<IslandState<G>>;
+        let mut islands: Vec<IslandState<G, F::State>>;
         let mut best_so_far: f64;
         let mut stagnant: usize;
         let mut generation: u64;
@@ -643,7 +646,13 @@ where
                 && total_evals < config.max_evaluations
                 && generation < config.max_generations;
             if continuing {
-                migrate(&mut islands, &quarantined, migrants, config.ranking);
+                migrate(
+                    &fitness,
+                    &mut islands,
+                    &quarantined,
+                    migrants,
+                    config.ranking,
+                );
             }
 
             // Checkpoint at the epoch boundary, after migration: the
@@ -822,7 +831,10 @@ fn validate_checkpoint<G>(
 /// population with its cached scores and objective vectors, the archive
 /// (reinserting a stored front reproduces it exactly — the front is a pure
 /// function of the inserted set), and the cumulative evaluation counter.
-fn restore_island<G: Copy>(cp: &IslandCheckpoint<G>, config: &EaConfig) -> IslandState<G> {
+fn restore_island<G: Copy, S: Default>(
+    cp: &IslandCheckpoint<G>,
+    config: &EaConfig,
+) -> IslandState<G, S> {
     let population: Vec<Individual<G>> = cp
         .population
         .iter()
@@ -843,6 +855,7 @@ fn restore_island<G: Copy>(cp: &IslandCheckpoint<G>, config: &EaConfig) -> Islan
         rng: StdRng::from_state(cp.rng_state),
         population,
         batch: ChildBatch::default(),
+        eval_state: S::default(),
         evaluations: cp.evaluations,
         epoch_log: Vec::new(),
         archive,
@@ -852,7 +865,10 @@ fn restore_island<G: Copy>(cp: &IslandCheckpoint<G>, config: &EaConfig) -> Islan
 /// Snapshots one island into checkpoint form. The archive section stores
 /// the *full* retained front ([`ParetoArchive::points`]), not the
 /// capacity-bounded reported prefix, so restoring loses nothing.
-fn capture_island<G: Copy>(island: &IslandState<G>, quarantined: bool) -> IslandCheckpoint<G> {
+fn capture_island<G: Copy, S>(
+    island: &IslandState<G, S>,
+    quarantined: bool,
+) -> IslandCheckpoint<G> {
     let member = |genes: &[G], fitness: f64, objectives: Objectives| CheckpointMember {
         genes: genes.to_vec(),
         fitness,
@@ -932,7 +948,8 @@ fn save_checkpoint<G: Copy>(
 }
 
 /// Builds and scores one initial population: injected seeds first, then
-/// random individuals drawn from the island's own RNG.
+/// random individuals drawn from the island's own RNG. The island's
+/// evaluator state starts fresh here.
 fn init_island<G, SampleGene, F>(
     config: &EaConfig,
     mut rng: StdRng,
@@ -940,7 +957,7 @@ fn init_island<G, SampleGene, F>(
     seeds: &mut Vec<Vec<G>>,
     sample_gene: &SampleGene,
     fitness: &F,
-) -> IslandState<G>
+) -> IslandState<G, F::State>
 where
     G: Copy,
     SampleGene: Fn(&mut StdRng) -> G,
@@ -948,6 +965,7 @@ where
 {
     let s = config.population_size;
     let mut batch = ChildBatch::default();
+    let mut eval_state = F::State::default();
     let mut genomes: Vec<Vec<G>> = seeds.drain(..).take(s).collect();
     while genomes.len() < s {
         genomes.push((0..genome_len).map(|_| sample_gene(&mut rng)).collect());
@@ -955,6 +973,7 @@ where
     score_batch(
         config,
         fitness,
+        &mut eval_state,
         &genomes,
         None,
         &mut batch.scores,
@@ -983,6 +1002,7 @@ where
         rng,
         population,
         batch,
+        eval_state,
         evaluations,
         epoch_log: Vec::new(),
         archive,
@@ -996,6 +1016,7 @@ where
 fn score_batch<G, F: FitnessEval<G>>(
     config: &EaConfig,
     fitness: &F,
+    state: &mut F::State,
     genomes: &[Vec<G>],
     provenance: Option<Provenance<'_, G>>,
     scores: &mut Vec<f64>,
@@ -1007,9 +1028,9 @@ fn score_batch<G, F: FitnessEval<G>>(
     objectives.clear();
     if needs_objectives(config) {
         objectives.resize(genomes.len(), Objectives::NAN);
-        fitness.evaluate_batch(genomes, provenance, scores, Some(objectives));
+        fitness.evaluate_batch(state, genomes, provenance, scores, Some(objectives));
     } else {
-        fitness.evaluate_batch(genomes, provenance, scores, None);
+        fitness.evaluate_batch(state, genomes, provenance, scores, None);
         objectives.extend(scores.iter().map(|&s| Objectives::from_fitness(s)));
     }
 }
@@ -1021,7 +1042,7 @@ fn step<G, SampleGene, F>(
     config: &EaConfig,
     sample_gene: &SampleGene,
     fitness: &F,
-    island: &mut IslandState<G>,
+    island: &mut IslandState<G, F::State>,
 ) where
     G: Copy,
     SampleGene: Fn(&mut StdRng) -> G,
@@ -1033,6 +1054,7 @@ fn step<G, SampleGene, F>(
         rng,
         population,
         batch,
+        eval_state,
         evaluations,
         archive,
         ..
@@ -1116,6 +1138,7 @@ fn step<G, SampleGene, F>(
     score_batch(
         config,
         fitness,
+        eval_state,
         children,
         Some(provenance),
         scores,
@@ -1153,9 +1176,12 @@ fn step<G, SampleGene, F>(
 /// single island or `migrants == 0`. Quarantined islands have left the
 /// ring: the ring is formed over the healthy islands in index order, so a
 /// quarantine neither receives immigrants nor feeds its (possibly
-/// mid-generation) elite to a neighbour.
-fn migrate<G: Copy>(
-    islands: &mut [IslandState<G>],
+/// mid-generation) elite to a neighbour. Every migrant is handed to
+/// [`FitnessEval::migrate`] with its source and destination island states,
+/// in ring order.
+fn migrate<G: Copy, F: FitnessEval<G>>(
+    fitness: &F,
+    islands: &mut [IslandState<G, F::State>],
     quarantined: &[bool],
     migrants: usize,
     ranking: Ranking,
@@ -1181,6 +1207,13 @@ fn migrate<G: Copy>(
         .collect();
     for (pos, &dst) in ring.iter().enumerate() {
         let src = (pos + count - 1) % count;
+        // Ring neighbours are distinct islands; the source state is moved
+        // out for the call so both states can be borrowed mutably.
+        let mut from = std::mem::take(&mut islands[ring[src]].eval_state);
+        for (genes, _, _) in &outbound[src] {
+            fitness.migrate(genes, &mut from, &mut islands[dst].eval_state);
+        }
+        islands[ring[src]].eval_state = from;
         let island = &mut islands[dst];
         for (slot, (genes, fit, obj)) in island.population[s - m..].iter_mut().zip(&outbound[src]) {
             slot.genes.clear();
@@ -1205,26 +1238,28 @@ fn migrate<G: Copy>(
 /// completes. `failures` has one slot per island (the caller's reusable
 /// buffer, all `None` on entry); a body that panicked leaves its message in
 /// its island's slot.
-fn for_each_island<G, FN>(
-    islands: &mut [IslandState<G>],
+fn for_each_island<G, S, FN>(
+    islands: &mut [IslandState<G, S>],
     skip: &[bool],
     workers: usize,
     failures: &mut [Option<String>],
     f: FN,
 ) where
     G: Send,
-    FN: Fn(&mut IslandState<G>) + Sync,
+    S: Send,
+    FN: Fn(&mut IslandState<G, S>) + Sync,
 {
-    let run_chunk = |chunk: &mut [IslandState<G>], skips: &[bool], slots: &mut [Option<String>]| {
-        for ((island, &skipped), slot) in chunk.iter_mut().zip(skips).zip(slots) {
-            if skipped {
-                continue;
+    let run_chunk =
+        |chunk: &mut [IslandState<G, S>], skips: &[bool], slots: &mut [Option<String>]| {
+            for ((island, &skipped), slot) in chunk.iter_mut().zip(skips).zip(slots) {
+                if skipped {
+                    continue;
+                }
+                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(island))) {
+                    *slot = Some(panic_message(payload));
+                }
             }
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(island))) {
-                *slot = Some(panic_message(payload));
-            }
-        }
-    };
+        };
     if workers <= 1 || islands.len() <= 1 {
         return run_chunk(islands, skip, failures);
     }
@@ -1351,11 +1386,14 @@ mod tests {
         // C per generation, each batch in one call on the calling thread.
         struct Recording<'a>(&'a std::sync::Mutex<Vec<(usize, std::thread::ThreadId)>>);
         impl FitnessEval<bool> for Recording<'_> {
+            type State = ();
+
             fn evaluate(&self, genes: &[bool]) -> f64 {
                 genes.iter().filter(|&&g| g).count() as f64
             }
             fn evaluate_batch(
                 &self,
+                _state: &mut (),
                 genomes: &[Vec<bool>],
                 _provenance: Option<Provenance<'_, bool>>,
                 out: &mut [f64],
@@ -1394,11 +1432,14 @@ mod tests {
         // closure path's trajectory exactly.
         struct Checking;
         impl FitnessEval<bool> for Checking {
+            type State = ();
+
             fn evaluate(&self, genes: &[bool]) -> f64 {
                 genes.iter().filter(|&&g| g).count() as f64
             }
             fn evaluate_batch(
                 &self,
+                _state: &mut (),
                 genomes: &[Vec<bool>],
                 provenance: Option<Provenance<'_, bool>>,
                 out: &mut [f64],
@@ -1741,11 +1782,14 @@ mod tests {
         }
     }
     impl FitnessEval<bool> for TwoObjective {
+        type State = ();
+
         fn evaluate(&self, genes: &[bool]) -> f64 {
             genes.iter().filter(|&&g| g).count() as f64
         }
         fn evaluate_batch(
             &self,
+            _state: &mut (),
             genomes: &[Vec<bool>],
             _provenance: Option<Provenance<'_, bool>>,
             out: &mut [f64],
@@ -2155,6 +2199,8 @@ mod tests {
         }
     }
     impl FitnessEval<bool> for PanicOnce {
+        type State = ();
+
         fn evaluate(&self, genes: &[bool]) -> f64 {
             if self.calls.fetch_add(1, AtomicOrdering::Relaxed) + 1 == self.trigger {
                 panic!("poisoned evaluator");

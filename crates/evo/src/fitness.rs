@@ -82,21 +82,27 @@ pub struct Provenance<'a, G> {
 /// initial population first, then every generation's children — in one
 /// call on the thread that owns the (sub)population. Scores are written
 /// into a caller-provided slice, so the engine can reuse one output buffer
-/// across generations and an override can keep per-batch scratch state
-/// (buffers, histograms) alive for the whole batch.
+/// across generations.
+///
+/// Each island of a run owns one [`FitnessEval::State`]: the engine creates
+/// it when the island is initialized or restored from a checkpoint, passes
+/// it to every batch the island scores, and drops it with the island. An
+/// evaluator keeps its working memory there (scratch buffers, partial
+/// results of parents to price children against), so the evaluator itself
+/// stays shared and immutable, and no state is ever touched by two threads.
 ///
 /// Implementations must be *pure*: the fitness of a genome may depend only
 /// on the genes (plus immutable shared state such as a precomputed
-/// histogram), never on evaluation order, interior mutability, or randomness.
-/// That purity is what lets the engine guarantee bit-identical results for
-/// every thread count.
+/// histogram), never on the contents of the state, evaluation order, or
+/// randomness. That purity is what lets the engine guarantee bit-identical
+/// results for every thread count.
 ///
 /// Infeasible genomes should be scored below every feasible one — exactly
 /// how the paper handles individuals for which covering is impossible
 /// (Section 3.1).
 ///
-/// Any `Fn(&[G]) -> f64` closure implements this trait, so simple callers
-/// never need to name it:
+/// Any `Fn(&[G]) -> f64` closure implements this trait with `State = ()`,
+/// so simple callers never need to name it:
 ///
 /// ```
 /// use evotc_evo::FitnessEval;
@@ -104,19 +110,23 @@ pub struct Provenance<'a, G> {
 /// let one_max = |genes: &[bool]| genes.iter().filter(|&&g| g).count() as f64;
 /// assert_eq!(one_max.evaluate(&[true, false, true]), 2.0);
 /// let mut scores = [0.0; 2];
-/// one_max.evaluate_batch(&[vec![true], vec![false]], None, &mut scores, None);
+/// one_max.evaluate_batch(&mut (), &[vec![true], vec![false]], None, &mut scores, None);
 /// assert_eq!(scores, [1.0, 0.0]);
 /// ```
 pub trait FitnessEval<G> {
+    /// One island's working state. It carries only what saves work, never
+    /// what changes a score: a fresh state must give the same scores.
+    type State: Default + Send;
+
     /// Scores a single genome.
     fn evaluate(&self, genes: &[G]) -> f64;
 
-    /// Scores a batch of genomes, writing the fitness of `genomes[i]` into
-    /// `out[i]` and, when `objectives` is given, its minimized objective
-    /// vector into `objectives[i]` (see [`Objectives`]). Callers guarantee
-    /// that `out`, `objectives` and `provenance.lineage` all have
-    /// `genomes.len()` entries, and that every lineage index is in range of
-    /// `provenance.parents`.
+    /// Scores a batch of genomes with the scoring island's `state`, writing
+    /// the fitness of `genomes[i]` into `out[i]` and, when `objectives` is
+    /// given, its minimized objective vector into `objectives[i]` (see
+    /// [`Objectives`]). Callers guarantee that `out`, `objectives` and
+    /// `provenance.lineage` all have `genomes.len()` entries, and that every
+    /// lineage index is in range of `provenance.parents`.
     ///
     /// The default implementation maps [`FitnessEval::evaluate`] over the
     /// batch in order, ignores the provenance, and embeds each score via
@@ -132,19 +142,29 @@ pub trait FitnessEval<G> {
     /// semantics.
     fn evaluate_batch(
         &self,
+        state: &mut Self::State,
         genomes: &[Vec<G>],
         provenance: Option<Provenance<'_, G>>,
         out: &mut [f64],
         objectives: Option<&mut [Objectives]>,
     ) {
         debug_assert_eq!(genomes.len(), out.len(), "scores slice length");
-        let _ = provenance;
+        let _ = (state, provenance);
         for (genes, slot) in genomes.iter().zip(out.iter_mut()) {
             *slot = self.evaluate(genes);
         }
         for (slot, &score) in objectives.into_iter().flatten().zip(out.iter()) {
             *slot = Objectives::from_fitness(score);
         }
+    }
+
+    /// Hands a migrant's partial results from its source island to its
+    /// destination: the engine calls this for every migrant between
+    /// epochs, on the coordinating thread, in a deterministic order. The
+    /// default does nothing: the destination then works out whatever it
+    /// needs the first time it breeds from the migrant.
+    fn migrate(&self, genome: &[G], from: &mut Self::State, to: &mut Self::State) {
+        let _ = (genome, from, to);
     }
 
     /// Cumulative evaluation-cache counters, when this evaluator keeps a
@@ -165,6 +185,8 @@ impl<G, F> FitnessEval<G> for F
 where
     F: Fn(&[G]) -> f64,
 {
+    type State = ();
+
     fn evaluate(&self, genes: &[G]) -> f64 {
         self(genes)
     }
@@ -177,6 +199,8 @@ mod tests {
     struct SumLen;
 
     impl FitnessEval<u8> for SumLen {
+        type State = ();
+
         fn evaluate(&self, genes: &[u8]) -> f64 {
             genes.iter().map(|&g| g as f64).sum()
         }
@@ -186,7 +210,7 @@ mod tests {
     fn default_batch_maps_in_order() {
         let genomes = vec![vec![1u8, 2], vec![10], vec![]];
         let mut scores = vec![f64::NAN; genomes.len()];
-        SumLen.evaluate_batch(&genomes, None, &mut scores, None);
+        SumLen.evaluate_batch(&mut (), &genomes, None, &mut scores, None);
         assert_eq!(scores, vec![3.0, 10.0, 0.0]);
     }
 
@@ -203,9 +227,9 @@ mod tests {
             parents: &parents,
         };
         let mut with = vec![f64::NAN; 2];
-        SumLen.evaluate_batch(&genomes, Some(provenance), &mut with, None);
+        SumLen.evaluate_batch(&mut (), &genomes, Some(provenance), &mut with, None);
         let mut without = vec![f64::NAN; 2];
-        SumLen.evaluate_batch(&genomes, None, &mut without, None);
+        SumLen.evaluate_batch(&mut (), &genomes, None, &mut without, None);
         assert_eq!(with, without);
     }
 
@@ -214,7 +238,7 @@ mod tests {
         let genomes = vec![vec![1u8, 2], vec![10]];
         let mut scores = vec![f64::NAN; 2];
         let mut objectives = vec![Objectives::NAN; 2];
-        SumLen.evaluate_batch(&genomes, None, &mut scores, Some(&mut objectives));
+        SumLen.evaluate_batch(&mut (), &genomes, None, &mut scores, Some(&mut objectives));
         assert_eq!(scores, vec![3.0, 10.0]);
         assert_eq!(objectives[0], Objectives::from_fitness(3.0));
         assert_eq!(objectives[1], Objectives::from_fitness(10.0));
@@ -225,7 +249,7 @@ mod tests {
         let f = |genes: &[bool]| genes.len() as f64;
         assert_eq!(f.evaluate(&[true, true]), 2.0);
         let mut scores = [f64::NAN; 2];
-        f.evaluate_batch(&[vec![], vec![false]], None, &mut scores, None);
+        f.evaluate_batch(&mut (), &[vec![], vec![false]], None, &mut scores, None);
         assert_eq!(scores, [0.0, 1.0]);
     }
 }

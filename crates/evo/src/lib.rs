@@ -24,7 +24,8 @@
 //!
 //! Fitness is evaluated in batches (the initial population, then each
 //! generation's children), each in one [`FitnessEval::evaluate_batch`] call
-//! on the thread that owns the population. Runs can be structured as an
+//! on the thread that owns the population, with that population's own
+//! evaluator state ([`FitnessEval::State`]). Runs can be structured as an
 //! island model — subpopulations with deterministic ring migration — via
 //! [`Topology`]; the `threads` knob on [`EaConfig`] (see [`parallel`])
 //! spreads those islands over scoped worker threads and is the engine's

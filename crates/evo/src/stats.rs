@@ -7,10 +7,10 @@ use std::time::Duration;
 /// evaluator (see [`crate::FitnessEval::cache_stats`]).
 ///
 /// Counters are observability, not semantics: scores are bit-identical
-/// whether or not a cache hit happened, and under concurrent evaluation the
-/// exact hit/miss split may vary run to run (two workers can race to build
-/// the same parent cache). Like [`GenerationStats::elapsed`], exclude these
-/// from trajectory comparisons.
+/// whether or not a cache hit happened, and the counters never feed back
+/// into a run. An evaluator that keeps its caches in its per-island
+/// [`crate::FitnessEval::State`] (as `MvFitness` does) reports the same
+/// counters at every thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Children priced against an already-cached parent (incremental path).
@@ -68,8 +68,8 @@ pub struct GenerationStats {
     pub elapsed: Duration,
     /// Cumulative evaluation-cache counters, when the fitness evaluator
     /// reports them (see [`crate::FitnessEval::cache_stats`]); `None` for
-    /// evaluators without a cache. Observability only — exclude from
-    /// trajectory comparisons, like [`GenerationStats::elapsed`].
+    /// evaluators without a cache. Observability only: they never change
+    /// the trajectory (see [`CacheStats`]).
     pub cache: Option<CacheStats>,
 }
 

@@ -547,21 +547,23 @@ impl Service {
     /// Drains, stops the workers, and returns every terminal report
     /// (sorted by job id) with the final counters.
     pub fn shutdown(mut self) -> ServiceOutcome {
-        {
-            let mut state = self.inner.lock();
-            state.draining = true;
-        }
-        self.inner.work.notify_all();
-        self.drain();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
-        }
+        self.stop();
         let mut state = self.inner.lock();
         let mut reports = std::mem::take(&mut state.reports);
         reports.sort_by_key(|report| report.id);
         ServiceOutcome {
             reports,
             stats: state.stats,
+        }
+    }
+
+    /// Drains every admitted job, then stops and joins the workers.
+    fn stop(&mut self) {
+        self.inner.lock().draining = true;
+        self.inner.work.notify_all();
+        self.drain();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 }
@@ -571,17 +573,8 @@ impl Drop for Service {
     /// [`Service::shutdown`]: drains and joins, so worker threads never
     /// outlive the handle.
     fn drop(&mut self) {
-        if self.workers.is_empty() {
-            return;
-        }
-        {
-            let mut state = self.inner.lock();
-            state.draining = true;
-        }
-        self.inner.work.notify_all();
-        self.drain();
-        for worker in self.workers.drain(..) {
-            let _ = worker.join();
+        if !self.workers.is_empty() {
+            self.stop();
         }
     }
 }
@@ -767,12 +760,14 @@ fn settle(
     inner.idle.notify_all();
 }
 
+/// The tenant's breaker, which admission created from `config.breaker`
+/// before the job could run.
 fn breaker_of(state: &mut State, tenant: TenantId) -> &mut CircuitBreaker {
-    let policy_default = BreakerPolicy::default();
-    let tenant_state = state.tenants.entry(tenant).or_default();
-    tenant_state
-        .breaker
-        .get_or_insert_with(|| CircuitBreaker::new(policy_default))
+    state
+        .tenants
+        .get_mut(&tenant)
+        .and_then(|tenant| tenant.breaker.as_mut())
+        .expect("admission creates the tenant's breaker")
 }
 
 /// Records a terminal outcome: releases the tenant slot, decrements the

@@ -179,11 +179,14 @@ impl TransitionsFirst {
     }
 }
 impl FitnessEval<bool> for TransitionsFirst {
+    type State = ();
+
     fn evaluate(&self, genes: &[bool]) -> f64 {
         genes.iter().filter(|&&g| g).count() as f64
     }
     fn evaluate_batch(
         &self,
+        _state: &mut (),
         genomes: &[Vec<bool>],
         _provenance: Option<Provenance<'_, bool>>,
         out: &mut [f64],

@@ -1,14 +1,15 @@
 //! The determinism contract of the parallel EA engine: the thread count is
 //! a throughput knob, never a semantic one. Same seed → byte-identical
 //! results for `threads` ∈ {1, 2, 8}, at every layer — the raw engine, the
-//! shared-cache evaluator, and the full compressor pipeline.
+//! cached evaluator (its cache counters included), and the full compressor
+//! pipeline.
 //!
 //! CI additionally runs the whole workspace suite twice (default threads
 //! and `EVOTC_TEST_THREADS=1`) so every other test enforces the same
 //! contract implicitly.
 
 use evotc::bits::{BlockHistogram, TestSet, TestSetString, Trit};
-use evotc::core::{EaCompressor, MvFitness};
+use evotc::core::{EaCompressor, MvFitness, MvFitnessState};
 use evotc::evo::{
     parallel, EaBuilder, EaConfig, EaResult, FitnessEval, Objectives, Provenance, Topology,
 };
@@ -114,17 +115,20 @@ fn lineage_cache_never_changes_the_ea_trajectory() {
     // count. The cache is a work-saving device, never a semantic one.
     struct NoLineage<'a>(MvFitness<'a>);
     impl FitnessEval<Trit> for NoLineage<'_> {
+        type State = MvFitnessState;
+
         fn evaluate(&self, genes: &[Trit]) -> f64 {
             self.0.evaluate(genes)
         }
         fn evaluate_batch(
             &self,
+            state: &mut MvFitnessState,
             genomes: &[Vec<Trit>],
             _provenance: Option<Provenance<'_, Trit>>,
             out: &mut [f64],
             objectives: Option<&mut [Objectives]>,
         ) {
-            self.0.evaluate_batch(genomes, None, out, objectives);
+            self.0.evaluate_batch(state, genomes, None, out, objectives);
         }
     }
 
@@ -169,16 +173,15 @@ fn lineage_cache_never_changes_the_ea_trajectory() {
 }
 
 #[test]
-fn shared_cache_trajectory_is_identical_for_any_thread_count() {
-    // The shared parent cache is probed concurrently by the island workers
-    // (`MvFitness` holds one `SharedParentCache`; islands race on lookups
-    // and inserts). Whatever the interleaving — and whoever wins a race to
-    // build a parent entry — the *trajectory* must be byte-identical for
+fn cache_trajectory_and_counters_are_thread_invariant() {
+    // Every island owns its parent cache (`MvFitness::State`), and the
+    // engine hands migrants' coverings over between epochs on one thread.
+    // So however the islands are spread over workers, both the trajectory
+    // and the cache hit/miss/fallback counters must be byte-identical for
     // every thread count and across repeated runs: the cache changes how
-    // much a score costs, never the score. (Cache hit/miss counters are the
-    // one explicitly non-deterministic observable, like wall-clock.) A
-    // panmictic run is a single island on the calling thread, so the
-    // thread count must not matter there either.
+    // much a score costs, never the score, and its counters follow from the
+    // trajectory alone. A panmictic run is a single island on the calling
+    // thread, so the thread count must not matter there either.
     let set = workload();
     let string = TestSetString::try_new(&set, 12).expect("K=12 fits the workload");
     let histogram = BlockHistogram::from_string(&string);
@@ -212,9 +215,9 @@ fn shared_cache_trajectory_is_identical_for_any_thread_count() {
         let stats = reference.cache.expect("MvFitness reports cache stats");
         assert!(
             stats.hits > 0,
-            "no shared-cache hits in a whole {topology} run: {stats}"
+            "no parent-cache hits in a whole {topology} run: {stats}"
         );
-        for threads in THREAD_COUNTS {
+        for threads in [1, 2, 4, 8] {
             for repeat in 0..2 {
                 let other = run(threads);
                 assert_eq!(
@@ -227,10 +230,15 @@ fn shared_cache_trajectory_is_identical_for_any_thread_count() {
                 );
                 assert_eq!(other.generations, reference.generations);
                 assert_eq!(other.evaluations, reference.evaluations);
+                assert_eq!(
+                    other.cache, reference.cache,
+                    "{topology} t={threads} repeat={repeat}: cache counters"
+                );
                 for (a, b) in other.history.iter().zip(&reference.history) {
                     assert_eq!(a.best_fitness.to_bits(), b.best_fitness.to_bits());
                     assert_eq!(a.mean_fitness.to_bits(), b.mean_fitness.to_bits());
                     assert_eq!(a.evaluations, b.evaluations);
+                    assert_eq!(a.cache, b.cache);
                 }
             }
         }

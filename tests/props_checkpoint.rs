@@ -35,11 +35,14 @@ impl TwoObjective {
     }
 }
 impl FitnessEval<bool> for TwoObjective {
+    type State = ();
+
     fn evaluate(&self, genes: &[bool]) -> f64 {
         genes.iter().filter(|&&g| g).count() as f64
     }
     fn evaluate_batch(
         &self,
+        _state: &mut (),
         genomes: &[Vec<bool>],
         _provenance: Option<Provenance<'_, bool>>,
         out: &mut [f64],

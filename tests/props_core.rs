@@ -3,7 +3,7 @@
 //! fitness shortcut being exact.
 
 use evotc::bits::{BlockHistogram, InputBlock, TestPattern, TestSet, TestSetString, Trit};
-use evotc::core::{encoded_size, Covering, MatchingVector, MvFitness, MvSet};
+use evotc::core::{encoded_size, Covering, MatchingVector, MvFitness, MvFitnessState, MvSet};
 use evotc::evo::FitnessEval;
 use proptest::prelude::*;
 
@@ -147,7 +147,7 @@ proptest! {
         let fitness = MvFitness::new(4, false, &hist, string.payload_bits() as f64);
 
         let mut scores = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, None, &mut scores, None);
+        fitness.evaluate_batch(&mut MvFitnessState::default(), &genomes, None, &mut scores, None);
         let mut feasible: Vec<f64> = Vec::new();
         let mut infeasible: Vec<f64> = Vec::new();
         for (genome, &score) in genomes.iter().zip(&scores) {

@@ -5,7 +5,9 @@
 //! `huffman_code` → `encoded_size` pipeline produces.
 
 use evotc::bits::{BlockHistogram, TestPattern, TestSet, TestSetString, Trit};
-use evotc::core::{encoded_size, encoded_size_scratch, EvalScratch, MvFitness, MvSet};
+use evotc::core::{
+    encoded_size, encoded_size_scratch, EvalScratch, MvFitness, MvFitnessState, MvSet,
+};
 use evotc::evo::FitnessEval;
 use proptest::prelude::*;
 
@@ -102,7 +104,7 @@ proptest! {
         // across the run; the check below keeps the batch path honest.
         let _ = saw_infeasible;
         let mut scores = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, None, &mut scores, None);
+        fitness.evaluate_batch(&mut MvFitnessState::default(), &genomes, None, &mut scores, None);
         for (g, &s) in genomes.iter().zip(&scores) {
             prop_assert_eq!(s.to_bits(), fitness.evaluate(g).to_bits());
         }

@@ -14,7 +14,7 @@ use std::ops::Range;
 use evotc::bits::{BlockHistogram, SlicedHistogram, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{
     encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, EvalCache, EvalScratch,
-    IncrementalOutcome, MvFitness, PatchScratch,
+    IncrementalOutcome, MvFitness, MvFitnessState, PatchScratch,
 };
 use evotc::evo::{FitnessEval, Lineage, Provenance};
 use proptest::prelude::*;
@@ -213,10 +213,11 @@ proptest! {
             genomes.push(child);
         }
         let provenance = Provenance { lineage: &lineage, parents: &parents };
+        let mut state = MvFitnessState::default();
         let mut with = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, Some(provenance), &mut with, None);
+        fitness.evaluate_batch(&mut state, &genomes, Some(provenance), &mut with, None);
         let mut without = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, None, &mut without, None);
+        fitness.evaluate_batch(&mut state, &genomes, None, &mut without, None);
         for (i, (a, b)) in with.iter().zip(&without).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "genome {}", i);
         }
@@ -293,23 +294,24 @@ proptest! {
         let fitness = MvFitness::new(6, true, &hist, bits);
         let parents: Vec<&[Trit]> = vec![&parent_a, &parent_b];
         let provenance = Provenance { lineage: &lineage, parents: &parents };
+        let mut state = MvFitnessState::default();
         let mut with = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, Some(provenance), &mut with, None);
+        fitness.evaluate_batch(&mut state, &genomes, Some(provenance), &mut with, None);
         let mut without = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, None, &mut without, None);
+        fitness.evaluate_batch(&mut state, &genomes, None, &mut without, None);
         for (i, (a, b)) in with.iter().zip(&without).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "genome {}", i);
         }
     }
 
-    /// Concurrent probes against the shared parent cache: the same lineage
-    /// batch split over 1 and 4 scoped threads (all sharing one
-    /// `MvFitness`, i.e. one shared cache, as concurrent islands do) must
-    /// match the plain batch bit-for-bit. CI additionally runs the whole
-    /// suite under `EVOTC_TEST_THREADS=4`, so the auto-threaded island
-    /// tests exercise the same concurrency.
+    /// Concurrent island states: the same lineage batch split over 1 and 4
+    /// scoped threads, each scoring its share with its own
+    /// `MvFitnessState` against one shared `MvFitness` (as concurrent
+    /// islands do), must match the plain batch bit-for-bit. CI additionally
+    /// runs the whole suite under `EVOTC_TEST_THREADS=4`, so the
+    /// auto-threaded island tests exercise the same concurrency.
     #[test]
-    fn shared_cache_concurrent_probes_match_plain_batch(
+    fn island_states_on_concurrent_threads_match_plain_batch(
         rows in proptest::collection::vec(arb_trits(12), 1..6),
         parent_genomes in proptest::collection::vec(arb_trits(24), 2..4),
         edits in arb_chain(24, 24),
@@ -339,7 +341,7 @@ proptest! {
             genomes.push(child);
         }
         let mut plain = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&genomes, None, &mut plain, None);
+        fitness.evaluate_batch(&mut MvFitnessState::default(), &genomes, None, &mut plain, None);
         for threads in [1usize, 4] {
             let mut scores = vec![f64::NAN; genomes.len()];
             let chunk = genomes.len().div_ceil(threads);
@@ -351,7 +353,10 @@ proptest! {
                 {
                     let provenance = Provenance { lineage: lin, parents: &parents };
                     let fitness = &fitness;
-                    scope.spawn(move || fitness.evaluate_batch(batch, Some(provenance), out, None));
+                    scope.spawn(move || {
+                        let mut state = MvFitnessState::default();
+                        fitness.evaluate_batch(&mut state, batch, Some(provenance), out, None);
+                    });
                 }
             });
             for (i, (a, b)) in scores.iter().zip(&plain).enumerate() {
@@ -362,7 +367,7 @@ proptest! {
 
     /// `MvFitness` lineage chains over dense rows without the all-`U`
     /// safety net: each step is a one-child batch whose parent is the
-    /// previous genome, so feasibility flips both ways through the shared
+    /// previous genome, so feasibility flips both ways through the parent
     /// cache's rebuild and probe, and every score must equal the oracle's.
     #[test]
     fn lineage_batch_chains_match_evaluate(
@@ -373,8 +378,9 @@ proptest! {
         let (hist, bits) = histogram_for(&rows, 4);
         let fitness = MvFitness::new(4, false, &hist, bits);
         let mut genome = start.clone();
+        let mut state = MvFitnessState::default();
         let mut score = [f64::NAN];
-        fitness.evaluate_batch(std::slice::from_ref(&genome), None, &mut score, None);
+        fitness.evaluate_batch(&mut state, std::slice::from_ref(&genome), None, &mut score, None);
         prop_assert_eq!(score[0].to_bits(), fitness.evaluate(&genome).to_bits());
         for &(pos, gene) in &chain {
             let parent = genome.clone();
@@ -383,7 +389,9 @@ proptest! {
                 lineage: &[Some(Lineage::new(0, pos..pos + 1))],
                 parents: &[parent.as_slice()],
             };
-            fitness.evaluate_batch(std::slice::from_ref(&genome), Some(provenance), &mut score, None);
+            fitness.evaluate_batch(
+                &mut state, std::slice::from_ref(&genome), Some(provenance), &mut score, None,
+            );
             prop_assert_eq!(score[0].to_bits(), fitness.evaluate(&genome).to_bits(), "step at {}", pos);
         }
     }
