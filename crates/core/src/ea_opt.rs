@@ -25,10 +25,9 @@ use crate::TestCompressor;
 ///
 /// An *individual* is a string of `K·L` genes over `{0, 1, U}`; its fitness
 /// is the compression rate achieved by the corresponding MV set (computed
-/// over the distinct-block histogram, which is exact). Individuals for which
-/// covering is impossible receive a fitness below every feasible value; by
-/// default one MV is forced to all-`U` "such that there were no insolvable
-/// instances" (paper, Section 4).
+/// over the distinct-block histogram, which is exact). The last MV is always
+/// forced to all-`U` "such that there were no insolvable instances" (paper,
+/// Section 4), so every individual covers every block.
 ///
 /// # Example
 ///
@@ -52,7 +51,6 @@ pub struct EaCompressor {
     k: usize,
     l: usize,
     config: EaConfig,
-    force_all_u: bool,
     seed_ninec: bool,
 }
 
@@ -66,7 +64,6 @@ impl EaCompressor {
             k,
             l,
             config: EaConfig::default(),
-            force_all_u: true,
             seed_ninec: false,
         }
     }
@@ -122,7 +119,7 @@ impl EaCompressor {
     fn optimize(&self, histogram: &BlockHistogram, original_bits: f64) -> (MvSet, EaRunSummary) {
         // One immutable evaluator borrows the histogram; every island worker
         // shares it instead of re-borrowing mutable closure state.
-        let fitness = MvFitness::new(self.k, self.force_all_u, histogram, original_bits);
+        let fitness = MvFitness::new(self.k, true, histogram, original_bits);
         let mut ea = EaBuilder::new(
             self.k * self.l,
             |rng| Trit::from_index(rng.gen_range(0..3u8)),
@@ -133,7 +130,7 @@ impl EaCompressor {
             ea = ea.seed_population([self.ninec_genome()]);
         }
         let result = ea.run();
-        let mvs = MvSet::from_genes(self.k, &result.best_genome, self.force_all_u)
+        let mvs = MvSet::from_genes(self.k, &result.best_genome, true)
             .expect("k was validated when the histogram was built");
         let summary = EaRunSummary {
             best_fitness: result.best_fitness,
@@ -890,7 +887,6 @@ pub struct EaCompressorBuilder {
     k: usize,
     l: usize,
     config: EaConfig,
-    force_all_u: bool,
     seed_ninec: bool,
 }
 
@@ -949,13 +945,6 @@ impl EaCompressorBuilder {
         })
     }
 
-    /// Controls whether one MV is forced to all-`U` (default `true`,
-    /// as in the paper's experiments).
-    pub fn force_all_u(mut self, yes: bool) -> Self {
-        self.force_all_u = yes;
-        self
-    }
-
     /// Seeds the initial population with the 9C MV set (the improvement the
     /// paper suggests for circuits like s838; default `false`, as the paper
     /// did not enable it).
@@ -980,26 +969,11 @@ impl EaCompressorBuilder {
             assert!(self.l >= 9, "9C seeding requires L >= 9");
             assert!(self.k % 2 == 0, "9C seeding requires an even K");
         }
-        // Round-trip through the builder to reuse its validation.
-        let config = EaConfig::builder()
-            .population_size(self.config.population_size)
-            .children_per_generation(self.config.children_per_generation)
-            .crossover_probability(self.config.crossover_probability)
-            .mutation_probability(self.config.mutation_probability)
-            .inversion_probability(self.config.inversion_probability)
-            .stagnation_limit(self.config.stagnation_limit)
-            .max_evaluations(self.config.max_evaluations)
-            .max_generations(self.config.max_generations)
-            .seed(self.config.seed)
-            .threads(self.config.threads)
-            .topology(self.config.topology)
-            .build();
-        let _ = config;
+        self.config.validate();
         EaCompressor {
             k: self.k,
             l: self.l,
             config: self.config,
-            force_all_u: self.force_all_u,
             seed_ninec: self.seed_ninec,
         }
     }
@@ -1430,7 +1404,6 @@ mod tests {
             islands: vec![IslandCheckpoint {
                 rng_state: [1, 2, 3, 4],
                 evaluations: 2,
-                quarantined: false,
                 population: vec![
                     member(vec![Trit::Zero, Trit::One, Trit::X, Trit::One]),
                     member(vec![Trit::X; 4]),

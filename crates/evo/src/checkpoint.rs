@@ -40,7 +40,7 @@ use crate::config::{EaConfig, Ranking, Topology};
 /// or the meaning of a field changes; readers reject other versions with
 /// [`CheckpointError::UnsupportedVersion`] instead of misinterpreting
 /// bytes.
-pub const CHECKPOINT_FORMAT_VERSION: u32 = 1;
+pub const CHECKPOINT_FORMAT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 4] = b"EVTC";
 
@@ -121,11 +121,6 @@ pub struct IslandCheckpoint<G> {
     pub rng_state: [u64; 4],
     /// The island's own cumulative evaluation count.
     pub evaluations: u64,
-    /// Whether the island was quarantined after a worker panic (see
-    /// `IslandPanicPolicy::Quarantine`). Quarantined islands resume
-    /// quarantined: their last healthy state is preserved for reporting but
-    /// they do not evolve further.
-    pub quarantined: bool,
     /// The post-selection population, best first (the engine's selection
     /// order).
     pub population: Vec<CheckpointMember<G>>,
@@ -249,7 +244,6 @@ impl<G> EaCheckpoint<G> {
                 write_u64(&mut out, word);
             }
             write_u64(&mut out, island.evaluations);
-            out.push(island.quarantined as u8);
             for members in [&island.population, &island.archive] {
                 write_u64(&mut out, members.len() as u64);
                 for member in members.iter() {
@@ -309,11 +303,6 @@ impl<G> EaCheckpoint<G> {
                 read_u64(input)?,
             ];
             let evaluations = read_u64(input)?;
-            let quarantined = match read_u8(input)? {
-                0 => false,
-                1 => true,
-                _ => return Err(CheckpointError::Malformed("quarantine flag out of range")),
-            };
             let mut sections: [Vec<CheckpointMember<G>>; 2] = [Vec::new(), Vec::new()];
             for section in sections.iter_mut() {
                 let count = read_len(input, "member count")?;
@@ -342,7 +331,6 @@ impl<G> EaCheckpoint<G> {
             islands.push(IslandCheckpoint {
                 rng_state,
                 evaluations,
-                quarantined,
                 population,
                 archive,
             });
@@ -379,11 +367,11 @@ impl<G: GeneCodec> EaCheckpoint<G> {
 
 /// Fingerprint of the configuration fields a run's trajectory depends on:
 /// population sizes, operator probabilities, termination knobs, seed,
-/// topology, ranking, Pareto capacity, and the genome length. `threads`,
-/// `deadline`, and `panic_policy` are deliberately **excluded** — they
-/// never change a trajectory, so a checkpoint may be resumed under a
-/// different thread count or deadline; everything fingerprinted must match
-/// exactly, or resume fails with [`CheckpointError::ConfigMismatch`].
+/// topology, ranking, Pareto capacity, and the genome length. `threads`
+/// and `deadline` are deliberately **excluded** — they never change a
+/// trajectory, so a checkpoint may be resumed under a different thread
+/// count or deadline; everything fingerprinted must match exactly, or
+/// resume fails with [`CheckpointError::ConfigMismatch`].
 pub fn config_fingerprint(config: &EaConfig, genome_len: usize) -> u64 {
     let mut h: u64 = 0x45_56_54_43; // "EVTC"
     let mut mix = |v: u64| {
@@ -492,7 +480,6 @@ mod tests {
             islands: vec![IslandCheckpoint {
                 rng_state: [1, 2, 3, u64::MAX],
                 evaluations: 220,
-                quarantined: false,
                 population: vec![
                     CheckpointMember {
                         genes: vec![true, false, true],
@@ -553,6 +540,12 @@ mod tests {
         assert_eq!(
             EaCheckpoint::<bool>::from_bytes(&bytes),
             Err(CheckpointError::UnsupportedVersion(99))
+        );
+        // The retired version 1 is rejected, not misparsed.
+        bytes[4] = 1;
+        assert_eq!(
+            EaCheckpoint::<bool>::from_bytes(&bytes),
+            Err(CheckpointError::UnsupportedVersion(1))
         );
     }
 

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::time::Duration;
 
-use crate::supervisor::IslandPanicPolicy;
-
 /// Population structure of a run.
 ///
 /// The default, [`Topology::Panmictic`], is the paper's setup: one
@@ -150,11 +148,6 @@ pub struct EaConfig {
     /// but the state it returns is always a well-formed point of the
     /// deterministic trajectory.
     pub deadline: Option<Duration>,
-    /// What happens when an island worker panics (see
-    /// [`IslandPanicPolicy`]). The default fails the run with a typed
-    /// error; [`IslandPanicPolicy::Quarantine`] degrades instead,
-    /// quarantining the island and continuing on the rest.
-    pub panic_policy: IslandPanicPolicy,
 }
 
 impl Default for EaConfig {
@@ -174,7 +167,6 @@ impl Default for EaConfig {
             ranking: Ranking::Fitness,
             pareto_capacity: 0,
             deadline: None,
-            panic_policy: IslandPanicPolicy::Fail,
         }
     }
 }
@@ -191,9 +183,11 @@ impl EaConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the population is empty, no children are produced, or the
-    /// operator probabilities are negative or sum to more than one.
-    pub(crate) fn validate(&self) {
+    /// Panics if the population is empty, no children are produced, the
+    /// operator probabilities are negative or sum to more than one, the
+    /// stagnation limit is zero, or the island topology is degenerate (no
+    /// islands, a zero interval, more migrants than the population).
+    pub fn validate(&self) {
         assert!(self.population_size > 0, "population must not be empty");
         assert!(
             self.children_per_generation > 0,
@@ -260,7 +254,7 @@ impl fmt::Display for EaConfig {
         if let Some(deadline) = self.deadline {
             write!(f, " deadline={:.1}s", deadline.as_secs_f64())?;
         }
-        write!(f, " panic={}", self.panic_policy)
+        Ok(())
     }
 }
 
@@ -377,18 +371,6 @@ impl EaConfigBuilder {
         self
     }
 
-    /// Sets the island panic policy (see [`IslandPanicPolicy`]).
-    pub fn panic_policy(mut self, policy: IslandPanicPolicy) -> Self {
-        self.config.panic_policy = policy;
-        self
-    }
-
-    /// Shorthand for [`IslandPanicPolicy::Quarantine`]: degrade on an
-    /// island panic instead of failing the run.
-    pub fn quarantine_on_panic(self) -> Self {
-        self.panic_policy(IslandPanicPolicy::Quarantine)
-    }
-
     /// Finishes the builder.
     ///
     /// # Panics
@@ -502,20 +484,15 @@ mod tests {
     }
 
     #[test]
-    fn deadline_and_panic_policy_round_trip() {
+    fn deadline_round_trips() {
         let c = EaConfig::default();
         assert_eq!(c.deadline, None);
-        assert_eq!(c.panic_policy, IslandPanicPolicy::Fail);
-        assert!(c.to_string().contains("panic=fail"), "{c}");
         assert!(!c.to_string().contains("deadline="), "{c}");
         let c = EaConfig::builder()
             .deadline(Duration::from_millis(1500))
-            .quarantine_on_panic()
             .build();
         assert_eq!(c.deadline, Some(Duration::from_millis(1500)));
-        assert_eq!(c.panic_policy, IslandPanicPolicy::Quarantine);
         assert!(c.to_string().contains("deadline=1.5s"), "{c}");
-        assert!(c.to_string().contains("panic=quarantine"), "{c}");
     }
 
     #[test]

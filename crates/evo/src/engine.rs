@@ -17,8 +17,8 @@ use crate::fitness::{FitnessEval, Lineage, Provenance};
 use crate::objective::{Objectives, ParetoArchive, ParetoPoint};
 use crate::operators;
 use crate::parallel;
-use crate::stats::{GenerationEvent, GenerationStats};
-use crate::supervisor::{CancelToken, EaError, IslandPanicPolicy, StopReason};
+use crate::stats::{CacheStats, GenerationStats};
+use crate::supervisor::{CancelToken, EaError, StopReason};
 
 /// A checkpoint consumer installed via [`EaBuilder::checkpoint_every`]. A
 /// sink failure is counted on [`EaResult::checkpoint_failures`] and the run
@@ -73,24 +73,19 @@ type CheckpointSink<'s, G> = Box<dyn FnMut(&EaCheckpoint<G>) -> Result<(), Check
 /// results at *any* thread count:
 ///
 /// ```
-/// use evotc_evo::{EaBuilder, EaConfig, GenerationEvent};
+/// use evotc_evo::{EaBuilder, EaConfig};
 ///
 /// let config = EaConfig::builder()
 ///     .islands(4, 5, 2) // 4 islands, migrate 2 by rank every 5 generations
 ///     .stagnation_limit(20)
 ///     .seed(1)
 ///     .build();
-/// let mut merged_seen = 0;
 /// let result = EaBuilder::new(32, |rng| rand::Rng::gen::<bool>(rng), |genes: &[bool]| {
 ///     genes.iter().filter(|&&g| g).count() as f64
 /// })
 /// .config(config)
-/// .run_with_observer(|event| {
-///     if let GenerationEvent::Merged(_) = event {
-///         merged_seen += 1;
-///     }
-/// });
-/// assert_eq!(merged_seen as usize, result.history.len());
+/// .run();
+/// assert_eq!(result.history.len() as u64, result.generations + 1);
 /// assert!(result.best_fitness >= 30.0);
 /// ```
 pub struct EaBuilder<'s, G, SampleGene, F>
@@ -121,8 +116,8 @@ pub struct EaResult<G> {
     /// Total number of fitness evaluations (summed over islands).
     pub evaluations: u64,
     /// Merged statistics per generation (index 0 is the initial
-    /// population). For island runs, per-island views are only available
-    /// through the observer (see [`GenerationEvent`]).
+    /// population): island runs aggregate their islands into one entry per
+    /// generation.
     pub history: Vec<GenerationStats>,
     /// Wall-clock duration of the run (not part of the determinism
     /// contract).
@@ -142,11 +137,6 @@ pub struct EaResult<G> {
     /// [`StopReason::Cancelled`] depend on wall-clock but still come with
     /// well-formed best-so-far state.
     pub stop_reason: StopReason,
-    /// Islands quarantined after a worker panic under
-    /// [`IslandPanicPolicy::Quarantine`], in island order. Always empty
-    /// under the default fail-fast policy (the run errors instead) and for
-    /// panmictic runs.
-    pub quarantined: Vec<usize>,
     /// Number of checkpoint captures whose sink returned an error (see
     /// [`EaBuilder::checkpoint_every`]). Sink failures never stop the run.
     pub checkpoint_failures: u64,
@@ -217,7 +207,7 @@ struct IslandState<G, S> {
 impl<G, S> IslandState<G, S> {
     /// Logs the population's post-selection statistics for `generation`
     /// into the epoch log. The cache column stays `None`: the evaluator's
-    /// counters span all islands and are merged in once per generation.
+    /// counters span all islands and are merged in at the epoch boundary.
     fn log_generation(&mut self, generation: u64, start: Instant) {
         let population = &self.population;
         let best = population.first().map_or(f64::NEG_INFINITY, |i| i.fitness);
@@ -326,14 +316,12 @@ where
     ///
     /// The builder's config and genome length must fingerprint-match the
     /// checkpoint (same seed, topology, ranking, budgets, operator
-    /// probabilities — everything deterministic; `threads`, `deadline` and
-    /// `panic_policy` may differ), or the run fails with
-    /// [`EaError::InvalidCheckpoint`]. The restored history prefix is
-    /// returned on [`EaResult::history`] with `elapsed`/`cache` cleared
-    /// (both are outside the determinism contract) and is **not** replayed
-    /// through the observer; population seeds from
-    /// [`EaBuilder::seed_population`] are ignored — the checkpointed
-    /// populations already embody them.
+    /// probabilities — everything deterministic; `threads` and `deadline`
+    /// may differ), or the run fails with [`EaError::InvalidCheckpoint`].
+    /// The restored history prefix is returned on [`EaResult::history`]
+    /// with `elapsed`/`cache` cleared (both are outside the determinism
+    /// contract); population seeds from [`EaBuilder::seed_population`] are
+    /// ignored — the checkpointed populations already embody them.
     pub fn resume_from(mut self, checkpoint: EaCheckpoint<G>) -> Self {
         self.resume = Some(checkpoint);
         self
@@ -346,65 +334,40 @@ where
     /// Panics if the configuration is invalid (see [`EaConfig`]) or the run
     /// fails (see [`EaBuilder::try_run`] for the non-panicking variant).
     pub fn run(self) -> EaResult<G> {
-        self.run_with_observer(|_| {})
-    }
-
-    /// Runs the algorithm, invoking `observer` with per-generation
-    /// [`GenerationEvent`]s: merged statistics for every generation, plus —
-    /// on island topologies — one per-island event per generation, emitted
-    /// before the merged one. Island runs deliver events in batches at
-    /// epoch boundaries (generations are merged after all islands finish
-    /// the epoch), always in deterministic island-then-generation order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is invalid (see [`EaConfig`]) or the run
-    /// fails (see [`EaBuilder::try_run_with_observer`]).
-    pub fn run_with_observer(self, observer: impl FnMut(&GenerationEvent<'_>)) -> EaResult<G> {
-        match self.try_run_with_observer(observer) {
+        match self.try_run() {
             Ok(result) => result,
             Err(err) => panic!("EA run failed: {err}"),
         }
     }
 
-    /// Like [`EaBuilder::run`], but run failures — an island worker panic
-    /// under the default [`IslandPanicPolicy::Fail`], an invalid resume
-    /// checkpoint — come back as a typed [`EaError`] instead of a panic.
-    /// Worker panics are contained with `catch_unwind`, so a poisoned
-    /// evaluator never aborts the process and never stalls the epoch
-    /// barrier: the remaining islands always finish their epoch first.
-    ///
-    /// # Panics
-    ///
-    /// Panics only if the configuration itself is invalid (a programming
-    /// error, see [`EaConfig`]) — never for runtime failures.
-    pub fn try_run(self) -> Result<EaResult<G>, EaError> {
-        self.try_run_with_observer(|_| {})
-    }
-
-    /// [`EaBuilder::try_run`] with a per-generation observer (see
-    /// [`EaBuilder::run_with_observer`] for the event order). On resume,
-    /// the restored history prefix is not replayed through the observer.
+    /// Like [`EaBuilder::run`], but run failures — an island worker panic,
+    /// an invalid resume checkpoint — come back as a typed [`EaError`]
+    /// instead of a panic. Worker panics are contained with `catch_unwind`,
+    /// so a poisoned evaluator never aborts the process and never stalls the
+    /// epoch barrier; the run fails with [`EaError::IslandFailed`] naming
+    /// the lowest-indexed island that panicked.
     ///
     /// Both topologies run through one epoch loop: `count` subpopulations
     /// evolve in lockstep epochs of `interval` generations, then the
     /// rank-best `migrants` of each island replace the worst of its ring
     /// successor. A panmictic run is the special case of one island on the
-    /// run seed's own RNG stream, with epochs of one generation, no
-    /// migration and no per-island events. Each island owns an RNG stream
-    /// derived from the run seed, so the trajectory is a pure function of
-    /// (seed, topology, config) — worker threads only decide which islands
-    /// run concurrently, never what they compute.
+    /// run seed's own RNG stream, with epochs of one generation and no
+    /// migration. Each island owns an RNG stream derived from the run seed,
+    /// so the trajectory is a pure function of (seed, topology, config) —
+    /// worker threads only decide which islands run concurrently, never
+    /// what they compute.
     ///
     /// Termination (stagnation of the merged best, the evaluation budget,
     /// the generation cap, the deadline, cancellation) is checked at epoch
     /// boundaries; an island run can overshoot the stagnation limit or the
     /// budget by up to one epoch. Checkpoints are captured at epoch
     /// boundaries too, so a capture always reflects complete generations.
-    pub fn try_run_with_observer(
-        self,
-        mut observer: impl FnMut(&GenerationEvent<'_>),
-    ) -> Result<EaResult<G>, EaError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics only if the configuration itself is invalid (a programming
+    /// error, see [`EaConfig`]) — never for runtime failures.
+    pub fn try_run(self) -> Result<EaResult<G>, EaError> {
         self.config.validate();
         let start = Instant::now();
         let panmictic = self.config.topology == Topology::Panmictic;
@@ -431,70 +394,6 @@ where
         let fingerprint = config_fingerprint(&config, genome_len);
 
         let mut history: Vec<GenerationStats> = Vec::new();
-        let mut quarantined = vec![false; count];
-        let mut merge = |islands: &mut [IslandState<G, F::State>],
-                         quarantined: &[bool],
-                         history: &mut Vec<GenerationStats>| {
-            // All healthy islands logged the same number of generations
-            // this epoch; quarantined islands log nothing (a partial epoch
-            // is discarded at quarantine time) but their frozen evaluation
-            // counts stay in the merged totals, keeping them monotone.
-            let logged = islands
-                .iter()
-                .zip(quarantined)
-                .filter(|(_, &q)| !q)
-                .map(|(island, _)| island.epoch_log.len())
-                .max()
-                .unwrap_or(0);
-            let frozen: u64 = islands
-                .iter()
-                .zip(quarantined)
-                .filter(|(_, &q)| q)
-                .map(|(island, _)| island.evaluations)
-                .sum();
-            for g in 0..logged {
-                // Seeded from the first contributor, so a single island's
-                // statistics pass through bit for bit. The merged wall-clock
-                // is the latest island's.
-                let mut merged: Option<GenerationStats> = None;
-                let mut contributors = 0usize;
-                for (i, island) in islands.iter().enumerate() {
-                    if quarantined[i] || island.epoch_log.len() <= g {
-                        continue;
-                    }
-                    let stats = &island.epoch_log[g];
-                    if !panmictic {
-                        observer(&GenerationEvent::Island { island: i, stats });
-                    }
-                    contributors += 1;
-                    merged = Some(match merged {
-                        None => GenerationStats {
-                            evaluations: frozen + stats.evaluations,
-                            ..*stats
-                        },
-                        Some(m) => {
-                            debug_assert_eq!(stats.generation, m.generation);
-                            GenerationStats {
-                                best_fitness: m.best_fitness.max(stats.best_fitness),
-                                mean_fitness: m.mean_fitness + stats.mean_fitness,
-                                evaluations: m.evaluations + stats.evaluations,
-                                elapsed: m.elapsed.max(stats.elapsed),
-                                ..m
-                            }
-                        }
-                    });
-                }
-                let Some(mut merged) = merged else { continue };
-                merged.mean_fitness /= contributors as f64;
-                merged.cache = fitness.cache_stats();
-                observer(&GenerationEvent::Merged(&merged));
-                history.push(merged);
-            }
-            for island in islands.iter_mut() {
-                island.epoch_log.clear();
-            }
-        };
-
         let mut islands: Vec<IslandState<G, F::State>>;
         let mut best_so_far: f64;
         let mut stagnant: usize;
@@ -508,9 +407,6 @@ where
                 .iter()
                 .map(|island| restore_island(island, &config))
                 .collect();
-            for (flag, island) in quarantined.iter_mut().zip(&cp.islands) {
-                *flag = island.quarantined;
-            }
             history = restore_history(&cp.history);
             best_so_far = cp.best_so_far;
             stagnant = cp.stagnant as usize;
@@ -543,9 +439,6 @@ where
                     )
                 })) {
                     Ok(island) => islands.push(island),
-                    // Initialization failures always fail the run: an
-                    // uninitialized island has no healthy state to
-                    // quarantine.
                     Err(payload) => {
                         return Err(EaError::IslandFailed {
                             island: i,
@@ -560,7 +453,7 @@ where
             for island in islands.iter_mut() {
                 island.log_generation(0, start);
             }
-            merge(&mut islands, &quarantined, &mut history);
+            merge(&mut islands, fitness.cache_stats(), &mut history);
 
             best_so_far = history[0].best_fitness;
             stagnant = 0;
@@ -570,7 +463,6 @@ where
 
         let mut checkpoint_failures: u64 = 0;
         let mut last_checkpoint = generation;
-        let mut failures: Vec<Option<String>> = vec![None; count];
 
         let stop_reason = loop {
             if let Some(reason) =
@@ -579,47 +471,13 @@ where
                 break reason;
             }
             let epoch_gens = interval.min(config.max_generations - generation);
-            for_each_island(
-                &mut islands,
-                &quarantined,
-                workers,
-                &mut failures,
-                |island| {
-                    for g in 0..epoch_gens {
-                        step(&config, &sample_gene, &fitness, island);
-                        island.log_generation(generation + g + 1, start);
-                    }
-                },
-            );
-            let mut last_failure: Option<(usize, String)> = None;
-            for (i, failure) in failures.iter_mut().enumerate() {
-                let Some(message) = failure.take() else {
-                    continue;
-                };
-                match config.panic_policy {
-                    IslandPanicPolicy::Fail => {
-                        return Err(EaError::IslandFailed {
-                            island: i,
-                            generation,
-                            message,
-                        });
-                    }
-                    IslandPanicPolicy::Quarantine => {
-                        // The island's partial epoch is discarded — its
-                        // state may be mid-generation — and it leaves the
-                        // run: no more epochs, no migration, no say in the
-                        // merged statistics or the final pick.
-                        quarantined[i] = true;
-                        islands[i].epoch_log.clear();
-                        last_failure = Some((i, message));
-                    }
+            let failure = for_each_island(&mut islands, workers, |island| {
+                for g in 0..epoch_gens {
+                    step(&config, &sample_gene, &fitness, island);
+                    island.log_generation(generation + g + 1, start);
                 }
-            }
-            // A run without a healthy island left (every panmictic panic)
-            // fails whatever the policy: there is nothing to degrade to.
-            if quarantined.iter().all(|&q| q) {
-                let (island, message) =
-                    last_failure.expect("all islands quarantined implies a failure this epoch");
+            });
+            if let Some((island, message)) = failure {
                 return Err(EaError::IslandFailed {
                     island,
                     generation,
@@ -627,7 +485,7 @@ where
                 });
             }
             let merged_from = history.len();
-            merge(&mut islands, &quarantined, &mut history);
+            merge(&mut islands, fitness.cache_stats(), &mut history);
             for merged in &history[merged_from..] {
                 if merged.best_fitness > best_so_far {
                     best_so_far = merged.best_fitness;
@@ -646,13 +504,7 @@ where
                 && total_evals < config.max_evaluations
                 && generation < config.max_generations;
             if continuing {
-                migrate(
-                    &fitness,
-                    &mut islands,
-                    &quarantined,
-                    migrants,
-                    config.ranking,
-                );
+                migrate(&fitness, &mut islands, migrants, config.ranking);
             }
 
             // Checkpoint at the epoch boundary, after migration: the
@@ -666,20 +518,14 @@ where
                     stagnant: stagnant as u64,
                     best_so_far,
                     history: history_records(&history),
-                    islands: islands
-                        .iter()
-                        .zip(&quarantined)
-                        .map(|(island, &q)| capture_island(island, q))
-                        .collect(),
+                    islands: islands.iter().map(capture_island).collect(),
                 });
             }
         };
 
-        // Best individual across healthy islands, by the run's ranking;
-        // island order breaks exact ties, so the pick is deterministic.
-        // Quarantined islands are out: their state may be mid-generation.
-        let healthy: Vec<usize> = (0..islands.len()).filter(|&i| !quarantined[i]).collect();
-        let best_island = healthy[1..].iter().fold(healthy[0], |best, &i| {
+        // Best individual across islands, by the run's ranking; island
+        // order breaks exact ties, so the pick is deterministic.
+        let best_island = (1..islands.len()).fold(0, |best, i| {
             let better = match config.ranking {
                 Ranking::Fitness => {
                     islands[i].population[0].fitness > islands[best].population[0].fitness
@@ -697,16 +543,13 @@ where
                 best
             }
         });
-        // The run's front: healthy islands' archives merged in island order
-        // (the merge re-runs nondomination, so the result is the exact
-        // front of the union and independent of which island found a point
-        // first).
+        // The run's front: the island archives merged in island order (the
+        // merge re-runs nondomination, so the result is the exact front of
+        // the union and independent of which island found a point first).
         let pareto_front = if config.pareto_capacity > 0 {
             let mut merged = ParetoArchive::new(config.pareto_capacity);
-            for &i in &healthy {
-                if let Some(archive) = &islands[i].archive {
-                    merged.merge_from(archive);
-                }
+            for archive in islands.iter().filter_map(|island| island.archive.as_ref()) {
+                merged.merge_from(archive);
             }
             merged.reported().to_vec()
         } else {
@@ -723,9 +566,38 @@ where
             cache: fitness.cache_stats(),
             pareto_front,
             stop_reason,
-            quarantined: (0..count).filter(|&i| quarantined[i]).collect(),
             checkpoint_failures,
         })
+    }
+}
+
+/// Merges the islands' epoch logs into `history`, one entry per logged
+/// generation, and clears the logs. Every island logs the same generations
+/// each epoch. An entry is seeded from island 0, so a single island's
+/// statistics pass through bit for bit; it then takes the best of the
+/// islands' bests, the mean of their means, the sum of their cumulative
+/// evaluation counts and the latest wall-clock. `cache` is the evaluator's
+/// snapshot at the epoch boundary.
+fn merge<G, S>(
+    islands: &mut [IslandState<G, S>],
+    cache: Option<CacheStats>,
+    history: &mut Vec<GenerationStats>,
+) {
+    for g in 0..islands[0].epoch_log.len() {
+        let mut merged = islands[0].epoch_log[g];
+        for stats in islands[1..].iter().map(|island| &island.epoch_log[g]) {
+            debug_assert_eq!(stats.generation, merged.generation);
+            merged.best_fitness = merged.best_fitness.max(stats.best_fitness);
+            merged.mean_fitness += stats.mean_fitness;
+            merged.evaluations += stats.evaluations;
+            merged.elapsed = merged.elapsed.max(stats.elapsed);
+        }
+        merged.mean_fitness /= islands.len() as f64;
+        merged.cache = cache;
+        history.push(merged);
+    }
+    for island in islands.iter_mut() {
+        island.epoch_log.clear();
     }
 }
 
@@ -789,7 +661,7 @@ fn stop_reason_at(
 
 /// Checks that a checkpoint can resume *this* run: same deterministic
 /// config (by fingerprint), same genome length, the topology's island
-/// count, internally consistent shapes, and at least one healthy island.
+/// count, and internally consistent shapes.
 fn validate_checkpoint<G>(
     cp: &EaCheckpoint<G>,
     config: &EaConfig,
@@ -807,9 +679,6 @@ fn validate_checkpoint<G>(
     }
     if cp.history.len() as u64 != cp.generation + 1 {
         return Err(CheckpointError::Malformed("history length mismatch"));
-    }
-    if cp.islands.iter().all(|island| island.quarantined) {
-        return Err(CheckpointError::Malformed("all islands quarantined"));
     }
     for island in &cp.islands {
         if island.population.len() != config.population_size {
@@ -865,10 +734,7 @@ fn restore_island<G: Copy, S: Default>(
 /// Snapshots one island into checkpoint form. The archive section stores
 /// the *full* retained front ([`ParetoArchive::points`]), not the
 /// capacity-bounded reported prefix, so restoring loses nothing.
-fn capture_island<G: Copy, S>(
-    island: &IslandState<G, S>,
-    quarantined: bool,
-) -> IslandCheckpoint<G> {
+fn capture_island<G: Copy, S>(island: &IslandState<G, S>) -> IslandCheckpoint<G> {
     let member = |genes: &[G], fitness: f64, objectives: Objectives| CheckpointMember {
         genes: genes.to_vec(),
         fitness,
@@ -877,7 +743,6 @@ fn capture_island<G: Copy, S>(
     IslandCheckpoint {
         rng_state: island.rng.to_state(),
         evaluations: island.evaluations,
-        quarantined,
         population: island
             .population
             .iter()
@@ -1173,47 +1038,39 @@ fn step<G, SampleGene, F>(
 /// so migration costs no evaluations. Rank — and therefore which
 /// individuals count as "best" — follows the run's [`Ranking`], so
 /// lexicographic runs migrate their lexicographic elite. No-op for a
-/// single island or `migrants == 0`. Quarantined islands have left the
-/// ring: the ring is formed over the healthy islands in index order, so a
-/// quarantine neither receives immigrants nor feeds its (possibly
-/// mid-generation) elite to a neighbour. Every migrant is handed to
+/// single island or `migrants == 0`. Every migrant is handed to
 /// [`FitnessEval::migrate`] with its source and destination island states,
 /// in ring order.
 fn migrate<G: Copy, F: FitnessEval<G>>(
     fitness: &F,
     islands: &mut [IslandState<G, F::State>],
-    quarantined: &[bool],
     migrants: usize,
     ranking: Ranking,
 ) {
-    if islands.len() < 2 || migrants == 0 {
+    let count = islands.len();
+    if count < 2 || migrants == 0 {
         return;
     }
-    let ring: Vec<usize> = (0..islands.len()).filter(|&i| !quarantined[i]).collect();
-    let count = ring.len();
-    if count < 2 {
-        return;
-    }
-    let s = islands[ring[0]].population.len();
+    let s = islands[0].population.len();
     let m = migrants.min(s);
-    let outbound: Vec<Vec<(Vec<G>, f64, Objectives)>> = ring
+    let outbound: Vec<Vec<(Vec<G>, f64, Objectives)>> = islands
         .iter()
-        .map(|&i| {
-            islands[i].population[..m]
+        .map(|island| {
+            island.population[..m]
                 .iter()
                 .map(|ind| (ind.genes.clone(), ind.fitness, ind.objectives))
                 .collect()
         })
         .collect();
-    for (pos, &dst) in ring.iter().enumerate() {
-        let src = (pos + count - 1) % count;
+    for dst in 0..count {
+        let src = (dst + count - 1) % count;
         // Ring neighbours are distinct islands; the source state is moved
         // out for the call so both states can be borrowed mutably.
-        let mut from = std::mem::take(&mut islands[ring[src]].eval_state);
+        let mut from = std::mem::take(&mut islands[src].eval_state);
         for (genes, _, _) in &outbound[src] {
             fitness.migrate(genes, &mut from, &mut islands[dst].eval_state);
         }
-        islands[ring[src]].eval_state = from;
+        islands[src].eval_state = from;
         let island = &mut islands[dst];
         for (slot, (genes, fit, obj)) in island.population[s - m..].iter_mut().zip(&outbound[src]) {
             slot.genes.clear();
@@ -1225,55 +1082,51 @@ fn migrate<G: Copy, F: FitnessEval<G>>(
     }
 }
 
-/// Runs `f` once per non-skipped island, distributing contiguous island
-/// chunks over at most `workers` scoped threads — the engine's only
-/// fan-out. Each island is touched by exactly one thread and owns all of
-/// its state, so the result is independent of the worker count. With one
-/// worker or one island (every panmictic run) the bodies run in order on
-/// the calling thread.
+/// Runs `f` once per island, distributing contiguous island chunks over at
+/// most `workers` scoped threads — the engine's only fan-out. Each island
+/// is touched by exactly one thread and owns all of its state, so the
+/// result is independent of the worker count. With one worker or one
+/// island (every panmictic run) the bodies run in order on the calling
+/// thread.
 ///
 /// Each island body runs under `catch_unwind`: a panicking island never
-/// takes down its worker thread (which may hold other islands of the same
-/// chunk) and never stalls the epoch barrier — the scope join always
-/// completes. `failures` has one slot per island (the caller's reusable
-/// buffer, all `None` on entry); a body that panicked leaves its message in
-/// its island's slot.
+/// takes down its worker thread and never stalls the epoch barrier — the
+/// scope join always completes. A chunk stops at its first panicking
+/// island; the lowest-indexed one comes back with its panic message.
 fn for_each_island<G, S, FN>(
     islands: &mut [IslandState<G, S>],
-    skip: &[bool],
     workers: usize,
-    failures: &mut [Option<String>],
     f: FN,
-) where
+) -> Option<(usize, String)>
+where
     G: Send,
     S: Send,
     FN: Fn(&mut IslandState<G, S>) + Sync,
 {
-    let run_chunk =
-        |chunk: &mut [IslandState<G, S>], skips: &[bool], slots: &mut [Option<String>]| {
-            for ((island, &skipped), slot) in chunk.iter_mut().zip(skips).zip(slots) {
-                if skipped {
-                    continue;
-                }
-                if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(island))) {
-                    *slot = Some(panic_message(payload));
-                }
-            }
-        };
+    let run_chunk = |first: usize, chunk: &mut [IslandState<G, S>]| {
+        chunk.iter_mut().enumerate().find_map(|(i, island)| {
+            catch_unwind(AssertUnwindSafe(|| f(island)))
+                .err()
+                .map(|payload| (first + i, panic_message(payload)))
+        })
+    };
     if workers <= 1 || islands.len() <= 1 {
-        return run_chunk(islands, skip, failures);
+        return run_chunk(0, islands);
     }
     let per = islands.len().div_ceil(workers);
     std::thread::scope(|scope| {
-        for ((chunk, skips), slots) in islands
+        let chunks: Vec<_> = islands
             .chunks_mut(per)
-            .zip(skip.chunks(per))
-            .zip(failures.chunks_mut(per))
-        {
-            let run_chunk = &run_chunk;
-            scope.spawn(move || run_chunk(chunk, skips, slots));
-        }
-    });
+            .enumerate()
+            .map(|(c, chunk)| {
+                let run_chunk = &run_chunk;
+                scope.spawn(move || run_chunk(c * per, chunk))
+            })
+            .collect();
+        chunks
+            .into_iter()
+            .find_map(|chunk| chunk.join().expect("island bodies contain their panics"))
+    })
 }
 
 fn sort_by_fitness<G>(population: &mut [Individual<G>]) {
@@ -1538,16 +1391,14 @@ mod tests {
     }
 
     #[test]
-    fn observer_sees_every_generation() {
-        let mut seen = 0u64;
+    fn history_has_one_entry_per_generation() {
         let result = EaBuilder::new(8, |rng| rng.gen::<bool>(), |_: &[bool]| 0.0)
             .config(one_max_config(4, 0))
-            .run_with_observer(|event| {
-                assert!(matches!(event, GenerationEvent::Merged(_)));
-                seen += 1;
-            });
-        assert_eq!(seen as usize, result.history.len());
+            .run();
         assert_eq!(result.history.len() as u64, result.generations + 1);
+        for (g, stats) in result.history.iter().enumerate() {
+            assert_eq!(stats.generation, g as u64);
+        }
     }
 
     #[test]
@@ -1634,47 +1485,26 @@ mod tests {
     }
 
     #[test]
-    fn island_events_cover_every_island_every_generation() {
-        let count = 3;
-        let mut island_events = Vec::new();
-        let mut merged = Vec::new();
-        let result = EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
-            .config(island_config(count, 4, 1, 2))
-            .run_with_observer(|event| match event {
-                GenerationEvent::Island { island, stats } => {
-                    island_events.push((*island, stats.generation));
-                    assert!(
-                        stats.cache.is_none(),
-                        "island events carry no cache snapshot"
-                    );
-                }
-                GenerationEvent::Merged(stats) => merged.push(stats.generation),
-            });
-        // Per generation: one event per island (in island order), then the
-        // merged event.
-        assert_eq!(merged.len(), result.history.len());
-        assert_eq!(island_events.len(), merged.len() * count);
-        for (slot, &(island, generation)) in island_events.iter().enumerate() {
-            assert_eq!(island, slot % count, "island order within a generation");
-            assert_eq!(generation, merged[slot / count], "generation interleave");
-        }
-    }
-
-    #[test]
     fn merged_evaluations_sum_over_islands() {
-        let count = 3;
-        let mut per_island_evals = vec![0u64; count];
-        let mut merged_evals = 0;
+        // A capture every epoch: the merged history's last entry must count
+        // exactly the islands' own evaluations at that boundary.
+        let checkpoints = std::cell::RefCell::new(Vec::new());
         let result = EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
-            .config(island_config(count, 4, 1, 3))
-            .run_with_observer(|event| match event {
-                GenerationEvent::Island { island, stats } => {
-                    per_island_evals[*island] = stats.evaluations;
-                }
-                GenerationEvent::Merged(stats) => merged_evals = stats.evaluations,
-            });
-        assert_eq!(merged_evals, per_island_evals.iter().sum::<u64>());
-        assert_eq!(result.evaluations, merged_evals);
+            .config(island_config(3, 4, 1, 3))
+            .checkpoint_every(1, |cp: &EaCheckpoint<bool>| {
+                checkpoints.borrow_mut().push(cp.clone());
+                Ok(())
+            })
+            .run();
+        let checkpoints = checkpoints.into_inner();
+        assert!(!checkpoints.is_empty(), "run too short to checkpoint");
+        for cp in &checkpoints {
+            let merged = cp.history.last().expect("history holds generation 0");
+            let per_island: u64 = cp.islands.iter().map(|i| i.evaluations).sum();
+            assert_eq!(merged.evaluations, per_island, "gen {}", cp.generation);
+        }
+        let last = result.history.last().expect("history holds generation 0");
+        assert_eq!(result.evaluations, last.evaluations);
     }
 
     #[test]
@@ -1941,7 +1771,6 @@ mod tests {
     fn stop_reasons_name_the_boundary_that_fired() {
         let converged = run_one_max(1);
         assert_eq!(converged.stop_reason, StopReason::Converged);
-        assert!(converged.quarantined.is_empty());
         assert_eq!(converged.checkpoint_failures, 0);
 
         let budget = EaBuilder::new(8, |rng| rng.gen::<bool>(), |_: &[bool]| 0.0)
@@ -2017,7 +1846,6 @@ mod tests {
         assert_eq!(resumed.generations, reference.generations, "{label}");
         assert_eq!(resumed.evaluations, reference.evaluations, "{label}");
         assert_eq!(resumed.stop_reason, reference.stop_reason, "{label}");
-        assert_eq!(resumed.quarantined, reference.quarantined, "{label}");
         assert_eq!(resumed.history.len(), reference.history.len(), "{label}");
         for (a, b) in resumed.history.iter().zip(&reference.history) {
             assert_eq!(a.generation, b.generation, "{label}");
@@ -2233,44 +2061,59 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_policy_degrades_instead_of_failing() {
-        // threads(1): islands run their epochs in index order, so the 40th
-        // evaluation deterministically lands on island 0's first epoch.
-        let config = EaConfig::builder()
-            .population_size(8)
-            .children_per_generation(6)
-            .stagnation_limit(25)
-            .islands(4, 3, 1)
-            .threads(1)
-            .seed(1)
-            .quarantine_on_panic()
-            .build();
-        let result = EaBuilder::new(24, |rng| rng.gen::<bool>(), PanicOnce::at(40))
-            .config(config)
-            .run();
-        assert_eq!(result.quarantined, vec![0]);
-        assert_eq!(result.stop_reason, StopReason::Converged);
-        assert!(
-            result.best_fitness >= 20.0,
-            "healthy islands still optimized: {}",
-            result.best_fitness
-        );
-        // The quarantined island's evaluations stay in the (monotone) total.
-        let mut prev = 0;
-        for s in &result.history {
-            assert!(s.evaluations >= prev, "evaluations went backwards");
-            prev = s.evaluations;
+    fn island_panics_report_the_lowest_failing_island() {
+        // Every island panics in its first epoch (children come with
+        // provenance, the initial populations do not); at any thread count
+        // the error names island 0 at generation 0.
+        struct PanicOnChildren;
+        impl FitnessEval<bool> for PanicOnChildren {
+            type State = ();
+
+            fn evaluate(&self, genes: &[bool]) -> f64 {
+                genes.iter().filter(|&&g| g).count() as f64
+            }
+            fn evaluate_batch(
+                &self,
+                _state: &mut (),
+                genomes: &[Vec<bool>],
+                provenance: Option<Provenance<'_, bool>>,
+                out: &mut [f64],
+                _objectives: Option<&mut [Objectives]>,
+            ) {
+                assert!(provenance.is_none(), "poisoned children");
+                for (genes, slot) in genomes.iter().zip(out.iter_mut()) {
+                    *slot = self.evaluate(genes);
+                }
+            }
+        }
+        for threads in [1, 2, 4] {
+            let mut config = island_config(4, 3, 1, 1);
+            config.threads = threads;
+            let err = EaBuilder::new(24, |rng| rng.gen::<bool>(), PanicOnChildren)
+                .config(config)
+                .try_run()
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    EaError::IslandFailed {
+                        island: 0,
+                        generation: 0,
+                        ..
+                    }
+                ),
+                "threads {threads}: {err}"
+            );
         }
     }
 
     #[test]
-    fn panmictic_panic_fails_even_under_quarantine_policy() {
+    fn panmictic_panic_fails_the_run() {
         let config = EaConfig::builder()
             .population_size(10)
             .children_per_generation(5)
             .stagnation_limit(50)
             .seed(1)
-            .quarantine_on_panic()
             .build();
         let err = EaBuilder::new(24, |rng| rng.gen::<bool>(), PanicOnce::at(25))
             .config(config)
@@ -2290,7 +2133,6 @@ mod tests {
             .islands(4, 3, 1)
             .threads(1)
             .seed(1)
-            .quarantine_on_panic()
             .build();
         let err = EaBuilder::new(24, |rng| rng.gen::<bool>(), PanicOnce::at(20))
             .config(config)

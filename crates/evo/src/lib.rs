@@ -64,10 +64,9 @@
 //!
 //! For an island run, swap the config for
 //! `EaConfig::builder().islands(4, 10, 2).build()` — 4 islands migrating
-//! their 2 rank-best individuals along a ring every 10 generations — and
-//! observe per-island progress through
-//! [`EaBuilder::run_with_observer`](EaBuilder::run_with_observer) and
-//! [`GenerationEvent`].
+//! their 2 rank-best individuals along a ring every 10 generations. Its
+//! [`EaResult::history`] holds one merged entry per generation, aggregated
+//! over the islands.
 //!
 //! # Robustness
 //!
@@ -84,10 +83,9 @@
 //!   run at a generation boundary with well-formed best-so-far state; the
 //!   boundary that fired is reported as [`EaResult::stop_reason`].
 //! - **Panic isolation** — island worker bodies run under `catch_unwind`,
-//!   so a poisoned evaluator surfaces as a typed
-//!   [`EaError::IslandFailed`] from [`EaBuilder::try_run`] (or, under
-//!   [`IslandPanicPolicy::Quarantine`], as a degraded-but-completed run)
-//!   instead of aborting the process or stalling the epoch barrier.
+//!   so a poisoned evaluator fails the run with a typed
+//!   [`EaError::IslandFailed`] from [`EaBuilder::try_run`] instead of
+//!   aborting the process or stalling the epoch barrier.
 //! - **Fault injection** — the `failpoints` cargo feature compiles in the
 //!   [`failpoints`] registry, letting tests trigger those failure paths at
 //!   deterministic points of a run.
@@ -116,5 +114,5 @@ pub use engine::{EaBuilder, EaResult};
 pub use fitness::{FitnessEval, Lineage, Provenance};
 pub use objective::{Objectives, ParetoArchive, ParetoPoint};
 pub use operators::GeneRange;
-pub use stats::{evals_per_sec, CacheStats, GenerationEvent, GenerationStats};
-pub use supervisor::{CancelToken, EaError, IslandPanicPolicy, StopReason};
+pub use stats::{evals_per_sec, CacheStats, GenerationStats};
+pub use supervisor::{CancelToken, EaError, StopReason};

@@ -73,49 +73,6 @@ pub struct GenerationStats {
     pub cache: Option<CacheStats>,
 }
 
-/// One observer callback from the engine (see
-/// `EaBuilder::run_with_observer`): either one island's view of a
-/// generation or the merged, whole-run view.
-///
-/// Panmictic runs emit only [`GenerationEvent::Merged`]. Island runs emit,
-/// for every generation, one [`GenerationEvent::Island`] per island (in
-/// island order) followed by one merged event; island events carry the
-/// island's own cumulative [`GenerationStats::evaluations`] and no cache
-/// snapshot (`cache: None` — the counters are shared across islands), while
-/// the merged event aggregates evaluations across islands and carries the
-/// evaluator's cache counters.
-#[derive(Debug, Clone, Copy)]
-pub enum GenerationEvent<'a> {
-    /// One island's post-selection statistics for a generation.
-    Island {
-        /// Island index, `0..count`.
-        island: usize,
-        /// The island's own statistics.
-        stats: &'a GenerationStats,
-    },
-    /// Merged statistics over the whole run (the entries that make up
-    /// `EaResult::history`).
-    Merged(&'a GenerationStats),
-}
-
-impl GenerationEvent<'_> {
-    /// The statistics carried by the event, island or merged.
-    pub fn stats(&self) -> &GenerationStats {
-        match self {
-            GenerationEvent::Island { stats, .. } => stats,
-            GenerationEvent::Merged(stats) => stats,
-        }
-    }
-
-    /// The island index, or `None` for a merged event.
-    pub fn island(&self) -> Option<usize> {
-        match self {
-            GenerationEvent::Island { island, .. } => Some(*island),
-            GenerationEvent::Merged(_) => None,
-        }
-    }
-}
-
 /// Fitness-evaluation throughput: `evaluations / elapsed` in evaluations
 /// per second, or `0.0` before any time has elapsed. The one definition
 /// behind every `evaluations_per_sec()` accessor in the workspace.
@@ -194,19 +151,5 @@ mod tests {
     #[test]
     fn zero_elapsed_reports_zero_throughput() {
         assert_eq!(stats(10, Duration::ZERO).evaluations_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn generation_event_accessors() {
-        let s = stats(1, Duration::ZERO);
-        let island = GenerationEvent::Island {
-            island: 2,
-            stats: &s,
-        };
-        let merged = GenerationEvent::Merged(&s);
-        assert_eq!(island.island(), Some(2));
-        assert_eq!(merged.island(), None);
-        assert_eq!(island.stats().generation, 3);
-        assert_eq!(merged.stats().generation, 3);
     }
 }

@@ -1,5 +1,5 @@
-//! Run supervision: cooperative cancellation, stop reasons, typed run
-//! errors, and the island panic policy.
+//! Run supervision: cooperative cancellation, stop reasons, and typed run
+//! errors.
 //!
 //! The engine checks for cancellation and deadlines only at generation
 //! boundaries (epoch boundaries for island runs), so a stopping run always
@@ -94,46 +94,14 @@ impl fmt::Display for StopReason {
     }
 }
 
-/// What the engine does when an island worker panics (a poisoned evaluator,
-/// a broken gene sampler). Set via
-/// [`crate::EaConfigBuilder::panic_policy`]; the worker body is wrapped in
-/// `catch_unwind` either way, so a panic never aborts the process and never
-/// stalls the epoch barrier — the remaining islands always finish their
-/// epoch first.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum IslandPanicPolicy {
-    /// Fail the run: [`crate::EaBuilder::try_run`] returns
-    /// [`EaError::IslandFailed`] naming the island (the default; `run`
-    /// resurfaces it as a panic).
-    #[default]
-    Fail,
-    /// Degrade: quarantine the failed island — it stops evolving, leaves
-    /// the migration ring, and is excluded from merged statistics and the
-    /// final best pick — and continue the run on the healthy islands.
-    /// Quarantined island indices are reported on
-    /// [`crate::EaResult::quarantined`]. A panmictic run has nothing to
-    /// degrade to, so it fails regardless of the policy, as does an island
-    /// run whose last healthy island panics.
-    Quarantine,
-}
-
-impl fmt::Display for IslandPanicPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IslandPanicPolicy::Fail => write!(f, "fail"),
-            IslandPanicPolicy::Quarantine => write!(f, "quarantine"),
-        }
-    }
-}
-
 /// A typed run failure, returned by [`crate::EaBuilder::try_run`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum EaError {
     /// An island worker panicked (island `0` is "the population" for
-    /// panmictic runs). Under [`IslandPanicPolicy::Quarantine`] this is
-    /// only returned when no healthy island remains.
+    /// panmictic runs). The whole run fails: it has no partial result.
     IslandFailed {
-        /// Index of the failed island.
+        /// Index of the failed island (the lowest one, if several panicked
+        /// in the same epoch).
         island: usize,
         /// Generation counter when the failure surfaced (the boundary at
         /// which the panic was observed, not necessarily where it began).

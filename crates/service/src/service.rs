@@ -43,7 +43,6 @@
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -278,10 +277,8 @@ pub struct ServiceOutcome {
 struct RunningJob {
     started_at: Duration,
     preemptible: bool,
+    /// Cancelled only by the shedder, so a cancelled token marks a shed.
     cancel: CancelToken,
-    /// Set by the shedder before cancelling, so the worker can tell a
-    /// preemption from any other cancellation source.
-    preempted: Arc<AtomicBool>,
 }
 
 #[derive(Default)]
@@ -579,19 +576,16 @@ impl Drop for Service {
     }
 }
 
-/// Picks the longest-running preemptible job (earliest start, ties to the
-/// lowest id) and preempts it: the flag marks the cancellation as a shed,
-/// the token stops the EA at its next generation boundary.
+/// Picks the longest-running preemptible job not already being shed
+/// (earliest start, ties to the lowest id) and preempts it: the token stops
+/// the EA at its next generation boundary.
 fn shed_longest_running(state: &mut State) {
     let victim = state
         .running
         .iter()
-        .filter(|(_, job)| job.preemptible && !job.preempted.load(Ordering::Acquire))
-        .min_by_key(|(id, job)| (job.started_at, **id))
-        .map(|(id, _)| *id);
-    if let Some(id) = victim {
-        let job = state.running.get(&id).expect("victim is running");
-        job.preempted.store(true, Ordering::Release);
+        .filter(|(_, job)| job.preemptible && !job.cancel.is_cancelled())
+        .min_by_key(|(id, job)| (job.started_at, **id));
+    if let Some((_, job)) = victim {
         job.cancel.cancel();
     }
 }
@@ -635,20 +629,18 @@ fn worker_loop(inner: &Inner) {
         // Register the attempt while still holding the lock, so the
         // shedder and the no-running-work clock advance always see it.
         let cancel = CancelToken::new();
-        let preempted = Arc::new(AtomicBool::new(false));
         state.running.insert(
             entry.id,
             RunningJob {
                 started_at: inner.clock.now(),
                 preemptible: entry.spec.preemptible,
                 cancel: cancel.clone(),
-                preempted: Arc::clone(&preempted),
             },
         );
         drop(state);
 
         let outcome = run_attempt(inner, &entry, cancel);
-        settle(inner, entry, outcome, &preempted);
+        settle(inner, entry, outcome);
     }
 }
 
@@ -690,14 +682,9 @@ fn run_attempt(inner: &Inner, entry: &JobEntry, cancel: CancelToken) -> Result<A
 
 /// Settles one attempt under the lock: completion, shed re-admission,
 /// backoff retry, or permanent failure — exactly one of them.
-fn settle(
-    inner: &Inner,
-    mut entry: JobEntry,
-    outcome: Result<Attempt, JobError>,
-    preempted: &AtomicBool,
-) {
+fn settle(inner: &Inner, mut entry: JobEntry, outcome: Result<Attempt, JobError>) {
     let mut state = inner.lock();
-    state.running.remove(&entry.id);
+    let running = state.running.remove(&entry.id);
     let now = inner.clock.now();
     match outcome {
         Ok(Attempt::Done {
@@ -719,7 +706,7 @@ fn settle(
             checkpoint_failures,
         }) => {
             debug_assert!(
-                preempted.load(Ordering::Acquire),
+                running.is_some_and(|job| job.cancel.is_cancelled()),
                 "the shedder is the only cancellation source"
             );
             entry.checkpoint_failures += checkpoint_failures;

@@ -5,8 +5,8 @@
 //! deterministic point:
 //!
 //! - an evaluator panic mid-batch must surface as a typed
-//!   `EaError::IslandFailed` (or a quarantined continuation) — never an
-//!   abort, never a stalled epoch barrier;
+//!   `EaError::IslandFailed` naming the failing island — never an abort,
+//!   never a stalled epoch barrier;
 //! - forced cache-probe mismatches (the detected-corruption answer) must
 //!   shift counters, not scores;
 //! - checkpoint-sink IO failures must be counted on the result while the
@@ -52,18 +52,15 @@ fn sample(rng: &mut rand::rngs::StdRng) -> Trit {
     Trit::from_index(rng.gen_range(0..3u8))
 }
 
-fn island_config(threads: usize, quarantine: bool) -> EaConfig {
-    let mut builder = EaConfig::builder()
+fn island_config(threads: usize) -> EaConfig {
+    EaConfig::builder()
         .population_size(6)
         .children_per_generation(4)
         .stagnation_limit(8)
         .islands(4, 2, 1)
         .threads(threads)
-        .seed(5);
-    if quarantine {
-        builder = builder.quarantine_on_panic();
-    }
-    builder.build()
+        .seed(5)
+        .build()
 }
 
 #[test]
@@ -76,7 +73,7 @@ fn injected_evaluator_panic_is_a_typed_error_not_a_hang() {
     // rather than deadlocking.
     arm(site::CORE_EVALUATE, FailSpec::Nth(6));
     let err = EaBuilder::new(8 * 4, sample, MvFitness::new(8, true, &f.histogram, f.bits))
-        .config(island_config(4, false))
+        .config(island_config(4))
         .try_run()
         .unwrap_err();
     let EaError::IslandFailed { message, .. } = err else {
@@ -87,19 +84,26 @@ fn injected_evaluator_panic_is_a_typed_error_not_a_hang() {
 }
 
 #[test]
-fn injected_panic_under_quarantine_degrades_the_run() {
+fn injected_panic_names_the_failing_island_and_epoch() {
     let _gate = gate();
     reset();
     let f = fixture();
     // threads(1): the 4 island initializations take hits 1-4, then island
-    // 0 runs its first epoch — hit 6 lands on its second generation.
+    // 0 runs its first epoch — hit 6 lands on its second generation, so
+    // the run fails on island 0 at the generation-0 boundary.
     arm(site::CORE_EVALUATE, FailSpec::Nth(6));
-    let result = EaBuilder::new(8 * 4, sample, MvFitness::new(8, true, &f.histogram, f.bits))
-        .config(island_config(1, true))
-        .run();
-    assert_eq!(result.quarantined, vec![0]);
-    assert_eq!(result.stop_reason, StopReason::Converged);
-    assert!(result.best_fitness.is_finite());
+    let err = EaBuilder::new(8 * 4, sample, MvFitness::new(8, true, &f.histogram, f.bits))
+        .config(island_config(1))
+        .try_run()
+        .unwrap_err();
+    assert_eq!(
+        err,
+        EaError::IslandFailed {
+            island: 0,
+            generation: 0,
+            message: "injected evaluator fault".into(),
+        }
+    );
     reset();
 }
 

@@ -8,10 +8,13 @@
 //! operator probabilities zero): children are exact copies, so truncation
 //! selection leaves every island's population untouched between migrations
 //! — which makes migration the only way fitness can move between islands,
-//! and its route fully visible in the per-island [`GenerationEvent`] stream.
+//! and its route fully visible in the per-island populations of a
+//! checkpoint captured at every epoch boundary.
+
+use std::cell::RefCell;
 
 use evotc::evo::{
-    EaBuilder, EaConfig, EaResult, FitnessEval, GenerationEvent, Objectives, Provenance,
+    EaBuilder, EaCheckpoint, EaConfig, EaResult, FitnessEval, Objectives, Provenance,
 };
 use proptest::prelude::*;
 use rand::Rng;
@@ -33,8 +36,10 @@ fn planted_fitness(genes: &[bool]) -> f64 {
 }
 
 /// A reproduction-only island run seeded with the planted target on island
-/// 0, returning for each island the first generation whose stats reach
-/// [`ELITE`] (`None` if never).
+/// 0, returning for each island the first generation at which its best
+/// member is [`ELITE`] (`None` if never). Populations are read from a
+/// capture at every epoch boundary; the capture at generation `e` is taken
+/// after migration `e`, so it already holds that migration's arrivals.
 fn elite_arrival(count: usize, interval: u64, migrants: usize, gens: u64) -> Vec<Option<u64>> {
     let config = EaConfig::builder()
         .population_size(6)
@@ -47,32 +52,39 @@ fn elite_arrival(count: usize, interval: u64, migrants: usize, gens: u64) -> Vec
         .islands(count, interval, migrants)
         .seed(8)
         .build();
-    let mut arrival: Vec<Option<u64>> = vec![None; count];
+    let arrival = RefCell::new(vec![None; count]);
     EaBuilder::new(TARGET_LEN, |rng| rng.gen::<bool>(), planted_fitness)
         .config(config)
         .seed_population([vec![true; TARGET_LEN]])
-        .run_with_observer(|event| {
-            if let GenerationEvent::Island { island, stats } = event {
-                if stats.best_fitness == ELITE && arrival[*island].is_none() {
-                    arrival[*island] = Some(stats.generation);
+        .checkpoint_every(1, |cp: &EaCheckpoint<bool>| {
+            let mut arrival = arrival.borrow_mut();
+            for (seen, island) in arrival.iter_mut().zip(&cp.islands) {
+                if island.population[0].fitness == ELITE && seen.is_none() {
+                    *seen = Some(cp.generation);
                 }
             }
-        });
-    arrival
+            Ok(())
+        })
+        .run();
+    arrival.into_inner()
 }
 
 #[test]
 fn migration_is_a_forward_ring_of_rank_best_migrants() {
     // Interval 1, one migrant: the elite is rank 0 on island 0, so rank
-    // selection must carry exactly it. Migration `e` happens after the
-    // stats of generation `e` are logged, so an island at ring distance `d`
-    // from island 0 first shows the elite at generation `d + 1`.
+    // selection must carry exactly it. Each migration moves it one hop, so
+    // an island at ring distance `d` from island 0 first holds the elite in
+    // the capture after migration `d`.
     let arrival = elite_arrival(4, 1, 1, 6);
-    assert_eq!(arrival[0], Some(0), "the seed starts on island 0");
+    assert_eq!(
+        arrival[0],
+        Some(1),
+        "island 0 holds the seed from the first capture"
+    );
     for d in 1..4u64 {
         assert_eq!(
             arrival[d as usize],
-            Some(d + 1),
+            Some(d),
             "ring direction: island {d} is {d} hops forward of island 0"
         );
     }
@@ -81,7 +93,7 @@ fn migration_is_a_forward_ring_of_rank_best_migrants() {
 #[test]
 fn no_migrants_means_fully_independent_islands() {
     let arrival = elite_arrival(4, 1, 0, 6);
-    assert_eq!(arrival[0], Some(0));
+    assert_eq!(arrival[0], Some(1));
     for (island, seen) in arrival.iter().enumerate().skip(1) {
         assert_eq!(
             *seen, None,
@@ -93,10 +105,10 @@ fn no_migrants_means_fully_independent_islands() {
 #[test]
 fn migration_respects_the_interval() {
     // Interval 3: the first migration happens after generation 3, so
-    // island 1 first shows the elite at generation 4, island 2 at 7.
+    // island 1 first holds the elite at generation 3, island 2 at 6.
     let arrival = elite_arrival(3, 3, 1, 8);
-    assert_eq!(arrival[1], Some(4));
-    assert_eq!(arrival[2], Some(7));
+    assert_eq!(arrival[1], Some(3));
+    assert_eq!(arrival[2], Some(6));
 }
 
 fn one_max_islands(
