@@ -62,7 +62,9 @@ impl Dv {
 /// drives input `j` on both planes; the fault site is forced to the stuck
 /// value on the faulty plane only.
 ///
-/// Returns one [`Dv`] per net.
+/// Returns one [`Dv`] per net. [`Podem`](crate::Podem) keeps the same
+/// values incrementally as it assigns inputs; this full sweep is the
+/// oracle its tests compare against.
 pub fn simulate_dv(
     netlist: &Netlist,
     assignment: &[Trit],

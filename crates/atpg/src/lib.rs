@@ -1,14 +1,19 @@
 //! Automatic test pattern generation with don't-care extraction.
 //!
 //! The paper's experiments run on *uncompacted test sets with don't-cares*:
-//! stuck-at sets in the style of Kajihara/Miyase (reference [30]) and robust
+//! stuck-at sets in the style of Kajihara/Miyase (reference \[30\]) and robust
 //! path-delay sets in the style of TIP (references [31, 32]). This crate
 //! rebuilds that flow:
 //!
 //! * [`Podem`] — the classic PODEM algorithm over a five-valued D-calculus
 //!   ([`dcalc`]), producing one test *cube* per fault: assigned inputs carry
 //!   `0`/`1`, all other inputs stay `X`. Those `X`s are exactly the
-//!   don't-cares the compression pipeline exploits.
+//!   don't-cares the compression pipeline exploits. The search skips
+//!   faults with no structural path to an output and backtracks as soon as
+//!   no X-path leads from the fault site to an output; implication is
+//!   event-driven. Neither changes a cube the search would find without
+//!   the checks, but a fault that search aborts may now resolve (see
+//!   [`PodemResult::Aborted`]).
 //! * [`generate_stuck_at_tests`] — test-set generation over the collapsed
 //!   fault list with bit-parallel fault dropping.
 //! * [`generate_path_delay_tests`] — robust two-pattern tests for structural
@@ -34,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod dcalc;
+mod implication;
 mod justify;
 mod path_delay;
 mod podem;

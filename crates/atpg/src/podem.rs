@@ -4,7 +4,8 @@ use evotc_bits::{TestPattern, Trit};
 use evotc_netlist::{GateKind, NetId, Netlist};
 use evotc_sim::StuckAtFault;
 
-use crate::dcalc::{simulate_dv, Dv};
+use crate::dcalc::Dv;
+use crate::implication::{Implication, Structure};
 
 /// Configuration of the PODEM search.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -31,11 +32,34 @@ pub enum PodemResult {
     /// The fault is proven untestable (search space exhausted).
     Untestable,
     /// The backtrack limit was hit before a decision.
+    ///
+    /// Only backtracks the search actually makes count against the limit;
+    /// subtrees the X-path check cuts off cost one. A fault a search
+    /// without that check would abort may therefore resolve here, and it
+    /// resolves to the cube (or the proof) that search would reach with an
+    /// unlimited budget.
     Aborted,
 }
 
 /// The PODEM (Path-Oriented DEcision Making) algorithm: branch-and-bound
 /// over primary-input assignments only, with five-valued implication.
+///
+/// Two checks cut off parts of the search that contain no test:
+///
+/// * a fault on a net with no structural path to an output is
+///   [`PodemResult::Untestable`] without any search;
+/// * after every implication the search backtracks unless a path of nets
+///   that are `X` or carry the fault effect leads from the fault site to
+///   an output. Implied values only refine as inputs are assigned, so
+///   without such a path no extension of the current assignment detects
+///   the fault.
+///
+/// Neither check changes the order in which the search visits
+/// assignments, so every cube it returns is the first test in the same
+/// depth-first order as without them, and only the backtrack count falls.
+/// Implication is event-driven: a decision re-evaluates only the fanout
+/// cone of the input it changed, and the D-frontier is kept up to date
+/// along the way.
 ///
 /// # Example
 ///
@@ -56,6 +80,7 @@ pub enum PodemResult {
 pub struct Podem<'a> {
     netlist: &'a Netlist,
     config: PodemConfig,
+    structure: Structure,
 }
 
 struct Decision {
@@ -67,26 +92,37 @@ struct Decision {
 impl<'a> Podem<'a> {
     /// Creates a PODEM engine for a circuit.
     pub fn new(netlist: &'a Netlist, config: PodemConfig) -> Self {
-        Podem { netlist, config }
+        Podem {
+            netlist,
+            config,
+            structure: Structure::new(netlist),
+        }
     }
 
     /// Generates a test cube for `fault`.
     pub fn run(&self, fault: StuckAtFault) -> PodemResult {
-        let n_inputs = self.netlist.num_inputs();
-        let mut assignment = vec![Trit::X; n_inputs];
+        if !self.structure.is_observable(fault.net) {
+            return PodemResult::Untestable;
+        }
+        let mut state = Implication::new(self.netlist, &self.structure, fault);
+        let mut assignment = vec![Trit::X; self.netlist.num_inputs()];
         let mut stack: Vec<Decision> = Vec::new();
         let mut backtracks = 0usize;
 
         loop {
-            let values = simulate_dv(self.netlist, &assignment, fault.net, fault.stuck_at);
-            if self.error_at_output(&values) {
+            if state.error_at_output() {
                 return PodemResult::Test(TestPattern::from_trits(&assignment));
             }
-            let objective = self.objective(&values, fault);
-            let next = objective.and_then(|(net, value)| self.backtrace(&values, net, value));
+            let next = if state.x_path() {
+                self.objective(&state, fault)
+                    .and_then(|(net, value)| self.backtrace(state.values(), net, value))
+            } else {
+                None
+            };
             match next {
                 Some((input, value)) => {
                     assignment[input] = Trit::from_bool(value);
+                    state.assign(input, assignment[input]);
                     stack.push(Decision {
                         input,
                         value,
@@ -103,6 +139,7 @@ impl<'a> Podem<'a> {
                         match stack.pop() {
                             Some(d) if !d.flipped => {
                                 assignment[d.input] = Trit::from_bool(!d.value);
+                                state.assign(d.input, assignment[d.input]);
                                 stack.push(Decision {
                                     input: d.input,
                                     value: !d.value,
@@ -112,27 +149,24 @@ impl<'a> Podem<'a> {
                             }
                             Some(d) => {
                                 assignment[d.input] = Trit::X;
+                                state.assign(d.input, Trit::X);
                             }
                             None => return PodemResult::Untestable,
                         }
                     }
                 }
             }
+            state.propagate();
         }
-    }
-
-    fn error_at_output(&self, values: &[Dv]) -> bool {
-        self.netlist
-            .outputs()
-            .iter()
-            .any(|o| values[o.index()].is_error())
     }
 
     /// The next objective `(net, value)`:
     /// 1. activate the fault (good value opposite to the stuck value);
-    /// 2. otherwise pick a D-frontier gate and demand the non-controlling
-    ///    value on one of its unspecified side inputs.
-    fn objective(&self, values: &[Dv], fault: StuckAtFault) -> Option<(NetId, bool)> {
+    /// 2. otherwise pick the first D-frontier gate, in [`NetId`] order,
+    ///    with an unspecified side input and demand the non-controlling
+    ///    value on the first such input.
+    fn objective(&self, state: &Implication, fault: StuckAtFault) -> Option<(NetId, bool)> {
+        let values = state.values();
         let at_site = values[fault.net.index()];
         if at_site.good.is_x() {
             return Some((fault.net, !fault.stuck_at));
@@ -140,40 +174,17 @@ impl<'a> Podem<'a> {
         if !at_site.is_error() {
             return None; // activation failed: good value equals stuck value
         }
-        // D-frontier: gates with an error input and an X output. Scans the
-        // SoA kind array directly — this loop runs once per objective.
-        let kinds = self.netlist.kinds();
-        for id in self.netlist.node_ids() {
-            let kind = kinds[id.index()];
-            if kind == GateKind::Input {
-                continue;
-            }
-            let out = values[id.index()];
-            if !out.has_x() {
-                continue;
-            }
-            let has_error_input = self
-                .netlist
-                .fanins(id)
-                .iter()
-                .any(|f| values[f.index()].is_error());
-            if !has_error_input {
-                continue;
-            }
-            let want = match kind.controlling_value() {
+        state.frontier().find_map(|id| {
+            let want = match self.netlist.kind(id).controlling_value() {
                 Some(c) => !c,
                 None => true, // XOR-ish: any specified value propagates
             };
-            if let Some(&side) = self
-                .netlist
+            self.netlist
                 .fanins(id)
                 .iter()
                 .find(|f| values[f.index()].good.is_x())
-            {
-                return Some((side, want));
-            }
-        }
-        None
+                .map(|&side| (side, want))
+        })
     }
 
     /// Walks from an internal objective back to an unassigned primary input,

@@ -1,12 +1,12 @@
 //! Criterion benchmarks of the substrates: Huffman coding, bit-parallel
-//! fault simulation, PODEM and the decoder FSM.
+//! fault simulation and the decoder FSM. PODEM is timed end to end by the
+//! `pipeline` bin.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use evotc_atpg::{Podem, PodemConfig};
 use evotc_codes::huffman_code;
 use evotc_core::{NineCHuffmanCompressor, TestCompressor};
 use evotc_decoder::DecoderFsm;
-use evotc_netlist::{generate, iscas, parse_bench, GeneratorConfig};
+use evotc_netlist::{generate, GeneratorConfig};
 use evotc_sim::{all_faults, detected_mask, simulate64};
 
 fn bench_huffman(c: &mut Criterion) {
@@ -33,20 +33,6 @@ fn bench_fault_sim(c: &mut Criterion) {
     });
 }
 
-fn bench_podem(c: &mut Criterion) {
-    let n = parse_bench(iscas::C17_BENCH).unwrap();
-    let faults = all_faults(&n);
-    c.bench_function("podem_c17_all_faults", |b| {
-        b.iter(|| {
-            let podem = Podem::new(&n, PodemConfig::default());
-            faults.iter().fold(0usize, |n, &f| {
-                criterion::black_box(podem.run(f));
-                n + 1
-            })
-        })
-    });
-}
-
 fn bench_decoder(c: &mut Criterion) {
     let set = evotc_workloads::synth::generate(&evotc_workloads::synth::SyntheticSpec {
         width: 24,
@@ -70,11 +56,5 @@ fn bench_decoder(c: &mut Criterion) {
     });
 }
 
-criterion_group!(
-    benches,
-    bench_huffman,
-    bench_fault_sim,
-    bench_podem,
-    bench_decoder
-);
+criterion_group!(benches, bench_huffman, bench_fault_sim, bench_decoder);
 criterion_main!(benches);
