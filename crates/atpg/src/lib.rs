@@ -15,10 +15,16 @@
 //!   the checks, but a fault that search aborts may now resolve (see
 //!   [`PodemResult::Aborted`]).
 //! * [`generate_stuck_at_tests`] — test-set generation over the collapsed
-//!   fault list with bit-parallel fault dropping.
+//!   fault list with word-parallel fault dropping (64 faults per
+//!   simulation sweep).
 //! * [`generate_path_delay_tests`] — robust two-pattern tests for structural
 //!   paths; each test is the 2n-bit concatenation `v₁ · v₂`, matching the
 //!   shape of the paper's path-delay test sets.
+//!
+//! Both generators spread their work over `threads` threads (the `threads`
+//! field of their configs, `0` = auto) and commit results in the order a
+//! single thread would, so their output is byte-identical at every thread
+//! count.
 //!
 //! # Example
 //!
@@ -39,6 +45,7 @@
 #![warn(missing_docs)]
 
 pub mod dcalc;
+mod fan_out;
 mod implication;
 mod justify;
 mod path_delay;

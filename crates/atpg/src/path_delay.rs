@@ -5,6 +5,7 @@ use evotc_netlist::{NetId, Netlist};
 use evotc_sim::delay::{check_robust, enumerate_paths, Path};
 use evotc_sim::simulate;
 
+use crate::fan_out::{self, resolve_threads};
 use crate::justify::justify;
 
 /// Configuration for [`generate_path_delay_tests`].
@@ -14,6 +15,12 @@ pub struct PathDelayConfig {
     pub max_paths: usize,
     /// Justification backtrack budget per vector.
     pub max_backtracks: usize,
+    /// Threads that generate tests, the calling thread included (`0` =
+    /// auto, resolved as for [`StuckAtConfig::threads`]). The outcome is
+    /// byte-identical at every count.
+    ///
+    /// [`StuckAtConfig::threads`]: crate::StuckAtConfig::threads
+    pub threads: usize,
 }
 
 impl Default for PathDelayConfig {
@@ -21,6 +28,7 @@ impl Default for PathDelayConfig {
         PathDelayConfig {
             max_paths: 256,
             max_backtracks: 20_000,
+            threads: 0,
         }
     }
 }
@@ -53,6 +61,10 @@ pub struct PathDelayOutcome {
 ///    `evotc-sim` and emits it only on success — the generator can be
 ///    incomplete, never unsound.
 ///
+/// Targets are independent, so the threads work on them in any order and
+/// the calling thread collects the pairs in target order: path by path,
+/// rising launch before falling.
+///
 /// # Example
 ///
 /// ```
@@ -73,20 +85,23 @@ pub fn generate_path_delay_tests(netlist: &Netlist, config: &PathDelayConfig) ->
     let mut robust = 0usize;
     let mut failed = 0usize;
 
-    for path in &paths {
-        for final_value in [true, false] {
-            match robust_pair(netlist, path, final_value, config.max_backtracks) {
-                Some((v1, v2)) => {
-                    robust += 1;
-                    let combined: Vec<Trit> = v1.iter().chain(v2.iter()).collect();
-                    tests
-                        .push(TestPattern::from_trits(&combined))
-                        .expect("combined width is 2n");
-                }
-                None => failed += 1,
+    // Target `t` is path `t / 2` with a rising (even `t`) or falling launch.
+    fan_out::ordered(
+        resolve_threads(config.threads),
+        2 * paths.len(),
+        |_| false,
+        |t| robust_pair(netlist, &paths[t / 2], t % 2 == 0, config.max_backtracks),
+        |_, pair| match pair {
+            Some((v1, v2)) => {
+                robust += 1;
+                let combined: Vec<Trit> = v1.iter().chain(v2.iter()).collect();
+                tests
+                    .push(TestPattern::from_trits(&combined))
+                    .expect("combined width is 2n");
             }
-        }
-    }
+            None => failed += 1,
+        },
+    );
 
     PathDelayOutcome {
         tests,

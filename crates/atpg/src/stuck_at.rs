@@ -1,9 +1,12 @@
 //! Stuck-at test-set generation with don't-care extraction.
 
-use evotc_bits::{TestPattern, TestSet};
-use evotc_netlist::Netlist;
-use evotc_sim::{collapse_faults, detected_mask, StuckAtFault};
+use std::sync::atomic::{AtomicBool, Ordering};
 
+use evotc_bits::{TestPattern, TestSet, Trit};
+use evotc_netlist::Netlist;
+use evotc_sim::{collapse_faults, detected_faults, StuckAtFault};
+
+use crate::fan_out::{self, resolve_threads};
 use crate::podem::{Podem, PodemConfig, PodemResult};
 
 /// Configuration for [`generate_stuck_at_tests`].
@@ -11,6 +14,12 @@ use crate::podem::{Podem, PodemConfig, PodemResult};
 pub struct StuckAtConfig {
     /// PODEM search budget per fault.
     pub podem: PodemConfig,
+    /// Threads that run PODEM, the calling thread included (`0` = auto:
+    /// `EVOTC_TEST_THREADS` when set, else the available parallelism capped
+    /// at 8, the rule of `evotc_evo::parallel::resolve_threads`). The
+    /// outcome is byte-identical at every count, apart from
+    /// [`StuckAtOutcome::discarded`].
+    pub threads: usize,
 }
 
 /// Outcome of stuck-at test generation.
@@ -27,6 +36,11 @@ pub struct StuckAtOutcome {
     pub untestable: usize,
     /// Faults aborted (budget exhausted).
     pub aborted: usize,
+    /// PODEM results computed ahead of the commit point for faults that an
+    /// earlier cube then detected, and so thrown away: the cost of
+    /// speculation. Always `0` at one thread. Like a wall-clock time, it
+    /// depends on scheduling and lies outside the determinism contract.
+    pub discarded: usize,
 }
 
 impl StuckAtOutcome {
@@ -45,10 +59,17 @@ impl StuckAtOutcome {
 /// in place, **no compaction or reordering** (code-based compression must
 /// preserve the set as-is, so we generate it as-is).
 ///
-/// Fault dropping uses bit-parallel fault simulation with zero-filled
+/// Fault dropping uses word-parallel fault simulation with zero-filled
 /// don't-cares, so later faults that happen to be covered by earlier cubes
 /// are skipped — this is what makes the sets "uncompacted but not absurdly
 /// redundant", matching the sizes the paper reports.
+///
+/// Fault `i` is targeted iff no earlier cube detects it, and a PODEM run
+/// depends only on the circuit, the fault and the budget. So the threads
+/// run PODEM ahead on faults not yet dropped, and the calling thread
+/// commits the results in fault order, throwing away any result whose
+/// fault an earlier commit dropped. The test set and counts are the
+/// sequential loop's at every thread count.
 ///
 /// # Example
 ///
@@ -56,34 +77,29 @@ impl StuckAtOutcome {
 pub fn generate_stuck_at_tests(netlist: &Netlist, config: &StuckAtConfig) -> StuckAtOutcome {
     let faults = collapse_faults(netlist);
     let num_faults = faults.len();
-    let mut dropped = vec![false; num_faults];
+    // Written only by the committing thread, which so reads it exactly;
+    // the others read it as a hint of what not to start, hence `Relaxed`.
+    let dropped: Vec<AtomicBool> = (0..num_faults).map(|_| AtomicBool::new(false)).collect();
     let mut tests = TestSet::new(netlist.num_inputs());
     let mut detected = 0usize;
     let mut untestable = 0usize;
     let mut aborted = 0usize;
 
     let podem = Podem::new(netlist, config.podem);
-    for i in 0..num_faults {
-        if dropped[i] {
-            continue;
-        }
-        match podem.run(faults[i]) {
+    let discarded = fan_out::ordered(
+        resolve_threads(config.threads),
+        num_faults,
+        |i| dropped[i].load(Ordering::Relaxed),
+        |i| podem.run(faults[i]),
+        |i, result| match result {
             PodemResult::Test(cube) => {
-                detected += 1;
-                dropped[i] = true;
-                drop_faults(netlist, &cube, &faults, &mut dropped, &mut detected);
+                detected += 1 + drop_detected(netlist, &cube, &faults[i + 1..], &dropped[i + 1..]);
                 tests.push(cube).expect("cube width equals input count");
             }
-            PodemResult::Untestable => {
-                untestable += 1;
-                dropped[i] = true;
-            }
-            PodemResult::Aborted => {
-                aborted += 1;
-                dropped[i] = true;
-            }
-        }
-    }
+            PodemResult::Untestable => untestable += 1,
+            PodemResult::Aborted => aborted += 1,
+        },
+    );
 
     StuckAtOutcome {
         tests,
@@ -91,33 +107,32 @@ pub fn generate_stuck_at_tests(netlist: &Netlist, config: &StuckAtConfig) -> Stu
         detected,
         untestable,
         aborted,
+        discarded,
     }
 }
 
-/// Marks every remaining fault detected by `cube` (zero-filled) as dropped.
-fn drop_faults(
+/// Marks every fault of `faults` not yet dropped that `cube` (zero-filled)
+/// detects as dropped, 64 faults per simulation sweep; returns how many.
+fn drop_detected(
     netlist: &Netlist,
     cube: &TestPattern,
     faults: &[StuckAtFault],
-    dropped: &mut [bool],
-    detected: &mut usize,
-) {
-    let filled = cube.fill_x(false);
-    let inputs: Vec<u64> = (0..netlist.num_inputs())
-        .map(|j| {
-            let t = filled.try_trit(j).expect("width matches input count");
-            u64::from(t.to_bool().expect("filled"))
-        })
+    dropped: &[AtomicBool],
+) -> usize {
+    let pattern: Vec<bool> = cube.iter().map(|t| t == Trit::One).collect();
+    let live: Vec<usize> = (0..faults.len())
+        .filter(|&j| !dropped[j].load(Ordering::Relaxed))
         .collect();
-    for (i, &fault) in faults.iter().enumerate() {
-        if dropped[i] {
-            continue;
-        }
-        if detected_mask(netlist, fault, &inputs) & 1 == 1 {
-            dropped[i] = true;
-            *detected += 1;
+    let targets: Vec<StuckAtFault> = live.iter().map(|&j| faults[j]).collect();
+    let words = detected_faults(netlist, &pattern, &targets);
+    let mut count = 0;
+    for (k, &j) in live.iter().enumerate() {
+        if (words[k / 64] >> (k % 64)) & 1 == 1 {
+            dropped[j].store(true, Ordering::Relaxed);
+            count += 1;
         }
     }
+    count
 }
 
 #[cfg(test)]

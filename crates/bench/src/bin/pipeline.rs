@@ -6,18 +6,28 @@
 //!
 //! * `gates`, `collapsed_faults` — circuit size and the PODEM target count;
 //! * `build_ms` — parsing the embedded netlist or generating the stand-in;
-//! * `stuck_at_ms` with `tests`, `untestable`, `aborted` — one
-//!   `generate_stuck_at_tests` call and its `StuckAtOutcome` counts;
-//! * `path_delay_ms`, `path_delay_tests` — `generate_path_delay_tests`;
+//! * `stuck_at_ms` with `tests`, `untestable`, `aborted`, `discarded` — one
+//!   `generate_stuck_at_tests` call at the default thread count and its
+//!   `StuckAtOutcome` counts;
+//! * `stuck_at_t1_ms` — the same call at `threads: 1`;
+//! * `path_delay_ms`, `path_delay_tests` — `generate_path_delay_tests` at
+//!   the default thread count, and `path_delay_t1_ms` at `threads: 1`;
 //! * `compress_ms`, `rate_pct` — the default EA at K=12, L=64 on the
 //!   stuck-at set;
 //! * `verify_ms` — software decompression, the refinement check and the
 //!   decoder-FSM replay.
 //!
+//! The top-level `threads` is the resolved default thread count. Both ATPG
+//! legs must return the same test set and counts at `threads: 1` as at the
+//! default; the bin exits non-zero on any difference. Since the outputs are
+//! identical, `stuck_at_t1_ms / stuck_at_ms` is the speed-up of the
+//! default threads alone.
+//!
 //! Writes `BENCH_pipeline.json`. With `--check-only` it runs c17 through
 //! s953 (s1423 is left out) and exits non-zero if any compression fails
 //! decode-verify, if any of the eight `atpg_flow` circuits has an aborted
-//! fault, or if the run exceeds a 60 s wall budget.
+//! fault, if a thread count changes an ATPG output, or if the run exceeds
+//! a 60 s wall budget.
 //!
 //! ```text
 //! cargo run --release -p evotc_bench --bin pipeline [-- --check-only]
@@ -27,11 +37,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use evotc_atpg::{
-    generate_path_delay_tests, generate_stuck_at_tests, PathDelayConfig, StuckAtConfig,
+    generate_path_delay_tests, generate_stuck_at_tests, PathDelayConfig, PathDelayOutcome,
+    StuckAtConfig, StuckAtOutcome,
 };
 use evotc_bits::TestSet;
 use evotc_core::{CompressedTestSet, EaCompressor, TestCompressor};
 use evotc_decoder::DecoderFsm;
+use evotc_evo::parallel::resolve_threads;
 use evotc_netlist::{generate, iscas, parse_bench, GeneratorConfig, Netlist};
 
 /// Every circuit, in the order rows are printed.
@@ -81,10 +93,13 @@ struct Row {
     collapsed_faults: usize,
     build_ms: f64,
     stuck_at_ms: f64,
+    stuck_at_t1_ms: f64,
     tests: usize,
     untestable: usize,
     aborted: usize,
+    discarded: usize,
     path_delay_ms: f64,
+    path_delay_t1_ms: f64,
     path_delay_tests: usize,
     compress_ms: f64,
     verify_ms: f64,
@@ -95,18 +110,66 @@ fn ms(since: Instant) -> f64 {
     since.elapsed().as_secs_f64() * 1e3
 }
 
+/// Same test set and counts; `discarded` depends on scheduling.
+fn same_stuck_at(a: &StuckAtOutcome, b: &StuckAtOutcome) -> bool {
+    a.tests == b.tests
+        && [a.num_faults, a.detected, a.untestable, a.aborted]
+            == [b.num_faults, b.detected, b.untestable, b.aborted]
+}
+
+fn same_path_delay(a: &PathDelayOutcome, b: &PathDelayOutcome) -> bool {
+    a.tests == b.tests
+        && [a.paths_considered, a.robust_tests, a.untestable_or_aborted]
+            == [b.paths_considered, b.robust_tests, b.untestable_or_aborted]
+}
+
+/// Runs `generate` at `threads: 1`, then at the default thread count, and
+/// fails unless the two outcomes are the `same`; returns the default run
+/// with its time and the `threads: 1` time.
+fn both_ways<O>(
+    what: &str,
+    generate: impl Fn(usize) -> O,
+    same: fn(&O, &O) -> bool,
+) -> (O, f64, f64) {
+    let t = Instant::now();
+    let serial = generate(1);
+    let t1_ms = ms(t);
+    let t = Instant::now();
+    let outcome = generate(0);
+    let default_ms = ms(t);
+    if !same(&serial, &outcome) {
+        fail(&format!("{what}: threads 1 and the default disagree"));
+    }
+    (outcome, default_ms, t1_ms)
+}
+
 fn measure(name: &'static str) -> Row {
     let t = Instant::now();
     let netlist = build(name);
     let build_ms = ms(t);
 
-    let t = Instant::now();
-    let outcome = generate_stuck_at_tests(&netlist, &StuckAtConfig::default());
-    let stuck_at_ms = ms(t);
-
-    let t = Instant::now();
-    let pairs = generate_path_delay_tests(&netlist, &PathDelayConfig::default()).tests;
-    let path_delay_ms = ms(t);
+    let (outcome, stuck_at_ms, stuck_at_t1_ms) = both_ways(
+        &format!("{name} stuck-at"),
+        |threads| {
+            let config = StuckAtConfig {
+                threads,
+                ..StuckAtConfig::default()
+            };
+            generate_stuck_at_tests(&netlist, &config)
+        },
+        same_stuck_at,
+    );
+    let (pairs, path_delay_ms, path_delay_t1_ms) = both_ways(
+        &format!("{name} path-delay"),
+        |threads| {
+            let config = PathDelayConfig {
+                threads,
+                ..PathDelayConfig::default()
+            };
+            generate_path_delay_tests(&netlist, &config)
+        },
+        same_path_delay,
+    );
 
     let t = Instant::now();
     let compressed = EaCompressor::builder(12, 64)
@@ -127,11 +190,14 @@ fn measure(name: &'static str) -> Row {
         collapsed_faults: outcome.num_faults,
         build_ms,
         stuck_at_ms,
+        stuck_at_t1_ms,
         tests: outcome.tests.num_patterns(),
         untestable: outcome.untestable,
         aborted: outcome.aborted,
+        discarded: outcome.discarded,
         path_delay_ms,
-        path_delay_tests: pairs.num_patterns(),
+        path_delay_t1_ms,
+        path_delay_tests: pairs.tests.num_patterns(),
         compress_ms,
         verify_ms,
         rate_pct: compressed.rate_percent(),
@@ -140,18 +206,22 @@ fn measure(name: &'static str) -> Row {
 
 fn print_row(r: &Row) {
     println!(
-        "{:>6}: {:>5} gates {:>5} faults  build {:>7.2} ms  stuck-at {:>10.3} ms \
-         ({} tests, {} untestable, {} aborted)  path-delay {:>8.2} ms ({} tests)  \
-         EA {:>7.1} ms  verify {:>6.2} ms  rate {:.2} %",
+        "{:>6}: {:>5} gates {:>5} faults  build {:>5.2} ms  stuck-at {:>9.3} ms \
+         (t1 {:>9.3} ms; {} tests, {} untestable, {} aborted, {} discarded)  \
+         path-delay {:>7.2} ms (t1 {:>7.2} ms; {} tests)  \
+         EA {:>6.1} ms  verify {:>5.2} ms  rate {:.2} %",
         r.name,
         r.gates,
         r.collapsed_faults,
         r.build_ms,
         r.stuck_at_ms,
+        r.stuck_at_t1_ms,
         r.tests,
         r.untestable,
         r.aborted,
+        r.discarded,
         r.path_delay_ms,
+        r.path_delay_t1_ms,
         r.path_delay_tests,
         r.compress_ms,
         r.verify_ms,
@@ -175,8 +245,10 @@ fn check_only() {
         ));
     }
     println!(
-        "pipeline --check-only: OK ({:.2}s, every set decode-verified, no aborts on the atpg_flow circuits)",
-        elapsed.as_secs_f64()
+        "pipeline --check-only: OK ({:.2}s, every set decode-verified, no aborts on the atpg_flow \
+         circuits, ATPG outputs identical at threads 1 and {})",
+        elapsed.as_secs_f64(),
+        resolve_threads(0)
     );
 }
 
@@ -200,8 +272,9 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{\"circuit\": \"{}\", \"gates\": {}, \"collapsed_faults\": {}, \
-                 \"build_ms\": {:.3}, \"stuck_at_ms\": {:.3}, \"tests\": {}, \
-                 \"untestable\": {}, \"aborted\": {}, \"path_delay_ms\": {:.3}, \
+                 \"build_ms\": {:.3}, \"stuck_at_ms\": {:.3}, \"stuck_at_t1_ms\": {:.3}, \
+                 \"tests\": {}, \"untestable\": {}, \"aborted\": {}, \"discarded\": {}, \
+                 \"path_delay_ms\": {:.3}, \"path_delay_t1_ms\": {:.3}, \
                  \"path_delay_tests\": {}, \"compress_ms\": {:.3}, \"verify_ms\": {:.3}, \
                  \"rate_pct\": {:.3}}}",
                 r.name,
@@ -209,10 +282,13 @@ fn main() {
                 r.collapsed_faults,
                 r.build_ms,
                 r.stuck_at_ms,
+                r.stuck_at_t1_ms,
                 r.tests,
                 r.untestable,
                 r.aborted,
+                r.discarded,
                 r.path_delay_ms,
+                r.path_delay_t1_ms,
                 r.path_delay_tests,
                 r.compress_ms,
                 r.verify_ms,
@@ -222,8 +298,10 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"bench\": \"pipeline\",\n  \"ea\": {{\"block_len\": 12, \"num_mvs\": 64, \"seed\": 1}},\n  \
-         \"circuits\": [\n{circuits_json}\n  ]\n}}\n"
+        "{{\n  \"bench\": \"pipeline\",\n  \"threads\": {},\n  \
+         \"ea\": {{\"block_len\": 12, \"num_mvs\": 64, \"seed\": 1}},\n  \
+         \"circuits\": [\n{circuits_json}\n  ]\n}}\n",
+        resolve_threads(0)
     );
     let path = "BENCH_pipeline.json";
     match std::fs::write(path, &json) {

@@ -7,6 +7,11 @@
 //! the calling thread. This module turns the configured thread count
 //! (`EaConfig::threads`, `0` = auto) into a concrete worker count.
 //!
+//! `evotc_atpg` resolves the `threads` fields of its stuck-at and
+//! path-delay configs by the same rule, so [`THREADS_ENV`] sets the ATPG
+//! worker count too. It keeps a private copy of [`resolve_threads`],
+//! which a unit test there pins to this one.
+//!
 //! # Determinism contract
 //!
 //! The worker count decides only which islands run concurrently, never
@@ -31,9 +36,12 @@
 /// determinism contract on every push.
 pub const THREADS_ENV: &str = "EVOTC_TEST_THREADS";
 
-/// Cap on the automatically resolved thread count: island workers are
+/// Cap on the automatically resolved thread count. Island workers are
 /// spawned afresh every epoch, so past a handful of cores more threads only
-/// add spawn cost.
+/// add spawn cost. The ATPG generators spawn theirs once per call, but
+/// every extra stuck-at worker runs PODEM further ahead of the in-order
+/// commit, on faults an earlier cube may yet detect, so past a handful of
+/// cores more threads mostly add discarded work.
 const MAX_AUTO_THREADS: usize = 8;
 
 /// Resolves a configured thread count to a concrete one.

@@ -9,7 +9,10 @@
 //! * [`StuckAtFault`], [`all_faults`], [`collapse_faults`] — the single
 //!   stuck-at fault model with structural equivalence collapsing.
 //! * [`detected_mask`] — bit-parallel stuck-at fault simulation (which of 64
-//!   patterns detect a fault), used for fault dropping during ATPG.
+//!   patterns detect a fault).
+//! * [`detected_faults`] — word-parallel stuck-at fault simulation (which of
+//!   any number of faults one pattern detects, 64 faults per sweep), used
+//!   for fault dropping during ATPG.
 //! * [`delay`] — structural paths and the robust path-delay sensitization
 //!   check used by the two-pattern test generator.
 //!
@@ -42,4 +45,4 @@ mod parallel;
 pub use eval::{simulate, simulate_with_forced};
 pub use fault::{all_faults, collapse_faults, StuckAtFault};
 pub use logic::eval_gate;
-pub use parallel::{detected_mask, simulate64};
+pub use parallel::{detected_faults, detected_mask, simulate64};
