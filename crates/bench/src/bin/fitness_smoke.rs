@@ -35,8 +35,10 @@
 //! cargo run --release -p evotc_bench --bin fitness_smoke
 //! ```
 //!
-//! Exits non-zero only if the paths disagree on any genome or child, or the
-//! cost gate is stuck one way (a correctness failure, not a perf one).
+//! Exits non-zero only if the paths disagree on any genome or child, the
+//! cost gate is stuck one way, or the default EA run (survival floor on)
+//! differs from the same run with the floor off or prunes nothing (a
+//! correctness failure, not a perf one).
 
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -392,6 +394,60 @@ fn main() {
         }
     }
 
+    // Correctness gate 6: the survival floor never changes a run. The
+    // default run (the engine offers a floor, fallbacks stop once they
+    // prove a child at or below it) must equal the same run with a one-slot
+    // Pareto archive, which asks for objectives and so gets no floor —
+    // same survivors, history and cache counters — and it must prune, or
+    // the comparison proves nothing.
+    let ea_config = EaConfig::builder()
+        .population_size(10)
+        .children_per_generation(5)
+        .stagnation_limit(usize::MAX)
+        .max_evaluations(20_000)
+        .seed(3)
+        .threads(1)
+        .build();
+    let floor_off_config = EaConfig {
+        pareto_capacity: 1,
+        ..ea_config.clone()
+    };
+    let sample = |rng: &mut StdRng| Trit::from_index(rng.gen_range(0..3u8));
+    let ea_run = |config: &EaConfig| {
+        EaBuilder::new(GENOME_LEN, sample, fitness.clone())
+            .config(config.clone())
+            .run()
+    };
+    let floored = ea_run(&ea_config);
+    let floor_off = ea_run(&floor_off_config);
+    let same_history = floored.history.len() == floor_off.history.len()
+        && floored
+            .history
+            .iter()
+            .zip(&floor_off.history)
+            .all(|(a, b)| {
+                a.best_fitness.to_bits() == b.best_fitness.to_bits()
+                    && a.mean_fitness.to_bits() == b.mean_fitness.to_bits()
+                    && a.evaluations == b.evaluations
+            });
+    let (on, off) = (
+        floored.cache.unwrap_or_default(),
+        floor_off.cache.unwrap_or_default(),
+    );
+    if floored.best_genome != floor_off.best_genome
+        || floored.best_fitness.to_bits() != floor_off.best_fitness.to_bits()
+        || floored.generations != floor_off.generations
+        || floored.evaluations != floor_off.evaluations
+        || !same_history
+        || (on.hits, on.misses, on.fallbacks) != (off.hits, off.misses, off.fallbacks)
+    {
+        fail("the survival floor changed the EA run (default vs pareto_archive(1))");
+    }
+    if on.pruned == 0 {
+        fail("the default EA run pruned nothing: the floor check is vacuous");
+    }
+    println!("EA run cache counters, floor on: {on}");
+
     if check_only {
         println!(
             "fitness kernel == legacy on {GENOMES} genomes (objective vectors \
@@ -399,7 +455,7 @@ fn main() {
              and multi-chunk crossover/inversion streams, transition and \
              used-MV objectives included; cost gate live; island runs \
              thread-invariant and checkpoint/resume-exact through the byte \
-             codec (K={BLOCK_LEN}, L={NUM_MVS})"
+             codec; survival floor exact and live (K={BLOCK_LEN}, L={NUM_MVS})"
         );
         return;
     }
@@ -483,15 +539,6 @@ fn main() {
             self.0.evaluate_batch(state, genomes, None, out, objectives);
         }
     }
-    let ea_config = EaConfig::builder()
-        .population_size(10)
-        .children_per_generation(5)
-        .stagnation_limit(usize::MAX)
-        .max_evaluations(20_000)
-        .seed(3)
-        .threads(1)
-        .build();
-    let sample = |rng: &mut StdRng| Trit::from_index(rng.gen_range(0..3u8));
     // Whole-run timings are single ~50 ms runs, so a noisy shared runner
     // can distort any one of them badly; each run is repeated and the best
     // throughput kept (the usual min-time estimator — the runs are
@@ -507,11 +554,10 @@ fn main() {
         }
         best
     };
-    let result = best_of(&|| {
-        EaBuilder::new(GENOME_LEN, sample, fitness.clone())
-            .config(ea_config.clone())
-            .run()
-    });
+    let result = best_of(&|| ea_run(&ea_config));
+    // The same run with the survival floor off (objectives requested, so
+    // every child is priced exactly, side channels included).
+    let ea_floor_off_eps = best_of(&|| ea_run(&floor_off_config)).evaluations_per_sec();
     let baseline = best_of(&|| {
         EaBuilder::new(GENOME_LEN, sample, NoLineage(fitness.clone()))
             .config(ea_config.clone())
@@ -524,6 +570,7 @@ fn main() {
     let ea_full_eps = baseline.evaluations_per_sec();
     let ea_speedup = ea_eps / ea_full_eps;
     let ea_cache = result.cache.unwrap_or_default();
+    let ea_floor_speedup = ea_eps / ea_floor_off_eps;
 
     // What the thread count buys, each as a same-config ratio (runs are
     // byte-identical at any thread count, so the ratio isolates the
@@ -534,11 +581,7 @@ fn main() {
     // the only fan-out the engine has.
     let mut auto_config = ea_config.clone();
     auto_config.threads = 0;
-    let auto = best_of(&|| {
-        EaBuilder::new(GENOME_LEN, sample, fitness.clone())
-            .config(auto_config.clone())
-            .run()
-    });
+    let auto = best_of(&|| ea_run(&auto_config));
     if auto.best_genome != result.best_genome || auto.evaluations != result.evaluations {
         fail("auto-threaded EA run diverged from threads(1)");
     }
@@ -602,9 +645,12 @@ fn main() {
     println!("inversion eval/s       : {inv_inc_eps:.0}");
     println!("inversion speedup      : {inversion_speedup:.2}x");
     println!("EA eval/s (cache on)   : {ea_eps:.0}");
+    println!("EA eval/s (floor off)  : {ea_floor_off_eps:.0}");
+    println!("EA floor speedup       : {ea_floor_speedup:.2}x (default vs pareto_archive(1))");
     println!("EA eval/s (cache off)  : {ea_full_eps:.0}");
     println!("EA whole-run speedup   : {ea_speedup:.2}x");
     println!("EA cache counters      : {ea_cache}");
+    println!("EA pruned              : {}", ea_cache.pruned);
     println!("EA default / threads(1): {ea_default_over_t1:.2}x wall-clock");
     println!("EA island cache        : {island_cache}");
     println!("EA island eval/s (t1)  : {ea_island_t1_eps:.0}");
@@ -633,6 +679,9 @@ fn main() {
          \"inversion_evals_per_sec\": {inv_inc:.0},\n  \
          \"inversion_speedup\": {inv_speedup:.2},\n  \
          \"ea_evals_per_sec\": {ea_eps:.0},\n  \
+         \"ea_floor_off_evals_per_sec\": {ea_floor_off_eps:.0},\n  \
+         \"ea_floor_speedup\": {ea_floor_speedup:.2},\n  \
+         \"ea_pruned\": {pruned},\n  \
          \"ea_full_evals_per_sec\": {ea_full_eps:.0},\n  \
          \"ea_speedup\": {ea_speedup:.2},\n  \
          \"ea_default_over_t1\": {ea_default_over_t1:.2},\n  \
@@ -646,7 +695,8 @@ fn main() {
          \"ea_cache_fallbacks\": {fallbacks},\n  \
          \"ea_island_cache_hits\": {island_hits},\n  \
          \"ea_island_cache_misses\": {island_misses},\n  \
-         \"ea_island_cache_fallbacks\": {island_fallbacks}\n}}\n",
+         \"ea_island_cache_fallbacks\": {island_fallbacks},\n  \
+         \"ea_island_pruned\": {island_pruned}\n}}\n",
         k = BLOCK_LEN,
         l = NUM_MVS,
         distinct = histogram.num_distinct(),
@@ -668,6 +718,9 @@ fn main() {
         inv_inc = inv_inc_eps,
         inv_speedup = inversion_speedup,
         ea_eps = ea_eps,
+        ea_floor_off_eps = ea_floor_off_eps,
+        ea_floor_speedup = ea_floor_speedup,
+        pruned = ea_cache.pruned,
         ea_full_eps = ea_full_eps,
         ea_speedup = ea_speedup,
         ckpt_save = checkpoint_save_us,
@@ -679,6 +732,7 @@ fn main() {
         island_hits = island_cache.hits,
         island_misses = island_cache.misses,
         island_fallbacks = island_cache.fallbacks,
+        island_pruned = island_cache.pruned,
     );
     let path = "BENCH_fitness.json";
     match std::fs::write(path, &json) {

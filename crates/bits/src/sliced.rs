@@ -32,6 +32,7 @@ use crate::histogram::BlockHistogram;
 /// let sliced = SlicedHistogram::from_histogram(&hist);
 /// assert_eq!(sliced.num_distinct(), 2);
 /// assert_eq!(sliced.counts(), &[2, 1]); // histogram order
+/// assert_eq!(sliced.total_blocks(), 3);
 /// # Ok(())
 /// # }
 /// ```
@@ -51,6 +52,8 @@ pub struct SlicedHistogram {
     zeros: Vec<u64>,
     /// Multiplicity of each distinct block, in histogram order.
     counts: Vec<u64>,
+    /// Sum of `counts`: the number of blocks with multiplicity.
+    total: u64,
     /// Care plane of each distinct block (row-major), in histogram order.
     bcare: Vec<u64>,
     /// Value plane of each distinct block (row-major), in histogram order.
@@ -94,6 +97,7 @@ impl SlicedHistogram {
             words,
             ones,
             zeros,
+            total: counts.iter().sum(),
             counts,
             bcare,
             bvalue,
@@ -124,6 +128,14 @@ impl SlicedHistogram {
     #[inline]
     pub fn counts(&self) -> &[u64] {
         &self.counts
+    }
+
+    /// Number of blocks counted with multiplicity: the sum of
+    /// [`SlicedHistogram::counts`], which is also the sum of the MV
+    /// frequencies of every feasible covering.
+    #[inline]
+    pub fn total_blocks(&self) -> u64 {
+        self.total
     }
 
     /// A word whose low `num_distinct % 64` bits are set — the mask of valid

@@ -9,8 +9,8 @@ use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::hash::content_hash;
-use crate::incremental::{encoded_size_probe, encoded_size_rebuild, IncrementalOutcome};
-use crate::kernel::block_transitions;
+use crate::incremental::IncrementalOutcome;
+use crate::kernel::{block_transitions, BoundedSize};
 
 use crate::compressed::CompressedTestSet;
 use crate::covering::Covering;
@@ -297,8 +297,18 @@ impl std::error::Error for WeightError {}
 /// from its own trajectory, so the counters are the same at any thread
 /// count.
 ///
+/// Work whose result nobody reads is skipped. The scan-transition side
+/// channel is computed only when the batch asks for objectives or the mode
+/// prices transitions. And in the default mode, a batch with a survival
+/// floor ([`Provenance::floor`]) and no objectives runs its fallbacks
+/// through [`crate::encoded_size_bounded`]: a child proven at or below the
+/// floor is reported as the floor and counted as
+/// [`CacheStats::pruned`].
+///
 /// All paths return bit-identical `f64` fitness for every genome — enforced
-/// by `tests/props_fitness_kernel.rs` and `tests/props_incremental.rs`.
+/// by `tests/props_fitness_kernel.rs` and `tests/props_incremental.rs` —
+/// except that pruned children score the floor, as the floor contract
+/// allows (enforced by `tests/survival_floor.rs`).
 #[derive(Debug)]
 pub struct MvFitness<'a> {
     k: usize,
@@ -313,6 +323,8 @@ pub struct MvFitness<'a> {
     misses: AtomicU64,
     /// Children with lineage that the full kernel priced.
     fallbacks: AtomicU64,
+    /// Fallbacks the survival floor cut short.
+    pruned: AtomicU64,
 }
 
 impl Clone for MvFitness<'_> {
@@ -324,6 +336,7 @@ impl Clone for MvFitness<'_> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
+            pruned: AtomicU64::new(0),
             ..*self
         }
     }
@@ -352,6 +365,19 @@ pub struct MvFitnessState {
     /// `Some(found)` = the settled index into `parents`. One hash and
     /// content check per distinct parent serves all of its children.
     memo: Vec<Option<Option<usize>>>,
+    /// The covering each parent index settled on in earlier batches. Most
+    /// parents keep their index from one generation to the next, so one
+    /// content compare confirms the covering without hashing the genome.
+    /// Never trusted without that compare: slots are rebuilt in place and
+    /// the engine recycles gene buffers.
+    hints: Vec<Option<usize>>,
+    /// Whether the current batch prices scan transitions. A covering built
+    /// the other way does not serve it (see the shape tag of
+    /// [`crate::EvalCache`]).
+    transitions: bool,
+    /// The current batch's survival floor and the smallest encoded size
+    /// whose rate is at or below it (see [`MvFitness::size_floor`]).
+    floor: Option<(f64, u64)>,
 }
 
 /// One cached parent covering.
@@ -365,28 +391,72 @@ struct CachedParent {
 }
 
 impl MvFitnessState {
-    /// Index of the covering built from exactly `genome`, marked as used.
-    /// The content hash prefilters, so a non-matching covering costs one
-    /// `u64` compare.
+    /// Index of the first covering built from exactly `genome` (for this
+    /// batch's transition setting), marked as used. The content hash
+    /// prefilters, so a non-matching covering costs one `u64` compare.
     fn find(&mut self, genome: &[Trit]) -> Option<usize> {
         let hash = content_hash(genome);
+        let transitions = self.transitions;
         let i = self
             .parents
             .iter()
-            .position(|p| p.hash == hash && holds(&p.cache, genome))?;
-        self.tick += 1;
-        self.parents[i].used = self.tick;
-        Some(i)
+            .position(|p| p.hash == hash && serves(p, genome, transitions))?;
+        Some(self.touch(i))
     }
 
-    /// [`MvFitnessState::find`] for `parents[idx]`, through the memo.
+    /// [`MvFitnessState::find`] through a hinted slot: when the slot holds
+    /// `genome`, its stored hash is the genome's, so the first covering
+    /// holding it — the one `find` answers; two parent indices with equal
+    /// genomes can each have built one — is found without hashing.
+    fn find_hinted(&mut self, genome: &[Trit], slot: usize) -> Option<usize> {
+        let transitions = self.transitions;
+        let Some(hinted) = self
+            .parents
+            .get(slot)
+            .filter(|p| serves(p, genome, transitions))
+        else {
+            return self.find(genome);
+        };
+        let hash = hinted.hash;
+        let first = self.parents[..slot]
+            .iter()
+            .position(|p| p.hash == hash && serves(p, genome, transitions))
+            .unwrap_or(slot);
+        Some(self.touch(first))
+    }
+
+    /// Marks covering `i` as just used and returns it.
+    fn touch(&mut self, i: usize) -> usize {
+        self.tick += 1;
+        self.parents[i].used = self.tick;
+        i
+    }
+
+    /// [`MvFitnessState::find`] for `parents[idx]`, through the memo and the
+    /// slot the index settled on before.
     fn find_memo(&mut self, parents: &[&[Trit]], idx: usize) -> Option<usize> {
         if let Some(settled) = self.memo[idx] {
             return settled;
         }
-        let found = self.find(parents[idx]);
+        let found = match self.hints.get(idx).copied().flatten() {
+            Some(slot) => self.find_hinted(parents[idx], slot),
+            None => self.find(parents[idx]),
+        };
         self.memo[idx] = Some(found);
         found
+    }
+
+    /// Ends a batch: the slots it settled on become the next batch's hints
+    /// (an index it never looked up keeps its older hint), and the memo is
+    /// cleared.
+    fn settle(&mut self) {
+        self.hints.resize(self.memo.len(), None);
+        for (hint, settled) in self.hints.iter_mut().zip(&self.memo) {
+            if let Some(found) = settled {
+                *hint = *found;
+            }
+        }
+        self.memo.clear();
     }
 
     /// Claims the slot for a new covering of `genome`: a fresh one below
@@ -411,6 +481,12 @@ impl MvFitnessState {
         self.parents[i].used = self.tick;
         i
     }
+}
+
+/// Whether `parent` holds the covering of exactly `genome`, built with the
+/// given transition setting.
+fn serves(parent: &CachedParent, genome: &[Trit], transitions: bool) -> bool {
+    parent.cache.tracks_transitions() == transitions && holds(&parent.cache, genome)
 }
 
 /// Whether `cache` holds the covering of exactly `genome`.
@@ -450,6 +526,7 @@ impl<'a> MvFitness<'a> {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
+            pruned: AtomicU64::new(0),
         }
     }
 
@@ -495,6 +572,26 @@ impl<'a> MvFitness<'a> {
         genes: &[Trit],
         scratch: &mut crate::EvalScratch,
     ) -> (f64, Objectives) {
+        match self.kernel(genes, u64::MAX, true, scratch) {
+            BoundedSize::Exact(size) => self.price(
+                size,
+                scratch.last_scan_transitions(),
+                scratch.last_used_mvs(),
+            ),
+            BoundedSize::AtLeast => unreachable!("an unbounded scan runs to the end"),
+        }
+    }
+
+    /// The full kernel over this evaluator's histogram, against `bound`
+    /// (`u64::MAX` = none) and with or without the transition side channel
+    /// (see [`crate::kernel::price`]).
+    fn kernel(
+        &self,
+        genes: &[Trit],
+        bound: u64,
+        transitions: bool,
+        scratch: &mut crate::EvalScratch,
+    ) -> BoundedSize {
         // Mirror the legacy path exactly: both panic on a misconstructed
         // evaluator. An out-of-range K panics in `MvSet::from_genes` (the
         // per-chunk decode rejects chunks longer than a word, and K = 0 is a
@@ -510,12 +607,13 @@ impl<'a> MvFitness<'a> {
             self.sliced.block_len(),
             "MV and histogram block lengths differ"
         );
-        let size =
-            crate::kernel::encoded_size_scratch(&self.sliced, genes, self.force_all_u, scratch);
-        self.price(
-            size,
-            scratch.last_scan_transitions(),
-            scratch.last_used_mvs(),
+        crate::kernel::price(
+            &self.sliced,
+            genes,
+            self.force_all_u,
+            bound,
+            transitions,
+            scratch,
         )
     }
 
@@ -587,10 +685,11 @@ impl<'a> MvFitness<'a> {
     ) -> Option<(f64, Objectives)> {
         let patch = &mut state.patch;
         let cache = &state.parents[i].cache;
-        match encoded_size_probe(
+        match crate::incremental::probe(
             &self.sliced,
             genes,
             self.force_all_u,
+            state.transitions,
             edit,
             cache,
             patch,
@@ -604,9 +703,23 @@ impl<'a> MvFitness<'a> {
     }
 
     /// Scores a child with lineage through the full kernel: a fallback.
+    /// Under a survival floor the kernel stops as soon as it proves the
+    /// child at or below it, and the child scores the floor (pruned).
     fn fallback(&self, state: &mut MvFitnessState, genes: &[Trit]) -> (f64, Objectives) {
+        let bound = state.floor.map_or(u64::MAX, |(_, bound)| bound);
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        self.evaluate_with_objectives(genes, &mut state.scratch)
+        match self.kernel(genes, bound, state.transitions, &mut state.scratch) {
+            BoundedSize::Exact(size) => self.price(
+                size,
+                state.scratch.last_scan_transitions(),
+                state.scratch.last_used_mvs(),
+            ),
+            BoundedSize::AtLeast => {
+                self.pruned.fetch_add(1, Ordering::Relaxed);
+                let (floor, _) = state.floor.expect("only a bounded scan stops early");
+                (floor, Objectives::NAN)
+            }
+        }
     }
 
     /// Builds `genome`'s covering into a claimed slot of `state` (a miss)
@@ -614,13 +727,39 @@ impl<'a> MvFitness<'a> {
     fn build(&self, state: &mut MvFitnessState, genome: &[Trit]) -> usize {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let i = state.claim(genome);
-        encoded_size_rebuild(
+        crate::incremental::rebuild(
             &self.sliced,
             genome,
             self.force_all_u,
+            state.transitions,
             &mut state.parents[i].cache,
         );
         i
+    }
+
+    /// Whether the scalar fitness reads the transition count: only a
+    /// weighted mode with a nonzero transition weight (`x − 0.0·t` is `x`
+    /// for every finite `t`).
+    fn prices_transitions(&self) -> bool {
+        matches!(self.mode, CombineMode::Weighted { weights } if weights[1] != 0.0)
+    }
+
+    /// The smallest encoded size whose [`MvFitness::rate`] is at or below
+    /// `floor` — every larger size rates at or below it too, since the rate
+    /// never rises with the size — or `None` if no size does. A binary
+    /// search through the same `rate` the scores use, so the conversion is
+    /// exact whatever the rounding.
+    fn size_floor(&self, floor: f64) -> Option<u64> {
+        let (mut lo, mut hi) = (0u64, u64::MAX);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.rate(mid) <= floor {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        (self.rate(lo) <= floor).then_some(lo)
     }
 
     /// Compression rate, the EA's fitness (paper, Section 3.1). Shared by
@@ -747,6 +886,19 @@ impl FitnessEval<Trit> for MvFitness<'_> {
         }
         state.memo.clear();
         state.memo.resize(parents.len(), None);
+        state.transitions = objectives.is_some() || self.prices_transitions();
+        // The floor prunes only where the scalar is the plain rate and no
+        // objective vector is read back. It changes only when selection
+        // does, so the last conversion usually still holds.
+        let floor = provenance
+            .and_then(|p| p.floor)
+            .filter(|_| objectives.is_none() && self.mode == CombineMode::default());
+        state.floor = match (floor, state.floor) {
+            (Some(floor), Some((last, bound))) if floor.to_bits() == last.to_bits() => {
+                Some((floor, bound))
+            }
+            (floor, _) => floor.and_then(|floor| Some((floor, self.size_floor(floor)?))),
+        };
         for (i, genes) in genomes.iter().enumerate() {
             let (score, vector) = match provenance.and_then(|p| p.lineage[i].as_ref()) {
                 Some(lineage) if lineage.parent_idx < parents.len() => {
@@ -760,8 +912,7 @@ impl FitnessEval<Trit> for MvFitness<'_> {
                 objectives[i] = vector;
             }
         }
-        // Settled lookups hold for this batch only.
-        state.memo.clear();
+        state.settle();
     }
 
     /// Builds the migrant's covering on its source island if that island
@@ -789,6 +940,7 @@ impl FitnessEval<Trit> for MvFitness<'_> {
             hits: load(&self.hits),
             misses: load(&self.misses),
             fallbacks: load(&self.fallbacks),
+            pruned: load(&self.pruned),
         })
     }
 }
@@ -1197,6 +1349,7 @@ mod tests {
             let provenance = Provenance {
                 lineage: &[Some(evotc_evo::Lineage::new(0, 0..0))],
                 parents: &[genes.as_slice()],
+                floor: None,
             };
             fitness.evaluate_batch(
                 &mut MvFitnessState::default(),
@@ -1499,6 +1652,7 @@ mod tests {
         let provenance = Provenance {
             lineage: &lineage,
             parents: &views,
+            floor: None,
         };
         let mut scores = vec![f64::NAN; parents.len()];
         fitness.evaluate_batch(state, parents, Some(provenance), &mut scores, None);
@@ -1559,6 +1713,127 @@ mod tests {
         assert!(state.find(&new).is_some());
         let stats = fitness.cache_stats().unwrap();
         assert_eq!((stats.hits, stats.misses), (1, 3));
+    }
+
+    #[test]
+    fn size_floor_is_the_smallest_size_rated_at_or_below_the_floor() {
+        let set = small_set();
+        let string = TestSetString::try_new(&set, 8).unwrap();
+        let histogram = BlockHistogram::from_string(&string);
+        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
+        for size in [0u64, 1, 7, 40, 41, 1_000, 1 << 40] {
+            let rate = fitness.rate(size);
+            for floor in [
+                rate,
+                rate + 1e-9,
+                rate - 1e-9,
+                f64::from_bits(rate.to_bits() + 1),
+            ] {
+                let bound = fitness.size_floor(floor).unwrap();
+                assert!(fitness.rate(bound) <= floor, "floor {floor}");
+                assert!(
+                    bound == 0 || fitness.rate(bound - 1) > floor,
+                    "floor {floor}"
+                );
+            }
+        }
+        // Nothing rates at or below an infeasible floor.
+        assert_eq!(fitness.size_floor(MvFitness::INFEASIBLE), None);
+    }
+
+    #[test]
+    fn a_floor_prunes_fallbacks_to_the_floor_and_nothing_else() {
+        let set = small_set();
+        let string = TestSetString::try_new(&set, 8).unwrap();
+        let histogram = BlockHistogram::from_string(&string);
+        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
+        let genomes: Vec<Vec<Trit>> = (0..40).map(|n| numbered_genome(7 * n + 3, 16)).collect();
+        let exact: Vec<f64> = genomes.iter().map(|g| fitness.evaluate(g)).collect();
+        // The best genome's score: every child is at or below it, and the
+        // clearly worse ones are provably so.
+        let floor = exact.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        // A lineage naming a missing parent is unusable: every child is a
+        // fallback, so every child meets the bounded kernel.
+        let lineage = vec![Some(evotc_evo::Lineage::new(1, 0..0)); genomes.len()];
+        let parent = numbered_genome(1, 16);
+        let provenance = Provenance {
+            lineage: &lineage,
+            parents: &[parent.as_slice()],
+            floor: Some(floor),
+        };
+        let mut scores = vec![f64::NAN; genomes.len()];
+        let mut state = MvFitnessState::default();
+        fitness.evaluate_batch(&mut state, &genomes, Some(provenance), &mut scores, None);
+        for (&got, &want) in scores.iter().zip(&exact) {
+            if got.to_bits() != want.to_bits() {
+                assert!(got == floor && want <= floor, "{got} for exact {want}");
+            }
+        }
+        let stats = fitness.cache_stats().unwrap();
+        assert_eq!(stats.fallbacks, genomes.len() as u64);
+        assert!(stats.pruned > 0 && stats.pruned <= stats.fallbacks);
+        // With objectives requested, every score is exact again.
+        let mut objectives = vec![Objectives::NAN; genomes.len()];
+        fitness.evaluate_batch(
+            &mut state,
+            &genomes,
+            Some(provenance),
+            &mut scores,
+            Some(&mut objectives),
+        );
+        for ((&got, &want), (genes, vector)) in scores
+            .iter()
+            .zip(&exact)
+            .zip(genomes.iter().zip(&objectives))
+        {
+            assert_eq!(got.to_bits(), want.to_bits());
+            assert_eq!(*vector, fitness.evaluate_oracle(genes).1);
+        }
+        assert_eq!(fitness.cache_stats().unwrap().pruned, stats.pruned);
+    }
+
+    #[test]
+    fn a_batch_wanting_transitions_never_reads_a_covering_built_without_them() {
+        let set = small_set();
+        let string = TestSetString::try_new(&set, 8).unwrap();
+        let histogram = BlockHistogram::from_string(&string);
+        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
+        let mut state = MvFitnessState::default();
+        let parent = numbered_genome(29, 16);
+        // Built for a scalar batch: no transition count.
+        copy_batch(&fitness, &mut state, std::slice::from_ref(&parent));
+        let lineage = [Some(evotc_evo::Lineage::new(0, 0..0))];
+        let provenance = Provenance {
+            lineage: &lineage,
+            parents: &[parent.as_slice()],
+            floor: None,
+        };
+        let (mut score, mut objectives) = ([f64::NAN], [Objectives::NAN]);
+        fitness.evaluate_batch(
+            &mut state,
+            std::slice::from_ref(&parent),
+            Some(provenance),
+            &mut score,
+            Some(&mut objectives),
+        );
+        assert_eq!(objectives[0], fitness.evaluate_oracle(&parent).1);
+        let stats = fitness.cache_stats().unwrap();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (0, 2),
+            "rebuilt with transitions"
+        );
+        // The rebuilt covering serves the next such batch.
+        fitness.evaluate_batch(
+            &mut state,
+            std::slice::from_ref(&parent),
+            Some(provenance),
+            &mut score,
+            Some(&mut objectives),
+        );
+        assert_eq!(objectives[0], fitness.evaluate_oracle(&parent).1);
+        let stats = fitness.cache_stats().unwrap();
+        assert_eq!((stats.hits, stats.misses), (1, 2));
     }
 
     #[test]

@@ -52,7 +52,7 @@ use std::ops::Range;
 use evotc_bits::{SlicedHistogram, Trit};
 use evotc_codes::{huffman_weighted_length_delta, HuffmanDeltaState};
 
-use crate::kernel::block_transitions;
+use crate::kernel::{block_transitions, chunks_of, decode_chunk, trits_equal};
 use crate::mvset::covering_key;
 
 /// Sentinel in the per-block owner table: the block matches no MV.
@@ -110,8 +110,11 @@ pub struct EvalCache {
     /// Whether the cache holds a complete evaluation.
     warm: bool,
     /// Shape tag of the held evaluation: `(K, L, distinct blocks, words per
-    /// column, force_all_u)`. Incremental evaluation requires an exact match.
-    shape: (usize, usize, usize, usize, bool),
+    /// column, force_all_u, transitions)`, where `transitions` says whether
+    /// the cache tracks the scan-transition count. Incremental evaluation
+    /// requires an exact match, so a probe that wants transitions never
+    /// reads a cache built without them.
+    shape: (usize, usize, usize, usize, bool, bool),
     /// The exact genome the planes were decoded from, so chunk detection
     /// can skip trit-identical chunks with one byte compare instead of
     /// decoding them (an average crossover window spans dozens of chunks of
@@ -153,7 +156,8 @@ pub struct EvalCache {
     /// Scan-in transition count of the held genome (the power objective;
     /// see [`crate::EvalScratch::last_scan_transitions`] for the model).
     /// Maintained — like `fill_bits` — even while infeasible; uncovered
-    /// blocks contribute zero.
+    /// blocks contribute zero. Zero when the shape tag says the cache does
+    /// not track transitions.
     scan_transitions: u64,
     /// Sorted nonzero-frequency leaf queue for Huffman delta re-pricing.
     huffman: HuffmanDeltaState,
@@ -269,7 +273,12 @@ impl EvalCache {
 
     /// `true` when the cache holds the evaluation of exactly `genes`.
     pub(crate) fn holds(&self, genes: &[Trit]) -> bool {
-        self.warm && self.genes.len() == genes.len() && trits_equal(&self.genes, genes)
+        self.warm && trits_equal(&self.genes, genes)
+    }
+
+    /// `true` when the held evaluation tracks the scan-transition count.
+    pub(crate) fn tracks_transitions(&self) -> bool {
+        self.shape.5
     }
 
     /// Copies `src`'s covering — everything a chunk patch reads, not its
@@ -301,20 +310,6 @@ pub enum IncrementalOutcome {
     NeedsFull,
 }
 
-/// Decodes one `K`-trit chunk into packed `(spec, value)` planes — the same
-/// branchless mapping the scratch kernel uses.
-#[inline]
-fn decode_chunk(chunk: &[Trit]) -> (u64, u64) {
-    let mut spec = 0u64;
-    let mut value = 0u64;
-    for (j, &t) in chunk.iter().enumerate() {
-        let idx = t.index() as u64;
-        value |= (idx & 1) << j;
-        spec |= ((idx >> 1) ^ 1) << j;
-    }
-    (spec, value)
-}
-
 /// Fully evaluates `genes` and fills `cache` with its covering state.
 ///
 /// Returns the encoded size, **bit-identical** to
@@ -332,6 +327,18 @@ pub fn encoded_size_rebuild(
     force_all_u: bool,
     cache: &mut EvalCache,
 ) -> Option<u64> {
+    rebuild(sliced, genes, force_all_u, true, cache)
+}
+
+/// [`encoded_size_rebuild`] with the scan-transition count tracked or not,
+/// as the cache's shape tag then records.
+pub(crate) fn rebuild(
+    sliced: &SlicedHistogram,
+    genes: &[Trit],
+    force_all_u: bool,
+    transitions: bool,
+    cache: &mut EvalCache,
+) -> Option<u64> {
     let state = cache;
     let k = sliced.block_len();
     assert!(
@@ -344,7 +351,7 @@ pub fn encoded_size_rebuild(
     let n = sliced.num_distinct();
 
     state.warm = false;
-    state.shape = (k, l, n, words, force_all_u);
+    state.shape = (k, l, n, words, force_all_u, transitions);
     state.genes.clear();
     state.genes.extend_from_slice(genes);
     state.spec.clear();
@@ -415,7 +422,7 @@ pub fn encoded_size_rebuild(
     let counts = sliced.counts();
     let mut blocks_left = n;
     let mut fill_bits = 0u64;
-    let mut transitions = 0u64;
+    let mut scan_transitions = 0u64;
     for &j in &state.order {
         if blocks_left == 0 {
             break; // every block owned; the rest keep frequency 0
@@ -438,8 +445,10 @@ pub fn encoded_size_rebuild(
                 state.owner[d] = j as u32;
                 freq += counts[d];
                 blocks_left -= 1;
-                let (_, bv) = sliced.block_planes(d);
-                transitions += counts[d] * block_transitions(state.value[j] | bv, k);
+                if transitions {
+                    let (_, bv) = sliced.block_planes(d);
+                    scan_transitions += counts[d] * block_transitions(state.value[j] | bv, k);
+                }
             }
         }
         state.freq[j] = freq;
@@ -447,7 +456,7 @@ pub fn encoded_size_rebuild(
     }
     state.uncovered = blocks_left;
     state.fill_bits = fill_bits;
-    state.scan_transitions = transitions;
+    state.scan_transitions = scan_transitions;
     state.huffman.reset(&state.freq);
     state.total = if blocks_left == 0 {
         Some(fill_bits + state.huffman.weighted_length())
@@ -474,7 +483,8 @@ pub fn encoded_size_rebuild(
 ///
 /// Returns [`IncrementalOutcome::NeedsFull`] when the edit is not
 /// incrementally priceable: cold cache or mismatched shape (block length,
-/// genome length, distinct-block count and word width, `force_all_u`).
+/// genome length, distinct-block count and word width, `force_all_u`, or a
+/// cache that does not track transitions — only `MvFitness` builds those).
 /// With `gated`, it also answers `NeedsFull` as soon as the estimated
 /// multi-chunk patch work exceeds the estimated cost of a full rescan —
 /// the estimate grows with the blocks the changed MVs own, each of which
@@ -497,7 +507,32 @@ pub fn encoded_size_probe(
     scratch: &mut PatchScratch,
     gated: bool,
 ) -> IncrementalOutcome {
-    if !shapes_match(sliced, genes, force_all_u, edit, cache) {
+    probe(
+        sliced,
+        genes,
+        force_all_u,
+        true,
+        edit,
+        cache,
+        scratch,
+        gated,
+    )
+}
+
+/// [`encoded_size_probe`] with the scan-transition count tracked or not: a
+/// cache built the other way answers [`IncrementalOutcome::NeedsFull`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn probe(
+    sliced: &SlicedHistogram,
+    genes: &[Trit],
+    force_all_u: bool,
+    transitions: bool,
+    edit: &Range<usize>,
+    cache: &EvalCache,
+    scratch: &mut PatchScratch,
+    gated: bool,
+) -> IncrementalOutcome {
+    if !shapes_match(sliced, genes, (force_all_u, transitions), edit, cache) {
         return IncrementalOutcome::NeedsFull;
     }
     debug_assert!(genome_matches_cache_outside(
@@ -550,14 +585,14 @@ pub fn encoded_size_probe(
 /// filters every block column, `L · (K + 2) · words` word operations. The
 /// unit calibrates the patch-cost estimates below: one full-kernel word op.
 fn full_rescan_cost(state: &EvalCache) -> u64 {
-    let (k, l, _, words, _) = state.shape;
+    let (k, l, _, words, _, _) = state.shape;
     (l * (k + 2) * words) as u64
 }
 
 /// Estimated cost of copying the covering into the working copy, which a
 /// multi-chunk patch pays once per probe, in [`full_rescan_cost`] units.
 fn patch_copy_cost(state: &EvalCache) -> u64 {
-    let (k, l, _, words, _) = state.shape;
+    let (k, l, _, words, _, _) = state.shape;
     let wl = l.div_ceil(64);
     (l * words + 2 * k * wl + 5 * l + words) as u64
 }
@@ -571,7 +606,7 @@ fn patch_copy_cost(state: &EvalCache) -> u64 {
 /// runs ~0.8 µs per changed chunk on the paper shape where the full rescan
 /// runs ~4.4 µs, so the break-even sits near four changed chunks).
 fn chunk_patch_cost(state: &EvalCache, chunk: usize) -> u64 {
-    let (k, l, _, words, _) = state.shape;
+    let (k, l, _, words, _, _) = state.shape;
     let wl = l.div_ceil(64);
     let per_orphan = 8 * (k * wl + 8) as u64;
     let owned: u64 = state.owned[chunk * words..(chunk + 1) * words]
@@ -581,11 +616,12 @@ fn chunk_patch_cost(state: &EvalCache, chunk: usize) -> u64 {
     ((k + 4) * words) as u64 + owned * per_orphan
 }
 
-/// The warm/shape/edit validity gate of [`encoded_size_probe`].
+/// The warm/shape/edit validity gate of [`encoded_size_probe`]: the
+/// `(force_all_u, transitions)` pair must match the shape tag too.
 fn shapes_match(
     sliced: &SlicedHistogram,
     genes: &[Trit],
-    force_all_u: bool,
+    (force_all_u, transitions): (bool, bool),
     edit: &Range<usize>,
     state: &EvalCache,
 ) -> bool {
@@ -600,29 +636,10 @@ fn shapes_match(
                 sliced.num_distinct(),
                 sliced.words_per_column(),
                 force_all_u,
+                transitions,
             )
         && edit.end <= genes.len()
         && edit.start <= edit.end
-}
-
-/// The MV chunks an edit window overlaps (none for an empty window).
-fn chunks_of(edit: &Range<usize>, k: usize) -> Range<usize> {
-    if edit.is_empty() {
-        0..0
-    } else {
-        edit.start / k..edit.end.div_ceil(k)
-    }
-}
-
-/// Branchless trit-slice equality (an OR-reduction of index XORs — the
-/// chunk either matches fully or detection decodes it anyway, so the early
-/// exit of the derived slice compare buys nothing here).
-#[inline]
-fn trits_equal(a: &[Trit], b: &[Trit]) -> bool {
-    a.iter()
-        .zip(b)
-        .fold(0u8, |diff, (x, y)| diff | (x.index() ^ y.index()))
-        == 0
 }
 
 /// Rank of the MV whose (unique) covering key is `key` in the key-sorted
@@ -892,8 +909,15 @@ fn patch_chunk(
     let nnu = (k - nspec.count_ones() as usize) as u32;
     let old_key = covering_key(cur.nu[i] as usize, i);
     let new_key = covering_key(nnu as usize, i);
-    let value_changed = nvalue != cur.value[i];
-    let transitions = |count: i64, scan: u64| count * block_transitions(scan, k) as i64;
+    // Transitions are priced only when the covering tracks them.
+    let value_changed = cur.tracks_transitions() && nvalue != cur.value[i];
+    let transitions = |count: i64, scan: u64| {
+        if cur.tracks_transitions() {
+            count * block_transitions(scan, k) as i64
+        } else {
+            0
+        }
+    };
     let (mut trans, mut uncovered) = (0i64, 0i64);
     patch.moves.clear();
 

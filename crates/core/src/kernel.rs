@@ -23,6 +23,10 @@
 //!
 //! The result is **bit-identical** to the legacy path for every genome
 //! (enforced by `tests/props_fitness_kernel.rs` and the determinism suite).
+//!
+//! [`encoded_size_bounded`] runs the same scan against a bound and stops as
+//! soon as a sound lower bound on the size reaches it — the EA's survival
+//! floor (see `evotc_evo::Provenance::floor`) turned into bits.
 
 use evotc_bits::{SlicedHistogram, Trit};
 use evotc_codes::{huffman_weighted_length, HuffmanScratch};
@@ -83,7 +87,118 @@ pub struct EvalScratch {
     scan_transitions: u64,
     /// Number of MVs with nonzero frequency in the last evaluation.
     used_mvs: usize,
+    /// Entropy lower bounds for [`encoded_size_bounded`], built on first
+    /// use for the histogram's total block count.
+    entropy: EntropyTable,
 }
+
+/// Lower bounds of `g(x) = x·log2(N/x)` for `x` in `0..=N` (`g(0) = 0`),
+/// where `N` is a histogram's total block count: the entropy term of one
+/// symbol of frequency `x` in a prefix code over `N` symbols. Exact for
+/// `x < FINE`; above that, one entry per bucket of `step` values holds the
+/// smaller of `g` at the bucket's two ends — a lower bound inside the
+/// bucket because `g` is concave — so the table stays at most `2·FINE`
+/// entries for any `N`.
+#[derive(Debug, Clone, Default)]
+struct EntropyTable {
+    /// The `N` the table was built for; `0` before the first build.
+    total: u64,
+    /// `g(x)` for `x < fine.len()`.
+    fine: Vec<f64>,
+    /// Bucket width of `coarse`.
+    step: u64,
+    /// `min(g(b·step), g((b+1)·step))` for bucket `b`, clamped to `N`.
+    coarse: Vec<f64>,
+}
+
+impl EntropyTable {
+    /// Exact entries; a larger `N` switches to buckets above them.
+    const FINE: u64 = 1 << 13;
+
+    /// Builds the table for `total` blocks unless it already is.
+    fn prepare(&mut self, total: u64) {
+        if self.total == total {
+            return;
+        }
+        let n = total as f64;
+        let g = |x: u64| {
+            if x == 0 {
+                0.0
+            } else {
+                x as f64 * log2(n / x as f64)
+            }
+        };
+        self.total = total;
+        self.fine.clear();
+        self.fine.extend((0..=total.min(Self::FINE)).map(g));
+        self.step = total.div_ceil(Self::FINE).max(1);
+        self.coarse.clear();
+        if total > Self::FINE {
+            let step = self.step;
+            self.coarse.extend(
+                (0..=total / step).map(|b| g(b * step).min(g((b * step + step).min(total)))),
+            );
+        }
+    }
+
+    /// A lower bound on the codeword bits of any prefix code over the
+    /// frequencies `scan` has taken plus the `R` blocks still uncovered,
+    /// however the later MVs split them: see [`encoded_size_bounded`].
+    #[inline]
+    fn code_bits(&self, scan: &Scan) -> f64 {
+        (scan.entropy + self.at_least(scan.left)).max(self.total as f64)
+    }
+
+    /// A lower bound of `g(x)`, for `x ≤ N`.
+    #[inline]
+    fn at_least(&self, x: u64) -> f64 {
+        match self.fine.get(x as usize) {
+            Some(&v) => v,
+            None => self.coarse[(x / self.step) as usize],
+        }
+    }
+}
+
+/// `log2(x)` for a positive, finite, normal `x`, computed here instead of
+/// by `f64::log2` so the kernel links no libm (which would add its pages to
+/// every process's resident set for one table). The exponent comes from the
+/// bits; the mantissa, folded into `[√½, √2)`, goes through the series
+/// `ln m = 2·Σ z^(2i+1)/(2i+1)` with `z = (m−1)/(m+1)`, `|z| < 0.172`, whose
+/// twelve terms leave a relative error near 1e-16 — far inside the bound's
+/// 1e-9 margin.
+fn log2(x: f64) -> f64 {
+    let bits = x.to_bits();
+    let mut exponent = ((bits >> 52) & 0x7ff) as i64 - 1023;
+    let mut m = f64::from_bits((bits & ((1 << 52) - 1)) | (1023 << 52));
+    if m > std::f64::consts::SQRT_2 {
+        m /= 2.0;
+        exponent += 1;
+    }
+    let z = (m - 1.0) / (m + 1.0);
+    let z2 = z * z;
+    let (mut term, mut series) = (z, 0.0);
+    for i in 0..12 {
+        series += term / (2 * i + 1) as f64;
+        term *= z2;
+    }
+    exponent as f64 + 2.0 * series * std::f64::consts::LOG2_E
+}
+
+/// Outcome of [`encoded_size_bounded`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BoundedSize {
+    /// The scan ran to the end: exactly what [`encoded_size_scratch`]
+    /// returns for the same genome (`None` = covering impossible).
+    Exact(Option<u64>),
+    /// The scan stopped early: the encoded size is at least the bound, or
+    /// the genome is infeasible (which counts as above every bound).
+    AtLeast,
+}
+
+/// Relative slack on the lower bound before it may prune: float rounding in
+/// the bound (about 1e-15 per term) can then never cut a genome whose
+/// exact size is below the bound.
+const BOUND_MARGIN: f64 = 1e-9;
 
 impl EvalScratch {
     /// Creates empty scratch buffers; they size themselves on first use.
@@ -123,6 +238,89 @@ pub(crate) fn block_transitions(x: u64, k: usize) -> u64 {
     ((x ^ (x >> 1)) & mask).count_ones() as u64
 }
 
+/// Eight trits as the bytes of one word, little-endian: byte `j` is the
+/// index of trit `j` (0 = `0`, 1 = `1`, 2 = `U`/`X`). One 8-byte load.
+///
+/// # Panics
+///
+/// Panics unless `octet` holds exactly eight trits.
+#[inline]
+fn octet_word(octet: &[Trit]) -> u64 {
+    let octet: &[Trit; 8] = octet.try_into().expect("an octet holds eight trits");
+    u64::from_le_bytes(octet.map(|t| t as u8))
+}
+
+/// [`octet_word`] of fewer than eight trits, padded with `U`.
+#[inline]
+fn tail_word(tail: &[Trit]) -> u64 {
+    let mut bytes = [Trit::X as u8; 8];
+    for (byte, &t) in bytes.iter_mut().zip(tail) {
+        *byte = t as u8;
+    }
+    u64::from_le_bytes(bytes)
+}
+
+/// Decodes one `K`-trit chunk (`K ≤ 64`) into packed `(spec, value)` planes,
+/// eight trits per word (see [`octet_word`]): bit 0 of each byte is the
+/// value bit and the inverted bit 1 the spec bit, and one multiply gathers
+/// the eight byte-LSBs into a byte. `U` padding decodes to zero in both
+/// planes.
+#[inline]
+pub(crate) fn decode_chunk(chunk: &[Trit]) -> (u64, u64) {
+    const LSBS: u64 = 0x0101_0101_0101_0101;
+    // Byte i's LSB (bit 8i) times GATHER's bit 7·(8−i) lands on bit 56 + i;
+    // no two partial products share a bit, so nothing carries.
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let gather = |bits: u64| (bits & LSBS).wrapping_mul(GATHER) >> 56;
+    let octets = chunk.chunks_exact(8);
+    let tail = octets.remainder();
+    let (mut spec, mut value) = (0u64, 0u64);
+    for (i, octet) in octets.enumerate() {
+        let word = octet_word(octet);
+        value |= gather(word) << (8 * i);
+        spec |= gather(!word >> 1) << (8 * i);
+    }
+    if !tail.is_empty() {
+        // A chunk of eight trits or more loads its last eight, overlapping
+        // the octets already decoded by `drop` trits; a shorter one pads.
+        let (word, drop) = match chunk.len().checked_sub(8) {
+            Some(last) => (octet_word(&chunk[last..]), 8 - tail.len()),
+            None => (tail_word(tail), 0),
+        };
+        let at = chunk.len() - tail.len();
+        value |= (gather(word) >> drop) << at;
+        spec |= (gather(!word >> 1) >> drop) << at;
+    }
+    (spec, value)
+}
+
+/// The MV chunks an edit window overlaps (none for an empty window).
+pub(crate) fn chunks_of(edit: &std::ops::Range<usize>, k: usize) -> std::ops::Range<usize> {
+    if edit.is_empty() {
+        0..0
+    } else {
+        edit.start / k..edit.end.div_ceil(k)
+    }
+}
+
+/// Trit-slice equality, eight trits per word compare (a branchless
+/// OR-reduction: callers compare chunks that mostly match fully).
+#[inline]
+pub(crate) fn trits_equal(a: &[Trit], b: &[Trit]) -> bool {
+    if a.len() != b.len() {
+        return false;
+    }
+    // The tails compare as the last eight trits when there are that many.
+    let mut diff = match a.len().checked_sub(8) {
+        Some(last) => octet_word(&a[last..]) ^ octet_word(&b[last..]),
+        None => tail_word(a) ^ tail_word(b),
+    };
+    for (p, q) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        diff |= octet_word(p) ^ octet_word(q);
+    }
+    diff == 0
+}
+
 /// Computes the compressed size, in bits, of the MV set encoded by `genes`
 /// over a bit-sliced histogram — the allocation-free equivalent of decoding
 /// the genome with [`MvSet::from_genes`](crate::MvSet::from_genes) and
@@ -146,6 +344,67 @@ pub fn encoded_size_scratch(
     force_all_u: bool,
     scratch: &mut EvalScratch,
 ) -> Option<u64> {
+    match price(sliced, genes, force_all_u, u64::MAX, true, scratch) {
+        BoundedSize::Exact(size) => size,
+        BoundedSize::AtLeast => unreachable!("an unbounded scan runs to the end"),
+    }
+}
+
+/// [`encoded_size_scratch`] against a `bound`: answers
+/// [`BoundedSize::AtLeast`] as soon as the covering scan proves the encoded
+/// size at least `bound`, and the exact answer otherwise. `u64::MAX` means
+/// no bound.
+///
+/// Before scanning the MV at covering position `p` the scan knows the fill
+/// bits so far, the frequencies `f` of the MVs scanned, and `R`, the blocks
+/// still uncovered (with multiplicity) out of `N` in total. Then
+///
+/// ```text
+/// size ≥ fill_so_far + R·N_U(p) + C,   C ≥ E = Σ_scanned f·log2(N/f) + R·log2(N/R)
+/// ```
+///
+/// because every later MV has at least `N_U(p)` unspecified positions (the
+/// canonical covering order ascends in `N_U`), and `C`, the codeword bits,
+/// are those of a prefix code over the scanned frequencies and however the
+/// later MVs split `R`. Merging those later symbols into one can only make
+/// the cheapest such code cheaper, so `C` is bounded over the frequencies
+/// known so far plus `R` as one symbol. A prefix code costs at least the
+/// entropy `E`, and the Huffman code of this crate spends at least one bit
+/// per block (a lone symbol is clamped to one bit), so `C ≥ max(E, N)`.
+///
+/// The scan stops once that bound, less a relative margin of 1e-9 against
+/// float rounding, reaches `bound`. The `x·log2(N/x)` terms come from a
+/// table built once per histogram (per scratch), never from a per-step
+/// `log2`.
+///
+/// The scan-transition side channel is not computed:
+/// [`EvalScratch::last_scan_transitions`] is meaningless afterwards, while
+/// [`EvalScratch::last_used_mvs`] holds after an `Exact(Some(_))` answer.
+///
+/// # Panics
+///
+/// Panics where [`encoded_size_scratch`] does.
+pub fn encoded_size_bounded(
+    sliced: &SlicedHistogram,
+    genes: &[Trit],
+    force_all_u: bool,
+    bound: u64,
+    scratch: &mut EvalScratch,
+) -> BoundedSize {
+    price(sliced, genes, force_all_u, bound, false, scratch)
+}
+
+/// The one full kernel behind [`encoded_size_scratch`] and
+/// [`encoded_size_bounded`]: `bound == u64::MAX` never prunes, and
+/// `transitions` switches the scan-transition side channel on.
+pub(crate) fn price(
+    sliced: &SlicedHistogram,
+    genes: &[Trit],
+    force_all_u: bool,
+    bound: u64,
+    transitions: bool,
+    scratch: &mut EvalScratch,
+) -> BoundedSize {
     let k = sliced.block_len();
     assert!(
         !genes.is_empty() && genes.len() % k == 0,
@@ -154,19 +413,12 @@ pub fn encoded_size_scratch(
     );
     let l = genes.len() / k;
 
-    // 1. Decode genes into packed planes, genome order. Branchless: the
-    // gene index (0 = `0`, 1 = `1`, 2 = `U`) maps to the two plane bits by
-    // pure arithmetic, so random genomes cost no branch mispredictions.
+    // Decode genes into packed planes, genome order, eight trits per word
+    // (see `decode_chunk`).
     scratch.spec.clear();
     scratch.value.clear();
     for chunk in genes.chunks_exact(k) {
-        let mut spec = 0u64;
-        let mut value = 0u64;
-        for (j, &t) in chunk.iter().enumerate() {
-            let idx = t.index() as u64;
-            value |= (idx & 1) << j; // 1 only for Trit::One
-            spec |= ((idx >> 1) ^ 1) << j; // 1 for Zero/One, 0 for X
-        }
+        let (spec, value) = decode_chunk(chunk);
         scratch.spec.push(spec);
         scratch.value.push(value);
     }
@@ -174,16 +426,26 @@ pub fn encoded_size_scratch(
         scratch.spec[l - 1] = 0;
         scratch.value[l - 1] = 0;
     }
+    sort_and_reset(sliced, bound, scratch);
+    if transitions {
+        cover::<true>(sliced, bound, scratch)
+    } else {
+        cover::<false>(sliced, bound, scratch)
+    }
+}
 
-    // 2. The one canonical covering order (see `MvSet`'s invariant and
-    // `covering_key`): ascending N_U, ties by genome index. Keys are tiny
-    // (N_U ≤ K ≤ 64), so a stable counting sort realizes the exact same
-    // order as the comparison sort in `MvSet::new` at O(L + K).
+/// Puts the decoded MVs into the one canonical covering order (see
+/// `MvSet`'s invariant and `covering_key`): ascending N_U, ties by genome
+/// index. Keys are tiny (N_U ≤ K ≤ 64), so a stable counting sort realizes
+/// the exact same order as the comparison sort in `MvSet::new` at
+/// O(L + K). Then the scan buffers are reset for the decoded planes.
+fn sort_and_reset(sliced: &SlicedHistogram, bound: u64, scratch: &mut EvalScratch) {
+    let k = sliced.block_len();
+    let l = scratch.spec.len();
     let num_u = |spec: u64| k - spec.count_ones() as usize;
     scratch.buckets.clear();
     scratch.buckets.resize(k + 1, 0);
-    let (spec_planes, value_planes) = (&scratch.spec, &scratch.value);
-    for &spec in spec_planes.iter() {
+    for &spec in scratch.spec.iter() {
         scratch.buckets[num_u(spec)] += 1;
     }
     let mut start = 0u32;
@@ -194,25 +456,19 @@ pub fn encoded_size_scratch(
     }
     scratch.order.clear();
     scratch.order.resize(l, 0);
-    for (i, &spec) in spec_planes.iter().enumerate() {
+    for (i, &spec) in scratch.spec.iter().enumerate() {
         let slot = &mut scratch.buckets[num_u(spec)];
         scratch.order[*slot as usize] = i as u32;
         *slot += 1;
     }
     debug_assert!(scratch.order.windows(2).all(|w| covering_key(
-        num_u(spec_planes[w[0] as usize]),
+        num_u(scratch.spec[w[0] as usize]),
         w[0] as usize
     ) < covering_key(
-        num_u(spec_planes[w[1] as usize]),
+        num_u(scratch.spec[w[1] as usize]),
         w[1] as usize
     )));
 
-    // 3. Bit-sliced covering scan with inline duplicate skipping: an MV
-    // whose exact (spec, value) pair was already scanned can never cover a
-    // block (its twin took them all), so it keeps frequency 0 without
-    // touching the histogram — precisely what the sequential first-match
-    // rule assigns it. Duplicates are found with a small open-addressing
-    // probe instead of a second sort.
     let words = sliced.words_per_column();
     scratch.uncovered.clear();
     scratch.uncovered.resize(words, u64::MAX);
@@ -232,21 +488,89 @@ pub fn encoded_size_scratch(
         scratch.seen_used.resize(needed.div_ceil(64), 0);
     }
     scratch.seen_used.iter_mut().for_each(|w| *w = 0);
-
-    let counts = sliced.counts();
-    let mut blocks_left = sliced.num_distinct();
-    let mut fill_bits = 0u64;
+    if bound != u64::MAX {
+        scratch.entropy.prepare(sliced.total_blocks());
+    }
     scratch.scan_transitions = 0;
     scratch.used_mvs = 0;
-    for (pos, &i) in scratch.order.iter().enumerate() {
-        let i = i as usize;
-        if blocks_left == 0 {
+}
+
+/// The running totals of a covering scan.
+struct Scan {
+    /// Distinct blocks not yet covered.
+    blocks_left: usize,
+    /// `R`: blocks not yet covered, with multiplicity.
+    left: u64,
+    /// `Σ f·log2(N/f)` over the MVs taken so far (bounded scans only).
+    entropy: f64,
+    /// Fill bits so far.
+    fill_bits: u64,
+    /// MVs with a nonzero frequency so far.
+    used: usize,
+}
+
+impl Scan {
+    /// Nothing covered yet.
+    fn new(sliced: &SlicedHistogram) -> Self {
+        Scan {
+            blocks_left: sliced.num_distinct(),
+            left: sliced.total_blocks(),
+            entropy: 0.0,
+            fill_bits: 0,
+            used: 0,
+        }
+    }
+
+    /// Accounts for an MV with `nu` unspecified positions that covered
+    /// `freq` blocks; `entropy` is the table of a bounded scan.
+    #[inline]
+    fn take(&mut self, freq: u64, nu: u64, entropy: Option<&EntropyTable>) {
+        self.fill_bits += freq * nu;
+        if freq > 0 {
+            self.used += 1;
+            self.left -= freq;
+            if let Some(table) = entropy {
+                self.entropy += table.at_least(freq);
+            }
+        }
+    }
+}
+
+/// The bit-sliced covering scan with inline duplicate skipping: an MV whose exact (spec, value) pair was
+/// already scanned can never cover a block (its twin took them all), so it
+/// keeps frequency 0 without touching the histogram — precisely what the
+/// sequential first-match rule assigns it. Duplicates are found with a
+/// small open-addressing probe instead of a second sort. Under a bound
+/// (`bound < u64::MAX`) every fresh MV first checks the lower bound of
+/// [`encoded_size_bounded`]. `TRANSITIONS` switches the scan-transition
+/// side channel on.
+fn cover<const TRANSITIONS: bool>(
+    sliced: &SlicedHistogram,
+    bound: u64,
+    scratch: &mut EvalScratch,
+) -> BoundedSize {
+    let k = sliced.block_len();
+    let num_u = |spec: u64| k - spec.count_ones() as usize;
+    let counts = sliced.counts();
+    let bounded = bound != u64::MAX;
+    let threshold = bound as f64 * (1.0 + BOUND_MARGIN);
+    let mut scan = Scan::new(sliced);
+    for pos in 0..scratch.order.len() {
+        if scan.blocks_left == 0 {
             // Everything is covered; the remaining MVs keep frequency 0.
             break;
         }
-        let (spec, value) = (spec_planes[i], value_planes[i]);
+        let i = scratch.order[pos] as usize;
+        let (spec, value) = (scratch.spec[i], scratch.value[i]);
         if probe_seen(spec, value, &mut scratch.seen, &mut scratch.seen_used) {
             continue; // exact duplicate of an earlier-in-covering-order MV
+        }
+        let nu = num_u(spec) as u64;
+        if bounded {
+            let lower = (scan.fill_bits + scan.left * nu) as f64 + scratch.entropy.code_bits(&scan);
+            if lower >= threshold {
+                return BoundedSize::AtLeast;
+            }
         }
         scratch.mismatch.iter_mut().for_each(|w| *w = 0);
         sliced.accumulate_mismatch(spec, value, &mut scratch.mismatch);
@@ -265,27 +589,29 @@ pub fn encoded_size_scratch(
                     matched &= matched - 1;
                     let d = w * 64 + b;
                     freq += counts[d];
-                    blocks_left -= 1;
-                    // The decoded scan-in word of block `d`: MV values at
-                    // specified positions (value ⊆ spec by construction),
-                    // the block's transmitted fill bits at the MV's `U`s.
-                    let (_, bv) = sliced.block_planes(d);
-                    scratch.scan_transitions += counts[d] * block_transitions(value | bv, k);
+                    scan.blocks_left -= 1;
+                    if TRANSITIONS {
+                        // The decoded scan-in word of block `d`: MV values
+                        // at specified positions (value ⊆ spec by
+                        // construction), the block's fill bits at its `U`s.
+                        let (_, bv) = sliced.block_planes(d);
+                        scratch.scan_transitions += counts[d] * block_transitions(value | bv, k);
+                    }
                 }
             }
         }
         scratch.freqs[pos] = freq;
-        if freq > 0 {
-            scratch.used_mvs += 1;
-        }
-        fill_bits += freq * num_u(spec) as u64;
+        scan.take(freq, nu, bounded.then_some(&scratch.entropy));
     }
-    if blocks_left > 0 {
-        return None; // some block matches no MV — covering impossible
+    scratch.used_mvs = scan.used;
+    if scan.blocks_left > 0 {
+        return BoundedSize::Exact(None); // some block matches no MV
     }
 
-    // 4. Length-only Huffman pricing of the codeword part.
-    Some(fill_bits + huffman_weighted_length(&scratch.freqs, &mut scratch.huffman))
+    // Length-only Huffman pricing of the codeword part.
+    BoundedSize::Exact(Some(
+        scan.fill_bits + huffman_weighted_length(&scratch.freqs, &mut scratch.huffman),
+    ))
 }
 
 /// Returns `true` if `(spec, value)` is already in the table; inserts it
@@ -435,6 +761,207 @@ mod tests {
         ] {
             let (fast, slow) = both(&hist, &sliced, &g, false, &mut scratch);
             assert_eq!(fast, slow, "genome {g:?}");
+        }
+    }
+
+    /// A deterministic word stream (SplitMix64) for exhaustive-ish sweeps.
+    fn words(seed: u64, n: usize) -> Vec<u64> {
+        let mut z = seed;
+        (0..n)
+            .map(|_| {
+                z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut x = z;
+                x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                x ^ (x >> 31)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_transitions_counts_adjacent_flips_bit_by_bit() {
+        // The kernel and the covering oracle share this helper, so the
+        // objective-matching property cannot catch a broken one; this pins
+        // it to the definition: flips between bits j and j+1 for j < K-1.
+        let mut inputs = vec![0, u64::MAX, 0x5555_5555_5555_5555, 1, 1 << 63];
+        inputs.extend(words(5, 200));
+        for k in 1..=64usize {
+            for &x in &inputs {
+                let bit = |j: usize| (x >> j) & 1;
+                let naive = (0..k - 1).filter(|&j| bit(j) != bit(j + 1)).count() as u64;
+                assert_eq!(block_transitions(x, k), naive, "x={x:#x} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_decode_matches_the_per_trit_mapping() {
+        let pool = words(9, 64);
+        for len in 1..=64usize {
+            for (n, &w) in pool.iter().enumerate() {
+                let chunk: Vec<Trit> = (0..len)
+                    .map(|j| {
+                        Trit::from_index(((w >> (2 * (j % 32))).wrapping_add(n as u64) % 3) as u8)
+                    })
+                    .collect();
+                let (mut spec, mut value) = (0u64, 0u64);
+                for (j, &t) in chunk.iter().enumerate() {
+                    spec |= (t.is_specified() as u64) << j;
+                    value |= ((t == Trit::One) as u64) << j;
+                }
+                assert_eq!(decode_chunk(&chunk), (spec, value), "len {len}: {chunk:?}");
+                assert!(trits_equal(&chunk, &chunk));
+                for j in 0..len {
+                    let mut other = chunk.clone();
+                    other[j] = Trit::from_index((other[j].index() + 1) % 3);
+                    assert!(!trits_equal(&chunk, &other), "len {len}, trit {j}");
+                }
+                assert!(!trits_equal(&chunk, &chunk[..len - 1]));
+            }
+        }
+    }
+
+    #[test]
+    fn entropy_table_bounds_x_log_n_over_x_from_below() {
+        // Exact below FINE; bucketed above it, never above the true value.
+        for total in [
+            1u64,
+            7,
+            300,
+            EntropyTable::FINE,
+            3 * EntropyTable::FINE + 5,
+            1 << 20,
+        ] {
+            let mut table = EntropyTable::default();
+            table.prepare(total);
+            assert!(table.fine.len() + table.coarse.len() <= 2 * EntropyTable::FINE as usize + 2);
+            let n = total as f64;
+            let mut xs: Vec<u64> = (0..=total.min(300)).collect();
+            xs.extend(words(total, 300).iter().map(|w| w % (total + 1)));
+            xs.push(total);
+            for x in xs {
+                let exact = if x == 0 {
+                    0.0
+                } else {
+                    x as f64 * (n / x as f64).log2()
+                };
+                let bound = table.at_least(x);
+                assert!(bound <= exact * (1.0 + 1e-12) + 1e-9, "N={total} x={x}");
+                if x < EntropyTable::FINE.min(total + 1) {
+                    assert!(
+                        (bound - exact).abs() <= exact * 1e-12 + 1e-12,
+                        "N={total} x={x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn series_log2_matches_the_library_log2() {
+        let mut xs = vec![
+            1.0,
+            1.5,
+            std::f64::consts::SQRT_2,
+            2.0,
+            3.0,
+            1e-3,
+            1e300,
+            8191.0,
+        ];
+        xs.extend(
+            words(3, 2000)
+                .iter()
+                .map(|&w| (w >> 11) as f64 / (1u64 << 40) as f64 + 1e-6),
+        );
+        xs.extend((1..5000).map(|i| 5000.0 / i as f64));
+        for x in xs {
+            let (ours, libm) = (log2(x), x.log2());
+            assert!(
+                (ours - libm).abs() <= 4e-16 * libm.abs().max(1.0),
+                "log2({x}): {ours} vs {libm}"
+            );
+        }
+    }
+
+    #[test]
+    fn code_bound_never_exceeds_the_huffman_length() {
+        // Any split of the frequencies into the MVs scanned so far and a
+        // remainder R (which later MVs may split any way) must bound the
+        // Huffman length of the whole from below — skewed distributions,
+        // where one symbol holds over half the blocks, included.
+        let mut huffman = HuffmanScratch::default();
+        for (trial, &w) in words(17, 400).iter().enumerate() {
+            let symbols = 1 + (w % 12) as usize;
+            let skew = trial % 3 == 0;
+            let freqs: Vec<u64> = words(w, symbols)
+                .iter()
+                .enumerate()
+                .map(|(i, &x)| {
+                    if skew && i == 0 {
+                        500 + x % 3000
+                    } else {
+                        x % 60
+                    }
+                })
+                .collect();
+            let total: u64 = freqs.iter().sum();
+            if total == 0 {
+                continue;
+            }
+            let exact = huffman_weighted_length(&freqs, &mut huffman) as f64;
+            let mut table = EntropyTable::default();
+            table.prepare(total);
+            for split in 0..=symbols {
+                let scanned = &freqs[..split];
+                let scan = Scan {
+                    blocks_left: 0,
+                    left: freqs[split..].iter().sum(),
+                    entropy: scanned.iter().map(|&f| table.at_least(f)).sum(),
+                    fill_bits: 0,
+                    used: 0,
+                };
+                let bound = table.code_bits(&scan);
+                assert!(
+                    bound <= exact * (1.0 + 1e-12) + 1e-9,
+                    "{freqs:?} split {split}: bound {bound} > Huffman {exact}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_kernel_is_exact_below_the_bound_and_stops_at_it() {
+        let (hist, sliced) = fixtures(
+            &["110100XX", "110000XX", "11010000", "110X00XX", "11010011"],
+            8,
+        );
+        let mut scratch = EvalScratch::new();
+        for g in [
+            genes("110U00UU 00000000 UUUUUUUU"),
+            genes("11010000 110000UU UUUUUUUU"),
+            genes("UUUUUUUU UUUUUUUU UUUUUUUU"),
+        ] {
+            let (exact, _) = both(&hist, &sliced, &g, false, &mut scratch);
+            let exact = exact.unwrap();
+            for bound in [exact + 1, exact + 100, u64::MAX] {
+                let got = encoded_size_bounded(&sliced, &g, false, bound, &mut scratch);
+                assert_eq!(got, BoundedSize::Exact(Some(exact)), "bound {bound}");
+            }
+            // Every lower bound starts at zero or more, so a zero bound stops
+            // at the first MV.
+            let got = encoded_size_bounded(&sliced, &g, false, 0, &mut scratch);
+            assert_eq!(got, BoundedSize::AtLeast);
+            for bound in [exact / 2, exact] {
+                let got = encoded_size_bounded(&sliced, &g, false, bound, &mut scratch);
+                assert!(
+                    matches!(got, BoundedSize::AtLeast | BoundedSize::Exact(Some(_))),
+                    "{got:?}"
+                );
+                if let BoundedSize::Exact(size) = got {
+                    assert_eq!(size, Some(exact));
+                }
+            }
         }
     }
 

@@ -75,7 +75,7 @@ pub use hash::{content_hash, test_set_content_hash};
 pub use incremental::{
     encoded_size_probe, encoded_size_rebuild, EvalCache, IncrementalOutcome, PatchScratch,
 };
-pub use kernel::{encoded_size_scratch, EvalScratch};
+pub use kernel::{encoded_size_bounded, encoded_size_scratch, BoundedSize, EvalScratch};
 pub use mv::{MatchingVector, ParseMvError};
 pub use mvset::{covering_key, MvSet};
 pub use ninec::{ninec_codewords, ninec_matching_vectors, NineCCompressor, NineCHuffmanCompressor};

@@ -999,6 +999,7 @@ fn step<G, SampleGene, F>(
     let provenance = Provenance {
         lineage: lineages,
         parents: &parent_genes,
+        floor: survival_floor(config, population),
     };
     score_batch(
         config,
@@ -1028,6 +1029,21 @@ fn step<G, SampleGene, F>(
     );
     sort_population(population, config.ranking);
     pool.extend(population.drain(s..).map(|individual| individual.genes));
+}
+
+/// The batch's survival floor (see [`Provenance::floor`]): the worst
+/// parent's fitness, where a child scoring at or below it is dropped
+/// whatever its exact score and nothing else reads that score. That holds
+/// when the run collects no objectives (fitness ranking, no Pareto archive)
+/// and no parent is NaN (NaN compares equal to everything in
+/// [`sort_by_fitness`]).
+fn survival_floor<G>(config: &EaConfig, population: &[Individual<G>]) -> Option<f64> {
+    if needs_objectives(config) {
+        return None;
+    }
+    population.iter().try_fold(f64::INFINITY, |floor, ind| {
+        (!ind.fitness.is_nan()).then(|| floor.min(ind.fitness))
+    })
 }
 
 /// Ring migration: the rank-best `migrants` of island `i` (post-selection,
@@ -1301,7 +1317,10 @@ mod tests {
                 for (i, (genes, slot)) in genomes.iter().zip(out.iter_mut()).enumerate() {
                     *slot = self.evaluate(genes);
                     // The initial population comes without provenance.
-                    let Some(Provenance { lineage, parents }) = provenance else {
+                    let Some(Provenance {
+                        lineage, parents, ..
+                    }) = provenance
+                    else {
                         continue;
                     };
                     let lin = lineage[i]
@@ -1596,6 +1615,114 @@ mod tests {
             .run();
         // Budget + one epoch of children on both islands: 100 + 2*5*4.
         assert!(result.evaluations <= 140, "{} evals", result.evaluations);
+    }
+
+    // ---- survival floor ----
+
+    /// What a [`FloorOneMax`] run saw.
+    #[derive(Default)]
+    struct FloorCounts {
+        /// Batches that came with a floor.
+        floors: std::sync::atomic::AtomicU64,
+        /// Scores replaced by the floor.
+        clipped: std::sync::atomic::AtomicU64,
+    }
+
+    /// One-max that takes the floor contract at its word: every score at
+    /// or below the batch's floor is reported as the floor itself.
+    struct FloorOneMax<'a>(&'a FloorCounts);
+    impl FitnessEval<bool> for FloorOneMax<'_> {
+        type State = ();
+
+        fn evaluate(&self, genes: &[bool]) -> f64 {
+            one_max(genes)
+        }
+        fn evaluate_batch(
+            &self,
+            _state: &mut (),
+            genomes: &[Vec<bool>],
+            provenance: Option<Provenance<'_, bool>>,
+            out: &mut [f64],
+            objectives: Option<&mut [Objectives]>,
+        ) {
+            use std::sync::atomic::Ordering::Relaxed;
+            let floor = provenance.and_then(|p| p.floor);
+            if floor.is_some() {
+                self.0.floors.fetch_add(1, Relaxed);
+            }
+            for (genes, slot) in genomes.iter().zip(out.iter_mut()) {
+                let score = one_max(genes);
+                *slot = match floor {
+                    Some(floor) if score <= floor => {
+                        self.0.clipped.fetch_add(1, Relaxed);
+                        floor
+                    }
+                    _ => score,
+                };
+            }
+            for (slot, &score) in objectives.into_iter().flatten().zip(out.iter()) {
+                *slot = Objectives::from_fitness(score);
+            }
+        }
+    }
+
+    #[test]
+    fn reporting_the_floor_never_changes_the_trajectory() {
+        for (label, config) in [
+            ("panmictic", one_max_config(40, 5)),
+            ("islands", island_config(3, 4, 1, 6)),
+        ] {
+            let reference = EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
+                .config(config.clone())
+                .run();
+            let counts = FloorCounts::default();
+            let floored = EaBuilder::new(24, |rng| rng.gen::<bool>(), FloorOneMax(&counts))
+                .config(config)
+                .run();
+            assert_same_run(&floored, &reference, label);
+            assert!(
+                counts.clipped.into_inner() > 0,
+                "{label}: no score was clipped"
+            );
+        }
+    }
+
+    #[test]
+    fn the_floor_is_offered_only_where_selection_alone_reads_the_scores() {
+        let base = || {
+            EaConfig::builder()
+                .population_size(6)
+                .children_per_generation(4)
+                .stagnation_limit(10)
+                .seed(3)
+        };
+        for (config, expect_floor) in [
+            (base().build(), true),
+            (base().pareto_archive(4).build(), false),
+            (base().ranking(Ranking::Lexicographic).build(), false),
+        ] {
+            let counts = FloorCounts::default();
+            EaBuilder::new(16, |rng| rng.gen::<bool>(), FloorOneMax(&counts))
+                .config(config)
+                .run();
+            assert_eq!(counts.floors.into_inner() > 0, expect_floor);
+        }
+        // A NaN parent makes the floor meaningless: it compares equal to
+        // every score in the selection sort.
+        let individual = |fitness: f64| Individual {
+            genes: vec![true],
+            fitness,
+            objectives: Objectives::from_fitness(fitness),
+        };
+        let config = base().build();
+        assert_eq!(
+            survival_floor(&config, &[individual(3.0), individual(1.0)]),
+            Some(1.0)
+        );
+        assert_eq!(
+            survival_floor(&config, &[individual(3.0), individual(f64::NAN)]),
+            None
+        );
     }
 
     // ---- multi-objective ----

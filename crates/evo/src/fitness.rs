@@ -62,10 +62,10 @@ impl Lineage {
     }
 }
 
-/// Parent→child provenance of one batch: a [`Lineage`] slot per genome and
-/// the parent genomes the lineages index into. The engine hands it over
-/// with every generation's children and passes `None` for the initial
-/// population, which has no parents.
+/// Parent→child provenance of one batch: a [`Lineage`] slot per genome,
+/// the parent genomes the lineages index into, and the batch's survival
+/// floor. The engine hands it over with every generation's children and
+/// passes `None` for the initial population, which has no parents.
 #[derive(Debug, Clone, Copy)]
 pub struct Provenance<'a, G> {
     /// `lineage[i]` describes how `genomes[i]` relates to
@@ -74,6 +74,20 @@ pub struct Provenance<'a, G> {
     /// The parent population, indexed by [`Lineage::parent_idx`] and
     /// [`Lineage::second_parent`].
     pub parents: &'a [&'a [G]],
+    /// The survival floor: the fitness of the worst parent. When it is
+    /// `Some`, an evaluator may report any score at or below it as the floor
+    /// itself (see [`FitnessEval`]), so it need not finish pricing a child
+    /// that cannot survive.
+    ///
+    /// The engine sets it only where that is exact: ranking by fitness
+    /// ([`crate::Ranking::Fitness`]), no Pareto archive
+    /// (`pareto_capacity == 0`) and no NaN in the population. The stable
+    /// `(S + C)` truncation then keeps every parent ahead of an equally
+    /// scored child, so a child at or below the floor is dropped whatever
+    /// its exact score. Nothing else reads a dropped child's score: history
+    /// and stats are taken after selection, checkpoints hold only the
+    /// population, and there is no archive. `None` asks for exact scores.
+    pub floor: Option<f64>,
 }
 
 /// Fitness of fixed-length genomes over gene type `G`; higher is better.
@@ -100,6 +114,17 @@ pub struct Provenance<'a, G> {
 /// Infeasible genomes should be scored below every feasible one — exactly
 /// how the paper handles individuals for which covering is impossible
 /// (Section 3.1).
+///
+/// **The survival floor.** Purity has one sanctioned exception. When a
+/// batch's [`Provenance::floor`] is `Some(floor)`, an evaluator may write
+/// `floor` instead of any score at or below it: a child that scores at most
+/// the worst parent is dropped by selection whatever its exact score, so
+/// the work of pricing it exactly is wasted. Scores above the floor must
+/// stay exact, and so must every score of a batch without a floor. The
+/// engine passes a floor only when selection is the sole reader of a
+/// child's score (see [`Provenance::floor`]), which keeps every survivor,
+/// history entry and checkpoint byte-identical. Closures and the default
+/// [`FitnessEval::evaluate_batch`] ignore the floor.
 ///
 /// Any `Fn(&[G]) -> f64` closure implements this trait with `State = ()`,
 /// so simple callers never need to name it:
@@ -225,6 +250,7 @@ mod tests {
         let provenance = Provenance {
             lineage: &lineage,
             parents: &parents,
+            floor: None,
         };
         let mut with = vec![f64::NAN; 2];
         SumLen.evaluate_batch(&mut (), &genomes, Some(provenance), &mut with, None);

@@ -20,6 +20,11 @@ pub struct CacheStats {
     /// Children that fell back to the full kernel (unusable lineage or a
     /// `NeedsFull` answer from the incremental engine).
     pub fallbacks: u64,
+    /// The fallbacks the survival floor cut short: the full kernel stopped
+    /// as soon as it proved the child at or below
+    /// [`crate::Provenance::floor`]. A subset of `fallbacks`, so
+    /// [`CacheStats::hit_rate`] keeps its meaning.
+    pub pruned: u64,
 }
 
 impl CacheStats {
@@ -39,10 +44,11 @@ impl fmt::Display for CacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} hits / {} misses / {} fallbacks ({:.0}% hit rate)",
+            "{} hits / {} misses / {} fallbacks, {} pruned ({:.0}% hit rate)",
             self.hits,
             self.misses,
             self.fallbacks,
+            self.pruned,
             100.0 * self.hit_rate()
         )
     }
@@ -128,11 +134,30 @@ mod tests {
             hits: 3,
             misses: 1,
             fallbacks: 0,
+            pruned: 0,
         };
         assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
         let s = stats.to_string();
         assert!(s.contains("3 hits") && s.contains("75% hit rate"), "{s}");
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
+    }
+
+    #[test]
+    fn pruned_fallbacks_leave_the_hit_rate_alone() {
+        let plain = CacheStats {
+            hits: 6,
+            misses: 1,
+            fallbacks: 3,
+            pruned: 0,
+        };
+        // Pruned children are fallbacks the floor cut short, not extra
+        // lookups: the hit rate counts them once, as fallbacks.
+        let pruned = CacheStats { pruned: 2, ..plain };
+        assert_eq!(pruned.hit_rate().to_bits(), plain.hit_rate().to_bits());
+        assert!((pruned.hit_rate() - 0.6).abs() < 1e-12);
+        let s = pruned.to_string();
+        assert!(s.contains("3 fallbacks, 2 pruned"), "{s}");
+        assert!(s.contains("60% hit rate"), "{s}");
     }
 
     #[test]

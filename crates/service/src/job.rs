@@ -135,6 +135,13 @@ impl JobSpec {
         if self.l == 0 {
             return Err(JobError::InvalidSpec("at least one MV is required".into()));
         }
+        if self.stagnation_limit == 0 {
+            // The engine asserts a positive limit; caught here, the job fails
+            // once as invalid instead of panicking through every retry.
+            return Err(JobError::InvalidSpec(
+                "stagnation limit must be positive".into(),
+            ));
+        }
         Ok(())
     }
 
@@ -583,6 +590,32 @@ mod tests {
             bad_k.validate(),
             Err(JobError::InvalidSpec(ref why)) if why.contains("K=0")
         ));
+    }
+
+    #[test]
+    fn zero_stagnation_limit_fails_once_as_an_invalid_spec() {
+        use crate::{JobOutcome, Service, ServiceConfig};
+        let mut zero = spec(5);
+        zero.stagnation_limit = 0;
+        assert!(matches!(
+            zero.validate(),
+            Err(JobError::InvalidSpec(ref why)) if why.contains("stagnation")
+        ));
+        // Through the service: one attempt, no retry, no backoff, and one
+        // failure for the tenant's breaker — not a panic per attempt.
+        let service = Service::start(ServiceConfig::builder().workers(1).virtual_time().build());
+        service.submit(zero).expect("an empty service admits");
+        let outcome = service.shutdown();
+        assert!(outcome.stats.accounted(), "lost jobs: {:?}", outcome.stats);
+        let report = &outcome.reports[0];
+        assert!(
+            matches!(report.outcome, JobOutcome::Failed(JobError::InvalidSpec(_))),
+            "{:?}",
+            report.outcome
+        );
+        assert_eq!(report.attempts, 1);
+        assert_eq!(outcome.stats.retries, 0);
+        assert_eq!(outcome.stats.failed, 1);
     }
 
     #[test]

@@ -2,11 +2,14 @@
 //! path: for every histogram, K/L shape, and genome — feasible or not —
 //! `MvFitness::evaluate_with_objectives` must return the **bit-identical**
 //! scalar `f64` that the legacy `MvSet::from_genes` → `Covering` →
-//! `huffman_code` → `encoded_size` pipeline produces.
+//! `huffman_code` → `encoded_size` pipeline produces. The bounded kernel
+//! (`encoded_size_bounded`) must return that exact size or stop only where
+//! the size provably reaches its bound.
 
-use evotc::bits::{BlockHistogram, TestPattern, TestSet, TestSetString, Trit};
+use evotc::bits::{BlockHistogram, SlicedHistogram, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{
-    encoded_size, encoded_size_scratch, EvalScratch, MvFitness, MvFitnessState, MvSet,
+    encoded_size, encoded_size_bounded, encoded_size_scratch, BoundedSize, EvalScratch, MvFitness,
+    MvFitnessState, MvSet,
 };
 use evotc::evo::FitnessEval;
 use proptest::prelude::*;
@@ -27,6 +30,46 @@ fn arb_dense_rows(width: usize) -> impl Strategy<Value = Vec<Vec<Trit>>> {
             .prop_map(|bs| bs.into_iter().map(Trit::from_bool).collect::<Vec<_>>()),
         1..10,
     )
+}
+
+/// Checks the bounded kernel's contract on one genome against the exact
+/// kernel at the bounds that matter: 0, exact − 1, exact, exact + 1 and
+/// `u64::MAX` (an infeasible genome is above every bound). Returns whether
+/// some bound stopped the scan early.
+fn check_bounded(
+    sliced: &SlicedHistogram,
+    genes: &[Trit],
+    force: bool,
+    exact_scratch: &mut EvalScratch,
+    scratch: &mut EvalScratch,
+) -> bool {
+    let exact = encoded_size_scratch(sliced, genes, force, exact_scratch);
+    let used = exact_scratch.last_used_mvs();
+    let bounds = match exact {
+        Some(e) => vec![0, e.saturating_sub(1), e, e + 1, u64::MAX],
+        None => vec![0, 1, 1 << 20, u64::MAX],
+    };
+    let mut stopped = false;
+    for bound in bounds {
+        match encoded_size_bounded(sliced, genes, force, bound, scratch) {
+            BoundedSize::Exact(size) => {
+                prop_assert_eq!(size, exact, "bound {}", bound);
+                if size.is_some() {
+                    prop_assert_eq!(scratch.last_used_mvs(), used);
+                }
+            }
+            BoundedSize::AtLeast => {
+                prop_assert!(
+                    exact.map_or(true, |e| e >= bound),
+                    "stopped at bound {} below the exact size {:?}",
+                    bound,
+                    exact
+                );
+                stopped = true;
+            }
+        }
+    }
+    stopped
 }
 
 fn histogram_for(rows: &[Vec<Trit>], k: usize) -> (BlockHistogram, f64) {
@@ -107,6 +150,49 @@ proptest! {
         fitness.evaluate_batch(&mut MvFitnessState::default(), &genomes, None, &mut scores, None);
         for (g, &s) in genomes.iter().zip(&scores) {
             prop_assert_eq!(s.to_bits(), fitness.evaluate(g).to_bits());
+        }
+    }
+
+    /// The bounded kernel answers exactly or "at least the bound", the
+    /// latter only when the exact size reaches the bound, over X-rich rows
+    /// at K ∈ {4, 8, 12}, with and without the forced all-`U` vector.
+    #[test]
+    fn bounded_kernel_never_stops_below_its_bound(
+        rows in proptest::collection::vec(arb_trits(24), 1..12),
+        genome in proptest::collection::vec((0u8..3).prop_map(Trit::from_index), 96..=96),
+    ) {
+        let (mut exact_scratch, mut scratch) = (EvalScratch::new(), EvalScratch::new());
+        for k in [4, 8, 12] {
+            let (hist, _) = histogram_for(&rows, k);
+            let sliced = SlicedHistogram::from_histogram(&hist);
+            for l in [1, 3, 96 / k] {
+                for force in [false, true] {
+                    let stopped = check_bounded(
+                        &sliced, &genome[..k * l], force, &mut exact_scratch, &mut scratch,
+                    );
+                    // A zero bound is reached by every lower bound.
+                    prop_assert!(stopped, "K={} L={} force={}", k, l, force);
+                }
+            }
+        }
+    }
+
+    /// The same contract over specified-heavy rows, where small MV sets
+    /// without the all-`U` safety net are often infeasible.
+    #[test]
+    fn bounded_kernel_treats_infeasible_genomes_as_above_every_bound(
+        rows in arb_dense_rows(24),
+        genomes in proptest::collection::vec(arb_trits(24), 1..8),
+    ) {
+        let (mut exact_scratch, mut scratch) = (EvalScratch::new(), EvalScratch::new());
+        for k in [4, 8, 12] {
+            let (hist, _) = histogram_for(&rows, k);
+            let sliced = SlicedHistogram::from_histogram(&hist);
+            for g in &genomes {
+                for force in [false, true] {
+                    check_bounded(&sliced, g, force, &mut exact_scratch, &mut scratch);
+                }
+            }
         }
     }
 

@@ -212,7 +212,7 @@ proptest! {
             }
             genomes.push(child);
         }
-        let provenance = Provenance { lineage: &lineage, parents: &parents };
+        let provenance = Provenance { lineage: &lineage, parents: &parents, floor: None };
         let mut state = MvFitnessState::default();
         let mut with = vec![f64::NAN; genomes.len()];
         fitness.evaluate_batch(&mut state, &genomes, Some(provenance), &mut with, None);
@@ -293,7 +293,7 @@ proptest! {
         }
         let fitness = MvFitness::new(6, true, &hist, bits);
         let parents: Vec<&[Trit]> = vec![&parent_a, &parent_b];
-        let provenance = Provenance { lineage: &lineage, parents: &parents };
+        let provenance = Provenance { lineage: &lineage, parents: &parents, floor: None };
         let mut state = MvFitnessState::default();
         let mut with = vec![f64::NAN; genomes.len()];
         fitness.evaluate_batch(&mut state, &genomes, Some(provenance), &mut with, None);
@@ -351,7 +351,7 @@ proptest! {
                     .zip(lineage.chunks(chunk))
                     .zip(scores.chunks_mut(chunk))
                 {
-                    let provenance = Provenance { lineage: lin, parents: &parents };
+                    let provenance = Provenance { lineage: lin, parents: &parents, floor: None };
                     let fitness = &fitness;
                     scope.spawn(move || {
                         let mut state = MvFitnessState::default();
@@ -388,6 +388,7 @@ proptest! {
             let provenance = Provenance {
                 lineage: &[Some(Lineage::new(0, pos..pos + 1))],
                 parents: &[parent.as_slice()],
+                floor: None,
             };
             fitness.evaluate_batch(
                 &mut state, std::slice::from_ref(&genome), Some(provenance), &mut score, None,
