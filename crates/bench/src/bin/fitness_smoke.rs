@@ -3,8 +3,9 @@
 //! incremental probe under single-gene, crossover and inversion child
 //! streams — all at the paper-default shape (K=12, L=64, shared
 //! `fitness_fixture` workload) — plus the whole-run `evals/sec` of a real
-//! EA, and writes `BENCH_fitness.json` so the repo carries a perf
-//! trajectory across PRs. The correctness gates cover the objective vector
+//! EA and the engine's own cost per generation, and writes
+//! `BENCH_fitness.json` so the repo carries a perf trajectory across
+//! changes. The correctness gates cover the objective vector
 //! too: kernel side-channel objectives vs the covering oracle on every
 //! genome, and the probe's transition and used-MV counts vs the full
 //! recompute on every child.
@@ -26,10 +27,20 @@
 //! patch itself; a separate gate checks that the engine's gated probe both
 //! prices and declines multi-chunk children at this shape.
 //!
-//! Runs in a few seconds ("quick mode"). In CI the correctness gate runs
-//! gating (`--check-only`) and the timed run is a separate non-gating step:
-//! a slow shared runner must not fail the build, but a bitwise divergence
-//! between any two paths must. Locally:
+//! Every comparison runs its two sides in back-to-back pairs, the side that
+//! runs first alternating (`evotc_bench::alternating_pairs`), and records
+//! the median of the per-pair ratios: `PASS_PAIRS` pairs of passes for
+//! the legacy-vs-kernel and stream figures, `PAIRS` pairs of whole EA
+//! runs for the whole-run ratios. `engine_ns_per_generation` is the median
+//! over `PAIRS` runs of `EaResult::elapsed / generations` for the paper's
+//! (S + C) = (10 + 5) on the same genome length with a constant-time
+//! closure fitness, so it is the engine's own cost: breeding, selection and
+//! bookkeeping.
+//!
+//! The timed run takes about 20 s. In CI the correctness gate runs gating
+//! (`--check-only`, under a second) and the timed run is a separate
+//! non-gating step: a slow shared runner must not fail the build, but a
+//! bitwise divergence between any two paths must. Locally:
 //!
 //! ```text
 //! cargo run --release -p evotc_bench --bin fitness_smoke
@@ -38,27 +49,31 @@
 //! Exits non-zero only if the paths disagree on any genome or child, the
 //! cost gate is stuck one way, or the default EA run (survival floor on)
 //! differs from the same run with the floor off or prunes nothing (a
-//! correctness failure, not a perf one).
+//! correctness failure, not a perf one). Any argument other than
+//! `--check-only` exits with code 2 before anything runs.
 
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use evotc_bench::fitness_fixture::{paper_histogram, random_genomes, BLOCK_LEN, NUM_MVS};
+use evotc_bench::{alternating_pairs, check_only_arg, median};
 use evotc_bits::{SlicedHistogram, Trit};
 use evotc_core::{
     encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, EvalCache, EvalScratch,
     IncrementalOutcome, MvFitness, MvFitnessState, PatchScratch,
 };
 use evotc_core::{trit_checkpoint_from_bytes, trit_checkpoint_to_bytes};
-use evotc_evo::{EaBuilder, EaCheckpoint, EaConfig, FitnessEval, Objectives, Provenance};
+use evotc_evo::{EaBuilder, EaCheckpoint, EaConfig, EaResult, FitnessEval, Objectives, Provenance};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const GENOMES: usize = 128;
 /// Children per stream workload (mutation, inversion, crossover alike).
 const STREAM_LEN: usize = 256;
-/// Wall-clock budget per measured path; quick mode stays CI-friendly.
-const MEASURE: Duration = Duration::from_millis(1500);
+/// Pairs of passes per throughput comparison (a pass takes 0.1–4 ms).
+const PASS_PAIRS: usize = 301;
+/// Pairs of whole EA runs per ratio, and repeats of the engine-overhead run.
+const PAIRS: usize = 31;
 /// The fixture's genome length.
 const GENOME_LEN: usize = BLOCK_LEN * NUM_MVS;
 
@@ -170,18 +185,39 @@ fn evolved_parent_and_partners(
     (evolved, partners)
 }
 
-/// Runs `eval_all` (which claims `per_pass` evaluations) repeatedly for the
-/// budget and returns evaluations/sec.
-fn throughput(per_pass: u64, mut eval_all: impl FnMut() -> f64) -> f64 {
-    // Warm-up pass (first-touch allocations, cold caches).
-    std::hint::black_box(eval_all());
+/// The wall time of one `pass`, in seconds, timed right after an untimed
+/// pass of its own: a pass as short as 20 µs would otherwise time how much
+/// of the cache the other side of its pair had just evicted.
+fn secs(pass: &mut dyn FnMut() -> f64) -> f64 {
+    std::hint::black_box(pass());
     let start = Instant::now();
-    let mut evals = 0u64;
-    while start.elapsed() < MEASURE {
-        std::hint::black_box(eval_all());
-        evals += per_pass;
-    }
-    evals as f64 / start.elapsed().as_secs_f64()
+    std::hint::black_box(pass());
+    start.elapsed().as_secs_f64()
+}
+
+/// The medians of each side of `pairs` and of the per-pair ratio `a / b`.
+fn medians(pairs: Vec<(f64, f64)>) -> (f64, f64, f64) {
+    (
+        median(pairs.iter().map(|p| p.0)),
+        median(pairs.iter().map(|p| p.1)),
+        median(pairs.iter().map(|p| p.0 / p.1)),
+    )
+}
+
+/// Times pass `a` against pass `b` (each `per_pass` evaluations) in
+/// `PASS_PAIRS` alternating pairs. Returns the median evaluations/sec of
+/// each and the median per-pair speed-up of `b` over `a`.
+fn paired_throughput(
+    per_pass: u64,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
+) -> (f64, f64, f64) {
+    let (a_secs, b_secs, speedup) = medians(alternating_pairs(
+        PASS_PAIRS,
+        || secs(&mut a),
+        || secs(&mut b),
+    ));
+    (per_pass as f64 / a_secs, per_pass as f64 / b_secs, speedup)
 }
 
 fn fail(message: &str) -> ! {
@@ -190,7 +226,7 @@ fn fail(message: &str) -> ! {
 }
 
 fn main() {
-    let check_only = std::env::args().any(|a| a == "--check-only");
+    let check_only = check_only_arg("fitness_smoke");
     let (histogram, payload_bits) = paper_histogram();
     let fitness = MvFitness::new(BLOCK_LEN, true, &histogram, payload_bits);
     let sliced = SlicedHistogram::from_histogram(&histogram);
@@ -460,17 +496,17 @@ fn main() {
         return;
     }
 
-    let legacy_eps = throughput(GENOMES as u64, || {
-        genomes.iter().map(|g| fitness.evaluate(g)).sum()
-    });
     let mut scratch = EvalScratch::new();
-    let kernel_eps = throughput(GENOMES as u64, || {
-        genomes
-            .iter()
-            .map(|g| fitness.evaluate_with_objectives(g, &mut scratch).0)
-            .sum()
-    });
-    let speedup = kernel_eps / legacy_eps;
+    let (legacy_eps, kernel_eps, speedup) = paired_throughput(
+        GENOMES as u64,
+        || genomes.iter().map(|g| fitness.evaluate(g)).sum(),
+        || {
+            genomes
+                .iter()
+                .map(|g| fitness.evaluate_with_objectives(g, &mut scratch).0)
+                .sum()
+        },
+    );
 
     // The child streams: one parent rebuild, then STREAM_LEN children
     // probed read-only off the cached parent — the parent-cache steady
@@ -479,7 +515,7 @@ fn main() {
     let per_pass = (STREAM_LEN + 1) as u64;
     let measure_stream = |stream: &[(Range<usize>, Vec<Trit>)]| {
         let mut scratch = EvalScratch::new();
-        let full_eps = throughput(per_pass, || {
+        let full = || {
             let mut acc = encoded_size_scratch(&sliced, &evolved, true, &mut scratch)
                 .unwrap_or_default() as f64;
             for (_, child) in stream {
@@ -487,10 +523,10 @@ fn main() {
                     as f64;
             }
             acc
-        });
+        };
         let mut parent_cache = EvalCache::new();
         let mut patch = PatchScratch::new();
-        let inc_eps = throughput(per_pass, || {
+        paired_throughput(per_pass, full, || {
             let mut acc = encoded_size_rebuild(&sliced, &evolved, true, &mut parent_cache)
                 .unwrap_or_default() as f64;
             for (window, child) in stream {
@@ -507,8 +543,7 @@ fn main() {
                 }
             }
             acc
-        });
-        (full_eps, inc_eps, inc_eps / full_eps)
+        })
     };
     let (mutation_full_eps, mutation_eps, mutation_speedup) = measure_stream(&mutation);
     let (mixed_full_eps, mixed_inc_eps, multichunk_speedup) = measure_stream(&mixed);
@@ -539,57 +574,63 @@ fn main() {
             self.0.evaluate_batch(state, genomes, None, out, objectives);
         }
     }
-    // Whole-run timings are single ~50 ms runs, so a noisy shared runner
-    // can distort any one of them badly; each run is repeated and the best
-    // throughput kept (the usual min-time estimator — the runs are
-    // deterministic, so they only differ by scheduler interference).
-    const EA_RUNS: usize = 5;
-    let best_of = |run: &dyn Fn() -> evotc_evo::EaResult<Trit>| {
-        let mut best = run();
-        for _ in 1..EA_RUNS {
-            let next = run();
-            if next.evaluations_per_sec() > best.evaluations_per_sec() {
-                best = next;
-            }
-        }
-        best
-    };
-    let result = best_of(&|| ea_run(&ea_config));
-    // The same run with the survival floor off (objectives requested, so
-    // every child is priced exactly, side channels included).
-    let ea_floor_off_eps = best_of(&|| ea_run(&floor_off_config)).evaluations_per_sec();
-    let baseline = best_of(&|| {
+    // Whole runs take 10–150 ms, shorter than the shared host's drift, so
+    // a ratio of two separate best-of-N figures does not repeat. Each ratio
+    // instead divides the two runs of one back-to-back pair, the side that
+    // runs first alternating, and keeps the median over PAIRS pairs; an
+    // absolute eval/s figure is the median of its side's runs. The runs are
+    // deterministic, so they differ only by the host's interference.
+    type Run<'r> = &'r dyn Fn() -> EaResult<Trit>;
+    let eps = |run: Run| run().evaluations_per_sec();
+    let paired = |a: Run, b: Run| medians(alternating_pairs(PAIRS, || eps(a), || eps(b)));
+    let default_run = || ea_run(&ea_config);
+    let no_lineage = || {
         EaBuilder::new(GENOME_LEN, sample, NoLineage(fitness.clone()))
             .config(ea_config.clone())
             .run()
-    });
-    if result.best_fitness.to_bits() != baseline.best_fitness.to_bits() {
+    };
+    if no_lineage().best_fitness.to_bits() != floored.best_fitness.to_bits() {
         fail("lineage cache changed the EA result");
     }
-    let ea_eps = result.evaluations_per_sec();
-    let ea_full_eps = baseline.evaluations_per_sec();
-    let ea_speedup = ea_eps / ea_full_eps;
-    let ea_cache = result.cache.unwrap_or_default();
-    let ea_floor_speedup = ea_eps / ea_floor_off_eps;
+    let (ea_eps, ea_full_eps, ea_speedup) = paired(&default_run, &no_lineage);
+    // The same run with the survival floor off (objectives requested, so
+    // every child is priced exactly, side channels included).
+    let (_, ea_floor_off_eps, ea_floor_speedup) =
+        paired(&default_run, &|| ea_run(&floor_off_config));
 
     // What the thread count buys, each as a same-config ratio (runs are
     // byte-identical at any thread count, so the ratio isolates the
-    // threading cost or gain exactly). Panmictic: the run above at auto
-    // threads over `threads(1)` wall-clock — a panmictic batch is scored
-    // in one call on the run's own thread, so this should sit near 1.
-    // Islands: gate 4's island config, auto over `threads(1)` evals/s —
-    // the only fan-out the engine has.
+    // threading cost or gain exactly). Panmictic: the run above at
+    // `threads(1)` over auto threads in evals/s, i.e. auto over `threads(1)`
+    // wall-clock — a panmictic batch is scored in one call on the run's own
+    // thread, so this should sit near 1. Islands: gate 4's island config,
+    // auto over `threads(1)` evals/s — the only fan-out the engine has.
     let mut auto_config = ea_config.clone();
     auto_config.threads = 0;
-    let auto = best_of(&|| ea_run(&auto_config));
-    if auto.best_genome != result.best_genome || auto.evaluations != result.evaluations {
+    let auto = ea_run(&auto_config);
+    if auto.best_genome != floored.best_genome || auto.evaluations != floored.evaluations {
         fail("auto-threaded EA run diverged from threads(1)");
     }
-    let ea_default_over_t1 = ea_eps / auto.evaluations_per_sec();
-    let island_at = |threads: usize| best_of(&|| island_run(threads));
-    let ea_island_t1_eps = island_at(1).evaluations_per_sec();
-    let ea_island_eps = island_at(0).evaluations_per_sec();
-    let ea_island_thread_speedup = ea_island_eps / ea_island_t1_eps;
+    let (_, _, ea_default_over_t1) = paired(&default_run, &|| ea_run(&auto_config));
+    let (ea_island_eps, ea_island_t1_eps, ea_island_thread_speedup) =
+        paired(&|| island_run(0), &|| island_run(1));
+
+    // Engine overhead: the paper's (S + C) = (10 + 5) on the same 768-gene
+    // genomes with a constant-time fitness, so breeding, selection and
+    // bookkeeping are all that a generation costs. The median over PAIRS
+    // runs of the run's own `elapsed / generations`.
+    let engine_config = EaConfig::builder()
+        .stagnation_limit(usize::MAX)
+        .max_generations(20_000)
+        .seed(1)
+        .threads(1)
+        .build();
+    let engine_ns_per_generation = median((0..PAIRS).map(|_| {
+        let run = EaBuilder::new(GENOME_LEN, sample, |g: &[Trit]| f64::from(g[0].index()))
+            .config(engine_config.clone())
+            .run();
+        run.elapsed.as_secs_f64() * 1e9 / run.generations as f64
+    }));
 
     // Checkpoint cost, on a real mid-run island checkpoint from gate 5:
     // serialize/deserialize latency through the trit byte codec (min-time
@@ -615,7 +656,7 @@ fn main() {
     let checkpoint_resume_us = min_time_us(&mut || {
         std::hint::black_box(trit_checkpoint_from_bytes(sample_blob).unwrap());
     });
-    let checkpointed = best_of(&|| {
+    let checkpointed = || {
         EaBuilder::new(GENOME_LEN, sample, fitness.clone())
             .config(ea_config.clone())
             .checkpoint_every(10, |cp: &EaCheckpoint<Trit>| {
@@ -623,117 +664,63 @@ fn main() {
                 Ok(())
             })
             .run()
-    });
-    let checkpoint_overhead_pct = (ea_eps / checkpointed.evaluations_per_sec() - 1.0) * 100.0;
+    };
+    let (_, _, checkpoint_ratio) = paired(&default_run, &checkpointed);
+    let checkpoint_overhead_pct = (checkpoint_ratio - 1.0) * 100.0;
 
-    println!("workload               : s953 (K={BLOCK_LEN}, L={NUM_MVS})");
-    println!("distinct blocks        : {}", histogram.num_distinct());
-    println!("legacy eval/s          : {legacy_eps:.0}");
-    println!("kernel eval/s          : {kernel_eps:.0}");
-    println!("speedup                : {speedup:.2}x");
-    println!("stream length          : {STREAM_LEN}");
-    println!("mutation full eval/s   : {mutation_full_eps:.0}");
-    println!("mutation eval/s        : {mutation_eps:.0}");
-    println!("mutation speedup       : {mutation_speedup:.2}x");
-    println!("multichunk full eval/s : {mixed_full_eps:.0}");
-    println!("multichunk eval/s      : {mixed_inc_eps:.0}");
-    println!("multichunk speedup     : {multichunk_speedup:.2}x");
-    println!("crossover full eval/s  : {cross_full_eps:.0}");
-    println!("crossover eval/s       : {cross_inc_eps:.0}");
-    println!("crossover speedup      : {crossover_speedup:.2}x");
-    println!("inversion full eval/s  : {inv_full_eps:.0}");
-    println!("inversion eval/s       : {inv_inc_eps:.0}");
-    println!("inversion speedup      : {inversion_speedup:.2}x");
-    println!("EA eval/s (cache on)   : {ea_eps:.0}");
-    println!("EA eval/s (floor off)  : {ea_floor_off_eps:.0}");
-    println!("EA floor speedup       : {ea_floor_speedup:.2}x (default vs pareto_archive(1))");
-    println!("EA eval/s (cache off)  : {ea_full_eps:.0}");
-    println!("EA whole-run speedup   : {ea_speedup:.2}x");
-    println!("EA cache counters      : {ea_cache}");
-    println!("EA pruned              : {}", ea_cache.pruned);
-    println!("EA default / threads(1): {ea_default_over_t1:.2}x wall-clock");
-    println!("EA island cache        : {island_cache}");
-    println!("EA island eval/s (t1)  : {ea_island_t1_eps:.0}");
-    println!("EA island eval/s (auto): {ea_island_eps:.0}");
-    println!("EA island speedup      : {ea_island_thread_speedup:.2}x (auto vs threads(1))");
-    println!("checkpoint save        : {checkpoint_save_us:.1} us");
-    println!("checkpoint resume      : {checkpoint_resume_us:.1} us");
-    println!("checkpoint overhead    : {checkpoint_overhead_pct:.2}% (every 10 generations)");
-
-    let json = format!(
-        "{{\n  \"bench\": \"fitness_kernel\",\n  \"workload\": \"s953\",\n  \"k\": {k},\n  \
-         \"l\": {l},\n  \"distinct_blocks\": {distinct},\n  \"genomes\": {genomes},\n  \
-         \"legacy_evals_per_sec\": {legacy:.0},\n  \"kernel_evals_per_sec\": {kernel:.0},\n  \
-         \"speedup\": {speedup:.2},\n  \
-         \"stream_len\": {stream_len},\n  \
-         \"mutation_full_evals_per_sec\": {mutation_full:.0},\n  \
-         \"mutation_evals_per_sec\": {mutation:.0},\n  \
-         \"mutation_speedup\": {mutation_speedup:.2},\n  \
-         \"multichunk_full_evals_per_sec\": {mixed_full:.0},\n  \
-         \"multichunk_evals_per_sec\": {mixed_inc:.0},\n  \
-         \"multichunk_speedup\": {mixed_speedup:.2},\n  \
-         \"crossover_full_evals_per_sec\": {cross_full:.0},\n  \
-         \"crossover_evals_per_sec\": {cross_inc:.0},\n  \
-         \"crossover_speedup\": {cross_speedup:.2},\n  \
-         \"inversion_full_evals_per_sec\": {inv_full:.0},\n  \
-         \"inversion_evals_per_sec\": {inv_inc:.0},\n  \
-         \"inversion_speedup\": {inv_speedup:.2},\n  \
-         \"ea_evals_per_sec\": {ea_eps:.0},\n  \
-         \"ea_floor_off_evals_per_sec\": {ea_floor_off_eps:.0},\n  \
-         \"ea_floor_speedup\": {ea_floor_speedup:.2},\n  \
-         \"ea_pruned\": {pruned},\n  \
-         \"ea_full_evals_per_sec\": {ea_full_eps:.0},\n  \
-         \"ea_speedup\": {ea_speedup:.2},\n  \
-         \"ea_default_over_t1\": {ea_default_over_t1:.2},\n  \
-         \"ea_island_t1_evals_per_sec\": {ea_island_t1_eps:.0},\n  \
-         \"ea_island_evals_per_sec\": {ea_island_eps:.0},\n  \
-         \"ea_island_thread_speedup\": {ea_island_thread_speedup:.2},\n  \
-         \"checkpoint_save_us\": {ckpt_save:.1},\n  \
-         \"checkpoint_resume_us\": {ckpt_resume:.1},\n  \
-         \"checkpoint_overhead_pct\": {ckpt_ovhd:.2},\n  \
-         \"ea_cache_hits\": {hits},\n  \"ea_cache_misses\": {misses},\n  \
-         \"ea_cache_fallbacks\": {fallbacks},\n  \
-         \"ea_island_cache_hits\": {island_hits},\n  \
-         \"ea_island_cache_misses\": {island_misses},\n  \
-         \"ea_island_cache_fallbacks\": {island_fallbacks},\n  \
-         \"ea_island_pruned\": {island_pruned}\n}}\n",
-        k = BLOCK_LEN,
-        l = NUM_MVS,
-        distinct = histogram.num_distinct(),
-        genomes = GENOMES,
-        legacy = legacy_eps,
-        kernel = kernel_eps,
-        speedup = speedup,
-        stream_len = STREAM_LEN,
-        mutation_full = mutation_full_eps,
-        mutation = mutation_eps,
-        mutation_speedup = mutation_speedup,
-        mixed_full = mixed_full_eps,
-        mixed_inc = mixed_inc_eps,
-        mixed_speedup = multichunk_speedup,
-        cross_full = cross_full_eps,
-        cross_inc = cross_inc_eps,
-        cross_speedup = crossover_speedup,
-        inv_full = inv_full_eps,
-        inv_inc = inv_inc_eps,
-        inv_speedup = inversion_speedup,
-        ea_eps = ea_eps,
-        ea_floor_off_eps = ea_floor_off_eps,
-        ea_floor_speedup = ea_floor_speedup,
-        pruned = ea_cache.pruned,
-        ea_full_eps = ea_full_eps,
-        ea_speedup = ea_speedup,
-        ckpt_save = checkpoint_save_us,
-        ckpt_resume = checkpoint_resume_us,
-        ckpt_ovhd = checkpoint_overhead_pct,
-        hits = ea_cache.hits,
-        misses = ea_cache.misses,
-        fallbacks = ea_cache.fallbacks,
-        island_hits = island_cache.hits,
-        island_misses = island_cache.misses,
-        island_fallbacks = island_cache.fallbacks,
-        island_pruned = island_cache.pruned,
-    );
+    let fields = [
+        ("k", BLOCK_LEN as f64, 0),
+        ("l", NUM_MVS as f64, 0),
+        ("distinct_blocks", histogram.num_distinct() as f64, 0),
+        ("genomes", GENOMES as f64, 0),
+        ("legacy_evals_per_sec", legacy_eps, 0),
+        ("kernel_evals_per_sec", kernel_eps, 0),
+        ("speedup", speedup, 2),
+        ("stream_len", STREAM_LEN as f64, 0),
+        ("mutation_full_evals_per_sec", mutation_full_eps, 0),
+        ("mutation_evals_per_sec", mutation_eps, 0),
+        ("mutation_speedup", mutation_speedup, 2),
+        ("multichunk_full_evals_per_sec", mixed_full_eps, 0),
+        ("multichunk_evals_per_sec", mixed_inc_eps, 0),
+        ("multichunk_speedup", multichunk_speedup, 2),
+        ("crossover_full_evals_per_sec", cross_full_eps, 0),
+        ("crossover_evals_per_sec", cross_inc_eps, 0),
+        ("crossover_speedup", crossover_speedup, 2),
+        ("inversion_full_evals_per_sec", inv_full_eps, 0),
+        ("inversion_evals_per_sec", inv_inc_eps, 0),
+        ("inversion_speedup", inversion_speedup, 2),
+        ("ea_evals_per_sec", ea_eps, 0),
+        ("ea_floor_off_evals_per_sec", ea_floor_off_eps, 0),
+        ("ea_floor_speedup", ea_floor_speedup, 2),
+        ("ea_pruned", on.pruned as f64, 0),
+        ("ea_full_evals_per_sec", ea_full_eps, 0),
+        ("ea_speedup", ea_speedup, 2),
+        ("ea_default_over_t1", ea_default_over_t1, 2),
+        ("ea_island_t1_evals_per_sec", ea_island_t1_eps, 0),
+        ("ea_island_evals_per_sec", ea_island_eps, 0),
+        ("ea_island_thread_speedup", ea_island_thread_speedup, 2),
+        ("engine_ns_per_generation", engine_ns_per_generation, 0),
+        ("checkpoint_save_us", checkpoint_save_us, 1),
+        ("checkpoint_resume_us", checkpoint_resume_us, 1),
+        ("checkpoint_overhead_pct", checkpoint_overhead_pct, 2),
+        ("ea_cache_hits", on.hits as f64, 0),
+        ("ea_cache_misses", on.misses as f64, 0),
+        ("ea_cache_fallbacks", on.fallbacks as f64, 0),
+        ("ea_island_cache_hits", island_cache.hits as f64, 0),
+        ("ea_island_cache_misses", island_cache.misses as f64, 0),
+        (
+            "ea_island_cache_fallbacks",
+            island_cache.fallbacks as f64,
+            0,
+        ),
+        ("ea_island_pruned", island_cache.pruned as f64, 0),
+    ];
+    let mut json = String::from("{\n  \"bench\": \"fitness_kernel\",\n  \"workload\": \"s953\"");
+    for (key, value, digits) in fields {
+        println!("{key:<30}: {value:.digits$}");
+        json += &format!(",\n  \"{key}\": {value:.digits$}");
+    }
+    json += "\n}\n";
     let path = "BENCH_fitness.json";
     match std::fs::write(path, &json) {
         Ok(()) => println!("wrote {path}"),

@@ -206,7 +206,7 @@ fn check_only() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--check-only") {
+    if evotc_bench::check_only_arg("netlist_scale") {
         check_only();
         return;
     }

@@ -13,9 +13,21 @@
 //! * `path_delay_ms`, `path_delay_tests` — `generate_path_delay_tests` at
 //!   the default thread count, and `path_delay_t1_ms` at `threads: 1`;
 //! * `compress_ms`, `rate_pct` — the default EA at K=12, L=64 on the
-//!   stuck-at set;
+//!   stuck-at set, one `compress_with_summary` call, and `ea_ms`, the EA
+//!   run's own `EaRunSummary::elapsed` within it;
+//! * `histogram_ms` — `BlockHistogram::from_string` over the set at K=12;
+//! * `encode_ms` — `encode_with_mvs` with the run's own MVs;
+//! * `sim64_us` — one `simulate64` over 64 of the circuit's cubes (zero
+//!   filled, repeated cyclically when there are fewer);
+//! * `drop_us` — one `detected_faults` sweep of the first cube over the
+//!   collapsed faults;
 //! * `verify_ms` — software decompression, the refinement check and the
 //!   decoder-FSM replay.
+//!
+//! `histogram_ms`, `encode_ms`, `sim64_us` and `drop_us` are medians of
+//! `REPEATS` calls. Every run also checks what those calls return: the
+//! re-run encoding is bit for bit the compressor's stream, and for every
+//! collapsed fault the sweep's bit equals `detected_mask(..) & 1`.
 //!
 //! The top-level `threads` is the resolved default thread count. Both ATPG
 //! legs must return the same test set and counts at `threads: 1` as at the
@@ -25,9 +37,10 @@
 //!
 //! Writes `BENCH_pipeline.json`. With `--check-only` it runs c17 through
 //! s953 (s1423 is left out) and exits non-zero if any compression fails
-//! decode-verify, if any of the eight `atpg_flow` circuits has an aborted
-//! fault, if a thread count changes an ATPG output, or if the run exceeds
-//! a 60 s wall budget.
+//! decode-verify or either check above, if any of the eight `atpg_flow`
+//! circuits has an aborted fault, if a thread count changes an ATPG output,
+//! or if the run exceeds a 60 s wall budget. Any other argument exits with
+//! code 2.
 //!
 //! ```text
 //! cargo run --release -p evotc_bench --bin pipeline [-- --check-only]
@@ -40,11 +53,13 @@ use evotc_atpg::{
     generate_path_delay_tests, generate_stuck_at_tests, PathDelayConfig, PathDelayOutcome,
     StuckAtConfig, StuckAtOutcome,
 };
-use evotc_bits::TestSet;
-use evotc_core::{CompressedTestSet, EaCompressor, TestCompressor};
+use evotc_bench::{check_only_arg, median_secs};
+use evotc_bits::{BlockHistogram, TestSet, TestSetString, Trit};
+use evotc_core::{encode_with_mvs, CompressedTestSet, EaCompressor};
 use evotc_decoder::DecoderFsm;
 use evotc_evo::parallel::resolve_threads;
 use evotc_netlist::{generate, iscas, parse_bench, GeneratorConfig, Netlist};
+use evotc_sim::{collapse_faults, detected_faults, detected_mask, simulate64};
 
 /// Every circuit, in the order rows are printed.
 const CIRCUITS: [&str; 10] = [
@@ -56,6 +71,8 @@ const ATPG_FLOW: [&str; 8] = ["c17", "s27", "s208", "s298", "s344", "s386", "s42
 /// `--check-only` wall budget for c17 through s953. Generous for a loaded
 /// CI runner: the whole run takes a few seconds on two cores.
 const CHECK_BUDGET: Duration = Duration::from_secs(60);
+/// Calls per median of the single-call timings.
+const REPEATS: usize = 101;
 
 fn fail(msg: &str) -> ! {
     eprintln!("pipeline: FAIL: {msg}");
@@ -87,23 +104,32 @@ fn decode_verify(set: &TestSet, compressed: &CompressedTestSet) -> Result<(), St
     .map_err(|_| "decoder FSM diverged from the software decoder".to_string())
 }
 
+/// One circuit's record: its `(key, value, decimals)` fields, in the order
+/// they are printed and written.
 struct Row {
     name: &'static str,
-    gates: usize,
-    collapsed_faults: usize,
-    build_ms: f64,
-    stuck_at_ms: f64,
-    stuck_at_t1_ms: f64,
-    tests: usize,
-    untestable: usize,
     aborted: usize,
-    discarded: usize,
-    path_delay_ms: f64,
-    path_delay_t1_ms: f64,
-    path_delay_tests: usize,
-    compress_ms: f64,
-    verify_ms: f64,
-    rate_pct: f64,
+    fields: Vec<(&'static str, f64, usize)>,
+}
+
+impl Row {
+    fn print(&self) {
+        let fields: Vec<String> = self
+            .fields
+            .iter()
+            .map(|(key, value, digits)| format!("{key} {value:.digits$}"))
+            .collect();
+        println!("{:>6}: {}", self.name, fields.join(", "));
+    }
+
+    fn json(&self) -> String {
+        let fields: String = self
+            .fields
+            .iter()
+            .map(|(key, value, digits)| format!(", \"{key}\": {value:.digits$}"))
+            .collect();
+        format!("    {{\"circuit\": \"{}\"{fields}}}", self.name)
+    }
 }
 
 fn ms(since: Instant) -> f64 {
@@ -171,69 +197,92 @@ fn measure(name: &'static str) -> Row {
         same_path_delay,
     );
 
+    let set = &outcome.tests;
     let t = Instant::now();
-    let compressed = EaCompressor::builder(12, 64)
+    let (compressed, summary) = EaCompressor::builder(12, 64)
         .seed(1)
         .build()
-        .compress(&outcome.tests)
+        .compress_with_summary(set)
         .unwrap_or_else(|e| fail(&format!("{name}: compress: {e}")));
     let compress_ms = ms(t);
 
+    let string = TestSetString::new(set, 12);
+    let histogram_ms = median_secs(REPEATS, || BlockHistogram::from_string(&string)) * 1e3;
+    let encode = || {
+        encode_with_mvs(&compressed.scheme, set, compressed.mv_set())
+            .unwrap_or_else(|e| fail(&format!("{name}: encode: {e}")))
+    };
+    let encode_ms = median_secs(REPEATS, encode) * 1e3;
+    let encoded = encode();
+    if encoded.compressed_bits != compressed.compressed_bits
+        || !encoded.stream().eq(compressed.stream())
+    {
+        fail(&format!(
+            "{name}: re-encoding differs from the compressor's stream"
+        ));
+    }
+
+    let cubes = set.patterns();
+    let inputs: Vec<u64> = (0..netlist.num_inputs())
+        .map(|j| {
+            (0..64).fold(0, |w, p| {
+                w | u64::from(cubes[p % cubes.len()].trit(j) == Trit::One) << p
+            })
+        })
+        .collect();
+    let sim64_us = median_secs(REPEATS, || simulate64(&netlist, &inputs)) * 1e6;
+    let faults = collapse_faults(&netlist);
+    let pattern: Vec<bool> = cubes[0].iter().map(|t| t == Trit::One).collect();
+    let drop_us = median_secs(REPEATS, || detected_faults(&netlist, &pattern, &faults)) * 1e6;
+    let words = detected_faults(&netlist, &pattern, &faults);
+    for (i, &fault) in faults.iter().enumerate() {
+        // Bit 0 of `inputs` is the first cube, zero-filled, like `pattern`.
+        if (words[i / 64] >> (i % 64)) & 1 != detected_mask(&netlist, fault, &inputs) & 1 {
+            fail(&format!(
+                "{name}: detected_faults disagrees with detected_mask on {fault:?}"
+            ));
+        }
+    }
+
     let t = Instant::now();
-    decode_verify(&outcome.tests, &compressed)
+    decode_verify(set, &compressed)
         .unwrap_or_else(|e| fail(&format!("{name}: decode-verify: {e}")));
     let verify_ms = ms(t);
 
+    let count = |n: usize| n as f64;
     Row {
         name,
-        gates: netlist.num_gates(),
-        collapsed_faults: outcome.num_faults,
-        build_ms,
-        stuck_at_ms,
-        stuck_at_t1_ms,
-        tests: outcome.tests.num_patterns(),
-        untestable: outcome.untestable,
         aborted: outcome.aborted,
-        discarded: outcome.discarded,
-        path_delay_ms,
-        path_delay_t1_ms,
-        path_delay_tests: pairs.tests.num_patterns(),
-        compress_ms,
-        verify_ms,
-        rate_pct: compressed.rate_percent(),
+        fields: vec![
+            ("gates", count(netlist.num_gates()), 0),
+            ("collapsed_faults", count(outcome.num_faults), 0),
+            ("build_ms", build_ms, 3),
+            ("stuck_at_ms", stuck_at_ms, 3),
+            ("stuck_at_t1_ms", stuck_at_t1_ms, 3),
+            ("tests", count(set.num_patterns()), 0),
+            ("untestable", count(outcome.untestable), 0),
+            ("aborted", count(outcome.aborted), 0),
+            ("discarded", count(outcome.discarded), 0),
+            ("path_delay_ms", path_delay_ms, 3),
+            ("path_delay_t1_ms", path_delay_t1_ms, 3),
+            ("path_delay_tests", count(pairs.tests.num_patterns()), 0),
+            ("compress_ms", compress_ms, 3),
+            ("ea_ms", summary.elapsed.as_secs_f64() * 1e3, 3),
+            ("histogram_ms", histogram_ms, 4),
+            ("encode_ms", encode_ms, 4),
+            ("sim64_us", sim64_us, 3),
+            ("drop_us", drop_us, 3),
+            ("verify_ms", verify_ms, 3),
+            ("rate_pct", compressed.rate_percent(), 3),
+        ],
     }
-}
-
-fn print_row(r: &Row) {
-    println!(
-        "{:>6}: {:>5} gates {:>5} faults  build {:>5.2} ms  stuck-at {:>9.3} ms \
-         (t1 {:>9.3} ms; {} tests, {} untestable, {} aborted, {} discarded)  \
-         path-delay {:>7.2} ms (t1 {:>7.2} ms; {} tests)  \
-         EA {:>6.1} ms  verify {:>5.2} ms  rate {:.2} %",
-        r.name,
-        r.gates,
-        r.collapsed_faults,
-        r.build_ms,
-        r.stuck_at_ms,
-        r.stuck_at_t1_ms,
-        r.tests,
-        r.untestable,
-        r.aborted,
-        r.discarded,
-        r.path_delay_ms,
-        r.path_delay_t1_ms,
-        r.path_delay_tests,
-        r.compress_ms,
-        r.verify_ms,
-        r.rate_pct,
-    );
 }
 
 fn check_only() {
     let t = Instant::now();
     for &name in &CIRCUITS[..CIRCUITS.len() - 1] {
         let row = measure(name);
-        print_row(&row);
+        row.print();
         if ATPG_FLOW.contains(&name) && row.aborted > 0 {
             fail(&format!("{name}: {} aborted faults", row.aborted));
         }
@@ -253,7 +302,7 @@ fn check_only() {
 }
 
 fn main() {
-    if std::env::args().any(|a| a == "--check-only") {
+    if check_only_arg("pipeline") {
         check_only();
         return;
     }
@@ -262,41 +311,12 @@ fn main() {
         .iter()
         .map(|&name| {
             let row = measure(name);
-            print_row(&row);
+            row.print();
             row
         })
         .collect();
 
-    let circuits_json = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"circuit\": \"{}\", \"gates\": {}, \"collapsed_faults\": {}, \
-                 \"build_ms\": {:.3}, \"stuck_at_ms\": {:.3}, \"stuck_at_t1_ms\": {:.3}, \
-                 \"tests\": {}, \"untestable\": {}, \"aborted\": {}, \"discarded\": {}, \
-                 \"path_delay_ms\": {:.3}, \"path_delay_t1_ms\": {:.3}, \
-                 \"path_delay_tests\": {}, \"compress_ms\": {:.3}, \"verify_ms\": {:.3}, \
-                 \"rate_pct\": {:.3}}}",
-                r.name,
-                r.gates,
-                r.collapsed_faults,
-                r.build_ms,
-                r.stuck_at_ms,
-                r.stuck_at_t1_ms,
-                r.tests,
-                r.untestable,
-                r.aborted,
-                r.discarded,
-                r.path_delay_ms,
-                r.path_delay_t1_ms,
-                r.path_delay_tests,
-                r.compress_ms,
-                r.verify_ms,
-                r.rate_pct,
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
+    let circuits_json = rows.iter().map(Row::json).collect::<Vec<_>>().join(",\n");
     let json = format!(
         "{{\n  \"bench\": \"pipeline\",\n  \"threads\": {},\n  \
          \"ea\": {{\"block_len\": 12, \"num_mvs\": 64, \"seed\": 1}},\n  \

@@ -364,7 +364,7 @@ fn write_json(n: &ReplayNumbers) -> String {
 }
 
 fn main() {
-    let check_only = std::env::args().any(|a| a == "--check-only");
+    let check_only = evotc_bench::check_only_arg("service_replay");
     let numbers = replay(check_only);
 
     let completed = numbers.completed_fresh + numbers.cache_hits;

@@ -14,13 +14,21 @@
 //! | `baselines` | Baseline F — run-length / Golomb / FDR / selective Huffman |
 //! | `tradeoff`  | Multi-objective compression / scan-power / decoder-area fronts |
 //!
-//! Every binary accepts `--full` for paper-scale runs; the default *quick*
-//! profile caps test-set sizes and EA budgets so the whole table finishes
-//! in minutes (see [`RunProfile`]). `EXPERIMENTS.md` records which profile
-//! produced the committed numbers.
+//! Every binary in the table accepts `--full` for paper-scale runs; the
+//! default *quick* profile caps test-set sizes and EA budgets so the whole
+//! table finishes in minutes (see [`RunProfile`]). `EXPERIMENTS.md` records
+//! which profile produced the committed numbers.
+//!
+//! The `pipeline`, `fitness_smoke`, `netlist_scale` and `service_replay`
+//! binaries record the repository's timings in the committed `BENCH_*.json`
+//! files. They take only `--check-only` (see [`check_only_arg`]);
+//! `pipeline` and `fitness_smoke` time through [`median_secs`],
+//! [`alternating_pairs`] and [`median`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+use std::time::Instant;
 
 use evotc_bits::TestSet;
 use evotc_core::{EaCompressor, NineCCompressor, NineCHuffmanCompressor, TestCompressor};
@@ -122,6 +130,74 @@ pub fn circuit_filter(args: &[String]) -> Vec<&String> {
         }
     }
     filter
+}
+
+/// Parses the arguments of a bin whose only flag is `--check-only`: `true`
+/// with it, `false` without, and the first other argument as the error.
+fn parse_check_only<I: IntoIterator<Item = String>>(args: I) -> Result<bool, String> {
+    let mut check_only = false;
+    for arg in args {
+        if arg != "--check-only" {
+            return Err(arg);
+        }
+        check_only = true;
+    }
+    Ok(check_only)
+}
+
+/// Whether the process was started with `--check-only`, its only flag. Any
+/// other argument exits with code 2 and a usage line, so a mistyped flag
+/// never falls through to the timed mode that rewrites a committed
+/// `BENCH_*.json`.
+pub fn check_only_arg(bin: &str) -> bool {
+    parse_check_only(std::env::args().skip(1)).unwrap_or_else(|arg| {
+        eprintln!("{bin}: unknown argument `{arg}`\nusage: {bin} [--check-only]");
+        std::process::exit(2)
+    })
+}
+
+/// The median of `values`: the middle one of an odd count, the mean of the
+/// middle two of an even count (`NaN` when empty).
+pub fn median(values: impl IntoIterator<Item = f64>) -> f64 {
+    let mut values: Vec<f64> = values.into_iter().collect();
+    values.sort_by(f64::total_cmp);
+    let n = values.len();
+    match n {
+        0 => f64::NAN,
+        _ if n % 2 == 1 => values[n / 2],
+        _ => (values[n / 2 - 1] + values[n / 2]) / 2.0,
+    }
+}
+
+/// The median wall time of `repeats` calls of `f`, in seconds.
+pub fn median_secs<T>(repeats: usize, mut f: impl FnMut() -> T) -> f64 {
+    median((0..repeats).map(|_| {
+        let start = Instant::now();
+        std::hint::black_box(f());
+        start.elapsed().as_secs_f64()
+    }))
+}
+
+/// Runs the two sides of a comparison in `pairs` back-to-back pairs and
+/// returns each pair's `(a, b)` results. Pair 0 runs `a` first, pair 1 `b`
+/// first, and so on, so neither side always runs on a warmer or a quieter
+/// host; a ratio within one pair compares two runs taken moments apart.
+pub fn alternating_pairs<T>(
+    pairs: usize,
+    mut a: impl FnMut() -> T,
+    mut b: impl FnMut() -> T,
+) -> Vec<(T, T)> {
+    (0..pairs)
+        .map(|i| {
+            if i % 2 == 0 {
+                let x = a();
+                (x, b())
+            } else {
+                let y = b();
+                (a(), y)
+            }
+        })
+        .collect()
 }
 
 /// One regenerated row of Table 1 or Table 2.
@@ -290,12 +366,11 @@ pub fn markdown_table(rows: &[MeasuredRow], headers: (&str, &str)) -> String {
     out
 }
 
-/// Shared fixtures for the fitness-kernel measurements, used by both the
-/// `fitness_kernel` criterion bench and the `fitness_smoke` binary so the
-/// two can never drift apart on workload or genome recipe.
+/// The fitness-kernel workload of the `fitness_smoke` binary: the paper
+/// shape over the calibrated s953 set, and the random genomes it scores.
 pub mod fitness_fixture {
     use evotc_bits::{BlockHistogram, TestSetString, Trit};
-    use evotc_workloads::{synth, tables, workload_with_limit};
+    use evotc_workloads::{tables, workload_with_limit};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -323,17 +398,6 @@ pub mod fitness_fixture {
         let row = tables::stuck_at_row("s953").expect("s953 is a Table 1 row");
         let set = workload_with_limit(row.circuit, row.test_set_bits, row.rate_9c, 1, 1 << 14, 1);
         let string = TestSetString::try_new(&set, BLOCK_LEN).expect("K=12 fits the workload");
-        let bits = string.payload_bits() as f64;
-        (BlockHistogram::from_string(&string), bits)
-    }
-
-    /// A deliberately large synthetic set: many distinct blocks stress the
-    /// bit-sliced covering scan rather than the Huffman tail.
-    pub fn synthetic_histogram() -> (BlockHistogram, f64) {
-        let mut spec = synth::SyntheticSpec::new(96, 1 << 17, 7);
-        spec.specified_density = 0.7;
-        let set = synth::generate(&spec);
-        let string = TestSetString::try_new(&set, BLOCK_LEN).expect("K=12 fits the synth set");
         let bits = string.payload_bits() as f64;
         (BlockHistogram::from_string(&string), bits)
     }
@@ -413,6 +477,59 @@ mod tests {
         let filter = circuit_filter(&args);
         assert_eq!(filter, [&"s349".to_string(), &"s27".to_string()]);
         assert!(circuit_filter(&["--threads".to_string(), "8".to_string()]).is_empty());
+    }
+
+    #[test]
+    fn check_only_is_the_only_accepted_argument() {
+        let args = |a: &[&str]| parse_check_only(a.iter().map(|s| s.to_string()));
+        assert_eq!(args(&[]), Ok(false));
+        assert_eq!(args(&["--check-only"]), Ok(true));
+        // A mistyped flag must not fall through to the timed mode.
+        assert_eq!(args(&["--check_only"]), Err("--check_only".to_string()));
+        assert_eq!(args(&["--check-only", "--full"]), Err("--full".to_string()));
+    }
+
+    #[test]
+    fn pairs_alternate_the_side_that_runs_first() {
+        let order = std::cell::RefCell::new(String::new());
+        let pairs = alternating_pairs(
+            4,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        assert_eq!(pairs.len(), 4);
+        assert_eq!(order.into_inner(), "abbaabba");
+
+        // Each pair keeps its own two results, whichever ran first.
+        let (mut a, mut b) = (0, 100);
+        let pairs = alternating_pairs(
+            3,
+            || {
+                a += 1;
+                a
+            },
+            || {
+                b += 1;
+                b
+            },
+        );
+        assert_eq!(pairs, [(1, 101), (2, 102), (3, 103)]);
+    }
+
+    #[test]
+    fn median_of_odd_and_even_counts() {
+        assert_eq!(median([5.0, 1.0, 3.0]), 3.0);
+        assert_eq!(median([4.0, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median([7.0]), 7.0);
+        assert!(median(Vec::new()).is_nan());
+        // The median of per-pair ratios, over odd and even pair counts.
+        let paired_median = |a_values: &[f64]| {
+            let mut a = a_values.iter().copied();
+            let pairs = alternating_pairs(a_values.len(), || a.next().unwrap(), || 2.0);
+            median(pairs.iter().map(|&(x, y)| x / y))
+        };
+        assert_eq!(paired_median(&[6.0, 2.0, 4.0, 10.0, 8.0]), 3.0);
+        assert_eq!(paired_median(&[6.0, 2.0, 4.0, 10.0]), 2.5);
     }
 
     #[test]

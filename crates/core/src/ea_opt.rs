@@ -110,12 +110,6 @@ impl EaCompressor {
         Ok((compressed, mvs.1))
     }
 
-    /// Runs the EA over a prebuilt histogram and returns the best MV set.
-    /// Exposed so harnesses can share one histogram across parameter sweeps.
-    pub fn optimize_histogram(&self, histogram: &BlockHistogram, original_bits: usize) -> MvSet {
-        self.optimize(histogram, original_bits as f64).0
-    }
-
     fn optimize(&self, histogram: &BlockHistogram, original_bits: f64) -> (MvSet, EaRunSummary) {
         // One immutable evaluator borrows the histogram; every island worker
         // shares it instead of re-borrowing mutable closure state.

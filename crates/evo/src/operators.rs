@@ -6,27 +6,24 @@
 //! * **Mutation** replaces one randomly selected gene by a random value.
 //! * **Inversion** reverses the gene order between two random positions.
 //!
-//! All operators are pure functions over gene slices, generic in the gene
-//! type, and draw randomness only from the supplied RNG — runs are fully
-//! reproducible from the seed.
+//! Every operator is generic in the gene type, writes into child buffers it
+//! clears first (the engine recycles them across generations), and draws
+//! randomness only from the supplied RNG: runs reproduce from the seed.
 //!
 //! # Provenance
 //!
-//! The `*_into` forms return the [`GeneRange`] they may have edited: every
-//! position **outside** the returned range is guaranteed to equal the
-//! parent's gene (positions inside may or may not differ — e.g. mutation can
-//! redraw the old value). The engine records this range as
-//! [`Lineage`](crate::Lineage) so an incremental fitness evaluator can
-//! re-price only what changed.
+//! Each operator returns the [`GeneRange`] it may have edited: every
+//! position **outside** it equals the parent's gene (positions inside may or
+//! may not differ — mutation can redraw the old value). The engine records
+//! it as [`Lineage`](crate::Lineage), so an incremental fitness evaluator
+//! re-prices only what changed.
 //!
 //! # Degenerate genomes
 //!
-//! Empty parents are well-defined **no-ops**: each operator returns an empty
-//! child (and the empty range `0..0`) without drawing from the RNG.
-//! Single-gene parents are equally well-defined — crossover and inversion
-//! can only produce windows that leave one gene in place or swap/reverse a
-//! single position, and mutation redraws the one gene. Nothing panics on
-//! either.
+//! Empty parents are **no-ops**: every operator returns empty children and
+//! the range `0..0` without drawing from the RNG. Single-gene parents are
+//! well-defined too: crossover and inversion can only swap or reverse one
+//! position, and mutation redraws the one gene. Nothing panics on either.
 
 use rand::Rng;
 
@@ -39,6 +36,9 @@ pub type GeneRange = std::ops::Range<usize>;
 /// "genes of one parent in several positions and the genes of the other
 /// parent in others" (paper, Section 3.1).
 ///
+/// Returns the swapped window: both children equal their respective parent
+/// outside it.
+///
 /// # Panics
 ///
 /// Panics if the parents have different lengths.
@@ -46,41 +46,21 @@ pub type GeneRange = std::ops::Range<usize>;
 /// # Example
 ///
 /// ```
-/// use evotc_evo::operators::crossover;
+/// use evotc_evo::operators::crossover_into;
 /// use rand::SeedableRng;
 ///
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-/// let (a, b) = crossover(&[0, 0, 0, 0], &[1, 1, 1, 1], &mut rng);
+/// let (mut a, mut b) = (Vec::new(), Vec::new());
+/// let window = crossover_into(&[0, 0, 0, 0], &[1, 1, 1, 1], &mut rng, &mut a, &mut b);
 /// // Every position holds a gene from one of the parents.
 /// assert!(a.iter().chain(b.iter()).all(|&g| g == 0 || g == 1));
 /// // Together the children carry exactly the parents' genes per position.
 /// for i in 0..4 {
 ///     assert_eq!(a[i] + b[i], 1);
 /// }
+/// // Outside the window each child keeps its own parent's genes.
+/// assert!((0..4).all(|i| window.contains(&i) || (a[i], b[i]) == (0, 1)));
 /// ```
-pub fn crossover<G: Copy, R: Rng + ?Sized>(
-    parent_a: &[G],
-    parent_b: &[G],
-    rng: &mut R,
-) -> (Vec<G>, Vec<G>) {
-    let mut child_a = Vec::new();
-    let mut child_b = Vec::new();
-    crossover_into(parent_a, parent_b, rng, &mut child_a, &mut child_b);
-    (child_a, child_b)
-}
-
-/// [`crossover`] writing the children into reusable buffers (cleared first),
-/// so the engine can recycle genome `Vec`s across generations instead of
-/// allocating per child. Draws from the RNG in the same order as
-/// [`crossover`], so the two forms are interchangeable mid-run.
-///
-/// Returns the swapped window: both children equal their respective parent
-/// outside it. Empty parents produce empty children without touching the
-/// RNG (see the [module docs](self)).
-///
-/// # Panics
-///
-/// Panics if the parents have different lengths.
 pub fn crossover_into<G: Copy, R: Rng + ?Sized>(
     parent_a: &[G],
     parent_b: &[G],
@@ -108,52 +88,12 @@ pub fn crossover_into<G: Copy, R: Rng + ?Sized>(
     i..j
 }
 
-/// Uniform crossover: each position is swapped independently with
-/// probability ½. Not used by the paper's defaults but provided for the
-/// operator-ablation experiments. Empty parents produce empty children
-/// without touching the RNG.
-///
-/// # Panics
-///
-/// Panics if the parents have different lengths.
-pub fn uniform_crossover<G: Copy, R: Rng + ?Sized>(
-    parent_a: &[G],
-    parent_b: &[G],
-    rng: &mut R,
-) -> (Vec<G>, Vec<G>) {
-    assert_eq!(parent_a.len(), parent_b.len(), "parent lengths differ");
-    let mut child_a = parent_a.to_vec();
-    let mut child_b = parent_b.to_vec();
-    for k in 0..parent_a.len() {
-        if rng.gen::<bool>() {
-            std::mem::swap(&mut child_a[k], &mut child_b[k]);
-        }
-    }
-    (child_a, child_b)
-}
-
 /// Point mutation: replaces one randomly selected gene by a value drawn from
 /// `sample_gene` (paper, Section 3.1).
 ///
-/// The fresh value may equal the old one — mutation is "replace by a random
-/// value", not "replace by a different value" — matching the paper's
-/// operator and keeping the gene distribution unbiased. An empty parent is a
-/// no-op (see the [module docs](self)).
-pub fn mutate<G: Copy, R: Rng + ?Sized>(
-    parent: &[G],
-    rng: &mut R,
-    sample_gene: impl FnMut(&mut R) -> G,
-) -> Vec<G> {
-    let mut child = Vec::new();
-    mutate_into(parent, rng, sample_gene, &mut child);
-    child
-}
-
-/// [`mutate`] writing the child into a reusable buffer (cleared first).
-/// Draws from the RNG in the same order as [`mutate`].
-///
-/// Returns the one-gene window that was redrawn (`pos..pos + 1`), or the
-/// empty range for an empty parent — which consumes no randomness.
+/// The fresh value may equal the old one: as in the paper, mutation is
+/// "replace by a random value", which keeps the gene distribution unbiased.
+/// Returns the one-gene window that was redrawn, `pos..pos + 1`.
 pub fn mutate_into<G: Copy, R: Rng + ?Sized>(
     parent: &[G],
     rng: &mut R,
@@ -171,20 +111,10 @@ pub fn mutate_into<G: Copy, R: Rng + ?Sized>(
 }
 
 /// Inversion: reverses the ordering of the genes between two random
-/// positions of a parent (paper, Section 3.1). An empty parent is a no-op
-/// (see the [module docs](self)).
-pub fn invert<G: Copy, R: Rng + ?Sized>(parent: &[G], rng: &mut R) -> Vec<G> {
-    let mut child = Vec::new();
-    invert_into(parent, rng, &mut child);
-    child
-}
-
-/// [`invert`] writing the child into a reusable buffer (cleared first).
-/// Draws from the RNG in the same order as [`invert`].
+/// positions of a parent (paper, Section 3.1).
 ///
 /// Returns the reversed window, collapsed to an empty range when the window
-/// holds fewer than two genes (reversal changes nothing then). Empty parents
-/// consume no randomness.
+/// holds fewer than two genes (reversal changes nothing then).
 pub fn invert_into<G: Copy, R: Rng + ?Sized>(
     parent: &[G],
     rng: &mut R,
@@ -219,12 +149,33 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
+    /// `crossover_into` with fresh buffers: the children and the window.
+    fn crossover<G: Copy>(a: &[G], b: &[G], seed: u64) -> (Vec<G>, Vec<G>, GeneRange) {
+        let (mut ca, mut cb) = (Vec::new(), Vec::new());
+        let window = crossover_into(a, b, &mut rng(seed), &mut ca, &mut cb);
+        (ca, cb, window)
+    }
+
+    /// `mutate_into` with a fresh buffer, redrawing from `0..3`.
+    fn mutate(parent: &[u8], seed: u64) -> Vec<u8> {
+        let mut child = Vec::new();
+        mutate_into(parent, &mut rng(seed), |r| r.gen_range(0..3u8), &mut child);
+        child
+    }
+
+    /// `invert_into` with a fresh buffer: the child and the window.
+    fn invert<G: Copy>(parent: &[G], seed: u64) -> (Vec<G>, GeneRange) {
+        let mut child = Vec::new();
+        let window = invert_into(parent, &mut rng(seed), &mut child);
+        (child, window)
+    }
+
     #[test]
     fn crossover_preserves_multiset_per_position() {
         let a = [1, 2, 3, 4, 5];
         let b = [6, 7, 8, 9, 10];
         for seed in 0..50 {
-            let (ca, cb) = crossover(&a, &b, &mut rng(seed));
+            let (ca, cb, _) = crossover(&a, &b, seed);
             for k in 0..a.len() {
                 let pair = (ca[k], cb[k]);
                 assert!(pair == (a[k], b[k]) || pair == (b[k], a[k]));
@@ -237,28 +188,17 @@ mod tests {
         let a = [0u8; 16];
         let b = [1u8; 16];
         let mixed = (0..50).any(|seed| {
-            let (ca, _) = crossover(&a, &b, &mut rng(seed));
+            let (ca, _, _) = crossover(&a, &b, seed);
             ca.contains(&0) && ca.contains(&1)
         });
         assert!(mixed, "two-point crossover never exchanged a proper window");
     }
 
     #[test]
-    fn uniform_crossover_preserves_multiset_per_position() {
-        let a = [1, 2, 3, 4];
-        let b = [5, 6, 7, 8];
-        let (ca, cb) = uniform_crossover(&a, &b, &mut rng(9));
-        for k in 0..a.len() {
-            let pair = (ca[k], cb[k]);
-            assert!(pair == (a[k], b[k]) || pair == (b[k], a[k]));
-        }
-    }
-
-    #[test]
     fn mutation_changes_at_most_one_gene() {
         let parent = [0u8; 32];
         for seed in 0..30 {
-            let child = mutate(&parent, &mut rng(seed), |r| r.gen_range(0..3u8));
+            let child = mutate(&parent, seed);
             let diff = parent.iter().zip(&child).filter(|(a, b)| a != b).count();
             assert!(diff <= 1, "mutation changed {diff} genes");
         }
@@ -268,7 +208,7 @@ mod tests {
     fn inversion_is_a_permutation() {
         let parent = [1, 2, 3, 4, 5, 6, 7];
         for seed in 0..30 {
-            let child = invert(&parent, &mut rng(seed));
+            let (child, _) = invert(&parent, seed);
             let mut sorted = child.clone();
             sorted.sort();
             assert_eq!(sorted, parent.to_vec());
@@ -279,7 +219,7 @@ mod tests {
     fn inversion_reverses_some_window() {
         // With a full-range window the child is the exact reverse.
         let parent = [1, 2, 3];
-        let reversed = (0..200).any(|seed| invert(&parent, &mut rng(seed)) == [3, 2, 1]);
+        let reversed = (0..200).any(|seed| invert(&parent, seed).0 == [3, 2, 1]);
         assert!(reversed, "full inversion never sampled");
     }
 
@@ -287,17 +227,14 @@ mod tests {
     fn operators_are_deterministic_per_seed() {
         let a = [1, 2, 3, 4, 5];
         let b = [9, 8, 7, 6, 5];
-        assert_eq!(
-            crossover(&a, &b, &mut rng(7)),
-            crossover(&a, &b, &mut rng(7))
-        );
-        assert_eq!(invert(&a, &mut rng(7)), invert(&a, &mut rng(7)));
+        assert_eq!(crossover(&a, &b, 7), crossover(&a, &b, 7));
+        assert_eq!(invert(&a, 7), invert(&a, 7));
     }
 
     #[test]
     #[should_panic(expected = "lengths differ")]
     fn crossover_rejects_ragged_parents() {
-        let _ = crossover(&[1, 2], &[1], &mut rng(0));
+        let _ = crossover(&[1, 2], &[1], 0);
     }
 
     #[test]
@@ -305,8 +242,7 @@ mod tests {
         let a = [1, 2, 3, 4, 5, 6];
         let b = [9, 8, 7, 6, 5, 4];
         for seed in 0..100 {
-            let (mut ca, mut cb) = (Vec::new(), Vec::new());
-            let window = crossover_into(&a, &b, &mut rng(seed), &mut ca, &mut cb);
+            let (ca, cb, window) = crossover(&a, &b, seed);
             for k in 0..a.len() {
                 if !window.contains(&k) {
                     assert_eq!(ca[k], a[k], "seed {seed} pos {k} outside {window:?}");
@@ -356,15 +292,9 @@ mod tests {
         );
         assert!(child.is_empty());
 
+        child.push(4);
         assert_eq!(invert_into(&empty, &mut r, &mut child), 0..0);
         assert!(child.is_empty());
-
-        let (ca, cb) = crossover(&empty, &empty, &mut r);
-        assert!(ca.is_empty() && cb.is_empty());
-        assert!(mutate(&empty, &mut r, |_: &mut StdRng| 0u8).is_empty());
-        assert!(invert(&empty, &mut r).is_empty());
-        let (ca, cb) = uniform_crossover(&empty, &empty, &mut r);
-        assert!(ca.is_empty() && cb.is_empty());
 
         // None of the operators consumed randomness.
         assert_eq!(r.gen::<u64>(), before);
@@ -374,15 +304,14 @@ mod tests {
     fn single_gene_parents_are_well_defined() {
         for seed in 0..20 {
             let parent = [7u8];
-            let (ca, cb) = crossover(&parent, &[9], &mut rng(seed));
+            let (ca, cb, _) = crossover(&parent, &[9], seed);
             assert!(ca == [7] && cb == [9] || ca == [9] && cb == [7]);
-            let child = mutate(&parent, &mut rng(seed), |r| r.gen_range(0..3u8));
-            assert_eq!(child.len(), 1);
-            assert_eq!(invert(&parent, &mut rng(seed)), [7]);
-            let mut buf = Vec::new();
+            assert_eq!(mutate(&parent, seed).len(), 1);
+            let (child, window) = invert(&parent, seed);
+            assert_eq!(child, [7]);
             // A one-gene window cannot change anything: the edit range is
             // advertised as empty.
-            assert!(invert_into(&parent, &mut rng(seed), &mut buf).is_empty());
+            assert!(window.is_empty());
         }
     }
 }
