@@ -4,33 +4,98 @@
 //! (an unwind resets the flipped decisions above the one it flips).
 //! Re-simulating the whole circuit after each step costs a full sweep; this
 //! state instead re-evaluates only the fanout cone of the inputs that
-//! changed, in level order, and stops wherever a gate's value does not
-//! move. Next to the values it keeps the D-frontier as a bitset, which the
-//! search asks for on every step.
+//! changed, and stops wherever a gate's value does not move. Next to the
+//! values it keeps the D-frontier as a bitset, which the search asks for on
+//! every step.
 //!
-//! After every [`Implication::propagate`], [`Implication::values`] equals
+//! Each net's value is one byte with two rails per plane: bit 0 is good = 1,
+//! bit 1 good = 0, bit 2 faulty = 1 and bit 3 faulty = 0; a plane is `X`
+//! when both of its rails are clear. A gate is then a few bitwise
+//! operations over its fanins, on both planes at once. Gates waiting for
+//! re-evaluation sit in a bitset in [`NetId`] order: netlists store nodes
+//! in topological order, so draining it from the lowest set bit evaluates
+//! each queued gate once, after all of its fanins.
+//!
+//! After every [`Implication::propagate`], the values equal
 //! [`simulate_dv`](crate::dcalc::simulate_dv) on the same assignment; the
-//! unit tests below check that on random decide/flip/unwind sequences.
+//! unit tests below check that on random decide/flip/unwind sequences, and
+//! the gate evaluation against `evotc_sim::eval_gate` on every combination
+//! of fanin values.
 
 use evotc_bits::Trit;
 use evotc_netlist::{GateKind, NetId, Netlist};
 use evotc_sim::StuckAtFault;
 
-use crate::dcalc::Dv;
+/// The one-rails of both planes; as a value, `1` on both.
+const ONE: u8 = 0b0101;
+/// The zero-rails of both planes; as a value, `0` on both.
+const ZERO: u8 = 0b1010;
+/// Both rails of the good plane.
+const GOOD: u8 = 0b0011;
+/// `D`: good 1, faulty 0.
+const D: u8 = 0b1001;
+/// `D̄`: good 0, faulty 1.
+const DBAR: u8 = 0b0110;
+
+/// The packed value with `good` on the good plane and `faulty` on the
+/// faulty one.
+fn pack(good: Trit, faulty: Trit) -> u8 {
+    let rails = |t: Trit| match t {
+        Trit::One => 0b01,
+        Trit::Zero => 0b10,
+        Trit::X => 0,
+    };
+    rails(good) | rails(faulty) << 2
+}
+
+fn is_error(v: u8) -> bool {
+    v == D || v == DBAR
+}
+
+fn has_x(v: u8) -> bool {
+    v & GOOD == 0 || v & !GOOD == 0
+}
+
+/// Both planes of a `kind` gate over its fanins' values. AND takes the AND
+/// of the one-rails and the OR of the zero-rails, OR the mirror image, XOR
+/// the parity of the one-rails on the planes every fanin specifies, and an
+/// inverting gate swaps the rails of the result.
+fn gate_value(kind: GateKind, mut fanins: impl Iterator<Item = u8>) -> u8 {
+    let out = match kind {
+        GateKind::Input => unreachable!("inputs are assigned, never evaluated"),
+        GateKind::Buf | GateKind::Not => fanins.next().expect("one fanin"),
+        GateKind::And | GateKind::Nand => {
+            let (all, any) = fanins.fold((!0, 0), |(all, any), v| (all & v, any | v));
+            all & ONE | any & ZERO
+        }
+        GateKind::Or | GateKind::Nor => {
+            let (all, any) = fanins.fold((!0, 0), |(all, any), v| (all & v, any | v));
+            any & ONE | all & ZERO
+        }
+        GateKind::Xor | GateKind::Xnor => {
+            let (odd, specified) = fanins.fold((0, ONE), |(odd, specified), v| {
+                (odd ^ v, specified & (v | v >> 1))
+            });
+            let odd = odd & ONE;
+            (odd | (odd ^ ONE) << 1) & (specified | specified << 1)
+        }
+    };
+    if kind.is_inverting() {
+        (out & ONE) << 1 | (out & ZERO) >> 1
+    } else {
+        out
+    }
+}
 
 /// Per-circuit tables the search shares across faults.
 #[derive(Debug)]
 pub(crate) struct Structure {
     /// `observable[n]`: some structural path leads from net `n` to an output.
     observable: Vec<bool>,
-    /// The level queue's layout: gates of level `l` queue in
-    /// `slots[level_start[l]..level_start[l + 1]]`.
-    level_start: Vec<u32>,
 }
 
 impl Structure {
-    /// Marks the observable nets in one reverse-topological sweep and lays
-    /// out one queue bucket per logic level.
+    /// Marks the observable nets in one reverse-topological sweep.
     pub(crate) fn new(netlist: &Netlist) -> Self {
         let n = netlist.num_nodes();
         let mut observable = vec![false; n];
@@ -39,17 +104,7 @@ impl Structure {
             observable[i] =
                 netlist.is_output(id) || netlist.fanouts(id).iter().any(|g| observable[g.index()]);
         }
-        let mut level_start = vec![0u32; netlist.depth() as usize + 2];
-        for &level in netlist.levels() {
-            level_start[level as usize + 1] += 1;
-        }
-        for l in 1..level_start.len() {
-            level_start[l] += level_start[l - 1];
-        }
-        Structure {
-            observable,
-            level_start,
-        }
+        Structure { observable }
     }
 
     /// Whether a structural path leads from `net` to an output. A fault on
@@ -59,67 +114,25 @@ impl Structure {
     }
 }
 
-/// Gates waiting for re-evaluation, one bucket per logic level. A gate's
-/// fanouts sit on strictly higher levels, so draining the buckets in level
-/// order evaluates every gate after all of its changed fanins.
-#[derive(Debug)]
-struct LevelQueue<'a> {
-    /// Bucket `l` is `slots[start[l]..start[l + 1]]`.
-    start: &'a [u32],
-    slots: Vec<NetId>,
-    /// Queued gates per level.
-    len: Vec<u32>,
-    queued: Vec<bool>,
-    /// Lowest and highest level holding a queued gate.
-    lowest: usize,
-    highest: usize,
-}
-
-impl<'a> LevelQueue<'a> {
-    fn new(start: &'a [u32]) -> Self {
-        let num_nodes = *start.last().expect("at least one level") as usize;
-        LevelQueue {
-            start,
-            slots: vec![NetId(0); num_nodes],
-            len: vec![0; start.len() - 1],
-            queued: vec![false; num_nodes],
-            lowest: usize::MAX,
-            highest: 0,
-        }
-    }
-
-    fn push(&mut self, gate: NetId, level: usize) {
-        if std::mem::replace(&mut self.queued[gate.index()], true) {
-            return;
-        }
-        self.slots[(self.start[level] + self.len[level]) as usize] = gate;
-        self.len[level] += 1;
-        self.lowest = self.lowest.min(level);
-        self.highest = self.highest.max(level);
-    }
-
-    fn pop(&mut self, level: usize) -> Option<NetId> {
-        let len = self.len[level].checked_sub(1)?;
-        self.len[level] = len;
-        let gate = self.slots[(self.start[level] + len) as usize];
-        self.queued[gate.index()] = false;
-        Some(gate)
-    }
-}
-
 /// The search's view of the circuit under the current partial assignment.
 #[derive(Debug)]
 pub(crate) struct Implication<'a> {
     netlist: &'a Netlist,
     structure: &'a Structure,
     fault: StuckAtFault,
-    /// Good and faulty plane of every net.
-    values: Vec<Dv>,
+    /// The fault site's faulty plane: its stuck value's rail.
+    stuck: u8,
+    /// Every net's packed value, indexed by [`NetId::index`].
+    values: Vec<u8>,
     /// Per gate: fanins carrying a fault effect.
     error_fanins: Vec<u32>,
     /// D-frontier bitset: gates with an `X` output and an error fanin.
     frontier: Vec<u64>,
-    queue: LevelQueue<'a>,
+    /// Bitset of the gates waiting for re-evaluation.
+    pending: Vec<u64>,
+    /// The lowest and highest word of `pending` that may hold a set bit.
+    first: usize,
+    last: usize,
     /// X-path search scratch: visit stamps and the DFS stack.
     seen: Vec<u32>,
     stamp: u32,
@@ -131,38 +144,40 @@ impl<'a> Implication<'a> {
     /// faulty plane, and whatever it implies downstream, is specified.
     pub(crate) fn new(netlist: &'a Netlist, structure: &'a Structure, fault: StuckAtFault) -> Self {
         let n = netlist.num_nodes();
+        let stuck = pack(Trit::X, Trit::from_bool(fault.stuck_at));
         let mut state = Implication {
             netlist,
             structure,
             fault,
-            values: vec![Dv::X; n],
+            stuck,
+            values: vec![0; n],
             error_fanins: vec![0; n],
             frontier: vec![0; n.div_ceil(64)],
-            queue: LevelQueue::new(&structure.level_start),
+            pending: vec![0; n.div_ceil(64)],
+            first: usize::MAX,
+            last: 0,
             seen: vec![0; n],
             stamp: 0,
             stack: Vec::new(),
         };
-        let site = Dv {
-            good: Trit::X,
-            faulty: Trit::from_bool(fault.stuck_at),
-        };
-        state.set(fault.net, site);
+        state.set(fault.net, stuck);
         state.propagate();
         state
     }
 
-    /// Every net's five-valued value, indexed by [`NetId::index`].
-    pub(crate) fn values(&self) -> &[Dv] {
-        &self.values
+    /// Whether `net`'s good plane is `X`.
+    pub(crate) fn good_is_x(&self, net: NetId) -> bool {
+        self.values[net.index()] & GOOD == 0
+    }
+
+    /// Whether `net` carries a fault effect (`D` or `D̄`).
+    pub(crate) fn is_error(&self, net: NetId) -> bool {
+        is_error(self.values[net.index()])
     }
 
     /// Whether some output carries a fault effect.
     pub(crate) fn error_at_output(&self) -> bool {
-        self.netlist
-            .outputs()
-            .iter()
-            .any(|o| self.values[o.index()].is_error())
+        self.netlist.outputs().iter().any(|&o| self.is_error(o))
     }
 
     /// The D-frontier in ascending [`NetId`] order.
@@ -184,34 +199,28 @@ impl<'a> Implication<'a> {
     /// next [`Implication::propagate`].
     pub(crate) fn assign(&mut self, position: usize, value: Trit) {
         let net = self.netlist.inputs()[position];
-        let faulty = if net == self.fault.net {
-            Trit::from_bool(self.fault.stuck_at)
-        } else {
-            value
-        };
-        self.set(
-            net,
-            Dv {
-                good: value,
-                faulty,
-            },
-        );
+        let mut packed = pack(value, value);
+        if net == self.fault.net {
+            packed = packed & GOOD | self.stuck;
+        }
+        self.set(net, packed);
     }
 
     /// Re-evaluates the fanout cones of every net changed since the last
-    /// call, level by level.
+    /// call, lowest pending gate first.
     pub(crate) fn propagate(&mut self) {
-        let mut level = self.queue.lowest;
-        while level <= self.queue.highest {
-            while let Some(gate) = self.queue.pop(level) {
-                let value = self.evaluate(gate);
-                self.set(gate, value);
-                self.refresh_frontier(gate);
+        while self.first <= self.last {
+            let word = self.pending[self.first];
+            if word == 0 {
+                self.first += 1;
+                continue;
             }
-            level += 1;
+            self.pending[self.first] = word & (word - 1);
+            let gate = NetId(self.first as u32 * 64 + word.trailing_zeros());
+            let value = self.evaluate(gate);
+            self.set(gate, value);
         }
-        self.queue.lowest = usize::MAX;
-        self.queue.highest = 0;
+        (self.first, self.last) = (usize::MAX, 0);
     }
 
     /// Whether a path of nets that are `X` or carry a fault effect leads
@@ -219,7 +228,8 @@ impl<'a> Implication<'a> {
     /// are assigned, so without such a path no extension of the current
     /// assignment detects the fault.
     pub(crate) fn x_path(&mut self) -> bool {
-        let open = |v: Dv| v.has_x() || v.is_error();
+        // Closed: both planes hold the same specified value.
+        let open = |v: u8| v != ONE && v != ZERO;
         let site = self.fault.net;
         if !open(self.values[site.index()]) {
             return false;
@@ -251,30 +261,42 @@ impl<'a> Implication<'a> {
     }
 
     /// Writes `value` to `net`; if it changed, updates the fanouts'
-    /// error-fanin counts and queues them.
-    fn set(&mut self, net: NetId, value: Dv) {
+    /// error-fanin counts and queues them. D-frontier membership moves only
+    /// where an `X` comes or goes or an error-fanin count changes, so only
+    /// those gates are refreshed. Fanouts come in topological order, so the
+    /// first and the last bound the words they touch.
+    fn set(&mut self, net: NetId, value: u8) {
         let i = net.index();
         let old = std::mem::replace(&mut self.values[i], value);
         if old == value {
             return;
         }
-        let (was, is) = (old.is_error(), value.is_error());
-        let levels = self.netlist.levels();
-        for &g in self.netlist.fanouts(net) {
+        if has_x(old) != has_x(value) {
+            self.refresh_frontier(net);
+        }
+        let (was, is) = (is_error(old), is_error(value));
+        let fanouts = self.netlist.fanouts(net);
+        for &g in fanouts {
+            let j = g.index();
             if was != is {
                 if is {
-                    self.error_fanins[g.index()] += 1;
+                    self.error_fanins[j] += 1;
                 } else {
-                    self.error_fanins[g.index()] -= 1;
+                    self.error_fanins[j] -= 1;
                 }
+                self.refresh_frontier(g);
             }
-            self.queue.push(g, levels[g.index()] as usize);
+            self.pending[j / 64] |= 1 << (j % 64);
+        }
+        if let (Some(lo), Some(hi)) = (fanouts.first(), fanouts.last()) {
+            self.first = self.first.min(lo.index() / 64);
+            self.last = self.last.max(hi.index() / 64);
         }
     }
 
     fn refresh_frontier(&mut self, gate: NetId) {
         let i = gate.index();
-        let member = self.values[i].has_x() && self.error_fanins[i] > 0;
+        let member = has_x(self.values[i]) && self.error_fanins[i] > 0;
         let (word, bit) = (i / 64, 1u64 << (i % 64));
         if member {
             self.frontier[word] |= bit;
@@ -285,79 +307,44 @@ impl<'a> Implication<'a> {
 
     /// Both planes of `gate` from its fanins' current values, with the
     /// fault site's faulty plane forced to the stuck value.
-    ///
-    /// Folds both planes in one pass over the fanins instead of copying
-    /// each plane into a buffer for `evotc_sim::eval_gate`, which made the
-    /// whole search about a third slower on s953. The unit tests pin the
-    /// two to each other through `simulate_dv`, which uses `eval_gate`.
-    fn evaluate(&self, gate: NetId) -> Dv {
-        let kind = self.netlist.kind(gate);
-        let fanins = self.netlist.fanins(gate);
-        let v = |f: &NetId| self.values[f.index()];
-        let mut out = match kind {
-            GateKind::Input => unreachable!("inputs are assigned, never evaluated"),
-            GateKind::Buf => v(&fanins[0]),
-            GateKind::Not => invert(v(&fanins[0])),
-            GateKind::And | GateKind::Nand => fold(fanins.iter().map(v), and),
-            GateKind::Or | GateKind::Nor => fold(fanins.iter().map(v), or),
-            GateKind::Xor | GateKind::Xnor => fold(fanins.iter().map(v), xor),
-        };
-        if matches!(kind, GateKind::Nand | GateKind::Nor | GateKind::Xnor) {
-            out = invert(out);
-        }
+    fn evaluate(&self, gate: NetId) -> u8 {
+        let fanins = self.netlist.fanins(gate).iter();
+        let out = gate_value(
+            self.netlist.kind(gate),
+            fanins.map(|f| self.values[f.index()]),
+        );
         if gate == self.fault.net {
-            out.faulty = Trit::from_bool(self.fault.stuck_at);
+            out & GOOD | self.stuck
+        } else {
+            out
         }
-        out
-    }
-}
-
-fn fold(mut values: impl Iterator<Item = Dv>, op: fn(Trit, Trit) -> Trit) -> Dv {
-    let first = values.next().expect("gates have at least one fanin");
-    values.fold(first, |acc, v| Dv {
-        good: op(acc.good, v.good),
-        faulty: op(acc.faulty, v.faulty),
-    })
-}
-
-fn invert(v: Dv) -> Dv {
-    let not = |t: Trit| t.to_bool().map_or(Trit::X, |b| Trit::from_bool(!b));
-    Dv {
-        good: not(v.good),
-        faulty: not(v.faulty),
-    }
-}
-
-fn and(a: Trit, b: Trit) -> Trit {
-    match (a, b) {
-        (Trit::Zero, _) | (_, Trit::Zero) => Trit::Zero,
-        (Trit::One, Trit::One) => Trit::One,
-        _ => Trit::X,
-    }
-}
-
-fn or(a: Trit, b: Trit) -> Trit {
-    match (a, b) {
-        (Trit::One, _) | (_, Trit::One) => Trit::One,
-        (Trit::Zero, Trit::Zero) => Trit::Zero,
-        _ => Trit::X,
-    }
-}
-
-fn xor(a: Trit, b: Trit) -> Trit {
-    match (a.to_bool(), b.to_bool()) {
-        (Some(a), Some(b)) => Trit::from_bool(a != b),
-        _ => Trit::X,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dcalc::simulate_dv;
-    use evotc_netlist::{generate, iscas, parse_bench, GeneratorConfig};
+    use crate::dcalc::{simulate_dv, Dv};
+    use evotc_netlist::{generate, iscas, parse_bench, GeneratorConfig, NetlistBuilder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    fn unpack(v: u8) -> Dv {
+        let trit = |rails: u8| match rails & 0b11 {
+            0b01 => Trit::One,
+            0b10 => Trit::Zero,
+            0b00 => Trit::X,
+            _ => panic!("both rails of a plane set in {v:#06b}"),
+        };
+        Dv {
+            good: trit(v),
+            faulty: trit(v >> 2),
+        }
+    }
+
+    fn values(state: &Implication) -> Vec<Dv> {
+        state.values.iter().map(|&v| unpack(v)).collect()
+    }
 
     /// The D-frontier by full scan, as the search defined it before the
     /// bitset: gates with an `X` output and an error fanin.
@@ -390,12 +377,17 @@ mod tests {
 
     fn check(netlist: &Netlist, state: &mut Implication, assignment: &[Trit], fault: StuckAtFault) {
         let expected = simulate_dv(netlist, assignment, fault.net, fault.stuck_at);
-        assert_eq!(state.values(), &expected[..], "{fault} at {assignment:?}");
+        assert_eq!(values(state), expected, "{fault} at {assignment:?}");
         assert_eq!(
             state.frontier().collect::<Vec<_>>(),
             scanned_frontier(netlist, &expected),
             "{fault} at {assignment:?}"
         );
+        for id in netlist.node_ids() {
+            let v = expected[id.index()];
+            assert_eq!(state.good_is_x(id), v.good.is_x());
+            assert_eq!(state.is_error(id), v.is_error());
+        }
         let at_output = netlist
             .outputs()
             .iter()
@@ -406,6 +398,7 @@ mod tests {
             swept_x_path(netlist, &expected, fault.net),
             "{fault} at {assignment:?}"
         );
+        assert!(state.pending.iter().all(|&w| w == 0), "gates left pending");
     }
 
     /// Random decide/flip/unwind walks, checked against a full simulation
@@ -503,10 +496,71 @@ mod tests {
         }
     }
 
+    /// Every gate kind at every arity up to three, over every combination
+    /// of the nine (good, faulty) fanin values, so `D`, `D̄` and `X` meet
+    /// on every gate: each plane equals `eval_gate`'s, and at the fault
+    /// site the faulty plane is the stuck value.
+    #[test]
+    fn packed_gates_match_eval_gate_on_every_fanin_combination() {
+        let nine: Vec<Dv> = Trit::ALL
+            .into_iter()
+            .flat_map(|good| Trit::ALL.map(|faulty| Dv { good, faulty }))
+            .collect();
+        for kind in GateKind::LOGIC {
+            let max_arity = if matches!(kind, GateKind::Buf | GateKind::Not) {
+                1
+            } else {
+                3
+            };
+            for arity in 1..=max_arity {
+                let mut b = NetlistBuilder::new("one-gate");
+                let inputs = (0..arity).map(|k| b.input(&format!("x{k}"))).collect();
+                let g = b.gate("g", kind, inputs).unwrap();
+                b.output(g);
+                let netlist = b.finish().unwrap();
+                let gate = netlist.find_net("g").unwrap();
+                let fanins = netlist.fanins(gate).to_vec();
+                let structure = Structure::new(&netlist);
+                // A fault on an input leaves the gate's evaluation plain.
+                let mut states = [
+                    StuckAtFault::sa0(fanins[0]),
+                    StuckAtFault::sa0(gate),
+                    StuckAtFault::sa1(gate),
+                ]
+                .map(|fault| Implication::new(&netlist, &structure, fault));
+                for combination in 0..9usize.pow(arity as u32) {
+                    let given: Vec<Dv> = (0..arity)
+                        .map(|k| nine[combination / 9usize.pow(k as u32) % 9])
+                        .collect();
+                    let plane = |plane: fn(&Dv) -> Trit| {
+                        evotc_sim::eval_gate(kind, &given.iter().map(plane).collect::<Vec<_>>())
+                    };
+                    let (good, faulty) = (plane(|v| v.good), plane(|v| v.faulty));
+                    for state in &mut states {
+                        for (f, v) in fanins.iter().zip(&given) {
+                            state.values[f.index()] = pack(v.good, v.faulty);
+                        }
+                        let fault = state.fault;
+                        let faulty = if fault.net == gate {
+                            Trit::from_bool(fault.stuck_at)
+                        } else {
+                            faulty
+                        };
+                        assert_eq!(
+                            unpack(state.evaluate(gate)),
+                            Dv { good, faulty },
+                            "{kind:?} over {given:?}, {fault}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn unobservable_nets_are_found_in_one_sweep() {
         // `dead` feeds nothing, so it has no path to the output.
-        let mut b = evotc_netlist::NetlistBuilder::new("dead-end");
+        let mut b = NetlistBuilder::new("dead-end");
         let x = b.input("x");
         let y = b.input("y");
         let dead = b.gate("dead", GateKind::And, vec![x, y]).unwrap();

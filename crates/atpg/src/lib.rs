@@ -10,10 +10,12 @@
 //!   `0`/`1`, all other inputs stay `X`. Those `X`s are exactly the
 //!   don't-cares the compression pipeline exploits. The search skips
 //!   faults with no structural path to an output and backtracks as soon as
-//!   no X-path leads from the fault site to an output; implication is
-//!   event-driven. Neither changes a cube the search would find without
-//!   the checks, but a fault that search aborts may now resolve (see
-//!   [`PodemResult::Aborted`]).
+//!   no X-path leads from the fault site to an output. Implication is
+//!   event-driven and bit-level: one byte per net holds both planes as
+//!   two rails each, so a gate is a few bitwise operations, and pending
+//!   gates drain from a bitset in topological order. Neither check changes
+//!   a cube the search would find without it, but a fault that search
+//!   aborts may now resolve (see [`PodemResult::Aborted`]).
 //! * [`generate_stuck_at_tests`] — test-set generation over the collapsed
 //!   fault list with word-parallel fault dropping (64 faults per
 //!   simulation sweep).

@@ -4,7 +4,6 @@ use evotc_bits::{TestPattern, Trit};
 use evotc_netlist::{GateKind, NetId, Netlist};
 use evotc_sim::StuckAtFault;
 
-use crate::dcalc::Dv;
 use crate::implication::{Implication, Structure};
 
 /// Configuration of the PODEM search.
@@ -59,7 +58,9 @@ pub enum PodemResult {
 /// depth-first order as without them, and only the backtrack count falls.
 /// Implication is event-driven: a decision re-evaluates only the fanout
 /// cone of the input it changed, and the D-frontier is kept up to date
-/// along the way.
+/// along the way. Each net's good and faulty values share one byte, two
+/// rails per plane, so a gate evaluates both planes in a few bitwise
+/// operations.
 ///
 /// # Example
 ///
@@ -115,7 +116,7 @@ impl<'a> Podem<'a> {
             }
             let next = if state.x_path() {
                 self.objective(&state, fault)
-                    .and_then(|(net, value)| self.backtrace(state.values(), net, value))
+                    .and_then(|(net, value)| self.backtrace(&state, net, value))
             } else {
                 None
             };
@@ -166,12 +167,10 @@ impl<'a> Podem<'a> {
     ///    with an unspecified side input and demand the non-controlling
     ///    value on the first such input.
     fn objective(&self, state: &Implication, fault: StuckAtFault) -> Option<(NetId, bool)> {
-        let values = state.values();
-        let at_site = values[fault.net.index()];
-        if at_site.good.is_x() {
+        if state.good_is_x(fault.net) {
             return Some((fault.net, !fault.stuck_at));
         }
-        if !at_site.is_error() {
+        if !state.is_error(fault.net) {
             return None; // activation failed: good value equals stuck value
         }
         state.frontier().find_map(|id| {
@@ -182,14 +181,19 @@ impl<'a> Podem<'a> {
             self.netlist
                 .fanins(id)
                 .iter()
-                .find(|f| values[f.index()].good.is_x())
+                .find(|&&f| state.good_is_x(f))
                 .map(|&side| (side, want))
         })
     }
 
     /// Walks from an internal objective back to an unassigned primary input,
     /// complementing the target value through inverting gates.
-    fn backtrace(&self, values: &[Dv], mut net: NetId, mut value: bool) -> Option<(usize, bool)> {
+    fn backtrace(
+        &self,
+        state: &Implication,
+        mut net: NetId,
+        mut value: bool,
+    ) -> Option<(usize, bool)> {
         loop {
             let kind = self.netlist.kind(net);
             if kind == GateKind::Input {
@@ -199,7 +203,7 @@ impl<'a> Podem<'a> {
                     .netlist
                     .input_position(net)
                     .expect("inputs are registered");
-                return values[net.index()].good.is_x().then_some((pos, value));
+                return state.good_is_x(net).then_some((pos, value));
             }
             if kind.is_inverting() {
                 value = !value;
@@ -210,7 +214,7 @@ impl<'a> Podem<'a> {
                 .netlist
                 .fanins(net)
                 .iter()
-                .find(|f| values[f.index()].good.is_x())?;
+                .find(|&&f| state.good_is_x(f))?;
         }
     }
 }

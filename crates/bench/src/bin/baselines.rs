@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run -p evotc-bench --bin baselines --release [-- --full]`
 
-use evotc_bench::{ea_average, RunProfile};
+use evotc_bench::{ea_average, run_args};
 use evotc_codes::{fdr, golomb, runlength, selective};
 use evotc_core::{NineCCompressor, TestCompressor};
 use evotc_workloads::tables::TABLE1;
@@ -12,7 +12,7 @@ use evotc_workloads::workload_with_limit;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = RunProfile::from_args(args.iter().cloned());
+    let (profile, _) = run_args("baselines", &args);
     println!("# Baseline comparison (zero-filled don't-cares for run-length codes)\n");
     println!("| circuit | RL(b=4) | Golomb(best m) | FDR | SelHuff(8,16) | 9C | EA |");
     println!("|---|---:|---:|---:|---:|---:|---:|");

@@ -5,7 +5,7 @@
 //!
 //! Usage: `cargo run -p evotc-bench --bin operators --release [-- --full]`
 
-use evotc_bench::RunProfile;
+use evotc_bench::run_args;
 use evotc_core::{EaCompressor, TestCompressor};
 use evotc_evo::EaConfig;
 use evotc_workloads::tables::stuck_at_row;
@@ -13,7 +13,7 @@ use evotc_workloads::workload_with_limit;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = RunProfile::from_args(args.iter().cloned());
+    let (profile, _) = run_args("operators", &args);
     let row = stuck_at_row("s444").expect("s444 is in Table 1");
     let set = workload_with_limit(
         row.circuit,

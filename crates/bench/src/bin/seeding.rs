@@ -4,14 +4,14 @@
 //!
 //! Usage: `cargo run -p evotc-bench --bin seeding --release [-- --full]`
 
-use evotc_bench::RunProfile;
+use evotc_bench::run_args;
 use evotc_core::{EaCompressor, NineCHuffmanCompressor, TestCompressor};
 use evotc_workloads::tables::stuck_at_row;
 use evotc_workloads::workload_with_limit;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = RunProfile::from_args(args.iter().cloned());
+    let (profile, _) = run_args("seeding", &args);
     println!("# Ablation C — 9C seeding of the initial population\n");
     println!("| circuit | 9C+HC | EA unseeded | EA 9C-seeded |");
     println!("|---|---:|---:|---:|");

@@ -22,8 +22,8 @@
 //! permanently-failed. Writes `BENCH_service.json` with throughput,
 //! latency percentiles (p50/p95/p99) and the shed/retry/cache counters.
 //! With `--check-only` a smaller workload runs the same gates plus a
-//! shape check on the written JSON and a p99-under-budget check; exits
-//! non-zero on any failure.
+//! shape check on the JSON it would write and a p99-under-budget check, and
+//! writes no file; exits non-zero on any failure.
 //!
 //! ```text
 //! cargo run --release -p evotc_bench --bin service_replay [-- --check-only]
@@ -328,7 +328,7 @@ fn replay(check_only: bool) -> ReplayNumbers {
     }
 }
 
-fn write_json(n: &ReplayNumbers) -> String {
+fn bench_json(n: &ReplayNumbers) -> String {
     let completed = n.completed_fresh + n.cache_hits;
     let p50 = percentile(&n.latencies, 50.0);
     let p95 = percentile(&n.latencies, 95.0);
@@ -355,11 +355,6 @@ fn write_json(n: &ReplayNumbers) -> String {
         completed as f64 / n.elapsed.as_secs_f64(),
         n.elapsed.as_secs_f64(),
     );
-    let path = "BENCH_service.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e} (numbers are above)"),
-    }
     json
 }
 
@@ -388,10 +383,10 @@ fn main() {
         completed as f64 / numbers.elapsed.as_secs_f64(),
         numbers.elapsed.as_secs_f64(),
     );
-    let json = write_json(&numbers);
+    let json = bench_json(&numbers);
 
     if check_only {
-        // Shape gate on the artifact CI archives.
+        // Shape gate on the JSON the timed mode writes.
         for key in [
             "\"bench\": \"service_replay\"",
             "\"p50_us\"",
@@ -417,5 +412,11 @@ fn main() {
             "service_replay --check-only: OK (zero lost jobs, oracle-identical results, \
              p99 {p99:?} under budget)"
         );
+    } else {
+        let path = "BENCH_service.json";
+        match std::fs::write(path, &json) {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => eprintln!("could not write {path}: {e} (numbers are above)"),
+        }
     }
 }

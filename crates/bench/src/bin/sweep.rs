@@ -3,17 +3,14 @@
 //!
 //! Usage: `cargo run -p evotc-bench --bin sweep --release [-- --full] [circuit]`
 
-use evotc_bench::{circuit_filter, ea_average, RunProfile};
+use evotc_bench::{ea_average, run_args};
 use evotc_workloads::tables::stuck_at_row;
 use evotc_workloads::workload_with_limit;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = RunProfile::from_args(args.iter().cloned());
-    let circuit = circuit_filter(&args)
-        .first()
-        .map(|s| s.as_str())
-        .unwrap_or("s444");
+    let (profile, circuits) = run_args("sweep", &args);
+    let circuit = circuits.first().map(|s| s.as_str()).unwrap_or("s444");
     let row = stuck_at_row(circuit).expect("circuit must appear in Table 1");
     let set = workload_with_limit(
         row.circuit,

@@ -2,13 +2,12 @@
 //!
 //! Usage: `cargo run -p evotc-bench --bin table1 --release [-- --full] [--threads N] [circuit…]`
 
-use evotc_bench::{circuit_filter, markdown_table, run_stuck_at_rows, RunProfile};
+use evotc_bench::{markdown_table, run_args, run_stuck_at_rows};
 use evotc_workloads::tables::{TABLE1, TABLE1_AVG};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = RunProfile::from_args(args.iter().cloned());
-    let filter = circuit_filter(&args);
+    let (profile, filter) = run_args("table1", &args);
 
     let selected: Vec<_> = TABLE1
         .iter()

@@ -2,13 +2,12 @@
 //!
 //! Usage: `cargo run -p evotc-bench --bin table2 --release [-- --full] [--threads N] [circuit…]`
 
-use evotc_bench::{circuit_filter, markdown_table, run_path_delay_rows, RunProfile};
+use evotc_bench::{markdown_table, run_args, run_path_delay_rows};
 use evotc_workloads::tables::{TABLE2, TABLE2_AVG};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let profile = RunProfile::from_args(args.iter().cloned());
-    let filter = circuit_filter(&args);
+    let (profile, filter) = run_args("table2", &args);
 
     let selected: Vec<_> = TABLE2
         .iter()

@@ -21,7 +21,7 @@
 //!
 //! Usage: `cargo run -p evotc_bench --bin tradeoff --release [-- --full] [--threads N] [--checkpoint DIR] [circuit…]`
 
-use evotc_bench::{circuit_filter, RunProfile};
+use evotc_bench::{run_args, RunProfile};
 use evotc_bits::{BlockHistogram, TestSetString, Trit};
 use evotc_core::{trit_checkpoint_from_bytes, trit_checkpoint_to_bytes, CombineMode, MvFitness};
 use evotc_evo::{
@@ -142,8 +142,7 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let profile = RunProfile::from_args(args.iter().cloned());
-    let filter = circuit_filter(&args);
+    let (profile, filter) = run_args("tradeoff", &args);
 
     let selected: Vec<_> = TABLE1
         .iter()

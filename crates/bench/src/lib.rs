@@ -14,10 +14,11 @@
 //! | `baselines` | Baseline F — run-length / Golomb / FDR / selective Huffman |
 //! | `tradeoff`  | Multi-objective compression / scan-power / decoder-area fronts |
 //!
-//! Every binary in the table accepts `--full` for paper-scale runs; the
-//! default *quick* profile caps test-set sizes and EA budgets so the whole
-//! table finishes in minutes (see [`RunProfile`]). `EXPERIMENTS.md` records
-//! which profile produced the committed numbers.
+//! Every binary in the table accepts `--full` for paper-scale runs,
+//! `--threads N` and circuit names, and exits with code 2 on anything else
+//! (see [`run_args`]); the default *quick* profile caps test-set sizes and
+//! EA budgets so the whole table finishes in minutes (see [`RunProfile`]).
+//! `EXPERIMENTS.md` records which profile produced the committed numbers.
 //!
 //! The `pipeline`, `fitness_smoke`, `netlist_scale` and `service_replay`
 //! binaries record the repository's timings in the committed `BENCH_*.json`
@@ -89,47 +90,50 @@ impl RunProfile {
             threads: 0,
         }
     }
-
-    /// Parses `--full` and `--threads N` / `--threads=N` from CLI arguments.
-    pub fn from_args<I: IntoIterator<Item = String>>(args: I) -> Self {
-        let args: Vec<String> = args.into_iter().collect();
-        let mut profile = if args.iter().any(|a| a == "--full") {
-            RunProfile::full()
-        } else {
-            RunProfile::quick()
-        };
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            let value = if let Some(v) = arg.strip_prefix("--threads=") {
-                Some(v.to_string())
-            } else if arg == "--threads" {
-                iter.next().cloned()
-            } else {
-                None
-            };
-            if let Some(v) = value {
-                profile.threads = v
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--threads expects a number, got `{v}`"));
-            }
-        }
-        profile
-    }
 }
 
-/// Extracts the circuit-name filter from CLI arguments: everything that is
-/// neither a `--flag` nor the value of a space-separated `--threads N`.
-pub fn circuit_filter(args: &[String]) -> Vec<&String> {
-    let mut filter = Vec::new();
+/// Parses a table bin's arguments: `--full`, `--threads N` or
+/// `--threads=N`, and circuit names (every argument not starting with
+/// `--`). Returns the profile and the names, or the reason for rejecting the
+/// arguments: any other `--` argument, or a thread count that is not a
+/// number.
+fn parse_run_args(args: &[String]) -> Result<(RunProfile, Vec<String>), String> {
+    let (mut full, mut threads, mut circuits) = (false, 0, Vec::new());
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
-        if arg == "--threads" {
-            let _ = iter.next(); // the count, not a circuit name
-        } else if !arg.starts_with("--") {
-            filter.push(arg);
+        let count = match arg.strip_prefix("--threads=") {
+            Some(v) => Some(v),
+            None if arg == "--threads" => Some(iter.next().map_or("", String::as_str)),
+            None => None,
+        };
+        if let Some(v) = count {
+            threads = v
+                .parse()
+                .map_err(|_| format!("--threads expects a number, got `{v}`"))?;
+        } else if arg == "--full" {
+            full = true;
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown argument `{arg}`"));
+        } else {
+            circuits.push(arg.clone());
         }
     }
-    filter
+    let profile = if full {
+        RunProfile::full()
+    } else {
+        RunProfile::quick()
+    };
+    Ok((RunProfile { threads, ..profile }, circuits))
+}
+
+/// The profile and circuit names of a table bin's arguments (see
+/// `parse_run_args`). Anything else exits with code 2 and a usage line, so
+/// a mistyped flag never runs a profile nobody asked for.
+pub fn run_args(bin: &str, args: &[String]) -> (RunProfile, Vec<String>) {
+    parse_run_args(args).unwrap_or_else(|reason| {
+        eprintln!("{bin}: {reason}\nusage: {bin} [--full] [--threads N] [circuit…]");
+        std::process::exit(2)
+    })
 }
 
 /// Parses the arguments of a bin whose only flag is `--check-only`: `true`
@@ -454,29 +458,43 @@ mod tests {
     }
 
     #[test]
-    fn profile_flag_parsing() {
+    fn run_args_accept_the_profile_flags_and_circuit_names() {
+        let parse = |a: &[&str]| {
+            parse_run_args(&a.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+                .expect("valid arguments")
+        };
+        assert_eq!(parse(&[]), (RunProfile::quick(), Vec::new()));
+        assert_eq!(parse(&["--full"]), (RunProfile::full(), Vec::new()));
+        assert_eq!(parse(&["--threads", "4"]).0.threads, 4);
+        let (profile, circuits) = parse(&["--threads=2", "s349", "--full", "s27"]);
+        assert_eq!(profile.threads, 2);
         assert_eq!(
-            RunProfile::from_args(vec!["--full".to_string()]),
-            RunProfile::full()
+            profile.stagnation_limit,
+            RunProfile::full().stagnation_limit
         );
-        assert_eq!(RunProfile::from_args(Vec::new()), RunProfile::quick());
-        let threaded = RunProfile::from_args(vec!["--threads".into(), "4".into()]);
-        assert_eq!(threaded.threads, 4);
-        assert_eq!(
-            RunProfile::from_args(vec!["--full".into(), "--threads=2".into()]).threads,
-            2
-        );
+        assert_eq!(circuits, ["s349", "s27"]);
+        // A thread count is never read as a circuit name.
+        assert!(parse(&["--threads", "8"]).1.is_empty());
     }
 
     #[test]
-    fn circuit_filter_skips_flags_and_thread_counts() {
-        let args: Vec<String> = ["--full", "--threads", "4", "s349", "--threads=2", "s27"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let filter = circuit_filter(&args);
-        assert_eq!(filter, [&"s349".to_string(), &"s27".to_string()]);
-        assert!(circuit_filter(&["--threads".to_string(), "8".to_string()]).is_empty());
+    fn run_args_reject_unknown_flags_and_bad_thread_counts() {
+        let parse =
+            |a: &[&str]| parse_run_args(&a.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        for bad in [
+            &["--ful"][..],
+            &["--thread", "2"],
+            &["--threads", "x"],
+            &["--threads=x"],
+            &["--threads"],
+            &["s27", "--check-only"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+        assert_eq!(
+            parse(&["--ful"]),
+            Err("unknown argument `--ful`".to_string())
+        );
     }
 
     #[test]
