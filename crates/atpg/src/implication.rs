@@ -16,6 +16,11 @@
 //! in topological order, so draining it from the lowest set bit evaluates
 //! each queued gate once, after all of its fanins.
 //!
+//! Next to the values it counts the nets whose good value contradicts a
+//! necessary value of the fault ([`Implication::require_necessary`]): a
+//! value every test of the fault gives. While that count is nonzero, no
+//! extension of the assignment is a test.
+//!
 //! After every [`Implication::propagate`], the values equal
 //! [`simulate_dv`](crate::dcalc::simulate_dv) on the same assignment; the
 //! unit tests below check that on random decide/flip/unwind sequences, and
@@ -26,12 +31,14 @@ use evotc_bits::Trit;
 use evotc_netlist::{GateKind, NetId, Netlist};
 use evotc_sim::StuckAtFault;
 
+use crate::necessary::imply;
+
 /// The one-rails of both planes; as a value, `1` on both.
 const ONE: u8 = 0b0101;
 /// The zero-rails of both planes; as a value, `0` on both.
 const ZERO: u8 = 0b1010;
 /// Both rails of the good plane.
-const GOOD: u8 = 0b0011;
+pub(crate) const GOOD: u8 = 0b0011;
 /// `D`: good 1, faulty 0.
 const D: u8 = 0b1001;
 /// `D̄`: good 0, faulty 1.
@@ -60,7 +67,7 @@ fn has_x(v: u8) -> bool {
 /// of the one-rails and the OR of the zero-rails, OR the mirror image, XOR
 /// the parity of the one-rails on the planes every fanin specifies, and an
 /// inverting gate swaps the rails of the result.
-fn gate_value(kind: GateKind, mut fanins: impl Iterator<Item = u8>) -> u8 {
+pub(crate) fn gate_value(kind: GateKind, mut fanins: impl Iterator<Item = u8>) -> u8 {
     let out = match kind {
         GateKind::Input => unreachable!("inputs are assigned, never evaluated"),
         GateKind::Buf | GateKind::Not => fanins.next().expect("one fanin"),
@@ -87,30 +94,71 @@ fn gate_value(kind: GateKind, mut fanins: impl Iterator<Item = u8>) -> u8 {
     }
 }
 
+/// `post_dominator` of a net whose nearest post-dominator is the virtual
+/// sink behind the outputs, or that has no path to an output.
+const SINK: u32 = u32::MAX;
+
 /// Per-circuit tables the search shares across faults.
 #[derive(Debug)]
 pub(crate) struct Structure {
     /// `observable[n]`: some structural path leads from net `n` to an output.
     observable: Vec<bool>,
+    /// `post_dominator[n]`: the immediate post-dominator of observable net
+    /// `n` toward a virtual sink fed by every output, that is, the nearest
+    /// net other than `n` on every path from `n` to an output; [`SINK`]
+    /// when there is none. It always comes later in topological order.
+    post_dominator: Vec<u32>,
 }
 
 impl Structure {
-    /// Marks the observable nets in one reverse-topological sweep.
+    /// Marks the observable nets and builds the post-dominator tree in one
+    /// reverse-topological sweep: a net's immediate post-dominator is the
+    /// nearest common ancestor, in the tree built so far, of its
+    /// observable fanouts (and of the sink, for an output).
     pub(crate) fn new(netlist: &Netlist) -> Self {
         let n = netlist.num_nodes();
         let mut observable = vec![false; n];
+        let mut post_dominator = vec![SINK; n];
+        // Ancestors have larger indices, so the lower of two walks up.
+        let meet = |tree: &[u32], mut a: u32, mut b: u32| {
+            while a != b {
+                if a < b {
+                    a = tree[a as usize];
+                } else {
+                    b = tree[b as usize];
+                }
+            }
+            a
+        };
         for i in (0..n).rev() {
             let id = NetId(i as u32);
-            observable[i] =
-                netlist.is_output(id) || netlist.fanouts(id).iter().any(|g| observable[g.index()]);
+            let mut dominator = netlist.is_output(id).then_some(SINK);
+            for g in netlist.fanouts(id).iter().filter(|g| observable[g.index()]) {
+                dominator = Some(dominator.map_or(g.0, |d| meet(&post_dominator, d, g.0)));
+            }
+            observable[i] = dominator.is_some();
+            post_dominator[i] = dominator.unwrap_or(SINK);
         }
-        Structure { observable }
+        Structure {
+            observable,
+            post_dominator,
+        }
     }
 
     /// Whether a structural path leads from `net` to an output. A fault on
     /// a net without one can never be observed.
     pub(crate) fn is_observable(&self, net: NetId) -> bool {
         self.observable[net.index()]
+    }
+
+    /// The nets every path from `net` to an output passes through, nearest
+    /// first, `net` itself excluded.
+    pub(crate) fn post_dominators(&self, net: NetId) -> impl Iterator<Item = NetId> + '_ {
+        let up = |d: u32| (d != SINK).then_some(d);
+        std::iter::successors(up(self.post_dominator[net.index()]), move |&d| {
+            up(self.post_dominator[d as usize])
+        })
+        .map(NetId)
     }
 }
 
@@ -133,7 +181,13 @@ pub(crate) struct Implication<'a> {
     /// The lowest and highest word of `pending` that may hold a set bit.
     first: usize,
     last: usize,
-    /// X-path search scratch: visit stamps and the DFS stack.
+    /// Per net: the good-plane rail of the value every test of the fault
+    /// gives it, or `0` (see [`Implication::require_necessary`]).
+    required: Vec<u8>,
+    /// Nets whose good value contradicts `required`.
+    violations: usize,
+    /// Working space of the X-path and fanout-cone walks: visit stamps and
+    /// the DFS stack, which [`imply`] also takes as its queue.
     seen: Vec<u32>,
     stamp: u32,
     stack: Vec<NetId>,
@@ -156,6 +210,8 @@ impl<'a> Implication<'a> {
             pending: vec![0; n.div_ceil(64)],
             first: usize::MAX,
             last: 0,
+            required: vec![0; n],
+            violations: 0,
             seen: vec![0; n],
             stamp: 0,
             stack: Vec::new(),
@@ -163,6 +219,62 @@ impl<'a> Implication<'a> {
         state.set(fault.net, stuck);
         state.propagate();
         state
+    }
+
+    /// Implies the values every test of the fault gives, from the
+    /// activation value and the non-controlling value on every side input
+    /// of every post-dominator of the fault site that lies outside the
+    /// site's fanout cone: the fault effect must pass each post-dominator,
+    /// and such a side input carries the same value in both circuits, so a
+    /// controlling one would block it. [`imply`] takes them to a fixpoint,
+    /// which becomes the values [`Implication::violations`] counts against.
+    ///
+    /// Returns `false` if they contradict each other: the fault is then
+    /// untestable. Call it before the first assignment.
+    pub(crate) fn require_necessary(&mut self) -> bool {
+        let site = self.fault.net;
+        let (netlist, structure) = (self.netlist, self.structure);
+        // Only fanins of post-dominators are asked about, and those all
+        // come before the last post-dominator.
+        let end = structure
+            .post_dominators(site)
+            .last()
+            .map_or(0, |d| d.index());
+        let stamp = self.next_stamp();
+        self.seen[site.index()] = stamp;
+        self.stack.push(site);
+        while let Some(net) = self.stack.pop() {
+            for &g in netlist.fanouts(net) {
+                if g.index() < end && self.seen[g.index()] != stamp {
+                    self.seen[g.index()] = stamp;
+                    self.stack.push(g);
+                }
+            }
+        }
+        let seen = &self.seen;
+        let side_inputs = structure
+            .post_dominators(site)
+            .filter_map(|d| Some((d, netlist.kind(d).controlling_value()?)))
+            .flat_map(|(d, c)| {
+                netlist
+                    .fanins(d)
+                    .iter()
+                    .filter(|f| seen[f.index()] != stamp)
+                    .map(move |&f| (f, !c))
+            });
+        let activation = (site, !self.fault.stuck_at);
+        imply(
+            netlist,
+            &mut self.required,
+            &mut self.stack,
+            std::iter::once(activation).chain(side_inputs),
+        )
+    }
+
+    /// How many nets' good values contradict a necessary value. While it
+    /// is nonzero, no extension of the assignment detects the fault.
+    pub(crate) fn violations(&self) -> usize {
+        self.violations
     }
 
     /// Whether `net`'s good plane is `X`.
@@ -234,13 +346,8 @@ impl<'a> Implication<'a> {
         if !open(self.values[site.index()]) {
             return false;
         }
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.seen.fill(0);
-            self.stamp = 1;
-        }
-        self.seen[site.index()] = self.stamp;
-        self.stack.clear();
+        let stamp = self.next_stamp();
+        self.seen[site.index()] = stamp;
         self.stack.push(site);
         while let Some(net) = self.stack.pop() {
             if self.netlist.is_output(net) {
@@ -248,11 +355,8 @@ impl<'a> Implication<'a> {
             }
             for &g in self.netlist.fanouts(net) {
                 let i = g.index();
-                if self.seen[i] != self.stamp
-                    && self.structure.observable[i]
-                    && open(self.values[i])
-                {
-                    self.seen[i] = self.stamp;
+                if self.seen[i] != stamp && self.structure.observable[i] && open(self.values[i]) {
+                    self.seen[i] = stamp;
                     self.stack.push(g);
                 }
             }
@@ -260,16 +364,33 @@ impl<'a> Implication<'a> {
         false
     }
 
-    /// Writes `value` to `net`; if it changed, updates the fanouts'
-    /// error-fanin counts and queues them. D-frontier membership moves only
-    /// where an `X` comes or goes or an error-fanin count changes, so only
-    /// those gates are refreshed. Fanouts come in topological order, so the
-    /// first and the last bound the words they touch.
+    /// A fresh visit stamp, with an empty stack.
+    fn next_stamp(&mut self) -> u32 {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        self.stack.clear();
+        self.stamp
+    }
+
+    /// Writes `value` to `net`; if it changed, updates the violation count
+    /// and the fanouts' error-fanin counts and queues them. D-frontier
+    /// membership moves only where an `X` comes or goes or an error-fanin
+    /// count changes, so only those gates are refreshed. Fanouts come in
+    /// topological order, so the first and the last bound the words they
+    /// touch.
     fn set(&mut self, net: NetId, value: u8) {
         let i = net.index();
         let old = std::mem::replace(&mut self.values[i], value);
         if old == value {
             return;
+        }
+        let required = self.required[i];
+        if required != 0 {
+            let wrong = |v: u8| usize::from(v & (required ^ GOOD) != 0);
+            self.violations = self.violations + wrong(value) - wrong(old);
         }
         if has_x(old) != has_x(value) {
             self.refresh_frontier(net);
@@ -326,6 +447,7 @@ mod tests {
     use super::*;
     use crate::dcalc::{simulate_dv, Dv};
     use evotc_netlist::{generate, iscas, parse_bench, GeneratorConfig, NetlistBuilder};
+    use evotc_sim::{all_faults, detected_mask, simulate64};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -344,6 +466,11 @@ mod tests {
 
     fn values(state: &Implication) -> Vec<Dv> {
         state.values.iter().map(|&v| unpack(v)).collect()
+    }
+
+    /// The necessary good value of `net`, if it has one.
+    fn required(state: &Implication, net: NetId) -> Option<bool> {
+        unpack(state.required[net.index()]).good.to_bool()
     }
 
     /// The D-frontier by full scan, as the search defined it before the
@@ -399,14 +526,26 @@ mod tests {
             "{fault} at {assignment:?}"
         );
         assert!(state.pending.iter().all(|&w| w == 0), "gates left pending");
+        let violations = netlist
+            .node_ids()
+            .filter(|&id| {
+                let good = expected[id.index()].good.to_bool();
+                required(state, id).is_some_and(|v| good == Some(!v))
+            })
+            .count();
+        assert_eq!(state.violations(), violations, "{fault} at {assignment:?}");
     }
 
-    /// Random decide/flip/unwind walks, checked against a full simulation
-    /// and a full X-path sweep after every step.
+    /// Random decide/flip/unwind walks, checked against a full simulation,
+    /// a full X-path sweep and a count of the nets that contradict their
+    /// necessary values after every step.
     fn walk(netlist: &Netlist, fault: StuckAtFault, seed: u64) {
         let structure = Structure::new(netlist);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut state = Implication::new(netlist, &structure, fault);
+        // On a conflict the values implied so far stay, which the count
+        // must follow all the same.
+        state.require_necessary();
         let mut assignment = vec![Trit::X; netlist.num_inputs()];
         let mut stack: Vec<(usize, bool)> = Vec::new(); // (input, flipped)
         check(netlist, &mut state, &assignment, fault);
@@ -570,5 +709,167 @@ mod tests {
         let s = Structure::new(&n);
         assert!(s.is_observable(x) && s.is_observable(y) && s.is_observable(out));
         assert!(!s.is_observable(dead));
+    }
+
+    /// Whether some path from `from` reaches an output without passing
+    /// through `avoid`.
+    fn reaches_output_avoiding(netlist: &Netlist, from: NetId, avoid: NetId) -> bool {
+        let mut seen = vec![false; netlist.num_nodes()];
+        let mut stack = vec![from];
+        while let Some(net) = stack.pop() {
+            if netlist.is_output(net) {
+                return true;
+            }
+            for &g in netlist.fanouts(net) {
+                if g != avoid && !std::mem::replace(&mut seen[g.index()], true) {
+                    stack.push(g);
+                }
+            }
+        }
+        false
+    }
+
+    /// The post-dominator chain of every observable net is exactly the set
+    /// of nets whose removal cuts it off from every output, nearest first.
+    #[test]
+    fn post_dominators_match_a_brute_force_cut_search() {
+        for seed in 0..12 {
+            let netlist = generate(&GeneratorConfig {
+                inputs: 3 + seed % 6,
+                outputs: 1 + seed % 4,
+                gates: 10 + seed * 9,
+                seed: seed as u64,
+            });
+            let structure = Structure::new(&netlist);
+            for id in netlist.node_ids().filter(|&id| structure.is_observable(id)) {
+                let expected: Vec<NetId> = netlist
+                    .node_ids()
+                    .filter(|&d| d != id && !reaches_output_avoiding(&netlist, id, d))
+                    .collect();
+                let chain: Vec<NetId> = structure.post_dominators(id).collect();
+                assert_eq!(chain, expected, "seed {seed}: {id:?}");
+            }
+        }
+    }
+
+    /// All `2^inputs` vectors, 64 per word: word `w`, lane `p` is vector
+    /// `64 w + p`, and input `j` carries bit `j` of the vector's number.
+    fn exhaustive_words(inputs: usize) -> Vec<Vec<u64>> {
+        let vectors = 1usize << inputs;
+        (0..vectors.div_ceil(64))
+            .map(|w| {
+                (0..inputs)
+                    .map(|j| {
+                        (0..64.min(vectors)).fold(0u64, |word, p| {
+                            word | u64::from((64 * w + p) >> j & 1 == 1) << p
+                        })
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The lanes of `word` (a good-value word of `simulate64`) where `net`
+    /// holds `value`.
+    fn lanes_with(good: &[u64], net: NetId, value: bool) -> u64 {
+        let word = good[net.index()];
+        if value {
+            word
+        } else {
+            !word
+        }
+    }
+
+    fn circuit(seed: u64) -> Netlist {
+        generate(&GeneratorConfig {
+            inputs: 4 + seed as usize % 9,
+            outputs: 1 + seed as usize % 6,
+            gates: 8 + (seed as usize * 13) % 90,
+            seed,
+        })
+    }
+
+    /// On 200 generated circuits with 4 to 12 inputs, for every fault and
+    /// every input vector: a fault whose necessary values conflict is
+    /// detected by no vector, and every detecting vector gives every net
+    /// the value the analysis requires of it. Random requirement lists
+    /// that `imply` rejects are met by no vector.
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "release only: exhaustive over every vector"
+    )]
+    fn necessary_values_hold_for_every_test_on_generated_circuits() {
+        let (mut faults_seen, mut proven, mut detecting, mut rejected) = (0, 0, 0u64, 0);
+        let mut rng = StdRng::seed_from_u64(24);
+        for seed in 0..200 {
+            let netlist = circuit(seed);
+            let structure = Structure::new(&netlist);
+            let words = exhaustive_words(netlist.num_inputs());
+            let lanes = |w: usize| {
+                let vectors = 1usize << netlist.num_inputs();
+                if vectors - 64 * w >= 64 {
+                    u64::MAX
+                } else {
+                    (1 << (vectors - 64 * w)) - 1
+                }
+            };
+            let goods: Vec<Vec<u64>> = words.iter().map(|w| simulate64(&netlist, w)).collect();
+            for fault in all_faults(&netlist) {
+                faults_seen += 1;
+                let mut state = Implication::new(&netlist, &structure, fault);
+                let consistent = state.require_necessary();
+                let required: Vec<(NetId, bool)> = netlist
+                    .node_ids()
+                    .filter_map(|id| required(&state, id).map(|v| (id, v)))
+                    .collect();
+                if !consistent {
+                    proven += 1;
+                }
+                for (w, inputs) in words.iter().enumerate() {
+                    let detected = detected_mask(&netlist, fault, inputs) & lanes(w);
+                    if !consistent || !structure.is_observable(fault.net) {
+                        assert_eq!(detected, 0, "seed {seed}: {fault} proven untestable");
+                        continue;
+                    }
+                    detecting += u64::from(detected.count_ones());
+                    for &(net, value) in &required {
+                        let violated = detected & !lanes_with(&goods[w], net, value);
+                        assert_eq!(
+                            violated, 0,
+                            "seed {seed}: a test of {fault} gives net {net:?} the value {}",
+                            !value
+                        );
+                    }
+                }
+            }
+            // Random requirement lists, as `justify` checks them.
+            let mut values = vec![0u8; netlist.num_nodes()];
+            let mut queue = Vec::new();
+            for _ in 0..40 {
+                let list: Vec<(NetId, bool)> = (0..rng.gen_range(1..=6))
+                    .map(|_| {
+                        let net = NetId(rng.gen_range(0..netlist.num_nodes() as u32));
+                        (net, rng.gen())
+                    })
+                    .collect();
+                values.fill(0);
+                if imply(&netlist, &mut values, &mut queue, list.iter().copied()) {
+                    continue;
+                }
+                rejected += 1;
+                for (w, good) in goods.iter().enumerate() {
+                    let meets = list.iter().fold(lanes(w), |m, &(net, value)| {
+                        m & lanes_with(good, net, value)
+                    });
+                    assert_eq!(meets, 0, "seed {seed}: {list:?} is met by a vector");
+                }
+            }
+        }
+        println!(
+            "{faults_seen} faults, {proven} proven untestable, {detecting} detecting vectors, \
+             {rejected} requirement lists rejected"
+        );
+        assert!(proven > 0 && rejected > 0, "the analysis proved nothing");
     }
 }

@@ -3,14 +3,24 @@
 //! Path-delay test generation needs test cubes that set several internal
 //! nets to required values simultaneously (the on-path and side-input
 //! constraints). This module implements a PODEM-style branch-and-bound over
-//! primary inputs for a conjunction of `(net, value)` objectives.
+//! primary inputs for a conjunction of `(net, value)` objectives, after a
+//! check that the objectives do not contradict each other.
 
 use evotc_bits::{TestPattern, Trit};
 use evotc_netlist::{GateKind, NetId, Netlist};
 use evotc_sim::simulate;
 
+use crate::necessary::imply;
+
 /// Finds a test cube satisfying all `(net, value)` requirements, or `None`
 /// if the search space is exhausted / the backtrack budget is spent.
+///
+/// Before it searches, it implies the requirements forward and backward
+/// through the circuit to a fixpoint, and returns `None` at once if two
+/// implied values contradict each other: then no input vector meets them
+/// all, so the search could not succeed either. The search itself is
+/// unchanged, so any cube it returns is the one it returned without the
+/// check.
 ///
 /// Returned cubes leave unassigned inputs at `X` (don't-cares).
 ///
@@ -38,6 +48,15 @@ pub fn justify(
     required: &[(NetId, bool)],
     max_backtracks: usize,
 ) -> Option<TestPattern> {
+    let mut implied = vec![0; netlist.num_nodes()];
+    if !imply(
+        netlist,
+        &mut implied,
+        &mut Vec::new(),
+        required.iter().copied(),
+    ) {
+        return None;
+    }
     let mut assignment = vec![Trit::X; netlist.num_inputs()];
     let mut stack: Vec<(usize, bool, bool)> = Vec::new(); // (input, value, flipped)
     let mut backtracks = 0usize;

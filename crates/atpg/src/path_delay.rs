@@ -61,6 +61,12 @@ pub struct PathDelayOutcome {
 ///    `evotc-sim` and emits it only on success — the generator can be
 ///    incomplete, never unsound.
 ///
+/// [`justify`] first implies each constraint list to a fixpoint and gives
+/// up at once where two values contradict each other, so a target no
+/// vector pair can meet costs no search. Its search would have failed
+/// too, so the pairs, and the targets counted as failed, are the same as
+/// without the check, aborts included.
+///
 /// Targets are independent, so the threads work on them in any order and
 /// the calling thread collects the pairs in target order: path by path,
 /// rising launch before falling.

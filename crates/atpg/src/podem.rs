@@ -33,17 +33,18 @@ pub enum PodemResult {
     /// The backtrack limit was hit before a decision.
     ///
     /// Only backtracks the search actually makes count against the limit;
-    /// subtrees the X-path check cuts off cost one. A fault a search
-    /// without that check would abort may therefore resolve here, and it
-    /// resolves to the cube (or the proof) that search would reach with an
-    /// unlimited budget.
+    /// a subtree the X-path or necessary-value check cuts off costs one,
+    /// and a fault whose necessary values conflict costs none. A fault a
+    /// search without those checks would abort may therefore resolve here,
+    /// and it resolves to the cube (or the proof) that search would reach
+    /// with an unlimited budget.
     Aborted,
 }
 
 /// The PODEM (Path-Oriented DEcision Making) algorithm: branch-and-bound
 /// over primary-input assignments only, with five-valued implication.
 ///
-/// Two checks cut off parts of the search that contain no test:
+/// Three checks cut off parts of the search that contain no test:
 ///
 /// * a fault on a net with no structural path to an output is
 ///   [`PodemResult::Untestable`] without any search;
@@ -51,11 +52,19 @@ pub enum PodemResult {
 ///   that are `X` or carry the fault effect leads from the fault site to
 ///   an output. Implied values only refine as inputs are assigned, so
 ///   without such a path no extension of the current assignment detects
-///   the fault.
+///   the fault;
+/// * before the first decision, the search implies the good values every
+///   test must give: the activation value, and the non-controlling value
+///   on each side input of each post-dominator of the fault site (a net
+///   on every path from the site to an output) that lies outside the
+///   site's fanout cone. If they contradict each other, the fault is
+///   `Untestable` without any search. Otherwise the search backtracks
+///   while any net's good value contradicts one of them, since every
+///   extension of that assignment keeps the contradiction.
 ///
-/// Neither check changes the order in which the search visits
-/// assignments, so every cube it returns is the first test in the same
-/// depth-first order as without them, and only the backtrack count falls.
+/// No check changes the order in which the search visits assignments, so
+/// every cube it returns is the first test in the same depth-first order
+/// as without them, and only the backtrack count falls.
 /// Implication is event-driven: a decision re-evaluates only the fanout
 /// cone of the input it changed, and the D-frontier is kept up to date
 /// along the way. Each net's good and faulty values share one byte, two
@@ -102,19 +111,33 @@ impl<'a> Podem<'a> {
 
     /// Generates a test cube for `fault`.
     pub fn run(&self, fault: StuckAtFault) -> PodemResult {
+        self.search(fault).0
+    }
+
+    /// [`Podem::run`], with the number of backtracks it took.
+    pub(crate) fn search(&self, fault: StuckAtFault) -> (PodemResult, usize) {
         if !self.structure.is_observable(fault.net) {
-            return PodemResult::Untestable;
+            return (PodemResult::Untestable, 0);
         }
         let mut state = Implication::new(self.netlist, &self.structure, fault);
+        if !state.require_necessary() {
+            return (PodemResult::Untestable, 0);
+        }
         let mut assignment = vec![Trit::X; self.netlist.num_inputs()];
         let mut stack: Vec<Decision> = Vec::new();
         let mut backtracks = 0usize;
 
         loop {
             if state.error_at_output() {
-                return PodemResult::Test(TestPattern::from_trits(&assignment));
+                debug_assert_eq!(
+                    state.violations(),
+                    0,
+                    "{fault}: a test contradicts a necessary value"
+                );
+                let cube = TestPattern::from_trits(&assignment);
+                return (PodemResult::Test(cube), backtracks);
             }
-            let next = if state.x_path() {
+            let next = if state.violations() == 0 && state.x_path() {
                 self.objective(&state, fault)
                     .and_then(|(net, value)| self.backtrace(&state, net, value))
             } else {
@@ -134,7 +157,7 @@ impl<'a> Podem<'a> {
                     // Dead end: flip the most recent unflipped decision.
                     backtracks += 1;
                     if backtracks > self.config.max_backtracks {
-                        return PodemResult::Aborted;
+                        return (PodemResult::Aborted, backtracks);
                     }
                     loop {
                         match stack.pop() {
@@ -152,7 +175,7 @@ impl<'a> Podem<'a> {
                                 assignment[d.input] = Trit::X;
                                 state.assign(d.input, Trit::X);
                             }
-                            None => return PodemResult::Untestable,
+                            None => return (PodemResult::Untestable, backtracks),
                         }
                     }
                 }
@@ -301,5 +324,31 @@ mod tests {
             }
         }
         assert!(tested > 20, "only {tested} faults testable");
+    }
+
+    /// `n1 = AND(a, b)`, `y = AND(n1, NOT(a))`: activating `n1/sa0` needs
+    /// `a = b = 1`, which drives the side input `NOT(a)` of `y`, the only
+    /// gate `n1` feeds, to its controlling 0.
+    #[test]
+    fn a_fault_blocked_at_its_dominator_is_untestable_without_search() {
+        let mut b = NetlistBuilder::new("blocked");
+        let a = b.input("a");
+        let bb = b.input("b");
+        let n1 = b.gate("n1", GateKind::And, vec![a, bb]).unwrap();
+        let na = b.gate("na", GateKind::Not, vec![a]).unwrap();
+        let y = b.gate("y", GateKind::And, vec![n1, na]).unwrap();
+        b.output(y);
+        let n = b.finish().unwrap();
+        let n1 = n.find_net("n1").unwrap();
+        let podem = Podem::new(&n, PodemConfig::default());
+        assert_eq!(
+            podem.search(StuckAtFault::sa0(n1)),
+            (PodemResult::Untestable, 0)
+        );
+        // n1/sa1 needs n1 = 0 and NOT(a) = 1: a = 0 gives both.
+        assert!(matches!(
+            podem.run(StuckAtFault::sa1(n1)),
+            PodemResult::Test(_)
+        ));
     }
 }

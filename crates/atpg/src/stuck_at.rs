@@ -36,6 +36,11 @@ pub struct StuckAtOutcome {
     pub untestable: usize,
     /// Faults aborted (budget exhausted).
     pub aborted: usize,
+    /// PODEM backtracks, summed over the committed runs (a run aborted at
+    /// the budget counts `max_backtracks + 1`). Runs thrown away as
+    /// [`StuckAtOutcome::discarded`] do not count, so the sum is the same
+    /// at every thread count.
+    pub backtracks: usize,
     /// PODEM results computed ahead of the commit point for faults that an
     /// earlier cube then detected, and so thrown away: the cost of
     /// speculation. Always `0` at one thread. Like a wall-clock time, it
@@ -84,20 +89,25 @@ pub fn generate_stuck_at_tests(netlist: &Netlist, config: &StuckAtConfig) -> Stu
     let mut detected = 0usize;
     let mut untestable = 0usize;
     let mut aborted = 0usize;
+    let mut backtracks = 0usize;
 
     let podem = Podem::new(netlist, config.podem);
     let discarded = fan_out::ordered(
         resolve_threads(config.threads),
         num_faults,
         |i| dropped[i].load(Ordering::Relaxed),
-        |i| podem.run(faults[i]),
-        |i, result| match result {
-            PodemResult::Test(cube) => {
-                detected += 1 + drop_detected(netlist, &cube, &faults[i + 1..], &dropped[i + 1..]);
-                tests.push(cube).expect("cube width equals input count");
+        |i| podem.search(faults[i]),
+        |i, (result, spent)| {
+            backtracks += spent;
+            match result {
+                PodemResult::Test(cube) => {
+                    let later = (&faults[i + 1..], &dropped[i + 1..]);
+                    detected += 1 + drop_detected(netlist, &cube, later.0, later.1);
+                    tests.push(cube).expect("cube width equals input count");
+                }
+                PodemResult::Untestable => untestable += 1,
+                PodemResult::Aborted => aborted += 1,
             }
-            PodemResult::Untestable => untestable += 1,
-            PodemResult::Aborted => aborted += 1,
         },
     );
 
@@ -107,6 +117,7 @@ pub fn generate_stuck_at_tests(netlist: &Netlist, config: &StuckAtConfig) -> Stu
         detected,
         untestable,
         aborted,
+        backtracks,
         discarded,
     }
 }

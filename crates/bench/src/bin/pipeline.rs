@@ -6,9 +6,9 @@
 //!
 //! * `gates`, `collapsed_faults` — circuit size and the PODEM target count;
 //! * `build_ms` — parsing the embedded netlist or generating the stand-in;
-//! * `stuck_at_ms` with `tests`, `untestable`, `aborted`, `discarded` — one
-//!   `generate_stuck_at_tests` call at the default thread count and its
-//!   `StuckAtOutcome` counts;
+//! * `stuck_at_ms` with `tests`, `untestable`, `aborted`, `backtracks`,
+//!   `discarded` — one `generate_stuck_at_tests` call at the default
+//!   thread count and its `StuckAtOutcome` counts;
 //! * `stuck_at_t1_ms` — the same call at `threads: 1`;
 //! * `path_delay_ms`, `path_delay_tests` — `generate_path_delay_tests` at
 //!   the default thread count, and `path_delay_t1_ms` at `threads: 1`;
@@ -138,9 +138,16 @@ fn ms(since: Instant) -> f64 {
 
 /// Same test set and counts; `discarded` depends on scheduling.
 fn same_stuck_at(a: &StuckAtOutcome, b: &StuckAtOutcome) -> bool {
-    a.tests == b.tests
-        && [a.num_faults, a.detected, a.untestable, a.aborted]
-            == [b.num_faults, b.detected, b.untestable, b.aborted]
+    let counts = |o: &StuckAtOutcome| {
+        [
+            o.num_faults,
+            o.detected,
+            o.untestable,
+            o.aborted,
+            o.backtracks,
+        ]
+    };
+    a.tests == b.tests && counts(a) == counts(b)
 }
 
 fn same_path_delay(a: &PathDelayOutcome, b: &PathDelayOutcome) -> bool {
@@ -262,6 +269,7 @@ fn measure(name: &'static str) -> Row {
             ("tests", count(set.num_patterns()), 0),
             ("untestable", count(outcome.untestable), 0),
             ("aborted", count(outcome.aborted), 0),
+            ("backtracks", count(outcome.backtracks), 0),
             ("discarded", count(outcome.discarded), 0),
             ("path_delay_ms", path_delay_ms, 3),
             ("path_delay_t1_ms", path_delay_t1_ms, 3),

@@ -5,8 +5,8 @@
 //! and collects them in target order. Neither may let the thread count
 //! show: at `threads` 1, 2, 3 and 4, set through the configs, and at the
 //! auto default, both legs must return the byte-identical `TestSet` and
-//! the same counts. Only `StuckAtOutcome::discarded` may differ, and it is
-//! 0 at one thread.
+//! the same counts, PODEM backtracks included. Only
+//! `StuckAtOutcome::discarded` may differ, and it is 0 at one thread.
 //!
 //! c17, s27 and the s208 … s386 stand-ins run in every build; s420, s510
 //! and s953 only in release builds, where they take about a second. s298
@@ -38,6 +38,7 @@ fn assert_same_stuck_at(label: &str, want: &StuckAtOutcome, got: &StuckAtOutcome
     assert_eq!(got.detected, want.detected, "{label}: detected");
     assert_eq!(got.untestable, want.untestable, "{label}: untestable");
     assert_eq!(got.aborted, want.aborted, "{label}: aborted");
+    assert_eq!(got.backtracks, want.backtracks, "{label}: backtracks");
 }
 
 fn assert_same_path_delay(label: &str, want: &PathDelayOutcome, got: &PathDelayOutcome) {
