@@ -92,7 +92,7 @@ fn mutation_children(parent: &[Trit], steps: usize, seed: u64) -> Vec<(Range<usi
 }
 
 /// Number of MV chunks whose planes differ between `parent` and `child`
-/// (the forced all-`U` last MV never does).
+/// (the all-`U` last MV never does).
 fn changed_chunks(parent: &[Trit], child: &[Trit]) -> usize {
     parent
         .chunks(BLOCK_LEN)
@@ -156,7 +156,7 @@ fn evolved_parent_and_partners(
     histogram: &evotc_bits::BlockHistogram,
     payload_bits: f64,
 ) -> (Vec<Trit>, Vec<Vec<Trit>>) {
-    let fitness = MvFitness::new(BLOCK_LEN, true, histogram, payload_bits);
+    let fitness = MvFitness::new(BLOCK_LEN, histogram, payload_bits);
     let config = EaConfig::builder()
         .stagnation_limit(usize::MAX)
         .max_evaluations(4_000)
@@ -228,7 +228,7 @@ fn fail(message: &str) -> ! {
 fn main() {
     let check_only = check_only_arg("fitness_smoke");
     let (histogram, payload_bits) = paper_histogram();
-    let fitness = MvFitness::new(BLOCK_LEN, true, &histogram, payload_bits);
+    let fitness = MvFitness::new(BLOCK_LEN, &histogram, payload_bits);
     let sliced = SlicedHistogram::from_histogram(&histogram);
     let genomes = random_genomes(GENOMES, GENOME_LEN, 42);
 
@@ -267,10 +267,10 @@ fn main() {
     let crossover = multichunk_children(&evolved, &partners, &[MultiOp::Crossover], STREAM_LEN, 13);
     let inversion = multichunk_children(&evolved, &partners, &[MultiOp::Inversion], STREAM_LEN, 17);
     let mut parent_cache = EvalCache::new();
-    encoded_size_rebuild(&sliced, &evolved, true, &mut parent_cache);
+    encoded_size_rebuild(&sliced, &evolved, &mut parent_cache);
     let mut patch = PatchScratch::new();
     let probe = |child: &[Trit], window: &Range<usize>, patch: &mut PatchScratch, gated: bool| {
-        encoded_size_probe(&sliced, child, true, window, &parent_cache, patch, gated)
+        encoded_size_probe(&sliced, child, window, &parent_cache, patch, gated)
     };
     for (name, stream) in [
         ("mutation", &mutation),
@@ -280,15 +280,14 @@ fn main() {
     ] {
         for (step, (window, child)) in stream.iter().enumerate() {
             let probed = probe(child, window, &mut patch, false);
-            let full = encoded_size_scratch(&sliced, child, true, &mut scratch);
+            let full = encoded_size_scratch(&sliced, child, &mut scratch);
             if probed != IncrementalOutcome::Size(full) {
                 fail(&format!(
-                    "{name} probe {probed:?} != full {full:?} at child {step} (window {window:?})"
+                    "{name} probe {probed:?} != full {full} at child {step} (window {window:?})"
                 ));
             }
-            if full.is_some()
-                && (patch.last_scan_transitions() != scratch.last_scan_transitions()
-                    || patch.last_used_mvs() != scratch.last_used_mvs())
+            if patch.last_scan_transitions() != scratch.last_scan_transitions()
+                || patch.last_used_mvs() != scratch.last_used_mvs()
             {
                 fail(&format!(
                     "{name} patched objectives (t={}, used={}) != full (t={}, used={}) \
@@ -316,7 +315,7 @@ fn main() {
             }
             match probe(child, window, &mut patch, true) {
                 IncrementalOutcome::Size(size) => {
-                    if size != encoded_size_scratch(&sliced, child, true, &mut scratch) {
+                    if size != encoded_size_scratch(&sliced, child, &mut scratch) {
                         fail(&format!("{name} gated probe mispriced window {window:?}"));
                     }
                     priced += 1;
@@ -351,7 +350,7 @@ fn main() {
         EaBuilder::new(
             GENOME_LEN,
             |rng: &mut StdRng| Trit::from_index(rng.gen_range(0..3u8)),
-            MvFitness::new(BLOCK_LEN, true, &histogram, payload_bits),
+            MvFitness::new(BLOCK_LEN, &histogram, payload_bits),
         )
         .config(config)
         .run()
@@ -393,7 +392,7 @@ fn main() {
         let mut builder = EaBuilder::new(
             GENOME_LEN,
             |rng: &mut StdRng| Trit::from_index(rng.gen_range(0..3u8)),
-            MvFitness::new(BLOCK_LEN, true, &histogram, payload_bits),
+            MvFitness::new(BLOCK_LEN, &histogram, payload_bits),
         )
         .config(ckpt_config.clone());
         if let Some(checkpoint) = resume {
@@ -516,30 +515,21 @@ fn main() {
     let measure_stream = |stream: &[(Range<usize>, Vec<Trit>)]| {
         let mut scratch = EvalScratch::new();
         let full = || {
-            let mut acc = encoded_size_scratch(&sliced, &evolved, true, &mut scratch)
-                .unwrap_or_default() as f64;
+            let mut acc = encoded_size_scratch(&sliced, &evolved, &mut scratch) as f64;
             for (_, child) in stream {
-                acc += encoded_size_scratch(&sliced, child, true, &mut scratch).unwrap_or_default()
-                    as f64;
+                acc += encoded_size_scratch(&sliced, child, &mut scratch) as f64;
             }
             acc
         };
         let mut parent_cache = EvalCache::new();
         let mut patch = PatchScratch::new();
         paired_throughput(per_pass, full, || {
-            let mut acc = encoded_size_rebuild(&sliced, &evolved, true, &mut parent_cache)
-                .unwrap_or_default() as f64;
+            let mut acc = encoded_size_rebuild(&sliced, &evolved, &mut parent_cache) as f64;
             for (window, child) in stream {
-                if let IncrementalOutcome::Size(size) = encoded_size_probe(
-                    &sliced,
-                    child,
-                    true,
-                    window,
-                    &parent_cache,
-                    &mut patch,
-                    false,
-                ) {
-                    acc += size.unwrap_or_default() as f64;
+                if let IncrementalOutcome::Size(size) =
+                    encoded_size_probe(&sliced, child, window, &parent_cache, &mut patch, false)
+                {
+                    acc += size as f64;
                 }
             }
             acc

@@ -23,13 +23,9 @@
 
 use evotc_bench::{run_args, RunProfile};
 use evotc_bits::{BlockHistogram, TestSetString, Trit};
-use evotc_core::{trit_checkpoint_from_bytes, trit_checkpoint_to_bytes, CombineMode, MvFitness};
-use evotc_evo::{
-    config_fingerprint, CheckpointError, EaBuilder, EaCheckpoint, EaConfig, ParetoPoint,
-};
+use evotc_core::{trit_checkpoint_from_bytes, trit_checkpoint_to_bytes, EaCompressor};
+use evotc_evo::{config_fingerprint, CheckpointError, EaCheckpoint, EaConfig, ParetoPoint};
 use evotc_workloads::tables::TABLE1;
-use rand::rngs::StdRng;
-use rand::Rng;
 use std::path::{Path, PathBuf};
 
 /// EA shape for the trade-off runs: the paper's block length with a
@@ -62,7 +58,6 @@ fn run_circuit(
     profile: &RunProfile,
     checkpoint_dir: Option<&Path>,
 ) -> Vec<ParetoPoint<Trit>> {
-    let fitness = MvFitness::new(K, true, histogram, bits).combine_mode(CombineMode::Lexicographic);
     let config = EaConfig::builder()
         .stagnation_limit(profile.stagnation_limit)
         .max_evaluations(profile.max_evaluations)
@@ -71,19 +66,16 @@ fn run_circuit(
         .lexicographic()
         .pareto_archive(FRONT_CAPACITY)
         .build();
-    let mut builder = EaBuilder::new(
-        K * L,
-        |rng: &mut StdRng| Trit::from_index(rng.gen_range(0..3u8)),
-        fitness,
-    )
-    .config(config.clone());
+    let fingerprint = config_fingerprint(&config, K * L);
+    let compressor = EaCompressor::builder(K, L).config(config).build();
+    let mut builder = compressor.ea_builder(histogram, bits);
     if let Some(dir) = checkpoint_dir {
         let path = dir.join(format!("{circuit}.ckpt"));
         // Resume only from a checkpoint this exact run shape produced; a
         // stale or foreign file means a fresh start, never a wrong result.
         if let Ok(bytes) = std::fs::read(&path) {
             match trit_checkpoint_from_bytes(&bytes) {
-                Ok(cp) if cp.config_fingerprint == config_fingerprint(&config, K * L) => {
+                Ok(cp) if cp.config_fingerprint == fingerprint => {
                     eprintln!(
                         "  resuming from {} (generation {})",
                         path.display(),

@@ -5,6 +5,7 @@ use evotc_evo::{
     CacheStats, CheckpointError, EaBuilder, EaCheckpoint, EaConfig, FitnessEval, GenerationStats,
     Lineage, Objectives, Provenance, StopReason, Topology,
 };
+use rand::rngs::StdRng;
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -103,29 +104,12 @@ impl EaCompressor {
         }
         let string = TestSetString::try_new(set, self.k)?;
         let histogram = BlockHistogram::from_string(&string);
-        let original_bits = string.payload_bits() as f64;
-
-        let mvs = self.optimize(&histogram, original_bits);
-        let compressed = encode_with_mvs(&self.name(), set, &mvs.0)?;
-        Ok((compressed, mvs.1))
-    }
-
-    fn optimize(&self, histogram: &BlockHistogram, original_bits: f64) -> (MvSet, EaRunSummary) {
-        // One immutable evaluator borrows the histogram; every island worker
-        // shares it instead of re-borrowing mutable closure state.
-        let fitness = MvFitness::new(self.k, true, histogram, original_bits);
-        let mut ea = EaBuilder::new(
-            self.k * self.l,
-            |rng| Trit::from_index(rng.gen_range(0..3u8)),
-            fitness,
-        )
-        .config(self.config.clone());
-        if self.seed_ninec {
-            ea = ea.seed_population([self.ninec_genome()]);
-        }
-        let result = ea.run();
+        let result = self
+            .ea_builder(&histogram, string.payload_bits() as f64)
+            .run();
         let mvs = MvSet::from_genes(self.k, &result.best_genome, true)
             .expect("k was validated when the histogram was built");
+        let compressed = encode_with_mvs(&self.name(), set, &mvs)?;
         let summary = EaRunSummary {
             best_fitness: result.best_fitness,
             generations: result.generations,
@@ -136,7 +120,34 @@ impl EaCompressor {
             stop_reason: result.stop_reason,
             checkpoint_failures: result.checkpoint_failures,
         };
-        (mvs, summary)
+        Ok((compressed, summary))
+    }
+
+    /// The EA this compressor runs over `histogram`, ready to run: genomes
+    /// of `K·L` random trits, scored by [`MvFitness`] against the
+    /// uncompressed payload of `original_bits`, under the compressor's
+    /// [`EaConfig`], with the 9C seed when [`EaCompressorBuilder::seed_ninec`]
+    /// asked for it. Callers add what only they need: a cancel token, a
+    /// checkpoint sink, a resume point.
+    ///
+    /// # Panics
+    ///
+    /// The run panics if `histogram`'s block length is not `K`.
+    pub fn ea_builder<'a, 's>(
+        &self,
+        histogram: &'a BlockHistogram,
+        original_bits: f64,
+    ) -> EaBuilder<'s, Trit, impl Fn(&mut StdRng) -> Trit + Sync, MvFitness<'a>> {
+        // One immutable evaluator borrows the histogram; every island worker
+        // shares it instead of re-borrowing mutable closure state.
+        let fitness = MvFitness::new(self.k, histogram, original_bits);
+        let sample = |rng: &mut StdRng| Trit::from_index(rng.gen_range(0..3u8));
+        let ea = EaBuilder::new(self.k * self.l, sample, fitness).config(self.config.clone());
+        if self.seed_ninec {
+            ea.seed_population([self.ninec_genome()])
+        } else {
+            ea
+        }
     }
 
     /// The genome embedding the nine 9C vectors, padded with all-`U` MVs.
@@ -167,65 +178,11 @@ impl TestCompressor for EaCompressor {
     }
 }
 
-/// How [`MvFitness`] combines the minimized objective vector
-/// `(encoded_bits, scan_transitions, decoder_area)` into the scalar fitness
-/// the engine's default ranking selects on.
-///
-/// The default, `Weighted { weights: [1.0, 0.0, 0.0] }`, is the paper's
-/// single-objective fitness: the weights `[1, 0, 0]` are detected exactly
-/// and short-circuit to the plain compression rate, so default-mode scores
-/// are **bit-identical** to the pre-multi-objective evaluator (a literal
-/// `1.0·rate − 0.0·t − 0.0·a` would not be — `x + 0.0·y` is not a bitwise
-/// no-op for every `x`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CombineMode {
-    /// Scalarize as `w₀·rate − w₁·transitions − w₂·gate_equivalents`
-    /// (rate is maximized, the penalties are minimized).
-    Weighted {
-        /// The weights `[w₀, w₁, w₂]` on rate, scan transitions and
-        /// decoder gate equivalents.
-        weights: [f64; 3],
-    },
-    /// Report the plain compression rate as the scalar (for stats and
-    /// stagnation tracking) and let the engine rank individuals
-    /// lexicographically on the objective vector
-    /// ([`evotc_evo::Ranking::Lexicographic`]): compression first, then
-    /// scan power, then decoder area.
-    Lexicographic,
-}
+/// The default weights of [`MvFitness::combine_mode`]: the paper's
+/// single-objective fitness, the plain compression rate.
+const PLAIN_RATE: [f64; 3] = [1.0, 0.0, 0.0];
 
-impl Default for CombineMode {
-    fn default() -> Self {
-        CombineMode::Weighted {
-            weights: [1.0, 0.0, 0.0],
-        }
-    }
-}
-
-impl CombineMode {
-    /// Checks that the mode is usable: `Weighted` weights must be finite,
-    /// non-negative, and not all zero (an all-zero vector would score every
-    /// genome identically, silently degenerating the search to drift).
-    /// `Lexicographic` is always valid.
-    pub fn validate(&self) -> Result<(), WeightError> {
-        let CombineMode::Weighted { weights } = self else {
-            return Ok(());
-        };
-        if weights.iter().any(|w| !w.is_finite()) {
-            return Err(WeightError::NotFinite(*weights));
-        }
-        if weights.iter().any(|&w| w < 0.0) {
-            return Err(WeightError::Negative(*weights));
-        }
-        if weights.iter().all(|&w| w == 0.0) {
-            return Err(WeightError::AllZero);
-        }
-        Ok(())
-    }
-}
-
-/// A rejected [`CombineMode::Weighted`] weight vector (see
-/// [`CombineMode::validate`]).
+/// A rejected weight vector of [`MvFitness::try_combine_mode`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum WeightError {
     /// A weight is NaN or infinite.
@@ -257,9 +214,8 @@ impl std::error::Error for WeightError {}
 /// the bit-sliced transposition built from it — so every island worker of
 /// an island run shares the same instance. What changes while scoring
 /// lives in an [`MvFitnessState`], one per island, owned by the engine (see
-/// [`FitnessEval::State`]). Genomes whose MV set is malformed or cannot
-/// cover every block score [`MvFitness::INFEASIBLE`], which ranks strictly
-/// below every feasible compression rate.
+/// [`FitnessEval::State`]). The last MV of every genome is all-`U` (paper,
+/// Section 4), so every genome covers every block.
 ///
 /// Two single-genome entry points exist:
 ///
@@ -292,11 +248,11 @@ impl std::error::Error for WeightError {}
 /// count.
 ///
 /// Work whose result nobody reads is skipped. The scan-transition side
-/// channel is computed only when the batch asks for objectives or the mode
-/// prices transitions. And in the default mode, a batch with a survival
-/// floor ([`Provenance::floor`]) and no objectives runs its fallbacks
-/// through [`crate::encoded_size_bounded`]: a child proven at or below the
-/// floor is reported as the floor and counted as
+/// channel is computed only when the batch asks for objectives or the
+/// weights price transitions. And under the default weights, a batch with
+/// a survival floor ([`Provenance::floor`]) and no objectives runs its
+/// fallbacks through [`crate::encoded_size_bounded`]: a child proven at or
+/// below the floor is reported as the floor and counted as
 /// [`CacheStats::pruned`].
 ///
 /// All paths return bit-identical `f64` fitness for every genome — enforced
@@ -306,11 +262,12 @@ impl std::error::Error for WeightError {}
 #[derive(Debug)]
 pub struct MvFitness<'a> {
     k: usize,
-    force_all_u: bool,
     histogram: &'a BlockHistogram,
     sliced: evotc_bits::SlicedHistogram,
     original_bits: f64,
-    mode: CombineMode,
+    /// `[w₀, w₁, w₂]` of the scalar fitness (see
+    /// [`MvFitness::combine_mode`]).
+    weights: [f64; 3],
     /// Children priced off a cached parent covering.
     hits: AtomicU64,
     /// Parent coverings built from scratch.
@@ -496,27 +453,17 @@ fn holds(cache: &crate::EvalCache, genome: &[Trit]) -> bool {
 }
 
 impl<'a> MvFitness<'a> {
-    /// "Fitness of an individual for which covering is impossible is set to
-    /// a sufficiently small number" (paper, Section 3.1).
-    pub const INFEASIBLE: f64 = f64::MIN;
-
     /// Creates the evaluator for genomes of `L · k` trits over `histogram`;
     /// `original_bits` is the uncompressed payload size the rate is
     /// relative to. The bit-sliced transposition of the histogram is built
     /// here, once per run.
-    pub fn new(
-        k: usize,
-        force_all_u: bool,
-        histogram: &'a BlockHistogram,
-        original_bits: f64,
-    ) -> Self {
+    pub fn new(k: usize, histogram: &'a BlockHistogram, original_bits: f64) -> Self {
         MvFitness {
             k,
-            force_all_u,
             histogram,
             sliced: evotc_bits::SlicedHistogram::from_histogram(histogram),
             original_bits,
-            mode: CombineMode::default(),
+            weights: PLAIN_RATE,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
@@ -524,34 +471,47 @@ impl<'a> MvFitness<'a> {
         }
     }
 
-    /// Sets how the objective vector is combined into the scalar fitness
-    /// (see [`CombineMode`]). The default weighted `[1, 0, 0]` mode keeps
-    /// every score bit-identical to the single-objective evaluator.
+    /// Sets the weights `[w₀, w₁, w₂]` that combine the minimized objective
+    /// vector `(encoded_bits, scan_transitions, decoder_gate_equivalents)`
+    /// into the scalar fitness `w₀·rate − w₁·transitions −
+    /// w₂·gate_equivalents` (rate is maximized, the penalties minimized).
+    /// How individuals are ranked is the engine's
+    /// [`EaConfig::ranking`](evotc_evo::EaConfig): lexicographic ranking
+    /// reads the objective vector, not this scalar.
+    ///
+    /// The default `[1, 0, 0]` is the paper's single-objective fitness. It
+    /// is detected exactly and short-circuits to the plain compression
+    /// rate, so its scores are **bit-identical** to the single-objective
+    /// evaluator (a literal `1.0·rate − 0.0·t − 0.0·a` would not be —
+    /// `x + 0.0·y` is not a bitwise no-op for every `x`).
     ///
     /// # Panics
     ///
-    /// Panics if the mode fails [`CombineMode::validate`] (NaN, negative,
-    /// or all-zero `Weighted` weights). Use [`MvFitness::try_combine_mode`]
-    /// to handle the rejection as a value.
-    pub fn combine_mode(self, mode: CombineMode) -> Self {
-        match self.try_combine_mode(mode) {
+    /// Panics if [`MvFitness::try_combine_mode`] rejects the weights.
+    pub fn combine_mode(self, weights: [f64; 3]) -> Self {
+        match self.try_combine_mode(weights) {
             Ok(fitness) => fitness,
             Err(err) => panic!("invalid combine mode: {err}"),
         }
     }
 
-    /// Like [`MvFitness::combine_mode`], but returning the
-    /// [`WeightError`] instead of panicking — the config-build-time check
-    /// for weights that arrive from user input.
-    pub fn try_combine_mode(mut self, mode: CombineMode) -> Result<Self, WeightError> {
-        mode.validate()?;
-        self.mode = mode;
+    /// Like [`MvFitness::combine_mode`], but returning the [`WeightError`]
+    /// instead of panicking — the config-build-time check for weights that
+    /// arrive from user input. Weights must be finite, non-negative, and
+    /// not all zero (an all-zero vector would score every genome
+    /// identically, silently degenerating the search to drift).
+    pub fn try_combine_mode(mut self, weights: [f64; 3]) -> Result<Self, WeightError> {
+        if weights.iter().any(|w| !w.is_finite()) {
+            return Err(WeightError::NotFinite(weights));
+        }
+        if weights.iter().any(|&w| w < 0.0) {
+            return Err(WeightError::Negative(weights));
+        }
+        if weights.iter().all(|&w| w == 0.0) {
+            return Err(WeightError::AllZero);
+        }
+        self.weights = weights;
         Ok(self)
-    }
-
-    /// The combine mode in use.
-    pub fn mode(&self) -> CombineMode {
-        self.mode
     }
 
     /// Scores one genome through the allocation-free kernel, reusing
@@ -559,15 +519,14 @@ impl<'a> MvFitness<'a> {
     /// [`MvFitness::evaluate`], and the full minimized objective vector
     /// `(encoded_bits, scan_transitions, decoder_gate_equivalents)` — the
     /// kernel computes the extra objectives as side-channels of the same
-    /// pass, so they cost no second evaluation. Infeasible genomes return
-    /// ([`MvFitness::INFEASIBLE`], [`Objectives::INFEASIBLE`]).
+    /// pass, so they cost no second evaluation.
     pub fn evaluate_with_objectives(
         &self,
         genes: &[Trit],
         scratch: &mut crate::EvalScratch,
     ) -> (f64, Objectives) {
         match self.kernel(genes, u64::MAX, true, scratch) {
-            BoundedSize::Exact(size) => self.price(
+            BoundedSize::Exact(size) => self.score(
                 size,
                 scratch.last_scan_transitions(),
                 scratch.last_used_mvs(),
@@ -590,8 +549,7 @@ impl<'a> MvFitness<'a> {
         // evaluator. An out-of-range K panics in `MvSet::from_genes` (the
         // per-chunk decode rejects chunks longer than a word, and K = 0 is a
         // division by zero); a K that disagrees with the histogram panics in
-        // `Covering::cover`. Neither is a per-genome condition, so neither
-        // may score INFEASIBLE.
+        // `Covering::cover`.
         assert!(
             self.k > 0 && self.k <= evotc_bits::MAX_BLOCK_LEN,
             "block length K must be in 1..=64"
@@ -601,14 +559,7 @@ impl<'a> MvFitness<'a> {
             self.sliced.block_len(),
             "MV and histogram block lengths differ"
         );
-        crate::kernel::price(
-            &self.sliced,
-            genes,
-            self.force_all_u,
-            bound,
-            transitions,
-            scratch,
-        )
+        crate::kernel::price(&self.sliced, genes, bound, transitions, scratch)
     }
 
     /// Scores one engine child against a cached parent covering, read-only,
@@ -682,7 +633,6 @@ impl<'a> MvFitness<'a> {
         match crate::incremental::probe(
             &self.sliced,
             genes,
-            self.force_all_u,
             state.transitions,
             edit,
             cache,
@@ -690,7 +640,7 @@ impl<'a> MvFitness<'a> {
             true,
         ) {
             IncrementalOutcome::Size(size) => {
-                Some(self.price(size, patch.last_scan_transitions(), patch.last_used_mvs()))
+                Some(self.score(size, patch.last_scan_transitions(), patch.last_used_mvs()))
             }
             IncrementalOutcome::NeedsFull => None,
         }
@@ -703,7 +653,7 @@ impl<'a> MvFitness<'a> {
         let bound = state.floor.map_or(u64::MAX, |(_, bound)| bound);
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
         match self.kernel(genes, bound, state.transitions, &mut state.scratch) {
-            BoundedSize::Exact(size) => self.price(
+            BoundedSize::Exact(size) => self.score(
                 size,
                 state.scratch.last_scan_transitions(),
                 state.scratch.last_used_mvs(),
@@ -724,26 +674,24 @@ impl<'a> MvFitness<'a> {
         crate::incremental::rebuild(
             &self.sliced,
             genome,
-            self.force_all_u,
             state.transitions,
             &mut state.parents[i].cache,
         );
         i
     }
 
-    /// Whether the scalar fitness reads the transition count: only a
-    /// weighted mode with a nonzero transition weight (`x − 0.0·t` is `x`
-    /// for every finite `t`).
+    /// Whether the scalar fitness reads the transition count: only with a
+    /// nonzero transition weight (`x − 0.0·t` is `x` for every finite `t`).
     fn prices_transitions(&self) -> bool {
-        matches!(self.mode, CombineMode::Weighted { weights } if weights[1] != 0.0)
+        self.weights[1] != 0.0
     }
 
     /// The smallest encoded size whose [`MvFitness::rate`] is at or below
     /// `floor` — every larger size rates at or below it too, since the rate
-    /// never rises with the size — or `None` if no size does. A binary
-    /// search through the same `rate` the scores use, so the conversion is
-    /// exact whatever the rounding.
-    fn size_floor(&self, floor: f64) -> Option<u64> {
+    /// never rises with the size — or `u64::MAX`, which bounds nothing, if
+    /// no smaller size does. A binary search through the same `rate` the
+    /// scores use, so the conversion is exact whatever the rounding.
+    fn size_floor(&self, floor: f64) -> u64 {
         let (mut lo, mut hi) = (0u64, u64::MAX);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
@@ -753,7 +701,7 @@ impl<'a> MvFitness<'a> {
                 lo = mid + 1;
             }
         }
-        (self.rate(lo) <= floor).then_some(lo)
+        lo
     }
 
     /// Compression rate, the EA's fitness (paper, Section 3.1). Shared by
@@ -772,37 +720,20 @@ impl<'a> MvFitness<'a> {
             .gate_equivalents as f64
     }
 
-    /// Combines a feasible genome's raw objectives into the scalar fitness
-    /// and the objective vector. The one definition every evaluation path
-    /// funnels through, so the paths stay bit-identical by construction.
+    /// Combines a genome's raw objectives into the scalar fitness and the
+    /// objective vector. The one definition every evaluation path funnels
+    /// through, so the paths stay bit-identical by construction.
     #[inline]
     fn score(&self, size: u64, transitions: u64, used: usize) -> (f64, Objectives) {
         let area = self.area_gates(used);
         let objectives = Objectives::new(size as f64, transitions as f64, area);
-        let scalar = match self.mode {
-            CombineMode::Weighted { weights } => {
-                if weights == [1.0, 0.0, 0.0] {
-                    self.rate(size)
-                } else {
-                    weights[0] * self.rate(size)
-                        - weights[1] * transitions as f64
-                        - weights[2] * area
-                }
-            }
-            CombineMode::Lexicographic => self.rate(size),
+        let [w0, w1, w2] = self.weights;
+        let scalar = if self.weights == PLAIN_RATE {
+            self.rate(size)
+        } else {
+            w0 * self.rate(size) - w1 * transitions as f64 - w2 * area
         };
         (scalar, objectives)
-    }
-
-    /// [`MvFitness::score`] lifted over feasibility: `None` (covering
-    /// impossible) scores [`MvFitness::INFEASIBLE`] with an all-infinite
-    /// objective vector, in every mode.
-    #[inline]
-    fn price(&self, size: Option<u64>, transitions: u64, used: usize) -> (f64, Objectives) {
-        match size {
-            Some(s) => self.score(s, transitions, used),
-            None => (Self::INFEASIBLE, Objectives::INFEASIBLE),
-        }
     }
 
     /// The legacy reference path lifted to the full objective vector:
@@ -812,15 +743,15 @@ impl<'a> MvFitness<'a> {
     /// the block's fill bits, without touching the bit-sliced kernel or
     /// its side-channels. This is the oracle the property tests gate the
     /// kernel's and the incremental path's objectives against.
+    ///
+    /// # Panics
+    ///
+    /// Panics where the kernel does: on a genome that is not a positive
+    /// multiple of `K` or a `K` the histogram does not share.
     pub fn evaluate_oracle(&self, genes: &[Trit]) -> (f64, Objectives) {
-        let mvs = match MvSet::from_genes(self.k, genes, self.force_all_u) {
-            Ok(m) => m,
-            Err(_) => return (Self::INFEASIBLE, Objectives::INFEASIBLE),
-        };
-        let covering = match Covering::cover(&mvs, self.histogram) {
-            Ok(c) => c,
-            Err(_) => return (Self::INFEASIBLE, Objectives::INFEASIBLE),
-        };
+        let mvs = MvSet::from_genes(self.k, genes, true).expect("block length K must be in 1..=64");
+        let covering =
+            Covering::cover(&mvs, self.histogram).expect("the all-U MV covers every block");
         let size = size_of_covering(&mvs, &covering);
         // The decoded scan-in word of each block is the owner MV's values
         // at specified positions plus the block's transmitted fill bits at
@@ -886,12 +817,12 @@ impl FitnessEval<Trit> for MvFitness<'_> {
         // does, so the last conversion usually still holds.
         let floor = provenance
             .and_then(|p| p.floor)
-            .filter(|_| objectives.is_none() && self.mode == CombineMode::default());
+            .filter(|_| objectives.is_none() && self.weights == PLAIN_RATE);
         state.floor = match (floor, state.floor) {
             (Some(floor), Some((last, bound))) if floor.to_bits() == last.to_bits() => {
                 Some((floor, bound))
             }
-            (floor, _) => floor.and_then(|floor| Some((floor, self.size_floor(floor)?))),
+            (floor, _) => floor.map(|floor| (floor, self.size_floor(floor))),
         };
         for (i, genes) in genomes.iter().enumerate() {
             let (score, vector) = match provenance.and_then(|p| p.lineage[i].as_ref()) {
@@ -1240,7 +1171,7 @@ mod tests {
         let string = TestSetString::try_new(&set, 8).unwrap();
         let histogram = BlockHistogram::from_string(&string);
         let (c, _) = quick(8, 4, 1).compress_with_summary(&set).unwrap();
-        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
+        let fitness = MvFitness::new(8, &histogram, string.payload_bits() as f64);
         let mvs = c.mv_set();
         let genes: Vec<Trit> = (0..mvs.len())
             .flat_map(|i| (0..8).map(move |j| mvs.vector(i).trit(j)))
@@ -1305,9 +1236,8 @@ mod tests {
         }
     }
 
-    /// A few deterministic genomes over the `small_set` histogram shape:
-    /// the all-U safety net plus some value-carrying MVs, and one genome
-    /// without any all-U MV (feasibility depends on `force_all_u`).
+    /// A few deterministic genomes over the `small_set` histogram shape,
+    /// value-carrying MVs with `U`s mixed in.
     fn probe_genomes(k: usize, l: usize) -> Vec<Vec<Trit>> {
         let mut genomes = Vec::new();
         for variant in 0..4u8 {
@@ -1330,7 +1260,7 @@ mod tests {
         let set = small_set();
         let string = TestSetString::try_new(&set, 8).unwrap();
         let histogram = BlockHistogram::from_string(&string);
-        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
+        let fitness = MvFitness::new(8, &histogram, string.payload_bits() as f64);
         let mut scratch = crate::EvalScratch::new();
         for genes in probe_genomes(8, 4) {
             let oracle = fitness.evaluate_oracle(&genes);
@@ -1339,7 +1269,7 @@ mod tests {
             assert_eq!(fitness.evaluate(&genes).to_bits(), oracle.0.to_bits());
             // A copy of itself: the genome is rebuilt into the parent cache
             // and priced by an empty-edit probe.
-            let (mut score, mut objectives) = ([f64::NAN], [Objectives::INFEASIBLE]);
+            let (mut score, mut objectives) = ([f64::NAN], [Objectives::NAN]);
             let provenance = Provenance {
                 lineage: &[Some(evotc_evo::Lineage::new(0, 0..0))],
                 parents: &[genes.as_slice()],
@@ -1367,18 +1297,12 @@ mod tests {
         let string = TestSetString::try_new(&set, 8).unwrap();
         let histogram = BlockHistogram::from_string(&string);
         let bits = string.payload_bits() as f64;
-        let default_mode = MvFitness::new(8, true, &histogram, bits);
-        let explicit =
-            MvFitness::new(8, true, &histogram, bits).combine_mode(CombineMode::Weighted {
-                weights: [1.0, 0.0, 0.0],
-            });
-        let lex =
-            MvFitness::new(8, true, &histogram, bits).combine_mode(CombineMode::Lexicographic);
+        let default_mode = MvFitness::new(8, &histogram, bits);
+        let explicit = MvFitness::new(8, &histogram, bits).combine_mode([1.0, 0.0, 0.0]);
         for genes in probe_genomes(8, 4) {
             let (scalar, objectives) = default_mode.evaluate_oracle(&genes);
-            // Explicit (1,0,0) and lexicographic both report the plain rate.
+            // Explicit (1,0,0) reports the plain rate.
             assert_eq!(explicit.evaluate(&genes).to_bits(), scalar.to_bits());
-            assert_eq!(lex.evaluate(&genes).to_bits(), scalar.to_bits());
             // The scalar is the rate of the encoded-bits objective.
             let size = objectives.values()[0];
             assert_eq!(default_mode.rate(size as u64).to_bits(), scalar.to_bits());
@@ -1391,16 +1315,13 @@ mod tests {
         let string = TestSetString::try_new(&set, 8).unwrap();
         let histogram = BlockHistogram::from_string(&string);
         let bits = string.payload_bits() as f64;
-        let plain = MvFitness::new(8, true, &histogram, bits);
-        let weighted =
-            MvFitness::new(8, true, &histogram, bits).combine_mode(CombineMode::Weighted {
-                weights: [1.0, 0.25, 0.001],
-            });
+        let plain = MvFitness::new(8, &histogram, bits);
+        let weighted = MvFitness::new(8, &histogram, bits).combine_mode([1.0, 0.25, 0.001]);
         let mut scratch = crate::EvalScratch::new();
         for genes in probe_genomes(8, 4) {
             let (base, objectives) = plain.evaluate_with_objectives(&genes, &mut scratch);
             let (penalized, same) = weighted.evaluate_with_objectives(&genes, &mut scratch);
-            assert_eq!(objectives, same, "mode never changes the vector");
+            assert_eq!(objectives, same, "weights never change the vector");
             let [_, transitions, area] = objectives.values();
             let expected = 1.0 * base - 0.25 * transitions - 0.001 * area;
             assert_eq!(penalized.to_bits(), expected.to_bits());
@@ -1409,64 +1330,14 @@ mod tests {
     }
 
     #[test]
-    fn infeasible_genomes_price_infinite_objectives_in_every_mode() {
-        let set = TestSet::parse(&["10110100", "01001011", "11100010"]).unwrap();
-        let string = TestSetString::try_new(&set, 8).unwrap();
-        let histogram = BlockHistogram::from_string(&string);
-        let bits = string.payload_bits() as f64;
-        // Without the all-U safety net, a single all-0 MV covers nothing.
-        let genes = vec![Trit::Zero; 8];
-        for mode in [
-            CombineMode::default(),
-            CombineMode::Weighted {
-                weights: [1.0, 0.5, 0.5],
-            },
-            CombineMode::Lexicographic,
-        ] {
-            let fitness = MvFitness::new(8, false, &histogram, bits).combine_mode(mode);
-            let (scalar, objectives) = fitness.evaluate_oracle(&genes);
-            assert_eq!(scalar, MvFitness::INFEASIBLE);
-            assert_eq!(objectives, Objectives::INFEASIBLE);
-            let mut scratch = crate::EvalScratch::new();
-            assert_eq!(
-                fitness.evaluate_with_objectives(&genes, &mut scratch),
-                (MvFitness::INFEASIBLE, Objectives::INFEASIBLE)
-            );
-        }
-    }
-
-    #[test]
-    fn lexicographic_compressor_still_compresses_losslessly() {
+    fn combine_mode_weights_are_validated() {
         let set = small_set();
         let string = TestSetString::try_new(&set, 8).unwrap();
         let histogram = BlockHistogram::from_string(&string);
-        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64)
-            .combine_mode(CombineMode::Lexicographic);
-        assert_eq!(fitness.mode(), CombineMode::Lexicographic);
-        // The scalar surface is the rate either way; a quick sanity check
-        // that batches still fill every slot under the objectives override.
-        let genomes = probe_genomes(8, 4);
-        let mut scores = vec![f64::NAN; genomes.len()];
-        let mut objectives = vec![Objectives::NAN; genomes.len()];
-        let mut state = MvFitnessState::default();
-        fitness.evaluate_batch(
-            &mut state,
-            &genomes,
-            None,
-            &mut scores,
-            Some(&mut objectives),
-        );
-        for (score, vector) in scores.iter().zip(&objectives) {
-            assert!(score.is_finite());
-            assert!(vector.is_finite());
-        }
-    }
-
-    #[test]
-    fn combine_mode_weights_are_validated() {
-        assert_eq!(CombineMode::default().validate(), Ok(()));
-        assert_eq!(CombineMode::Lexicographic.validate(), Ok(()));
-        let bad = |weights: [f64; 3]| CombineMode::Weighted { weights }.validate().unwrap_err();
+        let bits = string.payload_bits() as f64;
+        let check = |weights| MvFitness::new(8, &histogram, bits).try_combine_mode(weights);
+        assert!(check([1.0, 0.0, 0.0]).is_ok());
+        let bad = |weights| check(weights).unwrap_err();
         assert!(matches!(
             bad([f64::NAN, 0.0, 1.0]),
             WeightError::NotFinite(_)
@@ -1476,15 +1347,7 @@ mod tests {
             WeightError::NotFinite(_)
         ));
         assert!(matches!(bad([1.0, -0.5, 0.0]), WeightError::Negative(_)));
-        assert_eq!(bad([0.0; 3]), WeightError::AllZero);
-
-        let set = small_set();
-        let string = TestSetString::try_new(&set, 8).unwrap();
-        let histogram = BlockHistogram::from_string(&string);
-        let bits = string.payload_bits() as f64;
-        let err = MvFitness::new(8, true, &histogram, bits)
-            .try_combine_mode(CombineMode::Weighted { weights: [0.0; 3] })
-            .unwrap_err();
+        let err = bad([0.0; 3]);
         assert_eq!(err, WeightError::AllZero);
         assert!(err.to_string().contains("all zero"));
     }
@@ -1496,9 +1359,7 @@ mod tests {
         let string = TestSetString::try_new(&set, 8).unwrap();
         let histogram = BlockHistogram::from_string(&string);
         let bits = string.payload_bits() as f64;
-        let _ = MvFitness::new(8, true, &histogram, bits).combine_mode(CombineMode::Weighted {
-            weights: [f64::NAN, 1.0, 1.0],
-        });
+        let _ = MvFitness::new(8, &histogram, bits).combine_mode([f64::NAN, 1.0, 1.0]);
     }
 
     #[test]
@@ -1592,7 +1453,7 @@ mod tests {
             .build();
         let sample = |rng: &mut rand::rngs::StdRng| Trit::from_index(rng.gen_range(0..3u8));
         let blobs = std::cell::RefCell::new(Vec::new());
-        let reference = EaBuilder::new(8 * 4, sample, MvFitness::new(8, true, &histogram, bits))
+        let reference = EaBuilder::new(8 * 4, sample, MvFitness::new(8, &histogram, bits))
             .config(config.clone())
             .checkpoint_every(5, |cp: &EaCheckpoint<Trit>| {
                 blobs.borrow_mut().push(trit_checkpoint_to_bytes(cp));
@@ -1603,7 +1464,7 @@ mod tests {
         assert!(!blobs.is_empty(), "run never checkpointed");
         for blob in &blobs {
             let checkpoint = trit_checkpoint_from_bytes(blob).unwrap();
-            let resumed = EaBuilder::new(8 * 4, sample, MvFitness::new(8, true, &histogram, bits))
+            let resumed = EaBuilder::new(8 * 4, sample, MvFitness::new(8, &histogram, bits))
                 .config(config.clone())
                 .resume_from(checkpoint)
                 .run();
@@ -1663,7 +1524,7 @@ mod tests {
         let set = small_set();
         let string = TestSetString::try_new(&set, 8).unwrap();
         let histogram = BlockHistogram::from_string(&string);
-        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
+        let fitness = MvFitness::new(8, &histogram, string.payload_bits() as f64);
         let mut state = MvFitnessState::default();
         let population = 4;
         for generation in 0..100 {
@@ -1687,7 +1548,7 @@ mod tests {
         let set = small_set();
         let string = TestSetString::try_new(&set, 8).unwrap();
         let histogram = BlockHistogram::from_string(&string);
-        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
+        let fitness = MvFitness::new(8, &histogram, string.payload_bits() as f64);
         let mut state = MvFitnessState::default();
         // One parent per batch: the state holds two coverings, and the one
         // untouched for longest is evicted first.
@@ -1714,7 +1575,7 @@ mod tests {
         let set = small_set();
         let string = TestSetString::try_new(&set, 8).unwrap();
         let histogram = BlockHistogram::from_string(&string);
-        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
+        let fitness = MvFitness::new(8, &histogram, string.payload_bits() as f64);
         for size in [0u64, 1, 7, 40, 41, 1_000, 1 << 40] {
             let rate = fitness.rate(size);
             for floor in [
@@ -1723,7 +1584,7 @@ mod tests {
                 rate - 1e-9,
                 f64::from_bits(rate.to_bits() + 1),
             ] {
-                let bound = fitness.size_floor(floor).unwrap();
+                let bound = fitness.size_floor(floor);
                 assert!(fitness.rate(bound) <= floor, "floor {floor}");
                 assert!(
                     bound == 0 || fitness.rate(bound - 1) > floor,
@@ -1731,8 +1592,8 @@ mod tests {
                 );
             }
         }
-        // Nothing rates at or below an infeasible floor.
-        assert_eq!(fitness.size_floor(MvFitness::INFEASIBLE), None);
+        // Nothing rates at or below the lowest float: no bound.
+        assert_eq!(fitness.size_floor(f64::MIN), u64::MAX);
     }
 
     #[test]
@@ -1740,7 +1601,7 @@ mod tests {
         let set = small_set();
         let string = TestSetString::try_new(&set, 8).unwrap();
         let histogram = BlockHistogram::from_string(&string);
-        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
+        let fitness = MvFitness::new(8, &histogram, string.payload_bits() as f64);
         let genomes: Vec<Vec<Trit>> = (0..40).map(|n| numbered_genome(7 * n + 3, 16)).collect();
         let exact: Vec<f64> = genomes.iter().map(|g| fitness.evaluate(g)).collect();
         // The best genome's score: every child is at or below it, and the
@@ -1791,7 +1652,7 @@ mod tests {
         let set = small_set();
         let string = TestSetString::try_new(&set, 8).unwrap();
         let histogram = BlockHistogram::from_string(&string);
-        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
+        let fitness = MvFitness::new(8, &histogram, string.payload_bits() as f64);
         let mut state = MvFitnessState::default();
         let parent = numbered_genome(29, 16);
         // Built for a scalar batch: no transition count.
@@ -1835,7 +1696,7 @@ mod tests {
         let set = small_set();
         let string = TestSetString::try_new(&set, 8).unwrap();
         let histogram = BlockHistogram::from_string(&string);
-        let fitness = MvFitness::new(8, true, &histogram, string.payload_bits() as f64);
+        let fitness = MvFitness::new(8, &histogram, string.payload_bits() as f64);
         let (mut from, mut to) = (MvFitnessState::default(), MvFitnessState::default());
         let migrant = numbered_genome(5, 16);
         // Missing on the source: built there once, then copied.

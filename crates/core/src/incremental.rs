@@ -55,9 +55,6 @@ use evotc_codes::{huffman_weighted_length_delta, HuffmanDeltaState};
 use crate::kernel::{block_transitions, chunks_of, decode_chunk, trits_equal};
 use crate::mvset::covering_key;
 
-/// Sentinel in the per-block owner table: the block matches no MV.
-const NO_MV: u32 = u32::MAX;
-
 /// A parent genome's fully evaluated covering state, reusable to price
 /// lightly edited children in time proportional to the edit.
 ///
@@ -82,25 +79,25 @@ const NO_MV: u32 = u32::MAX;
 /// let sliced = SlicedHistogram::from_histogram(&hist);
 /// let parent: Vec<Trit> = evotc_bits::parse_trits("110U0000UUUU")?;
 /// let mut cache = EvalCache::new();
-/// let full = encoded_size_rebuild(&sliced, &parent, false, &mut cache);
+/// let full = encoded_size_rebuild(&sliced, &parent, &mut cache);
 /// let mut scratch = PatchScratch::new();
 ///
 /// // Mutate one gene and re-price incrementally.
 /// let mut child = parent.clone();
 /// child[5] = Trit::One;
-/// let inc = encoded_size_probe(&sliced, &child, false, &(5..6), &cache, &mut scratch, true);
-/// let reference = encoded_size_scratch(&sliced, &child, false, &mut EvalScratch::new());
+/// let inc = encoded_size_probe(&sliced, &child, &(5..6), &cache, &mut scratch, true);
+/// let reference = encoded_size_scratch(&sliced, &child, &mut EvalScratch::new());
 /// assert_eq!(inc, IncrementalOutcome::Size(reference));
 ///
 /// // An inversion window spanning two MV chunks.
 /// let mut child = parent.clone();
 /// child[2..7].reverse();
-/// let inc = encoded_size_probe(&sliced, &child, false, &(2..7), &cache, &mut scratch, false);
-/// let reference = encoded_size_scratch(&sliced, &child, false, &mut EvalScratch::new());
+/// let inc = encoded_size_probe(&sliced, &child, &(2..7), &cache, &mut scratch, false);
+/// let reference = encoded_size_scratch(&sliced, &child, &mut EvalScratch::new());
 /// assert_eq!(inc, IncrementalOutcome::Size(reference));
 ///
 /// // The cache still holds the parent: an empty edit returns its size.
-/// let cached = encoded_size_probe(&sliced, &parent, false, &(0..0), &cache, &mut scratch, true);
+/// let cached = encoded_size_probe(&sliced, &parent, &(0..0), &cache, &mut scratch, true);
 /// assert_eq!(cached, IncrementalOutcome::Size(full));
 /// # Ok(())
 /// # }
@@ -110,19 +107,20 @@ pub struct EvalCache {
     /// Whether the cache holds a complete evaluation.
     warm: bool,
     /// Shape tag of the held evaluation: `(K, L, distinct blocks, words per
-    /// column, force_all_u, transitions)`, where `transitions` says whether
-    /// the cache tracks the scan-transition count. Incremental evaluation
-    /// requires an exact match, so a probe that wants transitions never
-    /// reads a cache built without them.
-    shape: (usize, usize, usize, usize, bool, bool),
+    /// column, transitions)`, where `transitions` says whether the cache
+    /// tracks the scan-transition count. Incremental evaluation requires an
+    /// exact match, so a probe that wants transitions never reads a cache
+    /// built without them.
+    shape: (usize, usize, usize, usize, bool),
     /// The exact genome the planes were decoded from, so chunk detection
     /// can skip trit-identical chunks with one byte compare instead of
     /// decoding them (an average crossover window spans dozens of chunks of
     /// which only a few differ).
     genes: Vec<Trit>,
-    /// Specified-position plane per MV, genome order, post-`force_all_u`.
+    /// Specified-position plane per MV, genome order; the last MV's is
+    /// zero (all-`U`).
     spec: Vec<u64>,
-    /// Value plane per MV, genome order, post-`force_all_u`.
+    /// Value plane per MV, genome order.
     value: Vec<u64>,
     /// `N_U` per MV (redundant with `spec`, cached for the key compares).
     nu: Vec<u32>,
@@ -132,14 +130,12 @@ pub struct EvalCache {
     /// the Huffman cost only needs the multiset, and genome indexing
     /// survives order changes).
     freq: Vec<u64>,
-    /// Owning MV (genome index) per distinct block, or [`NO_MV`].
+    /// Owning MV (genome index) per distinct block.
     owner: Vec<u32>,
     /// Owned-block bitset per MV (`words` words per MV, MV-major): the
     /// inverse of `owner`, kept so the ownership patch is word operations
     /// instead of per-block scans.
     owned: Vec<u64>,
-    /// Bitset of blocks owned by no MV (the uncovered set).
-    unowned: Vec<u64>,
     /// MV-major transposition of the MV planes: for every block position
     /// `p`, a bitmask over MVs (`ceil(L/64)` words) of those specifying `p`
     /// with logic value 1. The orphan re-flow resolves "which MVs match
@@ -148,21 +144,21 @@ pub struct EvalCache {
     mv_ones: Vec<u64>,
     /// Same layout: MVs specifying `p` with logic value 0.
     mv_zeros: Vec<u64>,
-    /// Number of blocks owned by no MV (`> 0` ⇔ covering impossible).
-    uncovered: usize,
-    /// Total fill bits: `Σ freq[j] · N_U(j)`, maintained even while
-    /// infeasible so feasibility can flip back cheaply.
+    /// Total fill bits: `Σ freq[j] · N_U(j)`.
     fill_bits: u64,
     /// Scan-in transition count of the held genome (the power objective;
     /// see [`crate::EvalScratch::last_scan_transitions`] for the model).
-    /// Maintained — like `fill_bits` — even while infeasible; uncovered
-    /// blocks contribute zero. Zero when the shape tag says the cache does
-    /// not track transitions.
+    /// Zero when the shape tag says the cache does not track transitions.
     scan_transitions: u64,
     /// Sorted nonzero-frequency leaf queue for Huffman delta re-pricing.
     huffman: HuffmanDeltaState,
-    /// The held genome's encoded size (`None` ⇔ covering impossible).
-    total: Option<u64>,
+    /// The held genome's encoded size.
+    total: u64,
+    /// Rebuild working memory: blocks no MV has taken yet in the covering
+    /// scan (all clear once a rebuild ends: the all-`U` MV takes the rest).
+    unowned: Vec<u64>,
+    /// Rebuild working memory: the conflict set of the MV being scanned.
+    mismatch: Vec<u64>,
 }
 
 /// Per-call working memory of [`encoded_size_probe`]: the changed chunks
@@ -278,7 +274,7 @@ impl EvalCache {
 
     /// `true` when the held evaluation tracks the scan-transition count.
     pub(crate) fn tracks_transitions(&self) -> bool {
-        self.shape.5
+        self.shape.4
     }
 
     /// Copies `src`'s covering — everything a chunk patch reads, not its
@@ -292,7 +288,6 @@ impl EvalCache {
         self.freq.clone_from(&src.freq);
         self.owner.clone_from(&src.owner);
         self.owned.clone_from(&src.owned);
-        self.unowned.clone_from(&src.unowned);
         self.mv_ones.clone_from(&src.mv_ones);
         self.mv_zeros.clone_from(&src.mv_zeros);
     }
@@ -302,9 +297,9 @@ impl EvalCache {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IncrementalOutcome {
     /// The child was priced against the cache: its encoded size in bits,
-    /// `None` if its covering is impossible — exactly what
-    /// [`crate::encoded_size_scratch`] returns for the same genome.
-    Size(Option<u64>),
+    /// exactly what [`crate::encoded_size_scratch`] returns for the same
+    /// genome.
+    Size(u64),
     /// The edit was not priced incrementally (cold cache, shape mismatch,
     /// or the cost gate); run the full kernel instead.
     NeedsFull,
@@ -313,9 +308,8 @@ pub enum IncrementalOutcome {
 /// Fully evaluates `genes` and fills `cache` with its covering state.
 ///
 /// Returns the encoded size, **bit-identical** to
-/// [`crate::encoded_size_scratch`] over the same inputs (`None` ⇔ covering
-/// impossible; the cache stays warm either way, so a probed child can flip
-/// feasibility back).
+/// [`crate::encoded_size_scratch`] over the same inputs (the last MV is
+/// all-`U` here too).
 ///
 /// # Panics
 ///
@@ -324,10 +318,9 @@ pub enum IncrementalOutcome {
 pub fn encoded_size_rebuild(
     sliced: &SlicedHistogram,
     genes: &[Trit],
-    force_all_u: bool,
     cache: &mut EvalCache,
-) -> Option<u64> {
-    rebuild(sliced, genes, force_all_u, true, cache)
+) -> u64 {
+    rebuild(sliced, genes, true, cache)
 }
 
 /// [`encoded_size_rebuild`] with the scan-transition count tracked or not,
@@ -335,10 +328,9 @@ pub fn encoded_size_rebuild(
 pub(crate) fn rebuild(
     sliced: &SlicedHistogram,
     genes: &[Trit],
-    force_all_u: bool,
     transitions: bool,
     cache: &mut EvalCache,
-) -> Option<u64> {
+) -> u64 {
     let state = cache;
     let k = sliced.block_len();
     assert!(
@@ -351,7 +343,7 @@ pub(crate) fn rebuild(
     let n = sliced.num_distinct();
 
     state.warm = false;
-    state.shape = (k, l, n, words, force_all_u, transitions);
+    state.shape = (k, l, n, words, transitions);
     state.genes.clear();
     state.genes.extend_from_slice(genes);
     state.spec.clear();
@@ -362,10 +354,8 @@ pub(crate) fn rebuild(
         state.spec.push(spec);
         state.value.push(value);
     }
-    if force_all_u {
-        state.spec[l - 1] = 0;
-        state.value[l - 1] = 0;
-    }
+    state.spec[l - 1] = 0;
+    state.value[l - 1] = 0;
     state.nu.extend(
         state
             .spec
@@ -406,19 +396,16 @@ pub(crate) fn rebuild(
     state.freq.clear();
     state.freq.resize(l, 0);
     state.owner.clear();
-    state.owner.resize(n, NO_MV);
+    state.owner.resize(n, 0);
     state.owned.clear();
     state.owned.resize(l * words, 0);
     state.unowned.clear();
-    state.unowned.resize(words, 0);
-    for (w, slot) in state.unowned.iter_mut().enumerate() {
-        *slot = if w == words - 1 {
-            sliced.last_word_mask()
-        } else {
-            u64::MAX
-        };
+    state.unowned.resize(words, u64::MAX);
+    if let Some(last) = state.unowned.last_mut() {
+        *last = sliced.last_word_mask();
     }
-    let mut mismatch = vec![0u64; words];
+    state.mismatch.clear();
+    state.mismatch.resize(words, 0);
     let counts = sliced.counts();
     let mut blocks_left = n;
     let mut fill_bits = 0u64;
@@ -428,10 +415,10 @@ pub(crate) fn rebuild(
             break; // every block owned; the rest keep frequency 0
         }
         let j = j as usize;
-        mismatch.iter_mut().for_each(|w| *w = 0);
-        sliced.accumulate_mismatch(state.spec[j], state.value[j], &mut mismatch);
+        state.mismatch.iter_mut().for_each(|w| *w = 0);
+        sliced.accumulate_mismatch(state.spec[j], state.value[j], &mut state.mismatch);
         let mut freq = 0u64;
-        for (w, &mis) in mismatch.iter().enumerate() {
+        for (w, &mis) in state.mismatch.iter().enumerate() {
             let taken = state.unowned[w] & !mis;
             if taken == 0 {
                 continue;
@@ -454,15 +441,11 @@ pub(crate) fn rebuild(
         state.freq[j] = freq;
         fill_bits += freq * state.nu[j] as u64;
     }
-    state.uncovered = blocks_left;
+    debug_assert_eq!(blocks_left, 0, "the all-U MV covers every block");
     state.fill_bits = fill_bits;
     state.scan_transitions = scan_transitions;
     state.huffman.reset(&state.freq);
-    state.total = if blocks_left == 0 {
-        Some(fill_bits + state.huffman.weighted_length())
-    } else {
-        None
-    };
+    state.total = fill_bits + state.huffman.weighted_length();
     state.warm = true;
     state.total
 }
@@ -483,8 +466,9 @@ pub(crate) fn rebuild(
 ///
 /// Returns [`IncrementalOutcome::NeedsFull`] when the edit is not
 /// incrementally priceable: cold cache or mismatched shape (block length,
-/// genome length, distinct-block count and word width, `force_all_u`, or a
-/// cache that does not track transitions — only `MvFitness` builds those).
+/// genome length, distinct-block count and word width, or a cache that does
+/// not track transitions — only `MvFitness` builds those). Edits inside the
+/// last chunk are inert: the last MV is all-`U` whatever its genes.
 /// With `gated`, it also answers `NeedsFull` as soon as the estimated
 /// multi-chunk patch work exceeds the estimated cost of a full rescan —
 /// the estimate grows with the blocks the changed MVs own, each of which
@@ -501,38 +485,26 @@ pub(crate) fn rebuild(
 pub fn encoded_size_probe(
     sliced: &SlicedHistogram,
     genes: &[Trit],
-    force_all_u: bool,
     edit: &Range<usize>,
     cache: &EvalCache,
     scratch: &mut PatchScratch,
     gated: bool,
 ) -> IncrementalOutcome {
-    probe(
-        sliced,
-        genes,
-        force_all_u,
-        true,
-        edit,
-        cache,
-        scratch,
-        gated,
-    )
+    probe(sliced, genes, true, edit, cache, scratch, gated)
 }
 
 /// [`encoded_size_probe`] with the scan-transition count tracked or not: a
 /// cache built the other way answers [`IncrementalOutcome::NeedsFull`].
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn probe(
     sliced: &SlicedHistogram,
     genes: &[Trit],
-    force_all_u: bool,
     transitions: bool,
     edit: &Range<usize>,
     cache: &EvalCache,
     scratch: &mut PatchScratch,
     gated: bool,
 ) -> IncrementalOutcome {
-    if !shapes_match(sliced, genes, (force_all_u, transitions), edit, cache) {
+    if !shapes_match(sliced, genes, transitions, edit, cache) {
         return IncrementalOutcome::NeedsFull;
     }
     debug_assert!(genome_matches_cache_outside(
@@ -553,15 +525,13 @@ pub(crate) fn probe(
     let bound = full_rescan_cost(cache);
     let mut cost = patch_copy_cost(cache);
     scratch.edited.clear();
-    for i in chunks_of(edit, k) {
+    // The last chunk always decodes to the all-`U` MV.
+    let chunks = chunks_of(edit, k);
+    for i in chunks.start..chunks.end.min(l - 1) {
         if trits_equal(&genes[i * k..(i + 1) * k], &cache.genes[i * k..(i + 1) * k]) {
             continue; // identical trits decode to identical planes
         }
-        let (spec, value) = if force_all_u && i == l - 1 {
-            (0, 0)
-        } else {
-            decode_chunk(&genes[i * k..(i + 1) * k])
-        };
+        let (spec, value) = decode_chunk(&genes[i * k..(i + 1) * k]);
         if (spec, value) != (cache.spec[i], cache.value[i]) {
             scratch.edited.push((i as u32, spec, value));
             if gated {
@@ -585,14 +555,14 @@ pub(crate) fn probe(
 /// filters every block column, `L · (K + 2) · words` word operations. The
 /// unit calibrates the patch-cost estimates below: one full-kernel word op.
 fn full_rescan_cost(state: &EvalCache) -> u64 {
-    let (k, l, _, words, _, _) = state.shape;
+    let (k, l, _, words, _) = state.shape;
     (l * (k + 2) * words) as u64
 }
 
 /// Estimated cost of copying the covering into the working copy, which a
 /// multi-chunk patch pays once per probe, in [`full_rescan_cost`] units.
 fn patch_copy_cost(state: &EvalCache) -> u64 {
-    let (k, l, _, words, _, _) = state.shape;
+    let (k, l, _, words, _) = state.shape;
     let wl = l.div_ceil(64);
     (l * words + 2 * k * wl + 5 * l + words) as u64
 }
@@ -606,7 +576,7 @@ fn patch_copy_cost(state: &EvalCache) -> u64 {
 /// runs ~0.8 µs per changed chunk on the paper shape where the full rescan
 /// runs ~4.4 µs, so the break-even sits near four changed chunks).
 fn chunk_patch_cost(state: &EvalCache, chunk: usize) -> u64 {
-    let (k, l, _, words, _, _) = state.shape;
+    let (k, l, _, words, _) = state.shape;
     let wl = l.div_ceil(64);
     let per_orphan = 8 * (k * wl + 8) as u64;
     let owned: u64 = state.owned[chunk * words..(chunk + 1) * words]
@@ -617,11 +587,11 @@ fn chunk_patch_cost(state: &EvalCache, chunk: usize) -> u64 {
 }
 
 /// The warm/shape/edit validity gate of [`encoded_size_probe`]: the
-/// `(force_all_u, transitions)` pair must match the shape tag too.
+/// transition setting must match the shape tag too.
 fn shapes_match(
     sliced: &SlicedHistogram,
     genes: &[Trit],
-    (force_all_u, transitions): (bool, bool),
+    transitions: bool,
     edit: &Range<usize>,
     state: &EvalCache,
 ) -> bool {
@@ -635,7 +605,6 @@ fn shapes_match(
                 genes.len() / k.max(1),
                 sliced.num_distinct(),
                 sliced.words_per_column(),
-                force_all_u,
                 transitions,
             )
         && edit.end <= genes.len()
@@ -655,7 +624,8 @@ fn rank_of(order: &[u32], nu: &[u32], key: u64) -> usize {
 /// match. The matching set comes from one OR over the MV-major planes per
 /// cared block position — no covering-order scan; MVs ranked before `i`'s
 /// old position never match an orphan (that is what made `i` the owner), so
-/// the min-key pick over the few matchers *is* first-match covering.
+/// the min-key pick over the few matchers *is* first-match covering. Some
+/// MV always matches: the all-`U` last one, which is never the edited MV.
 #[allow(clippy::too_many_arguments)]
 fn reflow_owner(
     bcare: u64,
@@ -686,11 +656,8 @@ fn reflow_owner(
             *m |= c;
         }
     }
-    let (mut best, mut best_key) = if still_matched {
-        (i as u32, new_key)
-    } else {
-        (NO_MV, u64::MAX)
-    };
+    let mut best = i as u32;
+    let mut best_key = if still_matched { new_key } else { u64::MAX };
     for (w, &m) in mvmask.iter().enumerate() {
         let rem = l - w * 64;
         let valid = if rem >= 64 {
@@ -753,7 +720,7 @@ fn update_mv_columns(
 
 /// Computes the steal set of an edited MV into `steal`: the blocks its new
 /// planes match (`mismatch` is the new planes' conflict set) that are
-/// currently owned by an MV ranked *after* `new_key`, or by none. Pure
+/// currently owned by an MV ranked *after* `new_key`. Pure
 /// bitset algebra — the match set is masked by the owned bits of the
 /// earlier-ranked MVs, walking whichever side of the covering order is
 /// shorter; the edited MV's own blocks are excluded (the orphan re-flow
@@ -788,9 +755,9 @@ fn steal_candidates(
             }
         }
     } else {
-        // Few later MVs: keep only their blocks, plus the unowned ones.
+        // Few later MVs: keep only their blocks.
         union_buf.clear();
-        union_buf.extend_from_slice(&cur.unowned);
+        union_buf.resize(words, 0);
         for &j in &order[pos..] {
             let j = j as usize;
             for (u, &o) in union_buf.iter_mut().zip(&owned[j * words..(j + 1) * words]) {
@@ -815,11 +782,7 @@ fn steal_candidates(
 /// copy with every earlier chunk applied — then one Huffman re-price from
 /// the netted per-MV frequency changes. Leaves the child's transition and
 /// used-MV counts in the scratch and returns its encoded size.
-fn patch_edit(
-    sliced: &SlicedHistogram,
-    parent: &EvalCache,
-    scratch: &mut PatchScratch,
-) -> Option<u64> {
+fn patch_edit(sliced: &SlicedHistogram, parent: &EvalCache, scratch: &mut PatchScratch) -> u64 {
     let (k, words) = (sliced.block_len(), sliced.words_per_column());
     let PatchScratch {
         edited,
@@ -846,16 +809,13 @@ fn patch_edit(
     }
     patch.net.resize(parent.freq.len(), 0);
     let mut trans = parent.scan_transitions as i64;
-    let mut uncovered = parent.uncovered as i64;
 
     let last = edited.len() - 1;
     for (t, &(i, nspec, nvalue)) in edited.iter().enumerate() {
         let cur = if t == 0 { parent } else { &*work };
         let chunk = (i as usize, nspec, nvalue);
         let chunk_mismatch = &mismatch[t * words..(t + 1) * words];
-        let (dt, du) = patch_chunk(sliced, cur, chunk, chunk_mismatch, t < last, patch);
-        trans += dt;
-        uncovered += du;
+        trans += patch_chunk(sliced, cur, chunk, chunk_mismatch, t < last, patch);
         if t < last {
             if t == 0 {
                 work.copy_covering_from(parent);
@@ -886,15 +846,15 @@ fn patch_edit(
     let huffman_bits = huffman_weighted_length_delta(&parent.huffman, changes, huff_scratch);
     *last_transitions = trans as u64;
     *last_used = huff_scratch.leaves().len();
-    (uncovered == 0).then(|| fill as u64 + huffman_bits)
+    fill as u64 + huffman_bits
 }
 
 /// Patches one changed chunk — MV `i` taking the planes `(nspec, nvalue)`,
 /// whose conflict set is `mismatch` — into `patch`, reading the covering
-/// `cur` without writing to it, and returns the changes of the transition
-/// count and of the uncovered-block count (signed: intermediate sums can
-/// dip below the final value). With `record`, the chunk's block moves are
-/// kept in `patch.moves` for [`apply_chunk`].
+/// `cur` without writing to it, and returns the change of the transition
+/// count (signed: intermediate sums can dip below the final value). With
+/// `record`, the chunk's block moves are kept in `patch.moves` for
+/// [`apply_chunk`].
 fn patch_chunk(
     sliced: &SlicedHistogram,
     cur: &EvalCache,
@@ -902,7 +862,7 @@ fn patch_chunk(
     mismatch: &[u64],
     record: bool,
     patch: &mut Patch,
-) -> (i64, i64) {
+) -> i64 {
     let k = sliced.block_len();
     let words = sliced.words_per_column();
     let counts = sliced.counts();
@@ -918,11 +878,11 @@ fn patch_chunk(
             0
         }
     };
-    let (mut trans, mut uncovered) = (0i64, 0i64);
+    let mut trans = 0i64;
     patch.moves.clear();
 
     // Phase 1 — steal: blocks the new MV matches whose owner comes *after*
-    // its new covering rank (or that no MV owns) move to i (first-match
+    // its new covering rank move to i (first-match
     // covering). Blocks owned earlier are untouchable by construction:
     // their owners did not change. The steal set is bitset algebra over the
     // per-MV owned planes; only actual steals are visited.
@@ -945,12 +905,8 @@ fn patch_chunk(
             let a = cur.owner[d];
             patch.shift(i as u32, count);
             trans += transitions(count, nvalue | bv);
-            if a == NO_MV {
-                uncovered -= 1;
-            } else {
-                patch.shift(a, -count);
-                trans -= transitions(count, cur.value[a as usize] | bv);
-            }
+            patch.shift(a, -count);
+            trans -= transitions(count, cur.value[a as usize] | bv);
             if record {
                 patch.moves.push((d as u32, i as u32));
             }
@@ -967,7 +923,7 @@ fn patch_chunk(
     // block that still matches with no MV ranked in between stays put with
     // no scan at all.
     if cur.freq[i] == 0 {
-        return (trans, uncovered);
+        return trans;
     }
     let l = cur.shape.1;
     let wl = l.div_ceil(64);
@@ -1021,18 +977,14 @@ fn patch_chunk(
             }
             patch.shift(i as u32, -count);
             trans -= transitions(count, cur.value[i] | bv);
-            if new_owner == NO_MV {
-                uncovered += 1;
-            } else {
-                patch.shift(new_owner, count);
-                trans += transitions(count, cur.value[new_owner as usize] | bv);
-            }
+            patch.shift(new_owner, count);
+            trans += transitions(count, cur.value[new_owner as usize] | bv);
             if record {
                 patch.moves.push((d as u32, new_owner));
             }
         }
     }
-    (trans, uncovered)
+    trans
 }
 
 /// Applies one patched chunk — its new planes and the block moves
@@ -1049,19 +1001,11 @@ fn apply_chunk(
     for &(d, to) in moves {
         let d = d as usize;
         let (w, bit) = (d / 64, 1u64 << (d % 64));
-        let from = work.owner[d];
-        if from == NO_MV {
-            work.unowned[w] &= !bit;
-        } else {
-            work.owned[from as usize * words + w] &= !bit;
-            work.freq[from as usize] -= counts[d];
-        }
-        if to == NO_MV {
-            work.unowned[w] |= bit;
-        } else {
-            work.owned[to as usize * words + w] |= bit;
-            work.freq[to as usize] += counts[d];
-        }
+        let from = work.owner[d] as usize;
+        work.owned[from * words + w] &= !bit;
+        work.freq[from] -= counts[d];
+        work.owned[to as usize * words + w] |= bit;
+        work.freq[to as usize] += counts[d];
         work.owner[d] = to;
     }
     let (k, l) = (work.shape.0, work.shape.1);
@@ -1089,8 +1033,9 @@ fn apply_chunk(
     }
 }
 
-/// Debug-build check of the lineage contract: outside the edited chunks the
-/// genome must decode to exactly the cached planes. A caller handing a
+/// Debug-build check of the lineage contract: outside the edited chunks and
+/// the all-`U` last one, the genome must decode to exactly the cached
+/// planes. A caller handing a
 /// genome with undeclared differences would silently get the wrong fitness;
 /// this makes it loud where tests run.
 #[cfg(debug_assertions)]
@@ -1100,17 +1045,10 @@ fn genome_matches_cache_outside(
     k: usize,
     edit: &Range<usize>,
 ) -> bool {
-    let force_all_u = state.shape.4;
-    let l = genes.len() / k;
     let edited = chunks_of(edit, k);
-    (0..l).filter(|i| !edited.contains(i)).all(|i| {
-        let decoded = if force_all_u && i == l - 1 {
-            (0, 0)
-        } else {
-            decode_chunk(&genes[i * k..(i + 1) * k])
-        };
-        decoded == (state.spec[i], state.value[i])
-    })
+    (0..genes.len() / k - 1)
+        .filter(|i| !edited.contains(i))
+        .all(|i| decode_chunk(&genes[i * k..(i + 1) * k]) == (state.spec[i], state.value[i]))
 }
 
 /// Release builds compile the `debug_assert!` call away to a constant, so
@@ -1143,12 +1081,12 @@ mod tests {
     }
 
     /// `(size, transitions, used MVs)` — what every pricing path reports.
-    type Priced = (Option<u64>, u64, usize);
+    type Priced = (u64, u64, usize);
 
     /// The full kernel's price of `genes`.
-    fn full(sliced: &SlicedHistogram, genes: &[Trit], force: bool) -> Priced {
+    fn full(sliced: &SlicedHistogram, genes: &[Trit]) -> Priced {
         let mut scratch = EvalScratch::new();
-        let size = encoded_size_scratch(sliced, genes, force, &mut scratch);
+        let size = encoded_size_scratch(sliced, genes, &mut scratch);
         (
             size,
             scratch.last_scan_transitions(),
@@ -1161,13 +1099,12 @@ mod tests {
     fn probed(
         sliced: &SlicedHistogram,
         genes: &[Trit],
-        force: bool,
         edit: &Range<usize>,
         cache: &EvalCache,
         gated: bool,
     ) -> Option<Priced> {
         let mut scratch = PatchScratch::new();
-        match encoded_size_probe(sliced, genes, force, edit, cache, &mut scratch, gated) {
+        match encoded_size_probe(sliced, genes, edit, cache, &mut scratch, gated) {
             IncrementalOutcome::Size(size) => Some((
                 size,
                 scratch.last_scan_transitions(),
@@ -1184,34 +1121,32 @@ mod tests {
         sliced: &SlicedHistogram,
         cache: &mut EvalCache,
         child: &[Trit],
-        force: bool,
         edit: &Range<usize>,
-    ) -> Priced {
-        let expect = full(sliced, child, force);
+    ) {
+        let expect = full(sliced, child);
         assert_eq!(
-            probed(sliced, child, force, edit, cache, false),
+            probed(sliced, child, edit, cache, false),
             Some(expect),
-            "probe of {child:?} edit {edit:?} force {force}"
+            "probe of {child:?} edit {edit:?}"
         );
-        assert_eq!(encoded_size_rebuild(sliced, child, force, cache), expect.0);
+        assert_eq!(encoded_size_rebuild(sliced, child, cache), expect.0);
         assert_eq!(
-            probed(sliced, child, force, &(0..0), cache, true),
+            probed(sliced, child, &(0..0), cache, true),
             Some(expect),
             "rebuilt {child:?}"
         );
-        expect
     }
 
     /// Applies every single-gene edit to `parent` and checks the probe's
     /// price, and the rebuilt child's, against the full kernel.
-    fn exhaustive_single_gene_edits(sliced: &SlicedHistogram, parent: &[Trit], force: bool) {
+    fn exhaustive_single_gene_edits(sliced: &SlicedHistogram, parent: &[Trit]) {
         for pos in 0..parent.len() {
             for g in 0..3u8 {
                 let mut cache = EvalCache::new();
-                encoded_size_rebuild(sliced, parent, force, &mut cache);
+                encoded_size_rebuild(sliced, parent, &mut cache);
                 let mut child = parent.to_vec();
                 child[pos] = Trit::from_index(g);
-                probe_then_rebuild(sliced, &mut cache, &child, force, &(pos..pos + 1));
+                probe_then_rebuild(sliced, &mut cache, &child, &(pos..pos + 1));
             }
         }
     }
@@ -1227,8 +1162,7 @@ mod tests {
             genes("11010000 110000UU UUUUUUUU"),
             genes("110U00UU 110U00UU UUUUUUUU"), // duplicate MVs
         ] {
-            exhaustive_single_gene_edits(&sliced, &parent, false);
-            exhaustive_single_gene_edits(&sliced, &parent, true);
+            exhaustive_single_gene_edits(&sliced, &parent);
         }
     }
 
@@ -1236,20 +1170,15 @@ mod tests {
     /// probe's price, and the rebuilt child's, against the full kernel.
     /// Windows straddle chunk boundaries by construction whenever
     /// `width > 1` and the genome has several chunks.
-    fn exhaustive_window_edits(
-        sliced: &SlicedHistogram,
-        parent: &[Trit],
-        width: usize,
-        force: bool,
-    ) {
+    fn exhaustive_window_edits(sliced: &SlicedHistogram, parent: &[Trit], width: usize) {
         for start in 0..=parent.len() - width {
             let mut cache = EvalCache::new();
-            encoded_size_rebuild(sliced, parent, force, &mut cache);
+            encoded_size_rebuild(sliced, parent, &mut cache);
             let mut child = parent.to_vec();
             for (offset, slot) in child[start..start + width].iter_mut().enumerate() {
                 *slot = Trit::from_index(((start + 2 * offset) % 3) as u8);
             }
-            probe_then_rebuild(sliced, &mut cache, &child, force, &(start..start + width));
+            probe_then_rebuild(sliced, &mut cache, &child, &(start..start + width));
         }
     }
 
@@ -1264,8 +1193,7 @@ mod tests {
             genes("110U00UU 110U00UU 110U00UU UUUUUUUU"), // duplicate MVs
         ] {
             for width in [7, 12, 19, parent.len()] {
-                exhaustive_window_edits(&sliced, &parent, width, false);
-                exhaustive_window_edits(&sliced, &parent, width, true);
+                exhaustive_window_edits(&sliced, &parent, width);
             }
         }
     }
@@ -1287,37 +1215,29 @@ mod tests {
             genes("110U00UU 110U00UU 110U00UU UUUUUUUU"),
             genes(&"110U00UU ".repeat(16)),
         ] {
-            for force in [false, true] {
-                let mut cache = EvalCache::new();
-                encoded_size_rebuild(&sliced, &parent, force, &mut cache);
-                for width in [1, 9, 17, parent.len()] {
-                    for start in 0..=parent.len() - width {
-                        let mut child = parent.clone();
-                        for (offset, slot) in child[start..start + width].iter_mut().enumerate() {
-                            *slot = Trit::from_index(((start + 2 * offset) % 3) as u8);
+            let mut cache = EvalCache::new();
+            encoded_size_rebuild(&sliced, &parent, &mut cache);
+            for width in [1, 9, 17, parent.len()] {
+                for start in 0..=parent.len() - width {
+                    let mut child = parent.clone();
+                    for (offset, slot) in child[start..start + width].iter_mut().enumerate() {
+                        *slot = Trit::from_index(((start + 2 * offset) % 3) as u8);
+                    }
+                    let edit = start..start + width;
+                    match probed(&sliced, &child, &edit, &cache, true) {
+                        Some(got) => {
+                            assert_eq!(got, full(&sliced, &child), "start {start} width {width}");
+                            // The all-U last chunk never counts as changed.
+                            let changed = (0..parent.len() / 8 - 1)
+                                .filter(|i| child[i * 8..(i + 1) * 8] != parent[i * 8..(i + 1) * 8])
+                                .count();
+                            multi_priced += usize::from(changed >= 2);
                         }
-                        let edit = start..start + width;
-                        match probed(&sliced, &child, force, &edit, &cache, true) {
-                            Some(got) => {
-                                assert_eq!(
-                                    got,
-                                    full(&sliced, &child, force),
-                                    "start {start} width {width} force {force}"
-                                );
-                                let changed = (0..parent.len() / 8 - usize::from(force))
-                                    .filter(|i| {
-                                        child[i * 8..(i + 1) * 8] != parent[i * 8..(i + 1) * 8]
-                                    })
-                                    .count();
-                                multi_priced += usize::from(changed >= 2);
-                            }
-                            // Legal: the gate judged the patch more
-                            // expensive than a rescan. Only possible on
-                            // multi-chunk edits.
-                            None => {
-                                assert!(width > 1, "single-chunk edits are never gated");
-                                declined += 1;
-                            }
+                        // Legal: the gate judged the patch more expensive
+                        // than a rescan. Only possible on multi-chunk edits.
+                        None => {
+                            assert!(width > 1, "single-chunk edits are never gated");
+                            declined += 1;
                         }
                     }
                 }
@@ -1336,63 +1256,20 @@ mod tests {
         let sliced = fixtures(&["110100XX", "110000XX", "11010000"], 8);
         let parent = genes("110U00UU 00000000 UUUUUUUU");
         let mut cache = EvalCache::new();
-        let size = encoded_size_rebuild(&sliced, &parent, false, &mut cache);
+        let size = encoded_size_rebuild(&sliced, &parent, &mut cache);
         assert_eq!(
-            probed(&sliced, &parent, false, &(3..3), &cache, true),
-            Some(full(&sliced, &parent, false)),
+            probed(&sliced, &parent, &(3..3), &cache, true),
+            Some(full(&sliced, &parent)),
         );
-        assert_eq!(full(&sliced, &parent, false).0, size);
+        assert_eq!(full(&sliced, &parent).0, size);
         for pos in 0..parent.len() {
             let mut child = parent.clone();
             child[pos] = Trit::from_index(((pos + 1) % 3) as u8);
             let edit = pos..pos + 1;
-            let gated = probed(&sliced, &child, false, &edit, &cache, true);
-            assert_eq!(gated, Some(full(&sliced, &child, false)), "pos {pos}");
-            assert_eq!(gated, probed(&sliced, &child, false, &edit, &cache, false));
+            let gated = probed(&sliced, &child, &edit, &cache, true);
+            assert_eq!(gated, Some(full(&sliced, &child)), "pos {pos}");
+            assert_eq!(gated, probed(&sliced, &child, &edit, &cache, false));
         }
-    }
-
-    /// Probing from an infeasible parent to a feasible child, then — after
-    /// rebuilding on the child — back again.
-    fn flip_both_ways(
-        sliced: &SlicedHistogram,
-        parent: &[Trit],
-        child: &[Trit],
-        edit: Range<usize>,
-    ) {
-        let mut cache = EvalCache::new();
-        assert_eq!(
-            encoded_size_rebuild(sliced, parent, false, &mut cache),
-            None
-        );
-        let (size, _, _) = probe_then_rebuild(sliced, &mut cache, child, false, &edit);
-        assert!(size.is_some());
-        let (size, _, _) = probe_then_rebuild(sliced, &mut cache, parent, false, &edit);
-        assert_eq!(size, None);
-    }
-
-    #[test]
-    fn feasibility_flips_are_incremental() {
-        let sliced = fixtures(&["1111", "0000"], 4);
-        // Parent cannot cover 0000; flipping gene 4 to U widens the second
-        // MV until it can.
-        let parent = genes("1111 1110");
-        exhaustive_single_gene_edits(&sliced, &parent, false);
-        // A 4-gene edit inside one chunk: still a single-MV patch.
-        flip_both_ways(&sliced, &parent, &genes("1111 UUUU"), 4..8);
-    }
-
-    #[test]
-    fn multi_chunk_feasibility_flips_are_incremental() {
-        let sliced = fixtures(&["1111", "0000", "1100"], 4);
-        // No MV matches 0000 or 1100: infeasible until a whole-genome edit
-        // widens two chunks at once.
-        flip_both_ways(
-            &sliced,
-            &genes("1111 1110 0011"),
-            &genes("1111 UUUU 110U"),
-            4..12,
-        );
     }
 
     #[test]
@@ -1400,13 +1277,13 @@ mod tests {
         let sliced = fixtures(&["110100XX", "110000XX", "11010000"], 8);
         let parent = genes("110U00UU 11010000 UUUUUUUU");
         let mut cache = EvalCache::new();
-        encoded_size_rebuild(&sliced, &parent, false, &mut cache);
+        encoded_size_rebuild(&sliced, &parent, &mut cache);
         // Probe many single- and multi-chunk children off the same cache
         // through one scratch; each must match the full kernel.
         let mut scratch = PatchScratch::new();
         let mut probe = |child: &[Trit], edit: Range<usize>| {
-            let got = encoded_size_probe(&sliced, child, false, &edit, &cache, &mut scratch, false);
-            assert_eq!(got, IncrementalOutcome::Size(full(&sliced, child, false).0));
+            let got = encoded_size_probe(&sliced, child, &edit, &cache, &mut scratch, false);
+            assert_eq!(got, IncrementalOutcome::Size(full(&sliced, child).0));
         };
         for pos in 0..parent.len() {
             let mut child = parent.clone();
@@ -1420,8 +1297,8 @@ mod tests {
         }
         // The parent still prices as itself.
         assert_eq!(
-            probed(&sliced, &parent, false, &(0..0), &cache, false),
-            Some(full(&sliced, &parent, false))
+            probed(&sliced, &parent, &(0..0), &cache, false),
+            Some(full(&sliced, &parent))
         );
     }
 
@@ -1431,37 +1308,46 @@ mod tests {
         let g = genes("1010 UUUU");
         let mut cache = EvalCache::new();
         for gated in [false, true] {
-            assert_eq!(probed(&sliced, &g, false, &(0..1), &cache, gated), None);
+            assert_eq!(probed(&sliced, &g, &(0..1), &cache, gated), None);
         }
-        encoded_size_rebuild(&sliced, &g, false, &mut cache);
+        encoded_size_rebuild(&sliced, &g, &mut cache);
         // Different genome length.
         let longer = genes("1010 UUUU 1111");
+        assert_eq!(probed(&sliced, &longer, &(8..9), &cache, false), None);
+        // A probe that tracks no transitions never reads this cache.
         assert_eq!(
-            probed(&sliced, &longer, false, &(8..9), &cache, false),
-            None
+            probe(
+                &sliced,
+                &g,
+                false,
+                &(0..1),
+                &cache,
+                &mut PatchScratch::new(),
+                false
+            ),
+            IncrementalOutcome::NeedsFull
         );
-        // Different force flag.
-        assert_eq!(probed(&sliced, &g, true, &(0..1), &cache, false), None);
         // An edit spanning two changed chunks is *not* a fallback: the
         // patch prices it chunk by chunk.
-        let mut two = g.clone();
+        let mut two = genes("1010 1010 UUUU");
+        encoded_size_rebuild(&sliced, &two, &mut cache);
         two[3] = Trit::X;
         two[4] = Trit::One;
         assert_eq!(
-            probed(&sliced, &two, false, &(3..5), &cache, false),
-            Some(full(&sliced, &two, false))
+            probed(&sliced, &two, &(3..5), &cache, false),
+            Some(full(&sliced, &two))
         );
     }
 
     #[test]
-    fn force_all_u_makes_last_chunk_edits_inert() {
+    fn last_chunk_edits_are_inert() {
         let sliced = fixtures(&["10101010", "01010101"], 8);
         let parent = genes("10101010 00000000");
         let mut cache = EvalCache::new();
-        let size = encoded_size_rebuild(&sliced, &parent, true, &mut cache);
+        let size = encoded_size_rebuild(&sliced, &parent, &mut cache);
         let mut child = parent.clone();
-        child[12] = Trit::One; // inside the forced all-U chunk
-        let got = probed(&sliced, &child, true, &(12..13), &cache, true);
+        child[12] = Trit::One; // inside the all-U last chunk
+        let got = probed(&sliced, &child, &(12..13), &cache, true);
         assert_eq!(got.map(|p| p.0), Some(size));
     }
 
@@ -1478,13 +1364,11 @@ mod tests {
             genes("UUUUUUUU UUUUUUUU UUUUUUUU"),
             genes("11111111 00000000 11110000"),
         ] {
-            for force in [false, true] {
-                assert_eq!(
-                    encoded_size_rebuild(&sliced, &g, force, &mut cache),
-                    full(&sliced, &g, force).0,
-                    "genome {g:?} force {force}"
-                );
-            }
+            assert_eq!(
+                encoded_size_rebuild(&sliced, &g, &mut cache),
+                full(&sliced, &g).0,
+                "genome {g:?}"
+            );
         }
     }
 
@@ -1492,6 +1376,6 @@ mod tests {
     #[should_panic(expected = "not a positive multiple")]
     fn rebuild_rejects_ragged_genomes() {
         let sliced = fixtures(&["1111"], 4);
-        let _ = encoded_size_rebuild(&sliced, &genes("111"), false, &mut EvalCache::new());
+        let _ = encoded_size_rebuild(&sliced, &genes("111"), &mut EvalCache::new());
     }
 }

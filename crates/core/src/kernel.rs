@@ -52,9 +52,9 @@ use crate::mvset::covering_key;
 /// let sliced = SlicedHistogram::from_histogram(&hist);
 /// let genes: Vec<Trit> = evotc_bits::parse_trits("110U0000UUUU")?;
 /// let mut scratch = EvalScratch::new();
-/// let fast = encoded_size_scratch(&sliced, &genes, false, &mut scratch);
-/// let slow = encoded_size(&MvSet::from_genes(4, &genes, false)?, &hist);
-/// assert_eq!(fast, slow);
+/// let fast = encoded_size_scratch(&sliced, &genes, &mut scratch);
+/// let slow = encoded_size(&MvSet::from_genes(4, &genes, true)?, &hist);
+/// assert_eq!(Some(fast), slow);
 /// # Ok(())
 /// # }
 /// ```
@@ -188,10 +188,9 @@ fn log2(x: f64) -> f64 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundedSize {
     /// The scan ran to the end: exactly what [`encoded_size_scratch`]
-    /// returns for the same genome (`None` = covering impossible).
-    Exact(Option<u64>),
-    /// The scan stopped early: the encoded size is at least the bound, or
-    /// the genome is infeasible (which counts as above every bound).
+    /// returns for the same genome.
+    Exact(u64),
+    /// The scan stopped early: the encoded size is at least the bound.
     AtLeast,
 }
 
@@ -211,9 +210,8 @@ impl EvalScratch {
     /// the decoder shifts into the scan chain), summed over all blocks with
     /// multiplicity. A block owned by MV `i` decodes to
     /// `value_plane(i) | block_value(d)` — MV values at specified positions,
-    /// the transmitted fill bits elsewhere. Only meaningful when that call
-    /// returned `Some`; block order is not modelled (the histogram has
-    /// none), so inter-block boundary flips are not counted.
+    /// the transmitted fill bits elsewhere. Block order is not modelled (the
+    /// histogram has none), so inter-block boundary flips are not counted.
     #[inline]
     pub fn last_scan_transitions(&self) -> u64 {
         self.scan_transitions
@@ -221,8 +219,7 @@ impl EvalScratch {
 
     /// Number of MVs that covered at least one block in the last
     /// [`encoded_size_scratch`] call — the used-symbol count that sizes the
-    /// decoder's MV table and FSM. Only meaningful when that call returned
-    /// `Some`.
+    /// decoder's MV table and FSM.
     #[inline]
     pub fn last_used_mvs(&self) -> usize {
         self.used_mvs
@@ -327,12 +324,10 @@ pub(crate) fn trits_equal(a: &[Trit], b: &[Trit]) -> bool {
 /// pricing it with [`encoded_size`](crate::encoded_size).
 ///
 /// `K` is the histogram's block length; `genes` must hold `K·L` trits for
-/// some `L ≥ 1`. With `force_all_u` the final MV is replaced by the all-`U`
-/// vector, exactly as in the genome decoding of the paper's Section 4.
-///
-/// Returns `None` if some distinct block is matched by no MV (covering
-/// impossible). The returned size is bit-identical to the legacy path for
-/// every input.
+/// some `L ≥ 1`. The final MV is always replaced by the all-`U` vector, as in
+/// the genome decoding of the paper's Section 4, so every block is covered.
+/// The returned size is bit-identical to the legacy path (with the same
+/// replacement) for every input.
 ///
 /// # Panics
 ///
@@ -341,10 +336,9 @@ pub(crate) fn trits_equal(a: &[Trit], b: &[Trit]) -> bool {
 pub fn encoded_size_scratch(
     sliced: &SlicedHistogram,
     genes: &[Trit],
-    force_all_u: bool,
     scratch: &mut EvalScratch,
-) -> Option<u64> {
-    match price(sliced, genes, force_all_u, u64::MAX, true, scratch) {
+) -> u64 {
+    match price(sliced, genes, u64::MAX, true, scratch) {
         BoundedSize::Exact(size) => size,
         BoundedSize::AtLeast => unreachable!("an unbounded scan runs to the end"),
     }
@@ -379,7 +373,7 @@ pub fn encoded_size_scratch(
 ///
 /// The scan-transition side channel is not computed:
 /// [`EvalScratch::last_scan_transitions`] is meaningless afterwards, while
-/// [`EvalScratch::last_used_mvs`] holds after an `Exact(Some(_))` answer.
+/// [`EvalScratch::last_used_mvs`] holds after an `Exact` answer.
 ///
 /// # Panics
 ///
@@ -387,11 +381,10 @@ pub fn encoded_size_scratch(
 pub fn encoded_size_bounded(
     sliced: &SlicedHistogram,
     genes: &[Trit],
-    force_all_u: bool,
     bound: u64,
     scratch: &mut EvalScratch,
 ) -> BoundedSize {
-    price(sliced, genes, force_all_u, bound, false, scratch)
+    price(sliced, genes, bound, false, scratch)
 }
 
 /// The one full kernel behind [`encoded_size_scratch`] and
@@ -400,7 +393,6 @@ pub fn encoded_size_bounded(
 pub(crate) fn price(
     sliced: &SlicedHistogram,
     genes: &[Trit],
-    force_all_u: bool,
     bound: u64,
     transitions: bool,
     scratch: &mut EvalScratch,
@@ -414,7 +406,7 @@ pub(crate) fn price(
     let l = genes.len() / k;
 
     // Decode genes into packed planes, genome order, eight trits per word
-    // (see `decode_chunk`).
+    // (see `decode_chunk`); the last MV is all-`U`.
     scratch.spec.clear();
     scratch.value.clear();
     for chunk in genes.chunks_exact(k) {
@@ -422,10 +414,8 @@ pub(crate) fn price(
         scratch.spec.push(spec);
         scratch.value.push(value);
     }
-    if force_all_u {
-        scratch.spec[l - 1] = 0;
-        scratch.value[l - 1] = 0;
-    }
+    scratch.spec[l - 1] = 0;
+    scratch.value[l - 1] = 0;
     sort_and_reset(sliced, bound, scratch);
     if transitions {
         cover::<true>(sliced, bound, scratch)
@@ -604,14 +594,12 @@ fn cover<const TRANSITIONS: bool>(
         scan.take(freq, nu, bounded.then_some(&scratch.entropy));
     }
     scratch.used_mvs = scan.used;
-    if scan.blocks_left > 0 {
-        return BoundedSize::Exact(None); // some block matches no MV
-    }
+    debug_assert_eq!(scan.blocks_left, 0, "the all-U MV covers every block");
 
     // Length-only Huffman pricing of the codeword part.
-    BoundedSize::Exact(Some(
+    BoundedSize::Exact(
         scan.fill_bits + huffman_weighted_length(&scratch.freqs, &mut scratch.huffman),
-    ))
+    )
 }
 
 /// Returns `true` if `(spec, value)` is already in the table; inserts it
@@ -673,19 +661,17 @@ mod tests {
         evotc_bits::parse_trits(&s.replace(' ', "")).unwrap()
     }
 
+    /// The kernel's size of `g` and the legacy path's, last MV all-`U`.
     fn both(
         hist: &BlockHistogram,
         sliced: &SlicedHistogram,
         g: &[Trit],
-        force: bool,
         scratch: &mut EvalScratch,
-    ) -> (Option<u64>, Option<u64>) {
+    ) -> (u64, u64) {
         let k = sliced.block_len();
-        let fast = encoded_size_scratch(sliced, g, force, scratch);
-        let slow = MvSet::from_genes(k, g, force)
-            .ok()
-            .and_then(|mvs| encoded_size(&mvs, hist));
-        (fast, slow)
+        let fast = encoded_size_scratch(sliced, g, scratch);
+        let mvs = MvSet::from_genes(k, g, true).unwrap();
+        (fast, encoded_size(&mvs, hist).expect("the all-U MV covers"))
     }
 
     #[test]
@@ -701,34 +687,23 @@ mod tests {
             genes("UUUUUUUU UUUUUUUU UUUUUUUU"),
             genes("110U00UU 110U00UU UUUUUUUU"), // exact duplicate MVs
         ] {
-            let (fast, slow) = both(&hist, &sliced, &g, false, &mut scratch);
+            let (fast, slow) = both(&hist, &sliced, &g, &mut scratch);
             assert_eq!(fast, slow, "genome {g:?}");
-            assert!(fast.is_some());
         }
     }
 
     #[test]
-    fn uncoverable_genomes_return_none() {
-        let (hist, sliced) = fixtures(&["1111", "0000"], 4);
-        let mut scratch = EvalScratch::new();
-        let g = genes("1111 1111");
-        let (fast, slow) = both(&hist, &sliced, &g, false, &mut scratch);
-        assert_eq!(fast, None);
-        assert_eq!(slow, None);
-        // The same genome with force_all_u is feasible again.
-        let (fast, slow) = both(&hist, &sliced, &g, true, &mut scratch);
-        assert_eq!(fast, slow);
-        assert!(fast.is_some());
-    }
-
-    #[test]
-    fn force_all_u_replaces_the_last_vector() {
+    fn the_last_vector_is_always_all_u() {
+        // Left as genes, `00000000` would match neither block.
         let (hist, sliced) = fixtures(&["10101010", "01010101"], 8);
         let mut scratch = EvalScratch::new();
         let g = genes("10101010 00000000");
-        let (fast, slow) = both(&hist, &sliced, &g, true, &mut scratch);
+        let (fast, slow) = both(&hist, &sliced, &g, &mut scratch);
         assert_eq!(fast, slow);
-        assert!(fast.is_some());
+        assert_eq!(
+            fast,
+            encoded_size_scratch(&sliced, &genes("10101010 UUUUUUUU"), &mut scratch)
+        );
     }
 
     #[test]
@@ -738,10 +713,10 @@ mod tests {
         let mut scratch = EvalScratch::new();
         for _ in 0..3 {
             let g = genes("110U00UU UUUUUUUU");
-            let (fast, slow) = both(&hist_a, &sliced_a, &g, false, &mut scratch);
+            let (fast, slow) = both(&hist_a, &sliced_a, &g, &mut scratch);
             assert_eq!(fast, slow);
             let g = genes("1010 UUUU");
-            let (fast, slow) = both(&hist_b, &sliced_b, &g, false, &mut scratch);
+            let (fast, slow) = both(&hist_b, &sliced_b, &g, &mut scratch);
             assert_eq!(fast, slow);
         }
     }
@@ -759,7 +734,7 @@ mod tests {
             genes("00000000 UUUUUUU0 UUUUUUUU"),
             genes("0U0U0U0U 1U1U1U1U UUUUUUUU"),
         ] {
-            let (fast, slow) = both(&hist, &sliced, &g, false, &mut scratch);
+            let (fast, slow) = both(&hist, &sliced, &g, &mut scratch);
             assert_eq!(fast, slow, "genome {g:?}");
         }
     }
@@ -942,24 +917,19 @@ mod tests {
             genes("11010000 110000UU UUUUUUUU"),
             genes("UUUUUUUU UUUUUUUU UUUUUUUU"),
         ] {
-            let (exact, _) = both(&hist, &sliced, &g, false, &mut scratch);
-            let exact = exact.unwrap();
+            let (exact, _) = both(&hist, &sliced, &g, &mut scratch);
             for bound in [exact + 1, exact + 100, u64::MAX] {
-                let got = encoded_size_bounded(&sliced, &g, false, bound, &mut scratch);
-                assert_eq!(got, BoundedSize::Exact(Some(exact)), "bound {bound}");
+                let got = encoded_size_bounded(&sliced, &g, bound, &mut scratch);
+                assert_eq!(got, BoundedSize::Exact(exact), "bound {bound}");
             }
             // Every lower bound starts at zero or more, so a zero bound stops
             // at the first MV.
-            let got = encoded_size_bounded(&sliced, &g, false, 0, &mut scratch);
+            let got = encoded_size_bounded(&sliced, &g, 0, &mut scratch);
             assert_eq!(got, BoundedSize::AtLeast);
             for bound in [exact / 2, exact] {
-                let got = encoded_size_bounded(&sliced, &g, false, bound, &mut scratch);
-                assert!(
-                    matches!(got, BoundedSize::AtLeast | BoundedSize::Exact(Some(_))),
-                    "{got:?}"
-                );
+                let got = encoded_size_bounded(&sliced, &g, bound, &mut scratch);
                 if let BoundedSize::Exact(size) = got {
-                    assert_eq!(size, Some(exact));
+                    assert_eq!(size, exact);
                 }
             }
         }
@@ -969,7 +939,7 @@ mod tests {
     #[should_panic(expected = "not a positive multiple")]
     fn rejects_ragged_genomes() {
         let (_, sliced) = fixtures(&["1111"], 4);
-        let _ = encoded_size_scratch(&sliced, &genes("111"), false, &mut EvalScratch::new());
+        let _ = encoded_size_scratch(&sliced, &genes("111"), &mut EvalScratch::new());
     }
 
     #[test]

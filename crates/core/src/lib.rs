@@ -66,8 +66,8 @@ pub mod subsume;
 pub use compressed::CompressedTestSet;
 pub use covering::Covering;
 pub use ea_opt::{
-    trit_checkpoint_from_bytes, trit_checkpoint_to_bytes, CombineMode, EaCompressor,
-    EaCompressorBuilder, EaRunSummary, MvFitness, MvFitnessState, WeightError,
+    trit_checkpoint_from_bytes, trit_checkpoint_to_bytes, EaCompressor, EaCompressorBuilder,
+    EaRunSummary, MvFitness, MvFitnessState, WeightError,
 };
 pub use encoding::{encode_with_code, encode_with_mvs, encoded_size};
 pub use error::CompressError;

@@ -28,9 +28,8 @@ use std::cell::RefCell;
 use std::time::Duration;
 
 use evotc_bits::{BlockHistogram, TestSet, TestSetString, Trit};
-use evotc_core::{content_hash, test_set_content_hash};
-use evotc_evo::{CancelToken, EaBuilder, EaCheckpoint, EaConfig, EaError, StopReason};
-use rand::Rng;
+use evotc_core::{content_hash, test_set_content_hash, EaCompressor};
+use evotc_evo::{CancelToken, EaCheckpoint, EaConfig, EaError, StopReason};
 
 /// A tenant identity. Tenancy is an admission-control concept — quotas and
 /// circuit breakers are per tenant — not a result-space one: the cross-run
@@ -120,7 +119,7 @@ impl JobSpec {
         }
     }
 
-    /// Rejects a spec no attempt could ever execute.
+    /// Rejects a spec no attempt could ever execute (at admission, too).
     pub fn validate(&self) -> Result<(), JobError> {
         if self.patterns.is_empty() {
             return Err(JobError::InvalidSpec("empty test set".into()));
@@ -136,8 +135,8 @@ impl JobSpec {
             return Err(JobError::InvalidSpec("at least one MV is required".into()));
         }
         if self.stagnation_limit == 0 {
-            // The engine asserts a positive limit; caught here, the job fails
-            // once as invalid instead of panicking through every retry.
+            // The engine asserts a positive limit; caught here, the spec is
+            // rejected instead of panicking through every retry.
             return Err(JobError::InvalidSpec(
                 "stagnation limit must be positive".into(),
             ));
@@ -231,8 +230,8 @@ impl JobResultData {
 /// retry budget is spent, permanent ones settle the job immediately.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobError {
-    /// The spec can never execute (empty test set, K out of range, L = 0).
-    /// Permanent: retrying a malformed spec cannot help.
+    /// The spec can never execute (see [`JobSpec::validate`]). Permanent:
+    /// retrying a malformed spec cannot help.
     InvalidSpec(String),
     /// The attempt's wall-clock budget elapsed before the EA terminated.
     /// Permanent: a partial best-so-far is wall-clock-dependent and would
@@ -304,6 +303,8 @@ impl std::error::Error for JobError {}
 /// point — the alternative to typed rejection is unbounded queue growth.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Rejected {
+    /// The spec can never execute (see [`JobSpec::validate`]); the reason.
+    InvalidSpec(String),
     /// The bounded queue is at capacity.
     QueueFull {
         /// The configured capacity that was hit.
@@ -340,6 +341,7 @@ pub enum Rejected {
 impl std::fmt::Display for Rejected {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            Rejected::InvalidSpec(why) => write!(f, "invalid spec: {why}"),
             Rejected::QueueFull { capacity } => write!(f, "queue full (capacity {capacity})"),
             Rejected::DeadlineInfeasible { budget, minimum } => write!(
                 f,
@@ -455,17 +457,14 @@ pub(crate) fn execute(
     let string = TestSetString::try_new(&spec.patterns, spec.k)
         .map_err(|err| JobError::InvalidSpec(err.to_string()))?;
     let histogram = BlockHistogram::from_string(&string);
-    let original_bits = string.payload_bits() as f64;
-    let fitness = evotc_core::MvFitness::new(spec.k, true, &histogram, original_bits);
+    let compressor = EaCompressor::builder(spec.k, spec.l)
+        .config(spec.ea_config())
+        .build();
 
     let captured = RefCell::new(None);
-    let mut ea = EaBuilder::new(
-        spec.k * spec.l,
-        |rng| Trit::from_index(rng.gen_range(0..3u8)),
-        fitness,
-    )
-    .config(spec.ea_config())
-    .cancel_token(cancel);
+    let mut ea = compressor
+        .ea_builder(&histogram, string.payload_bits() as f64)
+        .cancel_token(cancel);
     if spec.preemptible && checkpoint_interval > 0 {
         // Keep only the freshest capture: a preempted attempt resumes from
         // the latest on-trajectory state, never an older one.
@@ -593,29 +592,99 @@ mod tests {
     }
 
     #[test]
-    fn zero_stagnation_limit_fails_once_as_an_invalid_spec() {
-        use crate::{JobOutcome, Service, ServiceConfig};
-        let mut zero = spec(5);
-        zero.stagnation_limit = 0;
-        assert!(matches!(
-            zero.validate(),
-            Err(JobError::InvalidSpec(ref why)) if why.contains("stagnation")
-        ));
-        // Through the service: one attempt, no retry, no backoff, and one
-        // failure for the tenant's breaker — not a panic per attempt.
-        let service = Service::start(ServiceConfig::builder().workers(1).virtual_time().build());
-        service.submit(zero).expect("an empty service admits");
+    fn invalid_specs_are_rejected_at_submit() {
+        use crate::{BreakerPolicy, JobOutcome, Service, ServiceConfig};
+        let invalid: Vec<(&str, JobSpec)> = vec![
+            ("empty test set", {
+                let mut s = spec(5);
+                s.patterns = TestSet::new(8);
+                s
+            }),
+            ("K=0", {
+                let mut s = spec(5);
+                s.k = 0;
+                s
+            }),
+            ("K=65", {
+                let mut s = spec(5);
+                s.k = 65;
+                s
+            }),
+            ("at least one MV", {
+                let mut s = spec(5);
+                s.l = 0;
+                s
+            }),
+            ("stagnation", {
+                let mut s = spec(5);
+                s.stagnation_limit = 0;
+                s
+            }),
+        ];
+        // One failure would trip this breaker and one job fills the quota
+        // and the queue, so a rejection that touched any of them would
+        // turn the valid submission below away.
+        let breaker = BreakerPolicy {
+            failure_threshold: 1,
+            ..BreakerPolicy::default()
+        };
+        let config = ServiceConfig::builder()
+            .workers(1)
+            .queue_capacity(1)
+            .tenant_quota(1)
+            .breaker(breaker)
+            .virtual_time()
+            .build();
+        let service = Service::start(config);
+        for (reason, spec) in invalid {
+            match service.submit(spec) {
+                Err(Rejected::InvalidSpec(why)) => assert!(why.contains(reason), "{why}"),
+                other => panic!("{reason}: {other:?}"),
+            }
+            assert_eq!(service.queue_len(), 0);
+        }
+        service.submit(spec(5)).expect("the tenant is untouched");
         let outcome = service.shutdown();
         assert!(outcome.stats.accounted(), "lost jobs: {:?}", outcome.stats);
-        let report = &outcome.reports[0];
-        assert!(
-            matches!(report.outcome, JobOutcome::Failed(JobError::InvalidSpec(_))),
-            "{:?}",
-            report.outcome
-        );
-        assert_eq!(report.attempts, 1);
-        assert_eq!(outcome.stats.retries, 0);
-        assert_eq!(outcome.stats.failed, 1);
+        assert_eq!(outcome.stats.rejected_invalid, 5);
+        assert_eq!(outcome.stats.rejected_total(), 5);
+        assert_eq!((outcome.stats.failed, outcome.stats.retries), (0, 0));
+        assert_eq!(outcome.reports.len(), 1, "no report for a rejection");
+        assert!(matches!(
+            outcome.reports[0].outcome,
+            JobOutcome::Completed { .. }
+        ));
+    }
+
+    #[test]
+    fn the_service_runs_the_compressors_ea() {
+        for (k, l) in [(8, 4), (12, 16)] {
+            for seed in [3, 4] {
+                let mut job = spec(seed);
+                (job.k, job.l) = (k, l);
+                let config = EaConfig::builder()
+                    .stagnation_limit(job.stagnation_limit)
+                    .max_evaluations(job.max_evaluations)
+                    .max_generations(job.max_generations)
+                    .seed(job.seed)
+                    .build();
+                let (_, summary) = EaCompressor::builder(k, l)
+                    .config(config)
+                    .build()
+                    .compress_with_summary(&job.patterns)
+                    .unwrap();
+                let data = run_spec(&job).unwrap();
+                let label = format!("K={k} L={l} seed {seed}");
+                assert_eq!(
+                    data.best_fitness.to_bits(),
+                    summary.best_fitness.to_bits(),
+                    "{label}"
+                );
+                assert_eq!(data.generations, summary.generations, "{label}");
+                assert_eq!(data.evaluations, summary.evaluations, "{label}");
+                assert_eq!(data.stop_reason, summary.stop_reason, "{label}");
+            }
+        }
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! 1. **Cache**: duplicate submissions are served from the cross-run
 //!    result cache at admission — no queue slot, no worker time.
 //! 2. **Backpressure**: the queue is bounded; submissions beyond capacity
-//!    are rejected with [`Rejected::QueueFull`] (and hostile budgets /
-//!    over-quota tenants / open-breaker tenants with their own variants)
-//!    rather than buffered without bound.
+//!    are rejected with [`Rejected::QueueFull`] (and invalid specs /
+//!    hostile budgets / over-quota tenants / open-breaker tenants with
+//!    their own variants) rather than buffered without bound.
 //! 3. **Shedding**: past the high-water mark, the longest-running
 //!    preemptible job is checkpointed ([`evotc_evo::EaCheckpoint`]) and
 //!    re-admitted behind its priority class, freeing its worker for queued
@@ -235,6 +235,8 @@ pub struct StatsSnapshot {
     pub rejected_circuit: u64,
     /// Rejections: service draining for shutdown.
     pub rejected_shutdown: u64,
+    /// Rejections: a spec no attempt could execute.
+    pub rejected_invalid: u64,
     /// Jobs settled with a permanent typed failure.
     pub failed: u64,
     /// Retryable attempt failures that were re-enqueued with backoff.
@@ -253,6 +255,7 @@ impl StatsSnapshot {
             + self.rejected_quota
             + self.rejected_circuit
             + self.rejected_shutdown
+            + self.rejected_invalid
     }
 
     /// The zero-lost-jobs identity: after a drain, every attempted
@@ -389,6 +392,10 @@ impl Service {
         if state.draining {
             state.stats.rejected_shutdown += 1;
             return Err(Rejected::ShuttingDown);
+        }
+        if let Err(JobError::InvalidSpec(why)) = spec.validate() {
+            state.stats.rejected_invalid += 1;
+            return Err(Rejected::InvalidSpec(why));
         }
         if let Some(budget) = spec.budget {
             if budget < inner.config.min_budget {

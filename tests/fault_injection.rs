@@ -72,7 +72,7 @@ fn injected_evaluator_panic_is_a_typed_error_not_a_hang() {
     // must not stall the epoch barrier — the run returns (with an error)
     // rather than deadlocking.
     arm(site::CORE_EVALUATE, FailSpec::Nth(6));
-    let err = EaBuilder::new(8 * 4, sample, MvFitness::new(8, true, &f.histogram, f.bits))
+    let err = EaBuilder::new(8 * 4, sample, MvFitness::new(8, &f.histogram, f.bits))
         .config(island_config(4))
         .try_run()
         .unwrap_err();
@@ -92,7 +92,7 @@ fn injected_panic_names_the_failing_island_and_epoch() {
     // 0 runs its first epoch — hit 6 lands on its second generation, so
     // the run fails on island 0 at the generation-0 boundary.
     arm(site::CORE_EVALUATE, FailSpec::Nth(6));
-    let err = EaBuilder::new(8 * 4, sample, MvFitness::new(8, true, &f.histogram, f.bits))
+    let err = EaBuilder::new(8 * 4, sample, MvFitness::new(8, &f.histogram, f.bits))
         .config(island_config(1))
         .try_run()
         .unwrap_err();
@@ -120,7 +120,7 @@ fn forced_cache_probe_mismatches_shift_counters_not_scores() {
         .seed(7)
         .build();
     let run = || {
-        EaBuilder::new(8 * 4, sample, MvFitness::new(8, true, &f.histogram, f.bits))
+        EaBuilder::new(8 * 4, sample, MvFitness::new(8, &f.histogram, f.bits))
             .config(config.clone())
             .run()
     };
@@ -172,7 +172,7 @@ fn injected_sink_failures_are_counted_while_the_run_completes() {
         .build();
     let saved = RefCell::new(0u64);
     arm(site::CHECKPOINT_SINK, FailSpec::Nth(1));
-    let result = EaBuilder::new(8 * 4, sample, MvFitness::new(8, true, &f.histogram, f.bits))
+    let result = EaBuilder::new(8 * 4, sample, MvFitness::new(8, &f.histogram, f.bits))
         .config(config)
         .checkpoint_every(2, |_: &EaCheckpoint<Trit>| {
             *saved.borrow_mut() += 1;
@@ -203,7 +203,7 @@ fn determinism_survives_a_resume_cycle_under_injected_cache_faults() {
         .threads(2)
         .seed(11)
         .build();
-    let clean = EaBuilder::new(8 * 4, sample, MvFitness::new(8, true, &f.histogram, f.bits))
+    let clean = EaBuilder::new(8 * 4, sample, MvFitness::new(8, &f.histogram, f.bits))
         .config(config.clone())
         .run();
 
@@ -212,7 +212,7 @@ fn determinism_survives_a_resume_cycle_under_injected_cache_faults() {
     // resumed. The trajectory must still match the clean, uninterrupted run.
     arm(site::CORE_CACHE_PROBE, FailSpec::Always);
     let blobs = RefCell::new(Vec::new());
-    EaBuilder::new(8 * 4, sample, MvFitness::new(8, true, &f.histogram, f.bits))
+    EaBuilder::new(8 * 4, sample, MvFitness::new(8, &f.histogram, f.bits))
         .config(config.clone())
         .checkpoint_every(3, |cp: &EaCheckpoint<Trit>| {
             blobs
@@ -225,7 +225,7 @@ fn determinism_survives_a_resume_cycle_under_injected_cache_faults() {
     assert!(!blobs.is_empty(), "run too short to checkpoint");
     for blob in &blobs {
         let checkpoint = evotc::core::trit_checkpoint_from_bytes(blob).unwrap();
-        let resumed = EaBuilder::new(8 * 4, sample, MvFitness::new(8, true, &f.histogram, f.bits))
+        let resumed = EaBuilder::new(8 * 4, sample, MvFitness::new(8, &f.histogram, f.bits))
             .config(config.clone())
             .resume_from(checkpoint)
             .run();

@@ -150,15 +150,14 @@ fn lineage_cache_never_changes_the_ea_trajectory() {
     let reference = EaBuilder::new(
         12 * 16,
         sample,
-        NoLineage(MvFitness::new(12, true, &histogram, bits)),
+        NoLineage(MvFitness::new(12, &histogram, bits)),
     )
     .config(config(1))
     .run();
     for threads in THREAD_COUNTS {
-        let incremental =
-            EaBuilder::new(12 * 16, sample, MvFitness::new(12, true, &histogram, bits))
-                .config(config(threads))
-                .run();
+        let incremental = EaBuilder::new(12 * 16, sample, MvFitness::new(12, &histogram, bits))
+            .config(config(threads))
+            .run();
         assert_eq!(
             incremental.best_genome, reference.best_genome,
             "t={threads}"
@@ -205,7 +204,7 @@ fn cache_trajectory_and_counters_are_thread_invariant() {
             EaBuilder::new(
                 12 * 16,
                 |rng: &mut rand::rngs::StdRng| Trit::from_index(rng.gen_range(0..3u8)),
-                MvFitness::new(12, true, &histogram, bits),
+                MvFitness::new(12, &histogram, bits),
             )
             .config(config)
             .run()

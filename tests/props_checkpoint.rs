@@ -219,7 +219,7 @@ proptest! {
             .build();
         let sample = |rng: &mut rand::rngs::StdRng| Trit::from_index(rng.gen_range(0..3u8));
         let blobs = RefCell::new(Vec::new());
-        let reference = EaBuilder::new(8 * 4, sample, MvFitness::new(8, true, &histogram, bits))
+        let reference = EaBuilder::new(8 * 4, sample, MvFitness::new(8, &histogram, bits))
             .config(ea_config.clone())
             .checkpoint_every(3, |cp: &EaCheckpoint<Trit>| {
                 blobs.borrow_mut().push(trit_checkpoint_to_bytes(cp));
@@ -230,7 +230,7 @@ proptest! {
             let checkpoint = trit_checkpoint_from_bytes(blob).expect("codec round trip");
             let resumed_from = checkpoint.generation;
             let resumed =
-                EaBuilder::new(8 * 4, sample, MvFitness::new(8, true, &histogram, bits))
+                EaBuilder::new(8 * 4, sample, MvFitness::new(8, &histogram, bits))
                     .config(ea_config.clone())
                     .resume_from(checkpoint)
                     .run();

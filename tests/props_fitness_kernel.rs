@@ -1,5 +1,5 @@
 //! Property tests pinning the allocation-free fitness kernel to the legacy
-//! path: for every histogram, K/L shape, and genome — feasible or not —
+//! path: for every histogram, K/L shape, and genome (its last MV all-`U`),
 //! `MvFitness::evaluate_with_objectives` must return the **bit-identical**
 //! scalar `f64` that the legacy `MvSet::from_genes` → `Covering` →
 //! `huffman_code` → `encoded_size` pipeline produces. The bounded kernel
@@ -9,7 +9,7 @@
 use evotc::bits::{BlockHistogram, SlicedHistogram, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{
     encoded_size, encoded_size_bounded, encoded_size_scratch, BoundedSize, EvalScratch, MvFitness,
-    MvFitnessState, MvSet,
+    MvSet,
 };
 use evotc::evo::FitnessEval;
 use proptest::prelude::*;
@@ -22,8 +22,8 @@ fn arb_trits(len: usize) -> impl Strategy<Value = Vec<Trit>> {
     proptest::collection::vec((0u8..3).prop_map(Trit::from_index), len..=len)
 }
 
-/// Specified-heavy rows: mostly 0/1 so small MV sets are often *infeasible*
-/// without a forced all-`U` vector.
+/// Specified-heavy rows: mostly 0/1, so small MV sets leave many blocks to
+/// the all-`U` last MV.
 fn arb_dense_rows(width: usize) -> impl Strategy<Value = Vec<Vec<Trit>>> {
     proptest::collection::vec(
         proptest::collection::vec(any::<bool>(), width..=width)
@@ -34,34 +34,26 @@ fn arb_dense_rows(width: usize) -> impl Strategy<Value = Vec<Vec<Trit>>> {
 
 /// Checks the bounded kernel's contract on one genome against the exact
 /// kernel at the bounds that matter: 0, exact − 1, exact, exact + 1 and
-/// `u64::MAX` (an infeasible genome is above every bound). Returns whether
-/// some bound stopped the scan early.
+/// `u64::MAX`. Returns whether some bound stopped the scan early.
 fn check_bounded(
     sliced: &SlicedHistogram,
     genes: &[Trit],
-    force: bool,
     exact_scratch: &mut EvalScratch,
     scratch: &mut EvalScratch,
 ) -> bool {
-    let exact = encoded_size_scratch(sliced, genes, force, exact_scratch);
+    let exact = encoded_size_scratch(sliced, genes, exact_scratch);
     let used = exact_scratch.last_used_mvs();
-    let bounds = match exact {
-        Some(e) => vec![0, e.saturating_sub(1), e, e + 1, u64::MAX],
-        None => vec![0, 1, 1 << 20, u64::MAX],
-    };
     let mut stopped = false;
-    for bound in bounds {
-        match encoded_size_bounded(sliced, genes, force, bound, scratch) {
+    for bound in [0, exact.saturating_sub(1), exact, exact + 1, u64::MAX] {
+        match encoded_size_bounded(sliced, genes, bound, scratch) {
             BoundedSize::Exact(size) => {
                 prop_assert_eq!(size, exact, "bound {}", bound);
-                if size.is_some() {
-                    prop_assert_eq!(scratch.last_used_mvs(), used);
-                }
+                prop_assert_eq!(scratch.last_used_mvs(), used);
             }
             BoundedSize::AtLeast => {
                 prop_assert!(
-                    exact.map_or(true, |e| e >= bound),
-                    "stopped at bound {} below the exact size {:?}",
+                    exact >= bound,
+                    "stopped at bound {} below the exact size {}",
                     bound,
                     exact
                 );
@@ -82,26 +74,17 @@ fn histogram_for(rows: &[Vec<Trit>], k: usize) -> (BlockHistogram, f64) {
 
 /// The legacy fitness computation, spelled out independently of `MvFitness`
 /// so the property does not compare the kernel against itself.
-fn legacy_fitness(
-    k: usize,
-    force_all_u: bool,
-    hist: &BlockHistogram,
-    bits: f64,
-    g: &[Trit],
-) -> f64 {
-    MvSet::from_genes(k, g, force_all_u)
-        .ok()
-        .and_then(|mvs| encoded_size(&mvs, hist))
-        .map_or(MvFitness::INFEASIBLE, |size| {
-            100.0 * (bits - size as f64) / bits
-        })
+fn legacy_fitness(k: usize, hist: &BlockHistogram, bits: f64, g: &[Trit]) -> f64 {
+    let mvs = MvSet::from_genes(k, g, true).unwrap();
+    let size = encoded_size(&mvs, hist).expect("the all-U MV covers every block");
+    100.0 * (bits - size as f64) / bits
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Kernel == legacy over X-rich random rows for every shape, with and
-    /// without the forced all-`U` vector, through one reused scratch.
+    /// Kernel == legacy over X-rich random rows for every shape, through
+    /// one reused scratch.
     #[test]
     fn kernel_matches_legacy_on_sparse_rows(
         rows in proptest::collection::vec(arb_trits(12), 1..10),
@@ -111,51 +94,22 @@ proptest! {
         for &(k, l) in &SHAPES {
             let (hist, bits) = histogram_for(&rows, k);
             let genes = &genome_bits[..k * l.min(48 / k)];
-            for force in [false, true] {
-                let fitness = MvFitness::new(k, force, &hist, bits);
-                let fast = fitness.evaluate_with_objectives(genes, &mut scratch).0;
-                let slow = legacy_fitness(k, force, &hist, bits, genes);
-                prop_assert_eq!(
-                    fast.to_bits(), slow.to_bits(),
-                    "K={} L={} force={} fast={} slow={}", k, l, force, fast, slow
-                );
-                // The trait's single-genome path is the legacy one; the
-                // batch path is the kernel. All three must agree.
-                prop_assert_eq!(fitness.evaluate(genes).to_bits(), fast.to_bits());
-            }
-        }
-    }
-
-    /// Infeasible genomes (no all-`U` safety net over dense rows) take the
-    /// sentinel on both paths; feasible ones agree bit-for-bit.
-    #[test]
-    fn kernel_matches_legacy_including_infeasible(
-        rows in arb_dense_rows(8),
-        genomes in proptest::collection::vec(arb_trits(4 * 3), 1..12),
-    ) {
-        let (hist, bits) = histogram_for(&rows, 4);
-        let fitness = MvFitness::new(4, false, &hist, bits);
-        let mut scratch = EvalScratch::new();
-        let mut saw_infeasible = false;
-        for g in &genomes {
-            let fast = fitness.evaluate_with_objectives(g, &mut scratch).0;
-            let slow = legacy_fitness(4, false, &hist, bits, g);
-            prop_assert_eq!(fast.to_bits(), slow.to_bits());
-            saw_infeasible |= fast == MvFitness::INFEASIBLE;
-        }
-        // Not an assertion — but the shape is chosen so both classes occur
-        // across the run; the check below keeps the batch path honest.
-        let _ = saw_infeasible;
-        let mut scores = vec![f64::NAN; genomes.len()];
-        fitness.evaluate_batch(&mut MvFitnessState::default(), &genomes, None, &mut scores, None);
-        for (g, &s) in genomes.iter().zip(&scores) {
-            prop_assert_eq!(s.to_bits(), fitness.evaluate(g).to_bits());
+            let fitness = MvFitness::new(k, &hist, bits);
+            let fast = fitness.evaluate_with_objectives(genes, &mut scratch).0;
+            let slow = legacy_fitness(k, &hist, bits, genes);
+            prop_assert_eq!(
+                fast.to_bits(), slow.to_bits(),
+                "K={} L={} fast={} slow={}", k, l, fast, slow
+            );
+            // The trait's single-genome path is the legacy one; the batch
+            // path is the kernel. All three must agree.
+            prop_assert_eq!(fitness.evaluate(genes).to_bits(), fast.to_bits());
         }
     }
 
     /// The bounded kernel answers exactly or "at least the bound", the
     /// latter only when the exact size reaches the bound, over X-rich rows
-    /// at K ∈ {4, 8, 12}, with and without the forced all-`U` vector.
+    /// at K ∈ {4, 8, 12}.
     #[test]
     fn bounded_kernel_never_stops_below_its_bound(
         rows in proptest::collection::vec(arb_trits(24), 1..12),
@@ -166,21 +120,18 @@ proptest! {
             let (hist, _) = histogram_for(&rows, k);
             let sliced = SlicedHistogram::from_histogram(&hist);
             for l in [1, 3, 96 / k] {
-                for force in [false, true] {
-                    let stopped = check_bounded(
-                        &sliced, &genome[..k * l], force, &mut exact_scratch, &mut scratch,
-                    );
-                    // A zero bound is reached by every lower bound.
-                    prop_assert!(stopped, "K={} L={} force={}", k, l, force);
-                }
+                let stopped =
+                    check_bounded(&sliced, &genome[..k * l], &mut exact_scratch, &mut scratch);
+                // A zero bound is reached by every lower bound.
+                prop_assert!(stopped, "K={} L={}", k, l);
             }
         }
     }
 
     /// The same contract over specified-heavy rows, where small MV sets
-    /// without the all-`U` safety net are often infeasible.
+    /// leave many blocks to the all-`U` last MV.
     #[test]
-    fn bounded_kernel_treats_infeasible_genomes_as_above_every_bound(
+    fn bounded_kernel_never_stops_below_its_bound_on_dense_rows(
         rows in arb_dense_rows(24),
         genomes in proptest::collection::vec(arb_trits(24), 1..8),
     ) {
@@ -189,9 +140,7 @@ proptest! {
             let (hist, _) = histogram_for(&rows, k);
             let sliced = SlicedHistogram::from_histogram(&hist);
             for g in &genomes {
-                for force in [false, true] {
-                    check_bounded(&sliced, g, force, &mut exact_scratch, &mut scratch);
-                }
+                check_bounded(&sliced, g, &mut exact_scratch, &mut scratch);
             }
         }
     }
@@ -212,8 +161,10 @@ proptest! {
         let set = MvSet::new(6, vectors).unwrap().with_all_u();
         let genes = set.to_genes();
         let mut scratch = EvalScratch::new();
-        let fast = encoded_size_scratch(&sliced, &genes, false, &mut scratch);
+        // `to_genes` lists the MVs in covering order, so the all-`U` one
+        // comes last.
+        let fast = encoded_size_scratch(&sliced, &genes, &mut scratch);
         let slow = encoded_size(&set, &hist);
-        prop_assert_eq!(fast, slow);
+        prop_assert_eq!(Some(fast), slow);
     }
 }

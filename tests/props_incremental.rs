@@ -5,9 +5,9 @@
 //! against the [`EvalCache`] of its predecessor, must produce the
 //! **bit-identical** encoded size, transition count and used-MV count that
 //! `encoded_size_scratch` computes from scratch at every step — including
-//! edits that flip feasibility (covering becomes/ceases to be possible) and
-//! edits that create or remove duplicate MVs. The concurrent shared-cache
-//! path of `MvFitness` is pinned to the same oracle.
+//! edits that move blocks to and from the all-`U` last MV and edits that
+//! create or remove duplicate MVs. The concurrent shared-cache path of
+//! `MvFitness` is pinned to the same oracle.
 
 use std::ops::Range;
 
@@ -23,8 +23,8 @@ fn arb_trits(len: usize) -> impl Strategy<Value = Vec<Trit>> {
     proptest::collection::vec((0u8..3).prop_map(Trit::from_index), len..=len)
 }
 
-/// Specified-heavy rows: mostly 0/1, so small MV sets flip between feasible
-/// and infeasible as genes mutate (no all-`U` safety net).
+/// Specified-heavy rows: mostly 0/1, so blocks move to and from the all-`U`
+/// last MV as genes mutate.
 fn arb_dense_rows(width: usize) -> impl Strategy<Value = Vec<Vec<Trit>>> {
     proptest::collection::vec(
         proptest::collection::vec(any::<bool>(), width..=width)
@@ -51,59 +51,47 @@ fn histogram_for(rows: &[Vec<Trit>], k: usize) -> (BlockHistogram, f64) {
 
 /// One chain step: `genome` (an edit of the genome `cache` holds inside
 /// `edit`) is probed ungated against `cache` and must match the full
-/// kernel's size — and, when feasible, its transition and used-MV counts;
-/// then `cache` is rebuilt on `genome` for the next step.
+/// kernel's size, transition and used-MV counts; then `cache` is rebuilt on
+/// `genome` for the next step.
 fn probe_then_rebuild(
     sliced: &SlicedHistogram,
     cache: &mut EvalCache,
     genome: &[Trit],
     edit: &Range<usize>,
-    force_all_u: bool,
 ) {
     let mut scratch = EvalScratch::new();
     let mut patch = PatchScratch::new();
-    let full = encoded_size_scratch(sliced, genome, force_all_u, &mut scratch);
-    let probe = encoded_size_probe(sliced, genome, force_all_u, edit, cache, &mut patch, false);
+    let full = encoded_size_scratch(sliced, genome, &mut scratch);
+    let probe = encoded_size_probe(sliced, genome, edit, cache, &mut patch, false);
     assert_eq!(probe, IncrementalOutcome::Size(full), "probe {edit:?}");
-    if full.is_some() {
-        assert_eq!(
-            patch.last_scan_transitions(),
-            scratch.last_scan_transitions()
-        );
-        assert_eq!(patch.last_used_mvs(), scratch.last_used_mvs());
-    }
     assert_eq!(
-        encoded_size_rebuild(sliced, genome, force_all_u, cache),
-        full
+        patch.last_scan_transitions(),
+        scratch.last_scan_transitions()
     );
+    assert_eq!(patch.last_used_mvs(), scratch.last_used_mvs());
+    assert_eq!(encoded_size_rebuild(sliced, genome, cache), full);
 }
 
 /// Runs one single-gene mutation chain through [`probe_then_rebuild`],
 /// checking every step against the full kernel.
-fn check_chain(
-    sliced: &SlicedHistogram,
-    genome: &mut [Trit],
-    chain: &[(usize, Trit)],
-    force_all_u: bool,
-) {
+fn check_chain(sliced: &SlicedHistogram, genome: &mut [Trit], chain: &[(usize, Trit)]) {
     let mut cache = EvalCache::new();
-    let built = encoded_size_rebuild(sliced, genome, force_all_u, &mut cache);
+    let built = encoded_size_rebuild(sliced, genome, &mut cache);
     assert_eq!(
         built,
-        encoded_size_scratch(sliced, genome, force_all_u, &mut EvalScratch::new()),
+        encoded_size_scratch(sliced, genome, &mut EvalScratch::new()),
         "rebuild diverged on the chain's start genome"
     );
     for &(pos, gene) in chain {
         genome[pos] = gene;
-        probe_then_rebuild(sliced, &mut cache, genome, &(pos..pos + 1), force_all_u);
+        probe_then_rebuild(sliced, &mut cache, genome, &(pos..pos + 1));
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Mutation chains over X-rich rows for paper-adjacent shapes, with and
-    /// without the forced all-`U` vector.
+    /// Mutation chains over X-rich rows for paper-adjacent shapes.
     #[test]
     fn mutation_chains_match_full_kernel(
         rows in proptest::collection::vec(arb_trits(12), 1..8),
@@ -113,25 +101,9 @@ proptest! {
         for &(k, l) in &[(4usize, 12usize), (6, 8), (12, 4)] {
             let (hist, _) = histogram_for(&rows, k);
             let sliced = SlicedHistogram::from_histogram(&hist);
-            for force in [false, true] {
-                let mut genome = start[..k * l].to_vec();
-                check_chain(&sliced, &mut genome, &chain, force);
-            }
+            let mut genome = start[..k * l].to_vec();
+            check_chain(&sliced, &mut genome, &chain);
         }
-    }
-
-    /// Chains over dense rows with tiny MV budgets: feasibility flips both
-    /// ways along the chain, and the incremental path must track it.
-    #[test]
-    fn feasibility_flipping_chains_match_full_kernel(
-        rows in arb_dense_rows(8),
-        start in arb_trits(8),
-        chain in arb_chain(8, 32),
-    ) {
-        let (hist, _) = histogram_for(&rows, 4);
-        let sliced = SlicedHistogram::from_histogram(&hist);
-        let mut genome = start.clone();
-        check_chain(&sliced, &mut genome, &chain, false);
     }
 
     /// Chains seeded with deliberate duplicate MVs (every chunk identical):
@@ -149,7 +121,7 @@ proptest! {
             .take(4)
             .flatten()
             .collect();
-        check_chain(&sliced, &mut genome, &chain, false);
+        check_chain(&sliced, &mut genome, &chain);
     }
 
     /// The read-only probe path: many children priced against one parent
@@ -167,18 +139,18 @@ proptest! {
         let mut cache = EvalCache::new();
         let mut scratch = EvalScratch::new();
         let mut patch = PatchScratch::new();
-        let parent_size = encoded_size_rebuild(&sliced, &parent, false, &mut cache);
+        let parent_size = encoded_size_rebuild(&sliced, &parent, &mut cache);
         for &(pos, gene) in &edits {
             let mut child = parent.clone();
             child[pos] = gene;
             let probe =
-                encoded_size_probe(&sliced, &child, false, &(pos..pos + 1), &cache, &mut patch, false);
-            let full = encoded_size_scratch(&sliced, &child, false, &mut scratch);
+                encoded_size_probe(&sliced, &child, &(pos..pos + 1), &cache, &mut patch, false);
+            let full = encoded_size_scratch(&sliced, &child, &mut scratch);
             prop_assert_eq!(probe, IncrementalOutcome::Size(full));
         }
         // The probes left the cache on the parent.
         let parent_again =
-            encoded_size_probe(&sliced, &parent, false, &(0..0), &cache, &mut patch, false);
+            encoded_size_probe(&sliced, &parent, &(0..0), &cache, &mut patch, false);
         prop_assert_eq!(parent_again, IncrementalOutcome::Size(parent_size));
     }
 
@@ -192,7 +164,7 @@ proptest! {
         edits in arb_chain(24, 12),
     ) {
         let (hist, bits) = histogram_for(&rows, 6);
-        let fitness = MvFitness::new(6, true, &hist, bits);
+        let fitness = MvFitness::new(6, &hist, bits);
         let parents: Vec<&[Trit]> = parent_genomes.iter().map(Vec::as_slice).collect();
         let mut genomes = Vec::new();
         let mut lineage = Vec::new();
@@ -235,16 +207,14 @@ proptest! {
         for &(k, l) in &[(6usize, 6usize), (12, 3)] {
             let (hist, _) = histogram_for(&rows, k);
             let sliced = SlicedHistogram::from_histogram(&hist);
-            for force in [false, true] {
-                let mut genome = start[..k * l].to_vec();
-                let mut cache = EvalCache::new();
-                encoded_size_rebuild(&sliced, &genome, force, &mut cache);
-                for &(at, span) in &windows {
-                    let lo = at.min(genome.len() - 1);
-                    let hi = (lo + span).min(genome.len());
-                    genome[lo..hi].reverse();
-                    probe_then_rebuild(&sliced, &mut cache, &genome, &(lo..hi), force);
-                }
+            let mut genome = start[..k * l].to_vec();
+            let mut cache = EvalCache::new();
+            encoded_size_rebuild(&sliced, &genome, &mut cache);
+            for &(at, span) in &windows {
+                let lo = at.min(genome.len() - 1);
+                let hi = (lo + span).min(genome.len());
+                genome[lo..hi].reverse();
+                probe_then_rebuild(&sliced, &mut cache, &genome, &(lo..hi));
             }
         }
     }
@@ -265,8 +235,8 @@ proptest! {
         let sliced = SlicedHistogram::from_histogram(&hist);
         let mut cache_a = EvalCache::new();
         let mut cache_b = EvalCache::new();
-        encoded_size_rebuild(&sliced, &parent_a, true, &mut cache_a);
-        encoded_size_rebuild(&sliced, &parent_b, true, &mut cache_b);
+        encoded_size_rebuild(&sliced, &parent_a, &mut cache_a);
+        encoded_size_rebuild(&sliced, &parent_b, &mut cache_b);
         let mut scratch = EvalScratch::new();
         let mut probe_scratch = PatchScratch::new();
         let mut genomes = Vec::new();
@@ -276,22 +246,22 @@ proptest! {
             let hi = (lo + span).min(parent_a.len());
             let mut child = parent_a.clone();
             child[lo..hi].copy_from_slice(&parent_b[lo..hi]);
-            let expect = encoded_size_scratch(&sliced, &child, true, &mut scratch);
+            let expect = encoded_size_scratch(&sliced, &child, &mut scratch);
             // Outside parent: the swapped window is the edit.
             let via_a = encoded_size_probe(
-                &sliced, &child, true, &(lo..hi), &cache_a, &mut probe_scratch, false,
+                &sliced, &child, &(lo..hi), &cache_a, &mut probe_scratch, false,
             );
             prop_assert_eq!(via_a, IncrementalOutcome::Size(expect), "via parent A {}..{}", lo, hi);
             // Donor parent: the edit is conservatively the whole genome;
             // the probe diffs it chunk-wise.
             let via_b = encoded_size_probe(
-                &sliced, &child, true, &(0..child.len()), &cache_b, &mut probe_scratch, false,
+                &sliced, &child, &(0..child.len()), &cache_b, &mut probe_scratch, false,
             );
             prop_assert_eq!(via_b, IncrementalOutcome::Size(expect), "via parent B {}..{}", lo, hi);
             lineage.push(Some(Lineage::crossover(0, lo..hi, 1)));
             genomes.push(child);
         }
-        let fitness = MvFitness::new(6, true, &hist, bits);
+        let fitness = MvFitness::new(6, &hist, bits);
         let parents: Vec<&[Trit]> = vec![&parent_a, &parent_b];
         let provenance = Provenance { lineage: &lineage, parents: &parents, floor: None };
         let mut state = MvFitnessState::default();
@@ -317,7 +287,7 @@ proptest! {
         edits in arb_chain(24, 24),
     ) {
         let (hist, bits) = histogram_for(&rows, 6);
-        let fitness = MvFitness::new(6, true, &hist, bits);
+        let fitness = MvFitness::new(6, &hist, bits);
         let parents: Vec<&[Trit]> = parent_genomes.iter().map(Vec::as_slice).collect();
         let mut genomes = Vec::new();
         let mut lineage = Vec::new();
@@ -365,10 +335,10 @@ proptest! {
         }
     }
 
-    /// `MvFitness` lineage chains over dense rows without the all-`U`
-    /// safety net: each step is a one-child batch whose parent is the
-    /// previous genome, so feasibility flips both ways through the parent
-    /// cache's rebuild and probe, and every score must equal the oracle's.
+    /// `MvFitness` lineage chains over dense rows: each step is a one-child
+    /// batch whose parent is the previous genome, so blocks move to and
+    /// from the all-`U` last MV through the parent cache's rebuild and
+    /// probe, and every score must equal the oracle's.
     #[test]
     fn lineage_batch_chains_match_evaluate(
         rows in arb_dense_rows(8),
@@ -376,7 +346,7 @@ proptest! {
         chain in arb_chain(12, 16),
     ) {
         let (hist, bits) = histogram_for(&rows, 4);
-        let fitness = MvFitness::new(4, false, &hist, bits);
+        let fitness = MvFitness::new(4, &hist, bits);
         let mut genome = start.clone();
         let mut state = MvFitnessState::default();
         let mut score = [f64::NAN];

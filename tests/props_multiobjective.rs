@@ -3,13 +3,13 @@
 //! equal the full kernel's recompute **and** the covering-based oracle
 //! bit-for-bit; the Pareto archive must never hold a dominated point and
 //! must report an insertion-order-invariant front; and the default
-//! weighted `(1, 0, 0)` combine mode must reproduce the single-objective
-//! trajectory byte-for-byte at every thread count, archive on or off.
+//! weights `(1, 0, 0)` must reproduce the single-objective trajectory
+//! byte-for-byte at every thread count, archive on or off.
 
 use evotc::bits::{BlockHistogram, SlicedHistogram, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{
-    encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, CombineMode, EvalCache,
-    EvalScratch, IncrementalOutcome, MvFitness, PatchScratch,
+    encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, EvalCache, EvalScratch,
+    IncrementalOutcome, MvFitness, PatchScratch,
 };
 use evotc::evo::{EaBuilder, EaConfig, EaResult, Objectives, ParetoArchive};
 use proptest::prelude::*;
@@ -31,10 +31,9 @@ fn histogram_for(rows: &[Vec<Trit>], k: usize) -> (BlockHistogram, f64) {
 fn full_objectives(
     sliced: &SlicedHistogram,
     genes: &[Trit],
-    force: bool,
     scratch: &mut EvalScratch,
-) -> (Option<u64>, u64, usize) {
-    let size = encoded_size_scratch(sliced, genes, force, scratch);
+) -> (u64, u64, usize) {
+    let size = encoded_size_scratch(sliced, genes, scratch);
     (
         size,
         scratch.last_scan_transitions(),
@@ -111,45 +110,37 @@ proptest! {
         donor in arb_trits(24),
         edits in arb_edits(24, 16),
     ) {
-        for force in [false, true] {
-            let (hist, _) = histogram_for(&rows, 6);
-            let sliced = SlicedHistogram::from_histogram(&hist);
-            let mut scratch = EvalScratch::new();
-            let mut patch = PatchScratch::new();
-            let mut cache = EvalCache::new();
-            encoded_size_rebuild(&sliced, &parent, force, &mut cache);
-            // Read-only probes: every child priced against the parent cache.
-            for edit in &edits {
-                let (child, window) = apply_edit(&parent, &donor, edit);
-                let (size, transitions, used) =
-                    full_objectives(&sliced, &child, force, &mut scratch);
-                let probe =
-                    encoded_size_probe(&sliced, &child, force, &window, &cache, &mut patch, false);
-                prop_assert_eq!(probe, IncrementalOutcome::Size(size), "{:?}", edit);
-                if size.is_some() {
-                    prop_assert_eq!(
-                        patch.last_scan_transitions(), transitions,
-                        "transitions after {:?}", edit
-                    );
-                    prop_assert_eq!(patch.last_used_mvs(), used, "used MVs after {:?}", edit);
-                }
-            }
-            // Chain: each child is probed against its predecessor's cache,
-            // then becomes the cached genome; the transition and used-MV
-            // counts must track the full kernel at every step.
-            let mut genome = parent.clone();
-            for edit in &edits {
-                let (child, window) = apply_edit(&genome, &donor, edit);
-                let (size, transitions, used) =
-                    full_objectives(&sliced, &child, force, &mut scratch);
-                let probe =
-                    encoded_size_probe(&sliced, &child, force, &window, &cache, &mut patch, false);
-                prop_assert_eq!(probe, IncrementalOutcome::Size(size), "chain {:?}", edit);
-                prop_assert_eq!(patch.last_scan_transitions(), transitions, "chain {:?}", edit);
-                prop_assert_eq!(patch.last_used_mvs(), used, "chain {:?}", edit);
-                genome = child;
-                prop_assert_eq!(encoded_size_rebuild(&sliced, &genome, force, &mut cache), size);
-            }
+        let (hist, _) = histogram_for(&rows, 6);
+        let sliced = SlicedHistogram::from_histogram(&hist);
+        let mut scratch = EvalScratch::new();
+        let mut patch = PatchScratch::new();
+        let mut cache = EvalCache::new();
+        encoded_size_rebuild(&sliced, &parent, &mut cache);
+        // Read-only probes: every child priced against the parent cache.
+        for edit in &edits {
+            let (child, window) = apply_edit(&parent, &donor, edit);
+            let (size, transitions, used) = full_objectives(&sliced, &child, &mut scratch);
+            let probe = encoded_size_probe(&sliced, &child, &window, &cache, &mut patch, false);
+            prop_assert_eq!(probe, IncrementalOutcome::Size(size), "{:?}", edit);
+            prop_assert_eq!(
+                patch.last_scan_transitions(), transitions,
+                "transitions after {:?}", edit
+            );
+            prop_assert_eq!(patch.last_used_mvs(), used, "used MVs after {:?}", edit);
+        }
+        // Chain: each child is probed against its predecessor's cache,
+        // then becomes the cached genome; the transition and used-MV
+        // counts must track the full kernel at every step.
+        let mut genome = parent.clone();
+        for edit in &edits {
+            let (child, window) = apply_edit(&genome, &donor, edit);
+            let (size, transitions, used) = full_objectives(&sliced, &child, &mut scratch);
+            let probe = encoded_size_probe(&sliced, &child, &window, &cache, &mut patch, false);
+            prop_assert_eq!(probe, IncrementalOutcome::Size(size), "chain {:?}", edit);
+            prop_assert_eq!(patch.last_scan_transitions(), transitions, "chain {:?}", edit);
+            prop_assert_eq!(patch.last_used_mvs(), used, "chain {:?}", edit);
+            genome = child;
+            prop_assert_eq!(encoded_size_rebuild(&sliced, &genome, &mut cache), size);
         }
     }
 
@@ -165,16 +156,14 @@ proptest! {
     ) {
         for &(k, l) in &[(4usize, 6usize), (6, 4), (12, 2)] {
             let (hist, bits) = histogram_for(&rows, k);
-            for force in [false, true] {
-                let fitness = MvFitness::new(k, force, &hist, bits);
-                let mut scratch = EvalScratch::new();
-                for genes in &genomes {
-                    let genes = &genes[..k * l];
-                    let oracle = fitness.evaluate_oracle(genes);
-                    let kernel = fitness.evaluate_with_objectives(genes, &mut scratch);
-                    prop_assert_eq!(oracle.0.to_bits(), kernel.0.to_bits(), "scalar k={}", k);
-                    prop_assert_eq!(oracle.1, kernel.1, "objectives k={}", k);
-                }
+            let fitness = MvFitness::new(k, &hist, bits);
+            let mut scratch = EvalScratch::new();
+            for genes in &genomes {
+                let genes = &genes[..k * l];
+                let oracle = fitness.evaluate_oracle(genes);
+                let kernel = fitness.evaluate_with_objectives(genes, &mut scratch);
+                prop_assert_eq!(oracle.0.to_bits(), kernel.0.to_bits(), "scalar k={}", k);
+                prop_assert_eq!(oracle.1, kernel.1, "objectives k={}", k);
             }
         }
     }
@@ -244,16 +233,19 @@ proptest! {
 }
 
 /// Runs the EA over a fixed small workload with the given `MvFitness`
-/// combine mode, Pareto capacity and thread count.
+/// weights (`None` = never set), Pareto capacity and thread count.
 fn run_mv_ea(
     hist: &BlockHistogram,
     bits: f64,
-    mode: CombineMode,
+    weights: Option<[f64; 3]>,
     pareto: usize,
     threads: usize,
     seed: u64,
 ) -> EaResult<Trit> {
-    let fitness = MvFitness::new(8, true, hist, bits).combine_mode(mode);
+    let mut fitness = MvFitness::new(8, hist, bits);
+    if let Some(weights) = weights {
+        fitness = fitness.combine_mode(weights);
+    }
     let config = EaConfig::builder()
         .population_size(8)
         .children_per_generation(6)
@@ -281,7 +273,7 @@ fn small_workload() -> (BlockHistogram, f64) {
     (BlockHistogram::from_string(&string), bits)
 }
 
-/// Satellite 1c: weighted `(1, 0, 0)` — the default mode — reproduces the
+/// Satellite 1c: weights `(1, 0, 0)` — the default — reproduce the
 /// single-objective trajectory byte-for-byte at every thread count, with
 /// the Pareto archive on (objective evaluation path) or off (the legacy
 /// scalar path), and the front itself is thread-invariant.
@@ -289,20 +281,11 @@ fn small_workload() -> (BlockHistogram, f64) {
 fn weighted_unit_mode_reproduces_the_scalar_trajectory_at_any_thread_count() {
     let (hist, bits) = small_workload();
     for seed in [1u64, 9] {
-        let reference = run_mv_ea(&hist, bits, CombineMode::default(), 0, 1, seed);
+        let reference = run_mv_ea(&hist, bits, None, 0, 1, seed);
         let mut fronts = Vec::new();
         for threads in [1usize, 2, 4] {
-            for (mode, pareto) in [
-                (CombineMode::default(), 0),
-                (CombineMode::default(), 16),
-                (
-                    CombineMode::Weighted {
-                        weights: [1.0, 0.0, 0.0],
-                    },
-                    16,
-                ),
-            ] {
-                let run = run_mv_ea(&hist, bits, mode, pareto, threads, seed);
+            for (weights, pareto) in [(None, 0), (None, 16), (Some([1.0, 0.0, 0.0]), 16)] {
+                let run = run_mv_ea(&hist, bits, weights, pareto, threads, seed);
                 assert_eq!(run.best_genome, reference.best_genome, "t={threads}");
                 assert_eq!(
                     run.best_fitness.to_bits(),
@@ -333,7 +316,7 @@ fn weighted_unit_mode_reproduces_the_scalar_trajectory_at_any_thread_count() {
     }
 }
 
-/// The lexicographic mode end to end: ranking on the objective vector with
+/// Lexicographic ranking end to end: ranking on the objective vector with
 /// an archive stays deterministic across thread counts and yields a
 /// nondominated, lexicographically sorted front whose head is the best
 /// compression found.
@@ -341,7 +324,7 @@ fn weighted_unit_mode_reproduces_the_scalar_trajectory_at_any_thread_count() {
 fn lexicographic_mv_runs_are_thread_invariant() {
     let (hist, bits) = small_workload();
     let run = |threads: usize| {
-        let fitness = MvFitness::new(8, true, &hist, bits).combine_mode(CombineMode::Lexicographic);
+        let fitness = MvFitness::new(8, &hist, bits);
         let config = EaConfig::builder()
             .population_size(8)
             .children_per_generation(6)

@@ -53,7 +53,7 @@ impl Workload {
         EaBuilder::new(
             K * L,
             |rng| Trit::from_index(rng.gen_range(0..3u8)),
-            MvFitness::new(K, true, &self.histogram, self.bits),
+            MvFitness::new(K, &self.histogram, self.bits),
         )
         .config(config)
         .run()
