@@ -47,23 +47,27 @@
 //! ```
 //!
 //! Exits non-zero only if the paths disagree on any genome or child, the
-//! cost gate is stuck one way, or the default EA run (survival floor on)
-//! differs from the same run with the floor off or prunes nothing (a
-//! correctness failure, not a perf one). Any argument other than
+//! cost gate is stuck one way, the default EA run (survival floor on)
+//! differs from the same run with the floor off or prunes nothing, or a
+//! covering the run keeps for a probed child differs from a rebuild of that
+//! child (a correctness failure, not a perf one). Any argument other than
 //! `--check-only` exits with code 2 before anything runs.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
 use evotc_bench::fitness_fixture::{paper_histogram, random_genomes, BLOCK_LEN, NUM_MVS};
 use evotc_bench::{alternating_pairs, check_only_arg, median};
 use evotc_bits::{SlicedHistogram, Trit};
 use evotc_core::{
-    encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, EvalCache, EvalScratch,
-    IncrementalOutcome, MvFitness, MvFitnessState, PatchScratch,
+    encoded_size_probe, encoded_size_rebuild, encoded_size_rebuild_with, encoded_size_scratch,
+    EvalCache, EvalScratch, IncrementalOutcome, MvFitness, MvFitnessState, PatchScratch,
 };
 use evotc_core::{trit_checkpoint_from_bytes, trit_checkpoint_to_bytes};
-use evotc_evo::{EaBuilder, EaCheckpoint, EaConfig, EaResult, FitnessEval, Objectives, Provenance};
+use evotc_evo::{
+    CacheStats, EaBuilder, EaCheckpoint, EaConfig, EaResult, FitnessEval, Objectives, Provenance,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -225,6 +229,54 @@ fn fail(message: &str) -> ! {
     std::process::exit(1);
 }
 
+/// `MvFitness` that checks, after every batch, each child whose covering
+/// the island state holds — a covering kept from the child's probe — against
+/// a rebuild of the child with the same transition setting.
+struct CheckKept<'a> {
+    fitness: MvFitness<'a>,
+    sliced: &'a SlicedHistogram,
+    /// Coverings checked, and those that differed from the rebuild.
+    checked: &'a [AtomicU64; 2],
+}
+
+impl FitnessEval<Trit> for CheckKept<'_> {
+    type State = MvFitnessState;
+
+    fn evaluate(&self, genes: &[Trit]) -> f64 {
+        self.fitness.evaluate(genes)
+    }
+
+    fn evaluate_batch(
+        &self,
+        state: &mut MvFitnessState,
+        genomes: &[Vec<Trit>],
+        provenance: Option<Provenance<'_, Trit>>,
+        out: &mut [f64],
+        objectives: Option<&mut [Objectives]>,
+    ) {
+        self.fitness
+            .evaluate_batch(state, genomes, provenance, out, objectives);
+        let mut rebuilt = EvalCache::new();
+        for child in genomes.iter().filter(|_| provenance.is_some()) {
+            if let Some(kept) = state.covering(child) {
+                encoded_size_rebuild_with(
+                    self.sliced,
+                    child,
+                    kept.tracks_transitions(),
+                    &mut rebuilt,
+                );
+                let [checked, wrong] = self.checked;
+                checked.fetch_add(1, Relaxed);
+                wrong.fetch_add(u64::from(*kept != rebuilt), Relaxed);
+            }
+        }
+    }
+
+    fn cache_stats(&self) -> Option<CacheStats> {
+        self.fitness.cache_stats()
+    }
+}
+
 fn main() {
     let check_only = check_only_arg("fitness_smoke");
     let (histogram, payload_bits) = paper_histogram();
@@ -367,14 +419,17 @@ fn main() {
                 "island run diverged between threads=1 and threads={threads}"
             ));
         }
-        if other.cache != island_ref.cache {
+        if other.cache != island_ref.cache || other.copies != island_ref.copies {
             fail(&format!(
-                "island cache counters differ between threads=1 and threads={threads}"
+                "island cache counters or copies differ between threads=1 and threads={threads}"
             ));
         }
     }
     let island_cache = island_ref.cache.unwrap_or_default();
-    println!("island run cache counters, any thread count: {island_cache}");
+    println!(
+        "island run cache counters, any thread count: {island_cache}; {} copies",
+        island_ref.copies
+    );
 
     // Correctness gate 5: interrupting the island run at any periodic
     // checkpoint and resuming through the serialized trit byte codec must
@@ -432,9 +487,10 @@ fn main() {
     // Correctness gate 6: the survival floor never changes a run. The
     // default run (the engine offers a floor, fallbacks stop once they
     // prove a child at or below it) must equal the same run with a one-slot
-    // Pareto archive, which asks for objectives and so gets no floor —
-    // same survivors, history and cache counters — and it must prune, or
-    // the comparison proves nothing.
+    // Pareto archive, which asks for objectives and so may not clip at the
+    // floor — same survivors, history, copies and cache counters, kept
+    // coverings included — and it must prune, or the comparison proves
+    // nothing.
     let ea_config = EaConfig::builder()
         .population_size(10)
         .children_per_generation(5)
@@ -474,14 +530,45 @@ fn main() {
         || floored.generations != floor_off.generations
         || floored.evaluations != floor_off.evaluations
         || !same_history
-        || (on.hits, on.misses, on.fallbacks) != (off.hits, off.misses, off.fallbacks)
+        || floored.copies != floor_off.copies
+        || (on.hits, on.misses, on.kept, on.fallbacks)
+            != (off.hits, off.misses, off.kept, off.fallbacks)
     {
         fail("the survival floor changed the EA run (default vs pareto_archive(1))");
     }
     if on.pruned == 0 {
         fail("the default EA run pruned nothing: the floor check is vacuous");
     }
-    println!("EA run cache counters, floor on: {on}");
+    println!(
+        "EA run cache counters, floor on: {on}; {} copies",
+        floored.copies
+    );
+
+    // Correctness gate 7: every covering the default run keeps for a probed
+    // child equals a rebuild of that child, field for field, and the check
+    // changes nothing about the run.
+    let counts = [AtomicU64::new(0), AtomicU64::new(0)];
+    let check_kept = CheckKept {
+        fitness: fitness.clone(),
+        sliced: &sliced,
+        checked: &counts,
+    };
+    let checked_run = EaBuilder::new(GENOME_LEN, sample, check_kept)
+        .config(ea_config.clone())
+        .run();
+    let [checked, wrong] = counts.map(AtomicU64::into_inner);
+    if checked_run.best_genome != floored.best_genome
+        || checked_run.evaluations != floored.evaluations
+        || checked_run.cache != floored.cache
+    {
+        fail("checking the kept coverings changed the EA run");
+    }
+    if wrong > 0 || checked < on.kept || on.kept == 0 {
+        fail(&format!(
+            "{wrong} of {checked} kept coverings differ from a rebuild ({} kept)",
+            on.kept
+        ));
+    }
 
     if check_only {
         println!(
@@ -490,7 +577,8 @@ fn main() {
              and multi-chunk crossover/inversion streams, transition and \
              used-MV objectives included; cost gate live; island runs \
              thread-invariant and checkpoint/resume-exact through the byte \
-             codec; survival floor exact and live (K={BLOCK_LEN}, L={NUM_MVS})"
+             codec; survival floor exact and live; kept coverings exact \
+             (K={BLOCK_LEN}, L={NUM_MVS})"
         );
         return;
     }
@@ -695,15 +783,19 @@ fn main() {
         ("checkpoint_overhead_pct", checkpoint_overhead_pct, 2),
         ("ea_cache_hits", on.hits as f64, 0),
         ("ea_cache_misses", on.misses as f64, 0),
+        ("ea_cache_kept", on.kept as f64, 0),
         ("ea_cache_fallbacks", on.fallbacks as f64, 0),
+        ("ea_copies", floored.copies as f64, 0),
         ("ea_island_cache_hits", island_cache.hits as f64, 0),
         ("ea_island_cache_misses", island_cache.misses as f64, 0),
+        ("ea_island_cache_kept", island_cache.kept as f64, 0),
         (
             "ea_island_cache_fallbacks",
             island_cache.fallbacks as f64,
             0,
         ),
         ("ea_island_pruned", island_cache.pruned as f64, 0),
+        ("ea_island_copies", island_ref.copies as f64, 0),
     ];
     let mut json = String::from("{\n  \"bench\": \"fitness_kernel\",\n  \"workload\": \"s953\"");
     for (key, value, digits) in fields {

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::hash::content_hash;
 use crate::incremental::IncrementalOutcome;
-use crate::kernel::{block_transitions, BoundedSize};
+use crate::kernel::{block_transitions, BoundedSize, MatchMemo};
 
 use crate::compressed::CompressedTestSet;
 use crate::covering::Covering;
@@ -114,6 +114,7 @@ impl EaCompressor {
             best_fitness: result.best_fitness,
             generations: result.generations,
             evaluations: result.evaluations,
+            copies: result.copies,
             history: result.history,
             elapsed: result.elapsed,
             cache: result.cache,
@@ -241,11 +242,23 @@ impl std::error::Error for WeightError {}
 /// migrant brings its covering to the island it joins
 /// ([`FitnessEval::migrate`]).
 ///
-/// Cache effectiveness is observable: hit/miss/fallback counters accumulate
-/// on the evaluator and surface through [`FitnessEval::cache_stats`] on
-/// [`GenerationStats`] and [`EaRunSummary`]. Each island's lookups follow
-/// from its own trajectory, so the counters are the same at any thread
-/// count.
+/// The engine never hands over a child that equals a parent (a copy takes
+/// the parent's score; see [`FitnessEval`]), and nothing is priced twice
+/// here either:
+///
+/// * A probed child that scores above the worst parent
+///   ([`Provenance::floor`]) may be a parent next generation, so the
+///   covering its probe patched is kept ([`crate::encoded_size_keep`]):
+///   the parent then costs a lookup, not a rebuild.
+/// * The full kernel and the parent rebuild read each MV's match set from
+///   a bounded memo in the island's state, keyed by the MV's exact planes,
+///   instead of OR-ing its conflict columns again.
+///
+/// Cache effectiveness is observable: hit/miss/kept/fallback counters
+/// accumulate on the evaluator and surface through
+/// [`FitnessEval::cache_stats`] on [`GenerationStats`] and [`EaRunSummary`].
+/// Each island's lookups follow from its own trajectory, so the counters are
+/// the same at any thread count.
 ///
 /// Work whose result nobody reads is skipped. The scan-transition side
 /// channel is computed only when the batch asks for objectives or the
@@ -261,6 +274,9 @@ impl std::error::Error for WeightError {}
 /// allows (enforced by `tests/survival_floor.rs`).
 #[derive(Debug)]
 pub struct MvFitness<'a> {
+    /// Identifies the histogram to the island states (see
+    /// [`MvFitnessState::serve`]); clones share it.
+    id: u64,
     k: usize,
     histogram: &'a BlockHistogram,
     sliced: evotc_bits::SlicedHistogram,
@@ -272,6 +288,8 @@ pub struct MvFitness<'a> {
     hits: AtomicU64,
     /// Parent coverings built from scratch.
     misses: AtomicU64,
+    /// Coverings kept from a probe for a child likely to survive.
+    kept: AtomicU64,
     /// Children with lineage that the full kernel priced.
     fallbacks: AtomicU64,
     /// Fallbacks the survival floor cut short.
@@ -286,6 +304,7 @@ impl Clone for MvFitness<'_> {
             sliced: self.sliced.clone(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            kept: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
             pruned: AtomicU64::new(0),
             ..*self
@@ -294,21 +313,32 @@ impl Clone for MvFitness<'_> {
 }
 
 /// One island's working state for [`MvFitness`]: the kernel and patch
-/// scratch, and the parent coverings the island's children are priced
-/// against. The engine creates one per island and drops it with the island
-/// (see [`FitnessEval::State`]); its contents never change a score, only
-/// what a score costs.
+/// scratch, the parent coverings the island's children are priced against,
+/// and the MV match-set memo. The engine creates one per island and drops
+/// it with the island (see [`FitnessEval::State`]); its contents never
+/// change a score, only what a score costs. A state that moves to an
+/// evaluator of another histogram starts over.
 ///
 /// The coverings are keyed by genome content — each [`crate::EvalCache`]
-/// holds its genome — and bounded at twice the parent population of the
-/// latest batch. A full state rebuilds its least recently used covering in
-/// place, so a long run's footprint stays flat.
+/// holds its genome — and bounded at the latest batch's parent population
+/// plus the larger of that population and the batch's children: a batch
+/// looks up at most one covering per parent and keeps at most one per
+/// child, so it never evicts a covering it uses. A full state rebuilds its
+/// least recently used covering in place, so a long run's footprint stays
+/// flat.
 #[derive(Debug, Default)]
 pub struct MvFitnessState {
+    /// [`MvFitness`] identity the coverings and match sets were built for;
+    /// 0 before the first batch.
+    evaluator: u64,
     scratch: crate::EvalScratch,
     patch: crate::PatchScratch,
+    /// Match sets of the MVs the island priced lately.
+    match_sets: MatchMemo,
     parents: Vec<CachedParent>,
-    /// Covering bound: twice the latest batch's parent population.
+    /// Covering bound: the latest batch's parent population plus the larger
+    /// of that population and its children (twice the parents at the
+    /// paper's `S = 10`, `C = 5`).
     capacity: usize,
     /// Use counter ordering the coverings for eviction.
     tick: u64,
@@ -326,9 +356,13 @@ pub struct MvFitnessState {
     /// the other way does not serve it (see the shape tag of
     /// [`crate::EvalCache`]).
     transitions: bool,
-    /// The current batch's survival floor and the smallest encoded size
-    /// whose rate is at or below it (see [`MvFitness::size_floor`]).
+    /// The current batch's survival floor where it may prune, and the
+    /// smallest encoded size whose rate is at or below it (see
+    /// [`MvFitness::size_floor`]).
     floor: Option<(f64, u64)>,
+    /// The current batch's survival floor, pruning or not: a probed child
+    /// above it keeps its covering.
+    keep_above: Option<f64>,
 }
 
 /// One cached parent covering.
@@ -342,11 +376,39 @@ struct CachedParent {
 }
 
 impl MvFitnessState {
+    /// The covering this state holds for exactly `genome`, built for the
+    /// latest batch's transition setting, if any: a parent's, or a child's
+    /// kept from its probe. Equal, field for field, to what
+    /// [`crate::encoded_size_rebuild_with`] builds for `genome` with that
+    /// setting ([`crate::EvalCache::tracks_transitions`]).
+    pub fn covering(&self, genome: &[Trit]) -> Option<&crate::EvalCache> {
+        let hash = content_hash(genome);
+        self.parents
+            .iter()
+            .find(|p| p.hash == hash && serves(p, genome, self.transitions))
+            .map(|p| &p.cache)
+    }
+
+    /// Starts serving evaluator `id`: coverings and match sets built for
+    /// another histogram are dropped.
+    fn serve(&mut self, id: u64) {
+        if self.evaluator != id {
+            self.evaluator = id;
+            self.parents.clear();
+            self.hints.clear();
+            self.match_sets.clear();
+        }
+    }
+
     /// Index of the first covering built from exactly `genome` (for this
     /// batch's transition setting), marked as used. The content hash
     /// prefilters, so a non-matching covering costs one `u64` compare.
     fn find(&mut self, genome: &[Trit]) -> Option<usize> {
-        let hash = content_hash(genome);
+        self.find_hashed(genome, content_hash(genome))
+    }
+
+    /// [`MvFitnessState::find`] with the genome's content hash at hand.
+    fn find_hashed(&mut self, genome: &[Trit], hash: u64) -> Option<usize> {
         let transitions = self.transitions;
         let i = self
             .parents
@@ -410,10 +472,10 @@ impl MvFitnessState {
         self.memo.clear();
     }
 
-    /// Claims the slot for a new covering of `genome`: a fresh one below
-    /// capacity, otherwise the least recently used one, whose buffers the
-    /// new covering reuses.
-    fn claim(&mut self, genome: &[Trit]) -> usize {
+    /// Claims the slot for a new covering of a genome with content hash
+    /// `hash`: a fresh one below capacity, otherwise the least recently used
+    /// one, whose buffers the new covering reuses.
+    fn claim(&mut self, hash: u64) -> usize {
         self.tick += 1;
         let i = if self.parents.len() < self.capacity.max(1) {
             self.parents.push(CachedParent::default());
@@ -422,13 +484,14 @@ impl MvFitnessState {
             let lru = (0..self.parents.len())
                 .min_by_key(|&i| self.parents[i].used)
                 .expect("a full state holds a covering");
-            // A batch uses at most one covering per parent, and a full state
-            // holds twice as many, so no memoized lookup points at the
-            // least recently used one.
+            // A batch uses at most one covering per parent and keeps at
+            // most one per child, and a full state holds as many as both
+            // together, so no memoized lookup points at the least recently
+            // used one.
             debug_assert!(!self.memo.contains(&Some(Some(lru))));
             lru
         };
-        self.parents[i].hash = content_hash(genome);
+        self.parents[i].hash = hash;
         self.parents[i].used = self.tick;
         i
     }
@@ -458,7 +521,9 @@ impl<'a> MvFitness<'a> {
     /// relative to. The bit-sliced transposition of the histogram is built
     /// here, once per run.
     pub fn new(k: usize, histogram: &'a BlockHistogram, original_bits: f64) -> Self {
+        static EVALUATORS: AtomicU64 = AtomicU64::new(1);
         MvFitness {
+            id: EVALUATORS.fetch_add(1, Ordering::Relaxed),
             k,
             histogram,
             sliced: evotc_bits::SlicedHistogram::from_histogram(histogram),
@@ -466,6 +531,7 @@ impl<'a> MvFitness<'a> {
             weights: PLAIN_RATE,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            kept: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
             pruned: AtomicU64::new(0),
         }
@@ -525,7 +591,18 @@ impl<'a> MvFitness<'a> {
         genes: &[Trit],
         scratch: &mut crate::EvalScratch,
     ) -> (f64, Objectives) {
-        match self.kernel(genes, u64::MAX, true, scratch) {
+        self.exact(genes, scratch, None)
+    }
+
+    /// [`MvFitness::evaluate_with_objectives`], with the MVs' match sets
+    /// read from `memo` when one is given.
+    fn exact(
+        &self,
+        genes: &[Trit],
+        scratch: &mut crate::EvalScratch,
+        memo: Option<&mut MatchMemo>,
+    ) -> (f64, Objectives) {
+        match self.kernel(genes, u64::MAX, true, scratch, memo) {
             BoundedSize::Exact(size) => self.score(
                 size,
                 scratch.last_scan_transitions(),
@@ -536,14 +613,15 @@ impl<'a> MvFitness<'a> {
     }
 
     /// The full kernel over this evaluator's histogram, against `bound`
-    /// (`u64::MAX` = none) and with or without the transition side channel
-    /// (see [`crate::kernel::price`]).
+    /// (`u64::MAX` = none), with or without the transition side channel and
+    /// the match-set memo (see [`crate::kernel::price`]).
     fn kernel(
         &self,
         genes: &[Trit],
         bound: u64,
         transitions: bool,
         scratch: &mut crate::EvalScratch,
+        memo: Option<&mut MatchMemo>,
     ) -> BoundedSize {
         // Mirror the legacy path exactly: both panic on a misconstructed
         // evaluator. An out-of-range K panics in `MvSet::from_genes` (the
@@ -559,7 +637,7 @@ impl<'a> MvFitness<'a> {
             self.sliced.block_len(),
             "MV and histogram block lengths differ"
         );
-        crate::kernel::price(&self.sliced, genes, bound, transitions, scratch)
+        crate::kernel::price(&self.sliced, genes, bound, transitions, scratch, memo)
     }
 
     /// Scores one engine child against a cached parent covering, read-only,
@@ -620,7 +698,8 @@ impl<'a> MvFitness<'a> {
 
     /// Prices `genes` as an edit of the state's covering `i` through the
     /// read-only, cost-gated probe; `None` when the gate hands it to the
-    /// full kernel.
+    /// full kernel. A child scoring above the batch's worst parent keeps the
+    /// covering the probe patched.
     fn probe(
         &self,
         state: &mut MvFitnessState,
@@ -630,7 +709,7 @@ impl<'a> MvFitness<'a> {
     ) -> Option<(f64, Objectives)> {
         let patch = &mut state.patch;
         let cache = &state.parents[i].cache;
-        match crate::incremental::probe(
+        let size = match crate::incremental::probe(
             &self.sliced,
             genes,
             state.transitions,
@@ -639,11 +718,43 @@ impl<'a> MvFitness<'a> {
             patch,
             true,
         ) {
-            IncrementalOutcome::Size(size) => {
-                Some(self.score(size, patch.last_scan_transitions(), patch.last_used_mvs()))
-            }
-            IncrementalOutcome::NeedsFull => None,
+            IncrementalOutcome::Size(size) => size,
+            IncrementalOutcome::NeedsFull => return None,
+        };
+        let scored = self.score(size, patch.last_scan_transitions(), patch.last_used_mvs());
+        if state.keep_above.is_some_and(|worst| scored.0 > worst) {
+            self.keep(state, i, genes);
         }
+        Some(scored)
+    }
+
+    /// Keeps the covering of `genes`, just priced by a probe of covering
+    /// `i`, unless the state holds one already: the parent's covering with
+    /// the probe's moves replayed, in a claimed slot.
+    fn keep(&self, state: &mut MvFitnessState, i: usize, genes: &[Trit]) {
+        let hash = content_hash(genes);
+        if state.find_hashed(genes, hash).is_some() {
+            return;
+        }
+        let slot = state.claim(hash);
+        // `i` was looked up in this batch, so it is not the least recently
+        // used slot the claim may reuse.
+        debug_assert_ne!(slot, i);
+        let (parent, kept) = if i < slot {
+            let (head, tail) = state.parents.split_at_mut(slot);
+            (&head[i], &mut tail[0])
+        } else {
+            let (head, tail) = state.parents.split_at_mut(i);
+            (&tail[0], &mut head[slot])
+        };
+        crate::incremental::encoded_size_keep(
+            &self.sliced,
+            genes,
+            &parent.cache,
+            &state.patch,
+            &mut kept.cache,
+        );
+        self.kept.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Scores a child with lineage through the full kernel: a fallback.
@@ -652,7 +763,8 @@ impl<'a> MvFitness<'a> {
     fn fallback(&self, state: &mut MvFitnessState, genes: &[Trit]) -> (f64, Objectives) {
         let bound = state.floor.map_or(u64::MAX, |(_, bound)| bound);
         self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        match self.kernel(genes, bound, state.transitions, &mut state.scratch) {
+        let memo = Some(&mut state.match_sets);
+        match self.kernel(genes, bound, state.transitions, &mut state.scratch, memo) {
             BoundedSize::Exact(size) => self.score(
                 size,
                 state.scratch.last_scan_transitions(),
@@ -670,12 +782,13 @@ impl<'a> MvFitness<'a> {
     /// and returns the slot.
     fn build(&self, state: &mut MvFitnessState, genome: &[Trit]) -> usize {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let i = state.claim(genome);
+        let i = state.claim(content_hash(genome));
         crate::incremental::rebuild(
             &self.sliced,
             genome,
             state.transitions,
             &mut state.parents[i].cache,
+            Some(&mut state.match_sets),
         );
         i
     }
@@ -805,15 +918,23 @@ impl FitnessEval<Trit> for MvFitness<'_> {
         if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::CORE_EVALUATE) {
             panic!("injected evaluator fault");
         }
+        state.serve(self.id);
         let parents = provenance.map_or(&[][..], |p| p.parents);
         if provenance.is_some() {
-            state.capacity = 2 * parents.len();
+            state.capacity = parents.len() + parents.len().max(genomes.len());
+        }
+        if let Some(genome) = genomes.first() {
+            // The population holds `S · L` MVs; the initial batch is its own.
+            let mvs = parents.len().max(genomes.len()) * (genome.len() / self.k.max(1));
+            state.match_sets.fit(mvs);
         }
         state.memo.clear();
         state.memo.resize(parents.len(), None);
         state.transitions = objectives.is_some() || self.prices_transitions();
+        state.keep_above = provenance.and_then(|p| p.floor);
         // The floor prunes only where the scalar is the plain rate and no
-        // objective vector is read back. It changes only when selection
+        // objective vector is read back (the license of
+        // `Provenance::floor`). It changes only when selection
         // does, so the last conversion usually still holds.
         let floor = provenance
             .and_then(|p| p.floor)
@@ -830,7 +951,7 @@ impl FitnessEval<Trit> for MvFitness<'_> {
                     self.evaluate_lineage_child(state, genes, parents, lineage)
                 }
                 Some(_) => self.fallback(state, genes),
-                None => self.evaluate_with_objectives(genes, &mut state.scratch),
+                None => self.exact(genes, &mut state.scratch, Some(&mut state.match_sets)),
             };
             out[i] = score;
             if let Some(objectives) = objectives.as_deref_mut() {
@@ -845,6 +966,8 @@ impl FitnessEval<Trit> for MvFitness<'_> {
     /// fraction of the rebuild the destination would otherwise run the
     /// first time it breeds from the migrant.
     fn migrate(&self, genome: &[Trit], from: &mut MvFitnessState, to: &mut MvFitnessState) {
+        from.serve(self.id);
+        to.serve(self.id);
         if genome.is_empty() || genome.len() % self.k != 0 || to.find(genome).is_some() {
             return;
         }
@@ -852,7 +975,7 @@ impl FitnessEval<Trit> for MvFitness<'_> {
             Some(i) => i,
             None => self.build(from, genome),
         };
-        let dst = to.claim(genome);
+        let dst = to.claim(content_hash(genome));
         to.parents[dst].cache.clone_from(&from.parents[src].cache);
     }
 
@@ -864,6 +987,7 @@ impl FitnessEval<Trit> for MvFitness<'_> {
         Some(CacheStats {
             hits: load(&self.hits),
             misses: load(&self.misses),
+            kept: load(&self.kept),
             fallbacks: load(&self.fallbacks),
             pruned: load(&self.pruned),
         })
@@ -877,8 +1001,12 @@ pub struct EaRunSummary {
     pub best_fitness: f64,
     /// Generations executed.
     pub generations: u64,
-    /// Fitness evaluations spent.
+    /// Fitness evaluations spent (every child counts, copies included).
     pub evaluations: u64,
+    /// Children that were copies of a parent and took its score without a
+    /// fitness computation (see [`evotc_evo::EaResult::copies`]); the same
+    /// at any thread count.
+    pub copies: u64,
     /// Per-generation fitness trajectory.
     pub history: Vec<GenerationStats>,
     /// Wall-clock duration of the optimization.
@@ -1541,6 +1669,88 @@ mod tests {
         }
         let stats = fitness.cache_stats().unwrap();
         assert_eq!((stats.hits, stats.misses, stats.fallbacks), (99, 301, 0));
+    }
+
+    #[test]
+    fn probed_children_above_the_worst_parent_keep_their_covering() {
+        let set = small_set();
+        let string = TestSetString::try_new(&set, 8).unwrap();
+        let histogram = BlockHistogram::from_string(&string);
+        let fitness = MvFitness::new(8, &histogram, string.payload_bits() as f64);
+        let parent = numbered_genome(29, 16);
+        let children: Vec<Vec<Trit>> = (0..8)
+            .map(|g| {
+                let mut child = parent.clone();
+                child[g] = Trit::from_index((parent[g].index() + 1) % 3);
+                child
+            })
+            .collect();
+        let lineage: Vec<_> = (0..8)
+            .map(|g| Some(evotc_evo::Lineage::new(0, g..g + 1)))
+            .collect();
+        let exact: Vec<f64> = children.iter().map(|c| fitness.evaluate(c)).collect();
+        let worst = exact.iter().copied().fold(f64::INFINITY, f64::min);
+        let mut state = MvFitnessState::default();
+        for transitions in [false, true] {
+            let provenance = Provenance {
+                lineage: &lineage,
+                parents: &[parent.as_slice()],
+                floor: Some(worst),
+            };
+            let mut scores = vec![f64::NAN; children.len()];
+            let mut objectives = vec![Objectives::NAN; children.len()];
+            fitness.evaluate_batch(
+                &mut state,
+                &children,
+                Some(provenance),
+                &mut scores,
+                transitions.then_some(&mut objectives[..]),
+            );
+            // Exactly the children above the worst parent are kept, each
+            // equal to a rebuild of its genome.
+            for (child, &score) in children.iter().zip(&exact) {
+                let kept = state.covering(child);
+                assert_eq!(kept.is_some(), score > worst, "transitions {transitions}");
+                if let Some(kept) = kept {
+                    let mut rebuilt = crate::EvalCache::new();
+                    crate::encoded_size_rebuild_with(
+                        &fitness.sliced,
+                        child,
+                        transitions,
+                        &mut rebuilt,
+                    );
+                    assert!(*kept == rebuilt, "transitions {transitions}");
+                }
+            }
+        }
+        let above = exact.iter().filter(|&&e| e > worst).count() as u64;
+        assert!(above > 0, "no child above the worst parent");
+        let stats = fitness.cache_stats().unwrap();
+        assert_eq!((stats.misses, stats.kept), (2, 2 * above));
+    }
+
+    #[test]
+    fn a_state_serving_another_histogram_starts_over() {
+        let set = small_set();
+        let string = TestSetString::try_new(&set, 8).unwrap();
+        let histogram = BlockHistogram::from_string(&string);
+        let bits = string.payload_bits() as f64;
+        let other_set = TestSet::parse(&["0000000011111111", "01X0XX10XXXX0000"]).unwrap();
+        let other_string = TestSetString::try_new(&other_set, 8).unwrap();
+        let other = BlockHistogram::from_string(&other_string);
+        let (a, b) = (
+            MvFitness::new(8, &histogram, bits),
+            MvFitness::new(8, &other, other_string.payload_bits() as f64),
+        );
+        let parent = numbered_genome(40, 16);
+        let mut state = MvFitnessState::default();
+        copy_batch(&a, &mut state, std::slice::from_ref(&parent));
+        // The covering built over `histogram` never prices a child over
+        // `other`, and a clone of the evaluator shares its coverings.
+        copy_batch(&b, &mut state, std::slice::from_ref(&parent));
+        copy_batch(&b.clone(), &mut state, std::slice::from_ref(&parent));
+        let (sa, sb) = (a.cache_stats().unwrap(), b.cache_stats().unwrap());
+        assert_eq!((sa.misses, sb.misses, sb.hits), (1, 1, 0));
     }
 
     #[test]

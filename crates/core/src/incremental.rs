@@ -43,6 +43,11 @@
 //! caller-owned [`PatchScratch`] — so one cached parent prices all of its
 //! children. [`crate::MvFitnessState`] keeps one island's parent caches and
 //! its scratch.
+//!
+//! A probed child that is likely to become a parent itself need not be
+//! rebuilt later: [`encoded_size_keep`] replays the probe's block moves,
+//! chunk by chunk, on a copy of the parent's covering, which leaves
+//! exactly the cache [`encoded_size_rebuild`] would build for the child.
 //! It answers [`IncrementalOutcome::NeedsFull`] when the cache is cold, the
 //! shapes differ, or — with the cost gate on — a multi-chunk patch is
 //! estimated to cost more than a full rescan.
@@ -52,7 +57,7 @@ use std::ops::Range;
 use evotc_bits::{SlicedHistogram, Trit};
 use evotc_codes::{huffman_weighted_length_delta, HuffmanDeltaState};
 
-use crate::kernel::{block_transitions, chunks_of, decode_chunk, trits_equal};
+use crate::kernel::{block_transitions, chunks_of, decode_chunk, trits_equal, MatchMemo};
 use crate::mvset::covering_key;
 
 /// A parent genome's fully evaluated covering state, reusable to price
@@ -161,6 +166,34 @@ pub struct EvalCache {
     mismatch: Vec<u64>,
 }
 
+/// Two caches are equal when they hold the same evaluation, field for
+/// field: shape tag, genome, MV planes, `N_U`, covering order, frequencies,
+/// owners, owned bitsets, MV-major planes, fill bits, transition count,
+/// Huffman leaves and total. The rebuild's working memory is not compared.
+impl PartialEq for EvalCache {
+    fn eq(&self, other: &Self) -> bool {
+        self.warm == other.warm
+            && self.shape == other.shape
+            && self.genes == other.genes
+            && self.spec == other.spec
+            && self.value == other.value
+            && self.nu == other.nu
+            && self.order == other.order
+            && self.freq == other.freq
+            && self.owner == other.owner
+            && self.owned == other.owned
+            && self.mv_ones == other.mv_ones
+            && self.mv_zeros == other.mv_zeros
+            && self.fill_bits == other.fill_bits
+            && self.scan_transitions == other.scan_transitions
+            && self.huffman.leaves() == other.huffman.leaves()
+            && self.huffman.weighted_length() == other.huffman.weighted_length()
+            && self.total == other.total
+    }
+}
+
+impl Eq for EvalCache {}
+
 /// Per-call working memory of [`encoded_size_probe`]: the changed chunks
 /// and their mismatch planes, the multi-chunk working copy of the covering,
 /// the running patch, and the Huffman patch queue. Contents carry no
@@ -193,6 +226,11 @@ pub struct PatchScratch {
     last_transitions: u64,
     /// Used-MV count of the child priced by the last probe.
     last_used: usize,
+    /// Fill bits of the child priced by the last probe.
+    last_fill: u64,
+    /// Whether the last probe answered [`IncrementalOutcome::Size`], so
+    /// its edit can be replayed by [`encoded_size_keep`].
+    priced: bool,
 }
 
 /// What one probe accumulates while it patches its changed chunks in
@@ -207,9 +245,12 @@ struct Patch {
     /// change cancels and reappears is listed twice; the Huffman pass reads
     /// and clears each entry once.
     touched: Vec<u32>,
-    /// `(block, new owner)` moves of the current chunk, recorded only when
-    /// a later chunk needs them applied to the working copy.
+    /// `(block, new owner)` moves of every patched chunk, in order: the
+    /// working copy applies them for the next chunk, and
+    /// [`encoded_size_keep`] replays them all.
     moves: Vec<(u32, u32)>,
+    /// End of each patched chunk's moves in `moves`.
+    move_ends: Vec<usize>,
     /// Steal set of the current chunk (blocks moving to the edited MV).
     steal: Vec<u64>,
     /// Union buffer for the later-owners mask of the steal set.
@@ -272,8 +313,9 @@ impl EvalCache {
         self.warm && trits_equal(&self.genes, genes)
     }
 
-    /// `true` when the held evaluation tracks the scan-transition count.
-    pub(crate) fn tracks_transitions(&self) -> bool {
+    /// `true` when the held evaluation tracks the scan-transition count (see
+    /// [`encoded_size_rebuild_with`]).
+    pub fn tracks_transitions(&self) -> bool {
         self.shape.4
     }
 
@@ -320,16 +362,34 @@ pub fn encoded_size_rebuild(
     genes: &[Trit],
     cache: &mut EvalCache,
 ) -> u64 {
-    rebuild(sliced, genes, true, cache)
+    rebuild(sliced, genes, true, cache, None)
 }
 
 /// [`encoded_size_rebuild`] with the scan-transition count tracked or not,
-/// as the cache's shape tag then records.
+/// as the cache's shape tag then records. A cache built without it serves
+/// only probes that do not ask for it (see [`encoded_size_probe_with`]);
+/// `MvFitness` builds those for batches that read no transition count.
+///
+/// # Panics
+///
+/// As for [`encoded_size_rebuild`].
+pub fn encoded_size_rebuild_with(
+    sliced: &SlicedHistogram,
+    genes: &[Trit],
+    transitions: bool,
+    cache: &mut EvalCache,
+) -> u64 {
+    rebuild(sliced, genes, transitions, cache, None)
+}
+
+/// [`encoded_size_rebuild_with`], reading each MV's match set from `memo`
+/// when one is given.
 pub(crate) fn rebuild(
     sliced: &SlicedHistogram,
     genes: &[Trit],
     transitions: bool,
     cache: &mut EvalCache,
+    mut memo: Option<&mut MatchMemo>,
 ) -> u64 {
     let state = cache;
     let k = sliced.block_len();
@@ -404,8 +464,10 @@ pub(crate) fn rebuild(
     if let Some(last) = state.unowned.last_mut() {
         *last = sliced.last_word_mask();
     }
-    state.mismatch.clear();
-    state.mismatch.resize(words, 0);
+    if memo.is_none() {
+        state.mismatch.clear();
+        state.mismatch.resize(words, 0);
+    }
     let counts = sliced.counts();
     let mut blocks_left = n;
     let mut fill_bits = 0u64;
@@ -415,10 +477,16 @@ pub(crate) fn rebuild(
             break; // every block owned; the rest keep frequency 0
         }
         let j = j as usize;
-        state.mismatch.iter_mut().for_each(|w| *w = 0);
-        sliced.accumulate_mismatch(state.spec[j], state.value[j], &mut state.mismatch);
+        let mismatch = match memo.as_deref_mut() {
+            Some(memo) => memo.mismatch(sliced, state.spec[j], state.value[j]),
+            None => {
+                state.mismatch.iter_mut().for_each(|w| *w = 0);
+                sliced.accumulate_mismatch(state.spec[j], state.value[j], &mut state.mismatch);
+                &state.mismatch
+            }
+        };
         let mut freq = 0u64;
-        for (w, &mis) in state.mismatch.iter().enumerate() {
+        for (w, &mis) in mismatch.iter().enumerate() {
             let taken = state.unowned[w] & !mis;
             if taken == 0 {
                 continue;
@@ -494,7 +562,23 @@ pub fn encoded_size_probe(
 }
 
 /// [`encoded_size_probe`] with the scan-transition count tracked or not: a
-/// cache built the other way answers [`IncrementalOutcome::NeedsFull`].
+/// cache built the other way (see [`encoded_size_rebuild_with`]) answers
+/// [`IncrementalOutcome::NeedsFull`]. Untracked, the transition count left
+/// in `scratch` is zero.
+pub fn encoded_size_probe_with(
+    sliced: &SlicedHistogram,
+    genes: &[Trit],
+    transitions: bool,
+    edit: &Range<usize>,
+    cache: &EvalCache,
+    scratch: &mut PatchScratch,
+    gated: bool,
+) -> IncrementalOutcome {
+    probe(sliced, genes, transitions, edit, cache, scratch, gated)
+}
+
+/// The one probe behind [`encoded_size_probe`] and
+/// [`encoded_size_probe_with`].
 pub(crate) fn probe(
     sliced: &SlicedHistogram,
     genes: &[Trit],
@@ -504,6 +588,7 @@ pub(crate) fn probe(
     scratch: &mut PatchScratch,
     gated: bool,
 ) -> IncrementalOutcome {
+    scratch.priced = false;
     if !shapes_match(sliced, genes, transitions, edit, cache) {
         return IncrementalOutcome::NeedsFull;
     }
@@ -542,13 +627,52 @@ pub(crate) fn probe(
             }
         }
     }
+    scratch.priced = true;
     if scratch.edited.is_empty() {
         // The child equals the parent: so do its objectives.
         scratch.last_transitions = cache.scan_transitions;
         scratch.last_used = cache.huffman.leaves().len();
+        scratch.last_fill = cache.fill_bits;
         return IncrementalOutcome::Size(cache.total);
     }
     IncrementalOutcome::Size(patch_edit(sliced, cache, scratch))
+}
+
+/// Builds into `kept` the covering of `genes`, the child that the last
+/// [`IncrementalOutcome::Size`] answer through `scratch` priced against
+/// `parent`, and returns its encoded size: `parent`'s covering with the
+/// probe's block moves replayed chunk by chunk, so `kept` ends up equal,
+/// field for field, to what [`encoded_size_rebuild_with`] builds for
+/// `genes` (transitions tracked as in `parent`), at the cost of a copy.
+/// The EA keeps the coverings of children likely to survive this way, so a
+/// parent is rebuilt only when no probe priced it.
+///
+/// # Panics
+///
+/// Panics if the last probe through `scratch` did not answer `Size`.
+pub fn encoded_size_keep(
+    sliced: &SlicedHistogram,
+    genes: &[Trit],
+    parent: &EvalCache,
+    scratch: &PatchScratch,
+    kept: &mut EvalCache,
+) -> u64 {
+    assert!(scratch.priced, "the last probe priced no child to keep");
+    kept.copy_covering_from(parent);
+    kept.genes.clear();
+    kept.genes.extend_from_slice(genes);
+    let mut from = 0;
+    for (&(i, spec, value), &end) in scratch.edited.iter().zip(&scratch.patch.move_ends) {
+        let moves = &scratch.patch.moves[from..end];
+        apply_chunk(sliced, kept, (i as usize, spec, value), moves);
+        from = end;
+    }
+    kept.fill_bits = scratch.last_fill;
+    kept.scan_transitions = scratch.last_transitions;
+    kept.huffman.reset(&kept.freq);
+    kept.total = kept.fill_bits + kept.huffman.weighted_length();
+    kept.warm = true;
+    kept.total
 }
 
 /// Estimated cost of the full kernel over the cached shape: every MV
@@ -794,6 +918,8 @@ fn patch_edit(sliced: &SlicedHistogram, parent: &EvalCache, scratch: &mut PatchS
         huff_scratch,
         last_transitions,
         last_used,
+        last_fill,
+        ..
     } = scratch;
 
     // All changed chunks' match sets in one batched conflict-plane pass.
@@ -808,6 +934,8 @@ fn patch_edit(sliced: &SlicedHistogram, parent: &EvalCache, scratch: &mut PatchS
         patch.net[j as usize] = 0;
     }
     patch.net.resize(parent.freq.len(), 0);
+    patch.moves.clear();
+    patch.move_ends.clear();
     let mut trans = parent.scan_transitions as i64;
 
     let last = edited.len() - 1;
@@ -815,12 +943,14 @@ fn patch_edit(sliced: &SlicedHistogram, parent: &EvalCache, scratch: &mut PatchS
         let cur = if t == 0 { parent } else { &*work };
         let chunk = (i as usize, nspec, nvalue);
         let chunk_mismatch = &mismatch[t * words..(t + 1) * words];
-        trans += patch_chunk(sliced, cur, chunk, chunk_mismatch, t < last, patch);
+        let from = patch.moves.len();
+        trans += patch_chunk(sliced, cur, chunk, chunk_mismatch, patch);
+        patch.move_ends.push(patch.moves.len());
         if t < last {
             if t == 0 {
                 work.copy_covering_from(parent);
             }
-            apply_chunk(sliced, work, chunk, &patch.moves);
+            apply_chunk(sliced, work, chunk, &patch.moves[from..]);
         }
     }
 
@@ -846,21 +976,20 @@ fn patch_edit(sliced: &SlicedHistogram, parent: &EvalCache, scratch: &mut PatchS
     let huffman_bits = huffman_weighted_length_delta(&parent.huffman, changes, huff_scratch);
     *last_transitions = trans as u64;
     *last_used = huff_scratch.leaves().len();
+    *last_fill = fill as u64;
     fill as u64 + huffman_bits
 }
 
 /// Patches one changed chunk — MV `i` taking the planes `(nspec, nvalue)`,
 /// whose conflict set is `mismatch` — into `patch`, reading the covering
 /// `cur` without writing to it, and returns the change of the transition
-/// count (signed: intermediate sums can dip below the final value). With
-/// `record`, the chunk's block moves are kept in `patch.moves` for
-/// [`apply_chunk`].
+/// count (signed: intermediate sums can dip below the final value). The
+/// chunk's block moves are appended to `patch.moves` for [`apply_chunk`].
 fn patch_chunk(
     sliced: &SlicedHistogram,
     cur: &EvalCache,
     (i, nspec, nvalue): (usize, u64, u64),
     mismatch: &[u64],
-    record: bool,
     patch: &mut Patch,
 ) -> i64 {
     let k = sliced.block_len();
@@ -879,7 +1008,6 @@ fn patch_chunk(
         }
     };
     let mut trans = 0i64;
-    patch.moves.clear();
 
     // Phase 1 — steal: blocks the new MV matches whose owner comes *after*
     // its new covering rank move to i (first-match
@@ -907,9 +1035,7 @@ fn patch_chunk(
             trans += transitions(count, nvalue | bv);
             patch.shift(a, -count);
             trans -= transitions(count, cur.value[a as usize] | bv);
-            if record {
-                patch.moves.push((d as u32, i as u32));
-            }
+            patch.moves.push((d as u32, i as u32));
         }
     }
 
@@ -979,17 +1105,16 @@ fn patch_chunk(
             trans -= transitions(count, cur.value[i] | bv);
             patch.shift(new_owner, count);
             trans += transitions(count, cur.value[new_owner as usize] | bv);
-            if record {
-                patch.moves.push((d as u32, new_owner));
-            }
+            patch.moves.push((d as u32, new_owner));
         }
     }
     trans
 }
 
 /// Applies one patched chunk — its new planes and the block moves
-/// [`patch_chunk`] recorded — to the working copy, leaving it the
-/// consistent covering of the genome with this chunk edited too.
+/// [`patch_chunk`] recorded — to `work` (the multi-chunk working copy, or a
+/// covering being kept), leaving it the consistent covering of the genome
+/// with this chunk edited too.
 fn apply_chunk(
     sliced: &SlicedHistogram,
     work: &mut EvalCache,

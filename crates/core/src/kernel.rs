@@ -27,6 +27,11 @@
 //! [`encoded_size_bounded`] runs the same scan against a bound and stops as
 //! soon as a sound lower bound on the size reaches it — the EA's survival
 //! floor (see `evotc_evo::Provenance::floor`) turned into bits.
+//!
+//! Inside the EA the scan reads each MV's match set from a [`MatchMemo`]:
+//! a population shares nearly every MV with the genomes already priced, so
+//! the conflict columns are OR-ed once per distinct MV, not once per scan.
+//! The public entry points stay memo-free.
 
 use evotc_bits::{SlicedHistogram, Trit};
 use evotc_codes::{huffman_weighted_length, HuffmanScratch};
@@ -199,6 +204,96 @@ pub enum BoundedSize {
 /// exact size is below the bound.
 const BOUND_MARGIN: f64 = 1e-9;
 
+/// A bounded, direct-mapped memo from an MV's exact `(spec, value)` planes
+/// to its conflict set over one histogram (the blocks it does **not**
+/// match; see [`SlicedHistogram::accumulate_mismatch`]). A slot holds the
+/// last MV hashed to it, and a different MV replaces it, so a set is always
+/// exactly what the columns give. Its owner sizes it from the run (see
+/// [`MatchMemo::fit`]), and it allocates on first use; the sets take at
+/// most [`MatchMemo::MAX_WORDS`] words, or two sets where one alone is
+/// larger.
+///
+/// The memo knows its histogram only by the word count: its owner (an
+/// island's [`crate::MvFitnessState`]) clears it when it serves a
+/// different evaluator.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct MatchMemo {
+    /// Words per set (the histogram's words per column); 0 before first use.
+    words: usize,
+    /// Slots at most, set by [`MatchMemo::fit`]; 0 means
+    /// [`MatchMemo::MAX_SLOTS`].
+    cap: usize,
+    /// `(spec, value)` per slot; [`MatchMemo::FREE`] marks a free slot.
+    keys: Vec<(u64, u64)>,
+    /// `words` words per slot.
+    sets: Vec<u64>,
+    /// `64 − log2(slots)`: the hash keeps the top bits.
+    shift: u32,
+}
+
+impl MatchMemo {
+    /// No decoded MV has a value bit where it specifies nothing.
+    const FREE: (u64, u64) = (0, u64::MAX);
+    /// Bound on the words all sets take together (32 KiB): on the largest
+    /// histograms this costs no measurable speed against 128 KiB.
+    const MAX_WORDS: usize = 1 << 12;
+    /// Slots at most: a population holds a few hundred distinct MVs.
+    const MAX_SLOTS: usize = 1 << 10;
+
+    /// Forgets every set.
+    pub(crate) fn clear(&mut self) {
+        self.words = 0;
+    }
+
+    /// Caps the slots near `mvs`, the number of MVs a population holds:
+    /// twice as many, as a power of two. A new cap empties the memo.
+    pub(crate) fn fit(&mut self, mvs: usize) {
+        let cap = (2 * mvs).next_power_of_two().clamp(2, Self::MAX_SLOTS);
+        if cap != self.cap {
+            self.cap = cap;
+            self.clear();
+        }
+    }
+
+    /// The conflict set of the MV `(spec, value)` over `sliced`, from its
+    /// slot or, on a miss, from the columns into its slot.
+    #[inline]
+    pub(crate) fn mismatch(&mut self, sliced: &SlicedHistogram, spec: u64, value: u64) -> &[u64] {
+        let words = sliced.words_per_column();
+        if self.words != words {
+            self.reset(words);
+        }
+        let mix =
+            spec.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ value.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
+        let slot = (mix >> self.shift) as usize;
+        let set = &mut self.sets[slot * words..(slot + 1) * words];
+        if self.keys[slot] != (spec, value) {
+            self.keys[slot] = (spec, value);
+            set.iter_mut().for_each(|w| *w = 0);
+            sliced.accumulate_mismatch(spec, value, set);
+        }
+        set
+    }
+
+    /// Empties the memo for sets of `words` words: as many slots (a power
+    /// of two, at least 2) as the cap and [`MatchMemo::MAX_WORDS`] allow.
+    /// The sets are read only behind a matching key, so they start as fresh
+    /// zero pages.
+    fn reset(&mut self, words: usize) {
+        let cap = if self.cap == 0 {
+            Self::MAX_SLOTS
+        } else {
+            self.cap
+        };
+        let slots: usize = 1 << (Self::MAX_WORDS / words.max(1)).clamp(2, cap).ilog2();
+        self.words = words;
+        self.shift = 64 - slots.trailing_zeros();
+        self.keys.clear();
+        self.keys.resize(slots, Self::FREE);
+        self.sets = vec![0; slots * words];
+    }
+}
+
 impl EvalScratch {
     /// Creates empty scratch buffers; they size themselves on first use.
     pub fn new() -> Self {
@@ -338,7 +433,7 @@ pub fn encoded_size_scratch(
     genes: &[Trit],
     scratch: &mut EvalScratch,
 ) -> u64 {
-    match price(sliced, genes, u64::MAX, true, scratch) {
+    match price(sliced, genes, u64::MAX, true, scratch, None) {
         BoundedSize::Exact(size) => size,
         BoundedSize::AtLeast => unreachable!("an unbounded scan runs to the end"),
     }
@@ -384,18 +479,20 @@ pub fn encoded_size_bounded(
     bound: u64,
     scratch: &mut EvalScratch,
 ) -> BoundedSize {
-    price(sliced, genes, bound, false, scratch)
+    price(sliced, genes, bound, false, scratch, None)
 }
 
 /// The one full kernel behind [`encoded_size_scratch`] and
-/// [`encoded_size_bounded`]: `bound == u64::MAX` never prunes, and
-/// `transitions` switches the scan-transition side channel on.
+/// [`encoded_size_bounded`]: `bound == u64::MAX` never prunes,
+/// `transitions` switches the scan-transition side channel on, and `memo`
+/// (the EA's) serves the MVs' match sets.
 pub(crate) fn price(
     sliced: &SlicedHistogram,
     genes: &[Trit],
     bound: u64,
     transitions: bool,
     scratch: &mut EvalScratch,
+    memo: Option<&mut MatchMemo>,
 ) -> BoundedSize {
     let k = sliced.block_len();
     assert!(
@@ -418,9 +515,9 @@ pub(crate) fn price(
     scratch.value[l - 1] = 0;
     sort_and_reset(sliced, bound, scratch);
     if transitions {
-        cover::<true>(sliced, bound, scratch)
+        cover::<true>(sliced, bound, scratch, memo)
     } else {
-        cover::<false>(sliced, bound, scratch)
+        cover::<false>(sliced, bound, scratch, memo)
     }
 }
 
@@ -533,11 +630,12 @@ impl Scan {
 /// small open-addressing probe instead of a second sort. Under a bound
 /// (`bound < u64::MAX`) every fresh MV first checks the lower bound of
 /// [`encoded_size_bounded`]. `TRANSITIONS` switches the scan-transition
-/// side channel on.
+/// side channel on; a `memo` serves each fresh MV's conflict set.
 fn cover<const TRANSITIONS: bool>(
     sliced: &SlicedHistogram,
     bound: u64,
     scratch: &mut EvalScratch,
+    mut memo: Option<&mut MatchMemo>,
 ) -> BoundedSize {
     let k = sliced.block_len();
     let num_u = |spec: u64| k - spec.count_ones() as usize;
@@ -562,15 +660,16 @@ fn cover<const TRANSITIONS: bool>(
                 return BoundedSize::AtLeast;
             }
         }
-        scratch.mismatch.iter_mut().for_each(|w| *w = 0);
-        sliced.accumulate_mismatch(spec, value, &mut scratch.mismatch);
+        let mismatch = match memo.as_deref_mut() {
+            Some(memo) => memo.mismatch(sliced, spec, value),
+            None => {
+                scratch.mismatch.iter_mut().for_each(|w| *w = 0);
+                sliced.accumulate_mismatch(spec, value, &mut scratch.mismatch);
+                &scratch.mismatch
+            }
+        };
         let mut freq = 0u64;
-        for (w, (unc, &mis)) in scratch
-            .uncovered
-            .iter_mut()
-            .zip(&scratch.mismatch)
-            .enumerate()
-        {
+        for (w, (unc, &mis)) in scratch.uncovered.iter_mut().zip(mismatch).enumerate() {
             let mut matched = *unc & !mis;
             if matched != 0 {
                 *unc &= mis;
@@ -962,5 +1061,34 @@ mod tests {
         let mut seen = vec![(0u64, 0u64); 3];
         let mut used = vec![0u64; 1];
         let _ = probe_seen(1, 1, &mut seen, &mut used);
+    }
+
+    #[test]
+    fn match_memo_serves_exact_sets_within_its_cap() {
+        // 70 distinct 8-bit rows: two words per set. A population of 3 MVs
+        // gets 8 slots, so the 81 MVs below collide and replace each other.
+        let rows: Vec<String> = (0..70u32).map(|i| format!("{:08b}", i * 3)).collect();
+        let refs: Vec<&str> = rows.iter().map(String::as_str).collect();
+        let (_, sliced) = fixtures(&refs, 8);
+        assert_eq!(sliced.words_per_column(), 2);
+        let mut memo = MatchMemo::default();
+        memo.fit(3);
+        for round in 0..2 {
+            for m in 0..81u64 {
+                let spec = (m * 37) & 0xFF;
+                let value = (m * 101) & spec;
+                let mut fresh = vec![0u64; 2];
+                sliced.accumulate_mismatch(spec, value, &mut fresh);
+                assert_eq!(
+                    memo.mismatch(&sliced, spec, value),
+                    fresh,
+                    "round {round}, MV {m}"
+                );
+            }
+        }
+        assert_eq!(memo.keys.len(), 8);
+        memo.fit(1000);
+        let _ = memo.mismatch(&sliced, 0, 0);
+        assert_eq!(memo.keys.len(), MatchMemo::MAX_SLOTS);
     }
 }

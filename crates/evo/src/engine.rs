@@ -31,13 +31,14 @@ type CheckpointSink<'s, G> = Box<dyn FnMut(&EaCheckpoint<G>) -> Result<(), Check
 /// `sample_gene` draws a random gene (used for the initial population and by
 /// the mutation operator); `fitness` is any [`FitnessEval`] — a plain
 /// `Fn(&[G]) -> f64` closure works — that maps a genome to a score, higher
-/// is better. Infeasible genomes should be given a fitness below every
-/// feasible one — exactly how the paper handles individuals for which
-/// covering is impossible (Section 3.1).
+/// is better. A fitness is pure, so a child that equals a parent gene for
+/// gene (`G: PartialEq`) is a copy: it takes that parent's score and
+/// objective vector without an evaluation (see [`FitnessEval`] and
+/// [`EaResult::copies`]).
 ///
 /// Breeding emits each generation's children and their [`Lineage`] into a
 /// pooled per-population batch (no per-child allocation in the steady
-/// state), and the whole batch is scored in one
+/// state), and the children that are not copies are scored in one
 /// [`FitnessEval::evaluate_batch`] call on the thread that owns the
 /// population. Island runs spread whole islands over up to
 /// [`EaConfig::threads`] worker threads (see [`Topology`]); a panmictic run
@@ -113,8 +114,14 @@ pub struct EaResult<G> {
     pub best_fitness: f64,
     /// Number of generations executed (excluding the initial population).
     pub generations: u64,
-    /// Total number of fitness evaluations (summed over islands).
+    /// Total number of fitness evaluations (summed over islands): every
+    /// child counts, copies included.
     pub evaluations: u64,
+    /// Children that were copies of a parent and took its score without
+    /// reaching the evaluator (summed over islands). A pure function of the
+    /// trajectory, so the same at every thread count; a resumed run counts
+    /// only the copies it bred itself.
+    pub copies: u64,
     /// Merged statistics per generation (index 0 is the initial
     /// population): island runs aggregate their islands into one entry per
     /// generation.
@@ -156,15 +163,20 @@ struct Individual<G> {
     objectives: Objectives,
 }
 
-/// One generation's brood, bred into pooled buffers: `genomes`, `lineages`
-/// and `scores` are parallel arrays refilled each generation, and retired
-/// gene buffers return to `pool`, so steady-state breeding allocates
-/// nothing.
+/// One generation's brood, bred into pooled buffers: the children to
+/// score (`genomes`, `lineages`, `scores` and `objectives` are parallel
+/// arrays), the copies with the scores they inherit, and the breeding order
+/// of both. Everything is refilled each generation and retired gene buffers
+/// return to `pool`, so steady-state breeding allocates nothing.
 struct ChildBatch<G> {
     genomes: Vec<Vec<G>>,
     lineages: Vec<Option<Lineage>>,
     scores: Vec<f64>,
     objectives: Vec<Objectives>,
+    copies: Vec<Individual<G>>,
+    /// Per child in breeding order: whether it is the next of `copies`
+    /// (otherwise the next of `genomes`).
+    brood: Vec<bool>,
     pool: Vec<Vec<G>>,
 }
 
@@ -175,10 +187,55 @@ impl<G> Default for ChildBatch<G> {
             lineages: Vec::new(),
             scores: Vec::new(),
             objectives: Vec::new(),
+            copies: Vec::new(),
+            brood: Vec::new(),
             pool: Vec::new(),
         }
     }
 }
+
+impl<G> ChildBatch<G> {
+    /// A gene buffer for the next child, recycled when one is free.
+    fn buffer(&mut self) -> Vec<G> {
+        self.pool.pop().unwrap_or_default()
+    }
+
+    /// Adds the next child in breeding order: a copy of `copy_of` takes that
+    /// parent's score and objectives; any other child joins the batch the
+    /// evaluator scores, with its lineage.
+    fn push(&mut self, genes: Vec<G>, lineage: Lineage, copy_of: Option<&Individual<G>>) {
+        self.brood.push(copy_of.is_some());
+        match copy_of {
+            Some(parent) => self.copies.push(Individual {
+                genes,
+                fitness: parent.fitness,
+                objectives: parent.objectives,
+            }),
+            None => {
+                self.genomes.push(genes);
+                self.lineages.push(Some(lineage));
+            }
+        }
+    }
+}
+
+/// Whether `a` and `b` differ at any position: a branch-free fold over each
+/// run of [`DIFFER_RUN`] genes, stopping after the first run that differs.
+/// On the near-identical genomes of a converged population that costs a
+/// fraction of the early-exit slice `==`, and unrelated genomes stop after
+/// one run.
+fn differ<G: PartialEq>(a: &[G], b: &[G]) -> bool {
+    a.chunks(DIFFER_RUN)
+        .zip(b.chunks(DIFFER_RUN))
+        .any(|(a, b)| {
+            a.iter()
+                .zip(b)
+                .fold(false, |differs, (x, y)| differs | (x != y))
+        })
+}
+
+/// Genes [`differ`] compares between two checks for an early exit.
+const DIFFER_RUN: usize = 64;
 
 /// One subpopulation's complete evolutionary state. A panmictic run is one
 /// of these on the calling thread; an island run owns `count` of them,
@@ -195,6 +252,9 @@ struct IslandState<G, S> {
     eval_state: S,
     /// This island's own cumulative evaluation count.
     evaluations: u64,
+    /// Children this island bred as copies since the run (or resume)
+    /// started.
+    copies: u64,
     /// Per-generation statistics of the epoch in flight (drained by the
     /// merge step between epochs).
     epoch_log: Vec<GenerationStats>,
@@ -225,7 +285,7 @@ impl<G, S> IslandState<G, S> {
 
 impl<'s, G, SampleGene, F> EaBuilder<'s, G, SampleGene, F>
 where
-    G: Copy + Send + Sync,
+    G: Copy + PartialEq + Send + Sync,
     SampleGene: Fn(&mut StdRng) -> G + Sync,
     F: FitnessEval<G> + Sync,
 {
@@ -379,7 +439,13 @@ where
                 migrants,
             } => (count, interval, migrants),
         };
-        let workers = parallel::resolve_threads(self.config.threads).min(count);
+        // One island never fans out, so a panmictic run skips resolving the
+        // thread count (auto resolution reads the host's CPU quota).
+        let workers = if count > 1 {
+            parallel::resolve_threads(self.config.threads).min(count)
+        } else {
+            1
+        };
         let EaBuilder {
             config,
             genome_len,
@@ -561,6 +627,7 @@ where
             best_fitness: best.fitness,
             generations: generation,
             evaluations: total_evals,
+            copies: islands.iter().map(|i| i.copies).sum(),
             history,
             elapsed: start.elapsed(),
             cache: fitness.cache_stats(),
@@ -726,6 +793,7 @@ fn restore_island<G: Copy, S: Default>(
         batch: ChildBatch::default(),
         eval_state: S::default(),
         evaluations: cp.evaluations,
+        copies: 0,
         epoch_log: Vec::new(),
         archive,
     }
@@ -869,6 +937,7 @@ where
         batch,
         eval_state,
         evaluations,
+        copies: 0,
         epoch_log: Vec::new(),
         archive,
     }
@@ -901,15 +970,17 @@ fn score_batch<G, F: FitnessEval<G>>(
 }
 
 /// One (S + C) generation: breed `C` children with their lineage into the
-/// island's pooled batch, score the batch, then truncation-select the best
-/// `S`. Losers donate their gene buffers back to the pool.
+/// island's pooled batch, score the ones that are not copies of a parent
+/// in one call, then truncation-select the best `S` from the parents and
+/// every child in breeding order. Losers donate their gene buffers back to
+/// the pool.
 fn step<G, SampleGene, F>(
     config: &EaConfig,
     sample_gene: &SampleGene,
     fitness: &F,
     island: &mut IslandState<G, F::State>,
 ) where
-    G: Copy,
+    G: Copy + PartialEq,
     SampleGene: Fn(&mut StdRng) -> G,
     F: FitnessEval<G>,
 {
@@ -921,33 +992,23 @@ fn step<G, SampleGene, F>(
         batch,
         eval_state,
         evaluations,
+        copies,
         archive,
         ..
     } = island;
-    let ChildBatch {
-        genomes: children,
-        lineages,
-        scores,
-        objectives,
-        pool,
-    } = batch;
 
-    children.clear();
-    lineages.clear();
-    while children.len() < c {
+    batch.genomes.clear();
+    batch.lineages.clear();
+    batch.brood.clear();
+    while batch.brood.len() < c {
         let roll: f64 = rng.gen();
         let pa = rng.gen_range(0..s);
         if roll < config.crossover_probability {
             let pb = rng.gen_range(0..s);
-            let mut x = pool.pop().unwrap_or_default();
-            let mut y = pool.pop().unwrap_or_default();
-            let window = operators::crossover_into(
-                &population[pa].genes,
-                &population[pb].genes,
-                rng,
-                &mut x,
-                &mut y,
-            );
+            let mut x = batch.buffer();
+            let mut y = batch.buffer();
+            let (a, b) = (&population[pa], &population[pb]);
+            let window = operators::crossover_into(&a.genes, &b.genes, rng, &mut x, &mut y);
             // Per-child edit contract: both children record the *same*
             // swapped window, and that is correct for each — child `x`
             // equals `pa` outside the window and `pb` inside it (child `y`
@@ -961,88 +1022,112 @@ fn step<G, SampleGene, F>(
             // recorded as the second parent so an evaluator holding only
             // *its* partial results can still price the child (see
             // [`Lineage::second_parent`]).
-            children.push(x);
-            lineages.push(Some(Lineage::crossover(pa, window.clone(), pb)));
-            if children.len() < c {
-                children.push(y);
-                lineages.push(Some(Lineage::crossover(pb, window, pa)));
+            //
+            // Where the parents agree inside the window both children are
+            // copies of their primary parents, whatever lies outside it;
+            // where they agree only outside it, each child is a copy of its
+            // donor.
+            let inside = differ(&a.genes[window.clone()], &b.genes[window.clone()]);
+            let outside = inside
+                && (differ(&a.genes[..window.start], &b.genes[..window.start])
+                    || differ(&a.genes[window.end..], &b.genes[window.end..]));
+            let copy_of = |own, donor| match (inside, outside) {
+                (false, _) => Some(own),
+                (true, false) => Some(donor),
+                (true, true) => None,
+            };
+            batch.push(x, Lineage::crossover(pa, window.clone(), pb), copy_of(a, b));
+            if batch.brood.len() < c {
+                batch.push(y, Lineage::crossover(pb, window, pa), copy_of(b, a));
             } else {
-                pool.push(y);
+                batch.pool.push(y);
             }
-        } else if roll < config.crossover_probability + config.mutation_probability {
-            let mut child = pool.pop().unwrap_or_default();
-            let edit =
-                operators::mutate_into(&population[pa].genes, rng, |r| sample_gene(r), &mut child);
-            children.push(child);
-            lineages.push(Some(Lineage::new(pa, edit)));
-        } else if roll
-            < config.crossover_probability
-                + config.mutation_probability
-                + config.inversion_probability
-        {
-            let mut child = pool.pop().unwrap_or_default();
-            let edit = operators::invert_into(&population[pa].genes, rng, &mut child);
-            children.push(child);
-            lineages.push(Some(Lineage::new(pa, edit)));
         } else {
-            // Reproduction: copy a parent unchanged. The empty edit range
-            // tells the evaluator it is an exact copy.
-            let mut child = pool.pop().unwrap_or_default();
-            child.clear();
-            child.extend_from_slice(&population[pa].genes);
-            children.push(child);
-            lineages.push(Some(Lineage::new(pa, 0..0)));
+            // Mutation, inversion and reproduction edit one parent inside
+            // the returned window; the child is a copy when the window reads
+            // the same as the parent's (always for reproduction, whose empty
+            // window says the child is a verbatim copy).
+            let parent = &population[pa];
+            let mut child = batch.buffer();
+            let edit = if roll < config.crossover_probability + config.mutation_probability {
+                operators::mutate_into(&parent.genes, rng, |r| sample_gene(r), &mut child)
+            } else if roll
+                < config.crossover_probability
+                    + config.mutation_probability
+                    + config.inversion_probability
+            {
+                operators::invert_into(&parent.genes, rng, &mut child)
+            } else {
+                child.clear();
+                child.extend_from_slice(&parent.genes);
+                0..0
+            };
+            let copy = !differ(&child[edit.clone()], &parent.genes[edit.clone()]);
+            batch.push(child, Lineage::new(pa, edit), copy.then_some(parent));
         }
     }
-    *evaluations += children.len() as u64;
-    let parent_genes: Vec<&[G]> = population.iter().map(|i| i.genes.as_slice()).collect();
-    let provenance = Provenance {
-        lineage: lineages,
-        parents: &parent_genes,
-        floor: survival_floor(config, population),
-    };
-    score_batch(
-        config,
-        fitness,
-        eval_state,
-        children,
-        Some(provenance),
-        scores,
-        objectives,
-    );
-    drop(parent_genes);
+    *evaluations += c as u64;
+    *copies += batch.copies.len() as u64;
+    if !batch.genomes.is_empty() {
+        let parent_genes: Vec<&[G]> = population.iter().map(|i| i.genes.as_slice()).collect();
+        let provenance = Provenance {
+            lineage: &batch.lineages,
+            parents: &parent_genes,
+            floor: survival_floor(config, population),
+        };
+        score_batch(
+            config,
+            fitness,
+            eval_state,
+            &batch.genomes,
+            Some(provenance),
+            &mut batch.scores,
+            &mut batch.objectives,
+        );
+    }
+    // The children rejoin in breeding order, which the stable selection
+    // sort uses to break ties.
+    let mut scored = batch
+        .genomes
+        .drain(..)
+        .zip(batch.scores.iter().copied())
+        .zip(batch.objectives.iter().copied());
+    let mut copied = batch.copies.drain(..);
+    for &is_copy in &batch.brood {
+        let child = if is_copy {
+            copied.next()
+        } else {
+            scored
+                .next()
+                .map(|((genes, fitness), objectives)| Individual {
+                    genes,
+                    fitness,
+                    objectives,
+                })
+        };
+        population.push(child.expect("one child per brood slot"));
+    }
     if let Some(archive) = archive.as_mut() {
-        for ((genes, &score), &obj) in children.iter().zip(scores.iter()).zip(objectives.iter()) {
-            archive.insert(genes, score, obj);
+        for child in &population[s..] {
+            archive.insert(&child.genes, child.fitness, child.objectives);
         }
     }
-    population.extend(
-        children
-            .drain(..)
-            .zip(scores.iter().copied())
-            .zip(objectives.iter().copied())
-            .map(|((genes, fitness), objectives)| Individual {
-                genes,
-                fitness,
-                objectives,
-            }),
-    );
     sort_population(population, config.ranking);
-    pool.extend(population.drain(s..).map(|individual| individual.genes));
+    batch
+        .pool
+        .extend(population.drain(s..).map(|individual| individual.genes));
 }
 
 /// The batch's survival floor (see [`Provenance::floor`]): the worst
-/// parent's fitness, where a child scoring at or below it is dropped
-/// whatever its exact score and nothing else reads that score. That holds
-/// when the run collects no objectives (fitness ranking, no Pareto archive)
-/// and no parent is NaN (NaN compares equal to everything in
-/// [`sort_by_fitness`]).
+/// parent's fitness when the run ranks by fitness and no parent is NaN (NaN
+/// compares equal to everything in [`sort_by_fitness`], so no score is then
+/// sure to be dropped).
 fn survival_floor<G>(config: &EaConfig, population: &[Individual<G>]) -> Option<f64> {
-    if needs_objectives(config) {
+    if config.ranking != Ranking::Fitness {
         return None;
     }
-    population.iter().try_fold(f64::INFINITY, |floor, ind| {
-        (!ind.fitness.is_nan()).then(|| floor.min(ind.fitness))
+    population.iter().try_fold(f64::INFINITY, |worst, ind| {
+        (!ind.fitness.is_nan()).then(|| worst.min(ind.fitness))
     })
 }
 
@@ -1249,10 +1334,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_evaluator_sees_whole_generations() {
+    fn batch_evaluator_sees_each_generations_children_that_are_not_copies() {
         // Records every batch call's length and thread: even with four
         // threads allowed, a panmictic run must score S genomes first, then
-        // C per generation, each batch in one call on the calling thread.
+        // each generation's children that are not copies, each batch in one
+        // call on the calling thread. A generation of copies alone makes no
+        // call.
         struct Recording<'a>(&'a std::sync::Mutex<Vec<(usize, std::thread::ThreadId)>>);
         impl FitnessEval<bool> for Recording<'_> {
             type State = ();
@@ -1282,15 +1369,100 @@ mod tests {
             .config(config)
             .run();
         let calls = calls.into_inner().expect("no panicking batch");
-        let lengths: Vec<usize> = calls.iter().map(|&(len, _)| len).collect();
-        let mut expected = vec![10];
-        expected.resize(via_trait.generations as usize + 1, 5);
-        assert_eq!(lengths, expected);
+        let lengths: Vec<u64> = calls.iter().map(|&(len, _)| len as u64).collect();
+        assert_eq!(lengths[0], 10);
+        assert!(
+            lengths[1..].iter().all(|len| (1..=5).contains(len)),
+            "{lengths:?}"
+        );
+        assert!(lengths.len() as u64 <= via_trait.generations + 1);
+        let scored: u64 = lengths[1..].iter().sum();
+        assert!(via_trait.copies > 0, "one-max runs breed copies");
+        assert_eq!(scored + via_trait.copies, via_trait.evaluations - 10);
         let caller = std::thread::current().id();
         assert!(calls.iter().all(|&(_, thread)| thread == caller));
         let via_closure = run_one_max(7);
         assert_eq!(via_trait.best_genome, via_closure.best_genome);
         assert_eq!(via_trait.evaluations, via_closure.evaluations);
+        assert_eq!(via_trait.copies, via_closure.copies);
+    }
+
+    /// One-max that refuses copies: it panics on any child equal to its
+    /// lineage parent or to its crossover donor, and counts the children it
+    /// scores.
+    struct NoCopies<'a>(&'a AtomicU64);
+    impl FitnessEval<bool> for NoCopies<'_> {
+        type State = ();
+
+        fn evaluate(&self, genes: &[bool]) -> f64 {
+            one_max(genes)
+        }
+        fn evaluate_batch(
+            &self,
+            _state: &mut (),
+            genomes: &[Vec<bool>],
+            provenance: Option<Provenance<'_, bool>>,
+            out: &mut [f64],
+            objectives: Option<&mut [Objectives]>,
+        ) {
+            if let Some(Provenance {
+                lineage, parents, ..
+            }) = provenance
+            {
+                for (genes, lineage) in genomes.iter().zip(lineage) {
+                    let lineage = lineage.as_ref().expect("engine children have lineage");
+                    let parent = parents[lineage.parent_idx];
+                    assert_ne!(genes.as_slice(), parent, "a copy of its parent");
+                    if let Some(donor) = lineage.second_parent {
+                        assert_ne!(genes.as_slice(), parents[donor], "a copy of its donor");
+                    }
+                }
+                self.0
+                    .fetch_add(genomes.len() as u64, AtomicOrdering::Relaxed);
+            }
+            for (genes, slot) in genomes.iter().zip(out.iter_mut()) {
+                *slot = one_max(genes);
+            }
+            for (slot, &score) in objectives.into_iter().flatten().zip(out.iter()) {
+                *slot = Objectives::from_fitness(score);
+            }
+        }
+    }
+
+    #[test]
+    fn copies_take_their_parents_score_without_an_evaluation() {
+        for (label, config) in [
+            ("panmictic", one_max_config(60, 11)),
+            ("islands", island_config(3, 4, 1, 6)),
+        ] {
+            let reference = EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
+                .config(config.clone())
+                .run();
+            assert!(
+                reference.copies > 0,
+                "{label}: no copies, the check is vacuous"
+            );
+            let initial = reference.history[0].evaluations;
+            for threads in [1, 2, 4] {
+                let scored = AtomicU64::new(0);
+                let run = EaBuilder::new(24, |rng| rng.gen::<bool>(), NoCopies(&scored))
+                    .config(EaConfig {
+                        threads,
+                        ..config.clone()
+                    })
+                    .run();
+                let label = format!("{label} threads {threads}");
+                assert_same_run(&run, &reference, &label);
+                assert_eq!(run.copies, reference.copies, "{label}");
+                assert_eq!(
+                    run.copies + scored.into_inner(),
+                    run.evaluations - initial,
+                    "{label}"
+                );
+            }
+            let scored = AtomicU64::new(0);
+            interrupt_anywhere(config, 3, || NoCopies(&scored));
+        }
     }
 
     #[test]
@@ -1623,13 +1795,16 @@ mod tests {
     #[derive(Default)]
     struct FloorCounts {
         /// Batches that came with a floor.
+        offered: std::sync::atomic::AtomicU64,
+        /// Batches whose floor licensed clipping: no objectives asked for.
         floors: std::sync::atomic::AtomicU64,
         /// Scores replaced by the floor.
         clipped: std::sync::atomic::AtomicU64,
     }
 
-    /// One-max that takes the floor contract at its word: every score at
-    /// or below the batch's floor is reported as the floor itself.
+    /// One-max that takes the floor contract at its word: in a batch without
+    /// objectives, every score at or below the floor is reported as the
+    /// floor itself.
     struct FloorOneMax<'a>(&'a FloorCounts);
     impl FitnessEval<bool> for FloorOneMax<'_> {
         type State = ();
@@ -1646,7 +1821,11 @@ mod tests {
             objectives: Option<&mut [Objectives]>,
         ) {
             use std::sync::atomic::Ordering::Relaxed;
-            let floor = provenance.and_then(|p| p.floor);
+            let offered = provenance.and_then(|p| p.floor);
+            let floor = offered.filter(|_| objectives.is_none());
+            if offered.is_some() {
+                self.0.offered.fetch_add(1, Relaxed);
+            }
             if floor.is_some() {
                 self.0.floors.fetch_add(1, Relaxed);
             }
@@ -1688,7 +1867,7 @@ mod tests {
     }
 
     #[test]
-    fn the_floor_is_offered_only_where_selection_alone_reads_the_scores() {
+    fn the_floor_licenses_clipping_only_where_selection_alone_reads_the_scores() {
         let base = || {
             EaConfig::builder()
                 .population_size(6)
@@ -1696,15 +1875,18 @@ mod tests {
                 .stagnation_limit(10)
                 .seed(3)
         };
-        for (config, expect_floor) in [
-            (base().build(), true),
-            (base().pareto_archive(4).build(), false),
-            (base().ranking(Ranking::Lexicographic).build(), false),
+        // Every fitness-ranked batch carries the floor, but an archive reads
+        // the children's objectives, so it licenses no clipping there.
+        for (config, expect_offered, expect_floor) in [
+            (base().build(), true, true),
+            (base().pareto_archive(4).build(), true, false),
+            (base().ranking(Ranking::Lexicographic).build(), false, false),
         ] {
             let counts = FloorCounts::default();
             EaBuilder::new(16, |rng| rng.gen::<bool>(), FloorOneMax(&counts))
                 .config(config)
                 .run();
+            assert_eq!(counts.offered.into_inner() > 0, expect_offered);
             assert_eq!(counts.floors.into_inner() > 0, expect_floor);
         }
         // A NaN parent makes the floor meaningless: it compares equal to

@@ -64,8 +64,9 @@ impl Lineage {
 
 /// Parent→child provenance of one batch: a [`Lineage`] slot per genome,
 /// the parent genomes the lineages index into, and the batch's survival
-/// floor. The engine hands it over with every generation's children and
-/// passes `None` for the initial population, which has no parents.
+/// floor. The engine hands it over with every generation's children that
+/// are not copies of a parent (see [`FitnessEval`]) and passes `None` for
+/// the initial population, which has no parents.
 #[derive(Debug, Clone, Copy)]
 pub struct Provenance<'a, G> {
     /// `lineage[i]` describes how `genomes[i]` relates to
@@ -74,27 +75,30 @@ pub struct Provenance<'a, G> {
     /// The parent population, indexed by [`Lineage::parent_idx`] and
     /// [`Lineage::second_parent`].
     pub parents: &'a [&'a [G]],
-    /// The survival floor: the fitness of the worst parent. When it is
-    /// `Some`, an evaluator may report any score at or below it as the floor
-    /// itself (see [`FitnessEval`]), so it need not finish pricing a child
-    /// that cannot survive.
+    /// The survival floor: the fitness of the worst parent, in every batch
+    /// of a run that ranks by fitness ([`crate::Ranking::Fitness`]) and has
+    /// no NaN parent. The stable `(S + C)` truncation keeps every parent
+    /// ahead of an equally scored child, so a child at or below the floor is
+    /// dropped whatever its exact score, and one above it may be a parent of
+    /// the next batch: evaluators may use it to decide which children's
+    /// partial results are worth keeping.
     ///
-    /// The engine sets it only where that is exact: ranking by fitness
-    /// ([`crate::Ranking::Fitness`]), no Pareto archive
-    /// (`pareto_capacity == 0`) and no NaN in the population. The stable
-    /// `(S + C)` truncation then keeps every parent ahead of an equally
-    /// scored child, so a child at or below the floor is dropped whatever
-    /// its exact score. Nothing else reads a dropped child's score: history
-    /// and stats are taken after selection, checkpoints hold only the
-    /// population, and there is no archive. `None` asks for exact scores.
+    /// When the batch also asks for no objective vector (`objectives` is
+    /// `None`: no Pareto archive), selection is the sole reader of a child's
+    /// score — history and stats are taken after selection, and checkpoints
+    /// hold only the population — and an evaluator may then report any
+    /// score at or below the floor as the floor itself (see
+    /// [`FitnessEval`]), so it need not finish pricing a child that cannot
+    /// survive. `None` under lexicographic ranking or with a NaN parent.
     pub floor: Option<f64>,
 }
 
 /// Fitness of fixed-length genomes over gene type `G`; higher is better.
 ///
 /// The engine hands whole batches to [`FitnessEval::evaluate_batch`] — the
-/// initial population first, then every generation's children — in one
-/// call on the thread that owns the (sub)population. Scores are written
+/// initial population first, then every generation's children that are not
+/// copies (see below) — in one call on the thread that owns the
+/// (sub)population. Scores are written
 /// into a caller-provided slice, so the engine can reuse one output buffer
 /// across generations.
 ///
@@ -111,19 +115,24 @@ pub struct Provenance<'a, G> {
 /// randomness. That purity is what lets the engine guarantee bit-identical
 /// results for every thread count.
 ///
-/// Infeasible genomes should be scored below every feasible one — exactly
-/// how the paper handles individuals for which covering is impossible
-/// (Section 3.1).
+/// **Copies.** Purity also lets the engine skip every child that equals a
+/// parent gene for gene: a reproduction, a mutation that redrew the old
+/// gene, an inversion of a palindromic window, or a crossover child whose
+/// parents agree inside (or outside) the swapped window. Such a copy takes
+/// its parent's score and objective vector and never reaches
+/// [`FitnessEval::evaluate_batch`]; a generation made only of copies makes
+/// no call at all.
 ///
 /// **The survival floor.** Purity has one sanctioned exception. When a
-/// batch's [`Provenance::floor`] is `Some(floor)`, an evaluator may write
-/// `floor` instead of any score at or below it: a child that scores at most
-/// the worst parent is dropped by selection whatever its exact score, so
-/// the work of pricing it exactly is wasted. Scores above the floor must
-/// stay exact, and so must every score of a batch without a floor. The
-/// engine passes a floor only when selection is the sole reader of a
-/// child's score (see [`Provenance::floor`]), which keeps every survivor,
-/// history entry and checkpoint byte-identical. Closures and the default
+/// batch's [`Provenance::floor`] is `Some(floor)` and its `objectives` are
+/// `None`, an evaluator may write `floor` instead of any score at or below
+/// it: a child that scores at most the worst parent is dropped by selection
+/// whatever its exact score, so the work of pricing it exactly is wasted.
+/// Scores above the floor must stay exact, and so must every score of a
+/// batch without a floor or with objectives. Only a batch with a floor and
+/// no objectives has selection as the sole reader of its children's scores
+/// (see [`Provenance::floor`]), which keeps every survivor, history entry
+/// and checkpoint byte-identical. Closures and the default
 /// [`FitnessEval::evaluate_batch`] ignore the floor.
 ///
 /// Any `Fn(&[G]) -> f64` closure implements this trait with `State = ()`,

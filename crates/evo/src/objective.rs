@@ -24,11 +24,6 @@ pub struct Objectives(
 );
 
 impl Objectives {
-    /// The vector an infeasible genome scores: infinite in every minimized
-    /// objective, so it is rejected by the archive and ranks after every
-    /// feasible vector lexicographically.
-    pub const INFEASIBLE: Objectives = Objectives([f64::INFINITY; 3]);
-
     /// The "not yet evaluated" filler the parallel evaluator prefills
     /// output slots with (mirrors the `NaN` score prefill).
     pub const NAN: Objectives = Objectives([f64::NAN; 3]);
@@ -51,7 +46,8 @@ impl Objectives {
     }
 
     /// Whether every component is finite (neither infinite nor `NaN`).
-    /// Infeasible and unevaluated vectors are non-finite by construction.
+    /// The unevaluated filler [`Objectives::NAN`] is non-finite by
+    /// construction.
     pub fn is_finite(&self) -> bool {
         self.0.iter().all(|v| v.is_finite())
     }
@@ -105,8 +101,8 @@ pub struct ParetoPoint<G> {
 /// nondominated points on insert would make the archive order-dependent.
 ///
 /// Duplicate objective vectors are rejected (the first genome to reach a
-/// vector keeps it), as are non-finite vectors ([`Objectives::INFEASIBLE`],
-/// `NaN` fillers) and anything dominated by a retained point.
+/// vector keeps it), as are non-finite vectors (infinities, `NaN` fillers)
+/// and anything dominated by a retained point.
 #[derive(Debug, Clone)]
 pub struct ParetoArchive<G> {
     points: Vec<ParetoPoint<G>>,
@@ -234,7 +230,7 @@ mod tests {
         assert!(!nan.dominates(&fine));
         assert!(!fine.dominates(&nan));
         assert!(!nan.is_finite());
-        assert!(!Objectives::INFEASIBLE.is_finite());
+        assert!(!Objectives([1.0, f64::INFINITY, 0.0]).is_finite());
         assert!(fine.is_finite());
     }
 
@@ -321,7 +317,7 @@ mod tests {
     #[test]
     fn non_finite_vectors_are_rejected() {
         let mut a: ParetoArchive<u8> = ParetoArchive::new(0);
-        assert!(!a.insert(&[0], f64::MIN, Objectives::INFEASIBLE));
+        assert!(!a.insert(&[0], f64::MIN, Objectives([f64::INFINITY; 3])));
         assert!(!a.insert(&[1], f64::NAN, Objectives::NAN));
         assert!(a.is_empty());
     }

@@ -17,6 +17,10 @@ pub struct CacheStats {
     pub hits: u64,
     /// Parent caches built from a full evaluation (first sighting).
     pub misses: u64,
+    /// Parent caches kept from a probe: a child priced against a cached
+    /// parent that scored above the worst parent keeps the covering the
+    /// probe patched, so as a parent it costs no rebuild.
+    pub kept: u64,
     /// Children that fell back to the full kernel (unusable lineage or a
     /// `NeedsFull` answer from the incremental engine).
     pub fallbacks: u64,
@@ -44,11 +48,12 @@ impl fmt::Display for CacheStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} hits / {} misses / {} fallbacks, {} pruned ({:.0}% hit rate)",
+            "{} hits / {} misses / {} fallbacks, {} pruned, {} kept ({:.0}% hit rate)",
             self.hits,
             self.misses,
             self.fallbacks,
             self.pruned,
+            self.kept,
             100.0 * self.hit_rate()
         )
     }
@@ -135,10 +140,12 @@ mod tests {
             misses: 1,
             fallbacks: 0,
             pruned: 0,
+            kept: 1,
         };
         assert!((stats.hit_rate() - 0.75).abs() < 1e-12);
         let s = stats.to_string();
         assert!(s.contains("3 hits") && s.contains("75% hit rate"), "{s}");
+        assert!(s.contains("1 kept"), "{s}");
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 
@@ -149,6 +156,7 @@ mod tests {
             misses: 1,
             fallbacks: 3,
             pruned: 0,
+            kept: 0,
         };
         // Pruned children are fallbacks the floor cut short, not extra
         // lookups: the hit rate counts them once, as fallbacks.

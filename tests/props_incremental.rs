@@ -7,14 +7,17 @@
 //! `encoded_size_scratch` computes from scratch at every step — including
 //! edits that move blocks to and from the all-`U` last MV and edits that
 //! create or remove duplicate MVs. The concurrent shared-cache path of
-//! `MvFitness` is pinned to the same oracle.
+//! `MvFitness` is pinned to the same oracle, and the covering kept for a
+//! probed child ([`encoded_size_keep`]) to a rebuild of that child, field for
+//! field.
 
 use std::ops::Range;
 
 use evotc::bits::{BlockHistogram, SlicedHistogram, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{
-    encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, EvalCache, EvalScratch,
-    IncrementalOutcome, MvFitness, MvFitnessState, PatchScratch,
+    encoded_size_keep, encoded_size_probe, encoded_size_probe_with, encoded_size_rebuild,
+    encoded_size_rebuild_with, encoded_size_scratch, EvalCache, EvalScratch, IncrementalOutcome,
+    MvFitness, MvFitnessState, PatchScratch,
 };
 use evotc::evo::{FitnessEval, Lineage, Provenance};
 use proptest::prelude::*;
@@ -364,6 +367,72 @@ proptest! {
                 &mut state, std::slice::from_ref(&genome), Some(provenance), &mut score, None,
             );
             prop_assert_eq!(score[0].to_bits(), fitness.evaluate(&genome).to_bits(), "step at {}", pos);
+        }
+    }
+
+    /// Kept coverings are exact: for single-chunk, multi-chunk and donor
+    /// (whole-genome) edits, with transitions tracked and not, the covering
+    /// `encoded_size_keep` builds from the probe's moves equals the one
+    /// `encoded_size_rebuild_with` builds for the child, field for field,
+    /// and keeping never touches the parent's covering.
+    #[test]
+    fn kept_coverings_equal_a_rebuild_of_the_child(
+        rows in proptest::collection::vec(arb_trits(12), 1..8),
+        parent in arb_trits(36),
+        donor in arb_trits(36),
+        edits in proptest::collection::vec((0..36usize, 1..36usize, 0u8..3), 1..12),
+    ) {
+        let (hist, _) = histogram_for(&rows, 6);
+        let sliced = SlicedHistogram::from_histogram(&hist);
+        for transitions in [false, true] {
+            let mut cache = EvalCache::new();
+            encoded_size_rebuild_with(&sliced, &parent, transitions, &mut cache);
+            let mut donor_cache = EvalCache::new();
+            encoded_size_rebuild_with(&sliced, &donor, transitions, &mut donor_cache);
+            let pristine = cache.clone();
+            let mut scratch = PatchScratch::new();
+            let (mut kept, mut rebuilt) = (EvalCache::new(), EvalCache::new());
+            for &(at, span, op) in &edits {
+                let hi = (at + span).min(parent.len());
+                let mut child = parent.clone();
+                // A single-gene mutation of the parent (one chunk), a
+                // crossover window from the donor (several chunks), or the
+                // same crossover child priced against the donor, where the
+                // whole genome is the window.
+                let (edit, base) = match op {
+                    0 => {
+                        child[at] = Trit::from_index((child[at].index() + 1) % 3);
+                        (at..at + 1, &cache)
+                    }
+                    1 => {
+                        child[at..hi].copy_from_slice(&donor[at..hi]);
+                        (at..hi, &cache)
+                    }
+                    _ => {
+                        child[at..hi].copy_from_slice(&donor[at..hi]);
+                        (0..child.len(), &donor_cache)
+                    }
+                };
+                let size = match encoded_size_probe_with(
+                    &sliced, &child, transitions, &edit, base, &mut scratch, false,
+                ) {
+                    IncrementalOutcome::Size(size) => size,
+                    IncrementalOutcome::NeedsFull => panic!("an ungated probe prices every edit"),
+                };
+                let kept_size = encoded_size_keep(&sliced, &child, base, &scratch, &mut kept);
+                let full = encoded_size_rebuild_with(&sliced, &child, transitions, &mut rebuilt);
+                prop_assert_eq!(kept_size, size);
+                prop_assert_eq!(full, size);
+                prop_assert_eq!(kept.tracks_transitions(), transitions);
+                prop_assert!(kept == rebuilt, "kept {:?}\nrebuilt {:?}", kept, rebuilt);
+            }
+            prop_assert!(cache == pristine, "keeping changed the parent's covering");
+            // The plain entry points track transitions.
+            let mut tracked = EvalCache::new();
+            encoded_size_rebuild(&sliced, &parent, &mut tracked);
+            prop_assert_eq!(tracked == pristine, transitions);
+            let probe = encoded_size_probe(&sliced, &parent, &(0..0), &pristine, &mut scratch, true);
+            prop_assert_eq!(probe == IncrementalOutcome::NeedsFull, !transitions);
         }
     }
 }

@@ -4,11 +4,13 @@
 //! fitness), and the evaluator stops pricing a fallback child as soon as it
 //! proves the child at or below it, reporting the floor instead. The same
 //! run with a one-slot Pareto archive asks for objective vectors, so the
-//! engine offers no floor and the kernel computes every side channel. Both
+//! floor licenses no clipping and the kernel computes every side channel,
+//! while the probe keeps the same coverings off the same floor. Both
 //! runs must select the same individuals: the best genome, its fitness
 //! bits, the generation and evaluation counts and every per-generation
-//! history entry are identical, and so are the cache counters, apart from
-//! the pruned count. Each default run must prune, or the comparison would
+//! history entry are identical, and so are the copy count and the cache
+//! counters (coverings kept for likely survivors included), apart from the
+//! pruned count. Each default run must prune, or the comparison would
 //! prove nothing.
 
 use evotc::bits::{BlockHistogram, TestSet, TestSetString, Trit};
@@ -100,10 +102,11 @@ fn floor_on_equals_floor_off(workload: &Workload, config: EaConfig, label: &str)
         reference.cache.expect("MvFitness reports cache stats"),
     );
     assert_eq!(
-        (on.hits, on.misses, on.fallbacks),
-        (off.hits, off.misses, off.fallbacks),
+        (on.hits, on.misses, on.kept, on.fallbacks),
+        (off.hits, off.misses, off.kept, off.fallbacks),
         "{label}: the floor changed which children took which path"
     );
+    assert_eq!(floored.copies, reference.copies, "{label}");
     assert_eq!(off.pruned, 0, "{label}: a run with objectives was pruned");
     assert!(
         on.pruned > 0,
