@@ -237,6 +237,10 @@ fn differ<G: PartialEq>(a: &[G], b: &[G]) -> bool {
 /// Genes [`differ`] compares between two checks for an early exit.
 const DIFFER_RUN: usize = 64;
 
+/// Entries the run history starts with (6 KiB of [`GenerationStats`]; see
+/// `EaBuilder::try_run`).
+const HISTORY_START: usize = 64;
+
 /// One subpopulation's complete evolutionary state. A panmictic run is one
 /// of these on the calling thread; an island run owns `count` of them,
 /// distributed over worker threads epoch by epoch. Everything an island
@@ -459,7 +463,15 @@ where
         } = self;
         let fingerprint = config_fingerprint(&config, genome_len);
 
-        let mut history: Vec<GenerationStats> = Vec::new();
+        // The history gains an entry every generation, for thousands of
+        // generations. A vector grows by reallocation inside the allocator
+        // arena its first block came from, and glibc serves small blocks
+        // (up to 1032 bytes) from a per-thread cache that also holds blocks
+        // of other threads' arenas: a caller that frees what its worker
+        // threads allocated would grow the history in a worker's arena,
+        // which keeps the memory once the run is over. A first block past
+        // that size comes from the calling thread's own arena.
+        let mut history: Vec<GenerationStats> = Vec::with_capacity(HISTORY_START);
         let mut islands: Vec<IslandState<G, F::State>>;
         let mut best_so_far: f64;
         let mut stagnant: usize;
