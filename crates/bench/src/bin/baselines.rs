@@ -1,5 +1,5 @@
 //! Baseline F: the classic coders from the paper's related-work section
-//! (run-length [1], Golomb [3], FDR [4], selective Huffman [2]) next to 9C
+//! (run-length \[1\], Golomb \[3\], FDR \[4\], selective Huffman \[2\]) next to 9C
 //! and the EA, on the same calibrated workloads.
 //!
 //! Usage: `cargo run -p evotc-bench --bin baselines --release [-- --full]`

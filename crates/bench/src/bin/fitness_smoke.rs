@@ -61,8 +61,8 @@ use evotc_bench::fitness_fixture::{paper_histogram, random_genomes, BLOCK_LEN, N
 use evotc_bench::{alternating_pairs, check_only_arg, median};
 use evotc_bits::{SlicedHistogram, Trit};
 use evotc_core::{
-    encoded_size_probe, encoded_size_rebuild, encoded_size_rebuild_with, encoded_size_scratch,
-    EvalCache, EvalScratch, IncrementalOutcome, MvFitness, MvFitnessState, PatchScratch,
+    encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, EvalCache, EvalScratch,
+    IncrementalOutcome, MvFitness, MvFitnessState, PatchScratch,
 };
 use evotc_core::{trit_checkpoint_from_bytes, trit_checkpoint_to_bytes};
 use evotc_evo::{
@@ -259,12 +259,7 @@ impl FitnessEval<Trit> for CheckKept<'_> {
         let mut rebuilt = EvalCache::new();
         for child in genomes.iter().filter(|_| provenance.is_some()) {
             if let Some(kept) = state.covering(child) {
-                encoded_size_rebuild_with(
-                    self.sliced,
-                    child,
-                    kept.tracks_transitions(),
-                    &mut rebuilt,
-                );
+                encoded_size_rebuild(self.sliced, child, kept.tracks_transitions(), &mut rebuilt);
                 let [checked, wrong] = self.checked;
                 checked.fetch_add(1, Relaxed);
                 wrong.fetch_add(u64::from(*kept != rebuilt), Relaxed);
@@ -319,10 +314,10 @@ fn main() {
     let crossover = multichunk_children(&evolved, &partners, &[MultiOp::Crossover], STREAM_LEN, 13);
     let inversion = multichunk_children(&evolved, &partners, &[MultiOp::Inversion], STREAM_LEN, 17);
     let mut parent_cache = EvalCache::new();
-    encoded_size_rebuild(&sliced, &evolved, &mut parent_cache);
+    encoded_size_rebuild(&sliced, &evolved, true, &mut parent_cache);
     let mut patch = PatchScratch::new();
     let probe = |child: &[Trit], window: &Range<usize>, patch: &mut PatchScratch, gated: bool| {
-        encoded_size_probe(&sliced, child, window, &parent_cache, patch, gated)
+        encoded_size_probe(&sliced, child, true, window, &parent_cache, patch, gated)
     };
     for (name, stream) in [
         ("mutation", &mutation),
@@ -442,8 +437,7 @@ fn main() {
         .seed(3)
         .threads(2)
         .build();
-    let ckpt_run = |resume: Option<evotc_evo::EaCheckpoint<Trit>>,
-                    blobs: Option<&std::cell::RefCell<Vec<Vec<u8>>>>| {
+    let ckpt_run = |resume: Option<EaCheckpoint<Trit>>, blobs: Option<&mut Vec<Vec<u8>>>| {
         let mut builder = EaBuilder::new(
             GENOME_LEN,
             |rng: &mut StdRng| Trit::from_index(rng.gen_range(0..3u8)),
@@ -454,16 +448,15 @@ fn main() {
             builder = builder.resume_from(checkpoint);
         }
         if let Some(blobs) = blobs {
-            builder = builder.checkpoint_every(5, move |cp: &EaCheckpoint<Trit>| {
-                blobs.borrow_mut().push(trit_checkpoint_to_bytes(cp));
+            builder = builder.checkpoint_every(5, move |cp| {
+                blobs.push(trit_checkpoint_to_bytes(&cp));
                 Ok(())
             });
         }
         builder.run()
     };
-    let blobs = std::cell::RefCell::new(Vec::new());
-    let ckpt_reference = ckpt_run(None, Some(&blobs));
-    let blobs = blobs.into_inner();
+    let mut blobs = Vec::new();
+    let ckpt_reference = ckpt_run(None, Some(&mut blobs));
     if blobs.is_empty() {
         fail("island run produced no periodic checkpoints");
     }
@@ -612,11 +605,17 @@ fn main() {
         let mut parent_cache = EvalCache::new();
         let mut patch = PatchScratch::new();
         paired_throughput(per_pass, full, || {
-            let mut acc = encoded_size_rebuild(&sliced, &evolved, &mut parent_cache) as f64;
+            let mut acc = encoded_size_rebuild(&sliced, &evolved, true, &mut parent_cache) as f64;
             for (window, child) in stream {
-                if let IncrementalOutcome::Size(size) =
-                    encoded_size_probe(&sliced, child, window, &parent_cache, &mut patch, false)
-                {
+                if let IncrementalOutcome::Size(size) = encoded_size_probe(
+                    &sliced,
+                    child,
+                    true,
+                    window,
+                    &parent_cache,
+                    &mut patch,
+                    false,
+                ) {
                     acc += size as f64;
                 }
             }
@@ -737,8 +736,8 @@ fn main() {
     let checkpointed = || {
         EaBuilder::new(GENOME_LEN, sample, fitness.clone())
             .config(ea_config.clone())
-            .checkpoint_every(10, |cp: &EaCheckpoint<Trit>| {
-                std::hint::black_box(trit_checkpoint_to_bytes(cp));
+            .checkpoint_every(10, |cp| {
+                std::hint::black_box(trit_checkpoint_to_bytes(&cp));
                 Ok(())
             })
             .run()

@@ -24,7 +24,7 @@
 use evotc_bench::{run_args, RunProfile};
 use evotc_bits::{BlockHistogram, TestSetString, Trit};
 use evotc_core::{trit_checkpoint_from_bytes, trit_checkpoint_to_bytes, EaCompressor};
-use evotc_evo::{config_fingerprint, CheckpointError, EaCheckpoint, EaConfig, ParetoPoint};
+use evotc_evo::{config_fingerprint, CheckpointError, EaConfig, Individual};
 use evotc_workloads::tables::TABLE1;
 use std::path::{Path, PathBuf};
 
@@ -40,7 +40,7 @@ struct TradeoffRow {
     bits: usize,
     /// Uncompressed payload bits at block length `K` — the rate denominator.
     payload_bits: f64,
-    front: Vec<ParetoPoint<Trit>>,
+    front: Vec<Individual<Trit>>,
 }
 
 /// Compression rate (%) of an encoded-bits objective value.
@@ -57,7 +57,7 @@ fn run_circuit(
     bits: f64,
     profile: &RunProfile,
     checkpoint_dir: Option<&Path>,
-) -> Vec<ParetoPoint<Trit>> {
+) -> Vec<Individual<Trit>> {
     let config = EaConfig::builder()
         .stagnation_limit(profile.stagnation_limit)
         .max_evaluations(profile.max_evaluations)
@@ -90,8 +90,8 @@ fn run_circuit(
                 Err(e) => eprintln!("  ignoring {}: {e}", path.display()),
             }
         }
-        builder = builder.checkpoint_every(CHECKPOINT_EVERY, move |cp: &EaCheckpoint<Trit>| {
-            std::fs::write(&path, trit_checkpoint_to_bytes(cp))
+        builder = builder.checkpoint_every(CHECKPOINT_EVERY, move |cp| {
+            std::fs::write(&path, trit_checkpoint_to_bytes(&cp))
                 .map_err(|e| CheckpointError::Io(e.to_string()))
         });
     }

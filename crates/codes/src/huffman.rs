@@ -127,7 +127,7 @@ pub fn canonical_codewords(lengths: &[usize]) -> Vec<Codeword> {
 ///
 /// # Panics
 ///
-/// Panics on Kraft violations, as for [`canonical_codewords`].
+/// Panics if the lengths violate the Kraft inequality or exceed 64 bits.
 pub fn canonical_code(lengths: &[usize]) -> PrefixCode {
     let words = canonical_codewords(lengths);
     // PrefixCode validation rejects empty codewords in multi-symbol codes, so

@@ -84,25 +84,25 @@ use crate::mvset::covering_key;
 /// let sliced = SlicedHistogram::from_histogram(&hist);
 /// let parent: Vec<Trit> = evotc_bits::parse_trits("110U0000UUUU")?;
 /// let mut cache = EvalCache::new();
-/// let full = encoded_size_rebuild(&sliced, &parent, &mut cache);
+/// let full = encoded_size_rebuild(&sliced, &parent, true, &mut cache);
 /// let mut scratch = PatchScratch::new();
 ///
 /// // Mutate one gene and re-price incrementally.
 /// let mut child = parent.clone();
 /// child[5] = Trit::One;
-/// let inc = encoded_size_probe(&sliced, &child, &(5..6), &cache, &mut scratch, true);
+/// let inc = encoded_size_probe(&sliced, &child, true, &(5..6), &cache, &mut scratch, true);
 /// let reference = encoded_size_scratch(&sliced, &child, &mut EvalScratch::new());
 /// assert_eq!(inc, IncrementalOutcome::Size(reference));
 ///
 /// // An inversion window spanning two MV chunks.
 /// let mut child = parent.clone();
 /// child[2..7].reverse();
-/// let inc = encoded_size_probe(&sliced, &child, &(2..7), &cache, &mut scratch, false);
+/// let inc = encoded_size_probe(&sliced, &child, true, &(2..7), &cache, &mut scratch, false);
 /// let reference = encoded_size_scratch(&sliced, &child, &mut EvalScratch::new());
 /// assert_eq!(inc, IncrementalOutcome::Size(reference));
 ///
 /// // The cache still holds the parent: an empty edit returns its size.
-/// let cached = encoded_size_probe(&sliced, &parent, &(0..0), &cache, &mut scratch, true);
+/// let cached = encoded_size_probe(&sliced, &parent, true, &(0..0), &cache, &mut scratch, true);
 /// assert_eq!(cached, IncrementalOutcome::Size(full));
 /// # Ok(())
 /// # }
@@ -303,18 +303,13 @@ impl EvalCache {
         EvalCache::default()
     }
 
-    /// Returns `true` if the cache holds a complete evaluation.
-    pub fn is_warm(&self) -> bool {
-        self.warm
-    }
-
     /// `true` when the cache holds the evaluation of exactly `genes`.
     pub(crate) fn holds(&self, genes: &[Trit]) -> bool {
         self.warm && trits_equal(&self.genes, genes)
     }
 
     /// `true` when the held evaluation tracks the scan-transition count (see
-    /// [`encoded_size_rebuild_with`]).
+    /// [`encoded_size_rebuild`]).
     pub fn tracks_transitions(&self) -> bool {
         self.shape.4
     }
@@ -351,7 +346,11 @@ pub enum IncrementalOutcome {
 ///
 /// Returns the encoded size, **bit-identical** to
 /// [`crate::encoded_size_scratch`] over the same inputs (the last MV is
-/// all-`U` here too).
+/// all-`U` here too). `transitions` says whether the cache tracks the
+/// scan-transition count, as its shape tag then records: a cache built
+/// without it serves only probes that do not ask for it (see
+/// [`encoded_size_probe`]); `MvFitness` builds those for batches that read
+/// no transition count.
 ///
 /// # Panics
 ///
@@ -360,30 +359,14 @@ pub enum IncrementalOutcome {
 pub fn encoded_size_rebuild(
     sliced: &SlicedHistogram,
     genes: &[Trit],
-    cache: &mut EvalCache,
-) -> u64 {
-    rebuild(sliced, genes, true, cache, None)
-}
-
-/// [`encoded_size_rebuild`] with the scan-transition count tracked or not,
-/// as the cache's shape tag then records. A cache built without it serves
-/// only probes that do not ask for it (see [`encoded_size_probe_with`]);
-/// `MvFitness` builds those for batches that read no transition count.
-///
-/// # Panics
-///
-/// As for [`encoded_size_rebuild`].
-pub fn encoded_size_rebuild_with(
-    sliced: &SlicedHistogram,
-    genes: &[Trit],
     transitions: bool,
     cache: &mut EvalCache,
 ) -> u64 {
     rebuild(sliced, genes, transitions, cache, None)
 }
 
-/// [`encoded_size_rebuild_with`], reading each MV's match set from `memo`
-/// when one is given.
+/// [`encoded_size_rebuild`], reading each MV's match set from `memo` when
+/// one is given.
 pub(crate) fn rebuild(
     sliced: &SlicedHistogram,
     genes: &[Trit],
@@ -534,8 +517,10 @@ pub(crate) fn rebuild(
 ///
 /// Returns [`IncrementalOutcome::NeedsFull`] when the edit is not
 /// incrementally priceable: cold cache or mismatched shape (block length,
-/// genome length, distinct-block count and word width, or a cache that does
-/// not track transitions — only `MvFitness` builds those). Edits inside the
+/// genome length, distinct-block count and word width, or a cache that
+/// tracks the scan-transition count other than `transitions` asks — see
+/// [`encoded_size_rebuild`]). Untracked, the transition count left in
+/// `scratch` is zero. Edits inside the
 /// last chunk are inert: the last MV is all-`U` whatever its genes.
 /// With `gated`, it also answers `NeedsFull` as soon as the estimated
 /// multi-chunk patch work exceeds the estimated cost of a full rescan —
@@ -551,35 +536,6 @@ pub(crate) fn rebuild(
 /// against is the caller's bug and silently prices garbage. Keep one cache
 /// per histogram, as [`MvFitness`](crate::MvFitness) does.
 pub fn encoded_size_probe(
-    sliced: &SlicedHistogram,
-    genes: &[Trit],
-    edit: &Range<usize>,
-    cache: &EvalCache,
-    scratch: &mut PatchScratch,
-    gated: bool,
-) -> IncrementalOutcome {
-    probe(sliced, genes, true, edit, cache, scratch, gated)
-}
-
-/// [`encoded_size_probe`] with the scan-transition count tracked or not: a
-/// cache built the other way (see [`encoded_size_rebuild_with`]) answers
-/// [`IncrementalOutcome::NeedsFull`]. Untracked, the transition count left
-/// in `scratch` is zero.
-pub fn encoded_size_probe_with(
-    sliced: &SlicedHistogram,
-    genes: &[Trit],
-    transitions: bool,
-    edit: &Range<usize>,
-    cache: &EvalCache,
-    scratch: &mut PatchScratch,
-    gated: bool,
-) -> IncrementalOutcome {
-    probe(sliced, genes, transitions, edit, cache, scratch, gated)
-}
-
-/// The one probe behind [`encoded_size_probe`] and
-/// [`encoded_size_probe_with`].
-pub(crate) fn probe(
     sliced: &SlicedHistogram,
     genes: &[Trit],
     transitions: bool,
@@ -642,7 +598,7 @@ pub(crate) fn probe(
 /// [`IncrementalOutcome::Size`] answer through `scratch` priced against
 /// `parent`, and returns its encoded size: `parent`'s covering with the
 /// probe's block moves replayed chunk by chunk, so `kept` ends up equal,
-/// field for field, to what [`encoded_size_rebuild_with`] builds for
+/// field for field, to what [`encoded_size_rebuild`] builds for
 /// `genes` (transitions tracked as in `parent`), at the cost of a copy.
 /// The EA keeps the coverings of children likely to survive this way, so a
 /// parent is rebuilt only when no probe priced it.
@@ -1229,7 +1185,7 @@ mod tests {
         gated: bool,
     ) -> Option<Priced> {
         let mut scratch = PatchScratch::new();
-        match encoded_size_probe(sliced, genes, edit, cache, &mut scratch, gated) {
+        match encoded_size_probe(sliced, genes, true, edit, cache, &mut scratch, gated) {
             IncrementalOutcome::Size(size) => Some((
                 size,
                 scratch.last_scan_transitions(),
@@ -1254,7 +1210,7 @@ mod tests {
             Some(expect),
             "probe of {child:?} edit {edit:?}"
         );
-        assert_eq!(encoded_size_rebuild(sliced, child, cache), expect.0);
+        assert_eq!(encoded_size_rebuild(sliced, child, true, cache), expect.0);
         assert_eq!(
             probed(sliced, child, &(0..0), cache, true),
             Some(expect),
@@ -1268,7 +1224,7 @@ mod tests {
         for pos in 0..parent.len() {
             for g in 0..3u8 {
                 let mut cache = EvalCache::new();
-                encoded_size_rebuild(sliced, parent, &mut cache);
+                encoded_size_rebuild(sliced, parent, true, &mut cache);
                 let mut child = parent.to_vec();
                 child[pos] = Trit::from_index(g);
                 probe_then_rebuild(sliced, &mut cache, &child, &(pos..pos + 1));
@@ -1298,7 +1254,7 @@ mod tests {
     fn exhaustive_window_edits(sliced: &SlicedHistogram, parent: &[Trit], width: usize) {
         for start in 0..=parent.len() - width {
             let mut cache = EvalCache::new();
-            encoded_size_rebuild(sliced, parent, &mut cache);
+            encoded_size_rebuild(sliced, parent, true, &mut cache);
             let mut child = parent.to_vec();
             for (offset, slot) in child[start..start + width].iter_mut().enumerate() {
                 *slot = Trit::from_index(((start + 2 * offset) % 3) as u8);
@@ -1341,7 +1297,7 @@ mod tests {
             genes(&"110U00UU ".repeat(16)),
         ] {
             let mut cache = EvalCache::new();
-            encoded_size_rebuild(&sliced, &parent, &mut cache);
+            encoded_size_rebuild(&sliced, &parent, true, &mut cache);
             for width in [1, 9, 17, parent.len()] {
                 for start in 0..=parent.len() - width {
                     let mut child = parent.clone();
@@ -1381,7 +1337,7 @@ mod tests {
         let sliced = fixtures(&["110100XX", "110000XX", "11010000"], 8);
         let parent = genes("110U00UU 00000000 UUUUUUUU");
         let mut cache = EvalCache::new();
-        let size = encoded_size_rebuild(&sliced, &parent, &mut cache);
+        let size = encoded_size_rebuild(&sliced, &parent, true, &mut cache);
         assert_eq!(
             probed(&sliced, &parent, &(3..3), &cache, true),
             Some(full(&sliced, &parent)),
@@ -1402,12 +1358,12 @@ mod tests {
         let sliced = fixtures(&["110100XX", "110000XX", "11010000"], 8);
         let parent = genes("110U00UU 11010000 UUUUUUUU");
         let mut cache = EvalCache::new();
-        encoded_size_rebuild(&sliced, &parent, &mut cache);
+        encoded_size_rebuild(&sliced, &parent, true, &mut cache);
         // Probe many single- and multi-chunk children off the same cache
         // through one scratch; each must match the full kernel.
         let mut scratch = PatchScratch::new();
         let mut probe = |child: &[Trit], edit: Range<usize>| {
-            let got = encoded_size_probe(&sliced, child, &edit, &cache, &mut scratch, false);
+            let got = encoded_size_probe(&sliced, child, true, &edit, &cache, &mut scratch, false);
             assert_eq!(got, IncrementalOutcome::Size(full(&sliced, child).0));
         };
         for pos in 0..parent.len() {
@@ -1435,13 +1391,13 @@ mod tests {
         for gated in [false, true] {
             assert_eq!(probed(&sliced, &g, &(0..1), &cache, gated), None);
         }
-        encoded_size_rebuild(&sliced, &g, &mut cache);
+        encoded_size_rebuild(&sliced, &g, true, &mut cache);
         // Different genome length.
         let longer = genes("1010 UUUU 1111");
         assert_eq!(probed(&sliced, &longer, &(8..9), &cache, false), None);
         // A probe that tracks no transitions never reads this cache.
         assert_eq!(
-            probe(
+            encoded_size_probe(
                 &sliced,
                 &g,
                 false,
@@ -1455,7 +1411,7 @@ mod tests {
         // An edit spanning two changed chunks is *not* a fallback: the
         // patch prices it chunk by chunk.
         let mut two = genes("1010 1010 UUUU");
-        encoded_size_rebuild(&sliced, &two, &mut cache);
+        encoded_size_rebuild(&sliced, &two, true, &mut cache);
         two[3] = Trit::X;
         two[4] = Trit::One;
         assert_eq!(
@@ -1469,7 +1425,7 @@ mod tests {
         let sliced = fixtures(&["10101010", "01010101"], 8);
         let parent = genes("10101010 00000000");
         let mut cache = EvalCache::new();
-        let size = encoded_size_rebuild(&sliced, &parent, &mut cache);
+        let size = encoded_size_rebuild(&sliced, &parent, true, &mut cache);
         let mut child = parent.clone();
         child[12] = Trit::One; // inside the all-U last chunk
         let got = probed(&sliced, &child, &(12..13), &cache, true);
@@ -1490,7 +1446,7 @@ mod tests {
             genes("11111111 00000000 11110000"),
         ] {
             assert_eq!(
-                encoded_size_rebuild(&sliced, &g, &mut cache),
+                encoded_size_rebuild(&sliced, &g, true, &mut cache),
                 full(&sliced, &g).0,
                 "genome {g:?}"
             );
@@ -1501,6 +1457,6 @@ mod tests {
     #[should_panic(expected = "not a positive multiple")]
     fn rebuild_rejects_ragged_genomes() {
         let sliced = fixtures(&["1111"], 4);
-        let _ = encoded_size_rebuild(&sliced, &genes("111"), &mut EvalCache::new());
+        let _ = encoded_size_rebuild(&sliced, &genes("111"), true, &mut EvalCache::new());
     }
 }

@@ -73,8 +73,8 @@ pub use encoding::{encode_with_code, encode_with_mvs, encoded_size};
 pub use error::CompressError;
 pub use hash::{content_hash, test_set_content_hash};
 pub use incremental::{
-    encoded_size_keep, encoded_size_probe, encoded_size_probe_with, encoded_size_rebuild,
-    encoded_size_rebuild_with, EvalCache, IncrementalOutcome, PatchScratch,
+    encoded_size_keep, encoded_size_probe, encoded_size_rebuild, EvalCache, IncrementalOutcome,
+    PatchScratch,
 };
 pub use kernel::{encoded_size_bounded, encoded_size_scratch, BoundedSize, EvalScratch};
 pub use mv::{MatchingVector, ParseMvError};

@@ -22,4 +22,4 @@ mod reconfig;
 
 pub use cost::HardwareCost;
 pub use fsm::DecoderFsm;
-pub use reconfig::ReconfigurableDecoder;
+pub use reconfig::{LoadError, ReconfigurableDecoder};

@@ -8,22 +8,20 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::checkpoint::{
-    config_fingerprint, CheckpointError, CheckpointMember, EaCheckpoint, HistoryRecord,
-    IslandCheckpoint,
-};
+use crate::checkpoint::{config_fingerprint, CheckpointError, EaCheckpoint, IslandCheckpoint};
 use crate::config::{EaConfig, Ranking, Topology};
 use crate::fitness::{FitnessEval, Lineage, Provenance};
-use crate::objective::{Objectives, ParetoArchive, ParetoPoint};
+use crate::objective::{Individual, Objectives, ParetoArchive};
 use crate::operators;
 use crate::parallel;
-use crate::stats::{CacheStats, GenerationStats};
+use crate::stats::GenerationStats;
 use crate::supervisor::{CancelToken, EaError, StopReason};
 
-/// A checkpoint consumer installed via [`EaBuilder::checkpoint_every`]. A
-/// sink failure is counted on [`EaResult::checkpoint_failures`] and the run
-/// continues — losing a checkpoint must never lose the run.
-type CheckpointSink<'s, G> = Box<dyn FnMut(&EaCheckpoint<G>) -> Result<(), CheckpointError> + 's>;
+/// A checkpoint consumer installed via [`EaBuilder::checkpoint_every`]: it
+/// owns each capture. A sink failure is counted on
+/// [`EaResult::checkpoint_failures`] and the run continues — losing a
+/// checkpoint must never lose the run.
+type CheckpointSink<'s, G> = Box<dyn FnMut(EaCheckpoint<G>) -> Result<(), CheckpointError> + 's>;
 
 /// Composable builder for an evolutionary run over fixed-length genomes of
 /// gene type `G`.
@@ -138,7 +136,7 @@ pub struct EaResult<G> {
     /// (island runs merge their per-island archives in island order). Empty
     /// unless `pareto_capacity > 0`. Fully deterministic: same seed and
     /// config ⇒ byte-identical front at any thread count.
-    pub pareto_front: Vec<ParetoPoint<G>>,
+    pub pareto_front: Vec<Individual<G>>,
     /// Why the run stopped (see [`StopReason`]). The deterministic reasons
     /// are part of the determinism contract; [`StopReason::Deadline`] and
     /// [`StopReason::Cancelled`] depend on wall-clock but still come with
@@ -155,12 +153,6 @@ impl<G> EaResult<G> {
     pub fn evaluations_per_sec(&self) -> f64 {
         crate::stats::evals_per_sec(self.evaluations, self.elapsed)
     }
-}
-
-struct Individual<G> {
-    genes: Vec<G>,
-    fitness: f64,
-    objectives: Objectives,
 }
 
 /// One generation's brood, bred into pooled buffers: the children to
@@ -237,7 +229,7 @@ fn differ<G: PartialEq>(a: &[G], b: &[G]) -> bool {
 /// Genes [`differ`] compares between two checks for an early exit.
 const DIFFER_RUN: usize = 64;
 
-/// Entries the run history starts with (6 KiB of [`GenerationStats`]; see
+/// Entries the run history starts with (2 KiB of [`GenerationStats`]; see
 /// `EaBuilder::try_run`).
 const HISTORY_START: usize = 64;
 
@@ -270,9 +262,8 @@ struct IslandState<G, S> {
 
 impl<G, S> IslandState<G, S> {
     /// Logs the population's post-selection statistics for `generation`
-    /// into the epoch log. The cache column stays `None`: the evaluator's
-    /// counters span all islands and are merged in at the epoch boundary.
-    fn log_generation(&mut self, generation: u64, start: Instant) {
+    /// into the epoch log.
+    fn log_generation(&mut self, generation: u64) {
         let population = &self.population;
         let best = population.first().map_or(f64::NEG_INFINITY, |i| i.fitness);
         let mean = population.iter().map(|i| i.fitness).sum::<f64>() / population.len() as f64;
@@ -281,8 +272,6 @@ impl<G, S> IslandState<G, S> {
             best_fitness: best,
             mean_fitness: mean,
             evaluations: self.evaluations,
-            elapsed: start.elapsed(),
-            cache: None,
         });
     }
 }
@@ -352,9 +341,9 @@ where
     }
 
     /// Captures an [`EaCheckpoint`] every `generations` generations and
-    /// hands it to `sink`. Island runs capture at the first epoch boundary
-    /// at which at least `generations` generations have passed since the
-    /// last capture.
+    /// hands it to `sink`, which owns it from then on. Island runs capture
+    /// at the first epoch boundary at which at least `generations`
+    /// generations have passed since the last capture.
     ///
     /// The checkpoint is a point on the deterministic trajectory: feeding
     /// it to [`EaBuilder::resume_from`] on a fresh builder continues the
@@ -368,7 +357,7 @@ where
     pub fn checkpoint_every(
         mut self,
         generations: u64,
-        sink: impl FnMut(&EaCheckpoint<G>) -> Result<(), CheckpointError> + 's,
+        sink: impl FnMut(EaCheckpoint<G>) -> Result<(), CheckpointError> + 's,
     ) -> Self {
         assert!(generations > 0, "checkpoint interval must be positive");
         self.checkpoint_every = generations;
@@ -382,10 +371,9 @@ where
     /// checkpoint (same seed, topology, ranking, budgets, operator
     /// probabilities — everything deterministic; `threads` and `deadline`
     /// may differ), or the run fails with [`EaError::InvalidCheckpoint`].
-    /// The restored history prefix is returned on [`EaResult::history`]
-    /// with `elapsed`/`cache` cleared (both are outside the determinism
-    /// contract); population seeds from [`EaBuilder::seed_population`] are
-    /// ignored — the checkpointed populations already embody them.
+    /// The checkpoint's history is the prefix of [`EaResult::history`];
+    /// population seeds from [`EaBuilder::seed_population`] are ignored —
+    /// the checkpointed populations already embody them.
     pub fn resume_from(mut self, checkpoint: EaCheckpoint<G>) -> Self {
         self.resume = Some(checkpoint);
         self
@@ -482,10 +470,10 @@ where
             validate_checkpoint(&cp, &config, genome_len, count)?;
             islands = cp
                 .islands
-                .iter()
+                .into_iter()
                 .map(|island| restore_island(island, &config))
                 .collect();
-            history = restore_history(&cp.history);
+            history = cp.history;
             best_so_far = cp.best_so_far;
             stagnant = cp.stagnant as usize;
             generation = cp.generation;
@@ -529,9 +517,9 @@ where
 
             // Initial populations (generation 0).
             for island in islands.iter_mut() {
-                island.log_generation(0, start);
+                island.log_generation(0);
             }
-            merge(&mut islands, fitness.cache_stats(), &mut history);
+            merge(&mut islands, &mut history);
 
             best_so_far = history[0].best_fitness;
             stagnant = 0;
@@ -552,7 +540,7 @@ where
             let failure = for_each_island(&mut islands, workers, |island| {
                 for g in 0..epoch_gens {
                     step(&config, &sample_gene, &fitness, island);
-                    island.log_generation(generation + g + 1, start);
+                    island.log_generation(generation + g + 1);
                 }
             });
             if let Some((island, message)) = failure {
@@ -563,7 +551,7 @@ where
                 });
             }
             let merged_from = history.len();
-            merge(&mut islands, fitness.cache_stats(), &mut history);
+            merge(&mut islands, &mut history);
             for merged in &history[merged_from..] {
                 if merged.best_fitness > best_so_far {
                     best_so_far = merged.best_fitness;
@@ -595,7 +583,7 @@ where
                     generation,
                     stagnant: stagnant as u64,
                     best_so_far,
-                    history: history_records(&history),
+                    history: history.clone(),
                     islands: islands.iter().map(capture_island).collect(),
                 });
             }
@@ -654,14 +642,9 @@ where
 /// generation, and clears the logs. Every island logs the same generations
 /// each epoch. An entry is seeded from island 0, so a single island's
 /// statistics pass through bit for bit; it then takes the best of the
-/// islands' bests, the mean of their means, the sum of their cumulative
-/// evaluation counts and the latest wall-clock. `cache` is the evaluator's
-/// snapshot at the epoch boundary.
-fn merge<G, S>(
-    islands: &mut [IslandState<G, S>],
-    cache: Option<CacheStats>,
-    history: &mut Vec<GenerationStats>,
-) {
+/// islands' bests, the mean of their means and the sum of their cumulative
+/// evaluation counts.
+fn merge<G, S>(islands: &mut [IslandState<G, S>], history: &mut Vec<GenerationStats>) {
     for g in 0..islands[0].epoch_log.len() {
         let mut merged = islands[0].epoch_log[g];
         for stats in islands[1..].iter().map(|island| &island.epoch_log[g]) {
@@ -669,10 +652,8 @@ fn merge<G, S>(
             merged.best_fitness = merged.best_fitness.max(stats.best_fitness);
             merged.mean_fitness += stats.mean_fitness;
             merged.evaluations += stats.evaluations;
-            merged.elapsed = merged.elapsed.max(stats.elapsed);
         }
         merged.mean_fitness /= islands.len() as f64;
-        merged.cache = cache;
         history.push(merged);
     }
     for island in islands.iter_mut() {
@@ -740,7 +721,8 @@ fn stop_reason_at(
 
 /// Checks that a checkpoint can resume *this* run: same deterministic
 /// config (by fingerprint), same genome length, the topology's island
-/// count, and internally consistent shapes.
+/// count, internally consistent shapes, and RNG states the generator can
+/// leave (zero is its fixed point).
 fn validate_checkpoint<G>(
     cp: &EaCheckpoint<G>,
     config: &EaConfig,
@@ -760,6 +742,9 @@ fn validate_checkpoint<G>(
         return Err(CheckpointError::Malformed("history length mismatch"));
     }
     for island in &cp.islands {
+        if island.rng_state == [0; 4] {
+            return Err(CheckpointError::Malformed("all-zero RNG state"));
+        }
         if island.population.len() != config.population_size {
             return Err(CheckpointError::Malformed("population size mismatch"));
         }
@@ -779,95 +764,36 @@ fn validate_checkpoint<G>(
 /// population with its cached scores and objective vectors, the archive
 /// (reinserting a stored front reproduces it exactly — the front is a pure
 /// function of the inserted set), and the cumulative evaluation counter.
-fn restore_island<G: Copy, S: Default>(
-    cp: &IslandCheckpoint<G>,
+fn restore_island<G: Clone, S: Default>(
+    cp: IslandCheckpoint<G>,
     config: &EaConfig,
 ) -> IslandState<G, S> {
-    let population: Vec<Individual<G>> = cp
-        .population
-        .iter()
-        .map(|m| Individual {
-            genes: m.genes.clone(),
-            fitness: m.fitness,
-            objectives: Objectives(m.objectives),
-        })
-        .collect();
-    let archive = (config.pareto_capacity > 0).then(|| {
-        let mut archive = ParetoArchive::new(config.pareto_capacity);
-        for m in &cp.archive {
-            archive.insert(&m.genes, m.fitness, Objectives(m.objectives));
-        }
-        archive
-    });
     IslandState {
         rng: StdRng::from_state(cp.rng_state),
-        population,
+        population: cp.population,
         batch: ChildBatch::default(),
         eval_state: S::default(),
         evaluations: cp.evaluations,
         copies: 0,
         epoch_log: Vec::new(),
-        archive,
+        archive: (config.pareto_capacity > 0)
+            .then(|| ParetoArchive::from_points(config.pareto_capacity, &cp.archive)),
     }
 }
 
 /// Snapshots one island into checkpoint form. The archive section stores
 /// the *full* retained front ([`ParetoArchive::points`]), not the
 /// capacity-bounded reported prefix, so restoring loses nothing.
-fn capture_island<G: Copy, S>(island: &IslandState<G, S>) -> IslandCheckpoint<G> {
-    let member = |genes: &[G], fitness: f64, objectives: Objectives| CheckpointMember {
-        genes: genes.to_vec(),
-        fitness,
-        objectives: objectives.0,
-    };
+fn capture_island<G: Clone, S>(island: &IslandState<G, S>) -> IslandCheckpoint<G> {
     IslandCheckpoint {
         rng_state: island.rng.to_state(),
         evaluations: island.evaluations,
-        population: island
-            .population
-            .iter()
-            .map(|ind| member(&ind.genes, ind.fitness, ind.objectives))
-            .collect(),
-        archive: island.archive.as_ref().map_or_else(Vec::new, |archive| {
-            archive
-                .points()
-                .iter()
-                .map(|p| member(&p.genome, p.fitness, p.objectives))
-                .collect()
-        }),
+        population: island.population.clone(),
+        archive: island
+            .archive
+            .as_ref()
+            .map_or_else(Vec::new, |archive| archive.points().to_vec()),
     }
-}
-
-/// Projects the history onto its deterministic fields for checkpointing
-/// (wall-clock and cache columns are observational, not state).
-fn history_records(history: &[GenerationStats]) -> Vec<HistoryRecord> {
-    history
-        .iter()
-        .map(|stats| HistoryRecord {
-            generation: stats.generation,
-            best_fitness: stats.best_fitness,
-            mean_fitness: stats.mean_fitness,
-            evaluations: stats.evaluations,
-        })
-        .collect()
-}
-
-/// Rebuilds the history prefix from checkpoint records. The elapsed and
-/// cache columns are zero/`None` — a resumed run does not pretend to know
-/// the original run's wall clock (documented on
-/// [`crate::EaBuilder::resume_from`]).
-fn restore_history(records: &[HistoryRecord]) -> Vec<GenerationStats> {
-    records
-        .iter()
-        .map(|record| GenerationStats {
-            generation: record.generation,
-            best_fitness: record.best_fitness,
-            mean_fitness: record.mean_fitness,
-            evaluations: record.evaluations,
-            elapsed: Duration::ZERO,
-            cache: None,
-        })
-        .collect()
 }
 
 /// Builds a checkpoint and hands it to the sink, counting (never
@@ -887,7 +813,7 @@ fn save_checkpoint<G: Copy>(
         *failures += 1;
         return;
     }
-    if sink(&build()).is_err() {
+    if sink(build()).is_err() {
         *failures += 1;
     }
 }
@@ -1166,30 +1092,24 @@ fn migrate<G: Copy, F: FitnessEval<G>>(
     }
     let s = islands[0].population.len();
     let m = migrants.min(s);
-    let outbound: Vec<Vec<(Vec<G>, f64, Objectives)>> = islands
+    let outbound: Vec<Vec<Individual<G>>> = islands
         .iter()
-        .map(|island| {
-            island.population[..m]
-                .iter()
-                .map(|ind| (ind.genes.clone(), ind.fitness, ind.objectives))
-                .collect()
-        })
+        .map(|island| island.population[..m].to_vec())
         .collect();
     for dst in 0..count {
         let src = (dst + count - 1) % count;
         // Ring neighbours are distinct islands; the source state is moved
         // out for the call so both states can be borrowed mutably.
         let mut from = std::mem::take(&mut islands[src].eval_state);
-        for (genes, _, _) in &outbound[src] {
-            fitness.migrate(genes, &mut from, &mut islands[dst].eval_state);
+        for migrant in &outbound[src] {
+            fitness.migrate(&migrant.genes, &mut from, &mut islands[dst].eval_state);
         }
         islands[src].eval_state = from;
         let island = &mut islands[dst];
-        for (slot, (genes, fit, obj)) in island.population[s - m..].iter_mut().zip(&outbound[src]) {
-            slot.genes.clear();
-            slot.genes.extend_from_slice(genes);
-            slot.fitness = *fit;
-            slot.objectives = *obj;
+        for (slot, migrant) in island.population[s - m..].iter_mut().zip(&outbound[src]) {
+            slot.genes.clone_from(&migrant.genes);
+            slot.fitness = migrant.fitness;
+            slot.objectives = migrant.objectives;
         }
         sort_population(&mut island.population, ranking);
     }
@@ -1549,14 +1469,8 @@ mod tests {
     }
 
     #[test]
-    fn history_elapsed_is_monotone_and_result_reports_throughput() {
+    fn result_reports_throughput() {
         let result = run_one_max(2);
-        let mut prev = Duration::ZERO;
-        for s in &result.history {
-            assert!(s.elapsed >= prev, "elapsed went backwards");
-            prev = s.elapsed;
-        }
-        assert!(result.elapsed >= prev);
         assert!(result.evaluations_per_sec() >= 0.0);
     }
 
@@ -1691,15 +1605,14 @@ mod tests {
     fn merged_evaluations_sum_over_islands() {
         // A capture every epoch: the merged history's last entry must count
         // exactly the islands' own evaluations at that boundary.
-        let checkpoints = std::cell::RefCell::new(Vec::new());
+        let mut checkpoints = Vec::new();
         let result = EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
             .config(island_config(3, 4, 1, 3))
-            .checkpoint_every(1, |cp: &EaCheckpoint<bool>| {
-                checkpoints.borrow_mut().push(cp.clone());
+            .checkpoint_every(1, |cp| {
+                checkpoints.push(cp);
                 Ok(())
             })
             .run();
-        let checkpoints = checkpoints.into_inner();
         assert!(!checkpoints.is_empty(), "run too short to checkpoint");
         for cp in &checkpoints {
             let merged = cp.history.last().expect("history holds generation 0");
@@ -2024,7 +1937,7 @@ mod tests {
             .run();
         assert!(!result.pareto_front.is_empty());
         for p in &result.pareto_front {
-            assert_eq!(p.objectives, TwoObjective::objectives(&p.genome));
+            assert_eq!(p.objectives, TwoObjective::objectives(&p.genes));
             for q in &result.pareto_front {
                 assert!(
                     !p.objectives.dominates(&q.objectives),
@@ -2068,7 +1981,7 @@ mod tests {
             assert_eq!(other.evaluations, reference.evaluations);
             assert_eq!(other.pareto_front.len(), reference.pareto_front.len());
             for (a, b) in other.pareto_front.iter().zip(&reference.pareto_front) {
-                assert_eq!(a.genome, b.genome, "t={threads}");
+                assert_eq!(a.genes, b.genes, "t={threads}");
                 assert_eq!(a.fitness.to_bits(), b.fitness.to_bits());
                 assert_eq!(a.objectives, b.objectives);
             }
@@ -2188,7 +2101,7 @@ mod tests {
             "{label}"
         );
         for (a, b) in resumed.pareto_front.iter().zip(&reference.pareto_front) {
-            assert_eq!(a.genome, b.genome, "{label}");
+            assert_eq!(a.genes, b.genes, "{label}");
             assert_eq!(a.fitness.to_bits(), b.fitness.to_bits(), "{label}");
             assert_eq!(a.objectives, b.objectives, "{label}");
         }
@@ -2202,24 +2115,28 @@ mod tests {
     where
         F: FitnessEval<bool> + Sync,
     {
-        let checkpoints = std::cell::RefCell::new(Vec::new());
+        let mut checkpoints = Vec::new();
         let reference = EaBuilder::new(24, |rng| rng.gen::<bool>(), make_fitness())
             .config(config.clone())
-            .checkpoint_every(every, |cp: &EaCheckpoint<bool>| {
-                checkpoints.borrow_mut().push(cp.clone());
+            .checkpoint_every(every, |cp| {
+                checkpoints.push(cp);
                 Ok(())
             })
             .run();
         assert_eq!(reference.checkpoint_failures, 0);
-        let checkpoints = checkpoints.into_inner();
         assert!(
             !checkpoints.is_empty(),
             "run too short to checkpoint: {} generations",
             reference.generations
         );
         for (k, cp) in checkpoints.iter().enumerate() {
-            let bytes = cp.to_bytes();
-            let reloaded = EaCheckpoint::<bool>::from_bytes(&bytes).expect("round trip");
+            let bytes = cp.to_bytes_with(|&gene, out| out.push(gene as u8));
+            let reloaded = EaCheckpoint::from_bytes_with(&bytes, |input| {
+                let (&byte, rest) = input.split_first().ok_or(CheckpointError::Truncated)?;
+                *input = rest;
+                Ok(byte == 1)
+            })
+            .expect("round trip");
             assert_eq!(&reloaded, cp);
             let resumed = EaBuilder::new(24, |rng| rng.gen::<bool>(), make_fitness())
                 .config(config.clone())
@@ -2267,15 +2184,15 @@ mod tests {
                 .threads(threads)
                 .build()
         };
-        let checkpoints = std::cell::RefCell::new(Vec::new());
+        let mut checkpoints = Vec::new();
         let reference = EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
             .config(config(1))
-            .checkpoint_every(3, |cp: &EaCheckpoint<bool>| {
-                checkpoints.borrow_mut().push(cp.clone());
+            .checkpoint_every(3, |cp| {
+                checkpoints.push(cp);
                 Ok(())
             })
             .run();
-        let cp = checkpoints.into_inner().swap_remove(0);
+        let cp = checkpoints.swap_remove(0);
         for threads in [2, 4] {
             let resumed = EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
                 .config(config(threads))
@@ -2289,9 +2206,7 @@ mod tests {
     fn failing_sink_is_counted_not_fatal() {
         let result = EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
             .config(one_max_config(20, 5))
-            .checkpoint_every(2, |_: &EaCheckpoint<bool>| {
-                Err(CheckpointError::Io("disk full".into()))
-            })
+            .checkpoint_every(2, |_| Err(CheckpointError::Io("disk full".into())))
             .run();
         assert!(result.checkpoint_failures > 0);
         assert_eq!(result.stop_reason, StopReason::Converged);
@@ -2300,15 +2215,15 @@ mod tests {
 
     #[test]
     fn resume_rejects_a_mismatched_config() {
-        let checkpoints = std::cell::RefCell::new(Vec::new());
+        let mut checkpoints = Vec::new();
         EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
             .config(one_max_config(20, 5))
-            .checkpoint_every(2, |cp: &EaCheckpoint<bool>| {
-                checkpoints.borrow_mut().push(cp.clone());
+            .checkpoint_every(2, |cp| {
+                checkpoints.push(cp);
                 Ok(())
             })
             .run();
-        let cp = checkpoints.into_inner().swap_remove(0);
+        let cp = checkpoints.swap_remove(0);
         // Different seed → different fingerprint.
         let err = EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
             .config(one_max_config(20, 6))
@@ -2327,6 +2242,31 @@ mod tests {
             .try_run()
             .unwrap_err();
         assert!(matches!(err, EaError::InvalidCheckpoint(_)));
+    }
+
+    #[test]
+    fn resume_rejects_an_all_zero_rng_state() {
+        // Zero is the generator's fixed point: at S = 10 a parent draw
+        // rejection-samples forever, so the checkpoint must fail up front.
+        let mut checkpoints = Vec::new();
+        EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
+            .config(one_max_config(20, 5))
+            .checkpoint_every(2, |cp| {
+                checkpoints.push(cp);
+                Ok(())
+            })
+            .run();
+        let mut cp = checkpoints.swap_remove(0);
+        cp.islands[0].rng_state = [0; 4];
+        let err = EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
+            .config(one_max_config(20, 5))
+            .resume_from(cp)
+            .try_run()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            EaError::InvalidCheckpoint(CheckpointError::Malformed("all-zero RNG state"))
+        );
     }
 
     // ---- panic isolation ----

@@ -202,8 +202,8 @@ pub trait FitnessEval<G> {
     }
 
     /// Cumulative evaluation-cache counters, when this evaluator keeps a
-    /// lineage cache (see [`CacheStats`]). The engine snapshots this after
-    /// every generation into [`crate::GenerationStats::cache`], so cache
+    /// lineage cache (see [`CacheStats`]). The engine reads this once, when
+    /// the run ends, into [`crate::EaResult::cache`], so cache
     /// effectiveness is observable per run, not just in micro-benchmarks.
     ///
     /// The default (evaluators without a cache) reports `None`. Counters

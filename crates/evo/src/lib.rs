@@ -72,10 +72,10 @@
 //!
 //! Long runs survive interruption and faults:
 //!
-//! - **Checkpoint/resume** — [`EaBuilder::checkpoint_every`] snapshots the
-//!   full deterministic run state (per-island populations with scores and
-//!   objective vectors, RNG streams, Pareto archive, counters) as a
-//!   versioned [`EaCheckpoint`]; [`EaBuilder::resume_from`] continues a run
+//! - **Checkpoint/resume** — [`EaBuilder::checkpoint_every`] hands its sink
+//!   the full deterministic run state (per-island populations and Pareto
+//!   archives of scored [`Individual`]s, RNG streams, the history, counters)
+//!   as a versioned [`EaCheckpoint`]; [`EaBuilder::resume_from`] continues a run
 //!   from any such snapshot with a byte-identical trajectory, at any thread
 //!   count. [`checkpoint`] documents the serialized format.
 //! - **Cooperative stopping** — a shared [`CancelToken`], a wall-clock
@@ -87,8 +87,8 @@
 //!   [`EaError::IslandFailed`] from [`EaBuilder::try_run`] instead of
 //!   aborting the process or stalling the epoch barrier.
 //! - **Fault injection** — the `failpoints` cargo feature compiles in the
-//!   [`failpoints`] registry, letting tests trigger those failure paths at
-//!   deterministic points of a run.
+//!   `failpoints` registry module, letting tests trigger those failure
+//!   paths at deterministic points of a run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -106,13 +106,12 @@ mod stats;
 mod supervisor;
 
 pub use checkpoint::{
-    config_fingerprint, CheckpointError, CheckpointMember, EaCheckpoint, GeneCodec, HistoryRecord,
-    IslandCheckpoint, CHECKPOINT_FORMAT_VERSION,
+    config_fingerprint, CheckpointError, EaCheckpoint, IslandCheckpoint, CHECKPOINT_FORMAT_VERSION,
 };
 pub use config::{EaConfig, EaConfigBuilder, Ranking, Topology};
 pub use engine::{EaBuilder, EaResult};
 pub use fitness::{FitnessEval, Lineage, Provenance};
-pub use objective::{Objectives, ParetoArchive, ParetoPoint};
+pub use objective::{Individual, Objectives, ParetoArchive};
 pub use operators::GeneRange;
 pub use stats::{evals_per_sec, CacheStats, GenerationStats};
 pub use supervisor::{CancelToken, EaError, StopReason};

@@ -79,12 +79,15 @@ impl Objectives {
     }
 }
 
-/// One entry of a [`ParetoArchive`]: a genome together with its scalar
-/// fitness and objective vector at evaluation time.
+/// A scored genome: the genes with the fitness and objective vector the
+/// evaluator gave them. One type serves a run's populations, its
+/// [`ParetoArchive`] (and so [`crate::EaResult::pareto_front`]) and its
+/// checkpoints ([`crate::IslandCheckpoint`]), so capturing and resuming a
+/// run copies or moves individuals and never re-scores them.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ParetoPoint<G> {
+pub struct Individual<G> {
     /// The genome.
-    pub genome: Vec<G>,
+    pub genes: Vec<G>,
     /// Its scalar (combined) fitness, as the evaluator reported it.
     pub fitness: f64,
     /// Its minimized objective vector.
@@ -105,7 +108,7 @@ pub struct ParetoPoint<G> {
 /// and anything dominated by a retained point.
 #[derive(Debug, Clone)]
 pub struct ParetoArchive<G> {
-    points: Vec<ParetoPoint<G>>,
+    points: Vec<Individual<G>>,
     capacity: usize,
 }
 
@@ -135,13 +138,13 @@ impl<G: Clone> ParetoArchive<G> {
     }
 
     /// The full nondominated front, sorted by [`Objectives::lex_cmp`].
-    pub fn points(&self) -> &[ParetoPoint<G>] {
+    pub fn points(&self) -> &[Individual<G>] {
         &self.points
     }
 
     /// The reported front: the lexicographically smallest
     /// `min(len, capacity)` points (all of them when `capacity == 0`).
-    pub fn reported(&self) -> &[ParetoPoint<G>] {
+    pub fn reported(&self) -> &[Individual<G>] {
         match self.capacity {
             0 => &self.points,
             cap => &self.points[..self.points.len().min(cap)],
@@ -169,8 +172,8 @@ impl<G: Clone> ParetoArchive<G> {
             .partition_point(|p| p.objectives.lex_cmp(&objectives) == Ordering::Less);
         self.points.insert(
             at,
-            ParetoPoint {
-                genome: genome.to_vec(),
+            Individual {
+                genes: genome.to_vec(),
                 fitness,
                 objectives,
             },
@@ -182,7 +185,7 @@ impl<G: Clone> ParetoArchive<G> {
     /// merge per-island archives, in island order, into the run's front).
     pub fn merge_from(&mut self, other: &ParetoArchive<G>) {
         for p in &other.points {
-            self.insert(&p.genome, p.fitness, p.objectives);
+            self.insert(&p.genes, p.fitness, p.objectives);
         }
     }
 
@@ -195,12 +198,12 @@ impl<G: Clone> ParetoArchive<G> {
     /// also dominated by a retained one, by transitivity of domination).
     pub fn from_points<'a, I>(capacity: usize, points: I) -> Self
     where
-        I: IntoIterator<Item = &'a ParetoPoint<G>>,
+        I: IntoIterator<Item = &'a Individual<G>>,
         G: 'a,
     {
         let mut archive = ParetoArchive::new(capacity);
         for p in points {
-            archive.insert(&p.genome, p.fitness, p.objectives);
+            archive.insert(&p.genes, p.fitness, p.objectives);
         }
         archive
     }
@@ -267,7 +270,7 @@ mod tests {
         assert!(!a.insert(&[4], 0.0, obj(2.0, 2.0, 0.0)), "duplicate vector");
         assert!(a.insert(&[5], 0.0, obj(1.0, 1.0, 0.0)), "dominates both");
         assert_eq!(a.len(), 1);
-        assert_eq!(a.points()[0].genome, vec![5]);
+        assert_eq!(a.points()[0].genes, vec![5]);
         for p in a.points() {
             for q in a.points() {
                 assert!(!p.objectives.dominates(&q.objectives));
@@ -352,7 +355,7 @@ mod tests {
         merged.merge_from(&right);
         let mut all: ParetoArchive<u8> = ParetoArchive::new(0);
         for p in left.points().iter().chain(right.points()) {
-            all.insert(&p.genome, p.fitness, p.objectives);
+            all.insert(&p.genes, p.fitness, p.objectives);
         }
         let objs =
             |a: &ParetoArchive<u8>| a.points().iter().map(|p| p.objectives).collect::<Vec<_>>();

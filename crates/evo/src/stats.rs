@@ -59,11 +59,12 @@ impl fmt::Display for CacheStats {
     }
 }
 
-/// Fitness statistics of one generation.
+/// Fitness statistics of one generation: the deterministic record the run
+/// history and the checkpoint share.
 ///
-/// Collected by `EaBuilder::run`; useful for convergence plots, for the
-/// operator-ablation experiments, and — via [`GenerationStats::evaluations`]
-/// and [`GenerationStats::elapsed`] — for throughput reporting in benches.
+/// Collected by `EaBuilder::run`; useful for convergence plots and for the
+/// operator-ablation experiments. Wall-clock time and cache counters are
+/// per run, on [`crate::EaResult`] (`elapsed`, `cache`), not per entry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GenerationStats {
     /// Generation index (0 = initial population).
@@ -74,14 +75,6 @@ pub struct GenerationStats {
     pub mean_fitness: f64,
     /// Cumulative number of fitness evaluations so far.
     pub evaluations: u64,
-    /// Wall-clock time since the run started. The only non-deterministic
-    /// field: exclude it when comparing trajectories across runs.
-    pub elapsed: Duration,
-    /// Cumulative evaluation-cache counters, when the fitness evaluator
-    /// reports them (see [`crate::FitnessEval::cache_stats`]); `None` for
-    /// evaluators without a cache. Observability only: they never change
-    /// the trajectory (see [`CacheStats`]).
-    pub cache: Option<CacheStats>,
 }
 
 /// Fitness-evaluation throughput: `evaluations / elapsed` in evaluations
@@ -96,24 +89,12 @@ pub fn evals_per_sec(evaluations: u64, elapsed: Duration) -> f64 {
     }
 }
 
-impl GenerationStats {
-    /// Cumulative fitness-evaluation throughput (evaluations per second)
-    /// since the run started. Returns `0.0` before any time has elapsed.
-    pub fn evaluations_per_sec(&self) -> f64 {
-        evals_per_sec(self.evaluations, self.elapsed)
-    }
-}
-
 impl fmt::Display for GenerationStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "gen {:>5}: best {:.4}, mean {:.4}, {} evals ({:.0} eval/s)",
-            self.generation,
-            self.best_fitness,
-            self.mean_fitness,
-            self.evaluations,
-            self.evaluations_per_sec()
+            "gen {:>5}: best {:.4}, mean {:.4}, {} evals",
+            self.generation, self.best_fitness, self.mean_fitness, self.evaluations
         )
     }
 }
@@ -121,17 +102,6 @@ impl fmt::Display for GenerationStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn stats(evaluations: u64, elapsed: Duration) -> GenerationStats {
-        GenerationStats {
-            generation: 3,
-            best_fitness: 0.5,
-            mean_fitness: 0.25,
-            evaluations,
-            elapsed,
-            cache: None,
-        }
-    }
 
     #[test]
     fn cache_stats_report_hit_rate_and_display() {
@@ -170,19 +140,24 @@ mod tests {
 
     #[test]
     fn display_is_compact() {
-        let s = stats(42, Duration::from_secs(2)).to_string();
-        assert!(s.contains("gen") && s.contains("42 evals"));
-        assert!(s.contains("21 eval/s"));
+        let stats = GenerationStats {
+            generation: 3,
+            best_fitness: 0.5,
+            mean_fitness: 0.25,
+            evaluations: 42,
+        };
+        let s = stats.to_string();
+        assert!(s.contains("gen") && s.contains("42 evals"), "{s}");
     }
 
     #[test]
     fn throughput_is_evaluations_over_elapsed() {
-        let s = stats(1_000, Duration::from_millis(500));
-        assert!((s.evaluations_per_sec() - 2_000.0).abs() < 1e-9);
+        let eps = evals_per_sec(1_000, Duration::from_millis(500));
+        assert!((eps - 2_000.0).abs() < 1e-9);
     }
 
     #[test]
     fn zero_elapsed_reports_zero_throughput() {
-        assert_eq!(stats(10, Duration::ZERO).evaluations_per_sec(), 0.0);
+        assert_eq!(evals_per_sec(10, Duration::ZERO), 0.0);
     }
 }

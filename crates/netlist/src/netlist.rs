@@ -78,7 +78,7 @@ impl fmt::Display for NetName<'_> {
 /// Construction goes through [`NetlistBuilder`], which validates name
 /// uniqueness, fanin arity and acyclicity and performs the topological sort.
 ///
-/// See the [module documentation](self) for the memory model (interned
+/// See the `netlist` module documentation for the memory model (interned
 /// names, CSR adjacency).
 ///
 /// # Example

@@ -44,7 +44,7 @@ impl Default for BreakerPolicy {
     }
 }
 
-/// Observable state of a tenant's breaker (see the [module docs](self)).
+/// Observable state of a tenant's breaker (see the `breaker` module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakerState {
     /// Healthy: submissions admitted, failures counted.

@@ -36,7 +36,7 @@ pub struct CachedResult {
 }
 
 /// Bounded FIFO store of completed results keyed by spec content (see the
-/// [module docs](self)).
+/// `cache` module docs).
 #[derive(Debug)]
 pub struct ResultCache {
     capacity: usize,

@@ -13,8 +13,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-/// A clock the service reads relative time from. See the [module
-/// docs](self).
+/// A clock the service reads relative time from. See the `clock` module
+/// docs.
 #[derive(Debug)]
 pub enum ServiceClock {
     /// Real time: durations since the wrapped [`Instant`].

@@ -24,7 +24,6 @@
 //! counters — and deliberately excludes wall-clock and checkpoint-sink
 //! failure counts, which are attempt circumstances, not results.
 
-use std::cell::RefCell;
 use std::time::Duration;
 
 use evotc_bits::{BlockHistogram, TestSet, TestSetString, Trit};
@@ -57,6 +56,12 @@ impl std::fmt::Display for JobId {
     }
 }
 
+/// The longest genome, `K·L` trits, a spec may ask for: 64 times the
+/// largest one any table or sweep runs (`K = 16`, `L = 64`). A larger one
+/// would allocate populations of that many trits, and a failed allocation
+/// aborts the whole process rather than failing the one job.
+const MAX_GENOME_LEN: usize = 1 << 16;
+
 /// One compression request: the test set plus the EA shape and budgets.
 ///
 /// Everything that affects a *completed* result is part of
@@ -85,7 +90,7 @@ pub struct JobSpec {
     pub max_generations: u64,
     /// Per-attempt wall-clock budget, wired to the engine's soft deadline.
     /// A budget-stopped attempt fails permanently with
-    /// [`JobError::DeadlineExceeded`] (see the [module docs](self)).
+    /// [`JobError::DeadlineExceeded`] (see the `job` module docs).
     pub budget: Option<Duration>,
     /// Whether overload shedding may preempt this job (checkpoint now,
     /// resume later, byte-identically). Non-preemptible jobs are never
@@ -133,6 +138,16 @@ impl JobSpec {
         }
         if self.l == 0 {
             return Err(JobError::InvalidSpec("at least one MV is required".into()));
+        }
+        if !self
+            .k
+            .checked_mul(self.l)
+            .is_some_and(|len| len <= MAX_GENOME_LEN)
+        {
+            return Err(JobError::InvalidSpec(format!(
+                "genome length K·L = {}·{} above {MAX_GENOME_LEN} trits",
+                self.k, self.l
+            )));
         }
         if self.stagnation_limit == 0 {
             // The engine asserts a positive limit; caught here, the spec is
@@ -461,15 +476,15 @@ pub(crate) fn execute(
         .config(spec.ea_config())
         .build();
 
-    let captured = RefCell::new(None);
+    let mut captured = None;
     let mut ea = compressor
         .ea_builder(&histogram, string.payload_bits() as f64)
         .cancel_token(cancel);
     if spec.preemptible && checkpoint_interval > 0 {
         // Keep only the freshest capture: a preempted attempt resumes from
         // the latest on-trajectory state, never an older one.
-        ea = ea.checkpoint_every(checkpoint_interval, |cp: &EaCheckpoint<Trit>| {
-            *captured.borrow_mut() = Some(cp.clone());
+        ea = ea.checkpoint_every(checkpoint_interval, |cp| {
+            captured = Some(cp);
             Ok(())
         });
     }
@@ -491,7 +506,7 @@ pub(crate) fn execute(
     match result.stop_reason {
         StopReason::Deadline => Err(JobError::DeadlineExceeded),
         StopReason::Cancelled => Ok(Attempt::Preempted {
-            checkpoint: captured.into_inner(),
+            checkpoint: captured,
             checkpoint_failures,
         }),
         reason => Ok(Attempt::Done {
@@ -620,6 +635,16 @@ mod tests {
                 s.stagnation_limit = 0;
                 s
             }),
+            ("genome length", {
+                let mut s = spec(5);
+                s.l = 1 << 40;
+                s
+            }),
+            ("genome length", {
+                let mut s = spec(5);
+                s.l = usize::MAX;
+                s
+            }),
         ];
         // One failure would trip this breaker and one job fills the quota
         // and the queue, so a rejection that touched any of them would
@@ -646,8 +671,8 @@ mod tests {
         service.submit(spec(5)).expect("the tenant is untouched");
         let outcome = service.shutdown();
         assert!(outcome.stats.accounted(), "lost jobs: {:?}", outcome.stats);
-        assert_eq!(outcome.stats.rejected_invalid, 5);
-        assert_eq!(outcome.stats.rejected_total(), 5);
+        assert_eq!(outcome.stats.rejected_invalid, 7);
+        assert_eq!(outcome.stats.rejected_total(), 7);
         assert_eq!((outcome.stats.failed, outcome.stats.retries), (0, 0));
         assert_eq!(outcome.reports.len(), 1, "no report for a rejection");
         assert!(matches!(

@@ -320,7 +320,7 @@ impl Inner {
 }
 
 /// The running service: a bounded queue drained by a shared worker pool.
-/// See the [module docs](self) for the degradation ladder and the
+/// See the `service` module docs for the degradation ladder and the
 /// supervision rules.
 pub struct Service {
     inner: Arc<Inner>,

@@ -22,9 +22,8 @@
 use evotc::bits::{BlockHistogram, TestSet, TestSetString, Trit};
 use evotc::core::MvFitness;
 use evotc::evo::failpoints::{arm, hits, reset, site, FailSpec};
-use evotc::evo::{EaBuilder, EaCheckpoint, EaConfig, EaError, EaResult, StopReason};
+use evotc::evo::{EaBuilder, EaConfig, EaError, EaResult, StopReason};
 use rand::Rng;
-use std::cell::RefCell;
 use std::sync::{Mutex, MutexGuard};
 
 fn gate() -> MutexGuard<'static, ()> {
@@ -170,12 +169,12 @@ fn injected_sink_failures_are_counted_while_the_run_completes() {
         .threads(1)
         .seed(3)
         .build();
-    let saved = RefCell::new(0u64);
+    let mut saved = 0u64;
     arm(site::CHECKPOINT_SINK, FailSpec::Nth(1));
     let result = EaBuilder::new(8 * 4, sample, MvFitness::new(8, &f.histogram, f.bits))
         .config(config)
-        .checkpoint_every(2, |_: &EaCheckpoint<Trit>| {
-            *saved.borrow_mut() += 1;
+        .checkpoint_every(2, |_| {
+            saved += 1;
             Ok(())
         })
         .run();
@@ -184,10 +183,7 @@ fn injected_sink_failures_are_counted_while_the_run_completes() {
         result.checkpoint_failures, 1,
         "exactly the injected failure"
     );
-    assert!(
-        *saved.borrow() > 0,
-        "later checkpoints still reached the sink"
-    );
+    assert!(saved > 0, "later checkpoints still reached the sink");
     reset();
 }
 
@@ -211,17 +207,14 @@ fn determinism_survives_a_resume_cycle_under_injected_cache_faults() {
     // corruption AND the run is interrupted at a periodic checkpoint and
     // resumed. The trajectory must still match the clean, uninterrupted run.
     arm(site::CORE_CACHE_PROBE, FailSpec::Always);
-    let blobs = RefCell::new(Vec::new());
+    let mut blobs = Vec::new();
     EaBuilder::new(8 * 4, sample, MvFitness::new(8, &f.histogram, f.bits))
         .config(config.clone())
-        .checkpoint_every(3, |cp: &EaCheckpoint<Trit>| {
-            blobs
-                .borrow_mut()
-                .push(evotc::core::trit_checkpoint_to_bytes(cp));
+        .checkpoint_every(3, |cp| {
+            blobs.push(evotc::core::trit_checkpoint_to_bytes(&cp));
             Ok(())
         })
         .run();
-    let blobs = blobs.into_inner();
     assert!(!blobs.is_empty(), "run too short to checkpoint");
     for blob in &blobs {
         let checkpoint = evotc::core::trit_checkpoint_from_bytes(blob).unwrap();

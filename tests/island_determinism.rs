@@ -11,11 +11,7 @@
 //! and its route fully visible in the per-island populations of a
 //! checkpoint captured at every epoch boundary.
 
-use std::cell::RefCell;
-
-use evotc::evo::{
-    EaBuilder, EaCheckpoint, EaConfig, EaResult, FitnessEval, Objectives, Provenance,
-};
+use evotc::evo::{EaBuilder, EaConfig, EaResult, FitnessEval, Objectives, Provenance};
 use proptest::prelude::*;
 use rand::Rng;
 
@@ -52,12 +48,11 @@ fn elite_arrival(count: usize, interval: u64, migrants: usize, gens: u64) -> Vec
         .islands(count, interval, migrants)
         .seed(8)
         .build();
-    let arrival = RefCell::new(vec![None; count]);
+    let mut arrival = vec![None; count];
     EaBuilder::new(TARGET_LEN, |rng| rng.gen::<bool>(), planted_fitness)
         .config(config)
         .seed_population([vec![true; TARGET_LEN]])
-        .checkpoint_every(1, |cp: &EaCheckpoint<bool>| {
-            let mut arrival = arrival.borrow_mut();
+        .checkpoint_every(1, |cp| {
             for (seen, island) in arrival.iter_mut().zip(&cp.islands) {
                 if island.population[0].fitness == ELITE && seen.is_none() {
                     *seen = Some(cp.generation);
@@ -66,7 +61,7 @@ fn elite_arrival(count: usize, interval: u64, migrants: usize, gens: u64) -> Vec
             Ok(())
         })
         .run();
-    arrival.into_inner()
+    arrival
 }
 
 #[test]
@@ -239,7 +234,7 @@ fn multiobjective_island_archives_are_byte_identical_across_thread_counts() {
             "island archives must merge into a front"
         );
         for p in &reference.pareto_front {
-            assert_eq!(p.objectives, TransitionsFirst::objectives(&p.genome));
+            assert_eq!(p.objectives, TransitionsFirst::objectives(&p.genes));
             for q in &reference.pareto_front {
                 assert!(
                     !p.objectives.dominates(&q.objectives),
@@ -256,7 +251,7 @@ fn multiobjective_island_archives_are_byte_identical_across_thread_counts() {
                 "front size t={threads}"
             );
             for (a, b) in other.pareto_front.iter().zip(&reference.pareto_front) {
-                assert_eq!(a.genome, b.genome, "front genome t={threads}");
+                assert_eq!(a.genes, b.genes, "front genome t={threads}");
                 assert_eq!(a.objectives, b.objectives, "front vector t={threads}");
                 assert_eq!(a.fitness.to_bits(), b.fitness.to_bits(), "t={threads}");
             }

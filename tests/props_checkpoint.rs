@@ -4,9 +4,9 @@
 //! generation/evaluation counters, per-generation history, and the Pareto
 //! archive — for arbitrary island topologies, checkpoint intervals, and
 //! every supported thread count (1, 2, 4). The serialized byte format is on
-//! the path: every resume goes through `to_bytes`/`from_bytes` (or the trit
-//! codec for `MvFitness` runs), so format round-trip loss would fail the
-//! same assertions.
+//! the path: every resume goes through `to_bytes_with`/`from_bytes_with`
+//! with a one-byte `bool` codec (or the trit codec for `MvFitness` runs), so
+//! format round-trip loss would fail the same assertions.
 //!
 //! Wall-clock (`elapsed`) and shared-cache counters are observational and
 //! documented as outside the determinism contract — a resumed run starts
@@ -15,14 +15,30 @@
 use evotc::bits::{TestSet, TestSetString, Trit};
 use evotc::core::{trit_checkpoint_from_bytes, trit_checkpoint_to_bytes, MvFitness};
 use evotc::evo::{
-    EaBuilder, EaCheckpoint, EaConfig, EaResult, FitnessEval, Objectives, Provenance, StopReason,
-    Topology,
+    CheckpointError, EaBuilder, EaCheckpoint, EaConfig, EaResult, FitnessEval, Objectives,
+    Provenance, StopReason, Topology,
 };
 use proptest::prelude::*;
 use rand::Rng;
-use std::cell::RefCell;
 
 const GENOME_LEN: usize = 16;
+
+/// The one-byte `bool` gene codec every `bool` resume below goes through.
+fn to_bytes(checkpoint: &EaCheckpoint<bool>) -> Vec<u8> {
+    checkpoint.to_bytes_with(|&gene, out| out.push(u8::from(gene)))
+}
+
+fn from_bytes(bytes: &[u8]) -> Result<EaCheckpoint<bool>, CheckpointError> {
+    EaCheckpoint::from_bytes_with(bytes, |input| {
+        let (&byte, rest) = input.split_first().ok_or(CheckpointError::Truncated)?;
+        *input = rest;
+        match byte {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(CheckpointError::Malformed("bool gene out of range")),
+        }
+    })
+}
 
 /// One-max plus a transition-minimizing second objective, so lexicographic
 /// runs and the Pareto archive both have real structure to preserve.
@@ -121,7 +137,7 @@ fn assert_identical(resumed: &EaResult<bool>, reference: &EaResult<bool>, label:
         "{label}: front size"
     );
     for (a, b) in resumed.pareto_front.iter().zip(&reference.pareto_front) {
-        assert_eq!(a.genome, b.genome, "{label}");
+        assert_eq!(a.genes, b.genes, "{label}");
         assert_eq!(a.fitness.to_bits(), b.fitness.to_bits(), "{label}");
         assert_eq!(a.objectives, b.objectives, "{label}");
     }
@@ -139,11 +155,11 @@ proptest! {
         lexicographic in proptest::arbitrary::any::<bool>(),
     ) {
         let config = config(seed, topology, threads, lexicographic);
-        let checkpoints = RefCell::new(Vec::new());
+        let mut checkpoints = Vec::new();
         let reference = EaBuilder::new(GENOME_LEN, |rng| rng.gen::<bool>(), TwoObjective)
             .config(config.clone())
-            .checkpoint_every(every, |cp: &EaCheckpoint<bool>| {
-                checkpoints.borrow_mut().push(cp.to_bytes());
+            .checkpoint_every(every, |cp| {
+                checkpoints.push(to_bytes(&cp));
                 Ok(())
             })
             .run();
@@ -152,9 +168,8 @@ proptest! {
         // Interrupt at every checkpoint the run produced (island runs
         // checkpoint only at epoch boundaries, so short runs may have
         // none — that is itself a valid outcome of the interval math).
-        for (k, blob) in checkpoints.into_inner().iter().enumerate() {
-            let checkpoint = EaCheckpoint::<bool>::from_bytes(blob)
-                .expect("periodic checkpoint must parse");
+        for (k, blob) in checkpoints.iter().enumerate() {
+            let checkpoint = from_bytes(blob).expect("periodic checkpoint must parse");
             let resumed = EaBuilder::new(GENOME_LEN, |rng| rng.gen::<bool>(), TwoObjective)
                 .config(config.clone())
                 .resume_from(checkpoint)
@@ -177,15 +192,15 @@ proptest! {
         // Checkpoint under one thread count, resume under another: the
         // trajectory must not notice (threads are excluded from the config
         // fingerprint by design).
-        let checkpoints = RefCell::new(Vec::new());
+        let mut checkpoints = Vec::new();
         let reference = EaBuilder::new(GENOME_LEN, |rng| rng.gen::<bool>(), TwoObjective)
             .config(config(seed, topology, from_threads, true))
-            .checkpoint_every(2, |cp: &EaCheckpoint<bool>| {
-                checkpoints.borrow_mut().push(cp.clone());
+            .checkpoint_every(2, |cp| {
+                checkpoints.push(cp);
                 Ok(())
             })
             .run();
-        if let Some(checkpoint) = checkpoints.into_inner().pop() {
+        if let Some(checkpoint) = checkpoints.pop() {
             let resumed = EaBuilder::new(GENOME_LEN, |rng| rng.gen::<bool>(), TwoObjective)
                 .config(config(seed, topology, to_threads, true))
                 .resume_from(checkpoint)
@@ -218,15 +233,15 @@ proptest! {
             .threads(threads)
             .build();
         let sample = |rng: &mut rand::rngs::StdRng| Trit::from_index(rng.gen_range(0..3u8));
-        let blobs = RefCell::new(Vec::new());
+        let mut blobs = Vec::new();
         let reference = EaBuilder::new(8 * 4, sample, MvFitness::new(8, &histogram, bits))
             .config(ea_config.clone())
-            .checkpoint_every(3, |cp: &EaCheckpoint<Trit>| {
-                blobs.borrow_mut().push(trit_checkpoint_to_bytes(cp));
+            .checkpoint_every(3, |cp| {
+                blobs.push(trit_checkpoint_to_bytes(&cp));
                 Ok(())
             })
             .run();
-        for blob in blobs.into_inner().iter() {
+        for blob in &blobs {
             let checkpoint = trit_checkpoint_from_bytes(blob).expect("codec round trip");
             let resumed_from = checkpoint.generation;
             let resumed =
@@ -263,21 +278,21 @@ proptest! {
 /// own unit tests fuzz truncation; this exercises a *real* checkpoint).
 #[test]
 fn real_checkpoints_never_panic_on_corruption() {
-    let checkpoints = RefCell::new(Vec::new());
+    let mut checkpoints = Vec::new();
     EaBuilder::new(GENOME_LEN, |rng| rng.gen::<bool>(), TwoObjective)
         .config(config(3, Topology::Panmictic, 1, true))
-        .checkpoint_every(4, |cp: &EaCheckpoint<bool>| {
-            checkpoints.borrow_mut().push(cp.to_bytes());
+        .checkpoint_every(4, |cp| {
+            checkpoints.push(to_bytes(&cp));
             Ok(())
         })
         .run();
-    let blob = checkpoints.into_inner().swap_remove(0);
+    let blob = checkpoints.swap_remove(0);
     for i in 0..blob.len() {
         let mut corrupt = blob.clone();
         corrupt[i] ^= 0xA5;
-        let _ = EaCheckpoint::<bool>::from_bytes(&corrupt); // must not panic
+        let _ = from_bytes(&corrupt); // must not panic
     }
     for len in 0..blob.len() {
-        assert!(EaCheckpoint::<bool>::from_bytes(&blob[..len]).is_err());
+        assert!(from_bytes(&blob[..len]).is_err());
     }
 }

@@ -15,9 +15,8 @@ use std::ops::Range;
 
 use evotc::bits::{BlockHistogram, SlicedHistogram, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{
-    encoded_size_keep, encoded_size_probe, encoded_size_probe_with, encoded_size_rebuild,
-    encoded_size_rebuild_with, encoded_size_scratch, EvalCache, EvalScratch, IncrementalOutcome,
-    MvFitness, MvFitnessState, PatchScratch,
+    encoded_size_keep, encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, EvalCache,
+    EvalScratch, IncrementalOutcome, MvFitness, MvFitnessState, PatchScratch,
 };
 use evotc::evo::{FitnessEval, Lineage, Provenance};
 use proptest::prelude::*;
@@ -65,21 +64,21 @@ fn probe_then_rebuild(
     let mut scratch = EvalScratch::new();
     let mut patch = PatchScratch::new();
     let full = encoded_size_scratch(sliced, genome, &mut scratch);
-    let probe = encoded_size_probe(sliced, genome, edit, cache, &mut patch, false);
+    let probe = encoded_size_probe(sliced, genome, true, edit, cache, &mut patch, false);
     assert_eq!(probe, IncrementalOutcome::Size(full), "probe {edit:?}");
     assert_eq!(
         patch.last_scan_transitions(),
         scratch.last_scan_transitions()
     );
     assert_eq!(patch.last_used_mvs(), scratch.last_used_mvs());
-    assert_eq!(encoded_size_rebuild(sliced, genome, cache), full);
+    assert_eq!(encoded_size_rebuild(sliced, genome, true, cache), full);
 }
 
 /// Runs one single-gene mutation chain through [`probe_then_rebuild`],
 /// checking every step against the full kernel.
 fn check_chain(sliced: &SlicedHistogram, genome: &mut [Trit], chain: &[(usize, Trit)]) {
     let mut cache = EvalCache::new();
-    let built = encoded_size_rebuild(sliced, genome, &mut cache);
+    let built = encoded_size_rebuild(sliced, genome, true, &mut cache);
     assert_eq!(
         built,
         encoded_size_scratch(sliced, genome, &mut EvalScratch::new()),
@@ -142,18 +141,18 @@ proptest! {
         let mut cache = EvalCache::new();
         let mut scratch = EvalScratch::new();
         let mut patch = PatchScratch::new();
-        let parent_size = encoded_size_rebuild(&sliced, &parent, &mut cache);
+        let parent_size = encoded_size_rebuild(&sliced, &parent, true, &mut cache);
         for &(pos, gene) in &edits {
             let mut child = parent.clone();
             child[pos] = gene;
             let probe =
-                encoded_size_probe(&sliced, &child, &(pos..pos + 1), &cache, &mut patch, false);
+                encoded_size_probe(&sliced, &child, true, &(pos..pos + 1), &cache, &mut patch, false);
             let full = encoded_size_scratch(&sliced, &child, &mut scratch);
             prop_assert_eq!(probe, IncrementalOutcome::Size(full));
         }
         // The probes left the cache on the parent.
         let parent_again =
-            encoded_size_probe(&sliced, &parent, &(0..0), &cache, &mut patch, false);
+            encoded_size_probe(&sliced, &parent, true, &(0..0), &cache, &mut patch, false);
         prop_assert_eq!(parent_again, IncrementalOutcome::Size(parent_size));
     }
 
@@ -212,7 +211,7 @@ proptest! {
             let sliced = SlicedHistogram::from_histogram(&hist);
             let mut genome = start[..k * l].to_vec();
             let mut cache = EvalCache::new();
-            encoded_size_rebuild(&sliced, &genome, &mut cache);
+            encoded_size_rebuild(&sliced, &genome, true, &mut cache);
             for &(at, span) in &windows {
                 let lo = at.min(genome.len() - 1);
                 let hi = (lo + span).min(genome.len());
@@ -238,8 +237,8 @@ proptest! {
         let sliced = SlicedHistogram::from_histogram(&hist);
         let mut cache_a = EvalCache::new();
         let mut cache_b = EvalCache::new();
-        encoded_size_rebuild(&sliced, &parent_a, &mut cache_a);
-        encoded_size_rebuild(&sliced, &parent_b, &mut cache_b);
+        encoded_size_rebuild(&sliced, &parent_a, true, &mut cache_a);
+        encoded_size_rebuild(&sliced, &parent_b, true, &mut cache_b);
         let mut scratch = EvalScratch::new();
         let mut probe_scratch = PatchScratch::new();
         let mut genomes = Vec::new();
@@ -252,13 +251,13 @@ proptest! {
             let expect = encoded_size_scratch(&sliced, &child, &mut scratch);
             // Outside parent: the swapped window is the edit.
             let via_a = encoded_size_probe(
-                &sliced, &child, &(lo..hi), &cache_a, &mut probe_scratch, false,
+                &sliced, &child, true, &(lo..hi), &cache_a, &mut probe_scratch, false,
             );
             prop_assert_eq!(via_a, IncrementalOutcome::Size(expect), "via parent A {}..{}", lo, hi);
             // Donor parent: the edit is conservatively the whole genome;
             // the probe diffs it chunk-wise.
             let via_b = encoded_size_probe(
-                &sliced, &child, &(0..child.len()), &cache_b, &mut probe_scratch, false,
+                &sliced, &child, true, &(0..child.len()), &cache_b, &mut probe_scratch, false,
             );
             prop_assert_eq!(via_b, IncrementalOutcome::Size(expect), "via parent B {}..{}", lo, hi);
             lineage.push(Some(Lineage::crossover(0, lo..hi, 1)));
@@ -373,7 +372,7 @@ proptest! {
     /// Kept coverings are exact: for single-chunk, multi-chunk and donor
     /// (whole-genome) edits, with transitions tracked and not, the covering
     /// `encoded_size_keep` builds from the probe's moves equals the one
-    /// `encoded_size_rebuild_with` builds for the child, field for field,
+    /// `encoded_size_rebuild` builds for the child, field for field,
     /// and keeping never touches the parent's covering.
     #[test]
     fn kept_coverings_equal_a_rebuild_of_the_child(
@@ -386,9 +385,9 @@ proptest! {
         let sliced = SlicedHistogram::from_histogram(&hist);
         for transitions in [false, true] {
             let mut cache = EvalCache::new();
-            encoded_size_rebuild_with(&sliced, &parent, transitions, &mut cache);
+            encoded_size_rebuild(&sliced, &parent, transitions, &mut cache);
             let mut donor_cache = EvalCache::new();
-            encoded_size_rebuild_with(&sliced, &donor, transitions, &mut donor_cache);
+            encoded_size_rebuild(&sliced, &donor, transitions, &mut donor_cache);
             let pristine = cache.clone();
             let mut scratch = PatchScratch::new();
             let (mut kept, mut rebuilt) = (EvalCache::new(), EvalCache::new());
@@ -413,25 +412,27 @@ proptest! {
                         (0..child.len(), &donor_cache)
                     }
                 };
-                let size = match encoded_size_probe_with(
+                let size = match encoded_size_probe(
                     &sliced, &child, transitions, &edit, base, &mut scratch, false,
                 ) {
                     IncrementalOutcome::Size(size) => size,
                     IncrementalOutcome::NeedsFull => panic!("an ungated probe prices every edit"),
                 };
                 let kept_size = encoded_size_keep(&sliced, &child, base, &scratch, &mut kept);
-                let full = encoded_size_rebuild_with(&sliced, &child, transitions, &mut rebuilt);
+                let full = encoded_size_rebuild(&sliced, &child, transitions, &mut rebuilt);
                 prop_assert_eq!(kept_size, size);
                 prop_assert_eq!(full, size);
                 prop_assert_eq!(kept.tracks_transitions(), transitions);
                 prop_assert!(kept == rebuilt, "kept {:?}\nrebuilt {:?}", kept, rebuilt);
             }
             prop_assert!(cache == pristine, "keeping changed the parent's covering");
-            // The plain entry points track transitions.
+            // A tracked rebuild equals the pristine cache only when that one
+            // tracks transitions too, and a tracked probe of an untracked
+            // cache needs the full kernel.
             let mut tracked = EvalCache::new();
-            encoded_size_rebuild(&sliced, &parent, &mut tracked);
+            encoded_size_rebuild(&sliced, &parent, true, &mut tracked);
             prop_assert_eq!(tracked == pristine, transitions);
-            let probe = encoded_size_probe(&sliced, &parent, &(0..0), &pristine, &mut scratch, true);
+            let probe = encoded_size_probe(&sliced, &parent, true, &(0..0), &pristine, &mut scratch, true);
             prop_assert_eq!(probe == IncrementalOutcome::NeedsFull, !transitions);
         }
     }

@@ -115,12 +115,12 @@ proptest! {
         let mut scratch = EvalScratch::new();
         let mut patch = PatchScratch::new();
         let mut cache = EvalCache::new();
-        encoded_size_rebuild(&sliced, &parent, &mut cache);
+        encoded_size_rebuild(&sliced, &parent, true, &mut cache);
         // Read-only probes: every child priced against the parent cache.
         for edit in &edits {
             let (child, window) = apply_edit(&parent, &donor, edit);
             let (size, transitions, used) = full_objectives(&sliced, &child, &mut scratch);
-            let probe = encoded_size_probe(&sliced, &child, &window, &cache, &mut patch, false);
+            let probe = encoded_size_probe(&sliced, &child, true, &window, &cache, &mut patch, false);
             prop_assert_eq!(probe, IncrementalOutcome::Size(size), "{:?}", edit);
             prop_assert_eq!(
                 patch.last_scan_transitions(), transitions,
@@ -135,12 +135,12 @@ proptest! {
         for edit in &edits {
             let (child, window) = apply_edit(&genome, &donor, edit);
             let (size, transitions, used) = full_objectives(&sliced, &child, &mut scratch);
-            let probe = encoded_size_probe(&sliced, &child, &window, &cache, &mut patch, false);
+            let probe = encoded_size_probe(&sliced, &child, true, &window, &cache, &mut patch, false);
             prop_assert_eq!(probe, IncrementalOutcome::Size(size), "chain {:?}", edit);
             prop_assert_eq!(patch.last_scan_transitions(), transitions, "chain {:?}", edit);
             prop_assert_eq!(patch.last_used_mvs(), used, "chain {:?}", edit);
             genome = child;
-            prop_assert_eq!(encoded_size_rebuild(&sliced, &genome, &mut cache), size);
+            prop_assert_eq!(encoded_size_rebuild(&sliced, &genome, true, &mut cache), size);
         }
     }
 
@@ -308,7 +308,7 @@ fn weighted_unit_mode_reproduces_the_scalar_trajectory_at_any_thread_count() {
         for front in &fronts[1..] {
             assert_eq!(front.len(), fronts[0].len(), "front size varies");
             for (a, b) in front.iter().zip(&fronts[0]) {
-                assert_eq!(a.genome, b.genome, "front genome varies with threads");
+                assert_eq!(a.genes, b.genes, "front genome varies with threads");
                 assert_eq!(a.objectives, b.objectives);
                 assert_eq!(a.fitness.to_bits(), b.fitness.to_bits());
             }
@@ -359,7 +359,7 @@ fn lexicographic_mv_runs_are_thread_invariant() {
         assert_eq!(other.best_genome, reference.best_genome, "t={threads}");
         assert_eq!(other.pareto_front.len(), reference.pareto_front.len());
         for (a, b) in other.pareto_front.iter().zip(&reference.pareto_front) {
-            assert_eq!(a.genome, b.genome, "t={threads}");
+            assert_eq!(a.genes, b.genes, "t={threads}");
             assert_eq!(a.objectives, b.objectives, "t={threads}");
         }
     }
