@@ -14,7 +14,7 @@
 //!   the default thread count, and `path_delay_t1_ms` at `threads: 1`;
 //! * `compress_ms`, `rate_pct` — the default EA at K=12, L=64 on the
 //!   stuck-at set, one `compress_with_summary` call, and `ea_ms`, the EA
-//!   run's own `EaRunSummary::elapsed` within it;
+//!   run's own `EaResult::elapsed` within it;
 //! * `histogram_ms` — `BlockHistogram::from_string` over the set at K=12;
 //! * `encode_ms` — `encode_with_mvs` with the run's own MVs;
 //! * `sim64_us` — one `simulate64` over 64 of the circuit's cubes (zero

@@ -151,7 +151,12 @@ impl<G> EaResult<G> {
     /// Fitness-evaluation throughput of the whole run (evaluations per
     /// second). Returns `0.0` before any time has elapsed.
     pub fn evaluations_per_sec(&self) -> f64 {
-        crate::stats::evals_per_sec(self.evaluations, self.elapsed)
+        let secs = self.elapsed.as_secs_f64();
+        if secs > 0.0 {
+            self.evaluations as f64 / secs
+        } else {
+            0.0
+        }
     }
 }
 
@@ -1007,10 +1012,9 @@ fn step<G, SampleGene, F>(
     *evaluations += c as u64;
     *copies += batch.copies.len() as u64;
     if !batch.genomes.is_empty() {
-        let parent_genes: Vec<&[G]> = population.iter().map(|i| i.genes.as_slice()).collect();
         let provenance = Provenance {
             lineage: &batch.lineages,
-            parents: &parent_genes,
+            parents: population,
             floor: survival_floor(config, population),
         };
         score_batch(
@@ -1343,10 +1347,10 @@ mod tests {
             {
                 for (genes, lineage) in genomes.iter().zip(lineage) {
                     let lineage = lineage.as_ref().expect("engine children have lineage");
-                    let parent = parents[lineage.parent_idx];
-                    assert_ne!(genes.as_slice(), parent, "a copy of its parent");
+                    let parent = &parents[lineage.parent_idx].genes;
+                    assert_ne!(genes, parent, "a copy of its parent");
                     if let Some(donor) = lineage.second_parent {
-                        assert_ne!(genes.as_slice(), parents[donor], "a copy of its donor");
+                        assert_ne!(genes, &parents[donor].genes, "a copy of its donor");
                     }
                 }
                 self.0
@@ -1430,7 +1434,7 @@ mod tests {
                     let lin = lineage[i]
                         .as_ref()
                         .expect("engine children always have lineage");
-                    let parent = parents[lin.parent_idx];
+                    let parent = &parents[lin.parent_idx].genes;
                     assert_eq!(genes.len(), parent.len(), "child/parent length");
                     assert!(lin.edit.end <= genes.len(), "edit range out of bounds");
                     for k in (0..genes.len()).filter(|k| !lin.edit.contains(k)) {
@@ -1439,7 +1443,7 @@ mod tests {
                     // Crossover children name the window-content donor and
                     // must equal it at every position *inside* the window.
                     if let Some(second) = lin.second_parent {
-                        let donor = parents[second];
+                        let donor = &parents[second].genes;
                         for k in lin.edit.clone() {
                             assert_eq!(genes[k], donor[k], "child differs from donor inside");
                         }
@@ -1472,6 +1476,20 @@ mod tests {
     fn result_reports_throughput() {
         let result = run_one_max(2);
         assert!(result.evaluations_per_sec() >= 0.0);
+    }
+
+    #[test]
+    fn throughput_is_evaluations_over_elapsed() {
+        let mut result = run_one_max(2);
+        (result.evaluations, result.elapsed) = (1_000, Duration::from_millis(500));
+        assert!((result.evaluations_per_sec() - 2_000.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_elapsed_reports_zero_throughput() {
+        let mut result = run_one_max(2);
+        result.elapsed = Duration::ZERO;
+        assert_eq!(result.evaluations_per_sec(), 0.0);
     }
 
     #[test]

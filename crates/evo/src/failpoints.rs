@@ -19,10 +19,11 @@
 //! passes it is spawned (or at least before work reaches the site):
 //! arming after spawn races the counter, and a [`FailSpec::Nth`] spec can
 //! land on a different pass than the test intended — or on none at all.
-//! Concretely: arm engine sites before calling `run()`, and arm
-//! `service::*` sites before `Service::start` (the workers begin passing
-//! `service::worker_pick` as soon as jobs are admitted). [`reset`]
-//! likewise belongs after every spawned thread has been joined.
+//! Concretely: arm engine sites before calling `run()`, and arm every
+//! site a service test uses before `Service::start` (its workers run jobs,
+//! and so pass the engine and evaluator sites, as soon as jobs are
+//! admitted). [`reset`] likewise belongs after every spawned thread has
+//! been joined.
 //!
 //! Hit counting is per *call site pass*, which for evaluator sites means
 //! one hit per batch — an initial population or one generation's children
@@ -60,10 +61,6 @@ pub mod site {
     /// submission is rejected with the typed queue-full error regardless
     /// of actual occupancy.
     pub const SERVICE_ENQUEUE: &str = "service::enqueue";
-    /// In the service worker's job pick-up: fails the picked attempt with
-    /// a retryable injected fault before the EA starts. Hit once per
-    /// attempt pick.
-    pub const SERVICE_WORKER_PICK: &str = "service::worker_pick";
     /// In the service's result-cache probe at admission: forces a miss, so
     /// a duplicate submission recomputes instead of hitting the cache.
     /// Results must not change (the cache is pure dedupe).

@@ -1,6 +1,6 @@
 //! Batch-oriented fitness evaluation.
 
-use crate::objective::Objectives;
+use crate::objective::{Individual, Objectives};
 use crate::operators::GeneRange;
 use crate::stats::CacheStats;
 
@@ -63,7 +63,7 @@ impl Lineage {
 }
 
 /// Parent→child provenance of one batch: a [`Lineage`] slot per genome,
-/// the parent genomes the lineages index into, and the batch's survival
+/// the parent population the lineages index into, and the batch's survival
 /// floor. The engine hands it over with every generation's children that
 /// are not copies of a parent (see [`FitnessEval`]) and passes `None` for
 /// the initial population, which has no parents.
@@ -73,8 +73,8 @@ pub struct Provenance<'a, G> {
     /// [`Provenance::parents`]; `None` means the provenance is unknown.
     pub lineage: &'a [Option<Lineage>],
     /// The parent population, indexed by [`Lineage::parent_idx`] and
-    /// [`Lineage::second_parent`].
-    pub parents: &'a [&'a [G]],
+    /// [`Lineage::second_parent`]; evaluators read each parent's `genes`.
+    pub parents: &'a [Individual<G>],
     /// The survival floor: the fitness of the worst parent, in every batch
     /// of a run that ranks by fitness ([`crate::Ranking::Fitness`]) and has
     /// no NaN parent. The stable `(S + C)` truncation keeps every parent
@@ -251,7 +251,11 @@ mod tests {
     #[test]
     fn default_batch_ignores_provenance() {
         let genomes = vec![vec![1u8, 2], vec![1, 3]];
-        let parents: Vec<&[u8]> = vec![&[1, 2]];
+        let parents = [Individual {
+            genes: vec![1u8, 2],
+            fitness: 3.0,
+            objectives: Objectives::from_fitness(3.0),
+        }];
         let lineage = vec![
             Some(Lineage::new(0, 0..0)),
             Some(Lineage::crossover(0, 1..2, 0)),

@@ -113,5 +113,5 @@ pub use engine::{EaBuilder, EaResult};
 pub use fitness::{FitnessEval, Lineage, Provenance};
 pub use objective::{Individual, Objectives, ParetoArchive};
 pub use operators::GeneRange;
-pub use stats::{evals_per_sec, CacheStats, GenerationStats};
+pub use stats::{CacheStats, GenerationStats};
 pub use supervisor::{CancelToken, EaError, StopReason};

@@ -1,7 +1,6 @@
 //! Per-generation statistics.
 
 use std::fmt;
-use std::time::Duration;
 
 /// Cumulative evaluation-cache counters of a lineage-aware fitness
 /// evaluator (see [`crate::FitnessEval::cache_stats`]).
@@ -77,18 +76,6 @@ pub struct GenerationStats {
     pub evaluations: u64,
 }
 
-/// Fitness-evaluation throughput: `evaluations / elapsed` in evaluations
-/// per second, or `0.0` before any time has elapsed. The one definition
-/// behind every `evaluations_per_sec()` accessor in the workspace.
-pub fn evals_per_sec(evaluations: u64, elapsed: Duration) -> f64 {
-    let secs = elapsed.as_secs_f64();
-    if secs > 0.0 {
-        evaluations as f64 / secs
-    } else {
-        0.0
-    }
-}
-
 impl fmt::Display for GenerationStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -148,16 +135,5 @@ mod tests {
         };
         let s = stats.to_string();
         assert!(s.contains("gen") && s.contains("42 evals"), "{s}");
-    }
-
-    #[test]
-    fn throughput_is_evaluations_over_elapsed() {
-        let eps = evals_per_sec(1_000, Duration::from_millis(500));
-        assert!((eps - 2_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_elapsed_reports_zero_throughput() {
-        assert_eq!(evals_per_sec(10, Duration::ZERO), 0.0);
     }
 }

@@ -65,15 +65,13 @@ const MAX_GENOME_LEN: usize = 1 << 16;
 /// One compression request: the test set plus the EA shape and budgets.
 ///
 /// Everything that affects a *completed* result is part of
-/// [`JobSpec::content_key`]; the remaining fields (tenant, priority,
-/// wall-clock budget, preemptibility, planned faults) only affect
-/// scheduling and failure, never the bytes of a completed result.
+/// [`JobSpec::content_key`]; the remaining fields (tenant, wall-clock
+/// budget, preemptibility, planned faults) only affect scheduling and
+/// failure, never the bytes of a completed result.
 #[derive(Debug, Clone)]
 pub struct JobSpec {
     /// The submitting tenant (quota and breaker scope).
     pub tenant: TenantId,
-    /// Queue priority: higher drains first; ties drain in submission order.
-    pub priority: u8,
     /// The test set to compress.
     pub patterns: TestSet,
     /// Block length `K` of the MV code.
@@ -86,8 +84,6 @@ pub struct JobSpec {
     pub stagnation_limit: usize,
     /// Hard cap on fitness evaluations.
     pub max_evaluations: u64,
-    /// Hard cap on generations (`u64::MAX` disables it).
-    pub max_generations: u64,
     /// Per-attempt wall-clock budget, wired to the engine's soft deadline.
     /// A budget-stopped attempt fails permanently with
     /// [`JobError::DeadlineExceeded`] (see the `job` module docs).
@@ -104,20 +100,17 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A spec with service defaults: priority 0, stagnation limit 25,
-    /// 10 000-evaluation budget, no generation cap, no wall-clock budget,
-    /// preemptible, no planned faults.
+    /// A spec with service defaults: stagnation limit 25, 10 000-evaluation
+    /// budget, no wall-clock budget, preemptible, no planned faults.
     pub fn new(tenant: TenantId, patterns: TestSet, k: usize, l: usize, seed: u64) -> Self {
         JobSpec {
             tenant,
-            priority: 0,
             patterns,
             k,
             l,
             seed,
             stagnation_limit: 25,
             max_evaluations: 10_000,
-            max_generations: u64::MAX,
             budget: None,
             preemptible: true,
             planned_faults: 0,
@@ -162,11 +155,10 @@ impl JobSpec {
     /// The content key of the cross-run result cache: a hash of exactly the
     /// fields a completed result is a function of — the test-set content
     /// (via [`evotc_core::test_set_content_hash`]) and the EA shape,
-    /// budgets, and seed. Tenant, priority, wall-clock budget,
-    /// preemptibility, and planned faults are excluded: none of them can
-    /// change the bytes of a result that *completes* (and failed jobs are
-    /// never cached), so two submissions differing only there are the same
-    /// work.
+    /// budgets, and seed. Tenant, wall-clock budget, preemptibility, and
+    /// planned faults are excluded: none of them can change the bytes of a
+    /// result that *completes* (and failed jobs are never cached), so two
+    /// submissions differing only there are the same work.
     pub fn content_key(&self) -> u64 {
         let mut key = test_set_content_hash(&self.patterns);
         for field in [
@@ -175,7 +167,6 @@ impl JobSpec {
             self.seed,
             self.stagnation_limit as u64,
             self.max_evaluations,
-            self.max_generations,
         ] {
             key = fnv_mix(key, field);
         }
@@ -191,7 +182,6 @@ impl JobSpec {
         let mut builder = EaConfig::builder()
             .stagnation_limit(self.stagnation_limit)
             .max_evaluations(self.max_evaluations)
-            .max_generations(self.max_generations)
             .seed(self.seed)
             .threads(1);
         if let Some(budget) = self.budget {
@@ -260,8 +250,8 @@ pub enum JobError {
         /// The stringified panic payload.
         message: String,
     },
-    /// A fault planned by [`JobSpec::planned_faults`] (or the
-    /// `service::worker_pick` failpoint). Retryable by definition.
+    /// A fault planned by [`JobSpec::planned_faults`]. Retryable by
+    /// definition.
     Injected {
         /// 1-based attempt number that was failed.
         attempt: u32,
@@ -564,7 +554,6 @@ mod tests {
         let base = spec(3);
         let mut scheduling_only = spec(3);
         scheduling_only.tenant = TenantId(9);
-        scheduling_only.priority = 7;
         scheduling_only.budget = Some(Duration::from_secs(60));
         scheduling_only.preemptible = false;
         scheduling_only.planned_faults = 2;
@@ -690,7 +679,6 @@ mod tests {
                 let config = EaConfig::builder()
                     .stagnation_limit(job.stagnation_limit)
                     .max_evaluations(job.max_evaluations)
-                    .max_generations(job.max_generations)
                     .seed(job.seed)
                     .build();
                 let (_, summary) = EaCompressor::builder(k, l)

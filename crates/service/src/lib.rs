@@ -52,7 +52,7 @@
 //! ```
 //!
 //! Module map: [`job`](crate::JobSpec) defines the vocabulary and the
-//! per-attempt executor; `queue` the bounded two-heap priority queue;
+//! per-attempt executor; `queue` the ready queue and deferred retries;
 //! `service` admission, the worker pool, supervision, and shedding;
 //! [`BackoffPolicy`], [`BreakerPolicy`]/[`CircuitBreaker`], `cache`, and
 //! [`ServiceClock`] are the policy pieces, each unit-tested in isolation.

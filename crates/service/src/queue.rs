@@ -1,21 +1,20 @@
-//! The bounded two-heap job queue: ready work and deferred retries.
+//! The bounded job queue: ready work and deferred retries.
 //!
-//! *Ready* entries drain highest-priority-first, ties in arrival order
-//! (every enqueue — first admission, retry, or shed re-admission — takes a
-//! fresh monotone sequence number, so "arrival" is the most recent
-//! queuing, and a shed job goes to the back of its priority class rather
-//! than starving newcomers). *Deferred* entries are retries waiting out a
-//! backoff delay; [`JobQueue::promote`] moves them to the ready heap once
-//! the service clock passes their wake time.
+//! *Ready* entries drain in arrival order, where arrival is the most
+//! recent queuing (first admission, retry, or shed re-admission), so a
+//! shed job goes to the back rather than starving newcomers. *Deferred*
+//! entries are retries waiting out a backoff delay; [`JobQueue::promote`]
+//! moves them to the back of the ready queue once the service clock passes
+//! their wake time, earliest wake time first and equal ones in enqueue
+//! order.
 //!
 //! Capacity is enforced by the service (admission control), not here — the
-//! queue just reports its total occupancy. Both heaps tie-break on the
-//! sequence number, so the drain order is a pure function of the
-//! (priority, enqueue order, wake time) history: no wall-clock, no
+//! queue just reports its total occupancy. The drain order is a pure
+//! function of the (enqueue order, wake time) history: no wall-clock, no
 //! randomness.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -47,33 +46,6 @@ pub(crate) struct JobEntry {
     pub submitted_at: Duration,
 }
 
-struct ReadyItem {
-    priority: u8,
-    seq: u64,
-    entry: JobEntry,
-}
-
-impl PartialEq for ReadyItem {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for ReadyItem {}
-impl PartialOrd for ReadyItem {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ReadyItem {
-    /// Max-heap: higher priority wins, then the *lower* sequence number
-    /// (earlier enqueue) wins.
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.priority
-            .cmp(&other.priority)
-            .then(other.seq.cmp(&self.seq))
-    }
-}
-
 struct DeferredItem {
     ready_at: Duration,
     seq: u64,
@@ -102,43 +74,34 @@ impl Ord for DeferredItem {
     }
 }
 
-/// The two-heap queue (see the [module docs](self)).
+/// The ready queue and the deferred heap (see the [module docs](self)).
 #[derive(Default)]
 pub(crate) struct JobQueue {
-    ready: BinaryHeap<ReadyItem>,
+    ready: VecDeque<JobEntry>,
     deferred: BinaryHeap<DeferredItem>,
+    /// Deferred enqueues so far: equal wake times wake in enqueue order.
     next_seq: u64,
 }
 
 impl JobQueue {
-    fn seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Enqueues `entry` as immediately runnable.
+    /// Enqueues `entry` as immediately runnable, behind every ready entry.
     pub fn push_ready(&mut self, entry: JobEntry) {
-        let item = ReadyItem {
-            priority: entry.spec.priority,
-            seq: self.seq(),
-            entry,
-        };
-        self.ready.push(item);
+        self.ready.push_back(entry);
     }
 
     /// Parks `entry` until the service clock reaches `ready_at`.
     pub fn push_deferred(&mut self, entry: JobEntry, ready_at: Duration) {
         let item = DeferredItem {
             ready_at,
-            seq: self.seq(),
+            seq: self.next_seq,
             entry,
         };
+        self.next_seq += 1;
         self.deferred.push(item);
     }
 
     /// Moves every deferred entry whose wake time has passed to the ready
-    /// heap; returns how many were promoted.
+    /// queue; returns how many were promoted.
     pub fn promote(&mut self, now: Duration) -> usize {
         let mut promoted = 0;
         while let Some(item) = self.deferred.peek() {
@@ -152,9 +115,9 @@ impl JobQueue {
         promoted
     }
 
-    /// Takes the highest-priority ready entry.
+    /// Takes the longest-waiting ready entry.
     pub fn pop_ready(&mut self) -> Option<JobEntry> {
-        self.ready.pop().map(|item| item.entry)
+        self.ready.pop_front()
     }
 
     /// The earliest wake time among deferred entries — what a virtual
@@ -163,22 +126,10 @@ impl JobQueue {
         self.deferred.peek().map(|item| item.ready_at)
     }
 
-    /// Ready entries waiting.
-    #[cfg(test)]
-    pub fn ready_len(&self) -> usize {
-        self.ready.len()
-    }
-
     /// Total occupancy (ready + deferred) — what admission's capacity
     /// check counts.
     pub fn len(&self) -> usize {
         self.ready.len() + self.deferred.len()
-    }
-
-    /// Whether both heaps are empty.
-    #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
-        self.ready.is_empty() && self.deferred.is_empty()
     }
 }
 
@@ -188,13 +139,11 @@ mod tests {
     use crate::job::TenantId;
     use evotc_bits::TestSet;
 
-    fn entry(id: u64, priority: u8) -> JobEntry {
+    fn entry(id: u64) -> JobEntry {
         let patterns = TestSet::parse(&["10"]).unwrap();
-        let mut spec = JobSpec::new(TenantId(0), patterns, 2, 1, 0);
-        spec.priority = priority;
         JobEntry {
             id: JobId(id),
-            spec: Arc::new(spec),
+            spec: Arc::new(JobSpec::new(TenantId(0), patterns, 2, 1, 0)),
             key: 0,
             failures: 0,
             shed_cycles: 0,
@@ -209,39 +158,50 @@ mod tests {
     }
 
     #[test]
-    fn drains_by_priority_then_arrival_order() {
+    fn drains_in_arrival_order() {
         let mut queue = JobQueue::default();
-        queue.push_ready(entry(1, 0));
-        queue.push_ready(entry(2, 5));
-        queue.push_ready(entry(3, 5));
-        queue.push_ready(entry(4, 1));
-        assert_eq!(drain_ids(&mut queue), [2, 3, 4, 1]);
+        for id in [3, 1, 4, 2] {
+            queue.push_ready(entry(id));
+        }
+        assert_eq!(queue.len(), 4);
+        assert_eq!(drain_ids(&mut queue), [3, 1, 4, 2]);
+        assert_eq!(queue.len(), 0);
     }
 
     #[test]
     fn promote_wakes_exactly_the_due_entries_in_order() {
         let mut queue = JobQueue::default();
-        queue.push_deferred(entry(1, 0), Duration::from_millis(30));
-        queue.push_deferred(entry(2, 0), Duration::from_millis(10));
-        queue.push_deferred(entry(3, 0), Duration::from_millis(50));
+        queue.push_deferred(entry(1), Duration::from_millis(30));
+        queue.push_deferred(entry(2), Duration::from_millis(10));
+        queue.push_deferred(entry(3), Duration::from_millis(50));
+        queue.push_deferred(entry(4), Duration::from_millis(10));
         assert_eq!(queue.next_deferred_at(), Some(Duration::from_millis(10)));
-        assert_eq!(queue.promote(Duration::from_millis(30)), 2);
-        assert_eq!(queue.ready_len(), 2);
-        assert_eq!(queue.len(), 3, "one still parked");
-        assert_eq!(drain_ids(&mut queue), [2, 1], "woken in wake-time order");
+        assert_eq!(queue.promote(Duration::from_millis(30)), 3);
+        assert_eq!(queue.ready.len(), 3);
+        assert_eq!(queue.len(), 4, "one still parked");
+        assert_eq!(
+            drain_ids(&mut queue),
+            [2, 4, 1],
+            "woken in wake-time order, ties in enqueue order"
+        );
         assert_eq!(queue.next_deferred_at(), Some(Duration::from_millis(50)));
         assert_eq!(queue.promote(Duration::from_millis(9)), 0);
-        assert!(!queue.is_empty());
+        assert_eq!(queue.len(), 1);
     }
 
     #[test]
-    fn requeued_entries_go_behind_their_priority_class() {
+    fn requeued_entries_go_to_the_back() {
         let mut queue = JobQueue::default();
-        queue.push_ready(entry(1, 2));
-        queue.push_ready(entry(2, 2));
+        queue.push_ready(entry(1));
+        queue.push_ready(entry(2));
         let first = queue.pop_ready().unwrap();
         assert_eq!(first.id.0, 1);
-        queue.push_ready(first); // shed re-admission: fresh sequence number
-        assert_eq!(drain_ids(&mut queue), [2, 1]);
+        queue.push_ready(entry(3));
+        // A shed re-admission, then a promoted retry, each queue behind
+        // every entry already ready.
+        queue.push_ready(first);
+        queue.push_deferred(entry(4), Duration::ZERO);
+        assert_eq!(queue.promote(Duration::ZERO), 1);
+        assert_eq!(drain_ids(&mut queue), [2, 3, 1, 4]);
     }
 }

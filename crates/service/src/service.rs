@@ -14,8 +14,9 @@
 //!    their own variants) rather than buffered without bound.
 //! 3. **Shedding**: past the high-water mark, the longest-running
 //!    preemptible job is checkpointed ([`evotc_evo::EaCheckpoint`]) and
-//!    re-admitted behind its priority class, freeing its worker for queued
-//!    work; the resumed run is byte-identical to an uninterrupted one.
+//!    re-admitted at the back of the ready queue, freeing its worker for
+//!    queued work; the resumed run is byte-identical to an uninterrupted
+//!    one.
 //! 4. **Quarantine**: a tenant whose jobs keep failing trips its circuit
 //!    breaker and is refused at admission until a half-open probe
 //!    succeeds, so one poisoned tenant cannot starve the pool.
@@ -331,10 +332,10 @@ impl Service {
     /// Starts the service: spawns `config.workers` worker threads over an
     /// empty queue.
     ///
-    /// Failpoint note (`failpoints` builds): arm service sites *before*
-    /// starting the service — the workers begin passing `
-    /// service::worker_pick` as soon as jobs are admitted, and arming
-    /// after spawn races the hit counter.
+    /// Failpoint note (`failpoints` builds): arm sites *before* starting
+    /// the service — the workers run jobs, and so pass the engine and
+    /// evaluator sites, as soon as jobs are admitted, and arming after
+    /// spawn races the hit counter.
     pub fn start(config: ServiceConfig) -> Self {
         let clock = if config.virtual_time {
             ServiceClock::virtual_time()
@@ -651,19 +652,11 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// Runs one attempt outside the lock: planned/injected faults first, then
-/// the EA executor, with a panic net so a bug in the executor itself
-/// settles as a retryable failure instead of killing the worker thread.
+/// Runs one attempt outside the lock: planned faults first, then the EA
+/// executor, with a panic net so a bug in the executor itself settles as a
+/// retryable failure instead of killing the worker thread.
 fn run_attempt(inner: &Inner, entry: &JobEntry, cancel: CancelToken) -> Result<Attempt, JobError> {
     let attempt = entry.failures + 1;
-
-    // Fault injection at the pick edge: the attempt fails before the EA
-    // starts. The job-level `planned_faults` knob is the featureless
-    // equivalent the replay harness uses.
-    #[cfg(feature = "failpoints")]
-    if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::SERVICE_WORKER_PICK) {
-        return Err(JobError::Injected { attempt });
-    }
     if entry.failures < entry.spec.planned_faults {
         return Err(JobError::Injected { attempt });
     }

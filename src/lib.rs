@@ -53,7 +53,7 @@ pub use evotc_decoder as decoder;
 /// ISCAS workload metadata, ground-truth tables, calibrated generators.
 pub use evotc_workloads as workloads;
 
-/// Multi-tenant compression-as-a-service job runtime: bounded priority
+/// Multi-tenant compression-as-a-service job runtime: bounded FIFO job
 /// queue with admission control, worker pool, retry/backoff, circuit
 /// breakers, overload shedding, cross-run result cache.
 pub use evotc_service as service;

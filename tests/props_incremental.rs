@@ -18,8 +18,21 @@ use evotc::core::{
     encoded_size_keep, encoded_size_probe, encoded_size_rebuild, encoded_size_scratch, EvalCache,
     EvalScratch, IncrementalOutcome, MvFitness, MvFitnessState, PatchScratch,
 };
-use evotc::evo::{FitnessEval, Lineage, Provenance};
+use evotc::evo::{FitnessEval, Individual, Lineage, Objectives, Provenance};
 use proptest::prelude::*;
+
+/// `genomes` as the parent population of a hand-built batch: evaluators
+/// read only the genes.
+fn population<G: AsRef<[Trit]>>(genomes: &[G]) -> Vec<Individual<Trit>> {
+    genomes
+        .iter()
+        .map(|genes| Individual {
+            genes: genes.as_ref().to_vec(),
+            fitness: f64::NAN,
+            objectives: Objectives::NAN,
+        })
+        .collect()
+}
 
 fn arb_trits(len: usize) -> impl Strategy<Value = Vec<Trit>> {
     proptest::collection::vec((0u8..3).prop_map(Trit::from_index), len..=len)
@@ -167,7 +180,7 @@ proptest! {
     ) {
         let (hist, bits) = histogram_for(&rows, 6);
         let fitness = MvFitness::new(6, &hist, bits);
-        let parents: Vec<&[Trit]> = parent_genomes.iter().map(Vec::as_slice).collect();
+        let parents = population(&parent_genomes);
         let mut genomes = Vec::new();
         let mut lineage = Vec::new();
         for (n, &(pos, gene)) in edits.iter().enumerate() {
@@ -264,7 +277,7 @@ proptest! {
             genomes.push(child);
         }
         let fitness = MvFitness::new(6, &hist, bits);
-        let parents: Vec<&[Trit]> = vec![&parent_a, &parent_b];
+        let parents = population(&[&parent_a, &parent_b]);
         let provenance = Provenance { lineage: &lineage, parents: &parents, floor: None };
         let mut state = MvFitnessState::default();
         let mut with = vec![f64::NAN; genomes.len()];
@@ -290,7 +303,7 @@ proptest! {
     ) {
         let (hist, bits) = histogram_for(&rows, 6);
         let fitness = MvFitness::new(6, &hist, bits);
-        let parents: Vec<&[Trit]> = parent_genomes.iter().map(Vec::as_slice).collect();
+        let parents = population(&parent_genomes);
         let mut genomes = Vec::new();
         let mut lineage = Vec::new();
         for (n, &(pos, gene)) in edits.iter().enumerate() {
@@ -359,7 +372,7 @@ proptest! {
             genome[pos] = gene;
             let provenance = Provenance {
                 lineage: &[Some(Lineage::new(0, pos..pos + 1))],
-                parents: &[parent.as_slice()],
+                parents: &population(&[&parent]),
                 floor: None,
             };
             fitness.evaluate_batch(

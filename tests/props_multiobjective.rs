@@ -2,9 +2,9 @@
 //! transition-count objective re-priced incrementally per edit window must
 //! equal the full kernel's recompute **and** the covering-based oracle
 //! bit-for-bit; the Pareto archive must never hold a dominated point and
-//! must report an insertion-order-invariant front; and the default
-//! weights `(1, 0, 0)` must reproduce the single-objective trajectory
-//! byte-for-byte at every thread count, archive on or off.
+//! must report an insertion-order-invariant front; and asking for the
+//! objective vector (the archive on) must reproduce the single-objective
+//! trajectory byte-for-byte at every thread count.
 
 use evotc::bits::{BlockHistogram, SlicedHistogram, TestPattern, TestSet, TestSetString, Trit};
 use evotc::core::{
@@ -232,20 +232,16 @@ proptest! {
     }
 }
 
-/// Runs the EA over a fixed small workload with the given `MvFitness`
-/// weights (`None` = never set), Pareto capacity and thread count.
+/// Runs the EA over a fixed small workload with the given Pareto capacity
+/// and thread count.
 fn run_mv_ea(
     hist: &BlockHistogram,
     bits: f64,
-    weights: Option<[f64; 3]>,
     pareto: usize,
     threads: usize,
     seed: u64,
 ) -> EaResult<Trit> {
-    let mut fitness = MvFitness::new(8, hist, bits);
-    if let Some(weights) = weights {
-        fitness = fitness.combine_mode(weights);
-    }
+    let fitness = MvFitness::new(8, hist, bits);
     let config = EaConfig::builder()
         .population_size(8)
         .children_per_generation(6)
@@ -273,19 +269,20 @@ fn small_workload() -> (BlockHistogram, f64) {
     (BlockHistogram::from_string(&string), bits)
 }
 
-/// Satellite 1c: weights `(1, 0, 0)` — the default — reproduce the
+/// The scalar fitness (the plain compression rate) reproduces the
 /// single-objective trajectory byte-for-byte at every thread count, with
-/// the Pareto archive on (objective evaluation path) or off (the legacy
-/// scalar path), and the front itself is thread-invariant.
+/// the Pareto archive on (objective evaluation path, no survival-floor
+/// pruning) or off (the scalar path, floor on), and the front itself is
+/// thread-invariant.
 #[test]
 fn weighted_unit_mode_reproduces_the_scalar_trajectory_at_any_thread_count() {
     let (hist, bits) = small_workload();
     for seed in [1u64, 9] {
-        let reference = run_mv_ea(&hist, bits, None, 0, 1, seed);
+        let reference = run_mv_ea(&hist, bits, 0, 1, seed);
         let mut fronts = Vec::new();
         for threads in [1usize, 2, 4] {
-            for (weights, pareto) in [(None, 0), (None, 16), (Some([1.0, 0.0, 0.0]), 16)] {
-                let run = run_mv_ea(&hist, bits, weights, pareto, threads, seed);
+            for pareto in [0, 16] {
+                let run = run_mv_ea(&hist, bits, pareto, threads, seed);
                 assert_eq!(run.best_genome, reference.best_genome, "t={threads}");
                 assert_eq!(
                     run.best_fitness.to_bits(),

@@ -7,8 +7,8 @@
 //!
 //! - a simulated full queue is a typed [`Rejected::QueueFull`], not a
 //!   panic or a silent drop;
-//! - an injected worker fault retries with backoff and completes
-//!   byte-identically to the fault-free oracle;
+//! - an injected worker fault (`JobSpec::planned_faults`) retries with
+//!   backoff and completes byte-identically to the fault-free oracle;
 //! - a forced result-cache miss recomputes (same bytes) instead of
 //!   corrupting anything;
 //! - repeated failures trip the tenant's circuit breaker, which half-opens
@@ -92,11 +92,11 @@ fn enqueue_failpoint_is_a_typed_queue_full_rejection() {
 fn injected_worker_fault_retries_and_completes_identically() {
     let _gate = gate();
     reset();
-    let job = spec(1, 7);
+    let mut job = spec(1, 7);
     let want = run_spec(&job).expect("oracle run completes");
     // The first pick fails with the injected fault; the backoff retry's
-    // pick (hit 2) passes and must replay the identical trajectory.
-    arm(site::SERVICE_WORKER_PICK, FailSpec::Nth(1));
+    // pick passes and must replay the identical trajectory.
+    job.planned_faults = 1;
     let service = Service::start(ServiceConfig::builder().workers(1).virtual_time().build());
     let id = service.submit(job).expect("empty service admits");
     let outcome = service.shutdown();
