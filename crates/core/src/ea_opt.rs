@@ -100,7 +100,7 @@ impl EaCompressor {
         &self,
         set: &TestSet,
     ) -> Result<(CompressedTestSet, EaResult<Trit>), CompressError> {
-        if set.is_empty() {
+        if set.total_bits() == 0 {
             return Err(CompressError::EmptyTestSet);
         }
         let string = TestSetString::try_new(set, self.k)?;
@@ -458,19 +458,7 @@ impl MvFitnessState {
 /// Whether `parent` holds the covering of exactly `genome`, built with the
 /// given transition setting.
 fn serves(parent: &CachedParent, genome: &[Trit], transitions: bool) -> bool {
-    parent.cache.tracks_transitions() == transitions && holds(&parent.cache, genome)
-}
-
-/// Whether `cache` holds the covering of exactly `genome`.
-fn holds(cache: &crate::EvalCache, genome: &[Trit]) -> bool {
-    // Fault injection: a forced mismatch is the "detected corruption"
-    // answer. The evaluator must fall back to a rebuild with unchanged
-    // scores.
-    #[cfg(feature = "failpoints")]
-    if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::CORE_CACHE_PROBE) {
-        return false;
-    }
-    cache.holds(genome)
+    parent.cache.tracks_transitions() == transitions && parent.cache.holds(genome)
 }
 
 impl<'a> MvFitness<'a> {
@@ -814,12 +802,6 @@ impl FitnessEval<Trit> for MvFitness<'_> {
         out: &mut [f64],
         mut objectives: Option<&mut [Objectives]>,
     ) {
-        // Fault injection: a poisoned evaluator panicking mid-batch, once
-        // per batch call.
-        #[cfg(feature = "failpoints")]
-        if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::CORE_EVALUATE) {
-            panic!("injected evaluator fault");
-        }
         state.serve(self.id);
         let parents = provenance.map_or(&[][..], |p| p.parents);
         if provenance.is_some() {
@@ -1087,6 +1069,20 @@ mod tests {
         let set = TestSet::parse(&["10110100", "01001011", "11100010"]).unwrap();
         let c = quick(8, 2, 0).compress(&set).unwrap();
         assert!(c.mv_set().has_all_u());
+    }
+
+    #[test]
+    fn a_set_without_bits_is_an_error_not_a_panic() {
+        // Zero-width patterns leave the histogram without a block, which
+        // no EA run can price.
+        for set in [TestSet::new(8), TestSet::parse(&["", ""]).unwrap()] {
+            assert_eq!(
+                quick(8, 4, 1).compress(&set).unwrap_err(),
+                CompressError::EmptyTestSet,
+                "{} patterns",
+                set.num_patterns()
+            );
+        }
     }
 
     #[test]

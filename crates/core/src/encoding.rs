@@ -43,7 +43,7 @@ pub(crate) fn size_with_code(mvs: &MvSet, frequencies: &[u64], code: &PrefixCode
 ///
 /// # Errors
 ///
-/// Returns [`CompressError::EmptyTestSet`] for empty inputs and
+/// Returns [`CompressError::EmptyTestSet`] for inputs without bits and
 /// [`CompressError::Uncoverable`] if some block matches no MV.
 ///
 /// # Example
@@ -94,7 +94,7 @@ fn encode_with_optional_code(
     mvs: &MvSet,
     code: Option<PrefixCode>,
 ) -> Result<CompressedTestSet, CompressError> {
-    if set.is_empty() {
+    if set.total_bits() == 0 {
         return Err(CompressError::EmptyTestSet);
     }
     let string = TestSetString::try_new(set, mvs.block_len())?;
@@ -153,12 +153,15 @@ mod tests {
 
     #[test]
     fn empty_set_is_an_error() {
-        let s = TestSet::new(8);
         let mvs = MvSet::parse(8, &["UUUUUUUU"]).unwrap();
-        assert!(matches!(
-            encode_with_mvs("t", &s, &mvs),
-            Err(CompressError::EmptyTestSet)
-        ));
+        // Zero-width patterns would encode to an empty stream under an
+        // empty codeword, which no decode tree can read back.
+        for s in [TestSet::new(8), TestSet::parse(&["", ""]).unwrap()] {
+            assert!(matches!(
+                encode_with_mvs("t", &s, &mvs),
+                Err(CompressError::EmptyTestSet)
+            ));
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@ use evotc_bits::{BlockLenError, InputBlock};
 /// Error raised by a [`crate::TestCompressor`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompressError {
-    /// The test set holds no patterns.
+    /// The test set holds no bits: no patterns, or only zero-width ones.
     EmptyTestSet,
     /// The block length `K` is unsupported.
     BlockLen(BlockLenError),
@@ -29,7 +29,12 @@ pub enum CompressError {
 impl fmt::Display for CompressError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            CompressError::EmptyTestSet => write!(f, "test set holds no patterns"),
+            CompressError::EmptyTestSet => {
+                write!(
+                    f,
+                    "test set holds no bits: no patterns or only zero-width ones"
+                )
+            }
             CompressError::BlockLen(e) => e.fmt(f),
             CompressError::Uncoverable { block } => {
                 write!(f, "input block {block} is matched by no matching vector")

@@ -813,11 +813,6 @@ fn save_checkpoint<G: Copy>(
     let Some(sink) = sink.as_mut() else {
         return;
     };
-    #[cfg(feature = "failpoints")]
-    if crate::failpoints::hit(crate::failpoints::site::CHECKPOINT_SINK) {
-        *failures += 1;
-        return;
-    }
     if sink(build()).is_err() {
         *failures += 1;
     }
@@ -2229,6 +2224,31 @@ mod tests {
         assert!(result.checkpoint_failures > 0);
         assert_eq!(result.stop_reason, StopReason::Converged);
         assert!(result.best_fitness >= 20.0, "run degraded by sink failure");
+
+        // A sink that fails only its first capture: one failure is counted,
+        // the later captures still arrive, and the run is the one without
+        // a sink.
+        let reference = EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
+            .config(one_max_config(20, 5))
+            .run();
+        let mut captures = 0u64;
+        let result = EaBuilder::new(24, |rng| rng.gen::<bool>(), one_max)
+            .config(one_max_config(20, 5))
+            .checkpoint_every(2, |_| {
+                captures += 1;
+                if captures == 1 {
+                    Err(CheckpointError::Io("disk full".into()))
+                } else {
+                    Ok(())
+                }
+            })
+            .run();
+        assert_eq!(result.checkpoint_failures, 1);
+        assert!(
+            captures > 1,
+            "no capture reached the sink after the failure"
+        );
+        assert_same_run(&result, &reference, "first capture failed");
     }
 
     #[test]

@@ -86,9 +86,9 @@
 //!   so a poisoned evaluator fails the run with a typed
 //!   [`EaError::IslandFailed`] from [`EaBuilder::try_run`] instead of
 //!   aborting the process or stalling the epoch barrier.
-//! - **Fault injection** — the `failpoints` cargo feature compiles in the
-//!   `failpoints` registry module, letting tests trigger those failure
-//!   paths at deterministic points of a run.
+//! - **Fault injection** — tests reach those failure paths through the
+//!   seams a caller already has: a checkpoint sink that returns `Err`, and
+//!   a [`FitnessEval`] that panics on a chosen call.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -96,8 +96,6 @@
 pub mod checkpoint;
 mod config;
 mod engine;
-#[cfg(feature = "failpoints")]
-pub mod failpoints;
 mod fitness;
 mod objective;
 pub mod operators;

@@ -92,9 +92,9 @@ pub struct JobSpec {
     /// resume later, byte-identically). Non-preemptible jobs are never
     /// shed.
     pub preemptible: bool,
-    /// Deterministic job-level fault injection usable without the
-    /// `failpoints` cargo feature: the first this-many attempts fail with
-    /// the retryable [`JobError::Injected`] before the EA starts. Powers
+    /// Deterministic job-level fault injection: the first this-many
+    /// attempts fail with the retryable [`JobError::Injected`] before the
+    /// EA starts. Drives the retry, backoff and breaker paths in tests and
     /// the replay harness's injected-fault tenants; `0` in production.
     pub planned_faults: u32,
 }
@@ -119,7 +119,7 @@ impl JobSpec {
 
     /// Rejects a spec no attempt could ever execute (at admission, too).
     pub fn validate(&self) -> Result<(), JobError> {
-        if self.patterns.is_empty() {
+        if self.patterns.total_bits() == 0 {
             return Err(JobError::InvalidSpec("empty test set".into()));
         }
         if self.k == 0 || self.k > evotc_bits::MAX_BLOCK_LEN {
@@ -174,10 +174,7 @@ impl JobSpec {
     }
 
     /// The engine configuration of one attempt. Evaluation is pinned to one
-    /// thread: job-level parallelism comes from the worker pool, and a
-    /// fixed thread count keeps even failpoint hit-counting deterministic
-    /// (the engine's results are thread-invariant, but per-chunk hit counts
-    /// are not).
+    /// thread: job-level parallelism comes from the worker pool.
     fn ea_config(&self) -> EaConfig {
         let mut builder = EaConfig::builder()
             .stagnation_limit(self.stagnation_limit)
@@ -302,6 +299,25 @@ impl std::fmt::Display for JobError {
 }
 
 impl std::error::Error for JobError {}
+
+impl From<EaError> for JobError {
+    /// An island panic is the retryable [`JobError::WorkerPanic`]; a
+    /// rejected resume checkpoint is [`JobError::CheckpointRejected`], which
+    /// the supervisor retries from scratch.
+    fn from(err: EaError) -> Self {
+        match err {
+            EaError::IslandFailed {
+                generation,
+                message,
+                ..
+            } => JobError::WorkerPanic {
+                generation,
+                message,
+            },
+            EaError::InvalidCheckpoint(err) => JobError::CheckpointRejected(err.to_string()),
+        }
+    }
+}
 
 /// A typed admission rejection: the submission never became a job. Every
 /// variant is a backpressure signal the client can act on, which is the
@@ -481,17 +497,7 @@ pub(crate) fn execute(
     if let Some(checkpoint) = resume {
         ea = ea.resume_from(checkpoint);
     }
-    let result = ea.try_run().map_err(|err| match err {
-        EaError::IslandFailed {
-            generation,
-            message,
-            ..
-        } => JobError::WorkerPanic {
-            generation,
-            message,
-        },
-        EaError::InvalidCheckpoint(err) => JobError::CheckpointRejected(err.to_string()),
-    })?;
+    let result = ea.try_run()?;
     let checkpoint_failures = result.checkpoint_failures;
     match result.stop_reason {
         StopReason::Deadline => Err(JobError::DeadlineExceeded),
@@ -604,6 +610,11 @@ mod tests {
                 s.patterns = TestSet::new(8);
                 s
             }),
+            ("empty test set", {
+                let mut s = spec(5);
+                s.patterns = TestSet::parse(&["", ""]).unwrap();
+                s
+            }),
             ("K=0", {
                 let mut s = spec(5);
                 s.k = 0;
@@ -660,8 +671,8 @@ mod tests {
         service.submit(spec(5)).expect("the tenant is untouched");
         let outcome = service.shutdown();
         assert!(outcome.stats.accounted(), "lost jobs: {:?}", outcome.stats);
-        assert_eq!(outcome.stats.rejected_invalid, 7);
-        assert_eq!(outcome.stats.rejected_total(), 7);
+        assert_eq!(outcome.stats.rejected_invalid, 8);
+        assert_eq!(outcome.stats.rejected_total(), 8);
         assert_eq!((outcome.stats.failed, outcome.stats.retries), (0, 0));
         assert_eq!(outcome.reports.len(), 1, "no report for a rejection");
         assert!(matches!(
@@ -716,6 +727,28 @@ mod tests {
         };
         assert!(!exhausted.retryable());
         assert!(exhausted.to_string().contains("4 attempts"));
+    }
+
+    #[test]
+    fn engine_failures_become_retryable_job_errors() {
+        let panic = JobError::from(EaError::IslandFailed {
+            island: 2,
+            generation: 7,
+            message: "poisoned evaluator".into(),
+        });
+        assert_eq!(
+            panic,
+            JobError::WorkerPanic {
+                generation: 7,
+                message: "poisoned evaluator".into()
+            }
+        );
+        assert!(panic.retryable());
+        let rejected = JobError::from(EaError::InvalidCheckpoint(
+            evotc_evo::CheckpointError::ConfigMismatch,
+        ));
+        assert!(matches!(rejected, JobError::CheckpointRejected(ref why) if !why.is_empty()));
+        assert!(rejected.retryable());
     }
 
     #[test]

@@ -225,8 +225,7 @@ pub struct StatsSnapshot {
     pub completed_fresh: u64,
     /// Submissions served from the result cache at admission.
     pub cache_hits: u64,
-    /// Rejections: bounded queue at capacity (or the `service::enqueue`
-    /// failpoint simulating it).
+    /// Rejections: bounded queue at capacity.
     pub rejected_queue_full: u64,
     /// Rejections: wall-clock budget below the admissible floor.
     pub rejected_deadline: u64,
@@ -331,11 +330,6 @@ pub struct Service {
 impl Service {
     /// Starts the service: spawns `config.workers` worker threads over an
     /// empty queue.
-    ///
-    /// Failpoint note (`failpoints` builds): arm sites *before* starting
-    /// the service — the workers run jobs, and so pass the engine and
-    /// evaluator sites, as soon as jobs are admitted, and arming after
-    /// spawn races the hit counter.
     pub fn start(config: ServiceConfig) -> Self {
         let clock = if config.virtual_time {
             ServiceClock::virtual_time()
@@ -381,15 +375,6 @@ impl Service {
         let now = inner.clock.now();
         state.stats.attempted += 1;
 
-        // Fault injection: a simulated full queue at the enqueue edge.
-        #[cfg(feature = "failpoints")]
-        if evotc_evo::failpoints::hit(evotc_evo::failpoints::site::SERVICE_ENQUEUE) {
-            state.stats.rejected_queue_full += 1;
-            return Err(Rejected::QueueFull {
-                capacity: inner.config.queue_capacity,
-            });
-        }
-
         if state.draining {
             state.stats.rejected_shutdown += 1;
             return Err(Rejected::ShuttingDown);
@@ -423,19 +408,7 @@ impl Service {
         // Cache probe: a duplicate settles instantly, consuming no queue
         // slot, no worker, no quota, and never touching the breaker.
         let key = spec.content_key();
-        let cache_hit = {
-            #[cfg(feature = "failpoints")]
-            let forced_miss =
-                evotc_evo::failpoints::hit(evotc_evo::failpoints::site::SERVICE_RESULT_CACHE_PROBE);
-            #[cfg(not(feature = "failpoints"))]
-            let forced_miss = false;
-            if forced_miss {
-                None
-            } else {
-                state.cache.get(key).cloned()
-            }
-        };
-        if let Some(hit) = cache_hit {
+        if let Some(hit) = state.cache.get(key).cloned() {
             let id = JobId(state.next_job);
             state.next_job += 1;
             state.stats.cache_hits += 1;

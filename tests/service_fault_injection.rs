@@ -1,42 +1,28 @@
-//! Fault-injection harness for the service layer (compile with
-//! `--features failpoints`).
+//! Fault-injection harness for the service layer.
 //!
-//! Each test arms a `service::*` (or engine) failpoint *before*
-//! `Service::start` — per the registry's arming-order rule — drives real
-//! jobs into the failure path, and asserts the typed, accounted outcome:
+//! Each test drives real jobs into a failure path through a seam the
+//! service already has — a wall-clock budget that holds the only worker,
+//! `JobSpec::planned_faults`, `cache_capacity(0)`, the virtual clock — and
+//! asserts the typed, accounted outcome:
 //!
-//! - a simulated full queue is a typed [`Rejected::QueueFull`], not a
-//!   panic or a silent drop;
+//! - a full queue is a typed [`Rejected::QueueFull`], not a panic or a
+//!   silent drop;
 //! - an injected worker fault (`JobSpec::planned_faults`) retries with
 //!   backoff and completes byte-identically to the fault-free oracle;
-//! - a forced result-cache miss recomputes (same bytes) instead of
-//!   corrupting anything;
+//! - a duplicate recomputes the same bytes without a result cache, and is
+//!   served from the cache, attributed to its first writer, with one;
 //! - repeated failures trip the tenant's circuit breaker, which half-opens
 //!   and closes deterministically on the virtual clock;
-//! - checkpoint-sink failures are counted on the report, never fatal;
 //! - a four-worker pool under mixed faults neither deadlocks nor loses a
 //!   job: the zero-lost-jobs identity holds.
-//!
-//! The failpoint registry is process-global, so every test serializes on
-//! one mutex and resets the registry after its workers have been joined.
-#![cfg(feature = "failpoints")]
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use evotc::bits::TestSet;
-use evotc::evo::failpoints::{arm, disarm, reset, site, FailSpec};
 use evotc::service::{
-    run_spec, BackoffPolicy, BreakerPolicy, JobError, JobOutcome, JobReport, JobSpec, Provenance,
-    Rejected, Service, ServiceConfig, TenantId,
+    run_spec, BackoffPolicy, BreakerPolicy, JobError, JobOutcome, JobReport, JobResultData,
+    JobSpec, Provenance, Rejected, Service, ServiceConfig, TenantId,
 };
-use std::sync::{Mutex, MutexGuard};
-
-fn gate() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    // A test that panicked while holding the gate poisons it; later tests
-    // still need to run.
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn patterns(salt: u64) -> TestSet {
     let rows: Vec<String> = (0..6)
@@ -57,7 +43,7 @@ fn spec(tenant: u32, salt: u64) -> JobSpec {
     JobSpec::new(TenantId(tenant), patterns(salt), 8, 4, salt ^ 0x5eed)
 }
 
-fn completed(report: &JobReport) -> &evotc::service::JobResultData {
+fn completed(report: &JobReport) -> &JobResultData {
     match &report.outcome {
         JobOutcome::Completed { data, .. } => data,
         other => panic!("job {} did not complete: {other:?}", report.id),
@@ -65,33 +51,49 @@ fn completed(report: &JobReport) -> &evotc::service::JobResultData {
 }
 
 #[test]
-fn enqueue_failpoint_is_a_typed_queue_full_rejection() {
-    let _gate = gate();
-    reset();
-    arm(site::SERVICE_ENQUEUE, FailSpec::Always);
+fn a_full_queue_is_a_typed_queue_full_rejection() {
     let service = Service::start(
         ServiceConfig::builder()
             .workers(1)
-            .queue_capacity(8)
+            .queue_capacity(1)
             .build(),
     );
-    match service.submit(spec(0, 1)) {
-        Err(Rejected::QueueFull { capacity }) => assert_eq!(capacity, 8),
-        other => panic!("expected the simulated queue-full rejection, got {other:?}"),
+    // Only its wall-clock budget stops this job, so it holds the one
+    // worker for 300 ms whatever the build profile or the host's load.
+    let mut held = spec(0, 1);
+    held.stagnation_limit = usize::MAX;
+    held.max_evaluations = u64::MAX;
+    held.budget = Some(Duration::from_millis(300));
+    held.preemptible = false;
+    let held = service.submit(held).expect("empty service admits");
+    let waited = Instant::now();
+    while service.running_count() != 1 {
+        assert!(
+            waited.elapsed() < Duration::from_secs(10),
+            "the held job never started"
+        );
+        std::thread::yield_now();
     }
-    disarm(site::SERVICE_ENQUEUE);
-    service.submit(spec(0, 1)).expect("disarmed site admits");
+    service
+        .submit(spec(1, 2))
+        .expect("the queue has one free slot");
+    match service.submit(spec(1, 3)) {
+        Err(Rejected::QueueFull { capacity }) => assert_eq!(capacity, 1),
+        other => panic!("expected the queue-full rejection, got {other:?}"),
+    }
     let outcome = service.shutdown();
     assert!(outcome.stats.accounted(), "lost jobs: {:?}", outcome.stats);
     assert_eq!(outcome.stats.rejected_queue_full, 1);
     assert_eq!(outcome.stats.completed_fresh, 1);
-    reset();
+    assert_eq!(outcome.reports[0].id, held);
+    assert_eq!(
+        outcome.reports[0].outcome,
+        JobOutcome::Failed(JobError::DeadlineExceeded)
+    );
 }
 
 #[test]
 fn injected_worker_fault_retries_and_completes_identically() {
-    let _gate = gate();
-    reset();
     let mut job = spec(1, 7);
     let want = run_spec(&job).expect("oracle run completes");
     // The first pick fails with the injected fault; the backoff retry's
@@ -108,50 +110,55 @@ fn injected_worker_fault_retries_and_completes_identically() {
     let got = completed(report);
     assert_eq!(got, &want);
     assert_eq!(got.digest(), want.digest());
-    reset();
 }
 
 #[test]
-fn forced_cache_miss_recomputes_the_same_bytes() {
-    let _gate = gate();
-    reset();
-    arm(site::SERVICE_RESULT_CACHE_PROBE, FailSpec::Always);
-    let service = Service::start(ServiceConfig::builder().workers(1).build());
-    let first = service.submit(spec(2, 11)).expect("admitted");
-    service.drain();
-    // Identical spec, forced miss: a fresh recompute, not a cache hit.
-    service.submit(spec(2, 11)).expect("admitted");
-    service.drain();
-    assert_eq!(service.stats().completed_fresh, 2);
-    assert_eq!(service.stats().cache_hits, 0);
-    // Disarmed, the duplicate is served from the cache, attributed to the
-    // first writer, with the exact bytes the fresh runs produced.
-    disarm(site::SERVICE_RESULT_CACHE_PROBE);
-    service
+fn a_duplicate_recomputes_the_same_bytes_without_a_cache() {
+    // No result cache: the duplicate is a fresh recompute.
+    let uncached = Service::start(
+        ServiceConfig::builder()
+            .workers(1)
+            .cache_capacity(0)
+            .build(),
+    );
+    for _ in 0..2 {
+        uncached.submit(spec(2, 11)).expect("admitted");
+        uncached.drain();
+    }
+    let outcome = uncached.shutdown();
+    assert!(outcome.stats.accounted(), "lost jobs: {:?}", outcome.stats);
+    assert_eq!(outcome.stats.completed_fresh, 2);
+    assert_eq!(outcome.stats.cache_hits, 0);
+    let fresh = completed(&outcome.reports[0]).clone();
+    assert_eq!(completed(&outcome.reports[1]), &fresh);
+
+    // With the default cache, the duplicate is served from it, attributed
+    // to the first writer, with the exact bytes the fresh runs produced.
+    let cached = Service::start(ServiceConfig::builder().workers(1).build());
+    let first = cached.submit(spec(2, 11)).expect("admitted");
+    cached.drain();
+    cached
         .submit(spec(2, 11))
         .expect("cache hit still returns Ok");
-    let outcome = service.shutdown();
+    let outcome = cached.shutdown();
     assert!(outcome.stats.accounted(), "lost jobs: {:?}", outcome.stats);
+    assert_eq!(outcome.stats.completed_fresh, 1);
     assert_eq!(outcome.stats.cache_hits, 1);
-    assert_eq!(outcome.reports.len(), 3);
-    let fresh = completed(&outcome.reports[0]);
-    for report in &outcome.reports[1..] {
-        assert_eq!(completed(report), fresh);
-    }
-    match &outcome.reports[2].outcome {
+    assert_eq!(completed(&outcome.reports[0]), &fresh);
+    match &outcome.reports[1].outcome {
         JobOutcome::Completed {
+            data,
             provenance: Provenance::Cache { source },
-            ..
-        } => assert_eq!(*source, first, "attributed to the first writer"),
+        } => {
+            assert_eq!(*source, first, "attributed to the first writer");
+            assert_eq!(data, &fresh);
+        }
         other => panic!("expected a cache-served completion, got {other:?}"),
     }
-    reset();
 }
 
 #[test]
 fn breaker_opens_and_half_opens_deterministically() {
-    let _gate = gate();
-    reset();
     let service = Service::start(
         ServiceConfig::builder()
             .workers(1)
@@ -218,65 +225,10 @@ fn breaker_opens_and_half_opens_deterministically() {
         }
     }
     assert!(outcome.reports.iter().any(|r| r.id == probe));
-    reset();
-}
-
-#[test]
-fn evaluator_panic_inside_a_job_is_retried_to_completion() {
-    let _gate = gate();
-    reset();
-    let job = spec(4, 31);
-    let want = run_spec(&job).expect("oracle run completes");
-    // Fire a few evaluation batches into the first attempt: the worker's
-    // panic net turns the island failure into a retryable fault, and the
-    // retry (whose batches keep counting past the n-th) completes clean.
-    arm(site::CORE_EVALUATE, FailSpec::Nth(3));
-    let service = Service::start(ServiceConfig::builder().workers(1).virtual_time().build());
-    service.submit(job).expect("empty service admits");
-    let outcome = service.shutdown();
-    assert!(outcome.stats.accounted(), "lost jobs: {:?}", outcome.stats);
-    let report = &outcome.reports[0];
-    assert_eq!(report.attempts, 2, "one poisoned attempt, then success");
-    let got = completed(report);
-    assert_eq!(got, &want);
-    assert_eq!(got.digest(), want.digest());
-    reset();
-}
-
-#[test]
-fn checkpoint_sink_failures_are_counted_not_fatal() {
-    let _gate = gate();
-    reset();
-    let job = spec(5, 41);
-    let want = run_spec(&job).expect("oracle run completes");
-    arm(site::CHECKPOINT_SINK, FailSpec::Always);
-    let service = Service::start(
-        ServiceConfig::builder()
-            .workers(1)
-            .checkpoint_interval(2)
-            .build(),
-    );
-    service.submit(job).expect("empty service admits");
-    let outcome = service.shutdown();
-    assert!(outcome.stats.accounted(), "lost jobs: {:?}", outcome.stats);
-    let report = &outcome.reports[0];
-    assert!(
-        report.checkpoint_failures > 0,
-        "every periodic capture failed and must be counted"
-    );
-    assert_eq!(
-        outcome.stats.checkpoint_failures,
-        report.checkpoint_failures
-    );
-    let got = completed(report);
-    assert_eq!(got, &want, "sink failures must not perturb the run");
-    reset();
 }
 
 #[test]
 fn four_worker_pool_under_mixed_faults_loses_no_jobs() {
-    let _gate = gate();
-    reset();
     let service = Service::start(
         ServiceConfig::builder()
             .workers(4)
@@ -290,7 +242,9 @@ fn four_worker_pool_under_mixed_faults_loses_no_jobs() {
             .build(),
     );
     let mut submitted = 0u64;
-    let mut rejected = 0u64;
+    let mut queue_full = 0u64;
+    // Tenant 0's exhausted jobs can trip its breaker before the loop ends.
+    let mut circuit_open = 0u64;
     for salt in 0..12u64 {
         let mut job = spec((salt % 3) as u32, 50 + salt);
         // Every third job needs one retry; every sixth exhausts its budget.
@@ -301,7 +255,8 @@ fn four_worker_pool_under_mixed_faults_loses_no_jobs() {
         };
         match service.submit(job) {
             Ok(_) => submitted += 1,
-            Err(Rejected::QueueFull { .. }) => rejected += 1,
+            Err(Rejected::QueueFull { .. }) => queue_full += 1,
+            Err(Rejected::CircuitOpen { .. }) => circuit_open += 1,
             Err(other) => panic!("unexpected rejection: {other:?}"),
         }
     }
@@ -311,12 +266,12 @@ fn four_worker_pool_under_mixed_faults_loses_no_jobs() {
     assert!(outcome.stats.accounted(), "lost jobs: {:?}", outcome.stats);
     assert_eq!(outcome.stats.attempted, 12);
     assert_eq!(outcome.stats.admitted, submitted);
-    assert_eq!(outcome.stats.rejected_queue_full, rejected);
+    assert_eq!(outcome.stats.rejected_queue_full, queue_full);
+    assert_eq!(outcome.stats.rejected_circuit, circuit_open);
     assert_eq!(outcome.reports.len() as u64, submitted);
     assert_eq!(
         outcome.stats.completed_fresh + outcome.stats.failed,
         submitted,
         "every admitted job settled terminally"
     );
-    reset();
 }
